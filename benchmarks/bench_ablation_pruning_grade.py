@@ -12,11 +12,12 @@ import statistics
 import time
 from dataclasses import replace
 
+from repro.automata.encode import encode_automaton
 from repro.automata.ltl2ba import translate
 from repro.bench.harness import build_database, specs_to_formulas
 from repro.bench.reporting import format_table, write_report
 from repro.broker.database import BrokerConfig
-from repro.core.permission import permits
+from repro.core.permission import permits_encoded
 from repro.index.complete_pruning import complete_pruning_condition
 from repro.index.pruning import pruning_condition
 
@@ -49,19 +50,23 @@ def test_ablation_pruning_grade(benchmark, datasets, bench_sizes,
                 condition = extractor(query)
                 extract_time += time.perf_counter() - start
                 selected = db.index.evaluate(condition)
+                encoded_query = encode_automaton(query)
                 exact = {
                     c.contract_id
                     for c in db.contracts()
                     if c.contract_id in selected
-                    and permits(c.ba, query, c.vocabulary, seeds=c.seeds)
+                    and permits_encoded(
+                        c.encoded, encoded_query,
+                        seeds_mask=c.encoded_seeds_mask,
+                    )
                 }
                 # soundness re-check against the full database
                 for contract in db.contracts():
                     if contract.contract_id in selected:
                         continue
-                    assert not permits(
-                        contract.ba, query, contract.vocabulary,
-                        seeds=contract.seeds,
+                    assert not permits_encoded(
+                        contract.encoded, encoded_query,
+                        seeds_mask=contract.encoded_seeds_mask,
                     ), f"{grade} condition pruned a permitting contract"
                 candidates.append(len(selected))
                 false_positives.append(len(selected) - len(exact))

@@ -9,9 +9,10 @@ permission checks.
 
 import statistics
 
+from repro.automata.encode import encode_automaton
 from repro.automata.ltl2ba import translate
 from repro.bench.reporting import format_table, write_report
-from repro.core.permission import PermissionStats, permits_ndfs
+from repro.core.permission import PermissionStats, permits_ndfs_encoded
 from repro.core.seeds import compute_seeds
 from repro.ltl.ast import conj
 
@@ -21,9 +22,10 @@ def _prepare(datasets, n_contracts: int = 20, n_queries: int = 6):
     for spec in datasets["medium_contracts"].generate(n_contracts):
         formula = conj(spec.clauses)
         ba = translate(formula)
-        contracts.append((ba, formula.variables(), compute_seeds(ba)))
+        encoded = encode_automaton(ba, formula.variables())
+        contracts.append((encoded, encoded.state_mask(compute_seeds(ba))))
     queries = [
-        translate(conj(spec.clauses))
+        encode_automaton(translate(conj(spec.clauses)))
         for spec in datasets["medium_queries"].generate(n_queries)
     ]
     return contracts, queries
@@ -38,12 +40,12 @@ def test_ablation_seeds(benchmark, datasets, results_dir):
         searches = 0
         skipped = 0
         start = time.perf_counter()
-        for ba, vocabulary, seeds in contracts:
+        for encoded, seeds_mask in contracts:
             for query in queries:
                 stats = PermissionStats()
-                permits_ndfs(
-                    ba, query, vocabulary,
-                    seeds=seeds if use_seeds else None,
+                permits_ndfs_encoded(
+                    encoded, query,
+                    seeds_mask=seeds_mask if use_seeds else None,
                     use_seeds=use_seeds, stats=stats,
                 )
                 searches += stats.cycle_searches
@@ -73,8 +75,8 @@ def test_ablation_seeds(benchmark, datasets, results_dir):
     assert searches_on <= searches_off
 
     # results agree either way (also covered by property tests)
-    for ba, vocabulary, seeds in contracts[:5]:
+    for encoded, seeds_mask in contracts[:5]:
         for query in queries[:3]:
-            assert permits_ndfs(
-                ba, query, vocabulary, seeds=seeds, use_seeds=True
-            ) == permits_ndfs(ba, query, vocabulary, use_seeds=False)
+            assert permits_ndfs_encoded(
+                encoded, query, seeds_mask=seeds_mask, use_seeds=True
+            ) == permits_ndfs_encoded(encoded, query, use_seeds=False)

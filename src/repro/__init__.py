@@ -57,7 +57,7 @@ from .errors import ReproError
 from .ltl import Formula, Run, parse, satisfies
 from .stream import Alert, FleetMonitor, MonitorOptions, MonitorStatus
 
-__version__ = "1.10.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "AttributeFilter",

@@ -1,10 +1,10 @@
 """Flat integer/bitset encoding of Büchi automata (ROADMAP item 2).
 
-The object deciders in :mod:`repro.core.permission` walk
-:class:`~repro.automata.buchi.BuchiAutomaton` graphs whose every step
-hashes :class:`~repro.automata.labels.Label` / ``frozenset`` objects.
-This module re-encodes an automaton once — at registration time — into a
-form the hot loop can traverse with nothing but machine integers:
+Walking a :class:`~repro.automata.buchi.BuchiAutomaton` graph hashes
+:class:`~repro.automata.labels.Label` / ``frozenset`` objects on every
+step.  This module re-encodes an automaton once — at registration time —
+into a form the permission search can traverse with nothing but machine
+integers:
 
 * **events** become bit positions in a per-contract vocabulary index;
 * **labels** become ``(positive_mask, negative_mask)`` pairs of Python
@@ -27,9 +27,10 @@ transition), so the product search in
 Two invariants the rest of the system relies on:
 
 * **order preservation** — the CSR rows list each state's transitions in
-  the same order the object automaton yields them, so the encoded
-  deciders visit product pairs in exactly the object deciders' order and
-  report bit-identical :class:`~repro.core.permission.PermissionStats`;
+  the same order the object automaton yields them, so the deciders'
+  visit order, their :class:`~repro.core.permission.PermissionStats`
+  and the step at which a budget trips depend on the automaton alone,
+  not on how or when it was encoded;
 * **vocabulary soundness** — contract-label literals on events outside
   the supplied vocabulary are dropped from the masks.  This is exact,
   not an approximation: an admissible query label cannot cite such an

@@ -42,7 +42,6 @@ from .relational import (
     MATCH_ALL,
     AttributeCondition,
     AttributeFilter,
-    OpaqueCondition,
     contains,
     eq,
     ge,
@@ -98,7 +97,6 @@ __all__ = [
     "MATCH_ALL",
     "AttributeCondition",
     "AttributeFilter",
-    "OpaqueCondition",
     "contains",
     "eq",
     "ge",

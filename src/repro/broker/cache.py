@@ -207,13 +207,10 @@ class QueryPlanCache:
 
     The database keys entries by ``(compiled-query key, attribute-filter
     cache key, statistics version, planner)``: distinct filters hash to
-    distinct entries (the pre-1.8 callable filters could not be hashed
-    at all, so every filter collided on one warm entry), and the
-    statistics-version component means a register/deregister implicitly
-    invalidates every cached plan — a stale plan can cost time, never
-    answers, but there is no reason to keep one.  Filters containing
-    opaque legacy conditions have no cache key and are planned fresh on
-    every query.
+    distinct entries, and the statistics-version component means a
+    register/deregister implicitly invalidates every cached plan — a
+    stale plan can cost time, never answers, but there is no reason to
+    keep one.
     """
 
     def __init__(self, capacity: int = DEFAULT_PLAN_CACHE_CAPACITY):

@@ -51,19 +51,18 @@ class Contract:
     ``vocabulary`` is copied out of the spec at registration so the hot
     permission path does not re-derive it from the formula on every
     check.  ``encoded`` / ``encoded_seeds_mask`` are the flat int/bitset
-    twins of ``ba`` / ``seeds`` (:mod:`repro.automata.encode`) the
-    encoded deciders walk; ``None`` means the object path is the only
-    one available for this contract.
+    forms of ``ba`` / ``seeds`` (:mod:`repro.automata.encode`) the
+    deciders and the stream monitor walk.
     """
 
     contract_id: int
     spec: ContractSpec
     ba: BuchiAutomaton
     seeds: frozenset
+    encoded: EncodedAutomaton
+    encoded_seeds_mask: int
     vocabulary: frozenset = frozenset()
     projections: ProjectionStore | None = None
-    encoded: EncodedAutomaton | None = None
-    encoded_seeds_mask: int | None = None
 
     def __post_init__(self) -> None:
         if not self.vocabulary:

@@ -29,20 +29,16 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
-from ..automata.buchi import BuchiAutomaton
 from ..automata.encode import encode_automaton
 from ..automata.ltl2ba import DEFAULT_STATE_BUDGET, translate
 from ..core.budget import Deadline, ExecutionBudget, StepBudget
 from ..core.rwlock import RWLock
 from ..core.permission import (
-    PermissionStats,
     PermissionWitness,
     find_witness,
-    permits,
     permits_encoded,
 )
 from ..core.seeds import compute_seeds
@@ -76,7 +72,6 @@ from .options import (
 from .planner import ATTR_FIRST, PREFILTER_FIRST, QueryPlan, QueryPlanner
 from .query import QueryOutcome, QueryResult, QueryStats, Verdict
 from .registration import Quarantine
-from .relational import MATCH_ALL, AttributeFilter
 from .spec import QuerySpec
 from .stats import DatabaseStatistics
 
@@ -89,11 +84,6 @@ class BrokerConfig:
         use_prefilter: evaluate pruning conditions against the §4 index.
         use_projections: precompute and use the §5 simplified BAs.
         use_seeds: apply the §6.2.4 seed filter inside Algorithm 2.
-        use_encoded: run permission checks on the flat int/bitset
-            encoding built at registration
-            (:mod:`repro.automata.encode`) — bit-identical verdicts and
-            stats, substantially faster; contracts without an encoding
-            fall back to the object deciders.
         prefilter_depth: set-trie depth cap ``k``.
         projection_subset_cap: max projected-literal-subset size
             (``None`` = all subsets).
@@ -109,7 +99,6 @@ class BrokerConfig:
     use_prefilter: bool = True
     use_projections: bool = True
     use_seeds: bool = True
-    use_encoded: bool = True
     prefilter_depth: int = 2
     projection_subset_cap: int | None = 2
     permission_algorithm: str = "ndfs"
@@ -266,9 +255,6 @@ class ContractDatabase:
         seeds = prebuilt.seeds if prebuilt.seeds is not None else compute_seeds(ba)
         seeds_seconds = time.perf_counter() - start
 
-        # The flat int/bitset encoding is always built (it is cheap next
-        # to translation) so the encoded deciders can be toggled per
-        # query even on a database configured with use_encoded=False.
         start = time.perf_counter()
         encoded = (
             prebuilt.encoded
@@ -283,6 +269,10 @@ class ContractDatabase:
         if self.config.use_projections:
             if prebuilt.projections is not None:
                 projections = prebuilt.projections
+                # prebuilt stores (process pool, snapshot restore) know
+                # only the BA's own events; quotients must be encoded
+                # over the spec's full vocabulary
+                projections.set_vocabulary(spec.vocabulary)
             else:
                 start = time.perf_counter()
                 projections = ProjectionStore(
@@ -291,10 +281,6 @@ class ContractDatabase:
                     vocabulary=spec.vocabulary,
                 )
                 projection_seconds = time.perf_counter() - start
-            if projections.vocabulary is None:
-                # prebuilt stores (process pool, snapshot restore) carry
-                # no vocabulary; assign it so quotients can be encoded
-                projections.vocabulary = spec.vocabulary
 
         with self._rwlock.write():
             contract_id = self._next_id
@@ -336,57 +322,25 @@ class ContractDatabase:
                 })
         return contract
 
-    def register_spec(
-        self,
-        spec: ContractSpec,
-        prebuilt_ba: BuchiAutomaton | None = None,
-        *,
-        prebuilt_seeds: frozenset | None = None,
-        prebuilt_projections: ProjectionStore | None = None,
-        update_index: bool = True,
-    ) -> Contract:
-        """Deprecated alias of :meth:`register`.
-
-        Migration::
-
-            register_spec(spec)                       -> register(spec)
-            register_spec(spec, prebuilt_ba=ba,       -> register(spec,
-                          prebuilt_seeds=s,                prebuilt=PrebuiltArtifacts(
-                          prebuilt_projections=p)              ba=ba, seeds=s,
-                                                               projections=p))
-            register_spec(spec, update_index=False)   -> register(spec, update_index=False)
-        """
-        warnings.warn(
-            "ContractDatabase.register_spec() is deprecated; use "
-            "register(spec, prebuilt=PrebuiltArtifacts(...)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.register(
-            spec,
-            prebuilt=PrebuiltArtifacts(
-                ba=prebuilt_ba,
-                seeds=prebuilt_seeds,
-                projections=prebuilt_projections,
-            ),
-            update_index=update_index,
-        )
-
     def deregister(self, contract_id: int) -> None:
         """Remove a contract from the database and the index."""
         with self._rwlock.write():
             contract = self._contracts.get(contract_id)
             if contract is None:
                 raise BrokerError(f"no contract with id {contract_id}")
+            if self._journal is not None:
+                # Journaled as the contract's rank in id order, not its
+                # id: a snapshot load renumbers ids densely but keeps
+                # their order, so the rank names the same contract in
+                # this process, after a reopen, and on a replica.
+                rank = sum(1 for cid in self._contracts if cid < contract_id)
             del self._contracts[contract_id]
             self.statistics.remove_contract(contract)
             self._index.remove_contract(contract_id)
             self.registration_stats.contracts -= 1
             self._dirty = True
             if self._journal is not None:
-                self._journal.append(
-                    "deregister", {"contract_id": contract_id}
-                )
+                self._journal.append("deregister", {"rank": rank})
 
     # -- query compilation -------------------------------------------------------------
 
@@ -412,8 +366,7 @@ class ContractDatabase:
     def query(
         self,
         query: str | Formula | QuerySpec,
-        options: QueryOptions | AttributeFilter | None = None,
-        **legacy,
+        options: QueryOptions | None = None,
     ) -> QueryOutcome:
         """All contracts that match the attribute filter and *permit* the
         temporal query (Definition 1).
@@ -431,29 +384,22 @@ class ContractDatabase:
         check ran out of budget appear on ``outcome.maybe_ids`` instead
         of hanging the broker (Theorem 6 makes the check PSPACE-complete,
         so an adversarial query cannot be allowed to run unboundedly).
-
-        Deprecated pre-1.3 surface (still accepted, warns)::
-
-            query(q, attr_filter)              -> query(q, QueryOptions(attribute_filter=attr_filter))
-            query(q, use_prefilter=b)          -> query(q, QueryOptions(use_prefilter=b))
-            query(q, use_projections=b)        -> query(q, QueryOptions(use_projections=b))
-            query(q, explain=True)             -> query(q, QueryOptions(explain=True))
         """
         if isinstance(query, QuerySpec):
-            if options is not None or legacy:
+            if options is not None:
                 raise TypeError(
                     "query(spec) carries its own filter and options; "
                     "pass nothing else"
                 )
             return self._run_query(query.query, query.to_options())
-        resolved = coerce_query_options("query", options, legacy)
-        return self._run_query(query, resolved)
+        return self._run_query(
+            query, coerce_query_options("query", options)
+        )
 
     def query_many(
         self,
         queries: Sequence[str | Formula],
-        options: QueryOptions | AttributeFilter | None = None,
-        **legacy,
+        options: QueryOptions | None = None,
     ) -> list[QueryOutcome]:
         """Evaluate a whole query workload, optionally in parallel.
 
@@ -463,16 +409,10 @@ class ContractDatabase:
         input order and are identical to evaluating each query serially.
         Falls back to serial evaluation when no pool can be created,
         exactly like :func:`repro.broker.parallel.register_many`.
-
-        Deprecated pre-1.3 surface (still accepted, warns)::
-
-            query_many(qs, attr_filter)        -> query_many(qs, QueryOptions(attribute_filter=attr_filter))
-            query_many(qs, workers=4, ...)     -> query_many(qs, QueryOptions(workers=4, ...))
         """
         from .parallel import query_many
 
-        resolved = coerce_query_options("query_many", options, legacy)
-        return query_many(self, queries, resolved)
+        return query_many(self, queries, options)
 
     def _run_query(
         self,
@@ -510,18 +450,17 @@ class ContractDatabase:
         the read lock — the planner reads the live statistics and index.
         """
         planner = options.planner or QueryPlanner()
-        filter_key = options.attribute_filter.cache_key()
-        cache_key = None
-        plan = None
-        if filter_key is not None:
-            cache_key = (
-                compiled.key, filter_key, self.statistics.version, planner,
-            )
-            plan = self._plan_cache.get(cache_key)
-            self.metrics.inc(
-                "planner.cache.hits" if plan is not None
-                else "planner.cache.misses"
-            )
+        cache_key = (
+            compiled.key,
+            options.attribute_filter.cache_key(),
+            self.statistics.version,
+            planner,
+        )
+        plan = self._plan_cache.get(cache_key)
+        self.metrics.inc(
+            "planner.cache.hits" if plan is not None
+            else "planner.cache.misses"
+        )
         if plan is None:
             plan = planner.plan(
                 compiled.query_ba,
@@ -529,8 +468,7 @@ class ContractDatabase:
                 database=self,
                 attribute_filter=options.attribute_filter,
             )
-            if cache_key is not None:
-                self._plan_cache.put(cache_key, plan)
+            self._plan_cache.put(cache_key, plan)
         self._record_plan(plan)
         return plan, QueryPlanner.resolve(options, plan)
 
@@ -570,7 +508,7 @@ class ContractDatabase:
                 )
             options = query.to_options()
             query = query.query
-        options = coerce_query_options("plan_query", options, {})
+        options = coerce_query_options("plan_query", options)
         formula = parse(query) if isinstance(query, str) else query
         compiled, _ = self._query_cache.compile(formula)
         with self._rwlock.read():
@@ -613,11 +551,6 @@ class ContractDatabase:
             if options.use_projections is None
             else options.use_projections
         )
-        encoded_on = (
-            self.config.use_encoded
-            if options.use_encoded is None
-            else options.use_encoded
-        )
 
         order = (
             options.stage_order
@@ -629,7 +562,6 @@ class ContractDatabase:
             database_size=len(self._contracts),
             used_prefilter=prefilter_on,
             used_projections=projections_on,
-            used_encoded=encoded_on,
             cache_hit=cache_hit,
             deadline_seconds=options.deadline_seconds,
             step_budget=options.step_budget,
@@ -717,8 +649,7 @@ class ContractDatabase:
 
         def check(contract: Contract) -> tuple[Verdict, float, float]:
             return self._check_candidate(
-                contract, compiled, projections_on, make_budget(),
-                use_encoded=encoded_on,
+                contract, compiled, projections_on, make_budget()
             )
 
         if executor is None:
@@ -795,17 +726,14 @@ class ContractDatabase:
         compiled: CompiledQuery,
         projections_on: bool,
         budget: ExecutionBudget | None = None,
-        *,
-        use_encoded: bool = True,
     ) -> tuple[Verdict, float, float]:
         """One candidate's (selection, permission) check; returns the
         verdict plus the two phase durations so callers can run this from
         worker threads and still account stats in one place.
 
-        With ``use_encoded`` the search runs on the flat int encoding
-        (contract-level or per-quotient) whenever one is available,
-        falling back to the object deciders otherwise — the two paths
-        are verdict- and budget-identical by construction.
+        The search runs on the encoding of the smallest applicable
+        projection quotient, or on the contract-level encoding when
+        projections are off or nothing smaller is stored.
 
         With an exhausted budget the check is *cancelled* — it returns
         ``SKIPPED`` without selecting a projection or starting the
@@ -816,82 +744,31 @@ class ContractDatabase:
 
         start = time.perf_counter()
         encoded = None
-        seeds_mask = None
         if projections_on and contract.projections is not None:
-            if use_encoded:
-                checked_ba, seeds, encoded, seeds_mask = (
-                    contract.projections.select_artifacts(compiled.literals)
-                )
-            else:
-                checked_ba, seeds = contract.projections.select_with_seeds(
-                    compiled.literals
-                )
-        else:
-            checked_ba = contract.ba
-            seeds = None
+            _, encoded, seeds_mask = contract.projections.select_artifacts(
+                compiled.literals
+            )
+        if encoded is None:
+            encoded = contract.encoded
+            seeds_mask = contract.encoded_seeds_mask
         selection_seconds = time.perf_counter() - start
 
         start = time.perf_counter()
-        if checked_ba is contract.ba:
-            if seeds is None:
-                seeds = contract.seeds
-            if use_encoded and encoded is None:
-                encoded = contract.encoded
-                seeds_mask = contract.encoded_seeds_mask
         try:
-            if encoded is not None:
-                outcome = permits_encoded(
-                    encoded,
-                    compiled.encoded_query,
-                    algorithm=self.config.permission_algorithm,
-                    seeds_mask=seeds_mask,
-                    use_seeds=self.config.use_seeds,
-                    budget=budget,
-                )
-            else:
-                outcome = permits(
-                    checked_ba,
-                    compiled.query_ba,
-                    contract.vocabulary,
-                    algorithm=self.config.permission_algorithm,
-                    seeds=seeds,
-                    use_seeds=self.config.use_seeds,
-                    budget=budget,
-                )
+            outcome = permits_encoded(
+                encoded,
+                compiled.encoded_query,
+                algorithm=self.config.permission_algorithm,
+                seeds_mask=seeds_mask,
+                use_seeds=self.config.use_seeds,
+                budget=budget,
+            )
         except BudgetExceededError:
             permission_seconds = time.perf_counter() - start
             return Verdict.TIMED_OUT, selection_seconds, permission_seconds
         permission_seconds = time.perf_counter() - start
         verdict = Verdict.PERMITTED if outcome else Verdict.NOT_PERMITTED
         return verdict, selection_seconds, permission_seconds
-
-    def query_planned(
-        self,
-        query: str | Formula,
-        attribute_filter: AttributeFilter = MATCH_ALL,
-        planner=None,
-        **kwargs,
-    ) -> QueryOutcome:
-        """Deprecated alias: planner-driven evaluation.
-
-        Migration::
-
-            query_planned(q)                  -> query(q, QueryOptions(use_planner=True))
-            query_planned(q, f, planner=p)    -> query(q, QueryOptions(attribute_filter=f,
-                                                                       use_planner=True, planner=p))
-        """
-        warnings.warn(
-            "ContractDatabase.query_planned() is deprecated; use "
-            "query(q, QueryOptions(use_planner=True, planner=...)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        resolved = coerce_query_options(
-            "query_planned", attribute_filter, kwargs
-        )
-        return self._run_query(
-            query, resolved.evolve(use_planner=True, planner=planner)
-        )
 
     # -- streaming monitoring --------------------------------------------------------
 
@@ -921,10 +798,9 @@ class ContractDatabase:
             if name in taken:
                 name = f"{name}#{contract_id}"
             taken.add(name)
-            encoded = contract.encoded
-            if encoded is None:
-                encoded = encode_automaton(contract.ba, contract.vocabulary)
-            fleet.add_contract(name, encoded, contract_id=contract_id)
+            fleet.add_contract(
+                name, contract.encoded, contract_id=contract_id
+            )
         if watches:
             for watch_name, query in dict(watches).items():
                 fleet.register_watch(watch_name, query)
@@ -940,66 +816,6 @@ class ContractDatabase:
                 self._fleet = self.monitor_fleet(options)
             fleet = self._fleet
         return fleet.ingest(events)
-
-    def permits_contract(self, contract_id: int, query: str | Formula) -> bool:
-        """Deprecated alias: single-contract permission check (full BA,
-        no index).
-
-        Migration::
-
-            permits_contract(cid, q) -> cid in query(q, QueryOptions(
-                                            contract_ids=(cid,),
-                                            use_prefilter=False,
-                                            use_projections=False)).contract_ids
-        """
-        warnings.warn(
-            "ContractDatabase.permits_contract() is deprecated; use "
-            "query(q, QueryOptions(contract_ids=(cid,), use_prefilter=False, "
-            "use_projections=False)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.get(contract_id)  # keep the unknown-contract BrokerError
-        outcome = self._run_query(
-            query,
-            QueryOptions(
-                contract_ids=(contract_id,),
-                use_prefilter=False,
-                use_projections=False,
-            ),
-        )
-        return contract_id in outcome.contract_ids
-
-    def explain(
-        self, contract_id: int, query: str | Formula
-    ) -> PermissionWitness | None:
-        """Deprecated alias: a simultaneous-lasso witness showing *why*
-        the contract permits the query (``None`` when it does not).
-
-        Migration::
-
-            explain(cid, q) -> query(q, QueryOptions(contract_ids=(cid,),
-                                   use_prefilter=False, use_projections=False,
-                                   explain=True)).witnesses.get(cid)
-        """
-        warnings.warn(
-            "ContractDatabase.explain() is deprecated; use "
-            "query(q, QueryOptions(contract_ids=(cid,), explain=True, "
-            "use_prefilter=False, use_projections=False)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.get(contract_id)  # keep the unknown-contract BrokerError
-        outcome = self._run_query(
-            query,
-            QueryOptions(
-                contract_ids=(contract_id,),
-                use_prefilter=False,
-                use_projections=False,
-                explain=True,
-            ),
-        )
-        return outcome.witnesses.get(contract_id)
 
     def precompute_for_workload(
         self, queries: Sequence[str | Formula]

@@ -562,6 +562,29 @@ def open_database(
     return db
 
 
+def deregister_target(db: ContractDatabase, data: dict) -> int:
+    """The id, in ``db``, of the contract a ``deregister`` record
+    removes.
+
+    Records carry the contract's ``rank`` in id order at the time of
+    the call.  Ids are not stable across processes (a snapshot load
+    renumbers them densely, a save leaves the live ones alone) but
+    their order is, and every replayer applies the same records in the
+    same order, so the rank resolves to the same contract everywhere.
+    Records written before 2.0 carry the writer's live ``contract_id``
+    instead and replay against that id as they always did.
+    """
+    if "rank" not in data:
+        return int(data["contract_id"])
+    ids = sorted(c.contract_id for c in db.contracts())
+    rank = int(data["rank"])
+    if not 0 <= rank < len(ids):
+        raise JournalError(
+            f"deregister record names rank {rank} of {len(ids)} contract(s)"
+        )
+    return ids[rank]
+
+
 def _replay(db: ContractDatabase, journal: Journal,
             report: JournalReplayReport) -> None:
     """Re-apply the journal tail onto ``db``, stopping (and truncating
@@ -579,7 +602,7 @@ def _replay(db: ContractDatabase, journal: Journal,
                     record.data.get("attributes") or {},
                 )
             elif record.op == "deregister":
-                db.deregister(int(record.data["contract_id"]))
+                db.deregister(deregister_target(db, record.data))
             elif record.op == "adopt_index":
                 # replay rebuilds the index incrementally through the
                 # register/deregister records, which is semantically the

@@ -1,12 +1,10 @@
 """The unified query-execution options: one object for every knob.
 
-Before 1.3.0 the broker's query surface had grown six divergent
-keyword-argument lists (``query``, ``query_many``, ``query_planned``,
-``permits_contract``, ``explain``, and the module-level
-:func:`repro.broker.parallel.query_many`), none of which could express a
-time bound.  :class:`QueryOptions` replaces them all: every public query
-entry point now accepts one options object and funnels into the single
-internal ``_query_compiled`` path, and the budget fields
+Every public query entry point (``query``, ``query_many``,
+``plan_query`` and the module-level
+:func:`repro.broker.parallel.query_many`) accepts one
+:class:`QueryOptions` object and funnels into the single internal
+``_query_compiled`` path, and the budget fields
 (``deadline_seconds`` / ``step_budget``) give every query a well-defined
 degraded answer instead of an unbounded Algorithm-2 run (the permission
 problem is PSPACE-complete — Theorem 6).
@@ -22,9 +20,8 @@ reports such candidates on ``QueryOutcome.maybe_ids`` with a
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any
 
 from ..core.budget import DEFAULT_CHECK_INTERVAL
 from .relational import MATCH_ALL, AttributeFilter
@@ -60,12 +57,6 @@ class QueryOptions:
             the single-contract surfaces; ``None`` = whole database).
         use_prefilter: engage the §4 index (``None`` = database config).
         use_projections: engage the §5 projections (``None`` = config).
-        use_encoded: run permission checks on the flat int/bitset
-            encoding (:mod:`repro.automata.encode`) instead of the
-            object automata (``None`` = database config).  Verdicts,
-            stats and budget behavior are identical either way; the
-            object path remains as the fallback for contracts without an
-            encoding.
         explain: extract a simultaneous-lasso witness per returned
             contract.
         use_planner: let a :class:`~repro.broker.planner.QueryPlanner`
@@ -101,7 +92,6 @@ class QueryOptions:
     contract_ids: tuple[int, ...] | None = None
     use_prefilter: bool | None = None
     use_projections: bool | None = None
-    use_encoded: bool | None = None
     explain: bool = False
     use_planner: bool = False
     planner: "QueryPlanner | None" = None
@@ -168,70 +158,19 @@ class PrebuiltArtifacts:
     encoded: "EncodedAutomaton | None" = None
 
 
-#: Legacy keyword names each deprecated surface accepted, mapped to the
-#: QueryOptions field they populate (documented in the migration tables).
-_LEGACY_QUERY_KWARGS = {
-    "attribute_filter": "attribute_filter",
-    "use_prefilter": "use_prefilter",
-    "use_projections": "use_projections",
-    "explain": "explain",
-    "workers": "workers",
-}
-
-
 def coerce_query_options(
-    surface: str,
-    options: "QueryOptions | AttributeFilter | None",
-    legacy: Mapping[str, Any],
-    *,
-    stacklevel: int = 3,
+    surface: str, options: "QueryOptions | None"
 ) -> QueryOptions:
-    """Resolve a query entry point's arguments into one QueryOptions.
-
-    The new calling convention passes a :class:`QueryOptions` (or
-    nothing); the pre-1.3 convention passed an :class:`AttributeFilter`
-    positionally plus per-call keyword toggles.  The legacy convention
-    still works but emits a :class:`DeprecationWarning` naming the
-    replacement, so downstream code migrates one call site at a time.
-    """
-    if legacy:
-        unknown = set(legacy) - set(_LEGACY_QUERY_KWARGS)
-        if unknown:
-            raise TypeError(
-                f"{surface}() got unexpected keyword arguments "
-                f"{sorted(unknown)}; new-style calls configure "
-                f"evaluation through QueryOptions"
-            )
-    if isinstance(options, AttributeFilter):
-        if "attribute_filter" in legacy:
-            raise TypeError(
-                f"{surface}() got attribute_filter both positionally "
-                "and by keyword"
-            )
-        legacy = {**legacy, "attribute_filter": options}
-        options = None
-    if legacy:
-        if options is not None:
-            raise TypeError(
-                f"{surface}() mixes QueryOptions with legacy keyword "
-                f"arguments {sorted(legacy)}; fold them into the options"
-            )
-        warnings.warn(
-            f"passing {sorted(legacy)} to {surface}() is deprecated; "
-            f"pass QueryOptions({', '.join(sorted(_LEGACY_QUERY_KWARGS[k] for k in legacy))}=...) instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        fields = {
-            _LEGACY_QUERY_KWARGS[k]: v for k, v in legacy.items()
-            if v is not None
-        }
-        return QueryOptions(**fields)
+    """Resolve a query entry point's ``options`` argument: ``None``
+    means the defaults, anything but a :class:`QueryOptions` is a
+    ``TypeError`` naming the entry point (an
+    :class:`~repro.broker.relational.AttributeFilter` belongs in
+    ``QueryOptions(attribute_filter=...)``)."""
     if options is None:
         return QueryOptions()
     if not isinstance(options, QueryOptions):
         raise TypeError(
-            f"{surface}() expected QueryOptions or AttributeFilter, "
+            f"{surface}() expected QueryOptions, "
             f"got {type(options).__name__}"
         )
     return options

@@ -54,7 +54,6 @@ from .database import ContractDatabase
 from .options import PrebuiltArtifacts, QueryOptions, coerce_query_options
 from .query import QueryOutcome
 from .registration import QuarantinedSpec, RegistrationReport
-from .relational import AttributeFilter
 
 #: Pool-level failure retries before the serial fallback.
 DEFAULT_MAX_RETRIES = 2
@@ -306,8 +305,7 @@ def register_many(
 def query_many(
     db: ContractDatabase,
     queries: Sequence[str | Formula],
-    options: QueryOptions | AttributeFilter | None = None,
-    **legacy,
+    options: QueryOptions | None = None,
 ) -> list[QueryOutcome]:
     """Evaluate a query workload, fanning permission checks over threads.
 
@@ -331,13 +329,8 @@ def query_many(
     completed outcomes are kept, nothing is evaluated (or counted in
     ``repro.obs`` metrics) twice, and the ``query.pool_fallback``
     counter records the event.
-
-    Deprecated pre-1.3 surface (still accepted, warns)::
-
-        query_many(db, qs, workers=4, ...) -> query_many(db, qs,
-                                                  QueryOptions(workers=4, ...))
     """
-    options = coerce_query_options("query_many", options, legacy)
+    options = coerce_query_options("query_many", options)
 
     if options.workers <= 1 or not queries:
         return [

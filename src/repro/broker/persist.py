@@ -12,7 +12,7 @@ provides the library equivalent: a database directory holding
 * ``seeds.json``       — the §6.2.4 seed set per contract, as state ids
   of the stored (canonically numbered) automaton;
 * ``encoded.json``     — the flat int/bitset encoding of each stored
-  automaton (:mod:`repro.automata.encode`) the encoded deciders walk,
+  automaton (:mod:`repro.automata.encode`) the deciders walk,
   in the same canonical numbering;
 * ``projections.json`` — each contract's deduplicated bisimulation
   partitions and subset -> partition map (§5.2);

@@ -71,7 +71,6 @@ class QueryStats:
     step_budget: int | None = None
     used_prefilter: bool = False
     used_projections: bool = False
-    used_encoded: bool = False
     cache_hit: bool = False
     pruning_condition: str = ""
     stage_order: str = "attr_first"

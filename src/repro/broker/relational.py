@@ -13,22 +13,15 @@ Conditions are **data**, not code: an :class:`AttributeCondition` is an
 ``(attribute, op, value)`` triple, so a filter can be serialized
 (:meth:`AttributeCondition.to_dict`), hashed into a plan-cache key
 (:meth:`AttributeFilter.cache_key`) and cost-estimated from per-attribute
-statistics (:mod:`repro.broker.stats`).  The pre-1.8 form — a bare
-``Callable`` predicate plus a description string — still constructs (it
-comes back as an :class:`OpaqueCondition` behind a
-:class:`DeprecationWarning`), but such a condition is opaque: it cannot
-be persisted, cached or estimated, only evaluated.
+statistics (:mod:`repro.broker.stats`).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from ..errors import BrokerError
-
-Predicate = Callable[[Any], bool]
 
 #: Operators the condition AST understands.  ``in`` tests the attribute
 #: against a collection of allowed values; ``contains`` tests a
@@ -73,18 +66,6 @@ def _normalize_membership(value: Any) -> tuple:
     return tuple(sorted(seen, key=repr))
 
 
-def _is_legacy_call(args: tuple, kwargs: dict) -> bool:
-    """Whether an ``AttributeCondition(...)`` call uses the pre-1.8
-    ``(attribute, description, predicate)`` convention."""
-    if "predicate" in kwargs or "description" in kwargs:
-        return True
-    return (
-        len(args) == 3
-        and callable(args[2])
-        and args[1] not in CONDITION_OPS
-    )
-
-
 class AttributeCondition:
     """One attribute condition, e.g. ``price <= 500``, as data.
 
@@ -93,27 +74,9 @@ class AttributeCondition:
     tuple).  Missing attributes never match (a contract that does not
     declare a price cannot satisfy a price bound), and neither do
     incomparable values (``TypeError`` is a no-match, not an error).
-
-    The legacy ``AttributeCondition(attribute, description, predicate)``
-    construction still works: it warns and produces an
-    :class:`OpaqueCondition`, which evaluates identically but cannot be
-    serialized, plan-cached or cost-estimated.
     """
 
     __slots__ = ("attribute", "op", "value")
-
-    def __new__(cls, *args: Any, **kwargs: Any):
-        if cls is AttributeCondition and _is_legacy_call(args, kwargs):
-            warnings.warn(
-                "constructing AttributeCondition from a bare callable "
-                "predicate is deprecated; use the (attribute, op, value) "
-                "form or the eq/ne/lt/le/gt/ge/is_in/contains factories "
-                "so the condition can be serialized and cost-estimated",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            return object.__new__(OpaqueCondition)
-        return object.__new__(cls)
 
     def __init__(self, attribute: str, op: str, value: Any = None):
         if op not in CONDITION_OPS:
@@ -126,11 +89,6 @@ class AttributeCondition:
         self.attribute = attribute
         self.op = op
         self.value = value
-
-    @property
-    def estimable(self) -> bool:
-        """Whether selectivity statistics can price this condition."""
-        return True
 
     def matches(self, attributes: Mapping[str, Any]) -> bool:
         if self.attribute not in attributes:
@@ -170,8 +128,6 @@ class AttributeCondition:
     def __eq__(self, other: Any) -> bool:
         if not isinstance(other, AttributeCondition):
             return NotImplemented
-        if isinstance(other, OpaqueCondition):
-            return False
         return (
             self.attribute == other.attribute
             and self.op == other.op
@@ -187,63 +143,6 @@ class AttributeCondition:
 
     def __str__(self) -> str:
         return f"{self.attribute} {self.op} {self.value!r}"
-
-
-class OpaqueCondition(AttributeCondition):
-    """A legacy callable-predicate condition.
-
-    Evaluates exactly like its pre-1.8 ancestor (missing attribute and
-    ``TypeError`` are no-matches) but is opaque to the rest of the stack:
-    ``estimable`` is False (the planner assumes a default selectivity),
-    ``cache_key()`` is ``None`` (a filter containing one is never
-    plan-cached) and ``to_dict()`` refuses (a closure cannot round-trip
-    through JSON).
-    """
-
-    __slots__ = ("description", "predicate")
-
-    def __init__(self, attribute: str, description: str = "",
-                 predicate: Predicate | None = None):
-        self.attribute = attribute
-        self.op = "opaque"
-        self.value = None
-        self.description = description
-        self.predicate = predicate if predicate is not None else (
-            lambda _v: False
-        )
-
-    @property
-    def estimable(self) -> bool:
-        return False
-
-    def matches(self, attributes: Mapping[str, Any]) -> bool:
-        if self.attribute not in attributes:
-            return False
-        try:
-            return bool(self.predicate(attributes[self.attribute]))
-        except TypeError:
-            return False
-
-    def cache_key(self):
-        return None
-
-    def to_dict(self) -> dict:
-        raise BrokerError(
-            f"cannot serialize the opaque condition {self}: it wraps a "
-            "bare callable; rebuild it with the (attribute, op, value) AST"
-        )
-
-    def __eq__(self, other: Any) -> bool:
-        return self is other
-
-    __hash__ = object.__hash__
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"OpaqueCondition({self.attribute!r}, "
-                f"{self.description!r})")
-
-    def __str__(self) -> str:
-        return f"{self.attribute} {self.description}"
 
 
 def eq(attribute: str, value: Any) -> AttributeCondition:
@@ -319,22 +218,9 @@ class AttributeFilter:
     def matches(self, attributes: Mapping[str, Any]) -> bool:
         return all(c.matches(attributes) for c in self.conditions)
 
-    @property
-    def estimable(self) -> bool:
-        """Whether every condition can be priced by the statistics."""
-        return all(c.estimable for c in self.conditions)
-
-    def cache_key(self):
-        """A hashable identity for plan-cache keys, or ``None`` when any
-        condition is opaque (a closure has no stable identity across
-        calls, so such filters are planned fresh every time)."""
-        keys = []
-        for condition in self.conditions:
-            key = condition.cache_key()
-            if key is None:
-                return None
-            keys.append(key)
-        return tuple(keys)
+    def cache_key(self) -> tuple:
+        """A hashable identity for plan-cache keys."""
+        return tuple(c.cache_key() for c in self.conditions)
 
     def to_list(self) -> list[list[Any]]:
         """The JSON-able ``[[attribute, op, value], ...]`` form shared

@@ -39,7 +39,6 @@ from .relational import MATCH_ALL, AttributeFilter
 SPEC_OPTION_KEYS = frozenset({
     "use_prefilter",
     "use_projections",
-    "use_encoded",
     "use_planner",
     "stage_order",
     "explain",

@@ -13,8 +13,8 @@ Selectivity follows the textbook approach: per-attribute value
 histograms (a :class:`collections.Counter` per attribute) answer
 equality and membership conditions exactly and range conditions by
 summing the matching histogram entries; conditions the statistics
-cannot see through (legacy opaque predicates, ``contains`` on
-collection-valued attributes) fall back to
+cannot see through (``contains`` on collection-valued attributes) fall
+back to
 :data:`DEFAULT_SELECTIVITY`.  Estimates steer plans only — plans change
 time, never answers — so a stale or approximate histogram can never
 produce a wrong query result.
@@ -37,8 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .contract import Contract
 
 #: Selectivity assumed for conditions the histograms cannot price:
-#: opaque legacy predicates and ``contains`` membership on
-#: collection-valued attributes.
+#: ``contains`` membership on collection-valued attributes.
 DEFAULT_SELECTIVITY = 0.5
 
 #: Pseudo-count credited to values the histogram has never seen, so an
@@ -131,8 +130,6 @@ class AttributeStatistics:
         total = self.contracts
         if total <= 0:
             return 1.0
-        if not condition.estimable:
-            return DEFAULT_SELECTIVITY
         stat = self._stats.get(condition.attribute)
         if stat is None:
             # the attribute is never declared: only the pseudo-count

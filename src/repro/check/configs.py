@@ -7,10 +7,7 @@ maybe`` (docs/DEVELOPMENT.md invariant 8).
 
 The lattice covers both deciders crossed with both index optimizations
 (8 exact configurations — any single-layer bug breaks at least one cell
-while the others pin the blame), two *encoded* configurations that run
-each decider on the flat int/bitset encoding
-(:mod:`repro.automata.encode`) and must agree with the oracle — and
-therefore with their object-decider twins — bit-for-bit, two *planner*
+while the others pin the blame), two *planner*
 configurations that let the cost-based query planner pick the pipeline
 per query (plans change *time*, never *answers* — docs/DEVELOPMENT.md
 invariant 14 — so these cells are exact), plus five
@@ -32,7 +29,7 @@ index, unknown-event count) must match character for character —
 invariant 13.  ``monitor-unknown`` salts the trace with events outside
 every vocabulary to pin the unknown-event accounting.
 
-Four *distributed* cells close the lattice at 23: ``sharded`` registers
+Four *distributed* cells close the lattice at 21: ``sharded`` registers
 every contract through a 3-shard coordinator
 (:mod:`repro.dist`) and the merged fan-out answer must match the
 single-node oracle bit-for-bit, and ``replicated`` ships the leader's
@@ -109,7 +106,6 @@ class StackConfig:
     algorithm: str = "ndfs"
     use_prefilter: bool = True
     use_projections: bool = True
-    use_encoded: bool = False
     mode: str = "direct"
 
     @property
@@ -122,7 +118,6 @@ class StackConfig:
             permission_algorithm=self.algorithm,
             use_prefilter=self.use_prefilter,
             use_projections=self.use_projections,
-            use_encoded=self.use_encoded,
         )
 
 
@@ -146,17 +141,10 @@ def _base_lattice() -> list[StackConfig]:
 
 
 def config_lattice() -> tuple[StackConfig, ...]:
-    """The full default lattice (23 configurations)."""
+    """The full default lattice (21 configurations)."""
     return tuple(
         _base_lattice()
         + [
-            # the flat int/bitset deciders, with both index optimizations
-            # on — bit-identical to their object twins by construction,
-            # and this is where that claim is continuously re-proven
-            StackConfig(name="ndfs-encoded", algorithm="ndfs",
-                        use_encoded=True),
-            StackConfig(name="scc-encoded", algorithm="scc",
-                        use_encoded=True),
             # the cost-based planner picks the pipeline per query; its
             # choices may differ from every static cell above, but the
             # answer may not (invariant 14: plans change time, never
@@ -168,18 +156,15 @@ def config_lattice() -> tuple[StackConfig, ...]:
             StackConfig(name="cache-warm", mode="cache_warm"),
             StackConfig(name="parallel-x2", mode="parallel"),
             StackConfig(name="budget-maybe", mode="budget"),
-            # roundtrip runs with the encoded deciders on, so the
-            # persisted encoded.json artifact is continuously proven to
-            # answer like the database that wrote it
-            StackConfig(name="save-load", mode="roundtrip",
-                        use_encoded=True),
+            # the loaded copy answers from the persisted encoded.json
+            # artifact, which this cell continuously proves equal to the
+            # database that wrote it
+            StackConfig(name="save-load", mode="roundtrip"),
             StackConfig(name="journal-replay", mode="journal"),
             # the encoded streaming monitor vs the object monitor on a
             # deterministic generated trace (invariant 13)
-            StackConfig(name="monitor-stream", mode="monitor",
-                        use_encoded=True),
-            StackConfig(name="monitor-unknown", mode="monitor_unknown",
-                        use_encoded=True),
+            StackConfig(name="monitor-stream", mode="monitor"),
+            StackConfig(name="monitor-unknown", mode="monitor_unknown"),
             # the distributed deployment vs the single node (invariant
             # 15: distribution changes placement, never answers)
             StackConfig(name="sharded", mode="sharded"),

@@ -9,16 +9,24 @@ conflict with the contract label.  Theorem 4 shows this captures exactly
 the projection-class semantics of Definition 5, and Theorem 6 shows the
 problem is PSPACE-complete in the formulas (LOGSPACE in the automata).
 
-Two interchangeable deciders are provided:
+Two interchangeable algorithms decide it, both over the flat int/bitset
+encoding of :mod:`repro.automata.encode`:
 
-* :func:`permits_ndfs` — the paper's Algorithm 2: an outer depth-first
-  search over compatible product pairs with a nested cycle search at
-  every candidate knot, optionally pruned by the precomputed *seeds* of
-  §6.2.4.  This is the algorithm the paper benchmarks.
-* :func:`permits_scc` — an equivalent emptiness check on the
+* :func:`permits_ndfs_encoded` — the paper's Algorithm 2: an outer
+  depth-first search over compatible product pairs with a nested cycle
+  search at every candidate knot, optionally pruned by the precomputed
+  *seeds* of §6.2.4.  This is the algorithm the paper benchmarks.
+* :func:`permits_scc_encoded` — an equivalent emptiness check on the
   compatibility product using strongly connected components (a
-  generalized-Büchi style formulation).  Used as a cross-check oracle in
-  tests and available to users who prefer it.
+  generalized-Büchi style formulation).
+
+:func:`permits_encoded` dispatches between them by name; the broker
+calls it with the encodings, binding and seed mask it precomputed.
+:func:`permits` / :func:`permits_ndfs` / :func:`permits_scc` take object
+automata instead: they encode both sides and delegate, for callers that
+hold a :class:`~repro.automata.buchi.BuchiAutomaton` and check it once.
+The independent reference the deciders are tested against is
+:func:`repro.check.oracle.oracle_permits`.
 
 :func:`find_witness` additionally extracts a concrete simultaneous lasso
 path and can materialize it as an ultimately-periodic run, which examples
@@ -32,12 +40,17 @@ from typing import Hashable, Iterator
 
 from ..automata import graph
 from ..automata.buchi import BuchiAutomaton
-from ..automata.encode import EncodedAutomaton, QueryBinding, bind_query
+from ..automata.encode import (
+    EncodedAutomaton,
+    QueryBinding,
+    bind_query,
+    encode_automaton,
+)
 from ..automata.labels import Label
 from ..errors import BudgetExceededError
 from ..ltl.runs import Run
 from .budget import ExecutionBudget
-from .seeds import compute_seeds, compute_seeds_mask
+from .seeds import compute_seeds_mask
 
 State = Hashable
 Pair = tuple  # (contract state, query state)
@@ -112,7 +125,10 @@ class PermissionWitness:
 
 class _CompatibilityContext:
     """Memoized Definition 7 compatibility between contract and query
-    labels, fixed to one contract vocabulary."""
+    labels, fixed to one contract vocabulary.  The witness extractor
+    works on the object automata because it reports states and labels;
+    the deciders below use the precomputed bitset form of the same test
+    (:func:`repro.automata.encode.bind_query`)."""
 
     __slots__ = ("vocabulary", "_label_cache", "_vocab_cache")
 
@@ -156,229 +172,14 @@ def _pair_successors(
                 yield (contract_dst, query_dst), contract_label, query_label
 
 
-def permits_ndfs(
-    contract: BuchiAutomaton,
-    query: BuchiAutomaton,
-    vocabulary: frozenset[str] | None = None,
-    *,
-    seeds: frozenset | None = None,
-    use_seeds: bool = True,
-    stats: PermissionStats | None = None,
-    budget: ExecutionBudget | None = None,
-) -> bool:
-    """Algorithm 2: nested depth-first search for a simultaneous lasso path.
-
-    Args:
-        contract: the contract BA.
-        query: the query BA.
-        vocabulary: the contract's event vocabulary (the variables of its
-            LTL specification).  Defaults to the events on the contract
-            BA's labels — callers that know the true vocabulary (the
-            broker does) should pass it, since a contract may cite an
-            event in its formula that its reduced BA no longer mentions.
-        seeds: precomputed :func:`repro.core.seeds.compute_seeds` result;
-            computed on the fly when ``use_seeds`` is set and none given.
-        use_seeds: apply the §6.2.4 seed filter to candidate knots.
-        stats: optional mutable counters, filled in during the search.
-        budget: optional :class:`~repro.core.budget.ExecutionBudget`; the
-            search charges it once per visited pair / cycle node and
-            propagates its :class:`~repro.errors.BudgetExceededError`
-            (setting ``stats.budget_exhausted``) instead of ever
-            answering a truncated — and therefore possibly wrong —
-            boolean.
-    """
-    if vocabulary is None:
-        vocabulary = contract.events()
-    if stats is None:
-        stats = PermissionStats()
-    ctx = _CompatibilityContext(vocabulary)
-    if use_seeds and seeds is None:
-        seeds = compute_seeds(contract)
-
-    try:
-        return _ndfs_search(
-            contract, query, ctx,
-            seeds=seeds, use_seeds=use_seeds, stats=stats, budget=budget,
-        )
-    except BudgetExceededError:
-        stats.budget_exhausted = True
-        raise
-
-
-def _ndfs_search(
-    contract: BuchiAutomaton,
-    query: BuchiAutomaton,
-    ctx: _CompatibilityContext,
-    *,
-    seeds: frozenset | None,
-    use_seeds: bool,
-    stats: PermissionStats,
-    budget: ExecutionBudget | None,
-) -> bool:
-    start: Pair = (contract.initial, query.initial)
-    visited: set[Pair] = set()
-    stack: list[Pair] = [start]
-    while stack:
-        pair = stack.pop()
-        if pair in visited:
-            continue
-        visited.add(pair)
-        stats.pairs_visited += 1
-        if budget is not None:
-            budget.charge(stats.search_steps)
-        contract_state, query_state = pair
-        if query_state in query.final:
-            if use_seeds and seeds is not None and contract_state not in seeds:
-                stats.seeds_skipped += 1
-            else:
-                stats.cycle_searches += 1
-                if _cycle_search(contract, query, ctx, pair, stats, budget):
-                    stats.result = True
-                    return True
-        for succ, _, _ in _pair_successors(contract, query, ctx, pair):
-            if succ not in visited:
-                stack.append(succ)
-    stats.result = False
-    return False
-
-
-def _cycle_search(
-    contract: BuchiAutomaton,
-    query: BuchiAutomaton,
-    ctx: _CompatibilityContext,
-    knot: Pair,
-    stats: PermissionStats,
-    budget: ExecutionBudget | None = None,
-) -> bool:
-    """The nested search of Algorithm 2: is there a non-empty cycle from
-    ``knot`` back to itself that visits a pair with a contract-final
-    state?
-
-    Explores the product augmented with a boolean *foundFinal* flag (the
-    paper's variable of the same name), so each augmented node is visited
-    once — the iterative equivalent of the memoization scheme the paper
-    describes at the end of §6.2.2.
-    """
-    start_flag = knot[0] in contract.final
-    visited: set[tuple[Pair, bool]] = set()
-    stack: list[tuple[Pair, bool]] = [(knot, start_flag)]
-    while stack:
-        node = stack.pop()
-        if node in visited:
-            continue
-        visited.add(node)
-        stats.cycle_nodes_visited += 1
-        if budget is not None:
-            budget.charge(stats.search_steps)
-        pair, flag = node
-        for succ, _, _ in _pair_successors(contract, query, ctx, pair):
-            if succ == knot and flag:
-                return True
-            succ_flag = flag or (succ[0] in contract.final)
-            if (succ, succ_flag) not in visited:
-                stack.append((succ, succ_flag))
-    return False
-
-
-def permits_scc(
-    contract: BuchiAutomaton,
-    query: BuchiAutomaton,
-    vocabulary: frozenset[str] | None = None,
-    *,
-    budget: ExecutionBudget | None = None,
-    stats: PermissionStats | None = None,
-) -> bool:
-    """SCC-based decider, equivalent to :func:`permits_ndfs`.
-
-    A simultaneous lasso path exists iff the compatibility product has a
-    reachable cyclic SCC containing both a pair with a query-final state
-    and a pair with a contract-final state (one cycle can then visit
-    both, giving lasso paths in both automata simultaneously).
-
-    Successor expansion is memoized across the graph passes
-    (reachability, SCC decomposition, cyclicity): each pair is expanded
-    — and ``budget``-charged — exactly once, so ``pairs_visited`` counts
-    unique product pairs just like :func:`permits_ndfs`'s outer search
-    and an identical deadline no longer exhausts up to three times
-    earlier than under NDFS.
-    """
-    if vocabulary is None:
-        vocabulary = contract.events()
-    if stats is None:
-        stats = PermissionStats()
-    ctx = _CompatibilityContext(vocabulary)
-
-    expansions: dict[Pair, tuple[Pair, ...]] = {}
-
-    def successors(pair: Pair) -> tuple[Pair, ...]:
-        cached = expansions.get(pair)
-        if cached is None:
-            stats.pairs_visited += 1
-            if budget is not None:
-                try:
-                    budget.charge(stats.search_steps)
-                except BudgetExceededError:
-                    stats.budget_exhausted = True
-                    raise
-            cached = tuple(
-                succ
-                for succ, _, _ in _pair_successors(contract, query, ctx, pair)
-            )
-            expansions[pair] = cached
-        return cached
-
-    start: Pair = (contract.initial, query.initial)
-    reachable = graph.reachable_from(start, successors)
-    for component in graph.strongly_connected_components(reachable, successors):
-        has_query_final = any(q in query.final for _, q in component)
-        has_contract_final = any(c in contract.final for c, _ in component)
-        if not (has_query_final and has_contract_final):
-            continue
-        if graph.is_cyclic_component(component, successors):
-            stats.result = True
-            return True
-    stats.result = False
-    return False
-
-
-def permits(
-    contract: BuchiAutomaton,
-    query: BuchiAutomaton,
-    vocabulary: frozenset[str] | None = None,
-    *,
-    algorithm: str = "ndfs",
-    seeds: frozenset | None = None,
-    use_seeds: bool = True,
-    stats: PermissionStats | None = None,
-    budget: ExecutionBudget | None = None,
-) -> bool:
-    """Decide permission; dispatches to the requested algorithm.
-
-    ``algorithm`` is ``"ndfs"`` (the paper's Algorithm 2, default) or
-    ``"scc"``.  With a ``budget``, either algorithm raises
-    :class:`~repro.errors.BudgetExceededError` instead of running
-    unboundedly (see :mod:`repro.core.budget`).
-    """
-    if algorithm == "ndfs":
-        return permits_ndfs(
-            contract, query, vocabulary,
-            seeds=seeds, use_seeds=use_seeds, stats=stats, budget=budget,
-        )
-    if algorithm == "scc":
-        return permits_scc(contract, query, vocabulary,
-                           budget=budget, stats=stats)
-    raise ValueError(f"unknown permission algorithm: {algorithm!r}")
-
-
-# -- encoded deciders -------------------------------------------------------------
+# -- the deciders ------------------------------------------------------------------
 #
-# Twins of permits_ndfs / permits_scc that walk the flat int encoding of
-# repro.automata.encode instead of the object automata.  Product pairs
-# are packed as ``contract_id * num_query_states + query_id``; cycle
-# nodes additionally pack the foundFinal flag into the low bit.  The
-# encoding preserves per-state transition order, so these visit pairs in
-# exactly the object deciders' order and fill PermissionStats (and trip
-# an ExecutionBudget) bit-identically.
+# The searches walk the flat int encoding of repro.automata.encode.
+# Product pairs are packed as ``contract_id * num_query_states +
+# query_id``; cycle nodes additionally pack the foundFinal flag into the
+# low bit.  The encoding preserves per-state transition order, so the
+# visit order — and with it PermissionStats and the step at which an
+# ExecutionBudget trips — is a function of the automata alone.
 
 
 def _encoded_expander(
@@ -433,8 +234,7 @@ def permits_ndfs_encoded(
     stats: PermissionStats | None = None,
     budget: ExecutionBudget | None = None,
 ) -> bool:
-    """Algorithm 2 over the flat encoding — bit-identical in verdict,
-    stats, and budget behavior to :func:`permits_ndfs`.
+    """Algorithm 2: nested depth-first search for a simultaneous lasso path.
 
     Args:
         contract: the encoded contract BA (over its full vocabulary).
@@ -444,6 +244,14 @@ def permits_ndfs_encoded(
         seeds_mask: bitset of seed state ids
             (:func:`repro.core.seeds.compute_seeds_mask`); computed on
             the fly when ``use_seeds`` is set and none given.
+        use_seeds: apply the §6.2.4 seed filter to candidate knots.
+        stats: optional mutable counters, filled in during the search.
+        budget: optional :class:`~repro.core.budget.ExecutionBudget`; the
+            search charges it once per visited pair / cycle node and
+            propagates its :class:`~repro.errors.BudgetExceededError`
+            (setting ``stats.budget_exhausted``) instead of ever
+            answering a truncated — and therefore possibly wrong —
+            boolean.
     """
     if stats is None:
         stats = PermissionStats()
@@ -515,8 +323,16 @@ def _cycle_search_encoded(
     stats: PermissionStats,
     budget: ExecutionBudget | None = None,
 ) -> bool:
-    """The nested search of :func:`_cycle_search` on packed ints: each
-    node is ``(pair << 1) | foundFinal``."""
+    """The nested search of Algorithm 2: is there a non-empty cycle from
+    ``knot`` back to itself that visits a pair with a contract-final
+    state?
+
+    Explores the product augmented with a boolean *foundFinal* flag (the
+    paper's variable of the same name), packed as ``(pair << 1) |
+    foundFinal``, so each augmented node is visited once — the iterative
+    equivalent of the memoization scheme the paper describes at the end
+    of §6.2.2.
+    """
     contract_final = contract.final_mask
     start_flag = (contract_final >> (knot // nq)) & 1
     visited: set[int] = set()
@@ -549,10 +365,20 @@ def permits_scc_encoded(
     budget: ExecutionBudget | None = None,
     stats: PermissionStats | None = None,
 ) -> bool:
-    """SCC-based decider over the flat encoding — equivalent to
-    :func:`permits_scc`, with the same memoize-and-charge-once
-    accounting: each unique product pair is expanded and
-    ``budget``-charged exactly once across the three graph passes."""
+    """SCC-based decider, equivalent to :func:`permits_ndfs_encoded`.
+
+    A simultaneous lasso path exists iff the compatibility product has a
+    reachable cyclic SCC containing both a pair with a query-final state
+    and a pair with a contract-final state (one cycle can then visit
+    both, giving lasso paths in both automata simultaneously).
+
+    Successor expansion is memoized across the graph passes
+    (reachability, SCC decomposition, cyclicity): each pair is expanded
+    — and ``budget``-charged — exactly once, so ``pairs_visited`` counts
+    unique product pairs just like the NDFS's outer search and an
+    identical deadline does not exhaust up to three times earlier than
+    under NDFS.
+    """
     if stats is None:
         stats = PermissionStats()
     if binding is None:
@@ -598,7 +424,13 @@ def permits_encoded(
     stats: PermissionStats | None = None,
     budget: ExecutionBudget | None = None,
 ) -> bool:
-    """Encoded twin of :func:`permits`: dispatch by algorithm name."""
+    """Decide permission; dispatches to the requested algorithm.
+
+    ``algorithm`` is ``"ndfs"`` (the paper's Algorithm 2, default) or
+    ``"scc"``.  With a ``budget``, either algorithm raises
+    :class:`~repro.errors.BudgetExceededError` instead of running
+    unboundedly (see :mod:`repro.core.budget`).
+    """
     if algorithm == "ndfs":
         return permits_ndfs_encoded(
             contract, query, binding,
@@ -609,6 +441,80 @@ def permits_encoded(
         return permits_scc_encoded(contract, query, binding,
                                    budget=budget, stats=stats)
     raise ValueError(f"unknown permission algorithm: {algorithm!r}")
+
+
+def permits(
+    contract: BuchiAutomaton,
+    query: BuchiAutomaton,
+    vocabulary: frozenset[str] | None = None,
+    *,
+    algorithm: str = "ndfs",
+    seeds: frozenset | None = None,
+    use_seeds: bool = True,
+    stats: PermissionStats | None = None,
+    budget: ExecutionBudget | None = None,
+) -> bool:
+    """:func:`permits_encoded` for object automata: encode both sides,
+    bind them and delegate.
+
+    Args:
+        contract: the contract BA.
+        query: the query BA.
+        vocabulary: the contract's event vocabulary (the variables of its
+            LTL specification).  Defaults to the events on the contract
+            BA's labels — callers that know the true vocabulary should
+            pass it, since a contract may cite an event in its formula
+            that its reduced BA no longer mentions.
+        seeds: precomputed :func:`repro.core.seeds.compute_seeds` result
+            (contract states); computed on the fly when ``use_seeds`` is
+            set and none given.
+
+    The remaining arguments are :func:`permits_encoded`'s.
+    """
+    encoded = encode_automaton(contract, vocabulary)
+    encoded_query = encode_automaton(query)
+    return permits_encoded(
+        encoded,
+        encoded_query,
+        bind_query(encoded, encoded_query),
+        algorithm=algorithm,
+        seeds_mask=None if seeds is None else encoded.state_mask(seeds),
+        use_seeds=use_seeds,
+        stats=stats,
+        budget=budget,
+    )
+
+
+def permits_ndfs(
+    contract: BuchiAutomaton,
+    query: BuchiAutomaton,
+    vocabulary: frozenset[str] | None = None,
+    *,
+    seeds: frozenset | None = None,
+    use_seeds: bool = True,
+    stats: PermissionStats | None = None,
+    budget: ExecutionBudget | None = None,
+) -> bool:
+    """:func:`permits` with ``algorithm="ndfs"``."""
+    return permits(
+        contract, query, vocabulary, algorithm="ndfs",
+        seeds=seeds, use_seeds=use_seeds, stats=stats, budget=budget,
+    )
+
+
+def permits_scc(
+    contract: BuchiAutomaton,
+    query: BuchiAutomaton,
+    vocabulary: frozenset[str] | None = None,
+    *,
+    budget: ExecutionBudget | None = None,
+    stats: PermissionStats | None = None,
+) -> bool:
+    """:func:`permits` with ``algorithm="scc"``."""
+    return permits(
+        contract, query, vocabulary, algorithm="scc",
+        budget=budget, stats=stats,
+    )
 
 
 def find_witness(

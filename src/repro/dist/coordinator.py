@@ -528,7 +528,7 @@ class Coordinator:
                     "pass QuerySpec through query(), not query_many()"
                 )
             specs.append(str(query))
-        options = coerce_query_options("query_many", merged_options, {})
+        options = coerce_query_options("query_many", merged_options)
         protocol.check_distributable(options)
         if not specs:
             return []
@@ -708,7 +708,6 @@ class Coordinator:
             step_budget=options.step_budget,
             used_prefilter=any(s.used_prefilter for s in shard_stats),
             used_projections=any(s.used_projections for s in shard_stats),
-            used_encoded=any(s.used_encoded for s in shard_stats),
             stage_order=shard_stats[0].stage_order
             if shard_stats else "attr_first",
             planned=any(s.planned for s in shard_stats),

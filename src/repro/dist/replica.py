@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..broker.database import BrokerConfig, ContractDatabase
-from ..broker.journal import JOURNAL_FILE, Journal
+from ..broker.journal import JOURNAL_FILE, Journal, deregister_target
 from ..core.retry import BackoffPolicy
 from ..errors import DistError, ReproError
 from ..obs.metrics import MetricsRegistry
@@ -126,7 +126,6 @@ class Replica:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.cursor = ReplicaCursor()
         self._db = ContractDatabase(config)
-        self._ids: dict[str, int] = {}
         self._stalled_seq: int | None = None
         self.promoted = False
 
@@ -311,7 +310,6 @@ class Replica:
             report.warnings.append("resync: journal header unreadable")
             return
         self._db = db
-        self._ids = {c.name: c.contract_id for c in db.contracts()}
         self._stalled_seq = None
         self.cursor = ReplicaCursor(
             epoch=tail.epoch, offset=tail.end_offset,
@@ -338,22 +336,15 @@ class Replica:
                 break
             try:
                 if record.op == "register":
-                    contract = self._db.register(
+                    self._db.register(
                         record.data["name"],
                         list(record.data["clauses"]),
                         record.data.get("attributes") or {},
                     )
-                    self._ids[record.data["name"]] = contract.contract_id
                 elif record.op == "deregister":
-                    # the leader logs its *local* id; replica ids differ,
-                    # so deregistration replays by name
-                    name = record.data.get("name")
-                    if name is None:
-                        name = self._name_for_leader_id(
-                            int(record.data["contract_id"])
-                        )
-                    if name is not None and name in self._ids:
-                        self._db.deregister(self._ids.pop(name))
+                    self._db.deregister(
+                        deregister_target(self._db, record.data)
+                    )
                 # adopt_index / config records carry no replayable state
             except (ReproError, KeyError, TypeError, ValueError) as exc:
                 # an unapplicable record poisons everything after it
@@ -368,16 +359,6 @@ class Replica:
                 break
             report.applied += 1
             self.cursor.next_seq = record.seq + 1
-
-    def _name_for_leader_id(self, leader_id: int) -> str | None:
-        """Best-effort leader-id → name resolution: replaying the same
-        journal prefix assigns ids in the same order on both sides, so
-        the replica's own id-order usually matches; fall back to None
-        (skip) when it cannot be resolved."""
-        for contract in self._db.contracts():
-            if contract.contract_id == leader_id:
-                return contract.name
-        return None
 
     def _observe_lag(self, report: PollReport) -> None:
         try:

@@ -67,11 +67,12 @@ class ProjectionStore:
             literals — only sensible for small contracts).  Queries whose
             required literal set is larger than the cap simply fall back
             to the full automaton (§5.2).
-        vocabulary: the contract's full event vocabulary, needed to
-            encode materialized quotients for the flat int deciders
-            (:meth:`select_artifacts`).  ``None`` (e.g. a store built by
-            a process-pool worker) disables quotient encoding until the
-            broker assigns it at registration.
+        vocabulary: the contract's full event vocabulary, over which
+            materialized quotients are encoded for the deciders
+            (:meth:`select_artifacts`).  Defaults to the events the BA's
+            labels mention; the broker assigns the spec's vocabulary to
+            stores built without one (process-pool workers, snapshot
+            restore) at registration (:meth:`set_vocabulary`).
     """
 
     def __init__(
@@ -84,7 +85,7 @@ class ProjectionStore:
         self.ba = ba
         self.literals = ba.literals()
         self.max_subset_size = max_subset_size
-        self.vocabulary = vocabulary
+        self.vocabulary = vocabulary if vocabulary is not None else ba.events()
         self._extra_subsets = [
             frozenset(s) & self.literals for s in extra_subsets
         ]
@@ -102,8 +103,7 @@ class ProjectionStore:
         #: _quotients, so the permission algorithm never recomputes them.
         self._quotient_seeds: dict[tuple[int, frozenset[Literal]], frozenset] = {}
         #: flat int encodings + seed masks of materialized quotients,
-        #: keyed like _quotients (only populated when a vocabulary is
-        #: known — see select_artifacts).
+        #: keyed like _quotients.
         self._quotient_encodings: dict[
             tuple[int, frozenset[Literal]], tuple[EncodedAutomaton, int]
         ] = {}
@@ -258,7 +258,7 @@ class ProjectionStore:
         store = cls.__new__(cls)
         store.ba = ba
         store.literals = ba.literals()
-        store.vocabulary = None
+        store.vocabulary = ba.events()
         store._extra_subsets = []
         store._quotients = {}
         store._quotient_seeds = {}
@@ -315,53 +315,44 @@ class ProjectionStore:
         store.stats.stored_blocks = sum(store._block_counts)
         return store
 
+    def set_vocabulary(self, vocabulary: frozenset) -> None:
+        """Encode quotients over ``vocabulary`` from now on (dropping any
+        encoding cached under a different one)."""
+        if vocabulary != self.vocabulary:
+            self.vocabulary = vocabulary
+            self._quotient_encodings.clear()
+
     # -- query-time use ------------------------------------------------------------
 
     def select(self, query_literals: Iterable[Literal]) -> BuchiAutomaton:
         """The smallest stored automaton equivalent to the contract for a
         query citing ``query_literals`` (Theorem 7 / Theorem 9); the full
         automaton if nothing smaller applies."""
-        ba, _ = self.select_with_seeds(query_literals)
-        return ba
-
-    def select_with_seeds(
-        self, query_literals: Iterable[Literal]
-    ) -> tuple[BuchiAutomaton, frozenset | None]:
-        """Like :meth:`select`, also returning the cached §6.2.4 seed set
-        of the chosen automaton (``None`` when the full BA is returned,
-        whose seeds the caller — the broker — precomputed itself)."""
         best = self._select_key(query_literals)
-        if best is None:
-            return self.ba, None
-        return self._materialize(*best)
+        return self.ba if best is None else self._materialize(*best)[0]
 
     def select_artifacts(
         self, query_literals: Iterable[Literal]
-    ) -> tuple[
-        BuchiAutomaton, frozenset | None, EncodedAutomaton | None, int | None
-    ]:
-        """:meth:`select_with_seeds` plus the chosen quotient's flat int
-        encoding and seed mask for the encoded deciders.
+    ) -> tuple[BuchiAutomaton, EncodedAutomaton | None, int | None]:
+        """:meth:`select` plus the chosen quotient's flat int encoding
+        and §6.2.4 seed mask for the deciders.
 
-        Returns ``(ba, seeds, encoded, seeds_mask)``.  The trailing pair
-        is ``None`` when the full BA is selected (the broker holds the
-        contract-level encoding itself) or when no ``vocabulary`` is set
-        on the store (the caller then falls back to the object path).
+        Returns ``(ba, encoded, seeds_mask)``.  The trailing pair is
+        ``None`` when the full BA is selected: the caller — the broker —
+        holds the contract-level encoding and seed mask itself.
         Quotient encodings are cached alongside the quotients they
         encode, so the cost is paid once per materialized projection.
         """
         best = self._select_key(query_literals)
         if best is None:
-            return self.ba, None, None, None
-        ba, seeds = self._materialize(*best)
-        if self.vocabulary is None:
-            return ba, seeds, None, None
+            return self.ba, None, None
         cached = self._quotient_encodings.get(best)
         if cached is None:
+            ba, seeds = self._materialize(*best)
             encoded = encode_automaton(ba, self.vocabulary)
             cached = (encoded, encoded.state_mask(seeds))
             self._quotient_encodings[best] = cached
-        return ba, seeds, cached[0], cached[1]
+        return self._quotients[best], cached[0], cached[1]
 
     def _select_key(
         self, query_literals: Iterable[Literal]

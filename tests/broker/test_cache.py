@@ -7,6 +7,7 @@ from repro.broker.cache import (
     normalized_query_key,
 )
 from repro.broker.database import BrokerConfig, ContractDatabase
+from repro.broker.options import QueryOptions
 from repro.ltl.parser import parse
 from repro.workload.airfare import all_ticket_specs
 
@@ -14,7 +15,7 @@ from repro.workload.airfare import all_ticket_specs
 def _db(**config_kwargs) -> ContractDatabase:
     db = ContractDatabase(BrokerConfig(**config_kwargs))
     for spec in all_ticket_specs():
-        db.register_spec(spec)
+        db.register(spec)
     return db
 
 
@@ -124,9 +125,9 @@ class TestDatabaseIntegration:
     def test_cache_shared_across_query_entry_points(self):
         db = _db()
         db.query("F refund")
-        assert db.permits_contract(1, "F refund")
-        db.query_planned("F refund")
-        db.explain(1, "F refund")
+        db.query("F refund", QueryOptions(contract_ids=(1,)))
+        db.query("F refund", QueryOptions(use_planner=True))
+        db.query_many(["F refund"], QueryOptions(explain=True))
         stats = db.cache_stats()
         assert stats.misses == 1
         assert stats.hits == 3
@@ -156,12 +157,14 @@ class TestDatabaseIntegration:
         db = _db()
         q = "F(missedFlight && F(refund || dateChange))"
         baseline = db.query(
-            q, use_prefilter=False, use_projections=False
+            q,
+            QueryOptions(use_prefilter=False, use_projections=False),
         ).contract_ids
         for pf in (False, True):
             for pj in (False, True):
                 assert db.query(
-                    q, use_prefilter=pf, use_projections=pj
+                    q,
+                    QueryOptions(use_prefilter=pf, use_projections=pj),
                 ).contract_ids == baseline
 
     def test_metrics_track_cache_counters(self):
@@ -190,10 +193,10 @@ class TestTupleFastPathRemoved:
 
     def test_query_planned_reuses_compilation(self):
         db = _db()
-        result = db.query_planned("F refund")
+        result = db.query("F refund", QueryOptions(use_planner=True))
         assert "Ticket B" in result.contract_names
         assert db.cache_stats().misses == 1
-        again = db.query_planned("F refund")
+        again = db.query("F refund", QueryOptions(use_planner=True))
         assert again.stats.cache_hit
         assert again.contract_ids == result.contract_ids
 

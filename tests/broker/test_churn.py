@@ -11,7 +11,7 @@ QUERY = "F(missedFlight && F(refund || dateChange))"
 
 def _register_tickets(db):
     return {
-        name: db.register_spec(ticket_spec(name)) for name in TICKET_CLAUSES
+        name: db.register(ticket_spec(name)) for name in TICKET_CLAUSES
     }
 
 
@@ -55,7 +55,7 @@ class TestChurnLoop:
         assert "Ticket A" not in result.contract_names
         assert old_a.contract_id not in result.contract_ids
 
-        new_a = db.register_spec(ticket_spec("Ticket A"))
+        new_a = db.register(ticket_spec("Ticket A"))
         result = db.query(QUERY)
         assert "Ticket A" in result.contract_names
         # the re-registration is a fresh contract, not the stale id

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.broker.database import BrokerConfig, ContractDatabase
+from repro.broker.options import QueryOptions
 from repro.broker.relational import AttributeFilter, eq, le
 from repro.errors import BrokerError
 from repro.ltl.parser import parse
@@ -89,14 +90,16 @@ class TestQueryPipeline:
         for info in QUERIES.values():
             baseline = set(
                 airfare_db.query(
-                    info["ltl"], use_prefilter=False, use_projections=False
+                    info["ltl"],
+                    QueryOptions(use_prefilter=False, use_projections=False),
                 ).contract_names
             )
             for pf in (False, True):
                 for pj in (False, True):
                     got = set(
                         airfare_db.query(
-                            info["ltl"], use_prefilter=pf, use_projections=pj
+                            info["ltl"],
+                            QueryOptions(use_prefilter=pf, use_projections=pj),
                         ).contract_names
                     )
                     assert got == baseline
@@ -104,7 +107,9 @@ class TestQueryPipeline:
     def test_attribute_filter_pre_selects(self, airfare_db):
         result = airfare_db.query(
             "F(missedFlight && F(refund || dateChange))",
-            AttributeFilter.where(le("price", 700)),
+            QueryOptions(
+                attribute_filter=AttributeFilter.where(le("price", 700)),
+            ),
         )
         # Ticket A costs 980 and is filtered out relationally.
         assert set(result.contract_names) == {"Ticket B"}
@@ -112,7 +117,12 @@ class TestQueryPipeline:
 
     def test_attribute_filter_no_match(self, airfare_db):
         result = airfare_db.query(
-            "F refund", AttributeFilter.where(eq("airline", "NoSuch"))
+            "F refund",
+            QueryOptions(
+                attribute_filter=AttributeFilter.where(
+                    eq("airline", "NoSuch")
+                ),
+            ),
         )
         assert result.contract_ids == ()
         assert result.stats.candidates == 0
@@ -138,15 +148,25 @@ class TestQueryPipeline:
         assert "Ticket B" in result.contract_names
 
 
+def _check_one(db, contract_id, query, explain=False):
+    """The single-contract check on the full BA, no index."""
+    return db.query(query, QueryOptions(
+        contract_ids=(contract_id,), use_prefilter=False,
+        use_projections=False, explain=explain,
+    ))
+
+
 class TestDirectChecks:
     def test_permits_contract(self, airfare_db, airfare_contracts):
         a = airfare_contracts["Ticket A"].contract_id
-        assert airfare_db.permits_contract(a, "F dateChange")
-        assert not airfare_db.permits_contract(a, "F classUpgrade")
+        assert a in _check_one(airfare_db, a, "F dateChange")
+        assert a not in _check_one(airfare_db, a, "F classUpgrade")
 
     def test_explain_returns_witness(self, airfare_db, airfare_contracts):
         a = airfare_contracts["Ticket A"].contract_id
-        witness = airfare_db.explain(a, "F(missedFlight && F dateChange)")
+        witness = _check_one(
+            airfare_db, a, "F(missedFlight && F dateChange)", explain=True
+        ).witnesses.get(a)
         assert witness is not None
         run = witness.to_run()
         assert airfare_contracts["Ticket A"].ba.accepts(run)
@@ -154,7 +174,8 @@ class TestDirectChecks:
     def test_explain_none_when_not_permitted(self, airfare_db,
                                              airfare_contracts):
         c = airfare_contracts["Ticket C"].contract_id
-        assert airfare_db.explain(c, "F refund") is None
+        outcome = _check_one(airfare_db, c, "F refund", explain=True)
+        assert outcome.witnesses.get(c) is None
 
     def test_get_unknown_raises(self, airfare_db):
         with pytest.raises(BrokerError):
@@ -177,7 +198,7 @@ class TestConfig:
     def test_scc_algorithm_config(self):
         db = ContractDatabase(BrokerConfig(permission_algorithm="scc"))
         for spec in all_ticket_specs():
-            db.register_spec(spec)
+            db.register(spec)
         result = db.query("F(missedFlight && F(refund || dateChange))")
         assert set(result.contract_names) == {"Ticket A", "Ticket B"}
 

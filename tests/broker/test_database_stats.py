@@ -5,6 +5,7 @@ import pytest
 from repro.automata.ltl2ba import translate
 from repro.broker.contract import ContractSpec
 from repro.broker.database import BrokerConfig, ContractDatabase
+from repro.broker.options import PrebuiltArtifacts, QueryOptions
 from repro.ltl.parser import parse
 
 
@@ -13,18 +14,18 @@ class TestPrebuiltRegistration:
         db = ContractDatabase()
         spec = ContractSpec("t", (parse("F a"),))
         ba = translate(spec.formula)
-        contract = db.register_spec(spec, prebuilt_ba=ba)
+        contract = db.register(spec, prebuilt=PrebuiltArtifacts(ba=ba))
         assert contract.ba is ba
 
     def test_prebuilt_skips_translation_cost(self):
         spec = ContractSpec("t", (parse("G(a -> F b) && G(c -> !a)"),))
         fresh = ContractDatabase()
-        fresh.register_spec(spec)
+        fresh.register(spec)
         cost = fresh.registration_stats.translation_seconds
 
         ba = translate(spec.formula)
         reused = ContractDatabase()
-        reused.register_spec(spec, prebuilt_ba=ba)
+        reused.register(spec, prebuilt=PrebuiltArtifacts(ba=ba))
         assert reused.registration_stats.translation_seconds < max(
             cost, 0.001
         )
@@ -44,13 +45,15 @@ class TestQueryStatsPlumbing:
 
     def test_selection_time_negligible_without_projections(self, airfare_db):
         result = airfare_db.query(
-            "F refund", use_projections=False
+            "F refund", QueryOptions(use_projections=False)
         )
         # only the branch dispatch is timed; no store is consulted
         assert result.stats.selection_seconds < 0.01
 
     def test_prefilter_time_zero_when_disabled(self, airfare_db):
-        result = airfare_db.query("F refund", use_prefilter=False)
+        result = airfare_db.query(
+            "F refund", QueryOptions(use_prefilter=False)
+        )
         assert result.stats.prefilter_seconds == 0.0
         assert result.stats.pruning_condition == ""
 

@@ -246,6 +246,68 @@ class TestOpenDatabase:
         assert again.journal_report.replayed == 1
 
 
+class TestDeregisterAfterSave:
+    """A deregister acknowledged after a save, in a process whose live
+    ids are sparse (it deregistered before), must replay against the
+    same contract: ``load_database`` renumbers ids densely while
+    ``save_database`` leaves the live ones alone."""
+
+    def _run(self, tmp_path):
+        db = open_database(tmp_path)
+        ids = {
+            name: db.register(name, ["F x"]).contract_id for name in "abcd"
+        }
+        db.deregister(ids["b"])
+        save_database(db, tmp_path)
+        db.deregister(ids["d"])  # live id 3; dense id 2 after a reload
+        db.register("e", ["F x"])
+        db.journal.close()
+        return db
+
+    def test_reopen_equals_live_database(self, tmp_path):
+        live = self._run(tmp_path)
+        reopened = open_database(tmp_path)
+        assert reopened.journal_report.warnings == []
+        assert reopened.journal_report.replayed == 2
+        assert _names(reopened) == _names(live) == ["a", "c", "e"]
+        reopened.journal.close()
+
+    def test_reopen_removes_the_named_contract_not_its_id(self, tmp_path):
+        db = open_database(tmp_path)
+        ids = {
+            name: db.register(name, ["F x"]).contract_id for name in "abcd"
+        }
+        db.deregister(ids["a"])
+        save_database(db, tmp_path)
+        # live id 2 is "c"; after a reload dense id 2 would be "d"
+        db.deregister(ids["c"])
+        db.journal.close()
+        reopened = open_database(tmp_path)
+        assert _names(reopened) == _names(db) == ["b", "d"]
+        reopened.journal.close()
+
+    def test_pre_2_0_contract_id_records_still_replay(self, tmp_path):
+        db = open_database(tmp_path)
+        for name in "abc":
+            db.register(name, ["F x"])
+        db.journal.append("deregister", {"contract_id": 1})
+        db.journal.close()
+        reopened = open_database(tmp_path)
+        assert reopened.journal_report.warnings == []
+        assert _names(reopened) == ["a", "c"]
+        reopened.journal.close()
+
+    def test_out_of_range_rank_is_unreplayable(self, tmp_path):
+        db = open_database(tmp_path)
+        db.register("a", ["F x"])
+        db.journal.append("deregister", {"rank": 5})
+        db.journal.close()
+        reopened = open_database(tmp_path)
+        assert _names(reopened) == ["a"]
+        assert any("rank 5" in w for w in reopened.journal_report.warnings)
+        reopened.journal.close()
+
+
 class TestConfigRoundTrip:
     def test_explicit_config_wins(self, tmp_path):
         db = open_database(tmp_path, config=BrokerConfig(state_budget=99))
@@ -270,6 +332,27 @@ class TestConfigRoundTrip:
         save_database(db, tmp_path)
         recovered = open_database(tmp_path)
         assert recovered.config.prefilter_depth == 3
+
+
+    def test_pre_2_0_config_with_use_encoded_is_accepted(self, tmp_path):
+        """Journal headers and ``config`` records written by 1.6–1.10
+        carry ``use_encoded``; the key is ignored, the rest applies."""
+        from repro.broker.journal import _encode
+
+        old = {"use_encoded": False, "state_budget": 99,
+               "prefilter_depth": 3}
+        newer = dict(old, state_budget=55)
+        (tmp_path / JOURNAL_FILE).write_bytes(
+            _encode(0, "open", {"epoch": 0, "config": old})
+            + _encode(1, "config", {"config": newer})
+            + _encode(2, "register", {"name": "a", "clauses": ["F x"]})
+        )
+        db = open_database(tmp_path)
+        assert db.journal_report.warnings == []
+        assert db.journal_report.replayed == 2
+        assert db.config == BrokerConfig(state_budget=55, prefilter_depth=3)
+        assert _names(db) == ["a"]
+        db.journal.close()
 
 
 class TestForeignDirectorySave:

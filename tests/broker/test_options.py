@@ -1,8 +1,8 @@
-"""Tests for the unified QueryOptions surface and the deprecation shims.
+"""Tests for the unified QueryOptions surface.
 
-The contract of the 1.3 API redesign: every entry point funnels into one
-options-driven path, the old kwargs still work (with a warning), and a
-shim call returns answers identical to its new-style spelling.
+Every entry point funnels into one options-driven path; the pre-1.3
+spellings and the ``use_encoded`` knob were removed in 2.0 and must fail
+loudly, while their documented replacements answer as the shims did.
 """
 
 import warnings
@@ -65,90 +65,111 @@ class TestQueryOptions:
 
 
 class TestCoercion:
+    """``coerce_query_options`` and the entry points' argument contract:
+    one ``QueryOptions`` or nothing — the pre-1.3 positional filter and
+    per-call keyword toggles are ``TypeError``s since 2.0."""
+
     def test_none_gives_defaults(self):
-        assert coerce_query_options("query", None, {}) == QueryOptions()
+        assert coerce_query_options("query", None) == QueryOptions()
 
     def test_options_passed_through(self):
         options = QueryOptions(step_budget=5)
-        assert coerce_query_options("query", options, {}) is options
-
-    def test_positional_attribute_filter_warns(self):
-        f = AttributeFilter.where(le("price", 700))
-        with pytest.warns(DeprecationWarning, match="QueryOptions"):
-            resolved = coerce_query_options("query", f, {})
-        assert resolved.attribute_filter is f
-
-    def test_legacy_kwargs_warn_and_map(self):
-        with pytest.warns(DeprecationWarning):
-            resolved = coerce_query_options(
-                "query", None,
-                {"use_prefilter": False, "explain": True, "workers": 3},
-            )
-        assert resolved.use_prefilter is False
-        assert resolved.explain is True
-        assert resolved.workers == 3
-
-    def test_legacy_none_means_default(self):
-        with pytest.warns(DeprecationWarning):
-            resolved = coerce_query_options(
-                "query", None, {"use_prefilter": None}
-            )
-        assert resolved.use_prefilter is None
-
-    def test_unknown_kwarg_rejected(self):
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            coerce_query_options("query", None, {"prefilter": True})
-
-    def test_mixing_options_and_legacy_rejected(self):
-        with pytest.raises(TypeError, match="mixes"):
-            coerce_query_options(
-                "query", QueryOptions(), {"explain": True}
-            )
-
-    def test_double_attribute_filter_rejected(self):
-        f = MATCH_ALL
-        with pytest.raises(TypeError):
-            coerce_query_options("query", f, {"attribute_filter": f})
+        assert coerce_query_options("query", options) is options
 
     def test_wrong_type_rejected(self):
         with pytest.raises(TypeError, match="expected QueryOptions"):
-            coerce_query_options("query", 42, {})
+            coerce_query_options("query", 42)
+
+    def test_positional_attribute_filter_rejected(self, airfare_db):
+        f = AttributeFilter.where(le("price", 700))
+        with pytest.raises(TypeError, match=r"query\(\) expected QueryOptions"):
+            airfare_db.query(QUERY, f)
+        with pytest.raises(TypeError, match=r"query_many\(\) expected"):
+            airfare_db.query_many([QUERY], f)
+
+    def test_legacy_kwargs_rejected(self, airfare_db):
+        for kwargs in (
+            {"use_prefilter": False},
+            {"use_projections": False},
+            {"explain": True},
+            {"workers": 3},
+        ):
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                airfare_db.query(QUERY, **kwargs)
+
+    def test_legacy_none_means_default(self, airfare_db):
+        # an explicit None is the one "no options" spelling that survives
+        explicit = airfare_db.query(QUERY, None)
+        assert explicit.contract_ids == airfare_db.query(QUERY).contract_ids
+        assert explicit.stats.used_prefilter
+        assert explicit.stats.used_projections
+
+    def test_unknown_kwarg_rejected(self, airfare_db):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            airfare_db.query(QUERY, prefilter=True)
+
+    def test_mixing_options_and_legacy_rejected(self, airfare_db):
+        with pytest.raises(TypeError):
+            airfare_db.query(QUERY, QueryOptions(), explain=True)
+
+    def test_double_attribute_filter_rejected(self, airfare_db):
+        f = MATCH_ALL
+        with pytest.raises(TypeError):
+            airfare_db.query(
+                QUERY, QueryOptions(attribute_filter=f), attribute_filter=f
+            )
 
 
 class TestEncodedToggle:
-    """``use_encoded`` three-way resolution: per-query option overrides
-    the ``BrokerConfig`` default, ``None`` inherits it, and both paths
-    return identical answers (the encoded decider is bit-identical)."""
+    """The ``use_encoded`` toggle is gone (2.0): the flat-int search is
+    the only decider, and the knob is rejected wherever it could still
+    be typed."""
 
-    def test_config_default_is_encoded(self, airfare_db):
-        outcome = airfare_db.query(QUERY, QueryOptions(explain=True))
-        assert outcome.stats.used_encoded
+    def test_config_default_is_encoded(self, monkeypatch):
+        import repro.broker.database as dbmod
 
-    def test_per_query_override_disables(self, airfare_db):
-        outcome = airfare_db.query(
-            QUERY, QueryOptions(use_encoded=False, explain=True)
-        )
-        assert not outcome.stats.used_encoded
+        calls = []
+        real = dbmod.permits_encoded
 
-    def test_per_query_override_enables_on_object_database(self):
-        db = ContractDatabase(BrokerConfig(use_encoded=False))
-        for spec in all_ticket_specs():
-            db.register(spec)
-        cold = db.query(QUERY, QueryOptions(explain=True))
-        assert not cold.stats.used_encoded
-        hot = db.query(QUERY, QueryOptions(use_encoded=True, explain=True))
-        assert hot.stats.used_encoded
-        assert hot.contract_ids == cold.contract_ids
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dbmod, "permits_encoded", spy)
+        db = _airfare_db()
+        outcome = db.query(QUERY)
+        assert outcome.stats.checked == len(calls) > 0
+
+    def test_every_contract_carries_an_encoding(self, airfare_db):
+        for contract in airfare_db.contracts():
+            assert contract.encoded.num_states == contract.ba.num_states
+            assert contract.encoded_seeds_mask == contract.encoded.state_mask(
+                contract.seeds
+            )
 
     def test_answers_identical_both_ways(self, airfare_db):
+        """The database (registration-time encodings, projection
+        quotients, prefilter) and the object-signature ``permits``
+        (encodes on the fly, full automaton) agree contract by
+        contract."""
+        from repro.automata.ltl2ba import translate
+        from repro.core.permission import permits
+        from repro.ltl.parser import parse
+
         for info in QUERIES.values():
-            encoded = airfare_db.query(
-                info["ltl"], QueryOptions(use_encoded=True)
+            query_ba = translate(parse(info["ltl"]))
+            direct = tuple(
+                c.name for c in airfare_db.contracts()
+                if permits(c.ba, query_ba, c.vocabulary)
             )
-            plain = airfare_db.query(
-                info["ltl"], QueryOptions(use_encoded=False)
-            )
-            assert encoded.contract_names == plain.contract_names
+            assert airfare_db.query(info["ltl"]).contract_names == direct
+
+    def test_knob_rejected_by_options_and_config(self):
+        with pytest.raises(TypeError):
+            QueryOptions(use_encoded=False)
+        with pytest.raises(TypeError):
+            BrokerConfig(use_encoded=False)
+        assert not hasattr(QueryOptions(), "use_encoded")
 
 
 class TestOutcomeShape:
@@ -176,93 +197,106 @@ class TestOutcomeShape:
 
 
 class TestDeprecatedShims:
-    """Each legacy spelling must agree exactly with its replacement."""
+    """The 1.x shims are gone (2.0.0).  Each test pins one row of the
+    CHANGELOG's removed-API table: the old spelling now fails loudly,
+    and the replacement gives the answer the shim used to give."""
 
     def test_query_legacy_kwargs_identical(self):
         db = _airfare_db()
-        new = db.query(QUERY, QueryOptions(
+        with pytest.raises(TypeError):
+            db.query(QUERY, use_prefilter=False, use_projections=False)
+        scan = db.query(QUERY, QueryOptions(
             use_prefilter=False, use_projections=False
         ))
-        with pytest.warns(DeprecationWarning):
-            old = db.query(
-                QUERY, use_prefilter=False, use_projections=False
-            )
-        assert old.contract_ids == new.contract_ids
-        assert old.contract_names == new.contract_names
-        assert old.stats.candidates == new.stats.candidates
-        assert old.stats.checked == new.stats.checked
+        indexed = db.query(QUERY)
+        assert scan.contract_ids == indexed.contract_ids
+        assert scan.contract_names == indexed.contract_names
+        assert scan.stats.candidates == scan.stats.checked == len(db)
+        assert not scan.stats.used_prefilter
+        assert not scan.stats.used_projections
 
     def test_query_positional_filter_identical(self):
         db = _airfare_db()
         f = AttributeFilter.where(le("price", 700))
-        new = db.query(QUERY, QueryOptions(attribute_filter=f))
-        with pytest.warns(DeprecationWarning):
-            old = db.query(QUERY, f)
-        assert old.contract_ids == new.contract_ids
+        with pytest.raises(TypeError):
+            db.query(QUERY, f)
+        filtered = db.query(QUERY, QueryOptions(attribute_filter=f))
+        assert filtered.contract_ids == tuple(
+            cid for cid in db.query(QUERY).contract_ids
+            if f.matches(db.get(cid).attributes)
+        )
 
     def test_query_planned_identical(self):
         db = _airfare_db()
-        new = db.query(QUERY, QueryOptions(use_planner=True))
-        with pytest.warns(DeprecationWarning):
-            old = db.query_planned(QUERY)
-        assert old.contract_ids == new.contract_ids
-        assert old.stats.used_prefilter == new.stats.used_prefilter
-        assert old.stats.used_projections == new.stats.used_projections
+        assert not hasattr(db, "query_planned")
+        static = db.query(QUERY)
+        planned = db.query(QUERY, QueryOptions(use_planner=True))
+        assert planned.stats.planned and not static.stats.planned
+        assert planned.contract_ids == static.contract_ids
 
     def test_permits_contract_identical(self):
         db = _airfare_db()
-        options = QueryOptions(
-            contract_ids=(0,), use_prefilter=False, use_projections=False
-        )
-        new = 0 in db.query(QUERY, options).contract_ids
-        with pytest.warns(DeprecationWarning):
-            old = db.permits_contract(0, QUERY)
-        assert old == new is True
+        assert not hasattr(db, "permits_contract")
+        answer = db.query(QUERY).contract_ids
+        for contract in db.contracts():
+            cid = contract.contract_id
+            single = db.query(QUERY, QueryOptions(
+                contract_ids=(cid,), use_prefilter=False,
+                use_projections=False,
+            ))
+            assert single.stats.candidates == 1
+            assert (cid in single.contract_ids) == (cid in answer)
 
     def test_permits_contract_unknown_id_raises(self):
         from repro.errors import BrokerError
 
         db = _airfare_db()
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(BrokerError):
-                db.permits_contract(99, QUERY)
+        # contract_ids *restricts*: an unknown id selects nothing; the
+        # shim's BrokerError is db.get's
+        outcome = db.query(QUERY, QueryOptions(contract_ids=(99,)))
+        assert outcome.contract_ids == () and outcome.stats.candidates == 0
+        with pytest.raises(BrokerError):
+            db.get(99)
 
     def test_explain_identical(self):
         db = _airfare_db()
+        assert not hasattr(db, "explain")
         options = QueryOptions(
             contract_ids=(0,), use_prefilter=False,
             use_projections=False, explain=True,
         )
-        new = db.query(QUERY, options).witnesses.get(0)
-        with pytest.warns(DeprecationWarning):
-            old = db.explain(0, QUERY)
-        assert (old is None) == (new is None)
-        if old is not None:
-            assert db.get(0).ba.accepts(old.to_run())
+        witness = db.query(QUERY, options).witnesses.get(0)
+        assert (witness is not None) == (0 in db.query(QUERY).contract_ids)
+        assert db.get(0).ba.accepts(witness.to_run())
 
     def test_register_spec_identical(self):
         specs = all_ticket_specs()
-        db_new = ContractDatabase()
-        db_old = ContractDatabase()
+        by_spec = ContractDatabase()
+        prebuilt_db = ContractDatabase()
+        assert not hasattr(by_spec, "register_spec")
         for spec in specs:
-            db_new.register(spec)
-        with pytest.warns(DeprecationWarning):
-            for spec in specs:
-                db_old.register_spec(spec)
-        assert [c.name for c in db_old.contracts()] == [
-            c.name for c in db_new.contracts()
+            original = by_spec.register(spec)
+            prebuilt_db.register(
+                spec,
+                prebuilt=PrebuiltArtifacts(
+                    ba=original.ba, seeds=original.seeds,
+                ),
+            )
+        assert [c.name for c in prebuilt_db.contracts()] == [
+            c.name for c in by_spec.contracts()
         ]
-        assert db_old.query(QUERY).contract_ids == \
-            db_new.query(QUERY).contract_ids
+        assert prebuilt_db.query(QUERY).contract_ids == \
+            by_spec.query(QUERY).contract_ids
 
     def test_query_many_legacy_workers_identical(self):
         db = _airfare_db()
         queries = [info["ltl"] for info in QUERIES.values()]
-        new = db.query_many(queries, QueryOptions(workers=2))
-        with pytest.warns(DeprecationWarning):
-            old = db.query_many(queries, workers=2)
-        assert [r.contract_ids for r in old] == [
-            r.contract_ids for r in new
+        with pytest.raises(TypeError):
+            db.query_many(queries, workers=2)
+        pooled = db.query_many(queries, QueryOptions(workers=2))
+        serial = db.query_many(queries)
+        assert [r.contract_ids for r in pooled] == [
+            r.contract_ids for r in serial
         ]
 
     def test_new_style_calls_do_not_warn(self):

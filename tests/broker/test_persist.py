@@ -235,6 +235,44 @@ class TestConfigPersistence:
         assert load_database(directory).config == config
 
 
+#: BrokerConfig as a 1.6–1.10 snapshot manifest / journal header wrote it
+#: — including the ``use_encoded`` knob 2.0 removed.
+CONFIG_1_10 = {
+    "use_prefilter": True,
+    "use_projections": True,
+    "use_seeds": True,
+    "use_encoded": False,
+    "prefilter_depth": 3,
+    "projection_subset_cap": 2,
+    "permission_algorithm": "scc",
+    "state_budget": 4000,
+    "query_cache_capacity": 17,
+    "plan_cache_capacity": 5,
+}
+
+
+class TestPre2Snapshots:
+    def test_manifest_with_use_encoded_loads_silently(self, tmp_path,
+                                                      airfare_db):
+        directory = save_database(airfare_db, tmp_path / "old")
+        manifest_path = directory / "contracts.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"] = CONFIG_1_10
+        manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+
+        reloaded = load_database(directory)
+        assert reloaded.load_report.warnings == []
+        assert not hasattr(reloaded.config, "use_encoded")
+        assert reloaded.config == BrokerConfig(
+            prefilter_depth=3, permission_algorithm="scc",
+            state_budget=4000, query_cache_capacity=17,
+            plan_cache_capacity=5,
+        )
+        for info in QUERIES.values():
+            assert reloaded.query(info["ltl"]).contract_names == \
+                airfare_db.query(info["ltl"]).contract_names
+
+
 class TestDirtyFlag:
     def test_fresh_database_is_dirty(self):
         assert ContractDatabase(BrokerConfig()).dirty

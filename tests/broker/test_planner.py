@@ -52,22 +52,29 @@ class TestPlannedQueries:
         from repro.workload.airfare import QUERIES
 
         for info in QUERIES.values():
-            planned = airfare_db.query_planned(info["ltl"])
+            planned = airfare_db.query(
+                info["ltl"], QueryOptions(use_planner=True)
+            )
             default = airfare_db.query(info["ltl"])
             assert planned.contract_ids == default.contract_ids
 
     @given(query_formula=formulas(max_depth=3))
     @settings(max_examples=40, deadline=None)
     def test_plans_never_change_answers(self, airfare_db, query_formula):
-        planned = airfare_db.query_planned(query_formula)
+        planned = airfare_db.query(
+            query_formula, QueryOptions(use_planner=True)
+        )
         scan = airfare_db.query(
-            query_formula, use_prefilter=False, use_projections=False
+            query_formula,
+            QueryOptions(use_prefilter=False, use_projections=False),
         )
         assert planned.contract_ids == scan.contract_ids
 
     def test_custom_planner_respected(self, airfare_db):
         eager = QueryPlanner(projection_literal_budget=0)
-        result = airfare_db.query_planned("F refund", planner=eager)
+        result = airfare_db.query(
+            "F refund", QueryOptions(use_planner=True, planner=eager)
+        )
         assert not result.stats.used_projections
 
 
@@ -243,27 +250,3 @@ class TestPlanCache:
         seeded_db.query("F refund", options)
         # the statistics version changed, so the old entry cannot be hit
         assert seeded_db.plan_cache.stats().misses == misses + 1
-
-    def test_opaque_filters_are_never_cached(self, seeded_db):
-        from repro.broker.relational import AttributeCondition
-
-        with pytest.warns(DeprecationWarning):
-            opaque = AttributeCondition(
-                "price", "<= 500", lambda price: price <= 500
-            )
-        options = QueryOptions(
-            attribute_filter=AttributeFilter.where(opaque),
-            use_planner=True,
-        )
-        before = len(seeded_db.plan_cache)
-        outcome = seeded_db.query("F refund", options)
-        assert len(seeded_db.plan_cache) == before
-        assert outcome.stats.planned
-        # the opaque filter still evaluates correctly
-        expected = seeded_db.query(
-            "F refund",
-            QueryOptions(
-                attribute_filter=AttributeFilter.where(le("price", 500))
-            ),
-        )
-        assert outcome.contract_ids == expected.contract_ids

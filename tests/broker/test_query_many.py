@@ -3,6 +3,7 @@
 import pytest
 
 from repro.broker.database import BrokerConfig, ContractDatabase
+from repro.broker.options import QueryOptions
 from repro.broker.parallel import query_many
 from repro.broker.relational import AttributeFilter, le
 from repro.ltl.ast import conj
@@ -13,7 +14,7 @@ from repro.workload.generator import WorkloadGenerator
 def _airfare_db(**config_kwargs) -> ContractDatabase:
     db = ContractDatabase(BrokerConfig(**config_kwargs))
     for spec in all_ticket_specs():
-        db.register_spec(spec)
+        db.register(spec)
     return db
 
 
@@ -53,7 +54,9 @@ class TestSerialBatch:
         db = _airfare_db()
         results = db.query_many(
             ["F(missedFlight && F(refund || dateChange))"] * 2,
-            AttributeFilter.where(le("price", 700)),
+            QueryOptions(
+                attribute_filter=AttributeFilter.where(le("price", 700)),
+            ),
         )
         for result in results:
             assert set(result.contract_names) == {"Ticket B"}
@@ -68,8 +71,12 @@ class TestParallelParity:
         overrides = dict(
             use_prefilter=optimized, use_projections=optimized
         )
-        serial = [serial_db.query(q, **overrides) for q in queries]
-        parallel = parallel_db.query_many(queries, workers=4, **overrides)
+        serial = [
+            serial_db.query(q, QueryOptions(**overrides)) for q in queries
+        ]
+        parallel = parallel_db.query_many(
+            queries, QueryOptions(workers=4, **overrides)
+        )
         assert [r.contract_ids for r in parallel] == [
             r.contract_ids for r in serial
         ]
@@ -87,14 +94,17 @@ class TestParallelParity:
         db = _airfare_db()
         queries = list(QUERIES)
         results = db.query_many(
-            [QUERIES[name]["ltl"] for name in queries], workers=3
+            [QUERIES[name]["ltl"] for name in queries],
+            QueryOptions(workers=3),
         )
         for name, result in zip(queries, results):
             assert set(result.contract_names) == QUERIES[name]["expected"]
 
     def test_parallel_explain_carries_witnesses(self):
         db = _airfare_db()
-        results = db.query_many(["F refund"], workers=2, explain=True)
+        results = db.query_many(
+            ["F refund"], QueryOptions(workers=2, explain=True)
+        )
         (result,) = results
         for contract_id in result.contract_ids:
             witness = result.witness_for(contract_id)
@@ -104,15 +114,15 @@ class TestParallelParity:
     def test_module_level_function_matches_method(self):
         db = _airfare_db()
         queries = ["F refund", "F dateChange"]
-        via_method = db.query_many(queries, workers=2)
-        via_function = query_many(db, queries, workers=2)
+        via_method = db.query_many(queries, QueryOptions(workers=2))
+        via_function = query_many(db, queries, QueryOptions(workers=2))
         assert [r.contract_ids for r in via_method] == [
             r.contract_ids for r in via_function
         ]
 
     def test_metrics_fed_once_per_query(self):
         db = _airfare_db()
-        db.query_many(["F refund"] * 4, workers=2)
+        db.query_many(["F refund"] * 4, QueryOptions(workers=2))
         assert db.metrics.counter_value("query.count") == 4
 
 
@@ -148,7 +158,7 @@ class TestPoolFallbackResume:
 
         monkeypatch.setattr(parallel_module, "ThreadPoolExecutor", NoPool)
         db = _airfare_db()
-        outcomes = db.query_many(["F refund"] * 2, workers=2)
+        outcomes = db.query_many(["F refund"] * 2, QueryOptions(workers=2))
         assert len(outcomes) == 2
         assert db.metrics.counter_value("query.pool_fallback") == 1
         assert db.metrics.counter_value("query.count") == 2

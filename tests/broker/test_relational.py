@@ -10,7 +10,6 @@ from repro.broker.relational import (
     MATCH_ALL,
     AttributeCondition,
     AttributeFilter,
-    OpaqueCondition,
     condition_from_doc,
     contains,
     eq,
@@ -115,7 +114,6 @@ class TestConditionAST:
     def test_condition_is_data(self):
         c = le("price", 500)
         assert (c.attribute, c.op, c.value) == ("price", "<=", 500)
-        assert c.estimable
 
     def test_unknown_operator_rejected(self):
         with pytest.raises(BrokerError):
@@ -167,47 +165,19 @@ class TestConditionAST:
 
 
 class TestLegacyShim:
-    def test_legacy_construction_warns_and_evaluates(self):
-        with pytest.warns(DeprecationWarning):
-            c = AttributeCondition(
-                "price", "<= 500", lambda price: price <= 500
-            )
-        assert isinstance(c, OpaqueCondition)
-        assert c.matches(ATTRS)
-        assert not c.matches({"price": 900})
-        assert not c.matches({})
+    """The pre-1.8 ``(attribute, description, predicate)`` construction
+    was removed in 2.0: a condition is data, never a closure."""
 
-    def test_legacy_keyword_construction_warns(self):
-        with pytest.warns(DeprecationWarning):
-            c = AttributeCondition(
+    def test_legacy_construction_rejected(self):
+        with pytest.raises(BrokerError, match="unknown condition operator"):
+            AttributeCondition("price", "<= 500", lambda price: price <= 500)
+
+    def test_legacy_keyword_construction_rejected(self):
+        with pytest.raises(TypeError):
+            AttributeCondition(
                 "price", description="cheap",
                 predicate=lambda price: price < 100,
             )
-        assert isinstance(c, OpaqueCondition)
-        assert "cheap" in str(c)
-
-    def test_opaque_is_opaque(self):
-        with pytest.warns(DeprecationWarning):
-            c = AttributeCondition("price", "any", lambda _: True)
-        assert not c.estimable
-        assert c.cache_key() is None
-        with pytest.raises(BrokerError):
-            c.to_dict()
-
-    def test_opaque_identity_equality(self):
-        with pytest.warns(DeprecationWarning):
-            a = AttributeCondition("p", "x", lambda _: True)
-        with pytest.warns(DeprecationWarning):
-            b = AttributeCondition("p", "x", lambda _: True)
-        assert a == a
-        assert a != b
-        assert a != eq("p", "x")
-        assert eq("p", "x") != a
-
-    def test_type_error_in_predicate_is_no_match(self):
-        with pytest.warns(DeprecationWarning):
-            c = AttributeCondition("price", "half", lambda v: v / 2 > 10)
-        assert not c.matches({"price": "not-a-number"})
 
 
 class TestFilterSerialization:
@@ -232,10 +202,3 @@ class TestFilterSerialization:
         ]
         keys = [f.cache_key() for f in pairs]
         assert len(set(keys)) == len(keys)
-
-    def test_opaque_member_poisons_cache_key(self):
-        with pytest.warns(DeprecationWarning):
-            opaque = AttributeCondition("price", "any", lambda _: True)
-        f = AttributeFilter.where(le("price", 500), opaque)
-        assert f.cache_key() is None
-        assert not f.estimable

@@ -56,6 +56,12 @@ class TestFromDict:
                 {"query": "F a", "options": {"use_plannner": True}}
             )
 
+    def test_removed_use_encoded_option_rejected_by_name(self):
+        with pytest.raises(BrokerError, match="use_encoded"):
+            QuerySpec.from_dict(
+                {"query": "F a", "options": {"use_encoded": False}}
+            )
+
     def test_invalid_option_value_rejected(self):
         with pytest.raises(BrokerError):
             QuerySpec.from_dict(
@@ -174,7 +180,6 @@ _filter_items = st.one_of(
 _option_docs = st.fixed_dictionaries({}, optional={
     "use_prefilter": st.booleans(),
     "use_projections": st.booleans(),
-    "use_encoded": st.booleans(),
     "use_planner": st.booleans(),
     "stage_order": st.sampled_from(["attr_first", "prefilter_first"]),
     "explain": st.booleans(),

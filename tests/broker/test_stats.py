@@ -8,7 +8,6 @@ import pytest
 from repro.broker.database import ContractDatabase
 from repro.broker.persist import load_database, save_database
 from repro.broker.relational import (
-    AttributeCondition,
     AttributeFilter,
     contains,
     eq,
@@ -65,14 +64,11 @@ class TestSelectivityEstimates:
         estimate = stats.estimate_condition(eq("cabin", "economy"))
         assert 0.0 < estimate < 1 / 5
 
-    def test_contains_and_opaque_fall_back(self):
+    def test_contains_falls_back(self):
         stats = _populated()
         assert stats.estimate_condition(
             contains("route", "A")
         ) == DEFAULT_SELECTIVITY
-        with pytest.warns(DeprecationWarning):
-            opaque = AttributeCondition("price", "any", lambda _: True)
-        assert stats.estimate_condition(opaque) == DEFAULT_SELECTIVITY
 
     def test_filter_estimate_multiplies(self):
         stats = _populated()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.broker.database import ContractDatabase
+from repro.broker.options import QueryOptions
 from repro.broker.vocabulary import EventVocabulary
 from repro.errors import BrokerError
 from repro.ltl.parser import parse
@@ -94,7 +95,7 @@ class TestExplainFlag:
         query = "F(missedFlight && F(refund || dateChange))"
         plain = airfare_db.query(query)
         assert plain.witnesses == {}
-        explained = airfare_db.query(query, explain=True)
+        explained = airfare_db.query(query, QueryOptions(explain=True))
         assert set(explained.witnesses) == set(explained.contract_ids)
         for contract_id in explained.contract_ids:
             witness = explained.witness_for(contract_id)

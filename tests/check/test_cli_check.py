@@ -5,7 +5,7 @@ import json
 from repro.check import generate_case, write_artifact
 from repro.check.runner import Disagreement
 from repro.cli import main
-from repro.core.permission import permits as real_permits
+from repro.core.permission import permits_encoded as real_permits
 
 
 def test_clean_run_exits_zero(tmp_path, capsys):
@@ -52,10 +52,10 @@ def test_unknown_config_is_a_cli_error(tmp_path, capsys):
 def test_injected_bug_exits_nonzero_and_writes_artifact(
     tmp_path, capsys, monkeypatch
 ):
-    def inverted(contract, query, vocabulary=None, **kwargs):
-        return not real_permits(contract, query, vocabulary, **kwargs)
+    def inverted(contract, query, binding=None, **kwargs):
+        return not real_permits(contract, query, binding, **kwargs)
 
-    monkeypatch.setattr("repro.broker.database.permits", inverted)
+    monkeypatch.setattr("repro.broker.database.permits_encoded", inverted)
     code = main(
         ["check", "--seed", "7", "--cases", "3", "--configs", "ndfs",
          "--artifacts", str(tmp_path)]

@@ -15,18 +15,18 @@ from repro.check import (
     replay_artifact,
 )
 from repro.check.cases import ContractCase, FilterSpec
-from repro.core.permission import permits as real_permits
+from repro.core.permission import permits_encoded as real_permits
 from repro.errors import ReproError
 
 
 class TestLattice:
     def test_lattice_shape(self):
         lattice = config_lattice()
-        assert len(lattice) == 23
+        assert len(lattice) == 21
         names = [c.name for c in lattice]
         assert len(set(names)) == len(names)
         assert "journal-replay" in names
-        assert "ndfs-encoded" in names and "scc-encoded" in names
+        assert "ndfs-encoded" not in names and "scc-encoded" not in names
         assert "ndfs-planner" in names and "scc-planner" in names
         assert "monitor-stream" in names and "monitor-unknown" in names
         assert "sharded" in names and "replicated" in names
@@ -50,7 +50,7 @@ class TestCleanRun:
         report = runner.run()
         assert report.ok
         assert report.cases_run + report.cases_skipped == 12
-        assert report.configs_run == report.cases_run * 23
+        assert report.configs_run == report.cases_run * 21
         assert list(tmp_path.iterdir()) == []
         assert runner.metrics.counter_value("check.cases") == report.cases_run
         assert runner.metrics.counter_value("check.disagreements") == 0
@@ -77,10 +77,10 @@ class TestCleanRun:
 def _invert_decider(monkeypatch):
     """Install a wrong decider: every definite verdict is flipped."""
 
-    def inverted(contract, query, vocabulary=None, **kwargs):
-        return not real_permits(contract, query, vocabulary, **kwargs)
+    def inverted(contract, query, binding=None, **kwargs):
+        return not real_permits(contract, query, binding, **kwargs)
 
-    monkeypatch.setattr("repro.broker.database.permits", inverted)
+    monkeypatch.setattr("repro.broker.database.permits_encoded", inverted)
 
 
 class TestInjectedWrongVerdict:
@@ -144,7 +144,9 @@ class TestInjectedWrongVerdict:
         def broken(*args, **kwargs):
             raise RuntimeError("decider exploded")
 
-        monkeypatch.setattr("repro.broker.database.permits", broken)
+        monkeypatch.setattr(
+            "repro.broker.database.permits_encoded", broken
+        )
         runner = ConformanceRunner(
             seed=7, cases=1, configs=configs_by_name(["ndfs"]), shrink=False
         )

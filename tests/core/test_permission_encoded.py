@@ -1,11 +1,13 @@
-"""Differential tests: encoded deciders vs. their object twins.
+"""The one permission decider, against the independent oracle.
 
-The encoded hot loops (:func:`permits_ndfs_encoded` /
-:func:`permits_scc_encoded`) claim *bit-identical* behavior — same
-verdict, same :class:`PermissionStats`, same budget trip point — as the
-object deciders they replace.  These tests re-prove that claim on the
-paper fixtures, on random LTL formulas, and on random non-LTL-shaped
-automata, including under a step budget.
+:func:`permits_ndfs_encoded` / :func:`permits_scc_encoded` (and the
+object-signature adapters :func:`permits_ndfs` / :func:`permits_scc`,
+which encode and delegate) must answer exactly like
+:func:`repro.check.oracle.oracle_permits`, which enumerates the explicit
+snapshot alphabet and shares no code with them — on the paper fixtures
+and on random LTL formulas, with and without the seed filter.  Work
+counters and budget trip points are pinned as absolute values: they are
+a function of the automata alone.
 """
 
 import dataclasses
@@ -16,9 +18,11 @@ from hypothesis import given, settings
 from repro.automata.buchi import BuchiAutomaton
 from repro.automata.encode import bind_query, encode_automaton
 from repro.automata.ltl2ba import translate
+from repro.check.oracle import oracle_permits
 from repro.core.budget import ExecutionBudget, StepBudget
 from repro.core.permission import (
     PermissionStats,
+    permits,
     permits_encoded,
     permits_ndfs,
     permits_ndfs_encoded,
@@ -45,35 +49,43 @@ PAIRS = [
 ]
 
 
-def assert_twins_agree(contract, query, *, use_seeds=True):
-    """Run every object/encoded decider pair and demand identical
-    verdicts and identical stats, field for field."""
+def assert_decider_matches_oracle(contract, query, *, use_seeds=True):
+    """Both algorithms, through the encoded entry points and through the
+    object-signature adapters, must return the oracle's verdict — and an
+    adapter call must fill ``PermissionStats`` exactly like the encoded
+    call it delegates to."""
+    expected = oracle_permits(contract, query)
     enc_c = encode_automaton(contract)
     enc_q = encode_automaton(query)
 
-    for use in (use_seeds,):
-        s_obj, s_enc = PermissionStats(), PermissionStats()
-        got_obj = permits_ndfs(contract, query, use_seeds=use, stats=s_obj)
-        got_enc = permits_ndfs_encoded(enc_c, enc_q, use_seeds=use, stats=s_enc)
-        assert got_obj == got_enc
-        assert dataclasses.asdict(s_obj) == dataclasses.asdict(s_enc)
-
-    s_obj, s_enc = PermissionStats(), PermissionStats()
-    got_obj = permits_scc(contract, query, stats=s_obj)
-    got_enc = permits_scc_encoded(enc_c, enc_q, stats=s_enc)
-    assert got_obj == got_enc
+    s_enc, s_obj = PermissionStats(), PermissionStats()
+    assert permits_ndfs_encoded(
+        enc_c, enc_q, use_seeds=use_seeds, stats=s_enc
+    ) == expected
+    assert permits_ndfs(
+        contract, query, use_seeds=use_seeds, stats=s_obj
+    ) == expected
+    assert s_enc.result == expected
     assert dataclasses.asdict(s_obj) == dataclasses.asdict(s_enc)
-    return got_obj
+
+    s_enc, s_obj = PermissionStats(), PermissionStats()
+    assert permits_scc_encoded(enc_c, enc_q, stats=s_enc) == expected
+    assert permits_scc(contract, query, stats=s_obj) == expected
+    assert s_enc.result == expected
+    assert dataclasses.asdict(s_obj) == dataclasses.asdict(s_enc)
+    return expected
 
 
 class TestFixtureParity:
     @pytest.mark.parametrize("contract,query", PAIRS)
     def test_verdict_and_stats_identical(self, contract, query):
-        assert_twins_agree(ba_of(contract), ba_of(query))
+        assert_decider_matches_oracle(ba_of(contract), ba_of(query))
 
     @pytest.mark.parametrize("contract,query", PAIRS)
     def test_parity_without_seed_filter(self, contract, query):
-        assert_twins_agree(ba_of(contract), ba_of(query), use_seeds=False)
+        assert_decider_matches_oracle(
+            ba_of(contract), ba_of(query), use_seeds=False
+        )
 
     def test_airfare_outcomes(self, airfare_contracts):
         q = ba_of("F(missedFlight && F(refund || dateChange))")
@@ -81,23 +93,27 @@ class TestFixtureParity:
         expected = {"Ticket A": True, "Ticket B": True, "Ticket C": False}
         for name, want in expected.items():
             c = airfare_contracts[name]
-            enc_c = encode_automaton(c.ba, c.vocabulary)
-            assert permits_ndfs_encoded(enc_c, enc_q) is want
-            assert permits_scc_encoded(enc_c, enc_q) is want
+            assert oracle_permits(c.ba, q, c.vocabulary) is want
+            assert permits_ndfs_encoded(c.encoded, enc_q) is want
+            assert permits_scc_encoded(c.encoded, enc_q) is want
+            assert permits(c.ba, q, c.vocabulary, seeds=c.seeds) is want
 
 
 class TestStepParity:
-    """Satellite 3: after the memoization fix, the SCC decider charges
-    each unique product pair once — exactly like the NDFS outer search —
-    so on a fully explored (non-permitted) product both deciders report
-    the same ``pairs_visited``."""
+    """The SCC decider memoizes expansion and charges each unique
+    product pair once — exactly like the NDFS outer search — so on a
+    fully explored (non-permitted) product both algorithms report the
+    same ``pairs_visited``."""
 
     def test_ndfs_scc_pairs_visited_agree_when_not_permitted(self):
-        contract = ba_of("G(a -> F b)")
-        query = ba_of("F(b && F c)")  # c outside the contract vocabulary
+        contract = encode_automaton(ba_of("G(a -> F b)"))
+        # c is outside the contract vocabulary
+        query = encode_automaton(ba_of("F(b && F c)"))
         s_ndfs, s_scc = PermissionStats(), PermissionStats()
-        assert not permits_ndfs(contract, query, use_seeds=False, stats=s_ndfs)
-        assert not permits_scc(contract, query, stats=s_scc)
+        assert not permits_ndfs_encoded(
+            contract, query, use_seeds=False, stats=s_ndfs
+        )
+        assert not permits_scc_encoded(contract, query, stats=s_scc)
         assert s_ndfs.pairs_visited == s_scc.pairs_visited
 
     def test_encoded_scc_charges_each_pair_once(self):
@@ -111,23 +127,23 @@ class TestStepParity:
 
 class TestBudgetParity:
     def test_budget_trips_at_identical_step(self):
-        """An encoded check under a step budget must exhaust at exactly
-        the object check's trip point — MAYBE degradation must not
-        depend on which decider ran."""
+        """A check under a step budget of N exhausts on step N + 1,
+        whether the caller holds encodings or object automata — MAYBE
+        degradation must not depend on the entry point."""
         contract, query = ba_of("G(a -> F b)"), ba_of("G F b")
         enc_c, enc_q = encode_automaton(contract), encode_automaton(query)
 
         probe = PermissionStats()
-        permits_ndfs(contract, query, use_seeds=False, stats=probe)
+        permits_ndfs_encoded(enc_c, enc_q, use_seeds=False, stats=probe)
         assert probe.search_steps > 1
         cap = probe.search_steps - 1
 
         for run in (
-            lambda b, s: permits_ndfs(
-                contract, query, use_seeds=False, stats=s, budget=b
-            ),
             lambda b, s: permits_ndfs_encoded(
                 enc_c, enc_q, use_seeds=False, stats=s, budget=b
+            ),
+            lambda b, s: permits_ndfs(
+                contract, query, use_seeds=False, stats=s, budget=b
             ),
         ):
             stats = PermissionStats()
@@ -141,14 +157,19 @@ class TestBudgetParity:
     def test_scc_budget_parity(self):
         contract, query = ba_of("G(a -> F b)"), ba_of("G F b")
         enc_c, enc_q = encode_automaton(contract), encode_automaton(query)
-        s_obj, s_enc = PermissionStats(), PermissionStats()
-        budget_obj = ExecutionBudget(steps=StepBudget(2))
-        budget_enc = ExecutionBudget(steps=StepBudget(2))
-        with pytest.raises(BudgetExceededError):
-            permits_scc(contract, query, stats=s_obj, budget=budget_obj)
-        with pytest.raises(BudgetExceededError):
-            permits_scc_encoded(enc_c, enc_q, stats=s_enc, budget=budget_enc)
-        assert dataclasses.asdict(s_obj) == dataclasses.asdict(s_enc)
+        for run in (
+            lambda b, s: permits_scc_encoded(enc_c, enc_q, stats=s, budget=b),
+            lambda b, s: permits_scc(contract, query, stats=s, budget=b),
+        ):
+            stats = PermissionStats()
+            budget = ExecutionBudget(steps=StepBudget(2))
+            with pytest.raises(BudgetExceededError):
+                run(budget, stats)
+            assert stats.budget_exhausted
+            assert budget.exhausted_reason == "steps"
+            # the third unique pair expansion is the one that trips
+            assert stats.pairs_visited == 3
+            assert stats.cycle_nodes_visited == 0
 
 
 class TestPrecomputedArtifacts:
@@ -165,17 +186,20 @@ class TestPrecomputedArtifacts:
         ) == permits_ndfs_encoded(enc_c, enc_q)
 
     def test_dispatcher(self):
-        enc_c = encode_automaton(ba_of("G(a -> F b)"))
-        enc_q = encode_automaton(ba_of("F b"))
+        contract, query = ba_of("G(a -> F b)"), ba_of("F b")
+        enc_c, enc_q = encode_automaton(contract), encode_automaton(query)
         assert permits_encoded(enc_c, enc_q, algorithm="ndfs")
         assert permits_encoded(enc_c, enc_q, algorithm="scc")
         with pytest.raises(ValueError):
             permits_encoded(enc_c, enc_q, algorithm="bogus")
+        assert permits(contract, query, algorithm="ndfs")
+        assert permits(contract, query, algorithm="scc")
+        with pytest.raises(ValueError):
+            permits(contract, query, algorithm="bogus")
 
 
 class TestPropertyParity:
     @settings(max_examples=40, deadline=None)
     @given(spec=formulas(max_depth=3), q=formulas(max_depth=3))
     def test_random_formulas_bit_identical(self, spec, q):
-        contract, query = translate(spec), translate(q)
-        assert_twins_agree(contract, query)
+        assert_decider_matches_oracle(translate(spec), translate(q))

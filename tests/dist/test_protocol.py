@@ -145,6 +145,15 @@ class TestOutcomeDocs:
         assert rebuilt.stats.degraded is True
         assert str(rebuilt.formula) == str(parse("F a"))
 
+    def test_stats_frame_from_a_pre_2_0_shard_decodes(self):
+        """1.6–1.10 shards put ``used_encoded`` in every stats frame."""
+        doc = protocol.outcome_to_doc(self._outcome())
+        doc["stats"]["used_encoded"] = True
+        rebuilt = protocol.outcome_from_doc(doc)
+        assert not hasattr(rebuilt.stats, "used_encoded")
+        assert rebuilt.stats.candidates == 4
+        assert rebuilt.stats.database_size == 5
+
     def test_unresolvable_candidate_names_are_dropped(self):
         # without the server's catalog, id 2 has no name: the verdict
         # map simply omits it rather than inventing one

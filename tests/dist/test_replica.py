@@ -140,6 +140,34 @@ class TestEpochChange:
         assert _names(replica.db) == ["alpha"]
 
 
+class TestDeregisterAcrossCompaction:
+    def test_deregister_after_save_reaches_the_same_contract(
+        self, tmp_path, leader
+    ):
+        """The leader's live ids go sparse, a save compacts the journal,
+        and a later deregister must still remove the same contract on a
+        replica that re-synced from the (densely renumbered) snapshot."""
+        ids = {
+            name: leader.register(name, ["F a"]).contract_id
+            for name in "abcd"
+        }
+        leader.deregister(ids["b"])
+        replica = Replica(tmp_path)
+        replica.catch_up()
+        save_database(leader, tmp_path)
+        leader.deregister(ids["d"])
+        leader.register("e", ["F a"])
+        report = replica.catch_up()
+        assert report.warnings == []
+        assert report.lag_records == 0
+        assert _names(replica.db) == _names(leader) == ["a", "c", "e"]
+
+        # and a replica that starts from the snapshot agrees
+        late = Replica(tmp_path)
+        assert late.catch_up().warnings == []
+        assert _names(late.db) == ["a", "c", "e"]
+
+
 class TestLagMetrics:
     def test_lag_gauges_track_unapplied_records(self, tmp_path, leader):
         replica = Replica(tmp_path)

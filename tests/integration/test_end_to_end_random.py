@@ -10,6 +10,7 @@ import pytest
 
 from repro.broker.database import BrokerConfig, ContractDatabase
 from repro.bench.harness import build_database, specs_to_formulas
+from repro.broker.options import QueryOptions
 from repro.workload.generator import WorkloadGenerator
 
 
@@ -38,8 +39,11 @@ class TestModeAgreement:
             results = {}
             for name, prefilter, projections in MODES:
                 result = db.query(
-                    query, use_prefilter=prefilter,
-                    use_projections=projections,
+                    query,
+                    QueryOptions(
+                        use_prefilter=prefilter,
+                        use_projections=projections,
+                    ),
                 )
                 results[name] = frozenset(result.contract_ids)
             assert len(set(results.values())) == 1, (i, str(query), results)
@@ -48,7 +52,7 @@ class TestModeAgreement:
         contracts, queries = random_world
         db = build_database(contracts, BrokerConfig())
         for query in queries:
-            result = db.query(query, use_prefilter=True)
+            result = db.query(query, QueryOptions(use_prefilter=True))
             assert result.stats.candidates >= len(result.contract_ids)
 
     def test_ndfs_and_scc_brokers_agree(self, random_world):

@@ -2,6 +2,7 @@
 full broker pipeline (registration → index → projections → query)."""
 
 from repro.broker.database import BrokerConfig, ContractDatabase
+from repro.broker.options import QueryOptions
 from repro.broker.relational import AttributeFilter, eq, le
 from repro.workload.airfare import QUERIES, all_ticket_specs
 
@@ -13,8 +14,10 @@ class TestExample2EndToEnd:
     def test_intro_scenario(self, airfare_db):
         result = airfare_db.query(
             QUERIES["refund_or_change_after_miss"]["ltl"],
-            AttributeFilter.where(
-                eq("origin", "SAN"), eq("destination", "JFK")
+            QueryOptions(
+                attribute_filter=AttributeFilter.where(
+                    eq("origin", "SAN"), eq("destination", "JFK")
+                ),
             ),
         )
         assert set(result.contract_names) == {"Ticket A", "Ticket B"}
@@ -48,7 +51,7 @@ class TestOptimizationEquivalence:
         for key, config in configs.items():
             db = ContractDatabase(config)
             for spec in all_ticket_specs():
-                db.register_spec(spec)
+                db.register(spec)
             databases[key] = db
         for name, info in QUERIES.items():
             results = {
@@ -61,10 +64,12 @@ class TestOptimizationEquivalence:
 
     def test_prefilter_reduces_checks(self, airfare_db):
         unoptimized = airfare_db.query(
-            "F classUpgrade", use_prefilter=False, use_projections=False
+            "F classUpgrade",
+            QueryOptions(use_prefilter=False, use_projections=False),
         )
         optimized = airfare_db.query(
-            "F classUpgrade", use_prefilter=True, use_projections=False
+            "F classUpgrade",
+            QueryOptions(use_prefilter=True, use_projections=False),
         )
         assert optimized.stats.checked <= unoptimized.stats.checked
         assert optimized.stats.checked == 0  # nobody cites classUpgrade

@@ -18,7 +18,7 @@ class TestRequirementIII:
     def test_new_contract_does_not_change_existing_answers(self):
         db = ContractDatabase()
         for spec in all_ticket_specs():
-            db.register_spec(spec)
+            db.register(spec)
         before = {
             name: set(db.query(info["ltl"]).contract_names)
             for name, info in QUERIES.items()
@@ -36,7 +36,7 @@ class TestRequirementIII:
         )
         db = ContractDatabase(vocabulary=vocab)
         for spec in all_ticket_specs():
-            db.register_spec(spec)
+            db.register(spec)
         answers_before = set(
             db.query(QUERIES["refund_after_miss"]["ltl"]).contract_names
         )
@@ -58,7 +58,7 @@ class TestRequirementIII:
     def test_deregistration_reverts_cleanly(self):
         db = ContractDatabase()
         for spec in all_ticket_specs():
-            db.register_spec(spec)
+            db.register(spec)
         query = QUERIES["refund_or_change_after_miss"]["ltl"]
         baseline = set(db.query(query).contract_names)
         extra = db.register("Temp", ["F(missedFlight && F refund)"])
@@ -74,7 +74,7 @@ class TestRequirementII:
         airline phrased its clauses."""
         db = ContractDatabase()
         for spec in all_ticket_specs():
-            db.register_spec(spec)
+            db.register(spec)
         vocabularies = {c.vocabulary for c in db.contracts()}
         assert len(vocabularies) == 1  # one compact shared interface
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from repro.automata.ltl2ba import translate
 from repro.core.permission import permits
+from repro.core.seeds import compute_seeds_mask
 from repro.errors import ProjectionError
 from repro.projection.project import project
 from repro.projection.store import ProjectionStore
@@ -81,6 +82,46 @@ class TestSelect:
         first = store.select(query.literals())
         second = store.select(query.literals())
         assert first is second or first == second
+
+
+class TestSelectArtifacts:
+    """``select_artifacts`` hands the deciders an encoding whenever it
+    selects a quotient — there is no un-encoded fallback."""
+
+    def _selecting_store(self):
+        ba = translate(parse("G(a -> F b) && G(c -> F d)"))
+        store = ProjectionStore(ba, max_subset_size=2)
+        literals = translate(parse("F b")).literals()
+        assert store.select(literals) is not ba  # a real quotient
+        return ba, store, literals
+
+    def test_quotient_comes_encoded_without_a_vocabulary(self):
+        ba, store, literals = self._selecting_store()
+        assert store.vocabulary == ba.events()
+        quotient, encoded, seeds_mask = store.select_artifacts(literals)
+        assert quotient is store.select(literals)
+        assert encoded.num_states == quotient.num_states
+        assert encoded.events == tuple(sorted(ba.events()))
+        assert seeds_mask == compute_seeds_mask(encoded)
+        # cached: the second selection returns the same objects
+        assert store.select_artifacts(literals)[1] is encoded
+
+    def test_full_ba_selection_leaves_the_encoding_to_the_caller(self):
+        ba = translate(parse("G(a -> !b) && G(c -> !d)"))
+        store = ProjectionStore(ba, max_subset_size=0)
+        literals = translate(parse("F(a && F(b && F(c && F d)))")).literals()
+        assert store.select_artifacts(literals) == (ba, None, None)
+
+    def test_set_vocabulary_re_encodes_cached_quotients(self):
+        ba, store, literals = self._selecting_store()
+        stale = store.select_artifacts(literals)[1]
+        wider = ba.events() | {"refund"}
+        store.set_vocabulary(wider)
+        fresh = store.select_artifacts(literals)[1]
+        assert fresh is not stale
+        assert fresh.events == tuple(sorted(wider))
+        store.set_vocabulary(wider)  # unchanged: the cache survives
+        assert store.select_artifacts(literals)[1] is fresh
 
 
 class TestTheorem9:

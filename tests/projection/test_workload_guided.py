@@ -4,6 +4,7 @@ from hypothesis import given, settings
 
 from repro.automata.ltl2ba import translate
 from repro.broker.database import BrokerConfig, ContractDatabase
+from repro.broker.options import QueryOptions
 from repro.core.permission import permits
 from repro.ltl.parser import parse
 from repro.projection.project import (
@@ -90,8 +91,10 @@ class TestBrokerIntegration:
         assert added > 0
         # results unchanged, of course
         for query in queries:
-            with_projections = db.query(query, use_projections=True)
-            without = db.query(query, use_projections=False)
+            with_projections = db.query(
+                query, QueryOptions(use_projections=True)
+            )
+            without = db.query(query, QueryOptions(use_projections=False))
             assert with_projections.contract_ids == without.contract_ids
 
     def test_precompute_noop_without_projections(self):

@@ -4,6 +4,7 @@ question/answer pairs hold end to end through the broker."""
 import pytest
 
 from repro.broker.database import ContractDatabase
+from repro.broker.options import QueryOptions
 from repro.workload.corpus import all_domains, domain
 
 
@@ -12,7 +13,7 @@ def built_domain(request):
     d = domain(request.param)
     db = ContractDatabase(vocabulary=d.vocabulary)
     for spec in d.contracts:
-        db.register_spec(spec)
+        db.register(spec)
     return d, db
 
 
@@ -58,8 +59,10 @@ class TestCorpusAnswers:
     def test_answers_stable_without_optimizations(self, built_domain):
         d, db = built_domain
         for question, (ltl, expected) in d.questions.items():
-            result = db.query(ltl, use_prefilter=False,
-                              use_projections=False)
+            result = db.query(
+                ltl,
+                QueryOptions(use_prefilter=False, use_projections=False),
+            )
             assert set(result.contract_names) == set(expected), (
                 d.name, question,
             )
@@ -67,7 +70,7 @@ class TestCorpusAnswers:
     def test_every_answer_explainable(self, built_domain):
         d, db = built_domain
         for question, (ltl, expected) in d.questions.items():
-            result = db.query(ltl, explain=True)
+            result = db.query(ltl, QueryOptions(explain=True))
             for contract_id in result.contract_ids:
                 run = result.witness_for(contract_id).to_run()
                 assert db.get(contract_id).ba.accepts(run)
