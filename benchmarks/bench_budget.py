@@ -25,6 +25,7 @@ import time
 from repro.bench.reporting import format_table, write_report
 from repro.broker.database import BrokerConfig, ContractDatabase
 from repro.broker.options import QueryOptions
+from repro.broker.planner import SCAN_PLAN
 from repro.ltl.printer import format_formula
 from repro.workload.generator import pathological_query, pathological_specs
 
@@ -39,11 +40,10 @@ def _contract_count() -> int:
 
 
 def _build_db(count: int) -> ContractDatabase:
-    # scan mode: the prefilter would prune the adversarial candidates
-    # outright, which is the *other* benchmark's story (bench_figure5)
-    db = ContractDatabase(
-        BrokerConfig(use_prefilter=False, use_projections=False)
-    )
+    # queried in scan mode (the prefilter would prune the adversarial
+    # candidates outright, which is the *other* benchmark's story —
+    # bench_figure5), so no projection stores are needed either
+    db = ContractDatabase(BrokerConfig(use_projections=False))
     for i, spec in enumerate(pathological_specs(count, seed=7)):
         db.register(f"pathological-{i}", list(spec.clauses))
     return db
@@ -54,11 +54,11 @@ def test_budgeted_tail_latency(benchmark, results_dir):
     db = _build_db(count)
     query = format_formula(pathological_query())
     budgeted_options = QueryOptions(
-        use_prefilter=False, deadline_seconds=DEADLINE_SECONDS
+        plan=SCAN_PLAN, deadline_seconds=DEADLINE_SECONDS
     )
 
     exact_start = time.perf_counter()
-    exact = db.query(query, QueryOptions(use_prefilter=False))
+    exact = db.query(query, QueryOptions(plan=SCAN_PLAN))
     exact_seconds = time.perf_counter() - exact_start
 
     latencies = []

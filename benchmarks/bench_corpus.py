@@ -12,6 +12,7 @@ import statistics
 from repro.bench.reporting import format_table, write_report
 from repro.broker.database import BrokerConfig, ContractDatabase
 from repro.broker.options import QueryOptions
+from repro.broker.planner import SCAN_PLAN
 from repro.workload.corpus import all_domains
 
 
@@ -28,8 +29,7 @@ def test_corpus_end_to_end(benchmark, results_dir):
                 db.query(ltl)
             scan_times, fast_times = [], []
             for question, (ltl, expected) in domain.questions.items():
-                scan = db.query(ltl, QueryOptions(
-                    use_prefilter=False, use_projections=False))
+                scan = db.query(ltl, QueryOptions(plan=SCAN_PLAN))
                 fast = db.query(ltl)
                 assert set(scan.contract_names) == set(expected), question
                 assert set(fast.contract_names) == set(expected), question

@@ -21,6 +21,7 @@ from repro.bench.harness import run_figure5
 from repro.bench.reporting import format_bar_chart, format_table, write_report
 from repro.broker.database import BrokerConfig
 from repro.broker.options import QueryOptions
+from repro.broker.planner import SCAN_PLAN
 
 
 def _query_configs(datasets, bench_sizes):
@@ -72,16 +73,21 @@ def test_figure5(benchmark, datasets, bench_sizes, results_dir):
 
 def test_benchmark_optimized_query(benchmark, datasets, bench_sizes):
     """pytest-benchmark micro view: one optimized query on a mid-size DB."""
-    from repro.bench.harness import build_database, specs_to_formulas
+    from repro.bench.harness import (
+        OPTIMIZED_PLAN,
+        build_database,
+        specs_to_formulas,
+    )
 
     size = bench_sizes["figure5_db_sizes"][1]
     db = build_database(
         datasets["simple_contracts"].generate(size), BrokerConfig()
     )
     query = specs_to_formulas(datasets["simple_queries"].generate(1))[0]
-    db.query(query)  # warm projections
+    optimized = QueryOptions(plan=OPTIMIZED_PLAN)
+    db.query(query, optimized)  # warm projections
 
-    result = benchmark(lambda: db.query(query))
+    result = benchmark(lambda: db.query(query, optimized))
     assert result.stats.database_size == size
 
 
@@ -96,7 +102,6 @@ def test_benchmark_scan_query(benchmark, datasets, bench_sizes):
     query = specs_to_formulas(datasets["simple_queries"].generate(1))[0]
 
     result = benchmark(
-        lambda: db.query(query, QueryOptions(
-            use_prefilter=False, use_projections=False))
+        lambda: db.query(query, QueryOptions(plan=SCAN_PLAN))
     )
     assert result.stats.candidates == size

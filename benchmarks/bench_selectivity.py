@@ -10,10 +10,11 @@ speedup are charted against depth.
 
 import statistics
 
-from repro.bench.harness import build_database
+from repro.bench.harness import OPTIMIZED_PLAN, build_database
 from repro.bench.reporting import format_table, write_report
 from repro.broker.database import BrokerConfig
 from repro.broker.options import QueryOptions
+from repro.broker.planner import SCAN_PLAN
 from repro.workload.selectivity import derived_workload
 
 DEPTHS = (1, 2, 3, 4)
@@ -36,14 +37,13 @@ def test_selectivity_sweep(benchmark, datasets, bench_sizes, results_dir):
             )
             assert queries, f"no depth-{depth} queries derivable"
             for query in queries:  # warm projections
-                db.query(query)
+                db.query(query, QueryOptions(plan=OPTIMIZED_PLAN))
             candidate_fractions = []
             speedups = []
             matched = []
             for query in queries:
-                scan = db.query(query, QueryOptions(
-                    use_prefilter=False, use_projections=False))
-                fast = db.query(query)
+                scan = db.query(query, QueryOptions(plan=SCAN_PLAN))
+                fast = db.query(query, QueryOptions(plan=OPTIMIZED_PLAN))
                 assert scan.contract_ids == fast.contract_ids
                 candidate_fractions.append(
                     fast.stats.candidates / len(db)

@@ -11,7 +11,9 @@ Run with::
     python examples/airfare_broker.py
 """
 
-from repro.broker import AttributeFilter, ContractDatabase, QueryOptions, eq, le
+from repro.broker import (
+    AttributeFilter, ContractDatabase, QueryOptions, QueryPlan, eq, le,
+)
 from repro.workload.airfare import QUERIES, all_ticket_specs
 
 db = ContractDatabase()
@@ -54,13 +56,13 @@ result = db.query(
 )
 print(f"fares allowing two date changes: {list(result.contract_names)}")
 
-print("\n--- the same query, optimized vs. unoptimized ---")
+print("\n--- the same query, pinned to the scan vs. both indexes ---")
 for optimized in (False, True):
     result = db.query(temporal, QueryOptions(
         attribute_filter=search,
-        use_prefilter=optimized, use_projections=optimized,
+        plan=QueryPlan(use_prefilter=optimized, use_projections=optimized),
     ))
-    mode = "optimized  " if optimized else "unoptimized"
+    mode = "indexed" if optimized else "scan   "
     s = result.stats
     print(f"{mode}: {s.total_seconds * 1000:6.1f} ms "
           f"(candidates={s.candidates}, checked={s.checked}, "
@@ -70,7 +72,6 @@ print("\n--- why is Ticket B returned? ---")
 ticket_b = next(c for c in db.contracts() if c.name == "Ticket B")
 witness = db.query(temporal, QueryOptions(
     contract_ids=(ticket_b.contract_id,), explain=True,
-    use_prefilter=False, use_projections=False,
 )).witnesses[ticket_b.contract_id]
 print("allowed sequence satisfying the query:")
 for t, snapshot in enumerate(witness.to_run().unroll(5)):

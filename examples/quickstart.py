@@ -49,13 +49,12 @@ result = db.query(QUERY)
 print(f"query: {QUERY}")
 print(f"permitting fares: {list(result.contract_names)}")
 print(f"(checked {result.stats.checked} of {result.stats.database_size} "
-      f"contracts after prefiltering)")
+      f"contracts; {result.stats.plan_summary})")
 
 # Why was Ticket A returned?  Ask for a witness: a concrete sequence of
 # events the contract allows that satisfies the query.
 witness = db.query(QUERY, QueryOptions(
     contract_ids=(0,), explain=True,
-    use_prefilter=False, use_projections=False,
 )).witnesses[0]
 print("\nwitness sequence for Ticket A:")
 for t, snapshot in enumerate(witness.to_run().unroll(6)):

@@ -11,10 +11,15 @@ Run with::
 
 import statistics
 
-from repro.bench.harness import build_database, specs_to_formulas
+from repro.bench.harness import (
+    OPTIMIZED_PLAN,
+    build_database,
+    specs_to_formulas,
+)
 from repro.bench.reporting import format_table
 from repro.broker.database import BrokerConfig
 from repro.broker.options import QueryOptions
+from repro.broker.planner import SCAN_PLAN
 from repro.workload.generator import WorkloadGenerator
 
 NUM_CONTRACTS = 60
@@ -49,12 +54,8 @@ for query in queries:
 rows = []
 speedups = []
 for i, query in enumerate(queries):
-    scan = db.query(
-        query, QueryOptions(use_prefilter=False, use_projections=False)
-    )
-    fast = db.query(
-        query, QueryOptions(use_prefilter=True, use_projections=True)
-    )
+    scan = db.query(query, QueryOptions(plan=SCAN_PLAN))
+    fast = db.query(query, QueryOptions(plan=OPTIMIZED_PLAN))
     assert scan.contract_ids == fast.contract_ids
     speedup = max(scan.stats.total_seconds, 1e-9) / max(
         fast.stats.total_seconds, 1e-9

@@ -44,7 +44,6 @@ from .broker import (
     Degradation,
     QueryOptions,
     QueryOutcome,
-    QueryResult,
     QuerySpec,
     RegistrationReport,
     Verdict,
@@ -57,7 +56,7 @@ from .errors import ReproError
 from .ltl import Formula, Run, parse, satisfies
 from .stream import Alert, FleetMonitor, MonitorOptions, MonitorStatus
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "AttributeFilter",
@@ -70,7 +69,6 @@ __all__ = [
     "ExecutionBudget",
     "QueryOptions",
     "QueryOutcome",
-    "QueryResult",
     "QuerySpec",
     "RegistrationReport",
     "StepBudget",

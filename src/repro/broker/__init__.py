@@ -34,10 +34,11 @@ from .planner import (
     PlannedStage,
     QueryPlan,
     QueryPlanner,
+    SCAN_PLAN,
 )
 from .database import BrokerConfig, ContractDatabase, RegistrationStats
 from .options import Degradation, PrebuiltArtifacts, QueryOptions
-from .query import QueryOutcome, QueryResult, QueryStats, Verdict
+from .query import QueryOutcome, QueryStats, Verdict
 from .relational import (
     MATCH_ALL,
     AttributeCondition,
@@ -80,6 +81,7 @@ __all__ = [
     "PlannedStage",
     "QueryPlan",
     "QueryPlanner",
+    "SCAN_PLAN",
     "QuerySpec",
     "AttributeStatistics",
     "DatabaseStatistics",
@@ -91,7 +93,6 @@ __all__ = [
     "PrebuiltArtifacts",
     "QueryOptions",
     "QueryOutcome",
-    "QueryResult",
     "QueryStats",
     "Verdict",
     "MATCH_ALL",

@@ -206,7 +206,7 @@ class QueryPlanCache:
     living alongside the compilation cache.
 
     The database keys entries by ``(compiled-query key, attribute-filter
-    cache key, statistics version, planner)``: distinct filters hash to
+    cache key, statistics version)``: distinct filters hash to
     distinct entries, and the statistics-version component means a
     register/deregister implicitly invalidates every cached plan — a
     stale plan can cost time, never answers, but there is no reason to

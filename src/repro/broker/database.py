@@ -15,9 +15,11 @@ Architecture (mirroring the prototype's four modules):
   algorithm (Algorithm 2) runs on each candidate using the smallest
   applicable precomputed projection.
 
-Every optimization can be toggled per database (:class:`BrokerConfig`)
-or per query, which is how the benchmark harness measures the paper's
-unoptimized-versus-optimized comparisons.
+Which of the two index stages a query engages, and in which order, is
+its :class:`~repro.broker.planner.QueryPlan`: the database's cost-based
+planner writes one per query, and ``QueryOptions(plan=...)`` pins one —
+which is how the benchmark harness measures the paper's scan-versus-
+optimized comparisons.
 
 Serving-side aggregation: every query's :class:`QueryStats` is fed into
 the database's :class:`~repro.obs.metrics.MetricsRegistry`
@@ -29,8 +31,8 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass, fields
+from typing import AbstractSet, Any, Iterator, Mapping, Sequence
 
 from ..automata.encode import encode_automaton
 from ..automata.ltl2ba import DEFAULT_STATE_BUDGET, translate
@@ -70,7 +72,7 @@ from .options import (
     coerce_query_options,
 )
 from .planner import ATTR_FIRST, PREFILTER_FIRST, QueryPlan, QueryPlanner
-from .query import QueryOutcome, QueryResult, QueryStats, Verdict
+from .query import QueryOutcome, QueryStats, Verdict
 from .registration import Quarantine
 from .spec import QuerySpec
 from .stats import DatabaseStatistics
@@ -81,8 +83,9 @@ class BrokerConfig:
     """Tunable knobs of the broker.
 
     Attributes:
-        use_prefilter: evaluate pruning conditions against the §4 index.
-        use_projections: precompute and use the §5 simplified BAs.
+        use_projections: precompute the §5 simplified BAs at
+            registration (whether a query *uses* them is its plan's
+            call; without stores no plan can).
         use_seeds: apply the §6.2.4 seed filter inside Algorithm 2.
         prefilter_depth: set-trie depth cap ``k``.
         projection_subset_cap: max projected-literal-subset size
@@ -93,10 +96,9 @@ class BrokerConfig:
             compilation cache (``0`` disables caching).
         plan_cache_capacity: chosen query plans kept in the LRU plan
             cache — keyed by (query, filter, statistics version), so
-            repeated planned queries skip re-planning (``0`` disables).
+            repeated queries skip re-planning (``0`` disables).
     """
 
-    use_prefilter: bool = True
     use_projections: bool = True
     use_seeds: bool = True
     prefilter_depth: int = 2
@@ -106,10 +108,14 @@ class BrokerConfig:
     query_cache_capacity: int = DEFAULT_CACHE_CAPACITY
     plan_cache_capacity: int = DEFAULT_PLAN_CACHE_CAPACITY
 
-    def unoptimized(self) -> "BrokerConfig":
-        """A copy with both indexing optimizations off (the paper's
-        'scan' baseline)."""
-        return replace(self, use_prefilter=False, use_projections=False)
+    @classmethod
+    def from_dict(cls, doc: Mapping[str, Any]) -> "BrokerConfig":
+        """The configuration a snapshot manifest or journal ``config``
+        record carries (``dataclasses.asdict`` wrote it).  Keys this
+        version does not have — knobs removed since, like 2.0's
+        ``use_encoded`` and 3.0's ``use_prefilter`` — are ignored."""
+        names = {f.name for f in fields(cls)}
+        return cls(**{k: v for k, v in doc.items() if k in names})
 
 
 @dataclass
@@ -132,6 +138,24 @@ class RegistrationStats:
             + self.seeds_seconds
             + self.encode_seconds
         )
+
+
+def _request(
+    surface: str,
+    query: str | Formula | QuerySpec,
+    options: QueryOptions | None,
+) -> tuple[str | Formula, QueryOptions]:
+    """A query entry point's arguments as ``(query, options)``: a
+    :class:`QuerySpec` carries both, anything else takes the options
+    argument (``None`` = defaults)."""
+    if isinstance(query, QuerySpec):
+        if options is not None:
+            raise TypeError(
+                f"{surface}(spec) carries its own filter and options; "
+                "pass nothing else"
+            )
+        return query.query, query.to_options()
+    return query, coerce_query_options(surface, options)
 
 
 class ContractDatabase:
@@ -161,6 +185,8 @@ class ContractDatabase:
         self._plan_cache = QueryPlanCache(
             capacity=self.config.plan_cache_capacity
         )
+        #: the one planner every unpinned query's plan comes from
+        self._planner = QueryPlanner()
         #: incrementally maintained planner statistics (attribute value
         #: histograms + automaton/projection aggregates); updated under
         #: the write lock on every register/deregister.
@@ -378,23 +404,14 @@ class ContractDatabase:
         (``db.query(QuerySpec.from_file("spec.json"))``).
 
         The second argument is a :class:`QueryOptions` carrying every
-        evaluation knob — relational filter, optimization toggles,
-        witness extraction, execution budgets, degradation policy.  With
+        evaluation knob — relational filter, a pinned plan, witness
+        extraction, execution budgets, degradation policy.  With
         budgets configured the answer may be *degraded*: candidates whose
         check ran out of budget appear on ``outcome.maybe_ids`` instead
         of hanging the broker (Theorem 6 makes the check PSPACE-complete,
         so an adversarial query cannot be allowed to run unboundedly).
         """
-        if isinstance(query, QuerySpec):
-            if options is not None:
-                raise TypeError(
-                    "query(spec) carries its own filter and options; "
-                    "pass nothing else"
-                )
-            return self._run_query(query.query, query.to_options())
-        return self._run_query(
-            query, coerce_query_options("query", options)
-        )
+        return self._run_query(*_request("query", query, options))
 
     def query_many(
         self,
@@ -420,61 +437,54 @@ class ContractDatabase:
         options: QueryOptions,
         executor=None,
     ) -> QueryOutcome:
-        """Compile (through the cache), plan (if asked) and evaluate one
-        query.  Planning and evaluation share one read-lock acquisition,
-        so the statistics a plan was priced from cannot be mutated
-        between planning and execution."""
+        """Compile (through the cache), obtain the plan and execute it.
+        Planning and evaluation share one read-lock acquisition, so the
+        statistics a plan was priced from cannot be mutated between
+        planning and execution."""
         start = time.perf_counter()
         formula = parse(query) if isinstance(query, str) else query
         compiled, cache_hit = self._query_cache.compile(formula)
         translation_seconds = time.perf_counter() - start
         with self._rwlock.read():
-            plan = None
-            if options.use_planner:
-                plan, options = self._plan_locked(compiled, options)
+            plan = options.plan
+            if plan is None:
+                plan = self._plan_locked(compiled, options)
             return self._query_compiled_locked(
                 compiled,
+                plan,
                 options,
                 formula=formula,
                 translation_seconds=translation_seconds,
                 cache_hit=cache_hit,
                 executor=executor,
-                plan=plan,
             )
 
     def _plan_locked(
         self, compiled: CompiledQuery, options: QueryOptions
-    ) -> tuple[QueryPlan, QueryOptions]:
-        """Choose (or fetch from the plan cache) a plan for this query
-        and resolve it into concrete execution options.  Caller holds
-        the read lock — the planner reads the live statistics and index.
-        """
-        planner = options.planner or QueryPlanner()
+    ) -> QueryPlan:
+        """The planner's plan for this query, through the plan cache.
+        Caller holds the read lock — the planner reads the live
+        statistics and index."""
         cache_key = (
             compiled.key,
             options.attribute_filter.cache_key(),
             self.statistics.version,
-            planner,
         )
         plan = self._plan_cache.get(cache_key)
-        self.metrics.inc(
-            "planner.cache.hits" if plan is not None
-            else "planner.cache.misses"
+        if plan is not None:
+            self.metrics.inc("planner.cache.hits")
+            return plan
+        plan = self._planner.plan(
+            compiled.query_ba,
+            condition=compiled.condition,
+            database=self,
+            attribute_filter=options.attribute_filter,
         )
-        if plan is None:
-            plan = planner.plan(
-                compiled.query_ba,
-                condition=compiled.condition,
-                database=self,
-                attribute_filter=options.attribute_filter,
-            )
-            self._plan_cache.put(cache_key, plan)
-        self._record_plan(plan)
-        return plan, QueryPlanner.resolve(options, plan)
-
-    def _record_plan(self, plan: QueryPlan) -> None:
+        self._plan_cache.put(cache_key, plan)
+        # the planner.* instruments describe the plans the planner
+        # wrote; a cached plan was counted when it was made
         metrics = self.metrics
-        metrics.inc("planner.plans")
+        metrics.inc("planner.cache.misses")
         metrics.inc(
             "planner.prefilter_on" if plan.use_prefilter
             else "planner.prefilter_off"
@@ -483,51 +493,42 @@ class ContractDatabase:
             "planner.projections_on" if plan.use_projections
             else "planner.projections_off"
         )
-        if plan.order == PREFILTER_FIRST:
-            metrics.inc("planner.order.prefilter_first")
-        else:
-            metrics.inc("planner.order.attr_first")
-        if plan.source == "cost":
-            metrics.observe("planner.est_cost", plan.cost,
-                            buckets=COST_BUCKETS)
+        metrics.inc(f"planner.order.{plan.order}")
+        metrics.observe("planner.est_cost", plan.cost, buckets=COST_BUCKETS)
+        return plan
 
     def plan_query(
         self,
         query: str | Formula | QuerySpec,
         options: QueryOptions | None = None,
     ) -> QueryPlan:
-        """The plan the cost-based planner would choose for this query —
-        no evaluation, just the inspectable :class:`QueryPlan` (the
-        ``contract-broker explain`` surface).  Accepts a
-        :class:`~repro.broker.spec.QuerySpec` like :meth:`query`."""
-        if isinstance(query, QuerySpec):
-            if options is not None:
-                raise TypeError(
-                    "plan_query(spec) carries its own options; "
-                    "pass nothing else"
-                )
-            options = query.to_options()
-            query = query.query
-        options = coerce_query_options("plan_query", options)
-        formula = parse(query) if isinstance(query, str) else query
-        compiled, _ = self._query_cache.compile(formula)
+        """The plan this query would run — no evaluation, just the
+        inspectable :class:`QueryPlan` (the ``contract-broker explain``
+        surface): the planner's choice, or the pinned ``options.plan``.
+        Accepts a :class:`~repro.broker.spec.QuerySpec` like
+        :meth:`query`."""
+        query, options = _request("plan_query", query, options)
+        if options.plan is not None:
+            return options.plan
+        compiled, _ = self._compile(query)
         with self._rwlock.read():
-            plan, _ = self._plan_locked(compiled, options)
-        return plan
+            return self._plan_locked(compiled, options)
 
     def _query_compiled_locked(
         self,
         compiled: CompiledQuery,
+        plan: QueryPlan,
         options: QueryOptions,
         *,
-        formula: Formula | None = None,
-        translation_seconds: float = 0.0,
-        cache_hit: bool = False,
+        formula: Formula,
+        translation_seconds: float,
+        cache_hit: bool,
         executor=None,
-        plan: QueryPlan | None = None,
     ) -> QueryOutcome:
-        """Evaluate an already-compiled query (the internal entry every
-        public query path funnels through).
+        """Execute ``plan`` for an already-compiled query (the internal
+        entry every public query path funnels through): the relational
+        and prefilter stages in the plan's order, then the permission
+        check on every candidate.
 
         ``executor``, when given, must provide a ``map`` method (a
         :class:`~concurrent.futures.ThreadPoolExecutor`); the
@@ -541,33 +542,16 @@ class ContractDatabase:
         :meth:`_run_query`): any number of queries run concurrently, but
         none can interleave with a mutation (invariant 11).
         """
-        prefilter_on = (
-            self.config.use_prefilter
-            if options.use_prefilter is None
-            else options.use_prefilter
-        )
-        projections_on = (
-            self.config.use_projections
-            if options.use_projections is None
-            else options.use_projections
-        )
-
-        order = (
-            options.stage_order
-            if prefilter_on and options.stage_order is not None
-            else ATTR_FIRST
-        )
-
+        prefilter_first = plan.use_prefilter and plan.order == PREFILTER_FIRST
         stats = QueryStats(
             database_size=len(self._contracts),
-            used_prefilter=prefilter_on,
-            used_projections=projections_on,
+            used_prefilter=plan.use_prefilter,
+            used_projections=plan.use_projections,
             cache_hit=cache_hit,
             deadline_seconds=options.deadline_seconds,
             step_budget=options.step_budget,
-            stage_order=order,
-            planned=plan is not None,
-            plan_summary=str(plan) if plan is not None else "",
+            stage_order=PREFILTER_FIRST if prefilter_first else ATTR_FIRST,
+            plan_summary=str(plan),
         )
         stats.translation_seconds = translation_seconds
         overall_start = time.perf_counter()
@@ -581,51 +565,38 @@ class ContractDatabase:
             else None
         )
 
-        restrict = (
-            frozenset(options.contract_ids)
-            if options.contract_ids is not None
-            else None
-        )
-        if order == PREFILTER_FIRST:
-            # Prune first, filter the survivors: the candidate set is
-            # the same intersection as attr-first, just computed in the
-            # cheaper order for a selective condition and a wide filter.
-            start = time.perf_counter()
-            condition = compiled.condition
-            stats.pruning_condition = str(condition)
-            pruned = self._index.evaluate(condition)
-            stats.prefilter_seconds = time.perf_counter() - start
-            relational = [
-                self._contracts[cid] for cid in pruned
-                if (restrict is None or cid in restrict)
-                and options.attribute_filter.matches(
-                    self._contracts[cid].attributes
-                )
-            ]
-            stats.relational_matches = len(relational)
-            candidate_ids = {c.contract_id for c in relational}
-        else:
-            relational = [
-                c for c in self._contracts.values()
-                if (restrict is None or c.contract_id in restrict)
-                and options.attribute_filter.matches(c.attributes)
-            ]
-            stats.relational_matches = len(relational)
-            relational_ids = {c.contract_id for c in relational}
+        contracts = self._contracts
+        matches = options.attribute_filter.matches
 
-            if prefilter_on:
-                start = time.perf_counter()
-                condition = compiled.condition
-                stats.pruning_condition = str(condition)
-                candidate_ids = (
-                    self._index.evaluate(condition) & relational_ids
-                )
-                stats.prefilter_seconds = time.perf_counter() - start
-            else:
-                candidate_ids = relational_ids
+        def prefilter_stage(ids: AbstractSet[int]) -> AbstractSet[int]:
+            # the index answers for the whole database; the stage's
+            # output is what it keeps of its input
+            start = time.perf_counter()
+            stats.pruning_condition = str(compiled.condition)
+            kept = self._index.evaluate(compiled.condition) & ids
+            stats.prefilter_seconds = time.perf_counter() - start
+            stats.prefilter_input = len(ids)
+            stats.prefilter_output = len(kept)
+            return kept
+
+        # One sequence, the index stage before or after the attribute
+        # filter: the candidate set is the same intersection either
+        # way, pruning first is just cheaper for a selective condition
+        # and a wide filter.
+        candidate_ids: AbstractSet[int] = contracts.keys()
+        if options.contract_ids is not None:
+            candidate_ids = candidate_ids & frozenset(options.contract_ids)
+        if prefilter_first:
+            candidate_ids = prefilter_stage(candidate_ids)
+        candidate_ids = {
+            cid for cid in candidate_ids if matches(contracts[cid].attributes)
+        }
+        stats.relational_matches = len(candidate_ids)
+        if plan.use_prefilter and not prefilter_first:
+            candidate_ids = prefilter_stage(candidate_ids)
         stats.candidates = len(candidate_ids)
 
-        candidates = [self._contracts[cid] for cid in sorted(candidate_ids)]
+        candidates = [contracts[cid] for cid in sorted(candidate_ids)]
 
         def make_budget() -> ExecutionBudget | None:
             if not options.budgeted:
@@ -649,7 +620,7 @@ class ContractDatabase:
 
         def check(contract: Contract) -> tuple[Verdict, float, float]:
             return self._check_candidate(
-                contract, compiled, projections_on, make_budget()
+                contract, compiled, plan.use_projections, make_budget()
             )
 
         if executor is None:
@@ -710,7 +681,7 @@ class ContractDatabase:
         )
         self._record_query(stats)
         return QueryOutcome(
-            formula=compiled.formula if formula is None else formula,
+            formula=formula,
             contract_ids=tuple(c.contract_id for c in matched),
             contract_names=tuple(c.name for c in matched),
             stats=stats,

@@ -50,7 +50,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from ..core import faults
@@ -362,7 +362,7 @@ class Journal:
     def _write_header(self, config: BrokerConfig | None) -> None:
         data: dict = {"epoch": self.epoch}
         if config is not None:
-            data["config"] = _config_to_dict(config)
+            data["config"] = asdict(config)
             self.header_config = data["config"]
         self._next_seq = 0
         self._write_record("open", data)
@@ -389,7 +389,7 @@ class Journal:
         tmp = self.path.with_name(f".{self.path.name}.{os.getpid()}.tmp")
         data: dict = {"epoch": epoch}
         if config is not None:
-            data["config"] = _config_to_dict(config)
+            data["config"] = asdict(config)
             self.header_config = data["config"]
         with open(tmp, "wb") as fh:
             fh.write(_encode(0, "open", data))
@@ -456,22 +456,6 @@ def _fsync_directory(directory: Path) -> None:
         os.close(fd)
 
 
-def _config_to_dict(config: BrokerConfig) -> dict:
-    import dataclasses
-
-    return {
-        f.name: getattr(config, f.name)
-        for f in dataclasses.fields(BrokerConfig)
-    }
-
-
-def _config_from_dict(doc: dict) -> BrokerConfig:
-    import dataclasses
-
-    names = {f.name for f in dataclasses.fields(BrokerConfig)}
-    return BrokerConfig(**{k: v for k, v in doc.items() if k in names})
-
-
 # -- the runtime entry point ----------------------------------------------------------
 
 
@@ -525,7 +509,7 @@ def open_database(
     if effective_config is None:
         config_doc = journal.latest_config()
         if config_doc is not None:
-            effective_config = _config_from_dict(config_doc)
+            effective_config = BrokerConfig.from_dict(config_doc)
 
     if manifest_path.exists():
         db = load_database(directory, effective_config)

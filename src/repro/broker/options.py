@@ -30,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..automata.buchi import BuchiAutomaton
     from ..automata.encode import EncodedAutomaton
     from ..projection.store import ProjectionStore
-    from .planner import QueryPlanner
+    from .planner import QueryPlan
 
 
 class Degradation(enum.Enum):
@@ -55,22 +55,16 @@ class QueryOptions:
             filter); defaults to matching every contract.
         contract_ids: restrict evaluation to these contract ids (used by
             the single-contract surfaces; ``None`` = whole database).
-        use_prefilter: engage the §4 index (``None`` = database config).
-        use_projections: engage the §5 projections (``None`` = config).
+        plan: the :class:`~repro.broker.planner.QueryPlan` to execute —
+            which of the §4 index and the §5 projections to engage, and
+            whether the index runs before or after the attribute filter.
+            ``None`` (default) = the database's cost-based planner
+            chooses per query; a given plan is *pinned*: executed as is,
+            bypassing the planner and its cache (the ablation hook of
+            the paper-figure benches and the static conformance cells).
+            Plans never change answers, only time.
         explain: extract a simultaneous-lasso witness per returned
             contract.
-        use_planner: let a :class:`~repro.broker.planner.QueryPlanner`
-            choose ``use_prefilter``/``use_projections``/``stage_order``
-            per query (cost-based on the database's statistics).
-        planner: the planner instance ``use_planner`` consults
-            (``None`` = a default-constructed one).
-        stage_order: relative order of the relational and prefilter
-            stages — ``"attr_first"`` (default) runs the attribute
-            filter before the index, ``"prefilter_first"`` evaluates the
-            pruning condition first and filters only the survivors.
-            Orders never change answers, only time (the candidate set is
-            the same intersection either way); normally set by the
-            planner rather than by hand.  ``None`` = ``"attr_first"``.
         deadline_seconds: wall-clock budget for the whole evaluation
             (prefilter + selection + permission + witnesses), measured
             from the moment the compiled query starts evaluating.
@@ -90,12 +84,8 @@ class QueryOptions:
 
     attribute_filter: AttributeFilter = MATCH_ALL
     contract_ids: tuple[int, ...] | None = None
-    use_prefilter: bool | None = None
-    use_projections: bool | None = None
+    plan: "QueryPlan | None" = None
     explain: bool = False
-    use_planner: bool = False
-    planner: "QueryPlanner | None" = None
-    stage_order: str | None = None
     deadline_seconds: float | None = None
     contract_deadline_seconds: float | None = None
     step_budget: int | None = None
@@ -104,11 +94,6 @@ class QueryOptions:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.stage_order not in (None, "attr_first", "prefilter_first"):
-            raise ValueError(
-                f"stage_order must be None, 'attr_first' or "
-                f"'prefilter_first', got {self.stage_order!r}"
-            )
         for name in ("deadline_seconds", "contract_deadline_seconds"):
             value = getattr(self, name)
             if value is not None and value < 0:

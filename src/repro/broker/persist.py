@@ -256,10 +256,7 @@ def _save_locked(db: ContractDatabase, directory: Path, journal) -> Path:
     new_epoch = journal.epoch + 1 if journal is not None else 0
     manifest = {
         "format_version": _FORMAT_VERSION,
-        "config": {
-            f.name: getattr(db.config, f.name)
-            for f in dataclasses.fields(BrokerConfig)
-        },
+        "config": dataclasses.asdict(db.config),
         "contracts": contract_docs,
         "artifacts": artifacts,
         # the epoch handshake with the co-located write-ahead journal
@@ -280,16 +277,6 @@ def _save_locked(db: ContractDatabase, directory: Path, journal) -> Path:
         journal.compact(new_epoch, db.config)
     db.dirty = False
     return directory
-
-
-def _config_from_manifest(manifest: dict) -> BrokerConfig:
-    saved = manifest.get("config", {})
-    kwargs = {
-        f.name: saved[f.name]
-        for f in dataclasses.fields(BrokerConfig)
-        if f.name in saved
-    }
-    return BrokerConfig(**kwargs)
 
 
 def _read_artifact(
@@ -377,7 +364,7 @@ def load_database(
         )
 
     if config is None:
-        config = _config_from_manifest(manifest)
+        config = BrokerConfig.from_dict(manifest.get("config", {}))
 
     report = LoadReport()
     checksums = manifest.get("artifacts", {})

@@ -28,15 +28,14 @@ query cites at most ``projection_literal_budget`` literals).  The
 result is an inspectable :class:`QueryPlan` carrying per-stage
 cardinality and cost estimates (:meth:`QueryPlan.explain`).
 
-Without a database (or on an empty one) the planner falls back to the
-pre-1.8 structural heuristic: prefilter unless the condition is
-trivially ``TRUE``, projections within the literal budget.
-
-The planner is advisory: queries run with
-``QueryOptions(use_planner=True)``; the chosen plan toggles stages and
-orders them but the stages themselves are sound, so **plans change
-time, never answers** — a property the conformance lattice's
-``*-planner`` cells re-prove against the oracle on every run.
+Every query runs a :class:`QueryPlan`: the database's planner writes
+one per query (through the plan cache) unless the caller pins its own
+with ``QueryOptions(plan=...)`` — the ablation hook the paper-figure
+benches and the static conformance cells use.  A plan toggles stages
+and orders them but the stages themselves are sound, so **plans change
+time, never answers** — a property the conformance lattice re-proves
+against the oracle on every run, for the planner's plans and for every
+pinned one.
 """
 
 from __future__ import annotations
@@ -51,9 +50,8 @@ from .relational import MATCH_ALL, AttributeFilter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .database import ContractDatabase
-    from .options import QueryOptions
 
-#: Stage orders a plan can choose (``QueryOptions.stage_order``).
+#: Stage orders a plan can choose (``QueryPlan.order``).
 ATTR_FIRST = "attr_first"
 PREFILTER_FIRST = "prefilter_first"
 STAGE_ORDERS = (ATTR_FIRST, PREFILTER_FIRST)
@@ -108,21 +106,28 @@ class PlannedStage:
 
 @dataclass(frozen=True)
 class QueryPlan:
-    """The chosen evaluation strategy for one query.
+    """The evaluation strategy one query runs: which stages, in which
+    order.
 
-    The first three fields keep the pre-1.8 positional shape
-    ``(use_prefilter, use_projections, reason)``; the cost-based planner
-    additionally records the stage order, the per-stage estimates and
-    the total estimated cost.
+    The planner's plans additionally carry its reasoning, the per-stage
+    estimates and the total estimated cost; a plan built by hand
+    (``QueryPlan(use_prefilter=False, use_projections=False)``) is
+    *pinned* — handed to ``QueryOptions(plan=...)`` it is executed as
+    is.  ``order`` only matters when the prefilter is on.
     """
 
     use_prefilter: bool
     use_projections: bool
-    reason: str
+    reason: str = "pinned"
     order: str = ATTR_FIRST
     stages: tuple[PlannedStage, ...] = ()
     cost: float = 0.0
-    source: str = "heuristic"
+
+    def __post_init__(self) -> None:
+        if self.order not in STAGE_ORDERS:
+            raise ValueError(
+                f"order must be one of {STAGE_ORDERS}, got {self.order!r}"
+            )
 
     def __str__(self) -> str:
         parts = []
@@ -136,12 +141,11 @@ class QueryPlan:
 
     def explain(self) -> str:
         """A human-readable rendering: decisions, then the per-stage
-        cardinality/cost table (cost-based plans only)."""
+        cardinality/cost table (the planner's plans only)."""
         lines = [
             f"plan: {'prefilter' if self.use_prefilter else 'no-prefilter'}"
             f", {'projections' if self.use_projections else 'no-projections'}"
             f", order={self.order}",
-            f"source: {self.source}",
             f"reason: {self.reason}",
         ]
         if self.stages:
@@ -157,7 +161,6 @@ class QueryPlan:
             "use_projections": self.use_projections,
             "order": self.order,
             "reason": self.reason,
-            "source": self.source,
             "cost": self.cost,
             "stages": [
                 {
@@ -170,6 +173,11 @@ class QueryPlan:
                 for stage in self.stages
             ],
         }
+
+
+#: The paper's scan baseline (§3) as a pinned plan: attribute filter,
+#: then the decider on every survivor's full automaton.
+SCAN_PLAN = QueryPlan(use_prefilter=False, use_projections=False)
 
 
 @dataclass(frozen=True)
@@ -194,61 +202,19 @@ class QueryPlanner:
         query_ba: BuchiAutomaton,
         condition=None,
         *,
-        database: "ContractDatabase | None" = None,
+        database: "ContractDatabase",
         attribute_filter: AttributeFilter = MATCH_ALL,
     ) -> QueryPlan:
-        """Choose a strategy for this query.
+        """Choose the cheapest pipeline for this query, priced on the
+        database's statistics and index.
 
         ``condition`` lets callers that already hold the query's pruning
         condition (a :class:`~repro.broker.cache.CompiledQuery`) avoid
-        recomputing it.  With a ``database`` the choice is cost-based on
-        its statistics and index; without one (or on an empty database)
-        it falls back to the structural heuristic.
+        recomputing it.  An empty database prices every pipeline at
+        nothing but the index probe, so it plans a scan.
         """
         if condition is None:
             condition = pruning_condition(query_ba)
-        if database is None or len(database) == 0:
-            return self._heuristic_plan(query_ba, condition)
-        return self._cost_plan(
-            query_ba, condition, database, attribute_filter
-        )
-
-    # -- the pre-1.8 structural fallback ---------------------------------------------
-
-    def _heuristic_plan(self, query_ba: BuchiAutomaton,
-                        condition) -> QueryPlan:
-        prunable = not isinstance(condition, CondTrue)
-        num_literals = len(query_ba.literals())
-        project = num_literals <= self.projection_literal_budget
-
-        if prunable and project:
-            reason = (
-                f"selective condition and only {num_literals} literals"
-            )
-        elif prunable:
-            reason = (
-                f"selective condition; {num_literals} literals exceed the "
-                "projection budget"
-            )
-        elif project:
-            reason = "condition cannot prune; query cites few literals"
-        else:
-            reason = "neither technique applicable; plain scan"
-        return QueryPlan(
-            use_prefilter=prunable,
-            use_projections=project,
-            reason=reason,
-        )
-
-    # -- the cost model --------------------------------------------------------------
-
-    def _cost_plan(
-        self,
-        query_ba: BuchiAutomaton,
-        condition,
-        database: "ContractDatabase",
-        attribute_filter: AttributeFilter,
-    ) -> QueryPlan:
         m = self.cost_model
         stats = database.statistics
         total = float(stats.contracts)
@@ -353,7 +319,6 @@ class QueryPlanner:
             order=order,
             stages=stages,
             cost=best_cost,
-            source="cost",
         )
 
     @staticmethod
@@ -393,21 +358,14 @@ class QueryPlanner:
                 detail=f"selectivity≈{prefilter_selectivity:.3f}",
             )
 
-        if best == PREFILTER_FIRST:
-            stage = prefilter_stage(rows)
-            stages.append(stage)
-            rows = stage.output_size
-            stage = attr_stage(rows)
-            stages.append(stage)
-            rows = stage.output_size
-        else:
-            stage = attr_stage(rows)
-            stages.append(stage)
-            rows = stage.output_size
-            if best == ATTR_FIRST:
-                stage = prefilter_stage(rows)
-                stages.append(stage)
-                rows = stage.output_size
+        pipeline = {
+            "scan": (attr_stage,),
+            ATTR_FIRST: (attr_stage, prefilter_stage),
+            PREFILTER_FIRST: (prefilter_stage, attr_stage),
+        }[best]
+        for make_stage in pipeline:
+            stages.append(make_stage(rows))
+            rows = stages[-1].output_size
         stages.append(
             PlannedStage(
                 name="permission-checks",
@@ -454,37 +412,3 @@ class QueryPlanner:
             else "projections off"
         )
         return f"{shape}; {proj}"
-
-    # -- applying a plan -------------------------------------------------------------
-
-    @staticmethod
-    def resolve(options: "QueryOptions", plan: QueryPlan) -> "QueryOptions":
-        """Fold a chosen plan into concrete execution options: the
-        optimization toggles and stage order are set from the plan
-        (overriding any explicit values — the planner was asked to
-        decide) and ``use_planner`` is cleared, so the result is ready
-        for the evaluation path."""
-        return options.evolve(
-            use_prefilter=plan.use_prefilter,
-            use_projections=plan.use_projections,
-            stage_order=plan.order,
-            use_planner=False,
-            planner=None,
-        )
-
-    def apply(
-        self,
-        options: "QueryOptions",
-        query_ba: BuchiAutomaton,
-        condition=None,
-        *,
-        database: "ContractDatabase | None" = None,
-    ) -> "QueryOptions":
-        """Plan and :meth:`resolve` in one step (the pre-1.8 surface)."""
-        plan = self.plan(
-            query_ba,
-            condition=condition,
-            database=database,
-            attribute_filter=options.attribute_filter,
-        )
-        return self.resolve(options, plan)

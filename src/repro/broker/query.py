@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from ..ltl.ast import Formula
 
@@ -51,7 +50,11 @@ class QueryStats:
     ordered.  With ``"prefilter_first"`` the attribute filter runs only
     on the index's survivors, so ``relational_matches`` counts attribute
     matches *among* them (and equals ``candidates``); the candidate set
-    itself is the same intersection either way.
+    itself is the same intersection either way.  ``prefilter_input`` /
+    ``prefilter_output`` count what the index stage itself was handed
+    and kept (the attribute matches and the candidates under
+    ``"attr_first"``, the whole database and the index's survivors
+    under ``"prefilter_first"``; both zero when the prefilter is off).
     """
 
     translation_seconds: float = 0.0  # cache-lookup time on a cache hit
@@ -74,20 +77,21 @@ class QueryStats:
     cache_hit: bool = False
     pruning_condition: str = ""
     stage_order: str = "attr_first"
-    planned: bool = False
     plan_summary: str = ""
+    prefilter_input: int = 0
+    prefilter_output: int = 0
 
     @property
     def pruning_ratio(self) -> float:
-        """Fraction of the (relationally matching) database pruned away
-        before the permission algorithm ran."""
-        if self.relational_matches == 0:
+        """Share of the prefilter stage's input that the index removed
+        (0.0 when the prefilter is off or had nothing to look at)."""
+        if self.prefilter_input == 0:
             return 0.0
-        return 1.0 - self.candidates / self.relational_matches
+        return 1.0 - self.prefilter_output / self.prefilter_input
 
 
 @dataclass
-class QueryResult:
+class QueryOutcome:
     """The broker's answer to one temporal query.
 
     ``witnesses`` is populated only when the query ran with
@@ -95,43 +99,8 @@ class QueryResult:
     simultaneous-lasso witness whose :meth:`to_run` produces a concrete
     allowed sequence satisfying the query — the evidence a customer
     would want to see.
-    """
 
-    formula: Formula
-    contract_ids: tuple[int, ...]
-    contract_names: tuple[str, ...]
-    stats: QueryStats = field(default_factory=QueryStats)
-    witnesses: dict = field(default_factory=dict)
-
-    def witness_for(self, contract_id: int):
-        """The witness for one returned contract (KeyError if the query
-        did not run with ``explain=True`` or the contract not returned)."""
-        return self.witnesses[contract_id]
-
-    def __len__(self) -> int:
-        return len(self.contract_ids)
-
-    def __contains__(self, contract_id: int) -> bool:
-        return contract_id in self.contract_ids
-
-    def __iter__(self):
-        return iter(self.contract_ids)
-
-    def __str__(self) -> str:
-        names = ", ".join(self.contract_names) or "(none)"
-        return (
-            f"QueryResult({len(self.contract_ids)} contracts: {names}; "
-            f"{self.stats.checked} checked of {self.stats.candidates} "
-            f"candidates in {self.stats.total_seconds * 1000:.1f} ms)"
-        )
-
-
-@dataclass
-class QueryOutcome(QueryResult):
-    """The unified answer shape of the 1.3 query API.
-
-    Extends :class:`QueryResult` (so every pre-1.3 consumer keeps
-    working) with the budgeted-execution view:
+    The budgeted-execution view:
 
     * ``verdicts`` maps **every candidate** contract id to its
       :class:`Verdict` — including the candidates that did not make it
@@ -147,6 +116,11 @@ class QueryOutcome(QueryResult):
       exact).
     """
 
+    formula: Formula
+    contract_ids: tuple[int, ...]
+    contract_names: tuple[str, ...]
+    stats: QueryStats = field(default_factory=QueryStats)
+    witnesses: dict = field(default_factory=dict)
     verdicts: dict = field(default_factory=dict)
     maybe_ids: tuple[int, ...] = ()
     maybe_names: tuple[str, ...] = ()
@@ -155,12 +129,31 @@ class QueryOutcome(QueryResult):
     def degraded(self) -> bool:
         return self.stats.degraded
 
+    def witness_for(self, contract_id: int):
+        """The witness for one returned contract (KeyError if the query
+        did not run with ``explain=True`` or the contract not returned)."""
+        return self.witnesses[contract_id]
+
     def verdict_for(self, contract_id: int) -> Verdict:
         """The verdict of one candidate (KeyError for non-candidates)."""
         return self.verdicts[contract_id]
 
+    def __len__(self) -> int:
+        return len(self.contract_ids)
+
+    def __contains__(self, contract_id: int) -> bool:
+        return contract_id in self.contract_ids
+
+    def __iter__(self):
+        return iter(self.contract_ids)
+
     def __str__(self) -> str:
-        base = super().__str__().replace("QueryResult", "QueryOutcome", 1)
+        names = ", ".join(self.contract_names) or "(none)"
+        base = (
+            f"QueryOutcome({len(self.contract_ids)} contracts: {names}; "
+            f"{self.stats.checked} checked of {self.stats.candidates} "
+            f"candidates in {self.stats.total_seconds * 1000:.1f} ms)"
+        )
         if not self.degraded:
             return base
         return (

@@ -7,7 +7,7 @@ a JSON (or YAML, when PyYAML is importable) document::
     {
       "query": "F(missedFlight && F(refund || dateChange))",
       "filter": [["price", "<=", 500], ["route", "==", "SAN-NYC"]],
-      "options": {"use_planner": true, "deadline_seconds": 0.5}
+      "options": {"deadline_seconds": 0.5, "degradation": "drop"}
     }
 
 and executed directly: ``db.query(QuerySpec.from_file("spec.json"))``
@@ -34,13 +34,9 @@ from .options import Degradation, QueryOptions
 from .relational import MATCH_ALL, AttributeFilter
 
 #: QueryOptions fields a spec's ``options`` mapping may set (the
-#: JSON-able subset — programmatic fields like ``planner`` and
+#: JSON-able subset — programmatic fields like ``plan`` and
 #: ``contract_ids`` stay out of the document format).
 SPEC_OPTION_KEYS = frozenset({
-    "use_prefilter",
-    "use_projections",
-    "use_planner",
-    "stage_order",
     "explain",
     "deadline_seconds",
     "contract_deadline_seconds",
@@ -93,13 +89,19 @@ class QuerySpec:
                 f"query-spec 'options' must be a mapping, got "
                 f"{type(doc).__name__}"
             )
-        unknown = set(doc) - SPEC_OPTION_KEYS
+        fields = dict(doc)
+        if fields.get("use_planner") is True:
+            # the 2.x spelling of the only path there is (2.x documents
+            # and coordinators send it): accepted and dropped
+            del fields["use_planner"]
+        unknown = set(fields) - SPEC_OPTION_KEYS
         if unknown:
             raise BrokerError(
                 f"unknown query option(s) {sorted(unknown)}; expected a "
-                f"subset of {sorted(SPEC_OPTION_KEYS)}"
+                f"subset of {sorted(SPEC_OPTION_KEYS)} (the pipeline "
+                "switches and use_encoded were removed: see the "
+                "removed-API tables in CHANGELOG.md)"
             )
-        fields = dict(doc)
         if "degradation" in fields:
             value = fields["degradation"]
             try:

@@ -6,11 +6,12 @@ respect the degradation invariant ``permitted ⊆ exact ⊆ permitted ∪
 maybe`` (docs/DEVELOPMENT.md invariant 8).
 
 The lattice covers both deciders crossed with both index optimizations
-(8 exact configurations — any single-layer bug breaks at least one cell
-while the others pin the blame), two *planner*
-configurations that let the cost-based query planner pick the pipeline
-per query (plans change *time*, never *answers* — docs/DEVELOPMENT.md
-invariant 14 — so these cells are exact), plus five
+(8 exact configurations, each a *pinned* query plan — any single-layer
+bug breaks at least one cell while the others pin the blame), two
+*planner* configurations that leave the pipeline to the cost-based
+query planner like every other cell does (plans change *time*, never
+*answers* — docs/DEVELOPMENT.md invariant 14 — so these cells are
+exact), plus five
 *mode* configurations that exercise the serving machinery around the
 deciders: a cache-warm repeat
 (compilation-cache reuse), parallel ``query_many`` (thread-pool fan-out
@@ -52,6 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..broker.database import BrokerConfig
+from ..broker.planner import QueryPlan
 from ..errors import ReproError
 
 #: Step budget of the degraded configuration: small enough to trip on
@@ -64,12 +66,11 @@ BUDGET_CONFIG_STEPS = 64
 class StackConfig:
     """One point of the lattice.
 
-    ``mode`` selects how the query is executed:
+    ``plan`` pins the query pipeline (``None`` = the database's planner
+    chooses per query, and the answer must still match the oracle
+    bit-for-bit); ``mode`` selects how the query is executed:
 
     * ``"direct"`` — one plain ``db.query`` call;
-    * ``"planner"`` — one ``db.query`` call with ``use_planner=True``:
-      the cost model chooses the prefilter/projection pipeline per
-      query, and the answer must still match the oracle bit-for-bit;
     * ``"cache_warm"`` — the same query twice on one database; both the
       cold and the warm answer are checked;
     * ``"parallel"`` — ``db.query_many`` with a thread pool;
@@ -104,8 +105,7 @@ class StackConfig:
 
     name: str
     algorithm: str = "ndfs"
-    use_prefilter: bool = True
-    use_projections: bool = True
+    plan: QueryPlan | None = None
     mode: str = "direct"
 
     @property
@@ -114,11 +114,7 @@ class StackConfig:
         return self.mode != "budget"
 
     def broker_config(self) -> BrokerConfig:
-        return BrokerConfig(
-            permission_algorithm=self.algorithm,
-            use_prefilter=self.use_prefilter,
-            use_projections=self.use_projections,
-        )
+        return BrokerConfig(permission_algorithm=self.algorithm)
 
 
 def _base_lattice() -> list[StackConfig]:
@@ -133,8 +129,7 @@ def _base_lattice() -> list[StackConfig]:
                     StackConfig(
                         name=name,
                         algorithm=algorithm,
-                        use_prefilter=use_prefilter,
-                        use_projections=use_projections,
+                        plan=QueryPlan(use_prefilter, use_projections),
                     )
                 )
     return out
@@ -146,13 +141,11 @@ def config_lattice() -> tuple[StackConfig, ...]:
         _base_lattice()
         + [
             # the cost-based planner picks the pipeline per query; its
-            # choices may differ from every static cell above, but the
+            # choices may differ from every pinned cell above, but the
             # answer may not (invariant 14: plans change time, never
             # answers)
-            StackConfig(name="ndfs-planner", algorithm="ndfs",
-                        mode="planner"),
-            StackConfig(name="scc-planner", algorithm="scc",
-                        mode="planner"),
+            StackConfig(name="ndfs-planner", algorithm="ndfs"),
+            StackConfig(name="scc-planner", algorithm="scc"),
             StackConfig(name="cache-warm", mode="cache_warm"),
             StackConfig(name="parallel-x2", mode="parallel"),
             StackConfig(name="budget-maybe", mode="budget"),

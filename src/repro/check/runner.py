@@ -327,11 +327,8 @@ class ConformanceRunner:
             return self._run_failover(case, specs, config)
         db = self._build_db(specs, bas, config)
         if config.mode == "direct":
-            outcome = db.query(case.query, options)
+            outcome = db.query(case.query, options.evolve(plan=config.plan))
             return [("direct", outcome.contract_names, outcome.maybe_names)]
-        if config.mode == "planner":
-            outcome = db.query(case.query, options.evolve(use_planner=True))
-            return [("planner", outcome.contract_names, outcome.maybe_names)]
         if config.mode == "cache_warm":
             cold = db.query(case.query, options)
             warm = db.query(case.query, options)

@@ -61,6 +61,7 @@ from .automata.ltl2ba import translate
 from .automata.serialize import automaton_to_dict
 from .broker.database import BrokerConfig, ContractDatabase
 from .broker.options import QueryOptions
+from .broker.planner import SCAN_PLAN
 from .errors import ReproError
 from .ltl.parser import parse
 from .ltl.printer import format_formula
@@ -159,11 +160,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="declarative query-spec file, JSON or YAML "
                             "(repeatable); carries its own filter and "
                             "options")
-    query.add_argument("--planner", action="store_true",
-                       help="let the cost-based planner pick the "
-                            "pipeline for --query texts")
-    query.add_argument("--no-prefilter", action="store_true")
-    query.add_argument("--no-projections", action="store_true")
+    query.add_argument("--scan", action="store_true",
+                       help="pin the scan baseline for --query texts "
+                            "(no index, no projections) instead of the "
+                            "planner's plan")
     query.add_argument("--index-depth", type=int, default=2)
     query.add_argument("--projection-cap", type=int, default=2)
     _add_budget_flags(query)
@@ -222,8 +222,9 @@ def _build_parser() -> argparse.ArgumentParser:
                           "(repeats hit the compilation cache)")
     met.add_argument("--workers", type=int, default=1,
                      help="thread-pool width for permission checks")
-    met.add_argument("--no-prefilter", action="store_true")
-    met.add_argument("--no-projections", action="store_true")
+    met.add_argument("--scan", action="store_true",
+                     help="pin the scan baseline (no index, no "
+                          "projections) instead of the planner's plan")
     met.add_argument("--index-depth", type=int, default=2)
     met.add_argument("--projection-cap", type=int, default=2)
     met.add_argument("--cache-capacity", type=int, default=None,
@@ -367,8 +368,11 @@ def _add_budget_flags(sub: argparse.ArgumentParser) -> None:
                      help="per-candidate cap on permission-search steps")
 
 
-def _budget_options(args: argparse.Namespace, **extra) -> QueryOptions:
+def _query_options(args: argparse.Namespace, **extra) -> QueryOptions:
+    """The ``query``/``metrics`` flags as options: the execution budget
+    and, under ``--scan``, the pinned scan baseline."""
     return QueryOptions(
+        plan=SCAN_PLAN if args.scan else None,
         deadline_seconds=(
             args.deadline_ms / 1000.0
             if args.deadline_ms is not None else None
@@ -520,29 +524,20 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if not args.queries and not args.spec_files:
         raise ReproError("provide at least one --query or --spec")
     config = BrokerConfig(
-        use_prefilter=not args.no_prefilter,
-        use_projections=not args.no_projections,
+        use_projections=not args.scan,  # a scan never reads the stores
         prefilter_depth=args.index_depth,
         projection_subset_cap=args.projection_cap,
     )
     db = _load_or_build_db(args.specs, config)
-    options = _budget_options(args)
-    if args.planner:
-        options = options.evolve(use_planner=True)
-    runs: list[tuple[str, object]] = [
-        (text, options) for text in args.queries
-    ]
-    for path in args.spec_files:
-        spec = QuerySpec.from_file(path)
-        runs.append((spec.query, spec))
-    for text, request in runs:
-        outcome = db.query(request) if isinstance(request, QuerySpec) \
-            else db.query(text, request)
+    options = _query_options(args)
+    specs = [QuerySpec(query=text, options=options) for text in args.queries]
+    specs += [QuerySpec.from_file(path) for path in args.spec_files]
+    for spec in specs:
+        outcome = db.query(spec)
         s = outcome.stats
-        print(f"\nquery: {text}")
+        print(f"\nquery: {spec.query}")
         print(f"  matched : {list(outcome.contract_names)}")
-        if s.planned:
-            print(f"  plan    : {s.plan_summary}")
+        print(f"  plan    : {s.plan_summary}")
         print(f"  pruning : {s.pruning_condition or '(prefilter off)'}")
         print(f"  phases  : translate {s.translation_seconds * 1000:.1f}ms | "
               f"prefilter {s.prefilter_seconds * 1000:.1f}ms | "
@@ -566,9 +561,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         qspec = QuerySpec.from_file(args.spec_file)
     else:
         qspec = QuerySpec(query=args.query)
-    options = qspec.to_options().evolve(use_planner=True)
-    plan = db.plan_query(qspec.query, options)
-    outcome = None if args.no_run else db.query(qspec.query, options)
+    plan = db.plan_query(qspec)
+    outcome = None if args.no_run else db.query(qspec)
 
     if args.json:
         doc = {
@@ -674,14 +668,13 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     capacity = (DEFAULT_CACHE_CAPACITY if args.cache_capacity is None
                 else args.cache_capacity)
     config = BrokerConfig(
-        use_prefilter=not args.no_prefilter,
-        use_projections=not args.no_projections,
+        use_projections=not args.scan,  # a scan never reads the stores
         prefilter_depth=args.index_depth,
         projection_subset_cap=args.projection_cap,
         query_cache_capacity=capacity,
     )
     db = _load_or_build_db(args.specs, config)
-    options = _budget_options(args, workers=args.workers)
+    options = _query_options(args, workers=args.workers)
     start = time.perf_counter()
     degraded = 0
     for _ in range(max(args.repeat, 1)):

@@ -10,6 +10,7 @@ journal-shipping replica of shard 0, and hands out the matching
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import tempfile
 from pathlib import Path
@@ -85,11 +86,10 @@ class LocalCluster:
                 self.servers.append(server)
                 self.addresses.append(("127.0.0.1", server.port))
             return
-        from ..broker.journal import _config_to_dict
-
         ctx = multiprocessing.get_context("spawn")
         config_doc = (
-            _config_to_dict(self.config) if self.config is not None else None
+            dataclasses.asdict(self.config)
+            if self.config is not None else None
         )
         for shard in range(self.num_shards):
             parent, child = ctx.Pipe()

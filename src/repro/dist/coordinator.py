@@ -708,9 +708,16 @@ class Coordinator:
             step_budget=options.step_budget,
             used_prefilter=any(s.used_prefilter for s in shard_stats),
             used_projections=any(s.used_projections for s in shard_stats),
-            stage_order=shard_stats[0].stage_order
-            if shard_stats else "attr_first",
-            planned=any(s.planned for s in shard_stats),
+            # every shard plans for itself from its own statistics, so
+            # the merged answer reports each distinct choice
+            stage_order=" | ".join(
+                sorted({s.stage_order for s in shard_stats})
+            ) or "attr_first",
+            plan_summary=" | ".join(
+                sorted({s.plan_summary for s in shard_stats} - {""})
+            ),
+            prefilter_input=sum(s.prefilter_input for s in shard_stats),
+            prefilter_output=sum(s.prefilter_output for s in shard_stats),
         )
         return QueryOutcome(
             formula=parse(query_text),

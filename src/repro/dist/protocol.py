@@ -37,7 +37,7 @@ from typing import Any, Mapping
 from ..broker.options import QueryOptions
 from ..broker.query import QueryOutcome, QueryStats, Verdict
 from ..broker.relational import MATCH_ALL, AttributeFilter
-from ..broker.spec import SPEC_OPTION_KEYS, QuerySpec
+from ..broker.spec import QuerySpec
 from ..errors import ProtocolError
 from ..ltl.parser import parse
 
@@ -153,10 +153,10 @@ def options_to_doc(options: QueryOptions) -> dict:
     """Serialize :class:`QueryOptions` for the wire.
 
     Non-default spec-compatible fields plus the relational filter.
-    ``explain`` cannot cross the wire (witness objects are not JSON) and
-    ``planner``/``contract_ids`` are coordinator-side concerns — the
-    caller is expected to have stripped them (see
-    :func:`check_distributable`).
+    ``explain`` cannot cross the wire (witness objects are not JSON),
+    ``contract_ids`` are a coordinator-side concern and a pinned
+    ``plan`` has no document form — the caller is expected to have
+    stripped them (see :func:`check_distributable`).
     """
     check_distributable(options)
     spec = QuerySpec(query="true", filter=options.attribute_filter,
@@ -187,10 +187,10 @@ def check_distributable(options: QueryOptions) -> None:
             "contract_ids are shard-local; the coordinator resolves "
             "global ids before fan-out"
         )
-    if options.planner is not None:
+    if options.plan is not None:
         raise ProtocolError(
-            "a planner instance cannot cross the wire; set "
-            "use_planner=True and let each shard construct its own"
+            "a pinned plan cannot cross the wire: shards plan for "
+            "themselves, each from its own statistics"
         )
 
 

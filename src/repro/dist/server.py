@@ -321,9 +321,7 @@ def serve_shard(shard_id: int, directory: str | None, config_doc: dict | None,
     the stop signal.  With no pipe (foreground CLI use) the server runs
     until the process is interrupted.
     """
-    from ..broker.journal import _config_from_dict
-
-    config = _config_from_dict(config_doc) if config_doc else None
+    config = BrokerConfig.from_dict(config_doc) if config_doc else None
     server = ShardServer(
         shard_id, directory=directory, config=config, host=host, port=port
     )

@@ -8,6 +8,7 @@ from repro.broker.cache import (
 )
 from repro.broker.database import BrokerConfig, ContractDatabase
 from repro.broker.options import QueryOptions
+from repro.broker.planner import SCAN_PLAN, QueryPlan
 from repro.ltl.parser import parse
 from repro.workload.airfare import all_ticket_specs
 
@@ -126,7 +127,7 @@ class TestDatabaseIntegration:
         db = _db()
         db.query("F refund")
         db.query("F refund", QueryOptions(contract_ids=(1,)))
-        db.query("F refund", QueryOptions(use_planner=True))
+        db.query("F refund", QueryOptions(plan=SCAN_PLAN))
         db.query_many(["F refund"], QueryOptions(explain=True))
         stats = db.cache_stats()
         assert stats.misses == 1
@@ -156,15 +157,11 @@ class TestDatabaseIntegration:
     def test_cached_results_identical_across_modes(self):
         db = _db()
         q = "F(missedFlight && F(refund || dateChange))"
-        baseline = db.query(
-            q,
-            QueryOptions(use_prefilter=False, use_projections=False),
-        ).contract_ids
+        baseline = db.query(q, QueryOptions(plan=SCAN_PLAN)).contract_ids
         for pf in (False, True):
             for pj in (False, True):
                 assert db.query(
-                    q,
-                    QueryOptions(use_prefilter=pf, use_projections=pj),
+                    q, QueryOptions(plan=QueryPlan(pf, pj))
                 ).contract_ids == baseline
 
     def test_metrics_track_cache_counters(self):
@@ -193,10 +190,10 @@ class TestTupleFastPathRemoved:
 
     def test_query_planned_reuses_compilation(self):
         db = _db()
-        result = db.query("F refund", QueryOptions(use_planner=True))
+        result = db.query("F refund")
         assert "Ticket B" in result.contract_names
         assert db.cache_stats().misses == 1
-        again = db.query("F refund", QueryOptions(use_planner=True))
+        again = db.query("F refund")
         assert again.stats.cache_hit
         assert again.contract_ids == result.contract_ids
 
@@ -277,17 +274,13 @@ class TestCacheUnderDistinctOptions:
         from repro.broker.options import QueryOptions
 
         db = _db()
-        baseline = db.query(
-            self.QUERY,
-            QueryOptions(use_prefilter=False, use_projections=False),
-        )
+        baseline = db.query(self.QUERY, QueryOptions(plan=SCAN_PLAN))
         for use_prefilter in (False, True):
             for use_projections in (False, True):
                 outcome = db.query(
                     self.QUERY,
                     QueryOptions(
-                        use_prefilter=use_prefilter,
-                        use_projections=use_projections,
+                        plan=QueryPlan(use_prefilter, use_projections)
                     ),
                 )
                 assert outcome.contract_ids == baseline.contract_ids

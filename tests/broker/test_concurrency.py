@@ -12,6 +12,7 @@ import pytest
 
 from repro.broker.database import BrokerConfig, ContractDatabase
 from repro.broker.options import QueryOptions
+from repro.broker.planner import QueryPlan
 from repro.ltl.parser import parse
 
 
@@ -89,8 +90,12 @@ class TestHammer:
         assert len(db) == 4 + 2 * 12 - 8
         assert db.registration_stats.contracts == len(db)
         # index consistency: prefilter answers match a full scan
-        with_pf = db.query("F common", QueryOptions(use_prefilter=True))
-        without_pf = db.query("F common", QueryOptions(use_prefilter=False))
+        with_pf = db.query(
+            "F common", QueryOptions(plan=QueryPlan(True, True))
+        )
+        without_pf = db.query(
+            "F common", QueryOptions(plan=QueryPlan(False, True))
+        )
         assert set(with_pf.contract_ids) == set(without_pf.contract_ids)
 
     def test_parallel_queries_during_registration(self):

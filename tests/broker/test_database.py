@@ -4,6 +4,7 @@ import pytest
 
 from repro.broker.database import BrokerConfig, ContractDatabase
 from repro.broker.options import QueryOptions
+from repro.broker.planner import SCAN_PLAN, QueryPlan
 from repro.broker.relational import AttributeFilter, eq, le
 from repro.errors import BrokerError
 from repro.ltl.parser import parse
@@ -90,8 +91,7 @@ class TestQueryPipeline:
         for info in QUERIES.values():
             baseline = set(
                 airfare_db.query(
-                    info["ltl"],
-                    QueryOptions(use_prefilter=False, use_projections=False),
+                    info["ltl"], QueryOptions(plan=SCAN_PLAN)
                 ).contract_names
             )
             for pf in (False, True):
@@ -99,7 +99,7 @@ class TestQueryPipeline:
                     got = set(
                         airfare_db.query(
                             info["ltl"],
-                            QueryOptions(use_prefilter=pf, use_projections=pj),
+                            QueryOptions(plan=QueryPlan(pf, pj)),
                         ).contract_names
                     )
                     assert got == baseline
@@ -128,7 +128,10 @@ class TestQueryPipeline:
         assert result.stats.candidates == 0
 
     def test_stats_phases(self, airfare_db):
-        result = airfare_db.query("F(missedFlight && F refund)")
+        result = airfare_db.query(
+            "F(missedFlight && F refund)",
+            QueryOptions(plan=QueryPlan(True, True)),
+        )
         s = result.stats
         assert s.database_size == 3
         assert s.translation_seconds > 0
@@ -151,8 +154,7 @@ class TestQueryPipeline:
 def _check_one(db, contract_id, query, explain=False):
     """The single-contract check on the full BA, no index."""
     return db.query(query, QueryOptions(
-        contract_ids=(contract_id,), use_prefilter=False,
-        use_projections=False, explain=explain,
+        contract_ids=(contract_id,), plan=SCAN_PLAN, explain=explain,
     ))
 
 
@@ -189,12 +191,6 @@ class TestDirectChecks:
 
 
 class TestConfig:
-    def test_unoptimized_clone(self):
-        config = BrokerConfig().unoptimized()
-        assert not config.use_prefilter
-        assert not config.use_projections
-        assert config.use_seeds  # seeds are part of the base algorithm
-
     def test_scc_algorithm_config(self):
         db = ContractDatabase(BrokerConfig(permission_algorithm="scc"))
         for spec in all_ticket_specs():

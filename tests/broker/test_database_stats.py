@@ -6,6 +6,7 @@ from repro.automata.ltl2ba import translate
 from repro.broker.contract import ContractSpec
 from repro.broker.database import BrokerConfig, ContractDatabase
 from repro.broker.options import PrebuiltArtifacts, QueryOptions
+from repro.broker.planner import QueryPlan
 from repro.ltl.parser import parse
 
 
@@ -45,14 +46,14 @@ class TestQueryStatsPlumbing:
 
     def test_selection_time_negligible_without_projections(self, airfare_db):
         result = airfare_db.query(
-            "F refund", QueryOptions(use_projections=False)
+            "F refund", QueryOptions(plan=QueryPlan(True, False))
         )
         # only the branch dispatch is timed; no store is consulted
         assert result.stats.selection_seconds < 0.01
 
     def test_prefilter_time_zero_when_disabled(self, airfare_db):
         result = airfare_db.query(
-            "F refund", QueryOptions(use_prefilter=False)
+            "F refund", QueryOptions(plan=QueryPlan(False, True))
         )
         assert result.stats.prefilter_seconds == 0.0
         assert result.stats.pruning_condition == ""

@@ -13,6 +13,7 @@ import pytest
 
 from repro.broker.database import BrokerConfig, ContractDatabase
 from repro.broker.options import Degradation, QueryOptions
+from repro.broker.planner import SCAN_PLAN
 from repro.broker.query import Verdict
 from repro.errors import QueryBudgetError
 from repro.ltl.printer import format_formula
@@ -35,7 +36,7 @@ def adversarial_query() -> str:
     return format_formula(pathological_query())
 
 
-SCAN = dict(use_prefilter=False)
+SCAN = dict(plan=SCAN_PLAN)
 
 
 class TestDeadlineDegradation:

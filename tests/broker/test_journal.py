@@ -336,11 +336,12 @@ class TestConfigRoundTrip:
 
     def test_pre_2_0_config_with_use_encoded_is_accepted(self, tmp_path):
         """Journal headers and ``config`` records written by 1.6–1.10
-        carry ``use_encoded``; the key is ignored, the rest applies."""
+        carry ``use_encoded`` (and, up to 2.0, ``use_prefilter``); the
+        keys are ignored, the rest applies."""
         from repro.broker.journal import _encode
 
-        old = {"use_encoded": False, "state_budget": 99,
-               "prefilter_depth": 3}
+        old = {"use_encoded": False, "use_prefilter": False,
+               "state_budget": 99, "prefilter_depth": 3}
         newer = dict(old, state_budget=55)
         (tmp_path / JOURNAL_FILE).write_bytes(
             _encode(0, "open", {"epoch": 0, "config": old})

@@ -1,11 +1,13 @@
 """Tests for the unified QueryOptions surface.
 
 Every entry point funnels into one options-driven path; the pre-1.3
-spellings and the ``use_encoded`` knob were removed in 2.0 and must fail
-loudly, while their documented replacements answer as the shims did.
+spellings and the ``use_encoded`` knob were removed in 2.0, the
+pipeline switches in 3.0, and all must fail loudly, while their
+documented replacements answer as the old spellings did.
 """
 
 import warnings
+from dataclasses import fields
 
 import pytest
 
@@ -16,7 +18,8 @@ from repro.broker.options import (
     QueryOptions,
     coerce_query_options,
 )
-from repro.broker.query import QueryOutcome, QueryResult
+from repro.broker.planner import SCAN_PLAN, QueryPlan
+from repro.broker.query import QueryOutcome
 from repro.broker.relational import MATCH_ALL, AttributeFilter, le
 from repro.workload.airfare import QUERIES, all_ticket_specs
 
@@ -63,6 +66,25 @@ class TestQueryOptions:
         assert changed.deadline_seconds == 1.0
         assert options.workers == 1  # frozen original untouched
 
+    def test_field_sets_are_pinned(self):
+        """A pipeline knob cannot come back unnoticed: the one left is
+        ``QueryOptions.plan``, and ``BrokerConfig.use_projections`` only
+        decides what registration builds."""
+        assert {f.name for f in fields(QueryOptions)} == {
+            "attribute_filter", "contract_ids", "plan", "explain",
+            "deadline_seconds", "contract_deadline_seconds", "step_budget",
+            "budget_check_interval", "degradation", "workers",
+        }
+        assert {f.name for f in fields(BrokerConfig)} == {
+            "use_projections", "use_seeds", "prefilter_depth",
+            "projection_subset_cap", "permission_algorithm", "state_budget",
+            "query_cache_capacity", "plan_cache_capacity",
+        }
+
+    def test_plan_order_is_validated(self):
+        with pytest.raises(ValueError, match="order"):
+            QueryPlan(True, True, order="sideways")
+
 
 class TestCoercion:
     """``coerce_query_options`` and the entry points' argument contract:
@@ -100,9 +122,9 @@ class TestCoercion:
     def test_legacy_none_means_default(self, airfare_db):
         # an explicit None is the one "no options" spelling that survives
         explicit = airfare_db.query(QUERY, None)
-        assert explicit.contract_ids == airfare_db.query(QUERY).contract_ids
-        assert explicit.stats.used_prefilter
-        assert explicit.stats.used_projections
+        default = airfare_db.query(QUERY)
+        assert explicit.contract_ids == default.contract_ids
+        assert explicit.stats.plan_summary == default.stats.plan_summary
 
     def test_unknown_kwarg_rejected(self, airfare_db):
         with pytest.raises(TypeError, match="unexpected keyword"):
@@ -176,14 +198,11 @@ class TestOutcomeShape:
     def test_outcome_is_a_query_result(self, airfare_db):
         outcome = airfare_db.query(QUERY)
         assert isinstance(outcome, QueryOutcome)
-        assert isinstance(outcome, QueryResult)
         assert not outcome.degraded
         assert outcome.maybe_ids == ()
 
     def test_verdicts_cover_every_candidate(self, airfare_db):
-        outcome = airfare_db.query(
-            QUERY, QueryOptions(use_prefilter=False)
-        )
+        outcome = airfare_db.query(QUERY, QueryOptions(plan=SCAN_PLAN))
         assert set(outcome.verdicts) == {
             c.contract_id for c in airfare_db.contracts()
         }
@@ -197,17 +216,16 @@ class TestOutcomeShape:
 
 
 class TestDeprecatedShims:
-    """The 1.x shims are gone (2.0.0).  Each test pins one row of the
-    CHANGELOG's removed-API table: the old spelling now fails loudly,
-    and the replacement gives the answer the shim used to give."""
+    """The 1.x shims are gone (2.0.0), and so are the pipeline switches
+    (3.0.0).  Each test pins one row of the CHANGELOG's removed-API
+    tables: the old spelling now fails loudly, and the replacement
+    gives the answer the old spelling used to give."""
 
     def test_query_legacy_kwargs_identical(self):
         db = _airfare_db()
         with pytest.raises(TypeError):
             db.query(QUERY, use_prefilter=False, use_projections=False)
-        scan = db.query(QUERY, QueryOptions(
-            use_prefilter=False, use_projections=False
-        ))
+        scan = db.query(QUERY, QueryOptions(plan=SCAN_PLAN))
         indexed = db.query(QUERY)
         assert scan.contract_ids == indexed.contract_ids
         assert scan.contract_names == indexed.contract_names
@@ -229,10 +247,53 @@ class TestDeprecatedShims:
     def test_query_planned_identical(self):
         db = _airfare_db()
         assert not hasattr(db, "query_planned")
-        static = db.query(QUERY)
-        planned = db.query(QUERY, QueryOptions(use_planner=True))
-        assert planned.stats.planned and not static.stats.planned
-        assert planned.contract_ids == static.contract_ids
+        with pytest.raises(TypeError):
+            QueryOptions(use_planner=True)
+        planned = db.query(QUERY)
+        assert planned.stats.plan_summary == str(db.plan_query(QUERY))
+        assert not hasattr(planned.stats, "planned")
+        assert planned.contract_ids == db.query(
+            QUERY, QueryOptions(plan=SCAN_PLAN)
+        ).contract_ids
+
+    @pytest.mark.parametrize("old, pinned", [
+        (dict(use_prefilter=False, use_projections=False), SCAN_PLAN),
+        (dict(use_projections=False), QueryPlan(True, False)),
+        (dict(use_prefilter=True, stage_order="prefilter_first"),
+         QueryPlan(True, True, order="prefilter_first")),
+    ])
+    def test_pipeline_switches_became_one_pinned_plan(self, old, pinned):
+        db = _airfare_db()
+        with pytest.raises(TypeError):
+            QueryOptions(**old)
+        outcome = db.query(QUERY, QueryOptions(plan=pinned))
+        assert outcome.contract_ids == db.query(QUERY).contract_ids
+        assert outcome.stats.used_prefilter == pinned.use_prefilter
+        assert outcome.stats.used_projections == pinned.use_projections
+        assert outcome.stats.plan_summary == str(pinned)
+
+    def test_planner_instance_option_removed(self):
+        from repro.broker.planner import QueryPlanner
+
+        with pytest.raises(TypeError):
+            QueryOptions(planner=QueryPlanner())
+        for gone in ("resolve", "apply", "_heuristic_plan"):
+            assert not hasattr(QueryPlanner, gone)
+
+    def test_config_prefilter_switch_removed(self):
+        with pytest.raises(TypeError):
+            BrokerConfig(use_prefilter=False)
+        assert not hasattr(BrokerConfig, "unoptimized")
+
+    def test_cli_pipeline_flags_removed(self, tmp_path, capsys):
+        from repro.cli import main
+
+        for flag in ("--no-prefilter", "--no-projections", "--planner"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["query", str(tmp_path / "specs.json"),
+                      "--query", "F a", flag])
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_permits_contract_identical(self):
         db = _airfare_db()
@@ -241,8 +302,7 @@ class TestDeprecatedShims:
         for contract in db.contracts():
             cid = contract.contract_id
             single = db.query(QUERY, QueryOptions(
-                contract_ids=(cid,), use_prefilter=False,
-                use_projections=False,
+                contract_ids=(cid,), plan=SCAN_PLAN,
             ))
             assert single.stats.candidates == 1
             assert (cid in single.contract_ids) == (cid in answer)
@@ -262,8 +322,7 @@ class TestDeprecatedShims:
         db = _airfare_db()
         assert not hasattr(db, "explain")
         options = QueryOptions(
-            contract_ids=(0,), use_prefilter=False,
-            use_projections=False, explain=True,
+            contract_ids=(0,), plan=SCAN_PLAN, explain=True,
         )
         witness = db.query(QUERY, options).witnesses.get(0)
         assert (witness is not None) == (0 in db.query(QUERY).contract_ids)

@@ -220,8 +220,7 @@ class TestConfigPersistence:
 
     def test_every_field_round_trips(self, tmp_path):
         config = BrokerConfig(
-            use_prefilter=False,
-            use_projections=True,
+            use_projections=False,
             use_seeds=False,
             prefilter_depth=3,
             projection_subset_cap=None,
@@ -236,9 +235,11 @@ class TestConfigPersistence:
 
 
 #: BrokerConfig as a 1.6–1.10 snapshot manifest / journal header wrote it
-#: — including the ``use_encoded`` knob 2.0 removed.
+#: — including the ``use_encoded`` knob 2.0 removed and the
+#: ``use_prefilter`` switch 3.0 removed (here set to the value no 3.0
+#: database can have, so honouring it would show).
 CONFIG_1_10 = {
-    "use_prefilter": True,
+    "use_prefilter": False,
     "use_projections": True,
     "use_seeds": True,
     "use_encoded": False,
@@ -263,6 +264,7 @@ class TestPre2Snapshots:
         reloaded = load_database(directory)
         assert reloaded.load_report.warnings == []
         assert not hasattr(reloaded.config, "use_encoded")
+        assert not hasattr(reloaded.config, "use_prefilter")
         assert reloaded.config == BrokerConfig(
             prefilter_depth=3, permission_algorithm="scc",
             state_budget=4000, query_cache_capacity=17,

@@ -5,6 +5,7 @@ import pytest
 from repro.broker.database import BrokerConfig, ContractDatabase
 from repro.broker.options import QueryOptions
 from repro.broker.parallel import query_many
+from repro.broker.planner import QueryPlan
 from repro.broker.relational import AttributeFilter, le
 from repro.ltl.ast import conj
 from repro.workload.airfare import QUERIES, all_ticket_specs
@@ -68,9 +69,7 @@ class TestParallelParity:
         queries = _generated_workload(count=8)
         serial_db = _generated_db()
         parallel_db = _generated_db()
-        overrides = dict(
-            use_prefilter=optimized, use_projections=optimized
-        )
+        overrides = dict(plan=QueryPlan(optimized, optimized))
         serial = [
             serial_db.query(q, QueryOptions(**overrides)) for q in queries
         ]

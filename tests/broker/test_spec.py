@@ -28,13 +28,11 @@ class TestFromDict:
                 ["price", "<=", 500],
                 {"attribute": "route", "op": "==", "value": "SAN-NYC"},
             ],
-            "options": {"use_planner": True, "deadline_seconds": 0.5,
-                        "degradation": "drop"},
+            "options": {"deadline_seconds": 0.5, "degradation": "drop"},
         })
         assert spec.filter == AttributeFilter.where(
             le("price", 500), eq("route", "SAN-NYC")
         )
-        assert spec.options.use_planner
         assert spec.options.deadline_seconds == 0.5
         assert spec.options.degradation is Degradation.DROP
 
@@ -61,6 +59,37 @@ class TestFromDict:
             QuerySpec.from_dict(
                 {"query": "F a", "options": {"use_encoded": False}}
             )
+
+    def test_use_planner_true_is_accepted_and_dropped(self):
+        """It names the only path there is: 2.x documents (and 2.x
+        coordinators on the wire) carry it, 3.0 never writes it back."""
+        doc = {"query": "F a", "options": {"use_planner": True,
+                                           "step_budget": 9}}
+        spec = QuerySpec.from_dict(doc)
+        assert spec.options == QueryOptions(step_budget=9)
+        assert spec.to_dict() == {"query": "F a",
+                                  "options": {"step_budget": 9}}
+
+    @pytest.mark.parametrize("key, value", [
+        ("use_planner", False),
+        ("use_planner", 1),
+        ("use_prefilter", False),
+        ("use_prefilter", True),
+        ("use_projections", False),
+        ("stage_order", "prefilter_first"),
+    ])
+    def test_removed_pipeline_options_rejected_by_name(self, key, value):
+        with pytest.raises(BrokerError, match=key) as excinfo:
+            QuerySpec.from_dict({"query": "F a", "options": {key: value}})
+        assert "CHANGELOG" in str(excinfo.value)
+
+    def test_pinned_plan_has_no_document_form(self):
+        from repro.broker.planner import SCAN_PLAN
+
+        with pytest.raises(BrokerError, match="plan"):
+            QuerySpec.from_dict({"query": "F a", "options": {"plan": None}})
+        spec = QuerySpec(query="F a", options=QueryOptions(plan=SCAN_PLAN))
+        assert spec.to_dict() == {"query": "F a"}
 
     def test_invalid_option_value_rejected(self):
         with pytest.raises(BrokerError):
@@ -136,9 +165,10 @@ class TestExecution:
         })
         explicit = db.query("F a", QueryOptions(
             attribute_filter=AttributeFilter.where(le("price", 500)),
-            use_planner=True,
         ))
-        assert db.query(spec).contract_names == explicit.contract_names
+        outcome = db.query(spec)
+        assert outcome.contract_names == explicit.contract_names
+        assert outcome.stats.plan_summary == explicit.stats.plan_summary
 
     def test_spec_with_extra_options_rejected(self, db):
         spec = QuerySpec.from_dict({"query": "F a"})
@@ -178,10 +208,7 @@ _filter_items = st.one_of(
 )
 
 _option_docs = st.fixed_dictionaries({}, optional={
-    "use_prefilter": st.booleans(),
-    "use_projections": st.booleans(),
-    "use_planner": st.booleans(),
-    "stage_order": st.sampled_from(["attr_first", "prefilter_first"]),
+    "use_planner": st.just(True),
     "explain": st.booleans(),
     "deadline_seconds": st.floats(0.001, 10.0),
     "step_budget": st.integers(1, 10_000),

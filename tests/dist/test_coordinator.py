@@ -20,6 +20,7 @@ from repro.dist import (
     DistributedDatabase,
     LocalCluster,
     RoutedContract,
+    ShardRouter,
 )
 from repro.dist.coordinator import RPC_GRACE_SECONDS
 from repro.errors import DistError, QueryBudgetError
@@ -59,7 +60,49 @@ class TestEndToEnd:
                 # identical answers in identical (registration) order
                 assert got.contract_names == expected.contract_names
                 assert got.maybe_names == expected.maybe_names
-                assert got.stats.candidates == expected.stats.candidates
+                # every shard plans for itself, so how many candidates
+                # reach the decider is the shards' business; the ledger
+                # still balances
+                s = got.stats
+                assert s.permitted <= s.checked == s.candidates <= len(db)
+
+    def test_merge_reports_what_each_shard_ran(self, cluster):
+        """Shards plan for themselves.  Every shard-0 contract mentions
+        ``a``, so there ``F a`` cannot prune and the shard scans; on the
+        other two only every second contract does, and with a filter
+        condition to save on they prune first.  The merged stats carry
+        both choices instead of shard 0's."""
+        router = ShardRouter(3)
+        per_shard = [0, 0, 0]
+        with cluster.database() as db:
+            for i in range(45):
+                name = f"c{i}"
+                shard = router.shard_for(name)
+                per_shard[shard] += 1
+                mentions_a = shard == 0 or per_shard[shard] % 2
+                db.register(
+                    name,
+                    ["G (a -> F b)"] if mentions_a else ["G (c -> F d)"],
+                    {"price": 100 * (i % 10)},
+                )
+            assert min(per_shard) >= 8
+            outcome = db.query(QuerySpec.from_dict({
+                "query": "F a", "filter": [["price", "<=", 500]],
+            }))
+        s = outcome.stats
+        assert s.stage_order == "attr_first | prefilter_first"
+        summaries = s.plan_summary.split(" | ")
+        assert len(summaries) == 2
+        assert summaries[0].startswith("QueryPlan(no-prefilter")
+        assert "prefilter_first" in summaries[1]
+        assert s.used_prefilter
+        # the prefilter stage's ledger sums over the shards that ran it
+        assert s.prefilter_input == per_shard[1] + per_shard[2]
+        assert 0 < s.prefilter_output < s.prefilter_input
+        assert s.pruning_ratio == pytest.approx(
+            1 - s.prefilter_output / s.prefilter_input
+        )
+        assert not hasattr(s, "planned")
 
     def test_query_many_matches_oracle(self, cluster):
         queries = ["F a", "G (a -> F b)", "F b"]
@@ -273,6 +316,29 @@ class TestMergeUnit:
         assert outcome.stats.candidates == 5
         assert outcome.stats.skipped == 2
         assert outcome.stats.degraded
+
+    def test_distinct_shard_plans_are_carried(self):
+        coordinator = self._coordinator()
+        scan = "QueryPlan(no-prefilter, no-projections: x)"
+        prune = "QueryPlan(prefilter, projections, prefilter_first: y)"
+        outcome = coordinator._merge("F a", [
+            (0, {"verdicts": {}, "stats": {"plan_summary": scan}}),
+            (1, {"verdicts": {}, "stats": {
+                "plan_summary": prune, "stage_order": "prefilter_first",
+                "prefilter_input": 10, "prefilter_output": 4}}),
+            (2, {"verdicts": {}, "stats": {
+                "plan_summary": prune, "stage_order": "prefilter_first",
+                "prefilter_input": 10, "prefilter_output": 2}}),
+        ], QueryOptions())
+        assert outcome.stats.plan_summary == f"{scan} | {prune}"
+        assert outcome.stats.stage_order == "attr_first | prefilter_first"
+        assert outcome.stats.pruning_ratio == pytest.approx(0.7)
+        # no shard answered: nothing ran, the defaults stand
+        nothing = coordinator._merge(
+            "F a", [(0, None), (1, None), (2, None)], QueryOptions()
+        )
+        assert nothing.stats.plan_summary == ""
+        assert nothing.stats.stage_order == "attr_first"
 
     def test_permission_time_is_critical_path_not_sum(self):
         coordinator = self._coordinator()

@@ -10,7 +10,7 @@ from repro.broker.options import Degradation, QueryOptions
 from repro.broker.query import QueryOutcome, QueryStats, Verdict
 from repro.broker.relational import AttributeFilter
 from repro.dist import protocol
-from repro.errors import ProtocolError
+from repro.errors import BrokerError, ProtocolError
 from repro.ltl.parser import parse
 
 
@@ -85,7 +85,6 @@ class TestOptionDocs:
             attribute_filter=AttributeFilter.from_list(
                 [["price", "<=", 500], ["route", "==", "SAN-NYC"]]
             ),
-            use_prefilter=False,
             deadline_seconds=0.5,
             step_budget=64,
             degradation=Degradation.DROP,
@@ -107,6 +106,30 @@ class TestOptionDocs:
     def test_contract_ids_cannot_cross_the_wire(self):
         with pytest.raises(ProtocolError):
             protocol.options_to_doc(QueryOptions(contract_ids=(1, 2)))
+
+    def test_pinned_plan_cannot_cross_the_wire(self):
+        from repro.broker.planner import SCAN_PLAN
+
+        with pytest.raises(ProtocolError, match="shards plan for themselves"):
+            protocol.options_to_doc(QueryOptions(plan=SCAN_PLAN))
+
+    def test_options_doc_from_a_2_x_coordinator_decodes(self):
+        """2.x coordinators forward ``use_planner: true`` for planned
+        queries; it names the only path 3.0 has."""
+        rebuilt = protocol.options_from_doc({
+            "options": {"use_planner": True, "step_budget": 64},
+            "filter": [["price", "<=", 500]],
+        })
+        assert rebuilt == QueryOptions(
+            attribute_filter=AttributeFilter.from_list(
+                [["price", "<=", 500]]
+            ),
+            step_budget=64,
+        )
+        with pytest.raises(BrokerError, match="use_prefilter"):
+            protocol.options_from_doc(
+                {"options": {"use_prefilter": False}}
+            )
 
 
 class TestOutcomeDocs:
@@ -146,11 +169,18 @@ class TestOutcomeDocs:
         assert str(rebuilt.formula) == str(parse("F a"))
 
     def test_stats_frame_from_a_pre_2_0_shard_decodes(self):
-        """1.6–1.10 shards put ``used_encoded`` in every stats frame."""
+        """1.6–1.10 shards put ``used_encoded`` in every stats frame,
+        and every shard up to 2.0 ``planned``; neither carries the
+        prefilter stage counts, which then read as "stage not run"."""
         doc = protocol.outcome_to_doc(self._outcome())
         doc["stats"]["used_encoded"] = True
+        doc["stats"]["planned"] = True
+        del doc["stats"]["prefilter_input"]
+        del doc["stats"]["prefilter_output"]
         rebuilt = protocol.outcome_from_doc(doc)
         assert not hasattr(rebuilt.stats, "used_encoded")
+        assert not hasattr(rebuilt.stats, "planned")
+        assert rebuilt.stats.pruning_ratio == 0.0
         assert rebuilt.stats.candidates == 4
         assert rebuilt.stats.database_size == 5
 

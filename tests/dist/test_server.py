@@ -42,11 +42,13 @@ class TestDispatch:
 
     def test_register_query_deregister(self, shard):
         _register(shard, "alpha", ["G (a -> F b)"])
-        _register(shard, "beta", ["G !a"])
+        # beta mentions both events, so no plan's index stage can rule
+        # it out: it is a candidate and gets a verdict
+        _register(shard, "beta", ["G (a -> G !b)"])
         request = {
-            "op": "query", "query": "F a",
-            # prefilter off so beta is a candidate and gets a verdict
-            "options": {"use_prefilter": False},
+            "op": "query", "query": "F (a && F b)",
+            # a 2.x coordinator's spelling of "the planner chooses"
+            "options": {"use_planner": True},
         }
         response = shard.handle_request(request)
         assert response["ok"]

@@ -77,11 +77,12 @@ class TestQuery:
 
     def test_optimizations_can_be_disabled(self, spec_file, capsys):
         code = main([
-            "query", str(spec_file), "--query", "F refund",
-            "--no-prefilter", "--no-projections",
+            "query", str(spec_file), "--query", "F refund", "--scan",
         ])
         assert code == 0
-        assert "prefilter off" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "prefilter off" in out
+        assert "QueryPlan(no-prefilter, no-projections: pinned)" in out
 
     def test_generous_deadline_not_degraded(self, spec_file, capsys):
         code = main([
@@ -101,7 +102,7 @@ class TestQuery:
         ])
         capsys.readouterr()
         code = main([
-            "query", str(specs), "--no-prefilter", "--no-projections",
+            "query", str(specs), "--scan",
             "--query", " && ".join(f"F ev{i}" for i in range(7)),
             "--step-budget", "10",
         ])
@@ -190,7 +191,7 @@ class TestMetrics:
         ])
         capsys.readouterr()
         code = main([
-            "metrics", str(specs), "--no-prefilter", "--no-projections",
+            "metrics", str(specs), "--scan",
             "--query", " && ".join(f"F ev{i}" for i in range(7)),
             "--step-budget", "10",
         ])

@@ -11,6 +11,7 @@ import pytest
 from repro.broker.database import BrokerConfig, ContractDatabase
 from repro.bench.harness import build_database, specs_to_formulas
 from repro.broker.options import QueryOptions
+from repro.broker.planner import QueryPlan
 from repro.workload.generator import WorkloadGenerator
 
 
@@ -40,10 +41,7 @@ class TestModeAgreement:
             for name, prefilter, projections in MODES:
                 result = db.query(
                     query,
-                    QueryOptions(
-                        use_prefilter=prefilter,
-                        use_projections=projections,
-                    ),
+                    QueryOptions(plan=QueryPlan(prefilter, projections)),
                 )
                 results[name] = frozenset(result.contract_ids)
             assert len(set(results.values())) == 1, (i, str(query), results)
@@ -52,7 +50,9 @@ class TestModeAgreement:
         contracts, queries = random_world
         db = build_database(contracts, BrokerConfig())
         for query in queries:
-            result = db.query(query, QueryOptions(use_prefilter=True))
+            result = db.query(
+                query, QueryOptions(plan=QueryPlan(True, True))
+            )
             assert result.stats.candidates >= len(result.contract_ids)
 
     def test_ndfs_and_scc_brokers_agree(self, random_world):

@@ -3,6 +3,7 @@ full broker pipeline (registration → index → projections → query)."""
 
 from repro.broker.database import BrokerConfig, ContractDatabase
 from repro.broker.options import QueryOptions
+from repro.broker.planner import SCAN_PLAN, QueryPlan
 from repro.broker.relational import AttributeFilter, eq, le
 from repro.workload.airfare import QUERIES, all_ticket_specs
 
@@ -39,24 +40,21 @@ class TestOptimizationEquivalence:
     on every paper query — the paper's soundness claims for §4 and §5."""
 
     def test_all_modes_agree(self):
-        configs = {
-            "none": BrokerConfig(use_prefilter=False, use_projections=False),
-            "prefilter": BrokerConfig(use_prefilter=True,
-                                      use_projections=False),
-            "projections": BrokerConfig(use_prefilter=False,
-                                        use_projections=True),
-            "both": BrokerConfig(use_prefilter=True, use_projections=True),
+        plans = {
+            "none": SCAN_PLAN,
+            "prefilter": QueryPlan(True, False),
+            "projections": QueryPlan(False, True),
+            "both": QueryPlan(True, True),
         }
-        databases = {}
-        for key, config in configs.items():
-            db = ContractDatabase(config)
-            for spec in all_ticket_specs():
-                db.register(spec)
-            databases[key] = db
+        db = ContractDatabase(BrokerConfig())
+        for spec in all_ticket_specs():
+            db.register(spec)
         for name, info in QUERIES.items():
             results = {
-                key: set(db.query(info["ltl"]).contract_names)
-                for key, db in databases.items()
+                key: set(db.query(
+                    info["ltl"], QueryOptions(plan=plan)
+                ).contract_names)
+                for key, plan in plans.items()
             }
             assert len(set(map(frozenset, results.values()))) == 1, (
                 name, results
@@ -65,11 +63,11 @@ class TestOptimizationEquivalence:
     def test_prefilter_reduces_checks(self, airfare_db):
         unoptimized = airfare_db.query(
             "F classUpgrade",
-            QueryOptions(use_prefilter=False, use_projections=False),
+            QueryOptions(plan=SCAN_PLAN),
         )
         optimized = airfare_db.query(
             "F classUpgrade",
-            QueryOptions(use_prefilter=True, use_projections=False),
+            QueryOptions(plan=QueryPlan(True, False)),
         )
         assert optimized.stats.checked <= unoptimized.stats.checked
         assert optimized.stats.checked == 0  # nobody cites classUpgrade

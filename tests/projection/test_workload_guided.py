@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from repro.automata.ltl2ba import translate
 from repro.broker.database import BrokerConfig, ContractDatabase
 from repro.broker.options import QueryOptions
+from repro.broker.planner import QueryPlan
 from repro.core.permission import permits
 from repro.ltl.parser import parse
 from repro.projection.project import (
@@ -92,9 +93,11 @@ class TestBrokerIntegration:
         # results unchanged, of course
         for query in queries:
             with_projections = db.query(
-                query, QueryOptions(use_projections=True)
+                query, QueryOptions(plan=QueryPlan(True, True))
             )
-            without = db.query(query, QueryOptions(use_projections=False))
+            without = db.query(
+                query, QueryOptions(plan=QueryPlan(True, False))
+            )
             assert with_projections.contract_ids == without.contract_ids
 
     def test_precompute_noop_without_projections(self):

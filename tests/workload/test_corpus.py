@@ -5,6 +5,7 @@ import pytest
 
 from repro.broker.database import ContractDatabase
 from repro.broker.options import QueryOptions
+from repro.broker.planner import SCAN_PLAN
 from repro.workload.corpus import all_domains, domain
 
 
@@ -59,10 +60,7 @@ class TestCorpusAnswers:
     def test_answers_stable_without_optimizations(self, built_domain):
         d, db = built_domain
         for question, (ltl, expected) in d.questions.items():
-            result = db.query(
-                ltl,
-                QueryOptions(use_prefilter=False, use_projections=False),
-            )
+            result = db.query(ltl, QueryOptions(plan=SCAN_PLAN))
             assert set(result.contract_names) == set(expected), (
                 d.name, question,
             )
