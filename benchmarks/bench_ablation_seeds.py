@@ -12,7 +12,7 @@ import statistics
 from repro.automata.encode import encode_automaton
 from repro.automata.ltl2ba import translate
 from repro.bench.reporting import format_table, write_report
-from repro.core.permission import PermissionStats, permits_ndfs_encoded
+from repro.core.permission import PermissionStats, permits_encoded
 from repro.core.seeds import compute_seeds
 from repro.ltl.ast import conj
 
@@ -43,7 +43,7 @@ def test_ablation_seeds(benchmark, datasets, results_dir):
         for encoded, seeds_mask in contracts:
             for query in queries:
                 stats = PermissionStats()
-                permits_ndfs_encoded(
+                permits_encoded(
                     encoded, query,
                     seeds_mask=seeds_mask if use_seeds else None,
                     use_seeds=use_seeds, stats=stats,
@@ -77,6 +77,6 @@ def test_ablation_seeds(benchmark, datasets, results_dir):
     # results agree either way (also covered by property tests)
     for encoded, seeds_mask in contracts[:5]:
         for query in queries[:3]:
-            assert permits_ndfs_encoded(
+            assert permits_encoded(
                 encoded, query, seeds_mask=seeds_mask, use_seeds=True
-            ) == permits_ndfs_encoded(encoded, query, use_seeds=False)
+            ) == permits_encoded(encoded, query, use_seeds=False)

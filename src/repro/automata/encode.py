@@ -21,8 +21,7 @@ vocabulary, and two labels *conflict* iff
 ``(c.pos & t.neg) | (c.neg & t.pos)`` is non-zero.
 :func:`bind_query` precomputes both per label *class* (not per
 transition), so the product search in
-:func:`repro.core.permission.permits_ndfs_encoded` /
-:func:`repro.core.permission.permits_scc_encoded` only ever shifts ints.
+:func:`repro.core.permission.permits_encoded` only ever shifts ints.
 
 Two invariants the rest of the system relies on:
 

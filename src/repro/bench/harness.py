@@ -288,66 +288,6 @@ class IndexBuildReport:
         ]
 
 
-def workload_metrics_rows(db: ContractDatabase) -> list[tuple]:
-    """Cache and pruning aggregates of everything ``db`` served so far,
-    as (metric, value) rows for :func:`repro.bench.reporting.format_table`.
-
-    The database feeds every query's stats into its metrics registry, so
-    any harness run (Figure 5/6 sweeps, ablations, workload replays) can
-    append this to its report without extra bookkeeping.
-    """
-    cache = db.cache_stats()
-    snapshot = db.metrics.snapshot()
-    counters = snapshot["counters"]
-    histograms = snapshot["histograms"]
-    rows: list[tuple] = [
-        ("queries served", counters.get("query.count", 0)),
-        ("cache hit rate", f"{cache.hit_rate:.0%}"),
-        ("cache hits / misses / evictions",
-         f"{cache.hits} / {cache.misses} / {cache.evictions}"),
-        ("cache entries", f"{cache.size} of {cache.capacity}"),
-        ("permission checks", counters.get("query.permission_checks", 0)),
-        ("contracts returned", counters.get("query.permitted", 0)),
-    ]
-    for name, label in (
-        ("query.translation_seconds", "translation (ms)"),
-        ("query.prefilter_seconds", "prefilter (ms)"),
-        ("query.permission_seconds", "permission (ms)"),
-        ("query.total_seconds", "total (ms)"),
-    ):
-        h = histograms.get(name)
-        if h and h["count"]:
-            rows.append((
-                f"{label} mean / p50 / p99",
-                f"{h['mean'] * 1000:.2f} / {h['p50'] * 1000:.2f} / "
-                f"{h['p99'] * 1000:.2f}",
-            ))
-    ratio = histograms.get("query.pruning_ratio")
-    if ratio and ratio["count"]:
-        rows.append((
-            "pruning ratio mean / p50",
-            f"{ratio['mean']:.2f} / {ratio['p50']:.2f}",
-        ))
-    candidates = histograms.get("query.candidates")
-    if candidates and candidates["count"]:
-        rows.append((
-            "candidates mean / max",
-            f"{candidates['mean']:.1f} / {candidates['max']:.0f}",
-        ))
-    return rows
-
-
-def workload_metrics_table(db: ContractDatabase, title: str = "") -> str:
-    """The metrics rows rendered as a report table."""
-    from .reporting import format_table
-
-    return format_table(
-        ["metric", "value"],
-        workload_metrics_rows(db),
-        title=title or "Workload metrics (cache + pruning aggregates)",
-    )
-
-
 def index_build_report(db: ContractDatabase) -> IndexBuildReport:
     """Summarize a built database's registration-side costs and sizes."""
     stats = db.registration_stats

@@ -27,7 +27,7 @@ from .monitor import ContractMonitor, MonitorOptions, MonitorStatus
 from .vocabulary import EventVocabulary
 from .persist import load_database, save_database
 from .journal import Journal, JournalReplayReport, open_database
-from .parallel import query_many, register_many
+from .parallel import register_many
 from .registration import Quarantine, QuarantinedSpec, RegistrationReport
 from .planner import (
     CostModel,
@@ -62,7 +62,6 @@ __all__ = [
     "CacheStats",
     "CompiledQuery",
     "QueryCompilationCache",
-    "query_many",
     "Contract",
     "ContractSpec",
     "ContractMonitor",

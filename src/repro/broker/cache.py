@@ -17,8 +17,8 @@ the translator's own front end — :func:`repro.ltl.rewrite.simplify`
 rewrite-equivalent queries (``F a`` and ``true U a``, say) share one
 entry and one translation.
 
-The cache is thread-safe (``query_many`` evaluates workloads from a
-thread pool) and keeps hit/miss/eviction counters that the broker's
+The cache is thread-safe (a shard server answers each connection on its
+own thread) and keeps hit/miss/eviction counters that the broker's
 metrics registry and the ``contract-broker metrics`` CLI surface.
 """
 
@@ -40,8 +40,8 @@ from ..ltl.rewrite import simplify
 #: Default number of distinct compiled queries kept (LRU).
 DEFAULT_CACHE_CAPACITY = 128
 
-#: Default number of chosen query plans kept (LRU).
-DEFAULT_PLAN_CACHE_CAPACITY = 256
+#: Number of chosen query plans kept (LRU).
+PLAN_CACHE_CAPACITY = 256
 
 
 def normalized_query_key(formula: Formula) -> str:
@@ -213,10 +213,9 @@ class QueryPlanCache:
     keep one.
     """
 
-    def __init__(self, capacity: int = DEFAULT_PLAN_CACHE_CAPACITY):
-        if capacity < 0:
-            raise ValueError(f"cache capacity must be >= 0, got {capacity}")
-        self.capacity = capacity
+    capacity = PLAN_CACHE_CAPACITY
+
+    def __init__(self):
         self._entries: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
         self._hits = 0
@@ -236,8 +235,6 @@ class QueryPlanCache:
 
     def put(self, key, plan) -> None:
         with self._lock:
-            if self.capacity <= 0:
-                return
             self._entries[key] = plan
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:

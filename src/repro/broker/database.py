@@ -23,8 +23,7 @@ optimized comparisons.
 
 Serving-side aggregation: every query's :class:`QueryStats` is fed into
 the database's :class:`~repro.obs.metrics.MetricsRegistry`
-(``db.metrics``), and batched workloads can be evaluated concurrently
-through :meth:`ContractDatabase.query_many`.
+(``db.metrics``).
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ from ..obs.metrics import (
 from ..projection.store import ProjectionStore
 from .cache import (
     DEFAULT_CACHE_CAPACITY,
-    DEFAULT_PLAN_CACHE_CAPACITY,
     CacheStats,
     CompiledQuery,
     QueryCompilationCache,
@@ -86,34 +84,27 @@ class BrokerConfig:
         use_projections: precompute the §5 simplified BAs at
             registration (whether a query *uses* them is its plan's
             call; without stores no plan can).
-        use_seeds: apply the §6.2.4 seed filter inside Algorithm 2.
         prefilter_depth: set-trie depth cap ``k``.
         projection_subset_cap: max projected-literal-subset size
             (``None`` = all subsets).
-        permission_algorithm: ``"ndfs"`` (Algorithm 2) or ``"scc"``.
         state_budget: translation state cap per formula.
         query_cache_capacity: distinct compiled queries kept in the LRU
             compilation cache (``0`` disables caching).
-        plan_cache_capacity: chosen query plans kept in the LRU plan
-            cache — keyed by (query, filter, statistics version), so
-            repeated queries skip re-planning (``0`` disables).
     """
 
     use_projections: bool = True
-    use_seeds: bool = True
     prefilter_depth: int = 2
     projection_subset_cap: int | None = 2
-    permission_algorithm: str = "ndfs"
     state_budget: int = DEFAULT_STATE_BUDGET
     query_cache_capacity: int = DEFAULT_CACHE_CAPACITY
-    plan_cache_capacity: int = DEFAULT_PLAN_CACHE_CAPACITY
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "BrokerConfig":
         """The configuration a snapshot manifest or journal ``config``
         record carries (``dataclasses.asdict`` wrote it).  Keys this
         version does not have — knobs removed since, like 2.0's
-        ``use_encoded`` and 3.0's ``use_prefilter`` — are ignored."""
+        ``use_encoded``, 3.0's ``use_prefilter`` and 4.0's
+        ``permission_algorithm`` — are ignored."""
         names = {f.name for f in fields(cls)}
         return cls(**{k: v for k, v in doc.items() if k in names})
 
@@ -182,9 +173,7 @@ class ContractDatabase:
             capacity=self.config.query_cache_capacity,
             state_budget=self.config.state_budget,
         )
-        self._plan_cache = QueryPlanCache(
-            capacity=self.config.plan_cache_capacity
-        )
+        self._plan_cache = QueryPlanCache()
         #: the one planner every unpinned query's plan comes from
         self._planner = QueryPlanner()
         #: incrementally maintained planner statistics (attribute value
@@ -418,24 +407,36 @@ class ContractDatabase:
         queries: Sequence[str | Formula],
         options: QueryOptions | None = None,
     ) -> list[QueryOutcome]:
-        """Evaluate a whole query workload, optionally in parallel.
+        """Evaluate a query workload: one :meth:`query` per entry under
+        the same ``options``, outcomes in input order.
 
-        With ``options.workers > 1`` the per-contract permission checks
-        run on a thread pool (the §7.4 "completely parallel workload"
-        observation applied to the query side); results are returned in
-        input order and are identical to evaluating each query serially.
-        Falls back to serial evaluation when no pool can be created,
-        exactly like :func:`repro.broker.parallel.register_many`.
+        Queries compile through the LRU cache, so a workload with
+        repeats pays each distinct translation once; budgets apply *per
+        query* — each gets a fresh deadline, so one pathological query
+        degrades without starving the rest of the batch.
+
+        ``queries`` is a sequence of LTL queries; a single query (or a
+        :class:`~repro.broker.spec.QuerySpec`, which carries its own
+        options) belongs in :meth:`query`.
         """
-        from .parallel import query_many
-
-        return query_many(self, queries, options)
+        if isinstance(queries, (str, Formula, QuerySpec)):
+            raise TypeError(
+                "query_many() takes a sequence of queries, got one "
+                f"{type(queries).__name__}; use query() for a single query"
+            )
+        options = coerce_query_options("query_many", options)
+        queries = list(queries)
+        if any(isinstance(query, QuerySpec) for query in queries):
+            raise TypeError(
+                "query_many() runs every query under one QueryOptions; "
+                "a QuerySpec carries its own — pass it to query()"
+            )
+        return [self._run_query(query, options) for query in queries]
 
     def _run_query(
         self,
         query: str | Formula,
         options: QueryOptions,
-        executor=None,
     ) -> QueryOutcome:
         """Compile (through the cache), obtain the plan and execute it.
         Planning and evaluation share one read-lock acquisition, so the
@@ -456,7 +457,6 @@ class ContractDatabase:
                 formula=formula,
                 translation_seconds=translation_seconds,
                 cache_hit=cache_hit,
-                executor=executor,
             )
 
     def _plan_locked(
@@ -523,20 +523,13 @@ class ContractDatabase:
         formula: Formula,
         translation_seconds: float,
         cache_hit: bool,
-        executor=None,
     ) -> QueryOutcome:
         """Execute ``plan`` for an already-compiled query (the internal
         entry every public query path funnels through): the relational
         and prefilter stages in the plan's order, then the permission
-        check on every candidate.
-
-        ``executor``, when given, must provide a ``map`` method (a
-        :class:`~concurrent.futures.ThreadPoolExecutor`); the
-        per-candidate permission checks are then fanned out over it.
-        ``map`` preserves order, so results are bit-identical to the
-        serial loop; under a deadline, queued checks whose budget is
-        already gone return ``SKIPPED`` immediately (cooperative
-        cancellation), so an exhausted query drains the pool quickly.
+        check on every candidate in id order.  Under a deadline,
+        candidates reached after the budget is gone are ``SKIPPED``
+        without starting their search.
 
         The whole evaluation holds the database's read lock (taken by
         :meth:`_run_query`): any number of queries run concurrently, but
@@ -601,32 +594,19 @@ class ContractDatabase:
         def make_budget() -> ExecutionBudget | None:
             if not options.budgeted:
                 return None
-            deadline = query_deadline
-            if options.contract_deadline_seconds is not None:
-                deadline = Deadline.earliest(
-                    deadline,
-                    Deadline.after(options.contract_deadline_seconds),
-                )
             steps = (
                 StepBudget(options.step_budget)
                 if options.step_budget is not None
                 else None
             )
-            return ExecutionBudget(
-                deadline=deadline,
-                steps=steps,
-                check_interval=options.budget_check_interval,
-            )
+            return ExecutionBudget(deadline=query_deadline, steps=steps)
 
-        def check(contract: Contract) -> tuple[Verdict, float, float]:
-            return self._check_candidate(
+        checks = [
+            self._check_candidate(
                 contract, compiled, plan.use_projections, make_budget()
             )
-
-        if executor is None:
-            checks = [check(contract) for contract in candidates]
-        else:
-            checks = list(executor.map(check, candidates))
+            for contract in candidates
+        ]
 
         matched: list[Contract] = []
         maybe: list[Contract] = []
@@ -699,8 +679,7 @@ class ContractDatabase:
         budget: ExecutionBudget | None = None,
     ) -> tuple[Verdict, float, float]:
         """One candidate's (selection, permission) check; returns the
-        verdict plus the two phase durations so callers can run this from
-        worker threads and still account stats in one place.
+        verdict plus the two phase durations.
 
         The search runs on the encoding of the smallest applicable
         projection quotient, or on the contract-level encoding when
@@ -729,9 +708,7 @@ class ContractDatabase:
             outcome = permits_encoded(
                 encoded,
                 compiled.encoded_query,
-                algorithm=self.config.permission_algorithm,
                 seeds_mask=seeds_mask,
-                use_seeds=self.config.use_seeds,
                 budget=budget,
             )
         except BudgetExceededError:

@@ -56,6 +56,7 @@ from pathlib import Path
 from ..core import faults
 from ..errors import JournalError, ReproError
 from .database import BrokerConfig, ContractDatabase
+from .persist import _fsync_directory
 
 JOURNAL_FILE = "journal.jsonl"
 
@@ -439,21 +440,6 @@ class Journal:
 
     def __len__(self) -> int:
         return len(self.tail)
-
-
-def _fsync_directory(directory: Path) -> None:
-    """Best-effort directory fsync (durability of the rename itself);
-    platforms that cannot open directories skip it silently."""
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform-dependent
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - platform-dependent
-        pass
-    finally:
-        os.close(fd)
 
 
 # -- the runtime entry point ----------------------------------------------------------

@@ -1,10 +1,8 @@
 """The unified query-execution options: one object for every knob.
 
 Every public query entry point (``query``, ``query_many``,
-``plan_query`` and the module-level
-:func:`repro.broker.parallel.query_many`) accepts one
-:class:`QueryOptions` object and funnels into the single internal
-``_query_compiled`` path, and the budget fields
+``plan_query``) accepts one :class:`QueryOptions` object and funnels
+into the single internal ``_run_query`` path, and the budget fields
 (``deadline_seconds`` / ``step_budget``) give every query a well-defined
 degraded answer instead of an unbounded Algorithm-2 run (the permission
 problem is PSPACE-complete — Theorem 6).
@@ -23,7 +21,6 @@ import enum
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any
 
-from ..core.budget import DEFAULT_CHECK_INTERVAL
 from .relational import MATCH_ALL, AttributeFilter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -70,16 +67,10 @@ class QueryOptions:
             from the moment the compiled query starts evaluating.
             Translation is bounded separately by the translator's state
             budget.  ``None`` = unbounded.
-        contract_deadline_seconds: additional per-candidate wall-clock
-            cap; each check gets the tighter of this and the query
-            deadline.  ``None`` = query deadline only.
         step_budget: per-candidate cap on permission-search steps (pairs
             visited + nested-cycle nodes); deterministic, unlike the
-            wall-clock deadlines.  ``None`` = unbounded.
-        budget_check_interval: search steps between wall-clock reads.
+            wall-clock deadline.  ``None`` = unbounded.
         degradation: policy for budget-exhausted candidates.
-        workers: thread-pool width for per-candidate permission checks
-            in batched evaluation (``query_many``); ``1`` = serial.
     """
 
     attribute_filter: AttributeFilter = MATCH_ALL
@@ -87,35 +78,24 @@ class QueryOptions:
     plan: "QueryPlan | None" = None
     explain: bool = False
     deadline_seconds: float | None = None
-    contract_deadline_seconds: float | None = None
     step_budget: int | None = None
-    budget_check_interval: int = DEFAULT_CHECK_INTERVAL
     degradation: Degradation = Degradation.MAYBE
-    workers: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("deadline_seconds", "contract_deadline_seconds"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
+        if self.deadline_seconds is not None and self.deadline_seconds < 0:
+            raise ValueError(
+                f"deadline_seconds must be >= 0, got {self.deadline_seconds}"
+            )
         if self.step_budget is not None and self.step_budget < 1:
             raise ValueError(
                 f"step_budget must be >= 1, got {self.step_budget}"
             )
-        if self.budget_check_interval < 1:
-            raise ValueError(
-                f"budget_check_interval must be >= 1, "
-                f"got {self.budget_check_interval}"
-            )
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
     @property
     def budgeted(self) -> bool:
         """Whether any execution budget is configured."""
         return (
             self.deadline_seconds is not None
-            or self.contract_deadline_seconds is not None
             or self.step_budget is not None
         )
 

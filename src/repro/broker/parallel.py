@@ -1,21 +1,13 @@
-"""Parallel contract registration and batched query evaluation.
+"""Parallel contract registration.
 
 §7.4 of the paper: "Since the workload is completely parallel (each
 contract is simplified independently), scaling the number of contracts
 can be tackled by adding resources" — the authors ran their 11-hour
-projection precomputation on three cores.  This module provides that
-scaling knob on both sides of the broker:
-
-* **registration** (:func:`register_many`) — the expensive, purely
-  functional per-contract work (LTL→BA translation) runs in a *process*
-  pool, and only the cheap, stateful steps (index insertion, id
-  assignment) happen serially in the parent;
-* **querying** (:func:`query_many`) — a workload of queries is evaluated
-  with the per-contract permission checks fanned out over a *thread*
-  pool (threads, not processes: the checks share the in-memory database
-  and its lazily materialized projection quotients, and each check is
-  independent — the query side of the same "completely parallel
-  workload" observation).
+projection precomputation on three cores.  :func:`register_many` is
+that scaling knob: the expensive, purely functional per-contract work
+(LTL→BA translation) runs in a *process* pool, and only the cheap,
+stateful steps (index insertion, id assignment) happen serially in the
+parent.
 
 Fault isolation (1.5): the batch path distinguishes **poison pills**
 from **transient pool failures**.  A spec whose clauses fail to parse,
@@ -28,15 +20,13 @@ breaks (:class:`~concurrent.futures.process.BrokenProcessPool` on
 worker OOM/crash, ``OSError`` in restricted sandboxes) is retried with
 capped exponential backoff, re-submitting only the specs that have not
 already been translated; if the pool keeps breaking, the leftovers fall
-back to in-process translation.  Querying falls back the same way:
-a thread pool that dies mid-workload resumes serially **from the first
-unfinished query**, never re-counting the finished ones.
+back to in-process translation.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Mapping, Sequence
 
@@ -46,13 +36,11 @@ from ..automata.serialize import automaton_from_dict, automaton_to_dict
 from ..core import faults
 from ..core.retry import BackoffPolicy
 from ..errors import ReproError, TranslationError
-from ..ltl.ast import Formula
 from ..ltl.parser import parse
 from ..ltl.printer import format_formula
 from .contract import ContractSpec
 from .database import ContractDatabase
-from .options import PrebuiltArtifacts, QueryOptions, coerce_query_options
-from .query import QueryOutcome
+from .options import PrebuiltArtifacts
 from .registration import QuarantinedSpec, RegistrationReport
 
 #: Pool-level failure retries before the serial fallback.
@@ -300,54 +288,3 @@ def register_many(
     # pool wall clock so registration stats stay meaningful.
     db.registration_stats.translation_seconds += pool_seconds
     return report
-
-
-def query_many(
-    db: ContractDatabase,
-    queries: Sequence[str | Formula],
-    options: QueryOptions | None = None,
-) -> list[QueryOutcome]:
-    """Evaluate a query workload, fanning permission checks over threads.
-
-    Queries are compiled through the database's LRU cache (so a workload
-    with repeats pays each distinct translation once) and evaluated in
-    input order; with ``options.workers > 1`` each query's per-candidate
-    permission checks run concurrently on one shared thread pool.  The
-    returned :class:`QueryOutcome` objects are identical to serial
-    :meth:`~repro.broker.database.ContractDatabase.query` calls — the
-    pool's ``map`` preserves candidate order and every check is a pure
-    function of (contract, query, budget).
-
-    Budgets apply *per query*: each query in the workload gets a fresh
-    deadline, so one pathological query degrades without starving the
-    rest of the batch.  Under a deadline, a query's queued checks whose
-    budget is already gone return ``SKIPPED`` immediately (cooperative
-    cancellation), so pool slots free up quickly for the next query.
-
-    A pool that cannot be created, or dies mid-workload, falls back to
-    serial evaluation **resuming from the first unfinished query**:
-    completed outcomes are kept, nothing is evaluated (or counted in
-    ``repro.obs`` metrics) twice, and the ``query.pool_fallback``
-    counter records the event.
-    """
-    options = coerce_query_options("query_many", options)
-
-    if options.workers <= 1 or not queries:
-        return [
-            db._run_query(query, options, executor=None)
-            for query in queries
-        ]
-
-    outcomes: list[QueryOutcome] = []
-    try:
-        with ThreadPoolExecutor(max_workers=options.workers) as pool:
-            for index, query in enumerate(queries):
-                faults.hit("query.pool", index=index)
-                outcomes.append(
-                    db._run_query(query, options, executor=pool)
-                )
-    except (OSError, RuntimeError):  # pool refused or died mid-workload
-        db.metrics.inc("query.pool_fallback")
-        for query in queries[len(outcomes):]:
-            outcomes.append(db._run_query(query, options, executor=None))
-    return outcomes

@@ -129,8 +129,8 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def _fsync_directory(directory: Path) -> None:
-    """Best-effort directory fsync; platforms that cannot open
-    directories skip it silently."""
+    """Best-effort directory fsync (durability of the rename itself);
+    platforms that cannot open directories skip it silently."""
     try:
         fd = os.open(directory, os.O_RDONLY)
     except OSError:  # pragma: no cover - platform-dependent

@@ -39,11 +39,8 @@ from .relational import MATCH_ALL, AttributeFilter
 SPEC_OPTION_KEYS = frozenset({
     "explain",
     "deadline_seconds",
-    "contract_deadline_seconds",
     "step_budget",
-    "budget_check_interval",
     "degradation",
-    "workers",
 })
 
 _SPEC_KEYS = frozenset({"query", "filter", "options"})
@@ -98,9 +95,9 @@ class QuerySpec:
         if unknown:
             raise BrokerError(
                 f"unknown query option(s) {sorted(unknown)}; expected a "
-                f"subset of {sorted(SPEC_OPTION_KEYS)} (the pipeline "
-                "switches and use_encoded were removed: see the "
-                "removed-API tables in CHANGELOG.md)"
+                f"subset of {sorted(SPEC_OPTION_KEYS)} (options removed "
+                "since 1.x are listed in the removed-API tables of "
+                "CHANGELOG.md)"
             )
         if "degradation" in fields:
             value = fields["degradation"]

@@ -1,10 +1,10 @@
 """Differential conformance checking: the broker's independent safety net.
 
 The permission problem is PSPACE-complete (Theorem 6) and the stack that
-answers it has grown many interacting layers — the ndfs/scc deciders and
-their seeds, the §4 prefilter set-trie, the §5 projection quotients, the
-query compilation cache, parallel ``query_many``, execution budgets with
-graceful degradation, and snapshot persistence.  Each layer has its own
+answers it has grown many interacting layers — the NDFS decider and
+its seeds, the §4 prefilter set-trie, the §5 projection quotients, the
+query compilation cache, execution budgets with graceful degradation,
+and snapshot persistence.  Each layer has its own
 unit tests, but none of those cross-check the *composed* stack against
 an independent ground truth.
 
@@ -13,14 +13,14 @@ checkers and query engines (SQLancer, ltl2ba cross-validation):
 
 * :mod:`repro.check.oracle` — an explicit-model permission decider that
   enumerates lassos over the contract×query product on the *concrete*
-  snapshot alphabet, sharing no code with the ndfs/scc deciders;
+  snapshot alphabet, sharing no code with the decider;
 * :mod:`repro.check.generators` — deterministic seeded generation of
   random contract specs, queries and attribute filters;
 * :mod:`repro.check.runner` — executes every generated case through a
-  lattice of ≥ 8 stack configurations (ndfs/scc × prefilter on/off ×
-  projections on/off, plus cache-warm repeats, parallel ``query_many``,
-  budgeted degradation, and a save→load round trip) and compares all of
-  them against the oracle;
+  lattice of stack configurations (prefilter on/off × projections
+  on/off, plus cache-warm repeats, budgeted degradation, a save→load
+  round trip and the distributed deployments) and compares all of them
+  against the oracle;
 * :mod:`repro.check.shrink` / :mod:`repro.check.artifacts` — greedy case
   minimization and standalone JSON repro artifacts with a replay entry
   point (``contract-broker check --replay``).

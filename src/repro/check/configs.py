@@ -5,17 +5,16 @@ must reproduce the oracle's answer bit-for-bit, budgeted ones must
 respect the degradation invariant ``permitted ⊆ exact ⊆ permitted ∪
 maybe`` (docs/DEVELOPMENT.md invariant 8).
 
-The lattice covers both deciders crossed with both index optimizations
-(8 exact configurations, each a *pinned* query plan — any single-layer
-bug breaks at least one cell while the others pin the blame), two
-*planner* configurations that leave the pipeline to the cost-based
+The lattice covers the decider crossed with both index optimizations
+(4 exact configurations, each a *pinned* query plan — any single-layer
+bug breaks at least one cell while the others pin the blame), one
+*planner* configuration that leaves the pipeline to the cost-based
 query planner like every other cell does (plans change *time*, never
-*answers* — docs/DEVELOPMENT.md invariant 14 — so these cells are
-exact), plus five
+*answers* — docs/DEVELOPMENT.md invariant 14 — so this cell is
+exact), plus four
 *mode* configurations that exercise the serving machinery around the
-deciders: a cache-warm repeat
-(compilation-cache reuse), parallel ``query_many`` (thread-pool fan-out
-must be bit-identical to serial), a step-budgeted run under the MAYBE
+decider: a cache-warm repeat
+(compilation-cache reuse), a step-budgeted run under the MAYBE
 degradation policy, a save→load round trip (snapshot persistence must
 answer like the database that produced it), and a journal replay
 (snapshot + write-ahead-journal tail recovery must answer like the
@@ -30,7 +29,7 @@ index, unknown-event count) must match character for character —
 invariant 13.  ``monitor-unknown`` salts the trace with events outside
 every vocabulary to pin the unknown-event accounting.
 
-Four *distributed* cells close the lattice at 21: ``sharded`` registers
+Four *distributed* cells close the lattice at 15: ``sharded`` registers
 every contract through a 3-shard coordinator
 (:mod:`repro.dist`) and the merged fan-out answer must match the
 single-node oracle bit-for-bit, and ``replicated`` ships the leader's
@@ -52,7 +51,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..broker.database import BrokerConfig
 from ..broker.planner import QueryPlan
 from ..errors import ReproError
 
@@ -73,7 +71,6 @@ class StackConfig:
     * ``"direct"`` — one plain ``db.query`` call;
     * ``"cache_warm"`` — the same query twice on one database; both the
       cold and the warm answer are checked;
-    * ``"parallel"`` — ``db.query_many`` with a thread pool;
     * ``"budget"`` — a deterministic step budget with ``MAYBE``
       degradation (the only non-exact configuration);
     * ``"roundtrip"`` — save the database to a snapshot, load it back,
@@ -104,7 +101,6 @@ class StackConfig:
     """
 
     name: str
-    algorithm: str = "ndfs"
     plan: QueryPlan | None = None
     mode: str = "direct"
 
@@ -113,30 +109,23 @@ class StackConfig:
         """Whether this configuration must match the oracle exactly."""
         return self.mode != "budget"
 
-    def broker_config(self) -> BrokerConfig:
-        return BrokerConfig(permission_algorithm=self.algorithm)
-
-
 def _base_lattice() -> list[StackConfig]:
     out = []
-    for algorithm in ("ndfs", "scc"):
-        for use_prefilter in (False, True):
-            for use_projections in (False, True):
-                name = algorithm
-                name += "+pf" if use_prefilter else ""
-                name += "+proj" if use_projections else ""
-                out.append(
-                    StackConfig(
-                        name=name,
-                        algorithm=algorithm,
-                        plan=QueryPlan(use_prefilter, use_projections),
-                    )
+    for use_prefilter in (False, True):
+        for use_projections in (False, True):
+            name = "ndfs"
+            name += "+pf" if use_prefilter else ""
+            name += "+proj" if use_projections else ""
+            out.append(
+                StackConfig(
+                    name=name, plan=QueryPlan(use_prefilter, use_projections)
                 )
+            )
     return out
 
 
 def config_lattice() -> tuple[StackConfig, ...]:
-    """The full default lattice (21 configurations)."""
+    """The full default lattice (15 configurations)."""
     return tuple(
         _base_lattice()
         + [
@@ -144,10 +133,8 @@ def config_lattice() -> tuple[StackConfig, ...]:
             # choices may differ from every pinned cell above, but the
             # answer may not (invariant 14: plans change time, never
             # answers)
-            StackConfig(name="ndfs-planner", algorithm="ndfs"),
-            StackConfig(name="scc-planner", algorithm="scc"),
+            StackConfig(name="ndfs-planner"),
             StackConfig(name="cache-warm", mode="cache_warm"),
-            StackConfig(name="parallel-x2", mode="parallel"),
             StackConfig(name="budget-maybe", mode="budget"),
             # the loaded copy answers from the persisted encoded.json
             # artifact, which this cell continuously proves equal to the

@@ -14,8 +14,8 @@ and compares:
 Contract translation is shared across configurations (via
 ``PrebuiltArtifacts``) because the translator is identical in every
 cell; everything downstream — index build, projection build, seeds,
-deciders, cache, thread pool, persistence — runs per configuration, so a
-divergence isolates the differing layer.
+decider, cache, persistence — runs per configuration, so a divergence
+isolates the differing layer.
 
 Any violation is recorded as a :class:`Disagreement`, greedily shrunk
 (:mod:`repro.check.shrink`) and written out as a standalone JSON repro
@@ -180,7 +180,7 @@ class ConformanceRunner:
         profile: a :class:`~repro.check.generators.CheckProfile` or the
             name of one of :data:`~repro.check.generators.PROFILES`.
         configs: the :class:`StackConfig` tuple to sweep (default: the
-            full 23-point lattice).
+            full 15-point lattice).
         artifact_dir: where failure repro artifacts are written
             (``None`` = don't write artifacts).
         shrink: greedily minimize failing cases before reporting.
@@ -271,8 +271,8 @@ class ConformanceRunner:
                 permitted.add(spec.name)
         return frozenset(permitted)
 
-    def _build_db(self, specs, bas, config: StackConfig) -> ContractDatabase:
-        db = ContractDatabase(config.broker_config())
+    def _build_db(self, specs, bas) -> ContractDatabase:
+        db = ContractDatabase()
         for spec in specs:
             db.register(spec, prebuilt=PrebuiltArtifacts(ba=bas[spec.name]))
         return db
@@ -299,9 +299,7 @@ class ConformanceRunner:
             with tempfile.TemporaryDirectory(
                 prefix="repro-check-"
             ) as directory:
-                live = open_database(
-                    directory, config=config.broker_config()
-                )
+                live = open_database(directory)
                 half = (len(specs) + 1) // 2
                 for spec in specs[:half]:
                     live.register(
@@ -312,20 +310,18 @@ class ConformanceRunner:
                     live.register(
                         spec, prebuilt=PrebuiltArtifacts(ba=bas[spec.name])
                     )
-                recovered = open_database(
-                    directory, config=config.broker_config()
-                )
+                recovered = open_database(directory)
                 outcome = recovered.query(case.query, options)
             return [("journal", outcome.contract_names, outcome.maybe_names)]
         if config.mode == "sharded":
-            return self._run_sharded(case, specs, config)
+            return self._run_sharded(case, specs)
         if config.mode == "replicated":
-            return self._run_replicated(case, specs, bas, config)
+            return self._run_replicated(case, specs, bas)
         if config.mode == "flaky_network":
-            return self._run_flaky_network(case, specs, config)
+            return self._run_flaky_network(case, specs)
         if config.mode == "failover":
-            return self._run_failover(case, specs, config)
-        db = self._build_db(specs, bas, config)
+            return self._run_failover(case, specs)
+        db = self._build_db(specs, bas)
         if config.mode == "direct":
             outcome = db.query(case.query, options.evolve(plan=config.plan))
             return [("direct", outcome.contract_names, outcome.maybe_names)]
@@ -336,11 +332,6 @@ class ConformanceRunner:
                 ("cold", cold.contract_names, cold.maybe_names),
                 ("warm", warm.contract_names, warm.maybe_names),
             ]
-        if config.mode == "parallel":
-            outcome = db.query_many(
-                [case.query], options.evolve(workers=2)
-            )[0]
-            return [("parallel", outcome.contract_names, outcome.maybe_names)]
         if config.mode == "budget":
             outcome = db.query(
                 case.query,
@@ -364,7 +355,7 @@ class ConformanceRunner:
             ]
         raise ReproError(f"unknown configuration mode {config.mode!r}")
 
-    def _run_sharded(self, case: CheckCase, specs, config: StackConfig):
+    def _run_sharded(self, case: CheckCase, specs):
         """The ``sharded`` cell: every contract registered through a
         3-shard coordinator, the query answered by fan-out + merge.
         Contracts ship as clause text over the wire (each shard
@@ -373,9 +364,7 @@ class ConformanceRunner:
         from ..dist import LocalCluster
 
         options = QueryOptions(attribute_filter=case.filter.build())
-        with LocalCluster(
-            SHARDED_CELL_SHARDS, config=config.broker_config()
-        ) as cluster:
+        with LocalCluster(SHARDED_CELL_SHARDS) as cluster:
             db = cluster.database()
             try:
                 for spec in specs:
@@ -389,8 +378,7 @@ class ConformanceRunner:
                 db.close()
         return [("sharded", outcome.contract_names, outcome.maybe_names)]
 
-    def _run_flaky_network(self, case: CheckCase, specs,
-                           config: StackConfig):
+    def _run_flaky_network(self, case: CheckCase, specs):
         """The ``flaky-network`` cell: the sharded path with transient
         faults armed on the coordinator's ``dist.send``/``dist.recv``
         seams — two injected transport failures per query, which the
@@ -401,9 +389,7 @@ class ConformanceRunner:
         from ..dist import LocalCluster
 
         options = QueryOptions(attribute_filter=case.filter.build())
-        with LocalCluster(
-            SHARDED_CELL_SHARDS, config=config.broker_config()
-        ) as cluster:
+        with LocalCluster(SHARDED_CELL_SHARDS) as cluster:
             db = cluster.database(retry=BackoffPolicy(
                 max_retries=2, base_seconds=0.002, cap_seconds=0.01,
             ))
@@ -430,7 +416,7 @@ class ConformanceRunner:
             ("flaky-network", outcome.contract_names, outcome.maybe_names)
         ]
 
-    def _run_failover(self, case: CheckCase, specs, config: StackConfig):
+    def _run_failover(self, case: CheckCase, specs):
         """The ``failover`` cell: a journaled 2-shard cluster whose
         leader dies after registration; its caught-up replica is
         promoted (epoch bump) and the coordinator fails the shard
@@ -440,8 +426,7 @@ class ConformanceRunner:
 
         options = QueryOptions(attribute_filter=case.filter.build())
         with tempfile.TemporaryDirectory(prefix="repro-check-") as tmp:
-            with LocalCluster(2, directory=Path(tmp) / "cluster",
-                              config=config.broker_config()) as cluster:
+            with LocalCluster(2, directory=Path(tmp) / "cluster") as cluster:
                 db = cluster.database()
                 try:
                     for spec in specs:
@@ -461,8 +446,7 @@ class ConformanceRunner:
                     db.close()
         return [("failover", outcome.contract_names, outcome.maybe_names)]
 
-    def _run_replicated(self, case: CheckCase, specs, bas,
-                        config: StackConfig):
+    def _run_replicated(self, case: CheckCase, specs, bas):
         """The ``replicated`` cell: a journaled leader with a mid-stream
         snapshot+compaction, and a journal-shipping replica that must
         survive the epoch bump (snapshot re-sync) and then answer
@@ -473,13 +457,13 @@ class ConformanceRunner:
 
         options = QueryOptions(attribute_filter=case.filter.build())
         with tempfile.TemporaryDirectory(prefix="repro-check-") as directory:
-            leader = open_database(directory, config=config.broker_config())
+            leader = open_database(directory)
             half = (len(specs) + 1) // 2
             for spec in specs[:half]:
                 leader.register(
                     spec, prebuilt=PrebuiltArtifacts(ba=bas[spec.name])
                 )
-            replica = Replica(directory, config=config.broker_config())
+            replica = Replica(directory)
             replica.poll()  # catches the pre-compaction journal tail
             # snapshot + compact bumps the epoch: the replica's byte
             # cursor dies and it must re-sync from the snapshot

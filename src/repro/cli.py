@@ -28,7 +28,7 @@ modules exchanging text files:
 * ``contract-broker compare``   — behavioral diff of two contracts,
   with witness sequences;
 * ``contract-broker metrics``   — run a query workload (optionally
-  repeated and in parallel) and print the broker's aggregate metrics:
+  repeated) and print the broker's aggregate metrics:
   compilation-cache hit rate, per-stage latency histograms, pruning
   distributions;
 * ``contract-broker serve``     — the distributed deployment: N shard
@@ -220,8 +220,6 @@ def _build_parser() -> argparse.ArgumentParser:
     met.add_argument("--repeat", type=int, default=1,
                      help="run the workload this many times "
                           "(repeats hit the compilation cache)")
-    met.add_argument("--workers", type=int, default=1,
-                     help="thread-pool width for permission checks")
     met.add_argument("--scan", action="store_true",
                      help="pin the scan baseline (no index, no "
                           "projections) instead of the planner's plan")
@@ -368,7 +366,7 @@ def _add_budget_flags(sub: argparse.ArgumentParser) -> None:
                      help="per-candidate cap on permission-search steps")
 
 
-def _query_options(args: argparse.Namespace, **extra) -> QueryOptions:
+def _query_options(args: argparse.Namespace) -> QueryOptions:
     """The ``query``/``metrics`` flags as options: the execution budget
     and, under ``--scan``, the pinned scan baseline."""
     return QueryOptions(
@@ -378,7 +376,6 @@ def _query_options(args: argparse.Namespace, **extra) -> QueryOptions:
             if args.deadline_ms is not None else None
         ),
         step_budget=args.step_budget,
-        **extra,
     )
 
 
@@ -674,7 +671,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         query_cache_capacity=capacity,
     )
     db = _load_or_build_db(args.specs, config)
-    options = _query_options(args, workers=args.workers)
+    options = _query_options(args)
     start = time.perf_counter()
     degraded = 0
     for _ in range(max(args.repeat, 1)):
@@ -683,8 +680,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     elapsed = time.perf_counter() - start
     served = max(args.repeat, 1) * len(args.queries)
     print(f"served {served} queries "
-          f"({len(args.queries)} distinct x {max(args.repeat, 1)} rounds, "
-          f"workers={args.workers}) in {elapsed:.2f}s"
+          f"({len(args.queries)} distinct x {max(args.repeat, 1)} rounds) "
+          f"in {elapsed:.2f}s"
           + (f"; {degraded} degraded" if degraded else "")
           + "\n")
     if args.json:

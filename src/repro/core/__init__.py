@@ -1,5 +1,5 @@
 """The paper's primary contribution: the permission semantics and its
-decision algorithms.
+decision algorithm.
 
 Entry points::
 
@@ -18,10 +18,6 @@ from .permission import (
     find_witness,
     permits,
     permits_encoded,
-    permits_ndfs,
-    permits_ndfs_encoded,
-    permits_scc,
-    permits_scc_encoded,
 )
 from .rwlock import RWLock
 from .seeds import compute_seeds, compute_seeds_mask
@@ -39,10 +35,6 @@ __all__ = [
     "find_witness",
     "permits",
     "permits_encoded",
-    "permits_ndfs",
-    "permits_ndfs_encoded",
-    "permits_scc",
-    "permits_scc_encoded",
     "compute_seeds",
     "compute_seeds_mask",
 ]

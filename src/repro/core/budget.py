@@ -14,8 +14,7 @@ module gives the broker the same discipline:
   :class:`~repro.core.permission.PermissionStats` counters) one
   permission check may spend;
 * :class:`ExecutionBudget` — the combination threaded through
-  :func:`~repro.core.permission.permits_ndfs` /
-  :func:`~repro.core.permission.permits_scc`; the search calls
+  :func:`~repro.core.permission.permits_encoded`; the search calls
   :meth:`ExecutionBudget.charge` with its step counter and the budget
   raises :class:`~repro.errors.BudgetExceededError` once a limit is hit.
 
@@ -44,9 +43,9 @@ DEFAULT_CHECK_INTERVAL = 16
 class Deadline:
     """An absolute point in monotonic time.
 
-    Immutable and thread-safe: one query creates a single deadline and
-    every per-candidate check (possibly on different worker threads)
-    consults it.  ``clock`` is injectable for deterministic tests.
+    Immutable: one query creates a single deadline and every
+    per-candidate check consults it.  ``clock`` is injectable for
+    deterministic tests.
     """
 
     at: float
@@ -59,15 +58,6 @@ class Deadline:
         if seconds < 0:
             raise ValueError(f"deadline must be >= 0 seconds, got {seconds}")
         return cls(at=clock() + seconds, clock=clock)
-
-    @classmethod
-    def earliest(cls, *deadlines: "Deadline | None") -> "Deadline | None":
-        """The tightest of several optional deadlines (``None`` if all
-        are ``None``)."""
-        present = [d for d in deadlines if d is not None]
-        if not present:
-            return None
-        return min(present, key=lambda d: d.at)
 
     def expired(self) -> bool:
         return self.clock() >= self.at
@@ -100,7 +90,7 @@ class StepBudget:
 
 @dataclass
 class ExecutionBudget:
-    """The per-check budget threaded into the permission algorithms.
+    """The per-check budget threaded into the permission search.
 
     One instance per candidate check: the ``deadline`` may be shared
     across checks (it is immutable), but the charge bookkeeping is local,

@@ -1,10 +1,9 @@
 """Fault injection: deterministic failures at named runtime seams.
 
 The broker's robustness machinery — the write-ahead journal, the
-snapshot fallback ladder, the quarantined registration pool, the
-query-side thread-pool fallback — exists to survive failures that are
-rare and hard to provoke on demand: a full disk mid-save, a worker
-process dying under a poison pill, a thread pool refusing new work.
+snapshot fallback ladder, the quarantined registration pool — exists
+to survive failures that are rare and hard to provoke on demand: a full
+disk mid-save, a worker process dying under a poison pill.
 This module makes those failures *reproducible*: production code calls
 :func:`hit` at its failure seams (a no-op costing one attribute read
 when nothing is armed), and chaos tests (plus the ``contract-broker
@@ -33,7 +32,7 @@ armed fault:
 Faults are counted per *site*: ``nth=3`` arms the third ``hit`` on that
 site after arming, and ``times`` controls how many consecutive hits
 fire from there on (default 1).  The registry is thread-safe; seams are
-hit from pool worker threads.
+hit from shard-server and client threads.
 
 Seams currently wired into production code:
 
@@ -41,8 +40,7 @@ Seams currently wired into production code:
   :func:`~repro.broker.persist.save_database`;
 * ``journal.append`` / ``journal.fsync`` / ``journal.compact`` — the
   write-ahead journal's durability points;
-* ``register.pool`` / ``query.pool`` — the parallel broker's worker
-  dispatch;
+* ``register.pool`` — the parallel registration's worker dispatch;
 * ``dist.connect`` / ``dist.send`` / ``dist.recv`` — the distributed
   broker's *client-side* transport edges (the coordinator's RPC path
   and :class:`~repro.dist.server.ShardClient`), with ``shard=`` /

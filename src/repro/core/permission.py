@@ -9,28 +9,21 @@ conflict with the contract label.  Theorem 4 shows this captures exactly
 the projection-class semantics of Definition 5, and Theorem 6 shows the
 problem is PSPACE-complete in the formulas (LOGSPACE in the automata).
 
-Two interchangeable algorithms decide it, both over the flat int/bitset
-encoding of :mod:`repro.automata.encode`:
-
-* :func:`permits_ndfs_encoded` — the paper's Algorithm 2: an outer
-  depth-first search over compatible product pairs with a nested cycle
-  search at every candidate knot, optionally pruned by the precomputed
-  *seeds* of §6.2.4.  This is the algorithm the paper benchmarks.
-* :func:`permits_scc_encoded` — an equivalent emptiness check on the
-  compatibility product using strongly connected components (a
-  generalized-Büchi style formulation).
-
-:func:`permits_encoded` dispatches between them by name; the broker
-calls it with the encodings, binding and seed mask it precomputed.
-:func:`permits` / :func:`permits_ndfs` / :func:`permits_scc` take object
-automata instead: they encode both sides and delegate, for callers that
+One algorithm decides it, over the flat int/bitset encoding of
+:mod:`repro.automata.encode`: :func:`permits_encoded` is the paper's
+Algorithm 2 — an outer depth-first search over compatible product pairs
+with a nested cycle search at every candidate knot, pruned by the
+precomputed *seeds* of §6.2.4.  The broker calls it with the encodings,
+binding and seed mask it precomputed.  :func:`permits` takes object
+automata instead: it encodes both sides and delegates, for callers that
 hold a :class:`~repro.automata.buchi.BuchiAutomaton` and check it once.
-The independent reference the deciders are tested against is
-:func:`repro.check.oracle.oracle_permits`.
 
-:func:`find_witness` additionally extracts a concrete simultaneous lasso
-path and can materialize it as an ultimately-periodic run, which examples
-use to *explain* why a contract was returned.
+The decider is tested against two independent references:
+:func:`repro.check.oracle.oracle_permits`, and :func:`find_witness`,
+which searches the object automata's compatibility product by strongly
+connected components, extracts a concrete simultaneous lasso path and
+can materialize it as an ultimately-periodic run — which examples use to
+*explain* why a contract was returned.
 """
 
 from __future__ import annotations
@@ -172,7 +165,7 @@ def _pair_successors(
                 yield (contract_dst, query_dst), contract_label, query_label
 
 
-# -- the deciders ------------------------------------------------------------------
+# -- the decider -------------------------------------------------------------------
 #
 # The searches walk the flat int encoding of repro.automata.encode.
 # Product pairs are packed as ``contract_id * num_query_states +
@@ -186,15 +179,10 @@ def _encoded_expander(
     contract: EncodedAutomaton,
     query: EncodedAutomaton,
     binding: QueryBinding,
-    on_expand=None,
 ):
     """A memoized ``pair -> list of successor pairs`` over the packed
-    compatibility product.
-
-    ``on_expand`` (if given) runs once per *unique* pair, before its
-    successors are computed — the hook the SCC decider uses to count and
-    budget-charge unique expansions.  Memoization is sound for the NDFS
-    too: its stats count pair/node *visits* (at pop time), never
+    compatibility product.  Memoization is sound for the search's
+    counters: they count pair/node *visits* (at pop time), never
     expansions.
     """
     nq = query.num_states
@@ -206,8 +194,6 @@ def _encoded_expander(
     def expand(pair: int) -> list[int]:
         cached = cache.get(pair)
         if cached is None:
-            if on_expand is not None:
-                on_expand()
             c, q = divmod(pair, nq)
             cached = []
             for qi in range(q_off[q], q_off[q + 1]):
@@ -224,7 +210,7 @@ def _encoded_expander(
     return expand
 
 
-def permits_ndfs_encoded(
+def permits_encoded(
     contract: EncodedAutomaton,
     query: EncodedAutomaton,
     binding: QueryBinding | None = None,
@@ -234,7 +220,8 @@ def permits_ndfs_encoded(
     stats: PermissionStats | None = None,
     budget: ExecutionBudget | None = None,
 ) -> bool:
-    """Algorithm 2: nested depth-first search for a simultaneous lasso path.
+    """Decide permission — Algorithm 2: nested depth-first search for
+    a simultaneous lasso path.
 
     Args:
         contract: the encoded contract BA (over its full vocabulary).
@@ -244,7 +231,10 @@ def permits_ndfs_encoded(
         seeds_mask: bitset of seed state ids
             (:func:`repro.core.seeds.compute_seeds_mask`); computed on
             the fly when ``use_seeds`` is set and none given.
-        use_seeds: apply the §6.2.4 seed filter to candidate knots.
+        use_seeds: apply the §6.2.4 seed filter to candidate knots
+            (``False`` is the ablation of
+            ``benchmarks/bench_ablation_seeds.py``; the broker always
+            applies it).
         stats: optional mutable counters, filled in during the search.
         budget: optional :class:`~repro.core.budget.ExecutionBudget`; the
             search charges it once per visited pair / cycle node and
@@ -357,98 +347,11 @@ def _cycle_search_encoded(
     return False
 
 
-def permits_scc_encoded(
-    contract: EncodedAutomaton,
-    query: EncodedAutomaton,
-    binding: QueryBinding | None = None,
-    *,
-    budget: ExecutionBudget | None = None,
-    stats: PermissionStats | None = None,
-) -> bool:
-    """SCC-based decider, equivalent to :func:`permits_ndfs_encoded`.
-
-    A simultaneous lasso path exists iff the compatibility product has a
-    reachable cyclic SCC containing both a pair with a query-final state
-    and a pair with a contract-final state (one cycle can then visit
-    both, giving lasso paths in both automata simultaneously).
-
-    Successor expansion is memoized across the graph passes
-    (reachability, SCC decomposition, cyclicity): each pair is expanded
-    — and ``budget``-charged — exactly once, so ``pairs_visited`` counts
-    unique product pairs just like the NDFS's outer search and an
-    identical deadline does not exhaust up to three times earlier than
-    under NDFS.
-    """
-    if stats is None:
-        stats = PermissionStats()
-    if binding is None:
-        binding = bind_query(contract, query)
-    nq = query.num_states
-    query_final = query.final_mask
-    contract_final = contract.final_mask
-
-    def on_expand() -> None:
-        stats.pairs_visited += 1
-        if budget is not None:
-            try:
-                budget.charge(stats.search_steps)
-            except BudgetExceededError:
-                stats.budget_exhausted = True
-                raise
-
-    expand = _encoded_expander(contract, query, binding, on_expand)
-    start = contract.initial * nq + query.initial
-    reachable = graph.reachable_from(start, expand)
-    for component in graph.strongly_connected_components(reachable, expand):
-        has_query_final = any((query_final >> (p % nq)) & 1 for p in component)
-        has_contract_final = any(
-            (contract_final >> (p // nq)) & 1 for p in component
-        )
-        if not (has_query_final and has_contract_final):
-            continue
-        if graph.is_cyclic_component(component, expand):
-            stats.result = True
-            return True
-    stats.result = False
-    return False
-
-
-def permits_encoded(
-    contract: EncodedAutomaton,
-    query: EncodedAutomaton,
-    binding: QueryBinding | None = None,
-    *,
-    algorithm: str = "ndfs",
-    seeds_mask: int | None = None,
-    use_seeds: bool = True,
-    stats: PermissionStats | None = None,
-    budget: ExecutionBudget | None = None,
-) -> bool:
-    """Decide permission; dispatches to the requested algorithm.
-
-    ``algorithm`` is ``"ndfs"`` (the paper's Algorithm 2, default) or
-    ``"scc"``.  With a ``budget``, either algorithm raises
-    :class:`~repro.errors.BudgetExceededError` instead of running
-    unboundedly (see :mod:`repro.core.budget`).
-    """
-    if algorithm == "ndfs":
-        return permits_ndfs_encoded(
-            contract, query, binding,
-            seeds_mask=seeds_mask, use_seeds=use_seeds,
-            stats=stats, budget=budget,
-        )
-    if algorithm == "scc":
-        return permits_scc_encoded(contract, query, binding,
-                                   budget=budget, stats=stats)
-    raise ValueError(f"unknown permission algorithm: {algorithm!r}")
-
-
 def permits(
     contract: BuchiAutomaton,
     query: BuchiAutomaton,
     vocabulary: frozenset[str] | None = None,
     *,
-    algorithm: str = "ndfs",
     seeds: frozenset | None = None,
     use_seeds: bool = True,
     stats: PermissionStats | None = None,
@@ -477,43 +380,10 @@ def permits(
         encoded,
         encoded_query,
         bind_query(encoded, encoded_query),
-        algorithm=algorithm,
         seeds_mask=None if seeds is None else encoded.state_mask(seeds),
         use_seeds=use_seeds,
         stats=stats,
         budget=budget,
-    )
-
-
-def permits_ndfs(
-    contract: BuchiAutomaton,
-    query: BuchiAutomaton,
-    vocabulary: frozenset[str] | None = None,
-    *,
-    seeds: frozenset | None = None,
-    use_seeds: bool = True,
-    stats: PermissionStats | None = None,
-    budget: ExecutionBudget | None = None,
-) -> bool:
-    """:func:`permits` with ``algorithm="ndfs"``."""
-    return permits(
-        contract, query, vocabulary, algorithm="ndfs",
-        seeds=seeds, use_seeds=use_seeds, stats=stats, budget=budget,
-    )
-
-
-def permits_scc(
-    contract: BuchiAutomaton,
-    query: BuchiAutomaton,
-    vocabulary: frozenset[str] | None = None,
-    *,
-    budget: ExecutionBudget | None = None,
-    stats: PermissionStats | None = None,
-) -> bool:
-    """:func:`permits` with ``algorithm="scc"``."""
-    return permits(
-        contract, query, vocabulary, algorithm="scc",
-        budget=budget, stats=stats,
     )
 
 

@@ -387,8 +387,9 @@ class Replica:
         return self._db.query(query, options)
 
     def query_many(self, queries, options=None):
-        self.metrics.inc("dist.replica.queries", len(list(queries)))
-        return self._db.query_many(queries, options)
+        outcomes = self._db.query_many(queries, options)
+        self.metrics.inc("dist.replica.queries", len(outcomes))
+        return outcomes
 
     def __len__(self) -> int:
         return len(self._db)

@@ -119,7 +119,7 @@ def winning_mask(
     itself reach an accepting cycle, hence is live.)
 
     The mask is computed once per (contract, query) pair by the same
-    SCC characterization :func:`repro.core.permission.permits_scc_encoded`
+    SCC characterization :func:`repro.core.permission.find_witness`
     uses: an accepting knot is a cyclic SCC containing both a
     query-final and a contract-final pair.
     """

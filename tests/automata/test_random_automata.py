@@ -10,7 +10,7 @@ from repro.automata.product import intersection, union
 from repro.automata.reduce import reduce_automaton
 from repro.automata.hoa import from_hoa, to_hoa
 from repro.automata.serialize import dumps, loads
-from repro.core.permission import permits_ndfs, permits_scc
+from repro.core.permission import find_witness, permits
 from repro.core.seeds import compute_seeds
 
 from ..strategies import buchi_automata, runs
@@ -75,18 +75,24 @@ class TestPermissionOnRandomAutomata:
     @given(buchi_automata(), buchi_automata())
     @settings(max_examples=150, deadline=None)
     def test_deciders_agree(self, contract, query):
+        """Witness iff permitted: the NDFS decider and the SCC search
+        of ``find_witness`` (object automata, no shared code) agree on
+        graph shapes the translator never produces, and the witness is
+        a run both automata accept."""
         vocabulary = contract.events() | frozenset({"a"})
-        assert permits_ndfs(contract, query, vocabulary) == permits_scc(
-            contract, query, vocabulary
-        )
+        witness = find_witness(contract, query, vocabulary)
+        assert permits(contract, query, vocabulary) == (witness is not None)
+        if witness is not None:
+            run = witness.to_run()
+            assert contract.accepts(run) and query.accepts(run)
 
     @given(buchi_automata(), buchi_automata())
     @settings(max_examples=100, deadline=None)
     def test_seeds_never_change_verdict(self, contract, query):
         vocabulary = contract.events()
-        assert permits_ndfs(
+        assert permits(
             contract, query, vocabulary, use_seeds=True
-        ) == permits_ndfs(contract, query, vocabulary, use_seeds=False)
+        ) == permits(contract, query, vocabulary, use_seeds=False)
 
 
 class TestSerializationOnRandomAutomata:

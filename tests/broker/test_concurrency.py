@@ -116,9 +116,7 @@ class TestHammer:
         def batch_querier():
             try:
                 for _ in range(10):
-                    outcomes = db.query_many(
-                        ["F common", "F nothing"], QueryOptions(workers=2)
-                    )
+                    outcomes = db.query_many(["F common", "F nothing"])
                     assert len(outcomes[0].contract_ids) >= 3
                     assert outcomes[1].contract_ids == ()
             except Exception as exc:

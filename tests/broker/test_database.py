@@ -192,7 +192,16 @@ class TestDirectChecks:
 
 class TestConfig:
     def test_scc_algorithm_config(self):
-        db = ContractDatabase(BrokerConfig(permission_algorithm="scc"))
+        """4.0: nothing selects a decider.  The constructor rejects the
+        knob; a stored configuration that still carries it (a 3.x
+        manifest or journal record) loads as the one configuration
+        there is and answers through the one decider."""
+        with pytest.raises(TypeError):
+            BrokerConfig(permission_algorithm="scc")
+        stored = {"permission_algorithm": "scc", "use_seeds": False,
+                  "plan_cache_capacity": 0}
+        assert BrokerConfig.from_dict(stored) == BrokerConfig()
+        db = ContractDatabase(BrokerConfig.from_dict(stored))
         for spec in all_ticket_specs():
             db.register(spec)
         result = db.query("F(missedFlight && F(refund || dateChange))")

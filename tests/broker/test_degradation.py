@@ -221,7 +221,7 @@ class TestBudgetedQueryMany:
     ):
         outcomes = adversarial_db.query_many(
             [adversarial_query, "F ev0"],
-            QueryOptions(deadline_seconds=0.05, workers=2, **SCAN),
+            QueryOptions(deadline_seconds=0.05, **SCAN),
         )
         assert outcomes[0].degraded
         # the cheap query is not starved by the pathological one
@@ -231,14 +231,24 @@ class TestBudgetedQueryMany:
     def test_parallel_step_budget_matches_serial(
         self, adversarial_db, adversarial_query
     ):
+        """A step budget trips at the same search step whoever else is
+        querying: concurrent callers degrade exactly like a lone one."""
+        from concurrent.futures import ThreadPoolExecutor
+
         options = QueryOptions(step_budget=50, **SCAN)
         serial = adversarial_db.query(adversarial_query, options)
-        (parallel,) = adversarial_db.query_many(
-            [adversarial_query], options.evolve(workers=4)
-        )
-        assert parallel.verdicts == serial.verdicts
-        assert parallel.contract_ids == serial.contract_ids
-        assert parallel.maybe_ids == serial.maybe_ids
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [
+                pool.submit(
+                    adversarial_db.query_many, [adversarial_query], options
+                )
+                for _ in range(4)
+            ]
+            for future in futures:
+                (parallel,) = future.result(timeout=120)
+                assert parallel.verdicts == serial.verdicts
+                assert parallel.contract_ids == serial.contract_ids
+                assert parallel.maybe_ids == serial.maybe_ids
 
 
 class TestBudgetedWitnesses:

@@ -335,12 +335,17 @@ class TestConfigRoundTrip:
 
 
     def test_pre_2_0_config_with_use_encoded_is_accepted(self, tmp_path):
-        """Journal headers and ``config`` records written by 1.6–1.10
-        carry ``use_encoded`` (and, up to 2.0, ``use_prefilter``); the
-        keys are ignored, the rest applies."""
+        """Journal headers and ``config`` records written by 1.6–3.0
+        carry ``use_encoded`` (up to 2.0), ``use_prefilter`` (up to 3.0)
+        and ``permission_algorithm`` / ``use_seeds`` /
+        ``plan_cache_capacity`` (up to 4.0); the keys are ignored, the
+        rest applies, and the database answers like the one that wrote
+        the journal."""
         from repro.broker.journal import _encode
 
         old = {"use_encoded": False, "use_prefilter": False,
+               "permission_algorithm": "scc", "use_seeds": False,
+               "plan_cache_capacity": 0,
                "state_budget": 99, "prefilter_depth": 3}
         newer = dict(old, state_budget=55)
         (tmp_path / JOURNAL_FILE).write_bytes(
@@ -353,6 +358,11 @@ class TestConfigRoundTrip:
         assert db.journal_report.replayed == 2
         assert db.config == BrokerConfig(state_budget=55, prefilter_depth=3)
         assert _names(db) == ["a"]
+        writer = ContractDatabase(db.config)
+        writer.register("a", ["F x"])
+        for query in ("F x", "G !x", "F y"):
+            assert db.query(query).contract_names == \
+                writer.query(query).contract_names
         db.journal.close()
 
 

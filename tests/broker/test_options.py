@@ -2,7 +2,8 @@
 
 Every entry point funnels into one options-driven path; the pre-1.3
 spellings and the ``use_encoded`` knob were removed in 2.0, the
-pipeline switches in 3.0, and all must fail loudly, while their
+pipeline switches in 3.0, the decider/executor selectors (and the
+options nothing set) in 4.0, and all must fail loudly, while their
 documented replacements answer as the old spellings did.
 """
 
@@ -38,22 +39,22 @@ class TestQueryOptions:
         options = QueryOptions()
         assert not options.budgeted
         assert options.degradation is Degradation.MAYBE
-        assert options.workers == 1
 
     @pytest.mark.parametrize("field, value", [
         ("deadline_seconds", -1.0),
-        ("contract_deadline_seconds", -0.5),
         ("step_budget", 0),
+        # removed in 4.0: no value is valid any more
+        ("contract_deadline_seconds", -0.5),
         ("budget_check_interval", 0),
         ("workers", 0),
     ])
     def test_validation(self, field, value):
-        with pytest.raises(ValueError):
+        removed = field not in {f.name for f in fields(QueryOptions)}
+        with pytest.raises(TypeError if removed else ValueError):
             QueryOptions(**{field: value})
 
     @pytest.mark.parametrize("field, value", [
         ("deadline_seconds", 0.1),
-        ("contract_deadline_seconds", 0.1),
         ("step_budget", 100),
     ])
     def test_any_budget_field_makes_it_budgeted(self, field, value):
@@ -61,24 +62,23 @@ class TestQueryOptions:
 
     def test_evolve(self):
         options = QueryOptions(deadline_seconds=1.0)
-        changed = options.evolve(workers=4)
-        assert changed.workers == 4
+        changed = options.evolve(step_budget=4)
+        assert changed.step_budget == 4
         assert changed.deadline_seconds == 1.0
-        assert options.workers == 1  # frozen original untouched
+        assert options.step_budget is None  # frozen original untouched
 
     def test_field_sets_are_pinned(self):
-        """A pipeline knob cannot come back unnoticed: the one left is
-        ``QueryOptions.plan``, and ``BrokerConfig.use_projections`` only
-        decides what registration builds."""
+        """A knob cannot come back unnoticed: the one pipeline knob left
+        is ``QueryOptions.plan``, ``BrokerConfig.use_projections`` only
+        decides what registration builds, and nothing selects a decider
+        or an executor."""
         assert {f.name for f in fields(QueryOptions)} == {
             "attribute_filter", "contract_ids", "plan", "explain",
-            "deadline_seconds", "contract_deadline_seconds", "step_budget",
-            "budget_check_interval", "degradation", "workers",
+            "deadline_seconds", "step_budget", "degradation",
         }
         assert {f.name for f in fields(BrokerConfig)} == {
-            "use_projections", "use_seeds", "prefilter_depth",
-            "projection_subset_cap", "permission_algorithm", "state_budget",
-            "query_cache_capacity", "plan_cache_capacity",
+            "use_projections", "prefilter_depth", "projection_subset_cap",
+            "state_budget", "query_cache_capacity",
         }
 
     def test_plan_order_is_validated(self):
@@ -217,7 +217,8 @@ class TestOutcomeShape:
 
 class TestDeprecatedShims:
     """The 1.x shims are gone (2.0.0), and so are the pipeline switches
-    (3.0.0).  Each test pins one row of the CHANGELOG's removed-API
+    (3.0.0) and the decider/executor selectors (4.0.0).  Each test pins
+    one row of the CHANGELOG's removed-API
     tables: the old spelling now fails loudly, and the replacement
     gives the answer the old spelling used to give."""
 
@@ -352,11 +353,26 @@ class TestDeprecatedShims:
         queries = [info["ltl"] for info in QUERIES.values()]
         with pytest.raises(TypeError):
             db.query_many(queries, workers=2)
-        pooled = db.query_many(queries, QueryOptions(workers=2))
-        serial = db.query_many(queries)
-        assert [r.contract_ids for r in pooled] == [
-            r.contract_ids for r in serial
+        with pytest.raises(TypeError):
+            QueryOptions(workers=2)
+        with pytest.raises(ImportError):
+            from repro.broker.parallel import query_many  # noqa: F401
+        batch = db.query_many(queries)
+        assert [r.contract_ids for r in batch] == [
+            db.query(q).contract_ids for q in queries
         ]
+
+    def test_decider_selectors_removed(self):
+        for old in (
+            dict(permission_algorithm="scc"),
+            dict(use_seeds=False),
+            dict(plan_cache_capacity=5),
+        ):
+            with pytest.raises(TypeError):
+                BrokerConfig(**old)
+        # QueryOptions' removed fields: TestQueryOptions::test_validation.
+        # The whole budget surface is one deadline and one step cap:
+        assert QueryOptions(deadline_seconds=0.1, step_budget=8).budgeted
 
     def test_new_style_calls_do_not_warn(self):
         db = _airfare_db()
@@ -364,7 +380,7 @@ class TestDeprecatedShims:
             warnings.simplefilter("error", DeprecationWarning)
             db.query(QUERY)
             db.query(QUERY, QueryOptions(explain=True))
-            db.query_many([QUERY], QueryOptions(workers=2))
+            db.query_many([QUERY], QueryOptions(step_budget=10_000))
             db.register(all_ticket_specs()[0])
 
 

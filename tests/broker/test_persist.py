@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.broker.cache import PLAN_CACHE_CAPACITY
 from repro.broker.database import BrokerConfig, ContractDatabase
 from repro.broker.persist import load_database, save_database
 from repro.errors import BrokerError
@@ -74,12 +75,12 @@ class TestRoundTrip:
 
     def test_config_restored(self, tmp_path):
         db = ContractDatabase(BrokerConfig(prefilter_depth=3,
-                                           permission_algorithm="scc"))
+                                           state_budget=321))
         db.register("t", "G a")
         directory = save_database(db, tmp_path / "cfg")
         reloaded = load_database(directory)
         assert reloaded.config.prefilter_depth == 3
-        assert reloaded.config.permission_algorithm == "scc"
+        assert reloaded.config.state_budget == 321
 
     def test_config_override(self, saved_airfare):
         reloaded = load_database(
@@ -221,10 +222,8 @@ class TestConfigPersistence:
     def test_every_field_round_trips(self, tmp_path):
         config = BrokerConfig(
             use_projections=False,
-            use_seeds=False,
             prefilter_depth=3,
             projection_subset_cap=None,
-            permission_algorithm="scc",
             state_budget=12_345,
             query_cache_capacity=9,
         )
@@ -235,13 +234,15 @@ class TestConfigPersistence:
 
 
 #: BrokerConfig as a 1.6–1.10 snapshot manifest / journal header wrote it
-#: — including the ``use_encoded`` knob 2.0 removed and the
-#: ``use_prefilter`` switch 3.0 removed (here set to the value no 3.0
-#: database can have, so honouring it would show).
+#: — including the ``use_encoded`` knob 2.0 removed, the
+#: ``use_prefilter`` switch 3.0 removed and the ``use_seeds`` /
+#: ``permission_algorithm`` / ``plan_cache_capacity`` knobs 4.0 removed
+#: (each set to a value no current database can have, so honouring it
+#: would show).
 CONFIG_1_10 = {
     "use_prefilter": False,
     "use_projections": True,
-    "use_seeds": True,
+    "use_seeds": False,
     "use_encoded": False,
     "prefilter_depth": 3,
     "projection_subset_cap": 2,
@@ -263,13 +264,13 @@ class TestPre2Snapshots:
 
         reloaded = load_database(directory)
         assert reloaded.load_report.warnings == []
-        assert not hasattr(reloaded.config, "use_encoded")
-        assert not hasattr(reloaded.config, "use_prefilter")
+        for removed in ("use_encoded", "use_prefilter", "use_seeds",
+                        "permission_algorithm", "plan_cache_capacity"):
+            assert not hasattr(reloaded.config, removed)
         assert reloaded.config == BrokerConfig(
-            prefilter_depth=3, permission_algorithm="scc",
-            state_budget=4000, query_cache_capacity=17,
-            plan_cache_capacity=5,
+            prefilter_depth=3, state_budget=4000, query_cache_capacity=17,
         )
+        assert reloaded.plan_cache.stats().capacity == PLAN_CACHE_CAPACITY
         for info in QUERIES.values():
             assert reloaded.query(info["ltl"]).contract_names == \
                 airfare_db.query(info["ltl"]).contract_names

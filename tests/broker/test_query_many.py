@@ -1,13 +1,16 @@
-"""Tests for batched (and parallel) query evaluation."""
+"""Tests for batched query evaluation."""
+
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.broker.database import BrokerConfig, ContractDatabase
 from repro.broker.options import QueryOptions
-from repro.broker.parallel import query_many
 from repro.broker.planner import QueryPlan
 from repro.broker.relational import AttributeFilter, le
+from repro.broker.spec import QuerySpec
 from repro.ltl.ast import conj
+from repro.ltl.parser import parse
 from repro.workload.airfare import QUERIES, all_ticket_specs
 from repro.workload.generator import WorkloadGenerator
 
@@ -63,101 +66,87 @@ class TestSerialBatch:
             assert set(result.contract_names) == {"Ticket B"}
 
 
+class TestBatchArgument:
+    """``query_many`` takes a sequence of queries; a single query —
+    which would otherwise be iterated character by character or die
+    deep in the translator — is a ``TypeError`` naming ``query()``."""
+
+    def test_bare_string_rejected(self):
+        db = _airfare_db()
+        for single in ("a", "F a"):
+            with pytest.raises(TypeError, match=r"query\(\)"):
+                db.query_many(single)
+        assert db.metrics.counter_value("query.count") == 0
+
+    def test_bare_formula_rejected(self):
+        with pytest.raises(TypeError, match=r"query\(\)"):
+            _airfare_db().query_many(parse("F refund"))
+
+    def test_query_spec_rejected_as_batch_and_as_element(self):
+        db = _airfare_db()
+        spec = QuerySpec(query="F refund")
+        with pytest.raises(TypeError, match=r"query\(\)"):
+            db.query_many(spec)
+        with pytest.raises(TypeError, match=r"query\(\)"):
+            db.query_many(["F dateChange", spec])
+        # rejected before anything ran
+        assert db.metrics.counter_value("query.count") == 0
+
+    def test_generator_of_queries_is_a_batch(self):
+        db = _airfare_db()
+        outcomes = db.query_many(q for q in ["F refund", "F dateChange"])
+        assert len(outcomes) == 2
+
+
+def _from_threads(db, queries, options=None, callers=4):
+    """The same batch from ``callers`` threads at once.  4.0 removed the
+    per-query thread pool, but a database is still shared by concurrent
+    callers (every shard-server connection has its own thread): they
+    race on the compile/plan caches and on the lazily materialized
+    projection quotients, and must all get the serial answer."""
+    with ThreadPoolExecutor(max_workers=callers) as pool:
+        futures = [
+            pool.submit(db.query_many, queries, options)
+            for _ in range(callers)
+        ]
+        return [future.result(timeout=120) for future in futures]
+
+
 class TestParallelParity:
     @pytest.mark.parametrize("optimized", [True, False])
     def test_parallel_identical_to_serial(self, optimized):
         queries = _generated_workload(count=8)
+        options = QueryOptions(plan=QueryPlan(optimized, optimized))
         serial_db = _generated_db()
-        parallel_db = _generated_db()
-        overrides = dict(plan=QueryPlan(optimized, optimized))
-        serial = [
-            serial_db.query(q, QueryOptions(**overrides)) for q in queries
-        ]
-        parallel = parallel_db.query_many(
-            queries, QueryOptions(workers=4, **overrides)
-        )
-        assert [r.contract_ids for r in parallel] == [
-            r.contract_ids for r in serial
-        ]
-        assert [r.stats.permitted for r in parallel] == [
-            r.stats.permitted for r in serial
-        ]
-        assert [r.stats.candidates for r in parallel] == [
-            r.stats.candidates for r in serial
-        ]
-        assert [r.stats.checked for r in parallel] == [
-            r.stats.checked for r in serial
-        ]
+        serial = [serial_db.query(q, options) for q in queries]
+        for parallel in _from_threads(_generated_db(), queries, options):
+            for field in ("permitted", "candidates", "checked"):
+                assert [getattr(r.stats, field) for r in parallel] == [
+                    getattr(r.stats, field) for r in serial
+                ]
+            assert [r.contract_ids for r in parallel] == [
+                r.contract_ids for r in serial
+            ]
 
     def test_parallel_airfare_outcomes(self):
-        db = _airfare_db()
-        queries = list(QUERIES)
-        results = db.query_many(
-            [QUERIES[name]["ltl"] for name in queries],
-            QueryOptions(workers=3),
-        )
-        for name, result in zip(queries, results):
-            assert set(result.contract_names) == QUERIES[name]["expected"]
+        names = list(QUERIES)
+        for results in _from_threads(
+            _airfare_db(), [QUERIES[name]["ltl"] for name in names]
+        ):
+            for name, result in zip(names, results):
+                assert set(result.contract_names) == QUERIES[name]["expected"]
 
     def test_parallel_explain_carries_witnesses(self):
         db = _airfare_db()
-        results = db.query_many(
-            ["F refund"], QueryOptions(workers=2, explain=True)
-        )
-        (result,) = results
-        for contract_id in result.contract_ids:
-            witness = result.witness_for(contract_id)
-            run = witness.to_run()
-            assert db.get(contract_id).ba.accepts(run)
-
-    def test_module_level_function_matches_method(self):
-        db = _airfare_db()
-        queries = ["F refund", "F dateChange"]
-        via_method = db.query_many(queries, QueryOptions(workers=2))
-        via_function = query_many(db, queries, QueryOptions(workers=2))
-        assert [r.contract_ids for r in via_method] == [
-            r.contract_ids for r in via_function
-        ]
+        for (result,) in _from_threads(
+            db, ["F refund"], QueryOptions(explain=True)
+        ):
+            assert result.contract_ids
+            for contract_id in result.contract_ids:
+                run = result.witness_for(contract_id).to_run()
+                assert db.get(contract_id).ba.accepts(run)
 
     def test_metrics_fed_once_per_query(self):
         db = _airfare_db()
-        db.query_many(["F refund"] * 4, QueryOptions(workers=2))
-        assert db.metrics.counter_value("query.count") == 4
-
-
-class TestPoolFallbackResume:
-    def test_mid_workload_pool_death_resumes_without_recounting(self):
-        """A pool dying on query k must not re-evaluate (or re-count)
-        queries 0..k-1; the serial fallback resumes from k."""
-        from repro.broker.options import QueryOptions
-        from repro.core import faults
-
-        db = _airfare_db()
-        queries = ["F refund", "F dateChange", "F refund", "F missedFlight"]
-        expected = [q.contract_ids for q in db.query_many(list(queries))]
-        baseline = db.metrics.counter_value("query.count")
-
-        faults.fail_at("query.pool", nth=3, exc=RuntimeError("pool died"))
-        outcomes = db.query_many(queries, QueryOptions(workers=2))
-
-        assert [o.contract_ids for o in outcomes] == expected
-        # each query counted exactly once despite the fallback
-        assert (
-            db.metrics.counter_value("query.count") - baseline
-            == len(queries)
-        )
-        assert db.metrics.counter_value("query.pool_fallback") == 1
-
-    def test_pool_creation_failure_falls_back_entirely(self, monkeypatch):
-        import repro.broker.parallel as parallel_module
-
-        class NoPool:
-            def __init__(self, max_workers=None):
-                raise RuntimeError("thread limit reached")
-
-        monkeypatch.setattr(parallel_module, "ThreadPoolExecutor", NoPool)
-        db = _airfare_db()
-        outcomes = db.query_many(["F refund"] * 2, QueryOptions(workers=2))
-        assert len(outcomes) == 2
-        assert db.metrics.counter_value("query.pool_fallback") == 1
-        assert db.metrics.counter_value("query.count") == 2
+        _from_threads(db, ["F refund"] * 4, callers=3)
+        assert db.metrics.counter_value("query.count") == 12

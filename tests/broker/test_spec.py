@@ -77,11 +77,24 @@ class TestFromDict:
         ("use_prefilter", True),
         ("use_projections", False),
         ("stage_order", "prefilter_first"),
+        # removed in 4.0 — valid 3.x documents carrying these fail
+        # loudly instead of silently running without the cap they set
+        ("workers", 2),
+        ("workers", 1),
+        ("contract_deadline_seconds", 0.5),
+        ("budget_check_interval", 16),
     ])
     def test_removed_pipeline_options_rejected_by_name(self, key, value):
         with pytest.raises(BrokerError, match=key) as excinfo:
             QuerySpec.from_dict({"query": "F a", "options": {key: value}})
         assert "CHANGELOG" in str(excinfo.value)
+
+    def test_option_keys_are_pinned(self):
+        from repro.broker.spec import SPEC_OPTION_KEYS
+
+        assert SPEC_OPTION_KEYS == {
+            "explain", "deadline_seconds", "step_budget", "degradation",
+        }
 
     def test_pinned_plan_has_no_document_form(self):
         from repro.broker.planner import SCAN_PLAN
@@ -94,7 +107,7 @@ class TestFromDict:
     def test_invalid_option_value_rejected(self):
         with pytest.raises(BrokerError):
             QuerySpec.from_dict(
-                {"query": "F a", "options": {"workers": 0}}
+                {"query": "F a", "options": {"step_budget": 0}}
             )
         with pytest.raises(BrokerError):
             QuerySpec.from_dict(
@@ -212,7 +225,6 @@ _option_docs = st.fixed_dictionaries({}, optional={
     "explain": st.booleans(),
     "deadline_seconds": st.floats(0.001, 10.0),
     "step_budget": st.integers(1, 10_000),
-    "workers": st.integers(1, 8),
     "degradation": st.sampled_from([d.value for d in Degradation]),
 })
 

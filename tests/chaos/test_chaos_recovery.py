@@ -122,16 +122,3 @@ class TestRecoveryMetrics:
         report = db.metrics_report()
         assert "register.quarantined" in report
         assert "register.quarantine_recovered" in report
-
-    def test_query_pool_fallback_is_counted(self):
-        from repro.broker.database import ContractDatabase
-        from repro.broker.options import QueryOptions
-        from repro.core import faults
-
-        db = ContractDatabase()
-        db.register("c0", ["F a"])
-        faults.fail_at("query.pool", exc=RuntimeError("pool died"))
-        db.query_many(["F a", "F b"], QueryOptions(workers=2))
-        faults.reset()
-        assert db.metrics.counter_value("query.pool_fallback") == 1
-        assert "query.pool_fallback" in db.metrics_report()

@@ -36,15 +36,39 @@ def test_json_output_includes_metrics(tmp_path, capsys):
 def test_config_subset_and_profile(tmp_path, capsys):
     code = main(
         ["check", "--seed", "1", "--cases", "4", "--profile", "tiny",
-         "--configs", "ndfs,scc+pf+proj", "--artifacts", str(tmp_path)]
+         "--configs", "ndfs,ndfs+pf+proj", "--artifacts", str(tmp_path)]
     )
     assert code == 0
     assert "configs=2" in capsys.readouterr().out
 
 
 def test_unknown_config_is_a_cli_error(tmp_path, capsys):
-    code = main(["check", "--configs", "bogus",
-                 "--artifacts", str(tmp_path)])
+    # a name that never existed, and the cells 4.0 removed
+    for name in ("bogus", "scc", "scc+pf+proj", "scc-planner",
+                 "parallel-x2"):
+        code = main(["check", "--configs", name,
+                     "--artifacts", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "unknown configuration" in err and name in err
+
+
+def test_replaying_an_artifact_of_a_removed_cell_fails_cleanly(
+    tmp_path, capsys
+):
+    """A 3.x artifact naming an ``scc*`` cell cannot be replayed: the
+    cell's decider is gone, and the replay says so instead of silently
+    running another configuration."""
+    failure = Disagreement(
+        case=generate_case(seed=7, case_index=0),
+        config_name="scc",
+        label="direct",
+        kind="exact-mismatch",
+        expected=("c0",),
+        got=(),
+    )
+    path = write_artifact(tmp_path, failure, seed=7)
+    code = main(["check", "--replay", str(path)])
     assert code == 1
     assert "unknown configuration" in capsys.readouterr().err
 
@@ -83,7 +107,7 @@ def test_replay_handcrafted_artifact(tmp_path, capsys):
     case = generate_case(seed=7, case_index=0)
     failure = Disagreement(
         case=case,
-        config_name="scc",
+        config_name="ndfs+pf",
         label="direct",
         kind="exact-mismatch",
         expected=("c0",),

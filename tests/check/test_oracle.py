@@ -1,9 +1,10 @@
-"""The explicit-model oracle versus the symbolic deciders.
+"""The explicit-model oracle versus the symbolic decider.
 
 This is the conformance harness checking itself: the oracle shares no
-code with Algorithm 2 or the SCC decider, so three-way agreement over
-random formula pairs (and random non-LTL-shaped automata) is the
-strongest evidence any of the three is right.
+code with Algorithm 2 or with the SCC-based witness search of
+``find_witness``, so three-way agreement over random formula pairs (and
+random non-LTL-shaped automata) is the strongest evidence any of the
+three is right.
 """
 
 import pytest
@@ -13,7 +14,7 @@ from repro.automata.buchi import BuchiAutomaton
 from repro.automata.ltl2ba import translate
 from repro.check.oracle import OracleLimitError, oracle_permits
 from repro.check.strategies import buchi_automata, formulas
-from repro.core.permission import permits_ndfs, permits_scc
+from repro.core.permission import find_witness, permits
 from repro.ltl.ast import And, Finally, Prop
 from repro.ltl.equivalence import is_satisfiable
 from repro.ltl.parser import parse
@@ -27,8 +28,9 @@ class TestAgainstSymbolicDeciders:
         query = translate(query_f)
         vocabulary = contract_f.variables()
         expected = oracle_permits(contract, query, vocabulary)
-        assert permits_ndfs(contract, query, vocabulary) == expected
-        assert permits_scc(contract, query, vocabulary) == expected
+        assert permits(contract, query, vocabulary) == expected
+        witness = find_witness(contract, query, vocabulary)
+        assert (witness is not None) == expected
 
     @given(buchi_automata(max_states=4), buchi_automata(max_states=4))
     @settings(max_examples=100, deadline=None)
@@ -37,8 +39,9 @@ class TestAgainstSymbolicDeciders:
         translator never produces."""
         vocabulary = contract.events()
         expected = oracle_permits(contract, query, vocabulary)
-        assert permits_ndfs(contract, query, vocabulary) == expected
-        assert permits_scc(contract, query, vocabulary) == expected
+        assert permits(contract, query, vocabulary) == expected
+        witness = find_witness(contract, query, vocabulary)
+        assert (witness is not None) == expected
 
 
 class TestSemanticLaws:

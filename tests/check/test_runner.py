@@ -22,12 +22,16 @@ from repro.errors import ReproError
 class TestLattice:
     def test_lattice_shape(self):
         lattice = config_lattice()
-        assert len(lattice) == 21
+        assert len(lattice) == 15
         names = [c.name for c in lattice]
         assert len(set(names)) == len(names)
         assert "journal-replay" in names
-        assert "ndfs-encoded" not in names and "scc-encoded" not in names
-        assert "ndfs-planner" in names and "scc-planner" in names
+        assert "ndfs-encoded" not in names
+        assert "ndfs-planner" in names
+        # 4.0: one decider, one executor — no scc* or parallel cell
+        assert not any(name.startswith("scc") for name in names)
+        assert "parallel-x2" not in names
+        assert not hasattr(lattice[0], "algorithm")
         assert "monitor-stream" in names and "monitor-unknown" in names
         assert "sharded" in names and "replicated" in names
         assert "flaky-network" in names and "failover" in names
@@ -50,7 +54,7 @@ class TestCleanRun:
         report = runner.run()
         assert report.ok
         assert report.cases_run + report.cases_skipped == 12
-        assert report.configs_run == report.cases_run * 21
+        assert report.configs_run == report.cases_run * 15
         assert list(tmp_path.iterdir()) == []
         assert runner.metrics.counter_value("check.cases") == report.cases_run
         assert runner.metrics.counter_value("check.disagreements") == 0

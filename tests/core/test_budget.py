@@ -1,4 +1,4 @@
-"""Unit tests for execution budgets and their permission-algorithm hooks.
+"""Unit tests for execution budgets and their permission-search hooks.
 
 A cut-short search must *raise* — never return a possibly-wrong boolean
 (the budgeted analogue of Algorithm 2's soundness).
@@ -16,8 +16,6 @@ from repro.core.budget import (
 from repro.core.permission import (
     PermissionStats,
     permits,
-    permits_ndfs,
-    permits_scc,
 )
 from repro.errors import BudgetExceededError
 from repro.ltl.ast import conj
@@ -47,14 +45,6 @@ class TestDeadline:
     def test_zero_deadline_is_immediately_expired(self):
         clock = FakeClock(1.0)
         assert Deadline.after(0.0, clock=clock).expired()
-
-    def test_earliest_picks_the_tighter(self):
-        clock = FakeClock(0.0)
-        near = Deadline.after(1.0, clock=clock)
-        far = Deadline.after(9.0, clock=clock)
-        assert Deadline.earliest(near, far) is near
-        assert Deadline.earliest(None, far) is far
-        assert Deadline.earliest(None, None) is None
 
     def test_negative_seconds_rejected(self):
         with pytest.raises(ValueError):
@@ -141,27 +131,17 @@ class TestBudgetedPermission:
         return translate(conj([parse(f"F ev{i}") for i in range(5)]))
 
     def test_unbudgeted_answer(self, contract, query):
-        assert permits_ndfs(contract, query) is False
-        assert permits_scc(contract, query) is False
+        assert permits(contract, query) is False
 
     def test_ndfs_step_budget_raises_not_lies(self, contract, query):
         stats = PermissionStats()
         with pytest.raises(BudgetExceededError):
-            permits_ndfs(
+            permits(
                 contract, query, stats=stats,
                 budget=ExecutionBudget(steps=StepBudget(3)),
             )
         assert stats.budget_exhausted
         assert stats.search_steps >= 3
-
-    def test_scc_step_budget_raises_not_lies(self, contract, query):
-        stats = PermissionStats()
-        with pytest.raises(BudgetExceededError):
-            permits_scc(
-                contract, query, stats=stats,
-                budget=ExecutionBudget(steps=StepBudget(3)),
-            )
-        assert stats.budget_exhausted
 
     def test_ndfs_deadline_raises_mid_search(self, contract, query):
         clock = FakeClock(0.0)
@@ -177,7 +157,7 @@ class TestBudgetedPermission:
             check_interval=1,
         )
         with pytest.raises(BudgetExceededError) as exc:
-            permits_ndfs(contract, query, budget=budget)
+            permits(contract, query, budget=budget)
         assert exc.value.reason == "deadline"
 
     def test_generous_budget_changes_nothing(self, contract, query):

@@ -1,8 +1,9 @@
-"""Tests for the permission algorithms (Algorithm 2 and the SCC variant).
+"""Tests for the permission decider (Algorithm 2).
 
 The airfare fixtures assert the paper's Example 2/4/5 outcomes verbatim;
-property tests check the two deciders agree and that permission reduces
-to satisfiability on the trivial query (the Theorem 6 reduction).
+property tests check the decider against the SCC-based witness search
+and that permission reduces to satisfiability on the trivial query (the
+Theorem 6 reduction).
 """
 
 import pytest
@@ -12,9 +13,8 @@ from repro.automata.buchi import BuchiAutomaton
 from repro.automata.ltl2ba import translate
 from repro.core.permission import (
     PermissionStats,
+    find_witness,
     permits,
-    permits_ndfs,
-    permits_scc,
 )
 from repro.ltl.parser import parse
 
@@ -105,12 +105,18 @@ class TestAlgorithmsAgree:
     @given(formulas(max_depth=3), formulas(max_depth=3))
     @settings(max_examples=150, deadline=None)
     def test_ndfs_equals_scc(self, contract_formula, query_formula):
+        """Witness iff permitted: the NDFS decider says yes exactly
+        when the SCC search of :func:`find_witness` — over the object
+        automata, sharing no code with it — finds a simultaneous lasso
+        path, and that path is a run both automata accept."""
         contract = translate(contract_formula)
         q = translate(query_formula)
         vocabulary = contract_formula.variables()
-        assert permits_ndfs(contract, q, vocabulary) == permits_scc(
-            contract, q, vocabulary
-        )
+        witness = find_witness(contract, q, vocabulary)
+        assert permits(contract, q, vocabulary) == (witness is not None)
+        if witness is not None:
+            run = witness.to_run()
+            assert contract.accepts(run) and q.accepts(run)
 
     @given(formulas(max_depth=3), formulas(max_depth=3))
     @settings(max_examples=150, deadline=None)
@@ -118,9 +124,9 @@ class TestAlgorithmsAgree:
         contract = translate(contract_formula)
         q = translate(query_formula)
         vocabulary = contract_formula.variables()
-        assert permits_ndfs(
+        assert permits(
             contract, q, vocabulary, use_seeds=True
-        ) == permits_ndfs(contract, q, vocabulary, use_seeds=False)
+        ) == permits(contract, q, vocabulary, use_seeds=False)
 
 
 class TestStats:
@@ -147,18 +153,24 @@ class TestStats:
             0, [(0, "true", 0)], final=[0]
         )
         stats = PermissionStats()
-        permits_ndfs(contract, q, frozenset({"a", "b", "c"}), stats=stats)
+        permits(contract, q, frozenset({"a", "b", "c"}), stats=stats)
         assert stats.pairs_visited >= 1
 
 
 class TestDispatch:
+    """4.0: one decider, no dispatch — ``algorithm=`` is not an
+    argument of ``permits`` any more, whatever it names."""
+
     def test_unknown_algorithm_rejected(self):
         contract = translate(parse("G a"))
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             permits(contract, query("true"), frozenset({"a"}),
                     algorithm="magic")
 
     def test_scc_dispatch(self):
         contract = translate(parse("G a"))
-        assert permits(contract, query("G a"), frozenset({"a"}),
-                       algorithm="scc")
+        for name in ("scc", "ndfs"):
+            with pytest.raises(TypeError):
+                permits(contract, query("G a"), frozenset({"a"}),
+                        algorithm=name)
+        assert permits(contract, query("G a"), frozenset({"a"}))

@@ -1,15 +1,17 @@
-"""Edge-case tests for the permission algorithms on hand-built automata."""
+"""Edge-case tests for the permission decider on hand-built automata."""
 
 from repro.automata.buchi import BuchiAutomaton
 from repro.automata.reduce import empty_automaton
-from repro.core.permission import permits_ndfs, permits_scc
+from repro.core.permission import find_witness, permits
 
 
 def both(contract, query, vocabulary):
-    ndfs = permits_ndfs(contract, query, frozenset(vocabulary))
-    scc = permits_scc(contract, query, frozenset(vocabulary))
-    assert ndfs == scc
-    return ndfs
+    """The decider's verdict, cross-checked against the SCC-based
+    witness search: a witness exists iff the pair is permitted."""
+    verdict = permits(contract, query, frozenset(vocabulary))
+    witness = find_witness(contract, query, frozenset(vocabulary))
+    assert verdict == (witness is not None)
+    return verdict
 
 
 class TestDegenerateAutomata:
@@ -85,17 +87,17 @@ class TestSeedEdgeCases:
             0, [(0, "a", 0), (1, "b", 1)], final=[0, 1]
         )
         query = BuchiAutomaton.make(0, [(0, "a", 0)], final=[0])
-        assert permits_ndfs(contract, query, frozenset({"a", "b"}),
-                            use_seeds=True)
-        assert permits_ndfs(contract, query, frozenset({"a", "b"}),
-                            use_seeds=False)
+        assert permits(contract, query, frozenset({"a", "b"}),
+                       use_seeds=True)
+        assert permits(contract, query, frozenset({"a", "b"}),
+                       use_seeds=False)
 
     def test_explicit_empty_seeds_mean_no_knots(self):
         contract = BuchiAutomaton.make(0, [(0, "a", 0)], final=[0])
         query = BuchiAutomaton.make(0, [(0, "a", 0)], final=[0])
         # an (incorrectly) empty seed set suppresses every knot — this
         # documents that callers must pass seeds for the *same* automaton
-        assert not permits_ndfs(
+        assert not permits(
             contract, query, frozenset({"a"}), seeds=frozenset(),
             use_seeds=True,
         )

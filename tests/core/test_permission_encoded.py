@@ -1,13 +1,12 @@
 """The one permission decider, against the independent oracle.
 
-:func:`permits_ndfs_encoded` / :func:`permits_scc_encoded` (and the
-object-signature adapters :func:`permits_ndfs` / :func:`permits_scc`,
-which encode and delegate) must answer exactly like
+:func:`permits_encoded` (and the object-signature adapter
+:func:`permits`, which encodes and delegates) must answer exactly like
 :func:`repro.check.oracle.oracle_permits`, which enumerates the explicit
-snapshot alphabet and shares no code with them — on the paper fixtures
+snapshot alphabet and shares no code with it — on the paper fixtures
 and on random LTL formulas, with and without the seed filter.  Work
-counters and budget trip points are pinned as absolute values: they are
-a function of the automata alone.
+counters and budget trip points are a function of the automata alone,
+identical through either entry point.
 """
 
 import dataclasses
@@ -24,10 +23,6 @@ from repro.core.permission import (
     PermissionStats,
     permits,
     permits_encoded,
-    permits_ndfs,
-    permits_ndfs_encoded,
-    permits_scc,
-    permits_scc_encoded,
 )
 from repro.core.seeds import compute_seeds, compute_seeds_mask
 from repro.errors import BudgetExceededError
@@ -50,8 +45,8 @@ PAIRS = [
 
 
 def assert_decider_matches_oracle(contract, query, *, use_seeds=True):
-    """Both algorithms, through the encoded entry points and through the
-    object-signature adapters, must return the oracle's verdict — and an
+    """The decider, through the encoded entry point and through the
+    object-signature adapter, must return the oracle's verdict — and the
     adapter call must fill ``PermissionStats`` exactly like the encoded
     call it delegates to."""
     expected = oracle_permits(contract, query)
@@ -59,18 +54,12 @@ def assert_decider_matches_oracle(contract, query, *, use_seeds=True):
     enc_q = encode_automaton(query)
 
     s_enc, s_obj = PermissionStats(), PermissionStats()
-    assert permits_ndfs_encoded(
+    assert permits_encoded(
         enc_c, enc_q, use_seeds=use_seeds, stats=s_enc
     ) == expected
-    assert permits_ndfs(
+    assert permits(
         contract, query, use_seeds=use_seeds, stats=s_obj
     ) == expected
-    assert s_enc.result == expected
-    assert dataclasses.asdict(s_obj) == dataclasses.asdict(s_enc)
-
-    s_enc, s_obj = PermissionStats(), PermissionStats()
-    assert permits_scc_encoded(enc_c, enc_q, stats=s_enc) == expected
-    assert permits_scc(contract, query, stats=s_obj) == expected
     assert s_enc.result == expected
     assert dataclasses.asdict(s_obj) == dataclasses.asdict(s_enc)
     return expected
@@ -94,35 +83,8 @@ class TestFixtureParity:
         for name, want in expected.items():
             c = airfare_contracts[name]
             assert oracle_permits(c.ba, q, c.vocabulary) is want
-            assert permits_ndfs_encoded(c.encoded, enc_q) is want
-            assert permits_scc_encoded(c.encoded, enc_q) is want
+            assert permits_encoded(c.encoded, enc_q) is want
             assert permits(c.ba, q, c.vocabulary, seeds=c.seeds) is want
-
-
-class TestStepParity:
-    """The SCC decider memoizes expansion and charges each unique
-    product pair once — exactly like the NDFS outer search — so on a
-    fully explored (non-permitted) product both algorithms report the
-    same ``pairs_visited``."""
-
-    def test_ndfs_scc_pairs_visited_agree_when_not_permitted(self):
-        contract = encode_automaton(ba_of("G(a -> F b)"))
-        # c is outside the contract vocabulary
-        query = encode_automaton(ba_of("F(b && F c)"))
-        s_ndfs, s_scc = PermissionStats(), PermissionStats()
-        assert not permits_ndfs_encoded(
-            contract, query, use_seeds=False, stats=s_ndfs
-        )
-        assert not permits_scc_encoded(contract, query, stats=s_scc)
-        assert s_ndfs.pairs_visited == s_scc.pairs_visited
-
-    def test_encoded_scc_charges_each_pair_once(self):
-        contract = encode_automaton(ba_of("G(a -> F b)"))
-        query = encode_automaton(ba_of("F(b && F c)"))
-        stats = PermissionStats()
-        assert not permits_scc_encoded(contract, query, stats=stats)
-        # with triple-charging, pairs_visited would exceed the product
-        assert stats.pairs_visited <= contract.num_states * query.num_states
 
 
 class TestBudgetParity:
@@ -134,15 +96,15 @@ class TestBudgetParity:
         enc_c, enc_q = encode_automaton(contract), encode_automaton(query)
 
         probe = PermissionStats()
-        permits_ndfs_encoded(enc_c, enc_q, use_seeds=False, stats=probe)
+        permits_encoded(enc_c, enc_q, use_seeds=False, stats=probe)
         assert probe.search_steps > 1
         cap = probe.search_steps - 1
 
         for run in (
-            lambda b, s: permits_ndfs_encoded(
+            lambda b, s: permits_encoded(
                 enc_c, enc_q, use_seeds=False, stats=s, budget=b
             ),
-            lambda b, s: permits_ndfs(
+            lambda b, s: permits(
                 contract, query, use_seeds=False, stats=s, budget=b
             ),
         ):
@@ -154,23 +116,6 @@ class TestBudgetParity:
             assert budget.exhausted_reason == "steps"
             assert stats.search_steps == cap + 1
 
-    def test_scc_budget_parity(self):
-        contract, query = ba_of("G(a -> F b)"), ba_of("G F b")
-        enc_c, enc_q = encode_automaton(contract), encode_automaton(query)
-        for run in (
-            lambda b, s: permits_scc_encoded(enc_c, enc_q, stats=s, budget=b),
-            lambda b, s: permits_scc(contract, query, stats=s, budget=b),
-        ):
-            stats = PermissionStats()
-            budget = ExecutionBudget(steps=StepBudget(2))
-            with pytest.raises(BudgetExceededError):
-                run(budget, stats)
-            assert stats.budget_exhausted
-            assert budget.exhausted_reason == "steps"
-            # the third unique pair expansion is the one that trips
-            assert stats.pairs_visited == 3
-            assert stats.cycle_nodes_visited == 0
-
 
 class TestPrecomputedArtifacts:
     def test_binding_and_seeds_mask_reuse(self):
@@ -181,21 +126,26 @@ class TestPrecomputedArtifacts:
         binding = bind_query(enc_c, enc_q)
         mask = enc_c.state_mask(compute_seeds(contract))
         assert mask == compute_seeds_mask(enc_c)
-        assert permits_ndfs_encoded(
+        assert permits_encoded(
             enc_c, enc_q, binding, seeds_mask=mask
-        ) == permits_ndfs_encoded(enc_c, enc_q)
+        ) == permits_encoded(enc_c, enc_q)
 
     def test_dispatcher(self):
+        """4.0: ``permits_encoded`` *is* the decider — it dispatches on
+        nothing, and the entry points it used to dispatch to are gone."""
+        import repro.core
+        import repro.core.permission as permission
+
         contract, query = ba_of("G(a -> F b)"), ba_of("F b")
         enc_c, enc_q = encode_automaton(contract), encode_automaton(query)
-        assert permits_encoded(enc_c, enc_q, algorithm="ndfs")
-        assert permits_encoded(enc_c, enc_q, algorithm="scc")
-        with pytest.raises(ValueError):
-            permits_encoded(enc_c, enc_q, algorithm="bogus")
-        assert permits(contract, query, algorithm="ndfs")
-        assert permits(contract, query, algorithm="scc")
-        with pytest.raises(ValueError):
-            permits(contract, query, algorithm="bogus")
+        assert permits_encoded(enc_c, enc_q)
+        for name in ("ndfs", "scc", "bogus"):
+            with pytest.raises(TypeError):
+                permits_encoded(enc_c, enc_q, algorithm=name)
+        for name in ("permits_ndfs", "permits_scc",
+                     "permits_ndfs_encoded", "permits_scc_encoded"):
+            assert not hasattr(permission, name)
+            assert not hasattr(repro.core, name)
 
 
 class TestPropertyParity:

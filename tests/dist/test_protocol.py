@@ -88,7 +88,6 @@ class TestOptionDocs:
             deadline_seconds=0.5,
             step_budget=64,
             degradation=Degradation.DROP,
-            workers=2,
         )
         doc = protocol.options_to_doc(options)
         rebuilt = protocol.options_from_doc(doc)
@@ -130,6 +129,18 @@ class TestOptionDocs:
             protocol.options_from_doc(
                 {"options": {"use_prefilter": False}}
             )
+
+    def test_options_doc_with_a_removed_4_0_key_is_refused(self):
+        """A 3.x coordinator forwarding one of these gets a named
+        error back, not an answer computed without it."""
+        for key, value in (
+            ("workers", 2),
+            ("contract_deadline_seconds", 0.5),
+            ("budget_check_interval", 16),
+        ):
+            with pytest.raises(BrokerError, match=key) as excinfo:
+                protocol.options_from_doc({"options": {key: value}})
+            assert "CHANGELOG" in str(excinfo.value)
 
 
 class TestOutcomeDocs:

@@ -191,3 +191,20 @@ class TestLagMetrics:
         replica.catch_up()
         assert replica.metrics.gauge_value("dist.replica.lag_records") == 0
         assert replica.metrics.counter_value("dist.replica.applied") >= 3
+
+
+class TestReplicaReads:
+    def test_query_many_takes_a_generator(self, tmp_path, leader):
+        """The batch is materialized once: counting the queries must not
+        exhaust the iterator the database is about to evaluate."""
+        leader.register("alpha", ["F a"])
+        leader.register("beta", ["G (a -> F b)"])
+        replica = Replica(tmp_path)
+        replica.catch_up()
+        queries = ["F a", "F b"]
+        outcomes = replica.query_many(q for q in queries)
+        assert [o.contract_names for o in outcomes] == [
+            o.contract_names for o in leader.query_many(queries)
+        ]
+        assert len(outcomes) == 2
+        assert replica.metrics.counter_value("dist.replica.queries") == 2

@@ -166,12 +166,20 @@ class TestMetrics:
         assert "histograms" in out
 
     def test_metrics_parallel_workers(self, spec_file, capsys):
-        code = main([
+        """4.0: checks run serially; ``--workers`` is gone."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "metrics", str(spec_file), "--query", "F refund",
+                "--repeat", "3", "--workers", "2",
+            ])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert main([
             "metrics", str(spec_file), "--query", "F refund",
-            "--repeat", "3", "--workers", "2",
-        ])
-        assert code == 0
-        assert "workers=2" in capsys.readouterr().out
+            "--repeat", "3",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "served 3 queries (1 distinct x 3 rounds) in" in out
 
     def test_metrics_json_snapshot(self, spec_file, capsys):
         code = main([
