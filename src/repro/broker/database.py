@@ -352,6 +352,7 @@ class ContractDatabase:
             del self._contracts[contract_id]
             self.statistics.remove_contract(contract)
             self._index.remove_contract(contract_id)
+            self._query_cache.forget_contract(contract_id)
             self.registration_stats.contracts -= 1
             self._dirty = True
             if self._journal is not None:
@@ -371,10 +372,18 @@ class ContractDatabase:
         """Counters of the query compilation cache."""
         return self._query_cache.stats()
 
-    def _compile(self, query: str | Formula) -> tuple[CompiledQuery, bool]:
-        """Parse (if needed) and compile through the LRU cache."""
-        formula = parse(query) if isinstance(query, str) else query
-        return self._query_cache.compile(formula)
+    def _compile(
+        self, query: str | Formula
+    ) -> tuple[Formula, CompiledQuery, bool]:
+        """Parse (if needed) and compile through the LRU cache; returns
+        ``(formula, compiled, cache_hit)``.  A repeated query *text* is
+        two dict hits: the cache's text memo, then its entry."""
+        if isinstance(query, str):
+            formula, key = self._query_cache.parsed(query)
+        else:
+            formula, key = query, None
+        compiled, cache_hit = self._query_cache.compile(formula, key)
+        return formula, compiled, cache_hit
 
     # -- query evaluation --------------------------------------------------------------
 
@@ -443,8 +452,7 @@ class ContractDatabase:
         statistics a plan was priced from cannot be mutated between
         planning and execution."""
         start = time.perf_counter()
-        formula = parse(query) if isinstance(query, str) else query
-        compiled, cache_hit = self._query_cache.compile(formula)
+        formula, compiled, cache_hit = self._compile(query)
         translation_seconds = time.perf_counter() - start
         with self._rwlock.read():
             plan = options.plan
@@ -510,7 +518,7 @@ class ContractDatabase:
         query, options = _request("plan_query", query, options)
         if options.plan is not None:
             return options.plan
-        compiled, _ = self._compile(query)
+        _, compiled, _ = self._compile(query)
         with self._rwlock.read():
             return self._plan_locked(compiled, options)
 
@@ -559,13 +567,13 @@ class ContractDatabase:
         )
 
         contracts = self._contracts
-        matches = options.attribute_filter.matches
+        attribute_filter = options.attribute_filter
 
         def prefilter_stage(ids: AbstractSet[int]) -> AbstractSet[int]:
             # the index answers for the whole database; the stage's
             # output is what it keeps of its input
             start = time.perf_counter()
-            stats.pruning_condition = str(compiled.condition)
+            stats.pruning_condition = compiled.condition_text
             kept = self._index.evaluate(compiled.condition) & ids
             stats.prefilter_seconds = time.perf_counter() - start
             stats.prefilter_input = len(ids)
@@ -581,9 +589,12 @@ class ContractDatabase:
             candidate_ids = candidate_ids & frozenset(options.contract_ids)
         if prefilter_first:
             candidate_ids = prefilter_stage(candidate_ids)
-        candidate_ids = {
-            cid for cid in candidate_ids if matches(contracts[cid].attributes)
-        }
+        if attribute_filter.conditions:
+            matches = attribute_filter.matches
+            candidate_ids = {
+                cid for cid in candidate_ids
+                if matches(contracts[cid].attributes)
+            }
         stats.relational_matches = len(candidate_ids)
         if plan.use_prefilter and not prefilter_first:
             candidate_ids = prefilter_stage(candidate_ids)
@@ -683,7 +694,12 @@ class ContractDatabase:
 
         The search runs on the encoding of the smallest applicable
         projection quotient, or on the contract-level encoding when
-        projections are off or nothing smaller is stored.
+        projections are off or nothing smaller is stored — which one,
+        and the query's binding to it, is the prepared query's to know
+        (:meth:`CompiledQuery.prepared`: one lookup on a warm pair;
+        selection, first-use materialization and binding on a pair's
+        first check).  Every check runs its search under its own budget:
+        verdicts are never cached.
 
         With an exhausted budget the check is *cancelled* — it returns
         ``SKIPPED`` without selecting a projection or starting the
@@ -693,14 +709,9 @@ class ContractDatabase:
             return Verdict.SKIPPED, 0.0, 0.0
 
         start = time.perf_counter()
-        encoded = None
-        if projections_on and contract.projections is not None:
-            _, encoded, seeds_mask = contract.projections.select_artifacts(
-                compiled.literals
-            )
-        if encoded is None:
-            encoded = contract.encoded
-            seeds_mask = contract.encoded_seeds_mask
+        encoded, seeds_mask, binding = compiled.prepared(
+            contract, projections_on
+        )
         selection_seconds = time.perf_counter() - start
 
         start = time.perf_counter()
@@ -708,6 +719,7 @@ class ContractDatabase:
             outcome = permits_encoded(
                 encoded,
                 compiled.encoded_query,
+                binding,
                 seeds_mask=seeds_mask,
                 budget=budget,
             )
@@ -780,7 +792,7 @@ class ContractDatabase:
 
         query_literal_sets = []
         for query in queries:
-            compiled, _ = self._compile(query)
+            _, compiled, _ = self._compile(query)
             query_literal_sets.append(compiled.literals)
 
         added = 0

@@ -55,6 +55,14 @@ class QueryStats:
     and kept (the attribute matches and the candidates under
     ``"attr_first"``, the whole database and the index's survivors
     under ``"prefilter_first"``; both zero when the prefilter is off).
+
+    ``selection_seconds`` is the prepared-query lookup summed over the
+    candidates (:meth:`repro.broker.cache.CompiledQuery.prepared`): a
+    dict read on a warm (query, contract) pair; on a pair's first check
+    it includes projection selection, first-use quotient
+    materialization *and* the Definition-7 binding — so
+    ``permission_seconds`` is the search alone and no longer hides a
+    ``bind_query``.
     """
 
     translation_seconds: float = 0.0  # cache-lookup time on a cache hit

@@ -52,9 +52,9 @@ and under ``Degradation.FAIL`` a failed shard raises
 single node gives an exhausted budget.
 
 :class:`DistributedDatabase` wraps the coordinator in the synchronous
-``ContractDatabase``-shaped client API (a background event loop), so
-application code can switch a single-node database for a cluster
-without touching call sites.
+``ContractDatabase``-shaped client API (an event loop it runs in the
+calling thread), so application code can switch a single-node database
+for a cluster without touching call sites.
 """
 
 from __future__ import annotations
@@ -805,8 +805,14 @@ class Coordinator:
 class DistributedDatabase:
     """The synchronous, ``ContractDatabase``-shaped face of a cluster.
 
-    Owns a background event loop; every method round-trips through the
-    :class:`Coordinator` on it.  Use as a context manager (or call
+    Owns an event loop and runs it in the calling thread for the length
+    of each call: every method round-trips through the
+    :class:`Coordinator` on it, one call at a time (callers on several
+    threads take turns; the fan-out *within* a call stays concurrent).
+    A loop thread of its own would put two more thread hand-offs on
+    every call, and with the shard handlers' those are what a sharded
+    query's latency and its run-to-run spread are made of (ROADMAP item
+    5(a) has the measurement).  Use as a context manager (or call
     :meth:`close`)."""
 
     def __init__(self, addresses: list[tuple[str, int]], *,
@@ -816,11 +822,7 @@ class DistributedDatabase:
                  breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
                  breaker_reset_seconds: float = DEFAULT_BREAKER_RESET_SECONDS):
         self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever, name="dist-coordinator",
-            daemon=True,
-        )
-        self._thread.start()
+        self._turn = threading.Lock()
         self.coordinator = Coordinator(
             addresses, metrics=metrics, rpc_timeout=rpc_timeout,
             retry=retry, breaker_threshold=breaker_threshold,
@@ -828,11 +830,11 @@ class DistributedDatabase:
         )
 
     def _run(self, coro):
-        future = asyncio.run_coroutine_threadsafe(coro, self._loop)
-        return future.result()
+        with self._turn:
+            return self._loop.run_until_complete(coro)
 
     def _call_on_loop(self, fn, *args):
-        """Run a plain callable on the coordinator's loop thread (the
+        """Run a plain callable on the coordinator's loop (the
         coordinator's topology state is only touched from its loop)."""
         async def shim():
             return fn(*args)
@@ -912,8 +914,6 @@ class DistributedDatabase:
         if self._loop.is_closed():
             return
         self._run(self.coordinator.aclose())
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=5)
         self._loop.close()
 
     def __enter__(self) -> "DistributedDatabase":

@@ -95,18 +95,22 @@ class ProjectionStore:
         #: deduplicated partitions, as state->block mappings
         self._partitions: list[Partition] = []
         self._signature_to_id: dict[frozenset, int] = {}
-        #: lazily materialized quotient automata, keyed by (partition id,
-        #: subset) — the labels depend on the subset, the shape on the
-        #: partition.
-        self._quotients: dict[tuple[int, frozenset[Literal]], BuchiAutomaton] = {}
-        #: seeds (§6.2.4) of each materialized quotient, keyed like
-        #: _quotients, so the permission algorithm never recomputes them.
-        self._quotient_seeds: dict[tuple[int, frozenset[Literal]], frozenset] = {}
-        #: flat int encodings + seed masks of materialized quotients,
-        #: keyed like _quotients.
-        self._quotient_encodings: dict[
-            tuple[int, frozenset[Literal]], tuple[EncodedAutomaton, int]
+        #: lazily materialized quotients, keyed by (partition id, subset)
+        #: — the labels depend on the subset, the shape on the partition.
+        #: One record per quotient: the automaton, its flat int encoding
+        #: over ``vocabulary`` and its §6.2.4 seed mask.  Queries
+        #: materialize concurrently under the database's *read* lock, so
+        #: a record is built locally and published whole (see
+        #: :meth:`_materialize`).
+        self._quotients: dict[
+            tuple[int, frozenset[Literal]],
+            tuple[BuchiAutomaton, EncodedAutomaton, int],
         ] = {}
+        #: bumped whenever a selection made earlier may no longer be the
+        #: one :meth:`select_artifacts` would make now (:meth:`precompute`
+        #: stored a new subset, :meth:`set_vocabulary` dropped the
+        #: encodings); callers that memoize a selection compare it.
+        self.generation = 0
         self._build()
 
     # -- registration-time computation -----------------------------------------
@@ -203,6 +207,8 @@ class ProjectionStore:
             len(set(p.values())) for p in self._partitions
         ]
         self.stats.stored_blocks = sum(self._block_counts)
+        if added:
+            self.generation += 1
         return added
 
     # -- serialization -------------------------------------------------------------
@@ -261,8 +267,7 @@ class ProjectionStore:
         store.vocabulary = ba.events()
         store._extra_subsets = []
         store._quotients = {}
-        store._quotient_seeds = {}
-        store._quotient_encodings = {}
+        store.generation = 0
         try:
             cap = data["max_subset_size"]
             store.max_subset_size = None if cap is None else int(cap)
@@ -317,10 +322,11 @@ class ProjectionStore:
 
     def set_vocabulary(self, vocabulary: frozenset) -> None:
         """Encode quotients over ``vocabulary`` from now on (dropping any
-        encoding cached under a different one)."""
+        quotient materialized under a different one)."""
         if vocabulary != self.vocabulary:
             self.vocabulary = vocabulary
-            self._quotient_encodings.clear()
+            self._quotients.clear()
+            self.generation += 1
 
     # -- query-time use ------------------------------------------------------------
 
@@ -329,7 +335,7 @@ class ProjectionStore:
         query citing ``query_literals`` (Theorem 7 / Theorem 9); the full
         automaton if nothing smaller applies."""
         best = self._select_key(query_literals)
-        return self.ba if best is None else self._materialize(*best)[0]
+        return self.ba if best is None else self._materialize(best)[0]
 
     def select_artifacts(
         self, query_literals: Iterable[Literal]
@@ -340,19 +346,14 @@ class ProjectionStore:
         Returns ``(ba, encoded, seeds_mask)``.  The trailing pair is
         ``None`` when the full BA is selected: the caller — the broker —
         holds the contract-level encoding and seed mask itself.
-        Quotient encodings are cached alongside the quotients they
-        encode, so the cost is paid once per materialized projection.
+        A quotient is materialized, encoded and seeded together on its
+        first selection, so the cost is paid once per materialized
+        projection.
         """
         best = self._select_key(query_literals)
         if best is None:
             return self.ba, None, None
-        cached = self._quotient_encodings.get(best)
-        if cached is None:
-            ba, seeds = self._materialize(*best)
-            encoded = encode_automaton(ba, self.vocabulary)
-            cached = (encoded, encoded.state_mask(seeds))
-            self._quotient_encodings[best] = cached
-        return self._quotients[best], cached[0], cached[1]
+        return self._materialize(best)
 
     def _select_key(
         self, query_literals: Iterable[Literal]
@@ -374,16 +375,25 @@ class ProjectionStore:
         return best
 
     def _materialize(
-        self, partition_id: int, subset: frozenset[Literal]
-    ) -> tuple[BuchiAutomaton, frozenset]:
-        key = (partition_id, subset)
-        cached = self._quotients.get(key)
-        if cached is None:
-            projected = project(self.ba, subset)
-            cached = quotient(projected, self._partitions[partition_id])
-            self._quotients[key] = cached
-            self._quotient_seeds[key] = compute_seeds(cached)
-        return cached, self._quotient_seeds[key]
+        self, key: tuple[int, frozenset[Literal]]
+    ) -> tuple[BuchiAutomaton, EncodedAutomaton, int]:
+        """The ``(quotient, encoding, seed mask)`` record of one stored
+        projection, built on first use.
+
+        Concurrent first uses may each build the record; it is published
+        with one dict store *after* it is complete, so a reader sees all
+        of it or none of it, and the duplicated work yields equal values.
+        """
+        record = self._quotients.get(key)
+        if record is None:
+            partition_id, subset = key
+            ba = quotient(
+                project(self.ba, subset), self._partitions[partition_id]
+            )
+            encoded = encode_automaton(ba, self.vocabulary)
+            record = (ba, encoded, encoded.state_mask(compute_seeds(ba)))
+            self._quotients[key] = record
+        return record
 
     # -- introspection ----------------------------------------------------------------
 

@@ -287,3 +287,296 @@ class TestCacheUnderDistinctOptions:
         # 4 toggle combinations after the cold compile = 4 hits
         assert db.cache_stats().misses == 1
         assert db.cache_stats().hits == 4
+
+
+class _CallCounter:
+    """Wrap one function, count its calls."""
+
+    def __init__(self, monkeypatch, owner, name):
+        self.calls = 0
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.fixture
+def hoisted_calls(monkeypatch):
+    """Counters on the three computations a prepared query hoists out
+    of the warm path: the Definition-7 binding, projection selection and
+    the LTL parser (patched where the broker binds them)."""
+    import repro.broker.cache as cache_module
+    from repro.projection.store import ProjectionStore
+
+    return {
+        "bind_query": _CallCounter(monkeypatch, cache_module, "bind_query"),
+        "select_key": _CallCounter(
+            monkeypatch, ProjectionStore, "_select_key"),
+        "select_artifacts": _CallCounter(
+            monkeypatch, ProjectionStore, "select_artifacts"),
+        "parse": _CallCounter(monkeypatch, cache_module, "parse"),
+    }
+
+
+def _counts(counters):
+    return {name: counter.calls for name, counter in counters.items()}
+
+
+class TestPreparedQuery:
+    """The compile-cache entry is a *prepared query*: it owns everything
+    derivable from the query alone or from (query, contract) alone, so a
+    warm check is one lookup plus the search."""
+
+    QUERY = "F(missedFlight && F(refund || dateChange))"
+    PROJECTED = QueryOptions(plan=QueryPlan(False, True))
+
+    def test_second_ask_recomputes_nothing(self, monkeypatch, hoisted_calls):
+        """The count-based guard (no timing floor): asking the same text
+        twice costs N bindings, N selections and one parse the first
+        time and none the second, and every check of the second ask does
+        exactly the first's search."""
+        import repro.broker.database as database_module
+        from repro.core.permission import PermissionStats
+
+        searches = []
+        real_permits = database_module.permits_encoded
+
+        def recording_permits(*args, **kwargs):
+            stats = kwargs["stats"] = PermissionStats()
+            searches.append(stats)
+            return real_permits(*args, **kwargs)
+
+        monkeypatch.setattr(
+            database_module, "permits_encoded", recording_permits
+        )
+        db = _db()
+
+        first = db.query(self.QUERY, self.PROJECTED)
+        n = first.stats.candidates
+        assert n == len(db) > 0
+        assert _counts(hoisted_calls) == {
+            "bind_query": n, "select_key": n, "select_artifacts": n,
+            "parse": 1,
+        }
+        first_searches = list(searches)
+        assert len(first_searches) == n
+
+        second = db.query(self.QUERY, self.PROJECTED)
+        assert second.stats.cache_hit
+        assert _counts(hoisted_calls) == {
+            "bind_query": n, "select_key": n, "select_artifacts": n,
+            "parse": 1,
+        }
+        assert searches[n:] == first_searches  # dataclass equality
+        assert second.verdicts == first.verdicts
+
+    def test_rewrite_equivalent_text_parses_but_shares_the_entry(
+        self, hoisted_calls
+    ):
+        db = _db()
+        db.query("F refund")
+        other = db.query("true U refund")
+        assert other.stats.cache_hit
+        assert hoisted_calls["parse"].calls == 2
+        # a Formula input never touches the text memo
+        db.query(parse("F refund"))
+        assert hoisted_calls["parse"].calls == 2
+        assert db.cache_stats().hits == 2
+
+    def test_outcome_formula_is_the_asked_text_not_the_entrys(self):
+        db = _db()
+        db.query("F refund")
+        for _ in range(2):  # cold text, then memoized text
+            assert db.query("true U refund").formula == parse("true U refund")
+
+    def test_workload_precomputation_invalidates(self, hoisted_calls):
+        """(a) a smaller applicable quotient stored after a warm query
+        is used by the next ask of the same text."""
+        db = _db(projection_subset_cap=0)
+        query = "F refund"
+        warm = db.query(query, self.PROJECTED)
+        compiled, _ = db.query_cache.compile(parse(query))
+        contracts = list(db.contracts())
+        # cap 0 stores nothing "F refund" can use: full automata
+        assert all(
+            compiled.prepared(c, True)[0] is c.encoded for c in contracts
+        )
+        generations = [c.projections.generation for c in contracts]
+
+        assert db.precompute_for_workload([query]) > 0
+        assert [c.projections.generation for c in contracts] == [
+            g + 1 for g in generations
+        ]
+        selections = hoisted_calls["select_artifacts"].calls
+        again = db.query(query, self.PROJECTED)
+        assert again.stats.cache_hit
+        assert again.contract_names == warm.contract_names
+        assert hoisted_calls["select_artifacts"].calls == (
+            selections + len(contracts)
+        )
+        sizes = [
+            (compiled.prepared(c, True)[0].num_states, c.encoded.num_states)
+            for c in contracts
+        ]
+        assert all(used <= full for used, full in sizes)
+        assert any(used < full for used, full in sizes)
+
+    def test_reregistered_name_is_checked_on_its_own_encoding(self):
+        """(b) deregister + register of a different automaton under the
+        same name: the memo of the old contract is never served."""
+        import dataclasses
+
+        db = ContractDatabase()
+        old = db.register("X", ["G(!a)"])
+        assert db.query("F a", self.PROJECTED).contract_names == ()
+        compiled, _ = db.query_cache.compile(parse("F a"))
+        stale = compiled.prepared(old, True)
+
+        db.deregister(old.contract_id)
+        new = db.register("X", ["G(a -> F b)"])
+        assert db.query("F a", self.PROJECTED).contract_names == ("X",)
+        # ... even if the new contract had been given the old id: a
+        # read is validated against the Contract object itself
+        twin = dataclasses.replace(new, contract_id=old.contract_id)
+        compiled.prepared(old, True)
+        fresh = compiled.prepared(twin, True)
+        assert fresh is not stale
+        assert fresh[0].events == ("a", "b")
+
+    def test_deregister_releases_the_contract(self):
+        import gc
+        import weakref
+
+        db = ContractDatabase()
+        db.register("keep", ["G(a -> F b)"])
+        gone = db.register("gone", ["G(a -> F c)"])
+        db.query("F a")
+        db.query("F a", self.PROJECTED)
+        ref = weakref.ref(gone)
+        db.deregister(gone.contract_id)
+        del gone
+        gc.collect()
+        assert ref() is None  # the hot "F a" entry does not pin it
+
+    def test_set_vocabulary_drops_the_prepared_entry(self):
+        """(c) a store re-pointed at another vocabulary re-encodes; a
+        prepared check made before is not served after."""
+        db = ContractDatabase()
+        contract = db.register("X", ["G(a -> F b)", "G(c -> F d)"])
+        db.query("F b", self.PROJECTED)
+        compiled, _ = db.query_cache.compile(parse("F b"))
+        stale = compiled.prepared(contract, True)
+        assert stale[0] is not contract.encoded  # a real quotient
+
+        wider = contract.vocabulary | {"refund"}
+        contract.projections.set_vocabulary(wider)
+        fresh = compiled.prepared(contract, True)
+        assert fresh is not stale
+        assert fresh[0].events == tuple(sorted(wider))
+        assert compiled.prepared(contract, True) is fresh
+
+    def test_projected_and_unprojected_plans_do_not_share(self):
+        """(d) a pinned plan without projections and a plan with them
+        keep separate prepared checks for one (text, contract)."""
+        db = _db()
+        query = "F refund"
+        unprojected = QueryOptions(plan=QueryPlan(False, False))
+        answers = [
+            db.query(query, options).contract_names
+            for options in (unprojected, self.PROJECTED, unprojected, None)
+        ]
+        assert len(set(answers)) == 1
+        compiled, _ = db.query_cache.compile(parse(query))
+        contracts = list(db.contracts())
+        full = [compiled.prepared(c, False)[0] for c in contracts]
+        projected = [compiled.prepared(c, True)[0] for c in contracts]
+        assert all(e is c.encoded for e, c in zip(full, contracts))
+        assert any(e is not c.encoded for e, c in zip(projected, contracts))
+
+    def test_zero_capacity_retains_nothing(self, hoisted_calls):
+        """(e) with the cache off every ask prepares from scratch —
+        and still answers."""
+        expected = _db().query(self.QUERY, self.PROJECTED).contract_names
+        db = _db(query_cache_capacity=0)
+        before = _counts(hoisted_calls)
+        for _ in range(2):
+            outcome = db.query(self.QUERY, self.PROJECTED)
+            assert not outcome.stats.cache_hit
+            assert outcome.contract_names == expected
+        assert len(db.query_cache) == 0
+        n = len(db)
+        assert _counts(hoisted_calls) == {
+            "bind_query": before["bind_query"] + 2 * n,
+            "select_key": before["select_key"] + 2 * n,
+            "select_artifacts": before["select_artifacts"] + 2 * n,
+            "parse": before["parse"] + 2,
+        }
+
+
+class TestPreparedQueryIsBounded:
+    """The deterministic twin of ``wide_distinct``'s RSS check: what a
+    never-repeating workload leaves behind is bounded by the compile
+    cache, not by the number of queries asked."""
+
+    CAPACITY = 4
+
+    @staticmethod
+    def _sizes(db):
+        """``{(contract, owner, attribute): len}`` over every sized
+        attribute of every contract and projection store, materialized
+        quotients aside (those are the store's own lazily built
+        artifacts, bounded by its stored subsets)."""
+        sizes = {}
+        for contract in db.contracts():
+            for owner in (contract, contract.projections):
+                for name, value in vars(owner).items():
+                    if name == "_quotients" or not hasattr(value, "__len__"):
+                        continue
+                    sizes[contract.name, type(owner).__name__, name] = (
+                        len(value)
+                    )
+        return sizes
+
+    def test_distinct_queries_leave_nothing_behind(self, hoisted_calls):
+        import gc
+        import weakref
+
+        db = ContractDatabase(
+            BrokerConfig(query_cache_capacity=self.CAPACITY)
+        )
+        events = [f"p{i}" for i in range(7)]
+        for i in range(4):
+            a, b, c = events[i], events[i + 1], events[i + 2]
+            db.register(f"c{i}", [f"G({a} -> F {b})", f"G({b} -> !{c})"])
+        texts = [
+            f"F({x} && F {y})" for x in events for y in events if x != y
+        ][: 10 * self.CAPACITY]
+        assert len(set(texts)) == 10 * self.CAPACITY
+        options = QueryOptions(plan=QueryPlan(False, True))
+
+        for text in texts[: self.CAPACITY]:
+            assert db.query(text, options).stats.candidates > 0
+        baseline = self._sizes(db)
+        assert baseline
+        first, _ = db.query_cache.compile(parse(texts[0]))
+        evicted = weakref.ref(first)
+        del first
+
+        for text in texts[self.CAPACITY:]:
+            db.query(text, options)
+        assert self._sizes(db) == baseline
+        assert db.cache_stats().size == self.CAPACITY
+        assert db.cache_stats().evictions == 9 * self.CAPACITY
+        gc.collect()
+        assert evicted() is None
+
+        # the text memo holds exactly the last CAPACITY texts
+        parses = hoisted_calls["parse"].calls
+        for text in texts[-self.CAPACITY:]:
+            db.query(text, options)
+        assert hoisted_calls["parse"].calls == parses
+        db.query(texts[-self.CAPACITY - 1], options)
+        assert hoisted_calls["parse"].calls == parses + 1

@@ -6,6 +6,7 @@ half-applied mutation — a contract is in the answer set with its index
 entry and artifacts complete, or not at all.
 """
 
+import sys
 import threading
 
 import pytest
@@ -170,3 +171,83 @@ class TestHammer:
         # the directory recovers everything: snapshot + journal tail
         recovered = open_database(tmp_path / "db")
         assert len(recovered) == 10
+
+
+class TestConcurrentFirstUse:
+    """Queries run concurrently under the *read* lock, and a query's
+    first use of a projection materializes its quotient: the store must
+    publish a quotient's record whole.  (``_materialize`` once published
+    the quotient before its seeds; a second reader then died with
+    ``KeyError: (partition_id, subset)``.)"""
+
+    TRIALS = 30
+    THREADS = 4
+
+    def test_first_use_queries_race_on_a_fresh_database(self):
+        from repro.automata.ltl2ba import translate
+        from repro.broker.contract import ContractSpec
+        from repro.broker.options import PrebuiltArtifacts
+        from repro.ltl.ast import conj
+        from repro.workload.generator import WorkloadGenerator
+
+        specs = [
+            ContractSpec(name=f"c{i}", clauses=tuple(spec.clauses))
+            for i, spec in enumerate(WorkloadGenerator(
+                vocabulary_size=6, seed=80).generate_specs(10, 2))
+        ]
+        automata = [translate(spec.formula) for spec in specs]
+        queries = [
+            conj(spec.clauses) for spec in WorkloadGenerator(
+                vocabulary_size=6, seed=81).generate_specs(8, 1)
+        ]
+
+        def fresh_database():
+            # translated once; stores (and so quotients) fresh per trial
+            db = ContractDatabase()
+            for spec, ba in zip(specs, automata):
+                db.register(spec, prebuilt=PrebuiltArtifacts(ba=ba))
+            return db
+
+        expected = [
+            outcome.contract_names
+            for outcome in fresh_database().query_many(queries)
+        ]
+
+        def trial():
+            db = fresh_database()
+            failures = []
+            barrier = threading.Barrier(self.THREADS)
+
+            def client():
+                try:
+                    barrier.wait(timeout=30)
+                    answers = [
+                        outcome.contract_names
+                        for outcome in db.query_many(queries)
+                    ]
+                    if answers != expected:
+                        failures.append(answers)
+                except Exception as exc:
+                    failures.append(exc)
+
+            threads = [
+                threading.Thread(target=client) for _ in range(self.THREADS)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            return failures
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            failed = [
+                failures for failures in (
+                    trial() for _ in range(self.TRIALS)
+                ) if failures
+            ]
+        finally:
+            sys.setswitchinterval(interval)
+        assert failed == []

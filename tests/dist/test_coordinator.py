@@ -8,6 +8,7 @@ same contracts and query.
 """
 
 import asyncio
+import threading
 
 import pytest
 
@@ -398,3 +399,37 @@ class TestClientSurface:
         db = cluster.database()
         db.close()
         db.close()
+
+    def test_client_starts_no_thread_of_its_own(self, cluster):
+        # the loop runs in the calling thread for the length of a call:
+        # the client adds no hand-off to a query's path (the shard
+        # servers' connection handlers are the cluster's threads)
+        before = {thread.name for thread in threading.enumerate()}
+        with cluster.database() as db:
+            started = {thread.name for thread in threading.enumerate()}
+            assert started == before
+            _populate(db)
+            assert "dist-coordinator" not in {
+                thread.name for thread in threading.enumerate()
+            }
+
+    def test_callers_on_several_threads_take_turns(self, cluster):
+        with cluster.database() as db:
+            _populate(db)
+            expected = _oracle().query("F b").contract_names
+            answers, errors = [], []
+
+            def ask():
+                try:
+                    for _ in range(10):
+                        answers.append(db.query("F b").contract_names)
+                except Exception as exc:  # pragma: no cover - the failure
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=ask) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert errors == []
+            assert answers == [expected] * 40
