@@ -14,21 +14,14 @@ no static pipeline does (each has a profile where it loses badly), and
 that engaging both techniques never costs much over the better single
 one (the paper's "distinct and complementary", §1).
 
-Beyond the pytest-benchmark registration, the run writes the measured
-medians and the derived ratios to ``BENCH_planner.json`` at the
-repository root: the committed copy is the tracked perf baseline
-(regenerated locally, it shows the planner within 5% of the best static
-configuration on every profile and ≥2x faster than the worst on at
-least one), and CI's bench-smoke step regenerates it and asserts the
-conservative floors below.
+The per-profile ratios go to ``results/ablation_planner.txt``; the
+conservative floors below are asserted on every run (CI's bench-smoke
+job included).
 """
 
-import json
 import statistics
-import sys
 import time
 from dataclasses import replace
-from pathlib import Path
 
 from repro.bench.harness import specs_to_formulas
 from repro.bench.reporting import format_table, write_report
@@ -40,7 +33,7 @@ from repro.automata.ltl2ba import translate
 from repro.index.pruning import pruning_condition
 from repro.ltl.parser import parse
 
-#: CI assertion floors — looser than the committed-baseline claims
+#: CI assertion floors — looser than what a quiet machine measures
 #: (within 5% of best / ≥2x over worst) so shared-runner noise cannot
 #: flake the build, but tight enough that a planner that stops tracking
 #: the best static configuration, or loses its win over the worst one,
@@ -51,8 +44,6 @@ MIN_WORST_VS_PLANNER = 1.4
 #: the better single technique costs on the same profile.
 MAX_BOTH_VS_BETTER_SINGLE = 1.5
 ROUNDS = 7
-
-BASELINE_PATH = Path(__file__).parent.parent / "BENCH_planner.json"
 
 #: The static pipelines the planner is arbitrating between, as pinned
 #: plans.  The planner additionally chooses the stage order, which
@@ -193,8 +184,6 @@ def test_ablation_planner(benchmark, datasets, bench_sizes, results_dir):
         best = min(statics, key=statics.get)
         worst = max(statics, key=statics.get)
         measured[name] = {
-            **{p: round(s, 6) for p, s in timings.items()},
-            "queries": len(queries),
             "best_static": best,
             "worst_static": worst,
             "planner_vs_best": round(timings["planner"] / statics[best], 3),
@@ -208,20 +197,6 @@ def test_ablation_planner(benchmark, datasets, bench_sizes, results_dir):
             ),
         }
 
-    doc = {
-        "benchmark": "planner vs static pipeline configurations",
-        "sweep": {
-            "contracts": len(db),
-            "profiles": {
-                name: row["queries"] for name, row in measured.items()
-            },
-            "rounds": ROUNDS,
-            "static_policies": sorted(STATIC_POLICIES),
-        },
-        "python": sys.version.split()[0],
-        "results": measured,
-    }
-    BASELINE_PATH.write_text(json.dumps(doc, indent=2) + "\n")
     write_report(
         results_dir / "ablation_planner.txt",
         format_table(
@@ -241,8 +216,7 @@ def test_ablation_planner(benchmark, datasets, bench_sizes, results_dir):
         assert row["planner_vs_best"] <= MAX_PLANNER_VS_BEST, (
             f"{name}: planner {row['planner_vs_best']}x the best static "
             f"configuration ({row['best_static']}; ceiling "
-            f"{MAX_PLANNER_VS_BEST}x) — regression against "
-            "BENCH_planner.json baseline?"
+            f"{MAX_PLANNER_VS_BEST}x)"
         )
         assert row["both_vs_better_single"] <= MAX_BOTH_VS_BETTER_SINGLE, (
             f"{name}: both techniques together cost "
@@ -254,8 +228,7 @@ def test_ablation_planner(benchmark, datasets, bench_sizes, results_dir):
         for row in measured.values()
     ), (
         "no profile shows the planner beating the worst static "
-        f"configuration by ≥{MIN_WORST_VS_PLANNER}x — regression against "
-        "BENCH_planner.json baseline?"
+        f"configuration by ≥{MIN_WORST_VS_PLANNER}x"
     )
 
     # the timed callable pytest-benchmark tracks: the planned policy over

@@ -22,8 +22,6 @@ from .bisim import (
 )
 from .buchi import BuchiAutomaton, BuchiBuilder, Transition
 from .encode import EncodedAutomaton, QueryBinding, bind_query, encode_automaton
-from .gba import GeneralizedBuchi
-from .hoa import from_hoa, to_hoa
 from .labels import (
     TRUE_LABEL,
     Label,
@@ -43,12 +41,6 @@ from .reduce import (
     reduce_automaton,
     remove_dead,
     remove_unreachable,
-)
-from .simulation import (
-    direct_simulation,
-    prune_dominated_transitions,
-    quotient_by_simulation,
-    reduce_with_simulation,
 )
 from .serialize import (
     automaton_from_dict,
@@ -70,9 +62,6 @@ __all__ = [
     "QueryBinding",
     "bind_query",
     "encode_automaton",
-    "GeneralizedBuchi",
-    "from_hoa",
-    "to_hoa",
     "TRUE_LABEL",
     "Label",
     "Literal",
@@ -107,8 +96,4 @@ __all__ = [
     "save",
     "save_many",
     "to_dot",
-    "direct_simulation",
-    "prune_dominated_transitions",
-    "quotient_by_simulation",
-    "reduce_with_simulation",
 ]

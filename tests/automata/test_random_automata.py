@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from repro.automata.bisim import quotient_by_bisimulation
 from repro.automata.product import intersection, union
 from repro.automata.reduce import reduce_automaton
-from repro.automata.hoa import from_hoa, to_hoa
 from repro.automata.serialize import dumps, loads
 from repro.core.permission import find_witness, permits
 from repro.core.seeds import compute_seeds
@@ -100,10 +99,4 @@ class TestSerializationOnRandomAutomata:
     @settings(max_examples=100, deadline=None)
     def test_json_round_trip(self, ba, run):
         rebuilt = loads(dumps(ba))
-        assert rebuilt.accepts(run) == ba.accepts(run)
-
-    @given(buchi_automata(), runs())
-    @settings(max_examples=100, deadline=None)
-    def test_hoa_round_trip(self, ba, run):
-        rebuilt = from_hoa(to_hoa(ba))
         assert rebuilt.accepts(run) == ba.accepts(run)

@@ -53,6 +53,12 @@ class TestDeadlineDegradation:
         # everything queued behind it is cancelled
         assert outcome.verdicts[0] is Verdict.TIMED_OUT
         assert outcome.stats.total_seconds < 1.0
+        # wherever the clock cut the scan off, the answer stays sound
+        exact = adversarial_db.query(adversarial_query, QueryOptions(**SCAN))
+        assert set(outcome.contract_ids) <= set(exact.contract_ids)
+        assert set(exact.contract_ids) <= (
+            set(outcome.contract_ids) | set(outcome.maybe_ids)
+        )
 
     def test_candidates_ledger_balances(
         self, adversarial_db, adversarial_query

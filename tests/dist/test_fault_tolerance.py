@@ -266,13 +266,18 @@ class TestMergeAllShardsDead:
 
 class TestReplicaReadRouting:
     def test_fresh_replica_serves_the_read(self, tmp_path):
-        with LocalCluster(1, directory=tmp_path) as cluster:
+        with LocalCluster(2, directory=tmp_path) as cluster:
             with cluster.database() as db:
-                for i in range(4):
-                    db.register(f"c{i}", ["G (a -> F b)"], {"price": i})
+                names = [f"c{i}" for i in range(4)]
+                for i, name in enumerate(names):
+                    db.register(name, ["G (a -> F b)"], {"price": i})
                 expected = db.query("F a")
                 replica = cluster.replica(0)
-                replica.catch_up()
+                assert replica.catch_up().lag_records == 0
+                # a shard's replica holds that shard's contracts only
+                assert [c.name for c in replica.db.contracts()] == (
+                    db.coordinator.router.partition(names)[0]
+                )
                 db.attach_replica(0, replica)
                 routed = db.query("F a")
                 assert routed.contract_names == expected.contract_names
