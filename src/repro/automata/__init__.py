@@ -28,12 +28,11 @@ from .labels import (
     Literal,
     compatible,
     label_from_formula,
-    label_to_formula,
     neg,
     pos,
 )
 from .language import enumerate_runs, example_behaviors
-from .ltl2ba import DEFAULT_STATE_BUDGET, translate, translate_text
+from .ltl2ba import DEFAULT_STATE_BUDGET, translate
 from .product import intersection, union
 from .reduce import (
     empty_automaton,
@@ -47,10 +46,8 @@ from .serialize import (
     automaton_to_dict,
     dumps,
     load,
-    load_many,
     loads,
     save,
-    save_many,
     to_dot,
 )
 
@@ -67,12 +64,10 @@ __all__ = [
     "Literal",
     "compatible",
     "label_from_formula",
-    "label_to_formula",
     "neg",
     "pos",
     "DEFAULT_STATE_BUDGET",
     "translate",
-    "translate_text",
     "enumerate_runs",
     "example_behaviors",
     "intersection",
@@ -91,9 +86,7 @@ __all__ = [
     "automaton_to_dict",
     "dumps",
     "load",
-    "load_many",
     "loads",
     "save",
-    "save_many",
     "to_dot",
 ]

@@ -78,19 +78,6 @@ def strongly_connected_components(
     return components
 
 
-def scc_ids(
-    nodes: Iterable[Node],
-    successors: Callable[[Node], Iterable[Node]],
-) -> dict[Node, int]:
-    """Map each node to the id of its SCC (ids follow the reverse
-    topological order of :func:`strongly_connected_components`)."""
-    out: dict[Node, int] = {}
-    for i, component in enumerate(strongly_connected_components(nodes, successors)):
-        for node in component:
-            out[node] = i
-    return out
-
-
 def is_cyclic_component(
     component: Iterable[Node],
     successors: Callable[[Node], Iterable[Node]],

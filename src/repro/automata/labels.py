@@ -185,11 +185,6 @@ class Label:
         keep_set = frozenset(keep)
         return Label(self.literals & keep_set)
 
-    def restrict_events(self, events: Iterable[str]) -> "Label":
-        """Keep only literals whose event is in ``events``."""
-        keep = frozenset(events)
-        return Label(frozenset(l for l in self.literals if l.event in keep))
-
     def expansion(self, vocabulary: Iterable[str]) -> frozenset[Literal]:
         """The expansion ``E(self)`` w.r.t. a contract vocabulary (§4.2):
         the label's own literals plus *both* literals of every vocabulary
@@ -274,12 +269,3 @@ def label_from_formula(formula: A.Formula) -> Label:
         else:
             raise ValueError(f"not a conjunction of literals: {formula}")
     return Label.of(literals)
-
-
-def label_to_formula(label: Label) -> A.Formula:
-    """Inverse of :func:`label_from_formula`."""
-    parts: list[A.Formula] = []
-    for lit in sorted(label.literals):
-        prop = A.Prop(lit.event)
-        parts.append(prop if lit.positive else A.Not(prop))
-    return A.conj(parts)

@@ -345,10 +345,3 @@ def translate(
     if reduce:
         ba = reduce_automaton(ba)
     return ba.canonical()
-
-
-def translate_text(text: str, **kwargs) -> BuchiAutomaton:
-    """Convenience: parse and translate in one call."""
-    from ..ltl.parser import parse
-
-    return translate(parse(text), **kwargs)

@@ -2,9 +2,8 @@
 
 The paper's prototype pipeline (§7.1) exchanges contract databases
 between its four modules as text files; we do the same with a JSON
-document per automaton (or per list of automata).  States are
-canonicalized to dense integers on save, so files are deterministic and
-diff-friendly.
+document per automaton.  States are canonicalized to dense integers on
+save, so files are deterministic and diff-friendly.
 
 Format (one automaton)::
 
@@ -20,7 +19,6 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable
 
 from ..errors import AutomatonError
 from .buchi import BuchiAutomaton, Transition
@@ -108,19 +106,3 @@ def to_dot(ba: BuchiAutomaton, name: str = "buchi") -> str:
         lines.append(f'  s{t.src} -> s{t.dst} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines)
-
-
-def save_many(automata: Iterable[BuchiAutomaton], path: str | Path) -> None:
-    """Write a list of automata (a contract database dump) to ``path``."""
-    docs = [automaton_to_dict(ba) for ba in automata]
-    Path(path).write_text(
-        json.dumps(docs, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
-def load_many(path: str | Path) -> list[BuchiAutomaton]:
-    """Read a list of automata from ``path``."""
-    docs = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(docs, list):
-        raise AutomatonError("expected a JSON list of automata")
-    return [automaton_from_dict(doc) for doc in docs]

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 from ..automata.buchi import BuchiAutomaton
@@ -204,6 +204,11 @@ class CacheStats:
     def hit_rate(self) -> float:
         """Hits per request; 0.0 before any request."""
         return self.hits / self.requests if self.requests else 0.0
+
+    def to_dict(self) -> dict:
+        """The counters plus ``hit_rate`` — the ``metrics_snapshot``
+        form."""
+        return {**asdict(self), "hit_rate": self.hit_rate}
 
 
 class QueryCompilationCache:

@@ -16,7 +16,10 @@ from typing import Any, Mapping, Sequence
 
 from ..automata.buchi import BuchiAutomaton
 from ..automata.encode import EncodedAutomaton
+from ..errors import BrokerError
 from ..ltl.ast import Formula, conj
+from ..ltl.parser import parse
+from ..ltl.printer import format_formula
 from ..projection.store import ProjectionStore
 
 
@@ -42,6 +45,54 @@ class ContractSpec:
         for clause in self.clauses:
             out |= clause.variables()
         return frozenset(out)
+
+    def to_doc(self) -> dict:
+        """The spec document: what a journal ``register`` record, a
+        snapshot manifest entry, a shard ``register`` frame, the
+        process-pool payload and a CLI spec file carry."""
+        return {
+            "name": self.name,
+            "clauses": [format_formula(c) for c in self.clauses],
+            "attributes": dict(self.attributes),
+        }
+
+    @classmethod
+    def from_doc(cls, doc: Any) -> "ContractSpec":
+        """The one reader of a spec document, from whichever of those
+        places.  ``clauses`` is a list of LTL texts (or parsed formulas,
+        or one bare clause, as ``register(name, clauses)`` takes);
+        ``attributes`` may be null or absent; other keys — the wire's
+        ``op`` — are ignored.  Any other shape is a :class:`BrokerError`
+        naming the entry; a clause that does not parse raises the
+        parser's own error."""
+        if not isinstance(doc, Mapping):
+            raise BrokerError(f"contract document must be a mapping: {doc!r}")
+        name = doc.get("name")
+        if not isinstance(name, str):
+            raise BrokerError(f"contract document without a name: {doc!r}")
+        clauses = doc.get("clauses")
+        if isinstance(clauses, (str, Formula)):
+            clauses = [clauses]
+        if not isinstance(clauses, (list, tuple)) or not all(
+            isinstance(c, (str, Formula)) for c in clauses
+        ):
+            raise BrokerError(
+                f"contract {name!r}: clauses must be a list of LTL "
+                f"formulas, got {clauses!r}"
+            )
+        attributes = doc.get("attributes") or {}
+        if not isinstance(attributes, Mapping):
+            raise BrokerError(
+                f"contract {name!r}: attributes must be a mapping, "
+                f"got {attributes!r}"
+            )
+        return cls(
+            name=name,
+            clauses=tuple(
+                parse(c) if isinstance(c, str) else c for c in clauses
+            ),
+            attributes=dict(attributes),
+        )
 
 
 @dataclass

@@ -46,8 +46,6 @@ from ..core.seeds import compute_seeds
 from ..errors import BrokerError, BudgetExceededError, QueryBudgetError
 from ..index.prefilter import PrefilterIndex
 from ..ltl.ast import Formula
-from ..ltl.parser import parse
-from ..ltl.printer import format_formula
 from ..obs.metrics import (
     COST_BUCKETS,
     COUNT_BUCKETS,
@@ -105,6 +103,8 @@ class BrokerConfig:
         version does not have — knobs removed since, like 2.0's
         ``use_encoded``, 3.0's ``use_prefilter`` and 4.0's
         ``permission_algorithm`` — are ignored."""
+        if not isinstance(doc, Mapping):
+            raise BrokerError(f"broker config must be a mapping, got {doc!r}")
         names = {f.name for f in fields(cls)}
         return cls(**{k: v for k, v in doc.items() if k in names})
 
@@ -236,20 +236,14 @@ class ContractDatabase:
                     "register(spec) does not take clauses/attributes — "
                     "they are part of the ContractSpec"
                 )
-        else:
-            name = spec
-            if clauses is None:
-                raise TypeError(
-                    "register(name, clauses) requires the contract's "
-                    "temporal clauses"
-                )
-            if isinstance(clauses, (str, Formula)):
-                clauses = [clauses]
-            parsed = tuple(
-                parse(c) if isinstance(c, str) else c for c in clauses
+        elif clauses is None:
+            raise TypeError(
+                "register(name, clauses) requires the contract's "
+                "temporal clauses"
             )
-            spec = ContractSpec(
-                name=name, clauses=parsed, attributes=dict(attributes or {})
+        else:
+            spec = ContractSpec.from_doc(
+                {"name": spec, "clauses": clauses, "attributes": attributes}
             )
         prebuilt = prebuilt or PrebuiltArtifacts()
 
@@ -330,11 +324,7 @@ class ContractDatabase:
             # fsync'd before register() returns, inside the write lock
             # so journal order always matches application order.
             if self._journal is not None:
-                self._journal.append("register", {
-                    "name": spec.name,
-                    "clauses": [format_formula(c) for c in spec.clauses],
-                    "attributes": dict(spec.attributes),
-                })
+                self._journal.append("register", spec.to_doc())
         return contract
 
     def deregister(self, contract_id: int) -> None:
@@ -890,24 +880,8 @@ class ContractDatabase:
     def metrics_snapshot(self) -> dict:
         """The metrics registry snapshot plus the compilation-cache view."""
         snapshot = self.metrics.snapshot()
-        cache = self._query_cache.stats()
-        snapshot["cache"] = {
-            "hits": cache.hits,
-            "misses": cache.misses,
-            "evictions": cache.evictions,
-            "size": cache.size,
-            "capacity": cache.capacity,
-            "hit_rate": cache.hit_rate,
-        }
-        plans = self._plan_cache.stats()
-        snapshot["plan_cache"] = {
-            "hits": plans.hits,
-            "misses": plans.misses,
-            "evictions": plans.evictions,
-            "size": plans.size,
-            "capacity": plans.capacity,
-            "hit_rate": plans.hit_rate,
-        }
+        snapshot["cache"] = self._query_cache.stats().to_dict()
+        snapshot["plan_cache"] = self._plan_cache.stats().to_dict()
         return snapshot
 
     def metrics_report(self) -> str:

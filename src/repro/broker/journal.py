@@ -55,8 +55,9 @@ from pathlib import Path
 
 from ..core import faults
 from ..errors import JournalError, ReproError
+from .contract import ContractSpec
 from .database import BrokerConfig, ContractDatabase
-from .persist import _fsync_directory
+from .persist import _fsync_directory, load_database, read_manifest
 
 JOURNAL_FILE = "journal.jsonl"
 
@@ -461,25 +462,18 @@ def open_database(
     ``db.journal_report`` (and, after a snapshot restore, the usual
     ``db.load_report``).
     """
-    from .persist import _CONTRACTS_FILE, load_database
-
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    journal_path = directory / JOURNAL_FILE
-    manifest_path = directory / _CONTRACTS_FILE
 
     report = JournalReplayReport()
     start = time.perf_counter()
 
-    manifest_epoch = 0
-    if manifest_path.exists():
-        try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-            manifest_epoch = int(manifest.get("journal_epoch", 0))
-        except (json.JSONDecodeError, TypeError, ValueError):
-            manifest_epoch = 0
+    manifest = read_manifest(directory)
+    manifest_epoch = manifest.journal_epoch if manifest is not None else 0
 
-    journal = Journal.open(journal_path, epoch=manifest_epoch, config=config)
+    journal = Journal.open(
+        directory / JOURNAL_FILE, epoch=manifest_epoch, config=config
+    )
     report.epoch = journal.epoch
     report.torn_bytes = journal.torn_bytes
     report.torn_records = journal.torn_records
@@ -497,7 +491,7 @@ def open_database(
         if config_doc is not None:
             effective_config = BrokerConfig.from_dict(config_doc)
 
-    if manifest_path.exists():
+    if manifest is not None:
         db = load_database(directory, effective_config)
     else:
         db = ContractDatabase(effective_config)
@@ -544,15 +538,33 @@ def deregister_target(db: ContractDatabase, data: dict) -> int:
     Records written before 2.0 carry the writer's live ``contract_id``
     instead and replay against that id as they always did.
     """
-    if "rank" not in data:
-        return int(data["contract_id"])
+    try:
+        if "rank" not in data:
+            return int(data["contract_id"])
+        rank = int(data["rank"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise JournalError(f"malformed deregister record {data!r}") from exc
     ids = sorted(c.contract_id for c in db.contracts())
-    rank = int(data["rank"])
     if not 0 <= rank < len(ids):
         raise JournalError(
             f"deregister record names rank {rank} of {len(ids)} contract(s)"
         )
     return ids[rank]
+
+
+def apply_record(db: ContractDatabase, record: JournalRecord) -> None:
+    """Apply one mutation record to ``db`` — what the leader's own
+    replay and a replica both do with it.  A record that cannot be
+    applied raises a :class:`ReproError`; what to do then (truncate the
+    journal, stall the replica) is the caller's."""
+    if record.op == "register":
+        db.register(ContractSpec.from_doc(record.data))
+    elif record.op == "deregister":
+        db.deregister(deregister_target(db, record.data))
+    # adopt_index: the register/deregister records rebuild the index
+    # incrementally, which is the index the adopted snapshot held at
+    # this point.  config: consumed before replay (latest_config); the
+    # database was constructed with the newest one.
 
 
 def _replay(db: ContractDatabase, journal: Journal,
@@ -565,24 +577,8 @@ def _replay(db: ContractDatabase, journal: Journal,
     applied = 0
     for position, record in enumerate(journal.tail):
         try:
-            if record.op == "register":
-                db.register(
-                    record.data["name"],
-                    list(record.data["clauses"]),
-                    record.data.get("attributes") or {},
-                )
-            elif record.op == "deregister":
-                db.deregister(deregister_target(db, record.data))
-            elif record.op == "adopt_index":
-                # replay rebuilds the index incrementally through the
-                # register/deregister records, which is semantically the
-                # index the adopted snapshot held at this point
-                pass
-            elif record.op == "config":
-                # consumed during the pre-scan (latest_config); the
-                # database was already constructed with the newest one
-                pass
-        except (ReproError, KeyError, TypeError, ValueError) as exc:
+            apply_record(db, record)
+        except ReproError as exc:
             report.warnings.append(
                 f"journal: record seq={record.seq} op={record.op!r} "
                 f"failed to replay ({type(exc).__name__}: {exc}); "

@@ -35,9 +35,7 @@ from ..automata.ltl2ba import translate
 from ..automata.serialize import automaton_from_dict, automaton_to_dict
 from ..core import faults
 from ..core.retry import BackoffPolicy
-from ..errors import ReproError, TranslationError
-from ..ltl.parser import parse
-from ..ltl.printer import format_formula
+from ..errors import BrokerError, ReproError, TranslationError
 from .contract import ContractSpec
 from .database import ContractDatabase
 from .options import PrebuiltArtifacts
@@ -61,38 +59,17 @@ _POOL_BACKOFF = BackoffPolicy(
 )
 
 
-def _translate_clauses(payload: tuple[list[str], int]) -> dict:
+def _translate_clauses(payload: tuple[dict, int]) -> dict:
     """Worker: parse + conjoin + translate one contract's clauses.
 
-    Text in, JSON-ready automaton out — keeps the inter-process payload
-    small and version-stable.
+    Spec document in, JSON-ready automaton out — keeps the
+    inter-process payload small and version-stable.
     """
-    clause_texts, state_budget = payload
-    from ..ltl.ast import conj
-
-    formula = conj([parse(text) for text in clause_texts])
-    ba = translate(formula, state_budget=state_budget)
+    document, state_budget = payload
+    ba = translate(
+        ContractSpec.from_doc(document).formula, state_budget=state_budget
+    )
     return automaton_to_dict(ba)
-
-
-def _coerce_spec(item: "ContractSpec | Mapping") -> ContractSpec:
-    """A ContractSpec from either form a batch may carry; clause parse
-    errors surface here (and are quarantined by the caller)."""
-    if isinstance(item, ContractSpec):
-        return item
-    name = item.get("name")
-    if not isinstance(name, str) or not name:
-        raise ReproError(f"spec document without a usable name: {item!r}")
-    clauses = item.get("clauses")
-    if not isinstance(clauses, (list, tuple)) or not clauses:
-        raise ReproError(f"spec {name!r} has no clauses")
-    parsed = tuple(
-        parse(c) if isinstance(c, str) else c for c in clauses
-    )
-    return ContractSpec(
-        name=name, clauses=parsed,
-        attributes=dict(item.get("attributes") or {}),
-    )
 
 
 def _item_name(item) -> str:
@@ -181,7 +158,14 @@ def register_many(
     resolved: list[ContractSpec | None] = []
     for item in specs:
         try:
-            resolved.append(_coerce_spec(item))
+            spec = item
+            if not isinstance(item, ContractSpec):
+                spec = ContractSpec.from_doc(item)
+                if not spec.name or not spec.clauses:
+                    raise BrokerError(
+                        f"spec document without a name or clauses: {item!r}"
+                    )
+            resolved.append(spec)
         except ReproError as exc:
             resolved.append(None)
             _quarantine(db, report, QuarantinedSpec(
@@ -196,11 +180,7 @@ def register_many(
         return report
 
     payloads = {
-        i: (
-            [format_formula(clause) for clause in resolved[i].clauses],
-            db.config.state_budget,
-        )
-        for i in healthy
+        i: (resolved[i].to_doc(), db.config.state_budget) for i in healthy
     }
 
     documents: dict[int, dict] = {}

@@ -55,14 +55,13 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from ..automata.encode import EncodedAutomaton, encode_automaton
 from ..automata.serialize import automaton_from_dict, automaton_to_dict
 from ..core import faults
 from ..errors import AutomatonError, BrokerError, IndexError_, ProjectionError
 from ..index.prefilter import PrefilterIndex
-from ..ltl.parser import parse
-from ..ltl.printer import format_formula
 from ..projection.store import ProjectionStore
 from .contract import ContractSpec
 from .database import BrokerConfig, ContractDatabase
@@ -211,11 +210,7 @@ def _save_locked(db: ContractDatabase, directory: Path, journal) -> Path:
     encoded_docs: dict[str, list] = {}
     projection_docs: dict[str, list] = {}
     for contract in contracts:
-        contract_docs.append({
-            "name": contract.name,
-            "clauses": [format_formula(c) for c in contract.spec.clauses],
-            "attributes": dict(contract.attributes),
-        })
+        contract_docs.append(contract.spec.to_doc())
         # One numbering per contract keeps the stored automaton, its seed
         # set, its encoding and its partitions in the same dense-integer
         # state space.
@@ -277,6 +272,53 @@ def _save_locked(db: ContractDatabase, directory: Path, journal) -> Path:
         journal.compact(new_epoch, db.config)
     db.dirty = False
     return directory
+
+
+class Manifest(NamedTuple):
+    """``contracts.json`` as :func:`read_manifest` validated it."""
+
+    config: BrokerConfig
+    #: spec documents in id order; each loads through
+    #: :meth:`ContractSpec.from_doc`
+    contracts: list
+    #: artifact filename -> SHA-256 of its bytes
+    artifacts: dict
+    journal_epoch: int
+
+
+def read_manifest(directory: str | Path) -> Manifest | None:
+    """The one reader of a snapshot manifest: ``None`` when
+    ``directory`` holds none, :class:`BrokerError` when the file is not
+    a version-2 manifest of the shape ``save_database`` writes."""
+    path = Path(directory) / _CONTRACTS_FILE
+    if not path.exists():
+        return None
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise BrokerError(f"malformed {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise BrokerError(f"malformed {path}: not a JSON object")
+    if doc.get("format_version") != _FORMAT_VERSION:
+        raise BrokerError(
+            f"unsupported database format: {doc.get('format_version')!r}"
+        )
+
+    def member(key: str, kind: type):
+        value = doc.get(key, kind())  # absent = empty list/dict, epoch 0
+        if not isinstance(value, kind):
+            raise BrokerError(
+                f"malformed {path}: {key!r} must be a {kind.__name__}, "
+                f"got {value!r}"
+            )
+        return value
+
+    return Manifest(
+        config=BrokerConfig.from_dict(doc.get("config", {})),
+        contracts=member("contracts", list),
+        artifacts=member("artifacts", dict),
+        journal_epoch=member("journal_epoch", int),
+    )
 
 
 def _read_artifact(
@@ -350,26 +392,14 @@ def load_database(
     """
     start = time.perf_counter()
     directory = Path(directory)
-    contracts_path = directory / _CONTRACTS_FILE
-    if not contracts_path.exists():
-        raise BrokerError(f"{contracts_path} does not exist")
-
-    try:
-        manifest = json.loads(contracts_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise BrokerError(f"malformed {contracts_path}: {exc}") from exc
-    if manifest.get("format_version") != _FORMAT_VERSION:
-        raise BrokerError(
-            f"unsupported database format: {manifest.get('format_version')!r}"
-        )
-
+    manifest = read_manifest(directory)
+    if manifest is None:
+        raise BrokerError(f"{directory / _CONTRACTS_FILE} does not exist")
     if config is None:
-        config = BrokerConfig.from_dict(manifest.get("config", {}))
+        config = manifest.config
 
     report = LoadReport()
-    checksums = manifest.get("artifacts", {})
-    if not isinstance(checksums, dict):
-        checksums = {}
+    checksums = manifest.artifacts
     automata_docs = _read_artifact(
         directory, _AUTOMATA_FILE, checksums, report
     )
@@ -397,12 +427,8 @@ def load_database(
     db = ContractDatabase(config)
     retranslated: list = []
     positions: dict[str, int] = {}
-    for doc in manifest.get("contracts", []):
-        spec = ContractSpec(
-            name=doc["name"],
-            clauses=tuple(parse(text) for text in doc["clauses"]),
-            attributes=doc.get("attributes") or {},
-        )
+    for doc in manifest.contracts:
+        spec = ContractSpec.from_doc(doc)
         position = positions.get(spec.name, 0)
         positions[spec.name] = position + 1
 

@@ -275,13 +275,6 @@ class DatabaseStatistics:
             return self.avg_states
         return self.total_min_blocks / self.projection_stores
 
-    @property
-    def projection_coverage(self) -> float:
-        """Fraction of contracts carrying a projection store."""
-        if not self.contracts:
-            return 0.0
-        return self.projection_stores / self.contracts
-
     # -- persistence -----------------------------------------------------------------
 
     def to_dict(self) -> dict:

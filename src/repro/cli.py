@@ -59,12 +59,13 @@ from pathlib import Path
 
 from .automata.ltl2ba import translate
 from .automata.serialize import automaton_to_dict
+from .broker.cache import DEFAULT_CACHE_CAPACITY
+from .broker.contract import ContractSpec
 from .broker.database import BrokerConfig, ContractDatabase
 from .broker.options import QueryOptions
 from .broker.planner import SCAN_PLAN
 from .errors import ReproError
 from .ltl.parser import parse
-from .ltl.printer import format_formula
 from .workload.generator import WorkloadGenerator, pathological_specs
 
 
@@ -379,6 +380,21 @@ def _query_options(args: argparse.Namespace) -> QueryOptions:
     )
 
 
+def _broker_config(args: argparse.Namespace) -> BrokerConfig:
+    """The configuration the ``build``/``save``/``query``/``metrics``
+    flags describe (a subcommand without a flag gets its default)."""
+    capacity = getattr(args, "cache_capacity", None)
+    return BrokerConfig(
+        # a scan never reads the stores
+        use_projections=not getattr(args, "scan", False),
+        prefilter_depth=args.index_depth,
+        projection_subset_cap=args.projection_cap,
+        query_cache_capacity=(
+            DEFAULT_CACHE_CAPACITY if capacity is None else capacity
+        ),
+    )
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
     if args.profile == "pathological":
         specs = pathological_specs(args.count, seed=args.seed)
@@ -388,11 +404,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         )
         specs = generator.generate_specs(args.count, args.patterns)
     docs = [
-        {
-            "name": f"contract-{i}",
-            "clauses": [format_formula(c) for c in spec.clauses],
-            "attributes": {},
-        }
+        ContractSpec(f"contract-{i}", spec.clauses).to_doc()
         for i, spec in enumerate(specs)
     ]
     args.out.write_text(json.dumps(docs, indent=2) + "\n", encoding="utf-8")
@@ -400,26 +412,25 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_specs(path: Path) -> list[dict]:
+def _load_specs(path: Path) -> list[ContractSpec]:
     docs = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(docs, list):
         raise ReproError(f"{path}: expected a JSON list of specifications")
-    return docs
+    return [ContractSpec.from_doc(doc) for doc in docs]
 
 
-def _build_db(docs: list[dict], config: BrokerConfig) -> ContractDatabase:
+def _build_db(path: Path, config: BrokerConfig) -> ContractDatabase:
     db = ContractDatabase(config)
-    for doc in docs:
-        db.register(doc["name"], doc["clauses"], doc.get("attributes") or {})
+    for spec in _load_specs(path):
+        db.register(spec)
     return db
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     from .bench.reporting import format_table
 
-    docs = _load_specs(args.specs)
     start = time.perf_counter()
-    db = _build_db(docs, BrokerConfig(use_projections=False))
+    db = _build_db(args.specs, BrokerConfig(use_projections=False))
     elapsed = time.perf_counter() - start
     stats = db.database_stats()
     print(format_table(
@@ -447,13 +458,8 @@ def _cmd_translate(args: argparse.Namespace) -> int:
 def _cmd_build(args: argparse.Namespace) -> int:
     from .broker.persist import save_database
 
-    config = BrokerConfig(
-        prefilter_depth=args.index_depth,
-        projection_subset_cap=args.projection_cap,
-    )
-    docs = _load_specs(args.specs)
     start = time.perf_counter()
-    db = _build_db(docs, config)
+    db = _build_db(args.specs, _broker_config(args))
     directory = save_database(db, args.out)
     print(f"registered {len(db)} contracts in "
           f"{time.perf_counter() - start:.1f}s; saved to {directory}")
@@ -471,7 +477,7 @@ def _load_or_build_db(path: Path, config: BrokerConfig) -> ContractDatabase:
         print(f"loaded {len(db)} contracts in "
               f"{time.perf_counter() - start:.1f}s")
     else:
-        db = _build_db(_load_specs(path), config)
+        db = _build_db(path, config)
         print(f"registered {len(db)} contracts in "
               f"{time.perf_counter() - start:.1f}s")
     return db
@@ -480,11 +486,7 @@ def _load_or_build_db(path: Path, config: BrokerConfig) -> ContractDatabase:
 def _cmd_save(args: argparse.Namespace) -> int:
     from .broker.persist import save_database
 
-    config = BrokerConfig(
-        prefilter_depth=args.index_depth,
-        projection_subset_cap=args.projection_cap,
-    )
-    db = _load_or_build_db(args.specs, config)
+    db = _load_or_build_db(args.specs, _broker_config(args))
     start = time.perf_counter()
     directory = save_database(db, args.out)
     print(f"saved {len(db)} contracts (automata, seeds, encodings, "
@@ -520,12 +522,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
     if not args.queries and not args.spec_files:
         raise ReproError("provide at least one --query or --spec")
-    config = BrokerConfig(
-        use_projections=not args.scan,  # a scan never reads the stores
-        prefilter_depth=args.index_depth,
-        projection_subset_cap=args.projection_cap,
-    )
-    db = _load_or_build_db(args.specs, config)
+    db = _load_or_build_db(args.specs, _broker_config(args))
     options = _query_options(args)
     specs = [QuerySpec(query=text, options=options) for text in args.queries]
     specs += [QuerySpec.from_file(path) for path in args.spec_files]
@@ -660,17 +657,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    from .broker.cache import DEFAULT_CACHE_CAPACITY
-
-    capacity = (DEFAULT_CACHE_CAPACITY if args.cache_capacity is None
-                else args.cache_capacity)
-    config = BrokerConfig(
-        use_projections=not args.scan,  # a scan never reads the stores
-        prefilter_depth=args.index_depth,
-        projection_subset_cap=args.projection_cap,
-        query_cache_capacity=capacity,
-    )
-    db = _load_or_build_db(args.specs, config)
+    db = _load_or_build_db(args.specs, _broker_config(args))
     options = _query_options(args)
     start = time.perf_counter()
     degraded = 0
@@ -698,8 +685,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if args.specs.is_dir():
         db = load_database(args.specs)
     else:
-        db = _build_db(_load_specs(args.specs),
-                       BrokerConfig(use_projections=False))
+        db = _build_db(args.specs, BrokerConfig(use_projections=False))
     by_name = {c.name: c for c in db.contracts()}
     missing = [n for n in (args.left, args.right) if n not in by_name]
     if missing:
@@ -802,9 +788,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print(f"addresses written to {args.port_file}")
         if args.specs is not None:
             with cluster.database() as db:
-                for doc in _load_specs(args.specs):
-                    db.register(doc["name"], doc["clauses"],
-                                doc.get("attributes") or {})
+                for spec in _load_specs(args.specs):
+                    db.register(spec)
                 print(f"registered {len(db)} contracts across "
                       f"{args.shards} shard(s)")
         if args.duration is None:  # pragma: no cover - interactive mode

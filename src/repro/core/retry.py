@@ -20,9 +20,8 @@ cells assert on retried runs instead of merely tolerating them.
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 #: Default retry budget before a transient failure is surfaced.
 DEFAULT_MAX_RETRIES = 2
@@ -82,35 +81,3 @@ class BackoffPolicy:
             yield self.delay(attempt, salt)
             attempt += 1
 
-
-def retry_call(
-    fn: Callable,
-    *,
-    policy: BackoffPolicy,
-    retry_on: tuple[type[BaseException], ...] = (OSError,),
-    salt: str = "",
-    deadline: float | None = None,
-    clock: Callable[[], float] = time.monotonic,
-    sleep: Callable[[float], None] = time.sleep,
-    on_retry: Callable[[int, BaseException], None] | None = None,
-):
-    """Call ``fn()`` under ``policy``, retrying ``retry_on`` failures.
-
-    ``deadline`` is an absolute ``clock()`` value the retried call must
-    never outlive: before every sleep the remaining budget is re-checked
-    and the last failure re-raised when the backoff would exceed it.
-    """
-    attempt = 0
-    while True:
-        try:
-            return fn()
-        except retry_on as exc:
-            attempt += 1
-            if attempt > policy.max_retries:
-                raise
-            pause = policy.delay(attempt, salt)
-            if deadline is not None and clock() + pause >= deadline:
-                raise
-            if on_retry is not None:
-                on_retry(attempt, exc)
-            sleep(pause)

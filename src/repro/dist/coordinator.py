@@ -64,6 +64,7 @@ import threading
 import time
 from dataclasses import dataclass
 
+from ..broker.contract import ContractSpec
 from ..broker.options import Degradation, QueryOptions, coerce_query_options
 from ..broker.query import QueryOutcome, QueryStats, Verdict
 from ..broker.spec import QuerySpec
@@ -846,14 +847,10 @@ class DistributedDatabase:
         return self.coordinator.metrics
 
     def register(self, name, clauses=None, attributes=None) -> RoutedContract:
-        # accept a ContractSpec-like first argument, matching the
+        # accept a ContractSpec first argument, matching the
         # single-node register() convenience
-        if clauses is None and hasattr(name, "clauses"):
-            spec = name
-            return self._run(self.coordinator.register(
-                spec.name, [str(c) for c in spec.clauses],
-                dict(spec.attributes),
-            ))
+        if clauses is None and isinstance(name, ContractSpec):
+            return self._run(self.coordinator.register(**name.to_doc()))
         return self._run(self.coordinator.register(name, clauses, attributes))
 
     def deregister(self, contract_id: int) -> None:

@@ -35,11 +35,10 @@ import struct
 from typing import Any, Mapping
 
 from ..broker.options import QueryOptions
-from ..broker.query import QueryOutcome, QueryStats, Verdict
+from ..broker.query import QueryOutcome, QueryStats
 from ..broker.relational import MATCH_ALL, AttributeFilter
 from ..broker.spec import QuerySpec
 from ..errors import ProtocolError
-from ..ltl.parser import parse
 
 #: 4-byte big-endian unsigned frame length.
 _LENGTH = struct.Struct(">I")
@@ -239,32 +238,6 @@ def outcomes_doc(outcomes, id_to_name: Mapping[int, str]) -> dict:
     return {"ok": True, "outcomes": [
         outcome_to_doc(outcome, id_to_name) for outcome in outcomes
     ]}
-
-
-def outcome_from_doc(doc: Mapping[str, Any]) -> QueryOutcome:
-    """Rebuild a (name-keyed, id-less) :class:`QueryOutcome` from
-    :func:`outcome_to_doc` — ids are filled in by the coordinator's
-    catalog, so here they stay empty."""
-    try:
-        formula = parse(doc["formula"])
-        permitted = tuple(doc.get("permitted") or ())
-        maybe = tuple(doc.get("maybe") or ())
-        verdicts = {
-            name: Verdict(value)
-            for name, value in (doc.get("verdicts") or {}).items()
-        }
-        stats = stats_from_doc(doc.get("stats") or {})
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ProtocolError(f"malformed outcome document: {exc}") from exc
-    return QueryOutcome(
-        formula=formula,
-        contract_ids=(),
-        contract_names=permitted,
-        stats=stats,
-        verdicts=verdicts,
-        maybe_ids=(),
-        maybe_names=maybe,
-    )
 
 
 def error_doc(exc: Exception) -> dict:

@@ -39,13 +39,13 @@ Two roles build on that loop (1.10):
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..broker.database import BrokerConfig, ContractDatabase
-from ..broker.journal import JOURNAL_FILE, Journal, deregister_target
+from ..broker.journal import JOURNAL_FILE, Journal, apply_record
+from ..broker.persist import load_database, read_manifest
 from ..core.retry import BackoffPolicy
 from ..errors import DistError, ReproError
 from ..obs.metrics import MetricsRegistry
@@ -287,20 +287,12 @@ class Replica:
     def _resync(self, report: PollReport) -> None:
         """Rebuild from the leader's snapshot, then position the cursor
         at the start of the current journal epoch's tail."""
-        from ..broker.persist import _CONTRACTS_FILE, load_database
-
-        manifest_path = self.leader_dir / _CONTRACTS_FILE
-        manifest_epoch = 0
-        if manifest_path.exists():
-            try:
-                manifest = json.loads(
-                    manifest_path.read_text(encoding="utf-8")
-                )
-                manifest_epoch = int(manifest.get("journal_epoch", 0))
-            except (json.JSONDecodeError, TypeError, ValueError):
-                manifest_epoch = 0
+        manifest = read_manifest(self.leader_dir)
+        if manifest is not None:
+            manifest_epoch = manifest.journal_epoch
             db = load_database(self.leader_dir, self.config)
         else:
+            manifest_epoch = 0
             db = ContractDatabase(self.config)
 
         tail = Journal.read_from(self.journal_path, 0)
@@ -335,18 +327,8 @@ class Replica:
                     and record.seq >= self._stalled_seq):
                 break
             try:
-                if record.op == "register":
-                    self._db.register(
-                        record.data["name"],
-                        list(record.data["clauses"]),
-                        record.data.get("attributes") or {},
-                    )
-                elif record.op == "deregister":
-                    self._db.deregister(
-                        deregister_target(self._db, record.data)
-                    )
-                # adopt_index / config records carry no replayable state
-            except (ReproError, KeyError, TypeError, ValueError) as exc:
+                apply_record(self._db, record)
+            except ReproError as exc:
                 # an unapplicable record poisons everything after it
                 # (prefix consistency); stall until the next epoch
                 self._stalled_seq = record.seq

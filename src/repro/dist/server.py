@@ -22,10 +22,11 @@ import socketserver
 import threading
 from pathlib import Path
 
+from ..broker.contract import ContractSpec
 from ..broker.database import BrokerConfig, ContractDatabase
 from ..broker.journal import JOURNAL_FILE, open_database
 from ..core import faults
-from ..errors import DistError, ProtocolError, ReproError
+from ..errors import BrokerError, DistError, ProtocolError, ReproError
 from . import protocol
 
 #: Ops a shard answers.  ``save`` snapshots + compacts (the leader-side
@@ -101,16 +102,18 @@ class ShardServer:
         return {"pong": True, "shard_id": self.shard_id}
 
     def _op_register(self, doc: dict) -> dict:
-        name = doc["name"]
-        if not isinstance(name, str) or not name:
-            raise ProtocolError(f"register needs a contract name, got {name!r}")
+        try:
+            spec = ContractSpec.from_doc(doc)
+        except BrokerError as exc:
+            raise ProtocolError(f"malformed 'register' request: {exc}") from exc
+        name = spec.name
+        if not name:
+            raise ProtocolError("register needs a contract name, got ''")
         if name in self._ids:
             raise DistError(
                 f"shard {self.shard_id} already holds contract {name!r}"
             )
-        contract = self.db.register(
-            name, list(doc["clauses"]), doc.get("attributes") or {}
-        )
+        contract = self.db.register(spec)
         self._ids[name] = contract.contract_id
         return {"name": name, "contract_id": contract.contract_id}
 

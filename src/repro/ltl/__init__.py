@@ -41,7 +41,7 @@ from .equivalence import (
     is_satisfiable,
     is_valid,
 )
-from .parser import parse, parse_clauses
+from .parser import parse
 from .printer import format_formula
 from .rewrite import is_nnf_core, nnf, simplify
 from .runs import EMPTY_SNAPSHOT, Run, Snapshot, snapshot
@@ -76,7 +76,6 @@ __all__ = [
     "is_satisfiable",
     "is_valid",
     "parse",
-    "parse_clauses",
     "format_formula",
     "is_nnf_core",
     "nnf",

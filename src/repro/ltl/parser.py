@@ -211,12 +211,3 @@ def parse(text: str) -> A.Formula:
     Globally('G (dateChange -> !F refund)')
     """
     return _Parser(text).parse()
-
-
-def parse_clauses(texts: list[str]) -> A.Formula:
-    """Parse a list of clause strings and return their conjunction.
-
-    Contracts in the paper are specified as *sets* of declarative clauses
-    whose semantics is the conjunction of all of them (§2, Example 5).
-    """
-    return A.conj([parse(t) for t in texts])

@@ -4,7 +4,6 @@ from repro.automata.graph import (
     backward_reachable,
     is_cyclic_component,
     reachable_from,
-    scc_ids,
     states_on_accepting_cycles,
     strongly_connected_components,
 )
@@ -37,12 +36,6 @@ class TestSCC:
         comps = strongly_connected_components(range(n), adjacency(edges))
         assert len(comps) == 1
         assert len(comps[0]) == n
-
-    def test_scc_ids_consistent(self):
-        edges = {0: [1], 1: [0], 2: [0]}
-        ids = scc_ids([0, 1, 2], adjacency(edges))
-        assert ids[0] == ids[1]
-        assert ids[2] != ids[0]
 
     def test_self_loop_is_own_component(self):
         edges = {0: [0, 1], 1: []}

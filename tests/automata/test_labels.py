@@ -8,7 +8,6 @@ from repro.automata.labels import (
     Literal,
     compatible,
     label_from_formula,
-    label_to_formula,
     neg,
     pos,
 )
@@ -122,10 +121,6 @@ class TestLabelAlgebra:
         # *negative* literal is in the kept set.
         assert label.restrict([pos("b")]) == TRUE_LABEL
 
-    def test_restrict_events(self):
-        label = Label.parse("a & !b & c")
-        assert label.restrict_events({"a", "b"}) == Label.parse("a & !b")
-
     def test_implies(self):
         strong = Label.parse("a & !b")
         weak = Label.parse("a")
@@ -202,10 +197,3 @@ class TestFormulaConversion:
     def test_from_formula_rejects_contradiction(self):
         with pytest.raises(ValueError):
             label_from_formula(parse("a && !a"))
-
-    def test_round_trip(self):
-        label = Label.parse("a & !b & c")
-        assert label_from_formula(label_to_formula(label)) == label
-
-    def test_to_formula_true(self):
-        assert label_to_formula(TRUE_LABEL) == parse("true")

@@ -8,7 +8,7 @@ ground-truth evaluator of :mod:`repro.ltl.semantics`.
 import pytest
 from hypothesis import given, settings
 
-from repro.automata.ltl2ba import translate, translate_text
+from repro.automata.ltl2ba import translate
 from repro.errors import TranslationError
 from repro.ltl.parser import parse
 from repro.ltl.runs import Run
@@ -56,9 +56,6 @@ class TestBasicShapes:
             Run.from_events([], [["a"], ["b"]]),
         ):
             assert raw.accepts(run) == reduced.accepts(run)
-
-    def test_translate_text_shortcut(self):
-        assert translate_text("F p").accepts(Run.from_events([["p"]]))
 
 
 class TestBudget:

@@ -1,7 +1,5 @@
 """Unit tests for BA text serialization."""
 
-import json
-
 import pytest
 
 from repro.automata.buchi import BuchiAutomaton
@@ -11,10 +9,8 @@ from repro.automata.serialize import (
     automaton_to_dict,
     dumps,
     load,
-    load_many,
     loads,
     save,
-    save_many,
 )
 from repro.errors import AutomatonError
 from repro.ltl.parser import parse
@@ -48,13 +44,6 @@ class TestRoundTrip:
         save(sample, path)
         assert load(path) == sample.canonical()
 
-    def test_many_round_trip(self, tmp_path):
-        automata = [translate(parse(t)) for t in ("F a", "G b", "a U b")]
-        path = tmp_path / "db.json"
-        save_many(automata, path)
-        loaded = load_many(path)
-        assert loaded == [ba.canonical() for ba in automata]
-
     def test_output_is_deterministic(self, sample):
         assert dumps(sample) == dumps(sample)
 
@@ -69,12 +58,6 @@ class TestMalformedInput:
             automaton_from_dict(
                 {"states": "x", "initial": 0, "final": [], "transitions": []}
             )
-
-    def test_load_many_requires_list(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"not": "a list"}))
-        with pytest.raises(AutomatonError):
-            load_many(path)
 
     def test_transition_to_unknown_state(self):
         with pytest.raises(AutomatonError):

@@ -366,6 +366,57 @@ class TestConfigRoundTrip:
         db.journal.close()
 
 
+class TestDirectoryWrittenBefore6_0:
+    """The bytes 5.0 wrote, spelled out: a manifest entry per contract,
+    a ``register`` record, a rank-keyed ``deregister`` and a pre-2.0
+    ``contract_id``-keyed one (checksums included) — the three codecs
+    must keep reading them."""
+
+    MANIFEST = {
+        "format_version": 2,
+        "config": {"use_projections": True, "prefilter_depth": 2,
+                   "projection_subset_cap": 2, "state_budget": 60000,
+                   "query_cache_capacity": 128},
+        "contracts": [
+            {"name": "a", "clauses": ["G (x -> F y)"],
+             "attributes": {"price": 3}},
+            {"name": "b", "clauses": ["F x"], "attributes": {}},
+        ],
+        "artifacts": {},
+        "journal_epoch": 1,
+    }
+    JOURNAL = (
+        b'{"ck":"0697c25f9f04cff4","data":{"config":{"prefilter_depth":2,'
+        b'"projection_subset_cap":2,"query_cache_capacity":128,'
+        b'"state_budget":60000,"use_projections":true},"epoch":1},'
+        b'"op":"open","seq":0}\n'
+        b'{"ck":"12fa9d042a03309a","data":{"attributes":{"route":"SAN-NYC"},'
+        b'"clauses":["G !y","F x"],"name":"c"},"op":"register","seq":1}\n'
+        b'{"ck":"7b870ef42deb3379","data":{"rank":1},"op":"deregister",'
+        b'"seq":2}\n'
+        b'{"ck":"064fbf6faf2f1eb4","data":{"contract_id":0},'
+        b'"op":"deregister","seq":3}\n'
+    )
+
+    def test_opens_and_replays(self, tmp_path):
+        (tmp_path / "contracts.json").write_text(json.dumps(self.MANIFEST))
+        (tmp_path / JOURNAL_FILE).write_bytes(self.JOURNAL)
+        db = open_database(tmp_path)
+        assert db.load_report.contracts == 2
+        assert db.journal_report.replayed == 3
+        assert db.journal_report.warnings == []
+        assert db.journal_report.torn_records == 0
+        # rank 1 of (a, b, c) was b; contract_id 0 is a
+        [survivor] = db.contracts()
+        assert survivor.spec.to_doc() == {
+            "name": "c", "clauses": ["G !y", "F x"],
+            "attributes": {"route": "SAN-NYC"},
+        }
+        db.journal.close()
+        # and the file a reopen leaves behind is the one it found
+        assert (tmp_path / JOURNAL_FILE).read_bytes() == self.JOURNAL
+
+
 class TestForeignDirectorySave:
     def test_saving_elsewhere_does_not_compact_the_journal(self, tmp_path):
         home = tmp_path / "home"

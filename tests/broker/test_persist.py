@@ -8,6 +8,7 @@ import pytest
 
 from repro.broker.cache import PLAN_CACHE_CAPACITY
 from repro.broker.database import BrokerConfig, ContractDatabase
+from repro.broker.journal import open_database
 from repro.broker.persist import load_database, save_database
 from repro.errors import BrokerError
 from repro.workload.airfare import QUERIES
@@ -16,6 +17,25 @@ from repro.workload.generator import WorkloadGenerator
 ARTIFACT_FILES = [
     "automata.json", "seeds.json", "encoded.json", "projections.json",
     "index.json", "stats.json",
+]
+
+#: ``(manifest member, hostile value)``: shapes no writer produces
+MALFORMED_MANIFEST_MEMBERS = [
+    pytest.param("contracts", [{"name": "a"}], id="entry-without-clauses"),
+    pytest.param("contracts", [{"clauses": ["F x"]}], id="entry-without-name"),
+    pytest.param("contracts", ["a"], id="entry-a-string"),
+    pytest.param("contracts", [{"name": "a", "clauses": 7}],
+                 id="clauses-an-int"),
+    pytest.param("contracts", {"a": {"clauses": ["F x"]}},
+                 id="contracts-a-dict"),
+    pytest.param("config", ["use_projections"], id="config-a-list"),
+    pytest.param(
+        "contracts",
+        [{"name": "a", "clauses": ["F x"], "attributes": ["price"]}],
+        id="attributes-a-list",
+    ),
+    pytest.param("artifacts", ["automata.json"], id="artifacts-a-list"),
+    pytest.param("journal_epoch", "1", id="epoch-a-string"),
 ]
 
 
@@ -335,6 +355,23 @@ class TestRobustness:
         )
         with pytest.raises(BrokerError):
             load_database(directory)
+
+    @pytest.mark.parametrize("opener", [load_database, open_database])
+    @pytest.mark.parametrize("member, value", MALFORMED_MANIFEST_MEMBERS)
+    def test_malformed_manifest_member_is_a_broker_error(
+        self, tmp_path, opener, member, value
+    ):
+        """The first seven shapes were a KeyError / TypeError /
+        AttributeError from both openers before 6.0; the last two were
+        silently coerced."""
+        manifest = {
+            "format_version": 2, "config": {}, "artifacts": {},
+            "contracts": [{"name": "a", "clauses": ["F x"]}],
+        }
+        manifest[member] = value
+        (tmp_path / "contracts.json").write_text(json.dumps(manifest))
+        with pytest.raises(BrokerError):
+            opener(tmp_path)
 
     @pytest.mark.parametrize("filename", ARTIFACT_FILES)
     def test_corrupt_artifact_falls_back(self, tmp_path, airfare_db,

@@ -164,7 +164,7 @@ class _ScriptedPool:
 
     def submit(self, fn, payload):
         future = Future()
-        name = payload[0][0]  # first clause text identifies the spec
+        name = payload[0]["clauses"][0]  # first clause text identifies the spec
         if (type(self).attempt, name) in type(self).fail_plan:
             future.set_exception(BrokenProcessPool("worker died"))
             return future

@@ -22,9 +22,11 @@ def test_clean_run_exits_zero(tmp_path, capsys):
 
 
 def test_json_output_includes_metrics(tmp_path, capsys):
+    # two cells: the JSON shape does not depend on the lattice, and the
+    # full lattice goes through the CLI in test_clean_run_exits_zero
     code = main(
         ["check", "--seed", "3", "--cases", "3", "--json",
-         "--artifacts", str(tmp_path)]
+         "--configs", "ndfs,ndfs-planner", "--artifacts", str(tmp_path)]
     )
     assert code == 0
     out = capsys.readouterr().out

@@ -2,15 +2,15 @@
 
 Three retry loops lean on this module — the registration pool, the
 coordinator's shard RPCs, and replica catch-up — so the schedule's
-shape (doubling, cap, deterministic jitter) and the deadline discipline
-of :func:`retry_call` are pinned here once for all of them.
+shape (doubling, cap, deterministic jitter) is pinned here once for all
+of them.
 """
 
 import itertools
 
 import pytest
 
-from repro.core.retry import BackoffPolicy, retry_call
+from repro.core.retry import BackoffPolicy
 
 
 class TestBackoffPolicy:
@@ -57,66 +57,3 @@ class TestBackoffPolicy:
         with pytest.raises(ValueError, match="attempt"):
             BackoffPolicy().delay(0)
 
-
-class TestRetryCall:
-    def _flaky(self, failures, exc=OSError("boom")):
-        calls = {"n": 0}
-
-        def fn():
-            calls["n"] += 1
-            if calls["n"] <= failures:
-                raise exc
-            return calls["n"]
-
-        return fn, calls
-
-    def test_transient_failures_are_absorbed(self):
-        fn, calls = self._flaky(2)
-        slept = []
-        policy = BackoffPolicy(max_retries=2, base_seconds=0.01, jitter=0.0)
-        result = retry_call(fn, policy=policy, sleep=slept.append)
-        assert result == 3
-        assert calls["n"] == 3
-        assert slept == [0.01, 0.02]
-
-    def test_budget_exhaustion_reraises_the_last_failure(self):
-        fn, calls = self._flaky(5, exc=OSError("still down"))
-        policy = BackoffPolicy(max_retries=2, base_seconds=0.0)
-        with pytest.raises(OSError, match="still down"):
-            retry_call(fn, policy=policy, sleep=lambda _: None)
-        assert calls["n"] == 3  # first call + two retries
-
-    def test_unlisted_exceptions_pass_straight_through(self):
-        def fn():
-            raise ValueError("not transient")
-
-        with pytest.raises(ValueError):
-            retry_call(
-                fn, policy=BackoffPolicy(), retry_on=(OSError,),
-                sleep=lambda _: None,
-            )
-
-    def test_deadline_is_never_outlived(self):
-        # the backoff sleep would cross the deadline → no sleep, re-raise
-        fn, calls = self._flaky(5)
-        clock = {"now": 10.0}
-        slept = []
-        policy = BackoffPolicy(max_retries=3, base_seconds=0.5, jitter=0.0)
-        with pytest.raises(OSError):
-            retry_call(
-                fn, policy=policy, deadline=10.2,
-                clock=lambda: clock["now"], sleep=slept.append,
-            )
-        assert calls["n"] == 1
-        assert slept == []
-
-    def test_on_retry_observes_each_attempt(self):
-        fn, _ = self._flaky(2)
-        seen = []
-        retry_call(
-            fn,
-            policy=BackoffPolicy(max_retries=2, base_seconds=0.0),
-            sleep=lambda _: None,
-            on_retry=lambda attempt, exc: seen.append((attempt, str(exc))),
-        )
-        assert seen == [(1, "boom"), (2, "boom")]

@@ -12,6 +12,7 @@ import threading
 
 import pytest
 
+from repro.broker.contract import ContractSpec
 from repro.broker.database import ContractDatabase
 from repro.broker.options import Degradation, QueryOptions
 from repro.broker.query import Verdict
@@ -25,6 +26,7 @@ from repro.dist import (
 )
 from repro.dist.coordinator import RPC_GRACE_SECONDS
 from repro.errors import DistError, QueryBudgetError
+from repro.ltl.parser import parse
 
 SPECS = [
     (f"contract-{i}", ["G (a -> F b)"] if i % 2 else ["G !a"], {"price": i * 100})
@@ -131,6 +133,17 @@ class TestEndToEnd:
             db.register("alpha", ["F a"])
             with pytest.raises(DistError, match="already registered"):
                 db.register("alpha", ["F b"])
+
+    def test_register_takes_a_spec_and_forwards_texts_unparsed(self, cluster):
+        with cluster.database() as db:
+            spec = ContractSpec("alpha", (parse("G(a -> F b)"),), {"price": 1})
+            assert db.register(spec).name == "alpha"
+            assert db.query("F b").contract_names == ("alpha",)
+            # clause texts travel as given: a malformed one is the
+            # shard's rejection, not a client-side parse error
+            with pytest.raises(DistError, match="rejected 'register'"):
+                db.register("beta", ["((("])
+            assert len(db) == 1
 
     def test_deregister_routes_home(self, cluster):
         with cluster.database() as db:

@@ -1,12 +1,14 @@
 """Journal shipping: a replica tails the leader's journal and can only
 ever hold a prefix of the leader's acknowledged state."""
 
+import json
+
 import pytest
 
 from repro.broker.journal import open_database
 from repro.broker.persist import save_database
 from repro.dist.replica import Replica
-from repro.errors import DistError
+from repro.errors import DistError, ReproError
 
 
 @pytest.fixture
@@ -138,6 +140,19 @@ class TestEpochChange:
         path.write_bytes(saved)
         replica.catch_up()
         assert _names(replica.db) == ["alpha"]
+
+
+    def test_malformed_leader_manifest_is_a_typed_error(self, tmp_path, leader):
+        """A resync from a manifest whose entry lacks ``clauses`` was a
+        KeyError before 6.0."""
+        leader.register("alpha", ["F a"])
+        save_database(leader, tmp_path)
+        manifest_path = tmp_path / "contracts.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["contracts"][0]["clauses"]
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ReproError):
+            Replica(tmp_path).poll()
 
 
 class TestDeregisterAcrossCompaction:

@@ -118,6 +118,20 @@ class TestQuery:
         code = main(["query", str(bad), "--query", "F a"])
         assert code == 1
 
+    def test_spec_entry_without_clauses(self, tmp_path, capsys):
+        """A KeyError traceback from all four verbs before 6.0."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps([{"name": "a"}]))
+        for argv in (
+            ["query", str(bad), "--query", "F a"],
+            ["build", str(bad), "--out", str(tmp_path / "built")],
+            ["stats", str(bad)],
+            ["serve", "--shards", "1", "--specs", str(bad),
+             "--duration", "0"],
+        ):
+            assert main(argv) == 1
+            assert "error: contract 'a'" in capsys.readouterr().err
+
 
 class TestBuildAndLoad:
     def test_build_then_query_directory(self, spec_file, tmp_path, capsys):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 from repro.errors import LTLSyntaxError
 from repro.ltl import ast as A
-from repro.ltl.parser import parse, parse_clauses, tokenize
+from repro.ltl.parser import parse, tokenize
 from repro.ltl.printer import format_formula
 
 from ..strategies import formulas
@@ -140,15 +140,6 @@ class TestTokenize:
     def test_positions(self):
         tokens = tokenize("p && q")
         assert [t.position for t in tokens] == [0, 2, 5]
-
-
-class TestParseClauses:
-    def test_conjunction_of_clauses(self):
-        f = parse_clauses(["G p", "F q"])
-        assert f == A.And(parse("G p"), parse("F q"))
-
-    def test_empty_clause_list_is_true(self):
-        assert parse_clauses([]) == A.TRUE
 
 
 class TestRoundTrip:
