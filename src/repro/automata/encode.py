@@ -40,7 +40,7 @@ Two invariants the rest of the system relies on:
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from ..errors import AutomatonError
@@ -290,6 +290,14 @@ def encode_automaton(
     )
 
 
+#: How many successor lists a :class:`QueryBinding` may still hold when
+#: a check ends; a check that leaves more clears the table.  Read off the
+#: ``benchmarks/e2e`` database: its 11 285 warm bindings hold median 3,
+#: p95 12, p99 28 and at most 83 lists, the ``pathological`` profile's
+#: adversarial pair thousands.
+SUCCESSOR_TABLE_LIMIT = 256
+
+
 @dataclass(frozen=True)
 class QueryBinding:
     """A query encoding rebased onto one contract's vocabulary.
@@ -300,10 +308,21 @@ class QueryBinding:
     label test, precomputed once per (contract, query) pair.
     ``admissible[q]`` is kept separately for introspection; an
     inadmissible class always has an all-zero compat row.
+
+    ``successors`` is the adjacency of the pair's compatibility product
+    as far as a search has needed it: packed pair → packed successor
+    pairs, a pure function of the two encodings and ``compat``.
+    :func:`repro.core.permission.permits_encoded` fills it on a miss and
+    bounds it by :data:`SUCCESSOR_TABLE_LIMIT`; it holds graph edges only
+    — no verdict, no visited set, no counter — and lives exactly as long
+    as whoever holds the binding.
     """
 
     admissible: tuple[bool, ...]
     compat: tuple[int, ...]
+    successors: dict[int, tuple[int, ...]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
 
 def bind_query(

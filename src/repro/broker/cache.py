@@ -21,9 +21,11 @@ A cache entry is a *prepared query*: besides what the formula alone
 determines, it memoizes — per candidate contract, on the pair's first
 check — the encoding the check runs on and the Definition-7 binding
 (:meth:`CompiledQuery.prepared`), so a warm check is one lookup plus the
-search.  In front of the normalization sits a bounded text → (formula,
-key) memo (:meth:`QueryCompilationCache.parsed`): a repeated query
-*text* is not even tokenized again.
+search — over a product whose adjacency the binding keeps from the
+pair's earlier searches (``QueryBinding.successors``).  In front of the
+normalization sits a bounded text → (formula, key) memo
+(:meth:`QueryCompilationCache.parsed`): a repeated query *text* is not
+even tokenized again.
 
 The cache is thread-safe (a shard server answers each connection on its
 own thread) and keeps hit/miss/eviction counters that the broker's
@@ -153,6 +155,12 @@ class CompiledQuery:
         projection), so a stale selection is never served.  Concurrent
         first checks of one pair may both compute; the values are equal
         and the last store wins.
+
+        The binding is also where the pair's searches keep the product
+        adjacency they expanded
+        (:attr:`~repro.automata.encode.QueryBinding.successors`), so
+        that table has this memo's owner, validation and lifetime: a
+        recomputed pair starts from an empty one.
         """
         store = contract.projections if use_projections else None
         generation = 0 if store is None else store.generation

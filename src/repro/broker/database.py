@@ -592,42 +592,39 @@ class ContractDatabase:
 
         candidates = [contracts[cid] for cid in sorted(candidate_ids)]
 
-        def make_budget() -> ExecutionBudget | None:
-            if not options.budgeted:
-                return None
-            steps = (
-                StepBudget(options.step_budget)
-                if options.step_budget is not None
-                else None
-            )
-            return ExecutionBudget(deadline=query_deadline, steps=steps)
-
-        checks = [
-            self._check_candidate(
-                contract, compiled, plan.use_projections, make_budget()
-            )
-            for contract in candidates
-        ]
-
+        # What the checks of one query share is decided once: whether
+        # they are budgeted at all, and the (immutable) step cap.  The
+        # charge bookkeeping is per check, so each gets its own budget.
+        budgeted = options.budgeted
+        steps = (
+            StepBudget(options.step_budget)
+            if options.step_budget is not None
+            else None
+        )
+        use_projections = plan.use_projections
         matched: list[Contract] = []
         maybe: list[Contract] = []
         verdicts: dict[int, Verdict] = {}
-        for contract, (verdict, selection, permission) in zip(
-            candidates, checks
-        ):
-            stats.selection_seconds += selection
-            stats.permission_seconds += permission
+        selection_seconds = permission_seconds = 0.0
+        for contract in candidates:
+            verdict, selection, permission = self._check_candidate(
+                contract, compiled, use_projections,
+                ExecutionBudget(deadline=query_deadline, steps=steps)
+                if budgeted else None,
+            )
+            selection_seconds += selection
+            permission_seconds += permission
             verdicts[contract.contract_id] = verdict
-            if verdict.conclusive:
-                stats.checked += 1
-                if verdict is Verdict.PERMITTED:
-                    matched.append(contract)
-            else:
+            if verdict is Verdict.PERMITTED:
+                matched.append(contract)
+            elif verdict is not Verdict.NOT_PERMITTED:  # inconclusive
+                maybe.append(contract)
                 if verdict is Verdict.TIMED_OUT:
                     stats.timed_out += 1
-                else:
-                    stats.skipped += 1
-                maybe.append(contract)
+        stats.selection_seconds = selection_seconds
+        stats.permission_seconds = permission_seconds
+        stats.skipped = len(maybe) - stats.timed_out
+        stats.checked = len(candidates) - len(maybe)
 
         stats.degraded = bool(maybe)
         if stats.degraded and options.degradation is Degradation.FAIL:

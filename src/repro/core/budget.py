@@ -33,9 +33,10 @@ from typing import Callable
 
 from ..errors import BudgetExceededError
 
-#: How many search steps may pass between two wall-clock reads.  At the
-#: ~0.1–0.3 ms/step pace of the NDFS on label-heavy automata this bounds
-#: the deadline overshoot to a few milliseconds.
+#: How many search steps may pass between two wall-clock reads.  A step
+#: costs a microsecond or two (less on a binding whose successor table
+#: is warm), so sixteen of them overshoot a deadline by well under a
+#: millisecond while the clock is read on one step in sixteen.
 DEFAULT_CHECK_INTERVAL = 16
 
 
@@ -71,9 +72,15 @@ class Deadline:
 class StepBudget:
     """A cap on the search steps one permission check may spend.
 
-    Deterministic — unlike a wall-clock deadline, the same query against
-    the same contract exhausts a step budget at exactly the same point on
-    every run, which is what the degradation tests rely on.
+    Deterministic *within one process* — unlike a wall-clock deadline,
+    the same query against the same contract exhausts a step budget at
+    exactly the same point on every ask, whatever ran before or runs
+    beside it, which is what the degradation tests rely on.  Across
+    processes it holds only under one ``PYTHONHASHSEED``: the translator
+    iterates sets, so ``encode_automaton(translate(f))`` lists the same
+    states and transitions in a salt-dependent order and the search
+    visits them in that order — a leader and its replica may degrade a
+    step-budgeted query differently (ROADMAP item 7).
     """
 
     max_steps: int

@@ -14,7 +14,9 @@ One algorithm decides it, over the flat int/bitset encoding of
 Algorithm 2 — an outer depth-first search over compatible product pairs
 with a nested cycle search at every candidate knot, pruned by the
 precomputed *seeds* of §6.2.4.  The broker calls it with the encodings,
-binding and seed mask it precomputed.  :func:`permits` takes object
+binding and seed mask it precomputed, and the binding remembers the
+product adjacency the pair's searches expanded, so a repeated check
+searches a graph it already has.  :func:`permits` takes object
 automata instead: it encodes both sides and delegates, for callers that
 hold a :class:`~repro.automata.buchi.BuchiAutomaton` and check it once.
 
@@ -34,6 +36,7 @@ from typing import Hashable, Iterator
 from ..automata import graph
 from ..automata.buchi import BuchiAutomaton
 from ..automata.encode import (
+    SUCCESSOR_TABLE_LIMIT,
     EncodedAutomaton,
     QueryBinding,
     bind_query,
@@ -167,7 +170,7 @@ def _pair_successors(
 
 # -- the decider -------------------------------------------------------------------
 #
-# The searches walk the flat int encoding of repro.automata.encode.
+# The search walks the flat int encoding of repro.automata.encode.
 # Product pairs are packed as ``contract_id * num_query_states +
 # query_id``; cycle nodes additionally pack the foundFinal flag into the
 # low bit.  The encoding preserves per-state transition order, so the
@@ -175,39 +178,41 @@ def _pair_successors(
 # ExecutionBudget trips — is a function of the automata alone.
 
 
-def _encoded_expander(
+def _expand_pair(
     contract: EncodedAutomaton,
     query: EncodedAutomaton,
     binding: QueryBinding,
-):
-    """A memoized ``pair -> list of successor pairs`` over the packed
-    compatibility product.  Memoization is sound for the search's
-    counters: they count pair/node *visits* (at pop time), never
-    expansions.
+    pair: int,
+) -> tuple[int, ...]:
+    """The compatible product successors of ``pair`` — the CSR rows of
+    both automata joined through the Definition-7 ``compat`` table —
+    recorded in ``binding.successors``.
+
+    A successor reached through several transition pairs is listed once,
+    at its *last* position: the search pushes a list in order and pops
+    from the end, so an earlier copy is always popped after the later
+    one and skipped as visited.  The entry is built whole and published
+    by one store: a concurrent search of the same binding reads either
+    nothing or all of it.
     """
     nq = query.num_states
-    c_off, c_lab, c_dst = contract.offsets, contract.trans_labels, contract.trans_dsts
-    q_off, q_lab, q_dst = query.offsets, query.trans_labels, query.trans_dsts
+    c, q = divmod(pair, nq)
+    c_lab, c_dst = contract.trans_labels, contract.trans_dsts
+    c_row = range(contract.offsets[c], contract.offsets[c + 1])
+    q_lab, q_dst = query.trans_labels, query.trans_dsts
     compat = binding.compat
-    cache: dict[int, list[int]] = {}
-
-    def expand(pair: int) -> list[int]:
-        cached = cache.get(pair)
-        if cached is None:
-            c, q = divmod(pair, nq)
-            cached = []
-            for qi in range(q_off[q], q_off[q + 1]):
-                row = compat[q_lab[qi]]
-                if not row:
-                    continue
-                dq = q_dst[qi]
-                for ci in range(c_off[c], c_off[c + 1]):
-                    if (row >> c_lab[ci]) & 1:
-                        cached.append(c_dst[ci] * nq + dq)
-            cache[pair] = cached
-        return cached
-
-    return expand
+    found: list[int] = []
+    for qi in range(query.offsets[q], query.offsets[q + 1]):
+        row = compat[q_lab[qi]]
+        if not row:
+            continue
+        dq = q_dst[qi]
+        for ci in c_row:
+            if (row >> c_lab[ci]) & 1:
+                found.append(c_dst[ci] * nq + dq)
+    successors = tuple(dict.fromkeys(reversed(found)))[::-1]
+    binding.successors[pair] = successors
+    return successors
 
 
 def permits_encoded(
@@ -227,7 +232,11 @@ def permits_encoded(
         contract: the encoded contract BA (over its full vocabulary).
         query: the encoded query BA (over its own events).
         binding: precomputed :func:`repro.automata.encode.bind_query`
-            table; computed on the fly when omitted.
+            table; computed on the fly when omitted.  The search reads
+            the product's adjacency from ``binding.successors`` and
+            records there what it had to expand, so a later check on the
+            same binding runs the same search — visit order, counters,
+            budget charges — without walking the CSR rows again.
         seeds_mask: bitset of seed state ids
             (:func:`repro.core.seeds.compute_seeds_mask`); computed on
             the fly when ``use_seeds`` is set and none given.
@@ -235,7 +244,7 @@ def permits_encoded(
             (``False`` is the ablation of
             ``benchmarks/bench_ablation_seeds.py``; the broker always
             applies it).
-        stats: optional mutable counters, filled in during the search.
+        stats: optional mutable counters, written when the search ends.
         budget: optional :class:`~repro.core.budget.ExecutionBudget`; the
             search charges it once per visited pair / cycle node and
             propagates its :class:`~repro.errors.BudgetExceededError`
@@ -247,104 +256,88 @@ def permits_encoded(
         stats = PermissionStats()
     if binding is None:
         binding = bind_query(contract, query)
-    if use_seeds and seeds_mask is None:
+    if not use_seeds:
+        seeds_mask = None
+    elif seeds_mask is None:
         seeds_mask = compute_seeds_mask(contract)
+
+    nq = query.num_states
+    query_final = query.final_mask
+    contract_final = contract.final_mask
+    table = binding.successors
+    charge = None if budget is None else budget.charge
+    # the four counters live in locals and are written back once, below
+    pairs, nodes = stats.pairs_visited, stats.cycle_nodes_visited
+    searches, skipped = stats.cycle_searches, stats.seeds_skipped
+    visited: set[int] = set()
+    stack: list[int] = [contract.initial * nq + query.initial]
     try:
-        return _ndfs_search_encoded(
-            contract, query, binding,
-            seeds_mask=seeds_mask, use_seeds=use_seeds,
-            stats=stats, budget=budget,
-        )
+        while stack:
+            pair = stack.pop()
+            if pair in visited:
+                continue
+            visited.add(pair)
+            pairs += 1
+            if charge is not None:
+                charge(pairs + nodes)
+            is_knot = (query_final >> (pair % nq)) & 1
+            if is_knot and seeds_mask is not None and not (
+                (seeds_mask >> (pair // nq)) & 1
+            ):
+                skipped += 1
+            elif is_knot:
+                # The nested search of Algorithm 2: is there a non-empty
+                # cycle from the knot ``pair`` back to itself that visits
+                # a pair with a contract-final state?  It explores the
+                # product augmented with a boolean *foundFinal* flag (the
+                # paper's variable of the same name), packed as ``(pair
+                # << 1) | foundFinal``, so each augmented node is visited
+                # once — the iterative equivalent of the memoization
+                # scheme the paper describes at the end of §6.2.2.
+                searches += 1
+                seen: set[int] = set()
+                todo = [(pair << 1) | ((contract_final >> (pair // nq)) & 1)]
+                while todo:
+                    node = todo.pop()
+                    if node in seen:
+                        continue
+                    seen.add(node)
+                    nodes += 1
+                    if charge is not None:
+                        charge(pairs + nodes)
+                    flag = node & 1
+                    successors = table.get(node >> 1)
+                    if successors is None:
+                        successors = _expand_pair(
+                            contract, query, binding, node >> 1
+                        )
+                    if flag and pair in successors:
+                        stats.result = True
+                        return True
+                    for succ in successors:
+                        succ = (succ << 1) | flag | (
+                            (contract_final >> (succ // nq)) & 1
+                        )
+                        if succ not in seen:
+                            todo.append(succ)
+            successors = table.get(pair)
+            if successors is None:
+                successors = _expand_pair(contract, query, binding, pair)
+            for succ in successors:
+                if succ not in visited:
+                    stack.append(succ)
+        stats.result = False
+        return False
     except BudgetExceededError:
         stats.budget_exhausted = True
         raise
-
-
-def _ndfs_search_encoded(
-    contract: EncodedAutomaton,
-    query: EncodedAutomaton,
-    binding: QueryBinding,
-    *,
-    seeds_mask: int | None,
-    use_seeds: bool,
-    stats: PermissionStats,
-    budget: ExecutionBudget | None,
-) -> bool:
-    nq = query.num_states
-    query_final = query.final_mask
-    expand = _encoded_expander(contract, query, binding)
-    start = contract.initial * nq + query.initial
-    visited: set[int] = set()
-    stack: list[int] = [start]
-    while stack:
-        pair = stack.pop()
-        if pair in visited:
-            continue
-        visited.add(pair)
-        stats.pairs_visited += 1
-        if budget is not None:
-            budget.charge(stats.search_steps)
-        if (query_final >> (pair % nq)) & 1:
-            if (
-                use_seeds
-                and seeds_mask is not None
-                and not ((seeds_mask >> (pair // nq)) & 1)
-            ):
-                stats.seeds_skipped += 1
-            else:
-                stats.cycle_searches += 1
-                if _cycle_search_encoded(
-                    contract, nq, expand, pair, stats, budget
-                ):
-                    stats.result = True
-                    return True
-        for succ in expand(pair):
-            if succ not in visited:
-                stack.append(succ)
-    stats.result = False
-    return False
-
-
-def _cycle_search_encoded(
-    contract: EncodedAutomaton,
-    nq: int,
-    expand,
-    knot: int,
-    stats: PermissionStats,
-    budget: ExecutionBudget | None = None,
-) -> bool:
-    """The nested search of Algorithm 2: is there a non-empty cycle from
-    ``knot`` back to itself that visits a pair with a contract-final
-    state?
-
-    Explores the product augmented with a boolean *foundFinal* flag (the
-    paper's variable of the same name), packed as ``(pair << 1) |
-    foundFinal``, so each augmented node is visited once — the iterative
-    equivalent of the memoization scheme the paper describes at the end
-    of §6.2.2.
-    """
-    contract_final = contract.final_mask
-    start_flag = (contract_final >> (knot // nq)) & 1
-    visited: set[int] = set()
-    stack: list[int] = [(knot << 1) | start_flag]
-    while stack:
-        node = stack.pop()
-        if node in visited:
-            continue
-        visited.add(node)
-        stats.cycle_nodes_visited += 1
-        if budget is not None:
-            budget.charge(stats.search_steps)
-        flag = node & 1
-        for succ in expand(node >> 1):
-            if flag and succ == knot:
-                return True
-            succ_node = (succ << 1) | (
-                flag | ((contract_final >> (succ // nq)) & 1)
-            )
-            if succ_node not in visited:
-                stack.append(succ_node)
-    return False
+    finally:
+        stats.pairs_visited, stats.cycle_nodes_visited = pairs, nodes
+        stats.cycle_searches, stats.seeds_skipped = searches, skipped
+        # an adversarial product is not kept: it is searched again from
+        # the CSR rows, at the cost and the budget trip it always had
+        if len(table) > SUCCESSOR_TABLE_LIMIT:
+            table.clear()
 
 
 def permits(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.automata.encode import SUCCESSOR_TABLE_LIMIT
 from repro.broker.cache import (
     QueryCompilationCache,
     normalized_query_key,
@@ -335,12 +336,15 @@ class TestPreparedQuery:
 
     def test_second_ask_recomputes_nothing(self, monkeypatch, hoisted_calls):
         """The count-based guard (no timing floor): asking the same text
-        twice costs N bindings, N selections and one parse the first
-        time and none the second, and every check of the second ask does
-        exactly the first's search."""
+        twice costs N bindings, N selections, one parse and some product
+        expansions the first time and none the second, and every check
+        of the second ask does exactly the first's search."""
         import repro.broker.database as database_module
+        import repro.core.permission as permission_module
         from repro.core.permission import PermissionStats
 
+        expansions = _CallCounter(
+            monkeypatch, permission_module, "_expand_pair")
         searches = []
         real_permits = database_module.permits_encoded
 
@@ -363,9 +367,12 @@ class TestPreparedQuery:
         }
         first_searches = list(searches)
         assert len(first_searches) == n
+        expanded = expansions.calls
+        assert expanded > 0
 
         second = db.query(self.QUERY, self.PROJECTED)
         assert second.stats.cache_hit
+        assert expansions.calls == expanded
         assert _counts(hoisted_calls) == {
             "bind_query": n, "select_key": n, "select_artifacts": n,
             "parse": 1,
@@ -405,6 +412,8 @@ class TestPreparedQuery:
             compiled.prepared(c, True)[0] is c.encoded for c in contracts
         )
         generations = [c.projections.generation for c in contracts]
+        bindings = [compiled.prepared(c, True)[2] for c in contracts]
+        assert all(b.successors for b in bindings)
 
         assert db.precompute_for_workload([query]) > 0
         assert [c.projections.generation for c in contracts] == [
@@ -423,6 +432,11 @@ class TestPreparedQuery:
         ]
         assert all(used <= full for used, full in sizes)
         assert any(used < full for used, full in sizes)
+        # ... on a binding of its own: no successor table survives
+        assert all(
+            compiled.prepared(c, True)[2] is not stale
+            for c, stale in zip(contracts, bindings)
+        )
 
     def test_reregistered_name_is_checked_on_its_own_encoding(self):
         """(b) deregister + register of a different automaton under the
@@ -443,7 +457,7 @@ class TestPreparedQuery:
         twin = dataclasses.replace(new, contract_id=old.contract_id)
         compiled.prepared(old, True)
         fresh = compiled.prepared(twin, True)
-        assert fresh is not stale
+        assert fresh is not stale and fresh[2] is not stale[2]
         assert fresh[0].events == ("a", "b")
 
     def test_deregister_releases_the_contract(self):
@@ -474,7 +488,7 @@ class TestPreparedQuery:
         wider = contract.vocabulary | {"refund"}
         contract.projections.set_vocabulary(wider)
         fresh = compiled.prepared(contract, True)
-        assert fresh is not stale
+        assert fresh is not stale and fresh[2] is not stale[2]
         assert fresh[0].events == tuple(sorted(wider))
         assert compiled.prepared(contract, True) is fresh
 
@@ -495,11 +509,29 @@ class TestPreparedQuery:
         projected = [compiled.prepared(c, True)[0] for c in contracts]
         assert all(e is c.encoded for e, c in zip(full, contracts))
         assert any(e is not c.encoded for e, c in zip(projected, contracts))
+        assert all(
+            compiled.prepared(c, False)[2] is not compiled.prepared(c, True)[2]
+            for c in contracts
+        )
 
-    def test_zero_capacity_retains_nothing(self, hoisted_calls):
-        """(e) with the cache off every ask prepares from scratch —
-        and still answers."""
+    def test_zero_capacity_retains_nothing(self, monkeypatch, hoisted_calls):
+        """(e) with the cache off every ask prepares from scratch — on
+        a binding of its own, with an empty successor table — and still
+        answers."""
+        import repro.broker.database as database_module
+
+        bindings = []
+        real_permits = database_module.permits_encoded
+
+        def recording_permits(contract, query, binding, **kwargs):
+            bindings.append((binding, len(binding.successors)))
+            return real_permits(contract, query, binding, **kwargs)
+
+        monkeypatch.setattr(
+            database_module, "permits_encoded", recording_permits
+        )
         expected = _db().query(self.QUERY, self.PROJECTED).contract_names
+        del bindings[:]
         db = _db(query_cache_capacity=0)
         before = _counts(hoisted_calls)
         for _ in range(2):
@@ -514,6 +546,8 @@ class TestPreparedQuery:
             "select_artifacts": before["select_artifacts"] + 2 * n,
             "parse": before["parse"] + 2,
         }
+        assert len({id(binding) for binding, _ in bindings}) == 2 * n
+        assert {held for _, held in bindings} == {0}
 
 
 class TestPreparedQueryIsBounded:
@@ -563,6 +597,11 @@ class TestPreparedQueryIsBounded:
         assert baseline
         first, _ = db.query_cache.compile(parse(texts[0]))
         evicted = weakref.ref(first)
+        evicted_bindings = [
+            weakref.ref(first.prepared(contract, True)[2])
+            for contract in db.contracts()
+        ]
+        assert any(ref().successors for ref in evicted_bindings)
         del first
 
         for text in texts[self.CAPACITY:]:
@@ -572,6 +611,15 @@ class TestPreparedQueryIsBounded:
         assert db.cache_stats().evictions == 9 * self.CAPACITY
         gc.collect()
         assert evicted() is None
+        # ... and its bindings' successor tables went with it
+        assert [ref() for ref in evicted_bindings] == [None] * len(db)
+        # what the live entries hold is bounded per binding
+        for text in texts[-self.CAPACITY:]:
+            compiled, hit = db.query_cache.compile(parse(text))
+            assert hit
+            for contract in db.contracts():
+                binding = compiled.prepared(contract, True)[2]
+                assert len(binding.successors) <= SUCCESSOR_TABLE_LIMIT
 
         # the text memo holds exactly the last CAPACITY texts
         parses = hoisted_calls["parse"].calls

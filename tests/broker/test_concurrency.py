@@ -178,17 +178,34 @@ class TestConcurrentFirstUse:
     first use of a projection materializes its quotient: the store must
     publish a quotient's record whole.  (``_materialize`` once published
     the quotient before its seeds; a second reader then died with
-    ``KeyError: (partition_id, subset)``.)"""
+    ``KeyError: (partition_id, subset)``.)  The same first checks race
+    to fill one binding's successor table, whose entries are published
+    whole too: every thread must run, check by check, the search a lone
+    caller runs."""
 
     TRIALS = 30
     THREADS = 4
 
-    def test_first_use_queries_race_on_a_fresh_database(self):
+    def test_first_use_queries_race_on_a_fresh_database(self, monkeypatch):
+        import repro.broker.database as database_module
         from repro.automata.ltl2ba import translate
         from repro.broker.contract import ContractSpec
         from repro.broker.options import PrebuiltArtifacts
+        from repro.core.permission import PermissionStats
         from repro.ltl.ast import conj
         from repro.workload.generator import WorkloadGenerator
+
+        searches = threading.local()
+        real_permits = database_module.permits_encoded
+
+        def recording_permits(*args, **kwargs):
+            stats = kwargs["stats"] = PermissionStats()
+            searches.of_this_thread.append(stats)
+            return real_permits(*args, **kwargs)
+
+        monkeypatch.setattr(
+            database_module, "permits_encoded", recording_permits
+        )
 
         specs = [
             ContractSpec(name=f"c{i}", clauses=tuple(spec.clauses))
@@ -208,10 +225,16 @@ class TestConcurrentFirstUse:
                 db.register(spec, prebuilt=PrebuiltArtifacts(ba=ba))
             return db
 
-        expected = [
-            outcome.contract_names
-            for outcome in fresh_database().query_many(queries)
-        ]
+        def ask(db):
+            """Every answer, and every check's counters in check order."""
+            searches.of_this_thread = []
+            answers = [
+                outcome.contract_names for outcome in db.query_many(queries)
+            ]
+            return answers, searches.of_this_thread
+
+        expected = ask(fresh_database())
+        assert len(expected[1]) > len(queries)
 
         def trial():
             db = fresh_database()
@@ -221,12 +244,9 @@ class TestConcurrentFirstUse:
             def client():
                 try:
                     barrier.wait(timeout=30)
-                    answers = [
-                        outcome.contract_names
-                        for outcome in db.query_many(queries)
-                    ]
-                    if answers != expected:
-                        failures.append(answers)
+                    answered = ask(db)
+                    if answered != expected:
+                        failures.append(answered)
                 except Exception as exc:
                     failures.append(exc)
 

@@ -82,17 +82,71 @@ class TestDeadlineDegradation:
         assert all(v.conclusive for v in outcome.verdicts.values())
 
     def test_skipped_checks_report_no_permission_time(
-        self, adversarial_db, adversarial_query
+        self, adversarial_db, adversarial_query, monkeypatch
     ):
+        checks = []
+        check_candidate = adversarial_db._check_candidate
+
+        def recording_check(*args):
+            checks.append(check_candidate(*args))
+            return checks[-1]
+
+        monkeypatch.setattr(
+            adversarial_db, "_check_candidate", recording_check
+        )
         outcome = adversarial_db.query(
             adversarial_query,
             QueryOptions(deadline_seconds=0.05, **SCAN),
         )
         skipped = [
-            cid for cid, v in outcome.verdicts.items()
-            if v is Verdict.SKIPPED
+            (selection, permission)
+            for verdict, selection, permission in checks
+            if verdict is Verdict.SKIPPED
         ]
         assert skipped  # the monster burned the whole budget
+        assert len(skipped) == outcome.stats.skipped
+        assert set(skipped) == {(0.0, 0.0)}
+        # ... so the query's permission time is the started checks' alone
+        started = [
+            permission for verdict, _, permission in checks
+            if verdict is not Verdict.SKIPPED
+        ]
+        assert all(seconds > 0.0 for seconds in started)
+        assert outcome.stats.permission_seconds == pytest.approx(sum(started))
+
+    def test_monster_product_is_searched_again_on_every_ask(
+        self, adversarial_db, adversarial_query
+    ):
+        """The successor table a check leaves on its binding is bounded:
+        an *unbudgeted* check of the monster pair walks a product far
+        larger than ``SUCCESSOR_TABLE_LIMIT`` and keeps none of it, so
+        the next ask under a deadline degrades exactly like the first —
+        a repeated adversarial query never gets cheaper by repetition."""
+        from repro.automata.encode import SUCCESSOR_TABLE_LIMIT
+        from repro.ltl.parser import parse
+
+        exact = adversarial_db.query(adversarial_query, QueryOptions(**SCAN))
+        assert not exact.degraded
+        compiled, hit = adversarial_db.query_cache.compile(
+            parse(adversarial_query)
+        )
+        assert hit
+        for contract in adversarial_db.contracts():
+            binding = compiled.prepared(contract, False)[2]
+            assert len(binding.successors) <= SUCCESSOR_TABLE_LIMIT
+        monster = compiled.prepared(adversarial_db.get(0), False)[2]
+        assert monster.successors == {}
+
+        again = adversarial_db.query(
+            adversarial_query,
+            QueryOptions(deadline_seconds=0.05, **SCAN),
+        )
+        assert again.verdicts[0] is Verdict.TIMED_OUT
+        assert all(
+            verdict is Verdict.SKIPPED
+            for cid, verdict in again.verdicts.items() if cid != 0
+        )
+        assert len(monster.successors) <= SUCCESSOR_TABLE_LIMIT
 
 
 class TestStepBudgetDegradation:

@@ -6,7 +6,8 @@
 snapshot alphabet and shares no code with it — on the paper fixtures
 and on random LTL formulas, with and without the seed filter.  Work
 counters and budget trip points are a function of the automata alone,
-identical through either entry point.
+identical through either entry point — and identical whether the
+binding's successor table is empty, full or half filled.
 """
 
 import dataclasses
@@ -15,7 +16,11 @@ import pytest
 from hypothesis import given, settings
 
 from repro.automata.buchi import BuchiAutomaton
-from repro.automata.encode import bind_query, encode_automaton
+from repro.automata.encode import (
+    SUCCESSOR_TABLE_LIMIT,
+    bind_query,
+    encode_automaton,
+)
 from repro.automata.ltl2ba import translate
 from repro.check.oracle import oracle_permits
 from repro.core.budget import ExecutionBudget, StepBudget
@@ -115,6 +120,123 @@ class TestBudgetParity:
             assert stats.budget_exhausted
             assert budget.exhausted_reason == "steps"
             assert stats.search_steps == cap + 1
+
+
+def run_search(enc_c, enc_q, binding, steps=None):
+    """One check on ``binding``: ``(verdict, PermissionStats)``, the
+    verdict ``None`` when a step budget of ``steps`` interrupted it."""
+    stats = PermissionStats()
+    budget = None if steps is None else ExecutionBudget(steps=StepBudget(steps))
+    try:
+        verdict = permits_encoded(
+            enc_c, enc_q, binding, stats=stats, budget=budget
+        )
+    except BudgetExceededError:
+        verdict = None
+    return verdict, stats
+
+
+def assert_same_search_cold_or_warm(contract, query):
+    """What a check computes does not depend on what earlier checks left
+    in ``binding.successors``: same verdict, same counters, and a step
+    budget of any size trips (or not) at the same step."""
+    enc_c, enc_q = encode_automaton(contract), encode_automaton(query)
+    binding = bind_query(enc_c, enc_q)
+    assert binding.successors == {}
+    cold = run_search(enc_c, enc_q, binding)
+    assert 0 < len(binding.successors) <= cold[1].search_steps
+    warm = run_search(enc_c, enc_q, binding)
+    binding.successors.clear()
+    cleared = run_search(enc_c, enc_q, binding)
+    assert cold == warm == cleared
+
+    total = cold[1].search_steps
+    for steps in range(1, total + 1):
+        on_cold = run_search(enc_c, enc_q, bind_query(enc_c, enc_q), steps)
+        on_warm = run_search(enc_c, enc_q, binding, steps)
+        assert on_cold == on_warm
+        if steps < total:
+            assert on_cold[0] is None
+            assert on_cold[1].budget_exhausted
+            assert on_cold[1].search_steps == steps + 1
+        else:
+            assert on_cold == cold
+
+
+class TestSuccessorTable:
+    """``binding.successors`` changes what a check costs, never what it
+    computes."""
+
+    @pytest.mark.parametrize("contract,query", PAIRS)
+    def test_same_search_cold_or_warm(self, contract, query):
+        assert_same_search_cold_or_warm(ba_of(contract), ba_of(query))
+
+    @settings(max_examples=25, deadline=None)
+    @given(spec=formulas(max_depth=3), q=formulas(max_depth=3))
+    def test_same_search_cold_or_warm_on_random_formulas(self, spec, q):
+        assert_same_search_cold_or_warm(translate(spec), translate(q))
+
+    def test_interrupted_check_leaves_a_table_the_next_one_continues(
+        self, monkeypatch
+    ):
+        import repro.core.permission as permission
+
+        expanded = []
+        real_expand = permission._expand_pair
+
+        def recording_expand(contract, query, binding, pair):
+            expanded.append(pair)
+            return real_expand(contract, query, binding, pair)
+
+        monkeypatch.setattr(permission, "_expand_pair", recording_expand)
+        enc_c = encode_automaton(ba_of("(a U b) && G(c -> F a)"))
+        enc_q = encode_automaton(ba_of("F c"))
+
+        cold = run_search(enc_c, enc_q, bind_query(enc_c, enc_q))
+        whole = list(expanded)
+        assert len(set(whole)) == len(whole) > 2  # each pair expanded once
+
+        del expanded[:]
+        binding = bind_query(enc_c, enc_q)
+        tripped = run_search(enc_c, enc_q, binding, cold[1].search_steps // 2)
+        assert tripped[0] is None
+        first_part = list(expanded)
+        assert 0 < len(first_part) < len(whole)
+        assert sorted(binding.successors) == sorted(first_part)
+
+        del expanded[:]
+        assert run_search(enc_c, enc_q, binding) == cold
+        # the rest, and only the rest
+        assert first_part + expanded == whole
+
+    def test_oversized_table_is_dropped_when_the_check_ends(
+        self, monkeypatch
+    ):
+        """The table is bounded by a number of automaton pairs: a check
+        that ends — by answering or by its budget — holding more than
+        ``SUCCESSOR_TABLE_LIMIT`` lists clears it, one within the limit
+        keeps it.  (The limit is lowered to this product's size here;
+        ``tests/broker/test_degradation.py`` meets the real one.)"""
+        import repro.core.permission as permission
+
+        assert permission.SUCCESSOR_TABLE_LIMIT == SUCCESSOR_TABLE_LIMIT
+        enc_c = encode_automaton(ba_of("G(a -> F b)"))
+        enc_q = encode_automaton(ba_of("F(b && F a)"))
+        binding = bind_query(enc_c, enc_q)
+        cold = run_search(enc_c, enc_q, binding)
+        size = len(binding.successors)
+        assert 1 < size <= SUCCESSOR_TABLE_LIMIT
+
+        monkeypatch.setattr(permission, "SUCCESSOR_TABLE_LIMIT", size)
+        assert run_search(enc_c, enc_q, binding) == cold
+        assert len(binding.successors) == size
+        monkeypatch.setattr(permission, "SUCCESSOR_TABLE_LIMIT", size - 1)
+        assert run_search(enc_c, enc_q, binding) == cold
+        assert binding.successors == {}
+
+        monkeypatch.setattr(permission, "SUCCESSOR_TABLE_LIMIT", 0)
+        assert run_search(enc_c, enc_q, binding, steps=1)[0] is None
+        assert binding.successors == {}
 
 
 class TestPrecomputedArtifacts:
