@@ -1,0 +1,116 @@
+#!/usr/bin/env python3
+"""Dump what registration derives from a contract, one JSON line each.
+
+The registration-side twin of ``dump_answers.py``.  A change to the
+translator, the reducer, the encoding or the projection store that
+claims to be a pure speed-up must leave every derived artifact as it
+was — not only the answers computed from them: block ids are bytes in
+``projections.json``, state order is bytes in ``encoded.json``.  This
+script registers two seeded batches through ``ContractDatabase.register``
+
+* the contracts of the end-to-end benchmark's ``--seed`` instance
+  (``benchmarks/e2e/shapes.json``, in the instance's registration order),
+* a ``WorkloadGenerator(seed=--seed)`` batch of 3- and 4-pattern specs,
+
+and writes per contract the flat encoding (``Contract.encoded.to_dict()``),
+the projection store (``ProjectionStore.to_dict()`` without the one
+field that is a clock, ``stats.build_seconds``) and a second store built
+with ``max_subset_size=1`` plus two wider ``extra_subsets`` — the
+workload-guided route, whose seeds are found by the scan fallback.
+
+    python3 scripts/dump_artifacts.py --out change.jsonl
+    python3 scripts/dump_artifacts.py --src ../parent/src --out parent.jsonl
+    cmp parent.jsonl change.jsonl
+
+Seconds, not minutes.  The translator's state order depends on the hash
+salt (ROADMAP item 7), so compare two dumps taken under the same
+``PYTHONHASHSEED``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+#: the generated batch: (count, patterns per spec)
+GENERATED = ((30, 3), (10, 4))
+
+
+def _load_e2e_inputs():
+    """``benchmarks/e2e/inputs.py`` as a module (it is not a package)."""
+    path = ROOT / "benchmarks" / "e2e" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("e2e_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _store_doc(store) -> dict:
+    doc = store.to_dict()
+    del doc["stats"]["build_seconds"]
+    return doc
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, default=11)
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="the src/ directory to import repro from "
+                             "(default: this checkout's)")
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    sys.path.insert(0, str(args.src))
+    from repro.broker.contract import ContractSpec
+    from repro.broker.database import ContractDatabase
+    from repro.ltl.printer import format_formula
+    from repro.projection.store import ProjectionStore
+    from repro.workload.generator import WorkloadGenerator
+
+    inputs = _load_e2e_inputs()
+    docs = [
+        {"name": c["name"], "clauses": c["clauses"]}
+        for c in inputs.instance(
+            args.seed, inputs.load_shapes(), smoke=False)["contracts"]
+    ]
+    generator = WorkloadGenerator(
+        vocabulary_size=inputs.VOCABULARY,
+        seed=args.seed,
+        max_transitions=inputs.CONTRACT_MAX_TRANSITIONS,
+    )
+    for count, patterns in GENERATED:
+        for i, spec in enumerate(generator.generate_specs(count, patterns)):
+            docs.append({
+                "name": f"g{patterns}-{i:03d}",
+                "clauses": [format_formula(c) for c in spec.clauses],
+            })
+
+    db = ContractDatabase()
+    lines = []
+    for doc in docs:
+        contract = db.register(ContractSpec.from_doc(doc))
+        literals = sorted(contract.ba.literals())
+        guided = ProjectionStore(
+            contract.ba,
+            max_subset_size=1,
+            extra_subsets=[frozenset(literals[:3]), frozenset(literals[-4:])],
+            vocabulary=contract.spec.vocabulary,
+        )
+        lines.append(json.dumps({
+            "name": doc["name"],
+            "clauses": doc["clauses"],
+            "encoded": contract.encoded.to_dict(),
+            "projections": _store_doc(contract.projections),
+            "guided": _store_doc(guided),
+        }, sort_keys=True))
+    args.out.write_text("".join(line + "\n" for line in lines))
+    print(f"{len(lines)} contract(s) -> {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -14,11 +14,17 @@ Definition 9 of the paper: states ``a ~ b`` iff
 The coarsest such relation is computed by *signature refinement*: start
 from the {final, non-final} partition (possibly pre-refined by a caller-
 supplied partition — see :func:`bisimulation_partition`'s ``seed``) and
-repeatedly split blocks by the multiset of ``(label, successor block)``
+repeatedly split blocks by the set of ``(label, successor block)``
 pairs until stable.  Seeding is what makes the all-subsets projection
 computation of §5.3 cheap: by Theorem 3 the partition for a literal set
 ``L' ⊇ L`` refines the one for ``L``, so refinement can resume from the
 parent's partition instead of restarting from scratch.
+
+There is one refinement loop, :func:`refine_partition`, over dense ints.
+:func:`bisimulation_partition` numbers an object automaton's states and
+labels and calls it; the projection store calls it directly on the flat
+encoding, once per literal subset, without building the projected
+automaton.
 """
 
 from __future__ import annotations
@@ -30,8 +36,10 @@ from .labels import Label
 
 State = Hashable
 
-#: A partition is a mapping from state to block id; block ids are dense
-#: integers but carry no meaning beyond identity.
+#: A partition is a mapping from state to block id.  Block ids are dense
+#: integers; the ones this module computes are numbered first-seen in
+#: ``_state_key`` order of the states, so equal partitions are equal
+#: mappings.
 Partition = dict
 
 
@@ -43,32 +51,49 @@ def initial_partition(ba: BuchiAutomaton) -> Partition:
     return out
 
 
-def refine_once(ba: BuchiAutomaton, partition: Partition) -> Partition:
-    """One global signature-splitting round; returns a (possibly) finer
-    partition with freshly numbered blocks."""
-    signatures: dict[State, tuple] = {}
-    for state in ba.states:
-        signature = frozenset(
-            (label, partition[dst]) for label, dst in ba.successors(state)
-        )
-        signatures[state] = (partition[state], signature)
-    renumber: dict[tuple, int] = {}
-    out: Partition = {}
-    for state in sorted(ba.states, key=_state_key):
-        key = signatures[state]
-        block = renumber.get(key)
-        if block is None:
-            block = len(renumber)
-            renumber[key] = block
-        out[state] = block
-    return out
+def refine_partition(
+    rows: Sequence[Iterable[tuple[int, int]]],
+    blocks: Iterable[Hashable],
+) -> list[int]:
+    """The coarsest refinement of ``blocks`` stable under Definition 9's
+    point 2, on dense ints — the one refinement loop of the system.
+
+    ``rows[state]`` lists the state's transitions as ``(label id, dst)``
+    pairs (states are ``0..n-1``, label ids any ints; repeats are
+    harmless) and ``blocks[state]`` is any hashable naming the state's
+    initial block.  Each round splits every block by the *set* of
+    ``(label id, successor block)`` pairs of its states, until a round
+    splits nothing.
+
+    Blocks are numbered first-seen in state order, in every round and so
+    in the result: the returned ids are a function of the partition
+    alone, not of the initial block names or of the rounds it took.
+    """
+    renumber: dict = {}
+    current = [renumber.setdefault(b, len(renumber)) for b in blocks]
+    while len(renumber) < len(rows):
+        count = len(renumber)
+        renumber = {}
+        current = [
+            renumber.setdefault(
+                (block, frozenset([(label, current[dst]) for label, dst in row])),
+                len(renumber),
+            )
+            for block, row in zip(current, rows)
+        ]
+        if len(renumber) == count:
+            break
+    return current
 
 
 def bisimulation_partition(
     ba: BuchiAutomaton,
     seed: Partition | None = None,
 ) -> Partition:
-    """The coarsest bisimulation partition of ``ba`` (Definition 9).
+    """The coarsest bisimulation partition of ``ba`` (Definition 9): the
+    object-automaton adapter over :func:`refine_partition`, with states
+    taken in ``_state_key`` order (the order
+    :func:`~repro.automata.encode.encode_automaton` numbers them in).
 
     Args:
         ba: the automaton.
@@ -78,30 +103,23 @@ def bisimulation_partition(
             the early rounds.  It is intersected with the final/non-final
             split, so a caller cannot accidentally violate point 1.
     """
-    current = initial_partition(ba)
-    if seed is not None:
-        # Intersect the seed with the base split: block identity becomes
-        # the pair (seed block, final flag).
-        renumber: dict[tuple, int] = {}
-        merged: Partition = {}
-        for state in sorted(ba.states, key=_state_key):
-            key = (seed[state], current[state])
-            block = renumber.get(key)
-            if block is None:
-                block = len(renumber)
-                renumber[key] = block
-            merged[state] = block
-        current = merged
-
-    while True:
-        refined = refine_once(ba, current)
-        if _block_count(refined) == _block_count(current):
-            return refined
-        current = refined
-
-
-def _block_count(partition: Partition) -> int:
-    return len(set(partition.values()))
+    states = sorted(ba.states, key=_state_key)
+    index = {state: i for i, state in enumerate(states)}
+    label_ids: dict[Label, int] = {}
+    rows = [
+        [
+            (label_ids.setdefault(label, len(label_ids)), index[dst])
+            for label, dst in ba.successors(state)
+        ]
+        for state in states
+    ]
+    base = initial_partition(ba)
+    blocks = (
+        [base[state] for state in states]
+        if seed is None
+        else [(seed[state], base[state]) for state in states]
+    )
+    return dict(zip(states, refine_partition(rows, blocks)))
 
 
 def blocks_of(partition: Partition) -> list[frozenset]:

@@ -73,8 +73,12 @@ class BuchiAutomaton:
         if not self.final <= self.states:
             raise AutomatonError("final states must be a subset of the states")
         # Freeze per-state transition lists, deterministically ordered.
+        # A state's key is taken once, not once per incoming transition:
+        # formatting a formula-valued translator state is the expensive
+        # part of the sort.
+        keys = {s: _state_key(s) for s in self.states}
         self._transitions: dict[State, tuple[tuple[Label, State], ...]] = {
-            s: tuple(sorted(table[s], key=lambda lt: (lt[0].sort_key(), _state_key(lt[1]))))
+            s: tuple(sorted(table[s], key=lambda lt: (lt[0].sort_key(), keys[lt[1]])))
             for s in self.states
         }
         self._stats_cache: dict | None = None

@@ -148,6 +148,9 @@ class _Translator:
         self.budget = budget
         self._covers_memo: dict[Formula, tuple[_Cover, ...]] = {}
         self._state_memo: dict[frozenset, tuple[_Cover, ...]] = {}
+        #: obligation -> its text, the order :meth:`state_covers`
+        #: conjoins a state's members in
+        self._text_memo: dict[Formula, str] = {}
 
     # -- the VWAA transition function ------------------------------------------
 
@@ -205,13 +208,19 @@ class _Translator:
             f"non-core formula reached the translator: {type(formula).__name__}"
         )
 
+    def _text(self, formula: Formula) -> str:
+        text = self._text_memo.get(formula)
+        if text is None:
+            text = self._text_memo[formula] = str(formula)
+        return text
+
     def state_covers(self, state: frozenset) -> tuple[_Cover, ...]:
         """Covers of an obligation set (the conjunction of its members)."""
         cached = self._state_memo.get(state)
         if cached is not None:
             return cached
         result: tuple[_Cover, ...] = (_Cover(TRUE_LABEL, _EMPTY, _EMPTY),)
-        for member in sorted(state, key=str):
+        for member in sorted(state, key=self._text):
             result = _product(result, self.covers(member))
             if not result:
                 break

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..broker.database import BrokerConfig, ContractDatabase
-from ..broker.options import QueryOptions
+from ..broker.options import PrebuiltArtifacts, QueryOptions
 from ..broker.planner import SCAN_PLAN, QueryPlan
 from ..ltl.ast import Formula, conj
 from ..workload.datasets import DatasetConfig
@@ -108,8 +108,7 @@ def build_database(
 ) -> ContractDatabase:
     """Register every generated spec into a fresh database."""
     db = ContractDatabase(config or BrokerConfig())
-    for i, spec in enumerate(specs):
-        db.register(f"{name_prefix}-{i}", list(spec.clauses))
+    extend_database(db, specs, name_prefix)
     return db
 
 
@@ -118,10 +117,24 @@ def extend_database(
     specs: Sequence[GeneratedSpec],
     name_prefix: str = "contract",
 ) -> None:
-    """Register additional specs (used by the incremental size sweep)."""
+    """Register additional specs (used by the incremental size sweep).
+
+    A spec that carries the automaton its generator translated is
+    registered with it instead of being translated again — unless the
+    generator's state budget was larger than the database's, which a
+    prebuilt automaton would bypass.
+    """
     base = len(db)
     for i, spec in enumerate(specs):
-        db.register(f"{name_prefix}-{base + i}", list(spec.clauses))
+        prebuilt = None
+        if (
+            spec.ba is not None
+            and spec.state_budget <= db.config.state_budget
+        ):
+            prebuilt = PrebuiltArtifacts(ba=spec.ba)
+        db.register(
+            f"{name_prefix}-{base + i}", list(spec.clauses), prebuilt=prebuilt
+        )
 
 
 #: The paper's *optimized* evaluation as a pinned plan: §4 prefilter and

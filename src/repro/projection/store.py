@@ -33,10 +33,10 @@ from typing import Iterable, Iterator
 
 from ..automata.bisim import (
     Partition,
-    bisimulation_partition,
     blocks_of,
     partition_signature,
     quotient,
+    refine_partition,
 )
 from ..automata.buchi import BuchiAutomaton
 from ..automata.encode import EncodedAutomaton, encode_automaton
@@ -55,6 +55,57 @@ class ProjectionStats:
     distinct_partitions: int = 0
     build_seconds: float = 0.0
     stored_blocks: int = 0
+
+
+class _FlatAutomaton:
+    """The contract BA as :func:`refine_partition` reads it, for the
+    length of one :meth:`ProjectionStore._build` / ``precompute`` call.
+
+    Encoded over the BA's *own* events — never the store's
+    ``vocabulary``, which may be narrower: a literal dropped from the
+    label masks is a literal no subset could keep apart.  Nothing here
+    outlives the call (a kept row table costs a MiB per hundred
+    contracts).
+    """
+
+    def __init__(self, ba: BuchiAutomaton):
+        encoded = encode_automaton(ba)
+        self.states = encoded.states
+        self.event_index = encoded.event_index
+        self.label_masks = tuple(zip(encoded.label_pos, encoded.label_neg))
+        self.final = [
+            encoded.is_final(i) for i in range(encoded.num_states)
+        ]
+        offsets = encoded.offsets
+        labels = encoded.trans_labels
+        dsts = encoded.trans_dsts
+        self.rows = [
+            tuple(zip(labels[lo:hi], dsts[lo:hi]))
+            for lo, hi in zip(offsets, offsets[1:])
+        ]
+
+    def projected_rows(self, subset: frozenset[Literal]) -> list[set]:
+        """The rows of ``π_subset``: every label class masked down to the
+        subset's literals (Definition 8), equal restrictions sharing one
+        id, transitions the restriction made equal merged."""
+        keep_pos = keep_neg = 0
+        for literal in subset:
+            bit = 1 << self.event_index[literal.event]
+            if literal.positive:
+                keep_pos |= bit
+            else:
+                keep_neg |= bit
+        restricted: dict[tuple[int, int], int] = {}
+        class_of = [
+            restricted.setdefault(
+                (pos & keep_pos, neg & keep_neg), len(restricted)
+            )
+            for pos, neg in self.label_masks
+        ]
+        return [
+            {(class_of[label], dst) for label, dst in row}
+            for row in self.rows
+        ]
 
 
 class ProjectionStore:
@@ -92,8 +143,10 @@ class ProjectionStore:
         self.stats = ProjectionStats()
         #: subset -> id of its partition in _partitions
         self._subset_to_partition: dict[frozenset[Literal], int] = {}
-        #: deduplicated partitions, as state->block mappings
+        #: deduplicated partitions, as state->block mappings, and the
+        #: number of blocks of each
         self._partitions: list[Partition] = []
+        self._block_counts: list[int] = []
         self._signature_to_id: dict[frozenset, int] = {}
         #: lazily materialized quotients, keyed by (partition id, subset)
         #: — the labels depend on the subset, the shape on the partition.
@@ -117,6 +170,7 @@ class ProjectionStore:
 
     def _build(self) -> None:
         start = time.perf_counter()
+        flat = _FlatAutomaton(self.ba)
         cap = self.max_subset_size
         sizes: Iterable[int]
         if cap is None:
@@ -126,61 +180,59 @@ class ProjectionStore:
         ordered = sorted(self.literals)
         for size in sizes:
             for subset_tuple in combinations(ordered, size):
-                subset = frozenset(subset_tuple)
-                self.stats.subsets_considered += 1
-                self._compute_subset(subset)
+                self._compute_subset(frozenset(subset_tuple), flat)
         # Workload-guided extras (§5.2): projections for the literal sets
         # an expected query workload will actually request, regardless of
         # their size.  Sorted smallest-first so larger extras can seed
         # from smaller ones.
         for subset in sorted(set(self._extra_subsets), key=len):
-            if subset in self._subset_to_partition:
-                continue
-            self.stats.subsets_considered += 1
-            self._compute_subset(subset)
+            if subset not in self._subset_to_partition:
+                self._compute_subset(subset, flat)
         self.stats.build_seconds = time.perf_counter() - start
-        self.stats.distinct_partitions = len(self._partitions)
-        self._block_counts = [
-            len(set(p.values())) for p in self._partitions
-        ]
-        self.stats.stored_blocks = sum(self._block_counts)
 
-    def _compute_subset(self, subset: frozenset[Literal]) -> None:
-        seed: Partition | None = None
-        if subset:
-            # Theorem 3: any stored subset of this one yields a valid
-            # coarsening to seed from; prefer the finest minus-one parent,
-            # falling back to a scan (needed for workload-guided extras
-            # whose immediate parents were never computed).
-            best_blocks = -1
-            for literal in subset:
-                parent_id = self._subset_to_partition.get(subset - {literal})
-                if parent_id is None:
-                    continue
-                parent = self._partitions[parent_id]
-                blocks = len(set(parent.values()))
-                if blocks > best_blocks:
-                    best_blocks = blocks
-                    seed = parent
-            if seed is None:
-                for stored, parent_id in self._subset_to_partition.items():
-                    if not stored < subset:
-                        continue
-                    parent = self._partitions[parent_id]
-                    blocks = len(set(parent.values()))
-                    if blocks > best_blocks:
-                        best_blocks = blocks
-                        seed = parent
-        projected = project(self.ba, subset)
-        partition = bisimulation_partition(projected, seed=seed)
+    def _compute_subset(
+        self, subset: frozenset[Literal], flat: _FlatAutomaton
+    ) -> None:
+        self.stats.subsets_considered += 1
+        # Theorem 3: any stored subset of this one yields a valid
+        # coarsening to seed from; prefer the finest minus-one parent,
+        # falling back to a scan (needed for workload-guided extras
+        # whose immediate parents were never computed).
+        stored = self._subset_to_partition
+        parents = [
+            stored[parent] for literal in subset
+            if (parent := subset - {literal}) in stored
+        ] or [
+            parent_id for parent, parent_id in stored.items()
+            if parent < subset
+        ]
+        initial: Iterable = flat.final
+        if parents:
+            seed = self._partitions[
+                max(parents, key=self._block_counts.__getitem__)
+            ]
+            initial = zip(map(seed.__getitem__, flat.states), flat.final)
+        blocks = refine_partition(flat.projected_rows(subset), initial)
         self.stats.partitions_computed += 1
-        signature = partition_signature(partition)
-        partition_id = self._signature_to_id.get(signature)
+        partition = dict(zip(flat.states, blocks))
+        partition_id = self._signature_to_id.get(
+            signature := partition_signature(partition)
+        )
         if partition_id is None:
-            partition_id = len(self._partitions)
-            self._partitions.append(partition)
-            self._signature_to_id[signature] = partition_id
+            partition_id = self._add_partition(partition, signature)
         self._subset_to_partition[subset] = partition_id
+
+    def _add_partition(self, partition: Partition, signature: frozenset) -> int:
+        """Store one more distinct partition — the one place a block
+        count is taken."""
+        partition_id = len(self._partitions)
+        self._partitions.append(partition)
+        self._signature_to_id[signature] = partition_id
+        blocks = len(set(partition.values()))
+        self._block_counts.append(blocks)
+        self.stats.distinct_partitions = len(self._partitions)
+        self.stats.stored_blocks += blocks
+        return partition_id
 
     def precompute(self, subsets: Iterable[frozenset]) -> int:
         """Add projections for explicit literal subsets after the fact.
@@ -192,24 +244,18 @@ class ProjectionStore:
         were computed.
         """
         start = time.perf_counter()
-        added = 0
-        for subset in sorted(
-            {frozenset(s) & self.literals for s in subsets}, key=len
-        ):
-            if subset in self._subset_to_partition:
-                continue
-            self.stats.subsets_considered += 1
-            self._compute_subset(subset)
-            added += 1
-        self.stats.build_seconds += time.perf_counter() - start
-        self.stats.distinct_partitions = len(self._partitions)
-        self._block_counts = [
-            len(set(p.values())) for p in self._partitions
-        ]
-        self.stats.stored_blocks = sum(self._block_counts)
-        if added:
+        wanted = sorted(
+            {frozenset(s) & self.literals for s in subsets}
+            - self._subset_to_partition.keys(),
+            key=len,
+        )
+        if wanted:
+            flat = _FlatAutomaton(self.ba)
+            for subset in wanted:
+                self._compute_subset(subset, flat)
             self.generation += 1
-        return added
+        self.stats.build_seconds += time.perf_counter() - start
+        return len(wanted)
 
     # -- serialization -------------------------------------------------------------
 
@@ -271,7 +317,7 @@ class ProjectionStore:
         try:
             cap = data["max_subset_size"]
             store.max_subset_size = None if cap is None else int(cap)
-            store._partitions = [
+            partitions = [
                 {int(state): int(block) for state, block in pairs}
                 for pairs in data["partitions"]
             ]
@@ -292,11 +338,15 @@ class ProjectionStore:
             raise ProjectionError(
                 f"malformed projection document: {exc}"
             ) from exc
-        for partition in store._partitions:
+        store._partitions = []
+        store._block_counts = []
+        store._signature_to_id = {}
+        for partition in partitions:
             if set(partition) != set(ba.states):
                 raise ProjectionError(
                     "stored partition does not cover the automaton's states"
                 )
+            store._add_partition(partition, partition_signature(partition))
         store._subset_to_partition = {}
         for subset, partition_id in subset_docs:
             if not subset <= store.literals:
@@ -309,15 +359,6 @@ class ProjectionStore:
                     f"partition id {partition_id} out of range"
                 )
             store._subset_to_partition[subset] = partition_id
-        store._signature_to_id = {
-            partition_signature(p): i
-            for i, p in enumerate(store._partitions)
-        }
-        store._block_counts = [
-            len(set(p.values())) for p in store._partitions
-        ]
-        store.stats.distinct_partitions = len(store._partitions)
-        store.stats.stored_blocks = sum(store._block_counts)
         return store
 
     def set_vocabulary(self, vocabulary: frozenset) -> None:

@@ -121,7 +121,8 @@ def dataset_statistics(
     states: list[int] = []
     transitions: list[int] = []
     for spec in specs:
-        ba = translate(conj(spec.clauses))
+        # the generator's satisfiability probe already translated it
+        ba = spec.ba if spec.ba is not None else translate(conj(spec.clauses))
         states.append(ba.num_states)
         transitions.append(ba.num_transitions)
     return DatasetStatistics(

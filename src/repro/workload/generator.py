@@ -29,9 +29,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from ..automata.buchi import BuchiAutomaton
 from ..automata.ltl2ba import translate
 from ..errors import TranslationError, WorkloadError
-from ..ltl.ast import Formula
+from ..ltl.ast import Formula, conj
 from ..ltl.patterns import (
     BEHAVIOR_WEIGHTS,
     SCOPE_WEIGHTS,
@@ -49,6 +50,12 @@ class GeneratedSpec:
 
     clauses: tuple[Formula, ...]
     patterns: tuple[tuple[Behavior, Scope], ...]
+    #: the automaton of the clauses' conjunction, when the generator
+    #: translated it to apply ``ensure_satisfiable`` / ``max_transitions``,
+    #: and the state budget it was translated under — so whoever
+    #: registers the spec need not translate it a second time
+    ba: BuchiAutomaton | None = field(default=None, compare=False, repr=False)
+    state_budget: int | None = field(default=None, compare=False, repr=False)
 
     @property
     def num_patterns(self) -> int:
@@ -134,9 +141,14 @@ class WorkloadGenerator:
                 clause, origin = self._sampler.sample_clause()
                 clauses.append(clause)
                 provenance.append(origin)
-            spec = GeneratedSpec(tuple(clauses), tuple(provenance))
-            if not self._ensure_satisfiable or self._is_usable(spec):
-                return spec
+            if not self._ensure_satisfiable:
+                return GeneratedSpec(tuple(clauses), tuple(provenance))
+            ba = self._usable_automaton(clauses)
+            if ba is not None:
+                return GeneratedSpec(
+                    tuple(clauses), tuple(provenance),
+                    ba=ba, state_budget=self._state_budget,
+                )
             if attempts > self._max_retries:
                 raise WorkloadError(
                     f"could not generate a satisfiable spec of "
@@ -147,21 +159,23 @@ class WorkloadGenerator:
         """A batch of ``count`` specifications of equal complexity."""
         return [self.generate_spec(num_patterns) for _ in range(count)]
 
-    def _is_usable(self, spec: GeneratedSpec) -> bool:
-        from ..ltl.ast import conj
-
+    def _usable_automaton(
+        self, clauses: Sequence[Formula]
+    ) -> BuchiAutomaton | None:
+        """The automaton of the clauses' conjunction, or ``None`` when it
+        is over budget, empty or larger than ``max_transitions``."""
         try:
-            ba = translate(conj(spec.clauses), state_budget=self._state_budget)
+            ba = translate(conj(clauses), state_budget=self._state_budget)
         except TranslationError:
-            return False
+            return None
         if ba.is_empty():
-            return False
+            return None
         if (
             self._max_transitions is not None
             and ba.num_transitions > self._max_transitions
         ):
-            return False
-        return True
+            return None
+        return ba
 
 
 # -- adversarial workloads ---------------------------------------------------------
@@ -176,7 +190,6 @@ def _eventually_conjunction(events: Sequence[str]) -> Formula:
     """``F ev0 && F ev1 && ...`` — the translated BA tracks which of the
     ``k`` obligations are still open, so it has ``2^k`` states with cheap
     labels: maximal permission-check work per translation second."""
-    from ..ltl.ast import conj
     from ..ltl.parser import parse
 
     return conj([parse(f"F {event}") for event in events])

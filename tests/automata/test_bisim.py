@@ -9,11 +9,12 @@ from repro.automata.bisim import (
     partition_signature,
     quotient,
     quotient_by_bisimulation,
+    refine_partition,
 )
-from repro.automata.buchi import BuchiAutomaton
+from repro.automata.buchi import BuchiAutomaton, _state_key
 from repro.automata.ltl2ba import translate
 
-from ..strategies import formulas, runs
+from ..strategies import buchi_automata, formulas, runs
 
 
 def duplicated_chain() -> BuchiAutomaton:
@@ -135,3 +136,62 @@ class TestSignature:
         p1 = {0: 0, 1: 1}
         p2 = {0: 5, 1: 3}
         assert partition_signature(p1) == partition_signature(p2)
+
+
+def first_seen_in_state_key_order(ba, partition) -> bool:
+    """True iff block ids first appear as 0, 1, 2, ... when the states
+    are walked in ``_state_key`` order."""
+    seen = list(dict.fromkeys(
+        partition[state] for state in sorted(ba.states, key=_state_key)
+    ))
+    return seen == list(range(len(seen)))
+
+
+class TestBlockNumbering:
+    """Block ids are bytes in ``projections.json``: the adapter numbers
+    them first-seen in ``_state_key`` order, so they are a function of
+    the partition alone — not of the seed, its ids, or the rounds run."""
+
+    @given(buchi_automata(max_states=12, max_transitions=30))
+    @settings(max_examples=150, deadline=None)
+    def test_first_seen_with_and_without_a_seed(self, ba):
+        unseeded = bisimulation_partition(ba)
+        assert first_seen_in_state_key_order(ba, unseeded)
+        seeds = [
+            {s: 0 for s in ba.states},
+            {s: 7 if s in ba.final else 3 for s in ba.states},
+            # the answer itself under scrambled block names
+            {s: ("b", -block) for s, block in unseeded.items()},
+        ]
+        for seed in seeds:
+            assert bisimulation_partition(ba, seed=seed) == unseeded
+
+    def test_int_states_are_walked_in_string_order(self):
+        """``_state_key`` orders ints as text: in a 12-state chain whose
+        states are pairwise distinguishable, state 10 gets block 2."""
+        chain = BuchiAutomaton.make(
+            initial=0,
+            transitions=[(i, "a", i + 1) for i in range(11)],
+            final=[11],
+        )
+        partition = bisimulation_partition(chain)
+        assert len(set(partition.values())) == 12
+        assert [partition[s] for s in (0, 1, 10, 11, 2)] == [0, 1, 2, 3, 4]
+
+
+class TestRefinePartition:
+    def test_initial_block_names_do_not_matter(self):
+        rows = [[(0, 1)], [(0, 2)], [(0, 2)], [(1, 0)]]
+        by_flag = refine_partition(rows, [False, False, True, False])
+        by_name = refine_partition(rows, ["x", "x", ("y", 1), "x"])
+        assert by_flag == by_name == [0, 1, 2, 3]
+
+    def test_repeated_transitions_are_a_set(self):
+        once = refine_partition([[(0, 1)], [(0, 1)]], [0, 0])
+        twice = refine_partition([[(0, 1), (0, 1)], [(0, 1)]], [0, 0])
+        assert once == twice == [0, 0]
+
+    def test_a_stable_partition_comes_back_renumbered(self):
+        # two self-looping states, kept apart by the initial blocks only
+        assert refine_partition([[(0, 0)], [(0, 1)]], [9, 4]) == [0, 1]
+        assert refine_partition([[(0, 0)], [(0, 1)]], [5, 5]) == [0, 0]

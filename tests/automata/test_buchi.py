@@ -1,11 +1,20 @@
 """Unit tests for the Büchi automaton data structure."""
 
 import pytest
+from hypothesis import given, settings
 
-from repro.automata.buchi import BuchiAutomaton, BuchiBuilder, Transition
+from repro.automata.buchi import (
+    BuchiAutomaton,
+    BuchiBuilder,
+    Transition,
+    _state_key,
+)
 from repro.automata.labels import Label, pos, neg
 from repro.errors import AutomatonError
+from repro.ltl.parser import parse
 from repro.ltl.runs import Run
+
+from ..strategies import buchi_automata
 
 
 def figure_1b() -> BuchiAutomaton:
@@ -79,6 +88,43 @@ class TestQueries:
         assert [
             (str(l), d) for l, d in ba1.successors("init")
         ] == [(str(l), d) for l, d in ba2.successors("init")]
+
+    #: state values of every kind the system builds automata over:
+    #: canonical ints, names, degeneralization pairs, the translator's
+    #: (obligation set, level) pairs, and a mix of them
+    STATE_KINDS = {
+        "int": lambda i: i,
+        "str": lambda i: f"s{i}",
+        "tuple": lambda i: (i % 3, f"q{i}"),
+        "formula-set": lambda i: (
+            frozenset({parse(f"p{i} U q"), parse(f"G (a -> F p{i % 4})")}),
+            i % 2,
+        ),
+        "mixed": lambda i: (i, f"s{i}", ("iota", i))[i % 3],
+    }
+
+    @pytest.mark.parametrize("kind", sorted(STATE_KINDS))
+    @given(buchi_automata(max_states=12, max_transitions=30))
+    @settings(max_examples=40, deadline=None)
+    def test_successors_are_in_label_then_state_key_order(self, kind, ba):
+        """The order every artifact downstream is a function of —
+        encodings, canonical numbering, block ids: by label, then by the
+        destination's ``_state_key`` (so int state 10 sorts before 2)."""
+        rename = self.STATE_KINDS[kind]
+        raw = [
+            (rename(t.src), t.label, rename(t.dst)) for t in ba.transitions()
+        ]
+        renamed = BuchiAutomaton(
+            [rename(s) for s in ba.states],
+            rename(ba.initial),
+            [Transition(*t) for t in raw],
+            [rename(s) for s in ba.final],
+        )
+        for state in renamed.states:
+            assert list(renamed.successors(state)) == sorted(
+                [(label, dst) for src, label, dst in raw if src == state],
+                key=lambda lt: (lt[0].sort_key(), _state_key(lt[1])),
+            )
 
     def test_events_and_literals(self):
         ba = figure_1b()

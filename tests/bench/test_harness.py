@@ -36,6 +36,34 @@ class TestBuilders:
         extend_database(db, WorkloadGenerator(6, seed=99).generate_specs(2, 2))
         assert len(db) == 6
 
+    def test_a_generated_spec_is_translated_once(self, monkeypatch):
+        """The generator's probe automaton is the one registered."""
+        import repro.broker.database as database
+
+        specs = CONTRACTS.generate(4)
+        monkeypatch.setattr(
+            database, "translate",
+            lambda *a, **k: pytest.fail("translated a second time"),
+        )
+        db = build_database(specs, BrokerConfig())
+        extend_database(db, specs[:1], name_prefix="again")
+        assert [c.ba for c in db.contracts()] == [
+            s.ba for s in specs + specs[:1]
+        ]
+        assert all(
+            c.ba is s.ba for c, s in zip(db.contracts(), specs)
+        )
+
+    def test_a_larger_generator_budget_is_not_smuggled_in(self):
+        """A prebuilt automaton bypasses ``BrokerConfig.state_budget``:
+        one translated under a larger budget is translated again."""
+        specs = CONTRACTS.generate(3)
+        assert all(s.state_budget > 500 for s in specs)
+        db = build_database(specs, BrokerConfig(state_budget=500))
+        for contract, spec in zip(db.contracts(), specs):
+            assert contract.ba is not spec.ba
+            assert contract.ba == spec.ba
+
     def test_specs_to_formulas(self):
         formulas = specs_to_formulas(QUERIES.generate())
         assert len(formulas) == 3

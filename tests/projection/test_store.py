@@ -190,6 +190,161 @@ class TestTheorem3Consistency:
                 stored_blocks = store.partition_for(frozenset(subset))
                 assert frozenset(stored_blocks) == partition_signature(direct)
 
+    #: contracts of 3, 19 and 13 states — past ten, the ``_state_key``
+    #: (text) order of int states is no longer their numeric order
+    FORMULAS = (
+        "G(a -> F b) && G(c -> !a)",
+        "G(a -> F b) && (F c -> !c U (d || G !c)) && G(b -> F d)",
+        "G(a && !b -> !b W (c && !b)) && G(d -> F a) && (F b -> c U b)",
+    )
+
+    @pytest.mark.parametrize("text", FORMULAS)
+    def test_block_ids_equal_unseeded_direct_computation(self, text):
+        """Not only the same classes: the same state -> block id map as
+        the unseeded adapter on the projected automaton.  Blocks are
+        numbered first-seen in state order, so the ids are a function of
+        the partition alone and a seed cannot show in them."""
+        from itertools import combinations
+
+        from repro.automata.bisim import bisimulation_partition
+
+        ba = translate(parse(text))
+        store = ProjectionStore(ba, max_subset_size=2)
+        for size in range(0, 3):
+            for subset in combinations(sorted(ba.literals()), size):
+                assert stored_partition(store, subset) == (
+                    bisimulation_partition(project(ba, subset))
+                ), subset
+
+
+def stored_partition(store, subset) -> dict:
+    """The state -> block id map the store holds for ``subset``."""
+    return {
+        state: block_id
+        for block_id, block in enumerate(store.partition_for(frozenset(subset)))
+        for state in block
+    }
+
+
+def stored_subsets(store, ba):
+    """Every literal subset ``store`` holds a partition for."""
+    from itertools import combinations
+
+    literals = sorted(ba.literals())
+    return [
+        frozenset(subset)
+        for size in range(len(literals) + 1)
+        for subset in combinations(literals, size)
+        if store.has_subset(frozenset(subset))
+    ]
+
+
+def naive_bisimilarity_classes(ba) -> int:
+    """Definition 9 read literally: the greatest relation whose pairs
+    agree on finality and match each other's edges label for label into
+    related states, by deleting violating pairs until none is left; the
+    number of its equivalence classes."""
+    related = {
+        (a, b) for a in ba.states for b in ba.states
+        if (a in ba.final) == (b in ba.final)
+    }
+
+    def simulated(a, b):
+        return all(
+            any(
+                label == other and (dst, other_dst) in related
+                for other, other_dst in ba.successors(b)
+            )
+            for label, dst in ba.successors(a)
+        )
+
+    while True:
+        violating = {
+            (a, b) for a, b in related
+            if not (simulated(a, b) and simulated(b, a))
+        }
+        if not violating:
+            break
+        related -= violating
+    return len({
+        frozenset(b for b in ba.states if (a, b) in related)
+        for a in ba.states
+    })
+
+
+class TestPartitionsAreBisimulations:
+    """The stored partitions are right, not merely unchanged."""
+
+    @given(formulas(max_depth=3))
+    @settings(max_examples=60, deadline=None)
+    def test_stable_and_coarsest(self, formula):
+        ba = translate(formula)
+        cap = None if len(ba.literals()) <= 4 else 2
+        store = ProjectionStore(ba, max_subset_size=cap)
+        for subset in stored_subsets(store, ba):
+            projected = project(ba, subset)
+            block_of = stored_partition(store, subset)
+            assert set(block_of) == set(ba.states)
+            for block in store.partition_for(subset):
+                # (i) Definition 9: final-pure, and within a block every
+                # state offers the same (label, successor block) moves
+                assert block <= ba.final or not block & ba.final
+                assert len({
+                    frozenset(
+                        (label, block_of[dst])
+                        for label, dst in projected.successors(state)
+                    )
+                    for state in block
+                }) == 1
+            # (ii) and no coarser partition would do
+            if ba.num_states <= 8:
+                assert len(store.partition_for(subset)) == (
+                    naive_bisimilarity_classes(projected)
+                )
+
+
+class TestBuildInputs:
+    def test_a_narrow_vocabulary_does_not_reach_the_partitions(self):
+        """``vocabulary`` is what quotients are *encoded* over.  The
+        partitions are refined over the BA's own events: encoded over a
+        narrower vocabulary, the labels would lose the dropped events'
+        literals and states those literals tell apart would merge."""
+        ba = translate(parse("G(a -> F b) && G(c -> !a)"))
+        assert ba.events() == {"a", "b", "c"}
+        default = ProjectionStore(ba, max_subset_size=2)
+        narrow = ProjectionStore(
+            ba, max_subset_size=2, vocabulary=frozenset({"a"})
+        )
+        assert without_clock(narrow.to_dict()) == without_clock(
+            default.to_dict()
+        )
+        assert default.num_distinct_partitions > 1
+
+    def test_precompute_on_a_restored_store(self):
+        """A store read back by ``from_dict`` keeps no build-time state,
+        and ``precompute`` needs none: it agrees, ids included, with a
+        store that was built with the same subsets as extras."""
+        ba = translate(parse(TestTheorem3Consistency.FORMULAS[1])).canonical()
+        literals = sorted(ba.literals())
+        extras = [frozenset(literals[:3]), frozenset(literals[1:5])]
+        built = ProjectionStore(ba, max_subset_size=1, extra_subsets=extras)
+        restored = ProjectionStore.from_dict(
+            ba, ProjectionStore(ba, max_subset_size=1).to_dict()
+        )
+        assert restored.precompute(extras) == 2
+        assert restored.precompute(extras) == 0
+        assert without_clock(restored.to_dict()) == without_clock(
+            built.to_dict()
+        )
+        assert restored.stats.stored_blocks == built.stats.stored_blocks
+        assert restored.min_block_count == built.min_block_count
+
+
+def without_clock(doc: dict) -> dict:
+    """A ``to_dict`` document minus its one wall-clock field."""
+    stats = {k: v for k, v in doc["stats"].items() if k != "build_seconds"}
+    return {**doc, "stats": stats}
+
 
 class TestSerialization:
     def _store(self):

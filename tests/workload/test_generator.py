@@ -80,3 +80,25 @@ class TestWorkloadGenerator:
         gen = WorkloadGenerator(vocabulary_size=4, seed=3)
         spec = gen.generate_spec(2)
         assert conj(spec.clauses).variables() <= set(numbered_vocabulary(4))
+
+    def test_spec_carries_the_automaton_the_probe_translated(self):
+        """Same process, same formula -> same automaton: registering
+        ``spec.ba`` is registering what the database would translate."""
+        gen = WorkloadGenerator(vocabulary_size=8, seed=4, state_budget=5_000,
+                                max_transitions=400)
+        for spec in gen.generate_specs(6, 3):
+            assert spec.ba == translate(conj(spec.clauses))
+            assert spec.ba.num_transitions <= 400
+            assert spec.state_budget == 5_000
+
+    def test_no_probe_no_automaton(self):
+        gen = WorkloadGenerator(vocabulary_size=8, seed=4,
+                                ensure_satisfiable=False)
+        spec = gen.generate_spec(2)
+        assert spec.ba is None and spec.state_budget is None
+
+    def test_the_automaton_is_not_part_of_a_specs_identity(self):
+        probed = WorkloadGenerator(vocabulary_size=8, seed=5).generate_spec(2)
+        bare = type(probed)(probed.clauses, probed.patterns)
+        assert probed == bare
+        assert "BuchiAutomaton" not in repr(probed)
