@@ -12,7 +12,8 @@ Run with::
 """
 
 from repro.automata.language import example_behaviors
-from repro.broker import ContractDatabase, ContractMonitor, MonitorStatus
+from repro.broker import ContractDatabase
+from repro.stream import EncodedMonitor, MonitorStatus
 from repro.workload.airfare import all_ticket_specs
 
 db = ContractDatabase()
@@ -30,7 +31,7 @@ for behavior in example_behaviors(ticket_a.ba, limit=4, horizon=4):
     print(f"  {rendered} ...")
 
 print("\n=== monitoring a customer's actual trip ===")
-monitor = ContractMonitor.for_contract(ticket_a)
+monitor = EncodedMonitor(ticket_a.encoded)
 
 TIMELINE = [
     ({"purchase"}, "customer buys the ticket"),
@@ -61,7 +62,7 @@ print("\nNote: after the missed flight, C3 as formalized in Example 5 "
 
 print("\n=== a violating history is caught immediately ===")
 ticket_c = next(c for c in db.contracts() if c.name == "Ticket C")
-monitor_c = ContractMonitor.for_contract(ticket_c)
+monitor_c = EncodedMonitor(ticket_c.encoded)
 monitor_c.advance({"purchase"})
 status = monitor_c.advance({"refund"})      # Ticket C never refunds
 print(f"Ticket C after a refund event: {status.value}")
@@ -72,11 +73,11 @@ print("\nThe same permission semantics as the broker applies to futures: "
       f"-> {monitor.can_still('F classUpgrade')} (event not in the "
       "contract vocabulary).")
 
-print("\n=== the whole fleet on one event bus (encoded engine) ===")
-# At fleet scale the broker streams events through encoded bitset
-# frontiers instead of per-contract object walks: db.monitor_fleet()
-# reuses the registration-time encodings, watch queries compile to one
-# precomputed mask each, and alerts fire exactly on verdict flips.
+print("\n=== the whole fleet on one event bus ===")
+# At fleet scale the broker streams events through the same encoded
+# bitset frontiers: db.monitor_fleet() builds one monitor per
+# registration-time encoding, watch queries compile to one precomputed
+# mask each, and alerts fire exactly on verdict flips.
 fleet = db.monitor_fleet(watches={"refundable": "F refund"})
 report = fleet.ingest([
     {"events": ["purchase"]},                            # broadcast

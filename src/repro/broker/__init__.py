@@ -23,7 +23,6 @@ Quick tour::
 from .analytics import Comparison, Relation, compare
 from .cache import CacheStats, CompiledQuery, QueryCompilationCache
 from .contract import Contract, ContractSpec
-from .monitor import ContractMonitor, MonitorOptions, MonitorStatus
 from .vocabulary import EventVocabulary
 from .persist import load_database, save_database
 from .journal import Journal, JournalReplayReport, open_database
@@ -64,10 +63,7 @@ __all__ = [
     "QueryCompilationCache",
     "Contract",
     "ContractSpec",
-    "ContractMonitor",
     "EventVocabulary",
-    "MonitorOptions",
-    "MonitorStatus",
     "load_database",
     "save_database",
     "Journal",

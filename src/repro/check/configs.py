@@ -21,12 +21,13 @@ answer like the database that produced it), and a journal replay
 database whose mutations it replays).
 
 Two *monitor* cells check the streaming side: every contract is run
-over a deterministic generated event trace through both the object
-:class:`~repro.broker.monitor.ContractMonitor` and the encoded
-:class:`~repro.stream.engine.FleetMonitor`, and their per-prefix
-verdict transcripts (status, watch-query satisfiability, violation
-index, unknown-event count) must match character for character —
-invariant 13.  ``monitor-unknown`` salts the trace with events outside
+over a deterministic generated event trace through the encoded
+:class:`~repro.stream.engine.FleetMonitor`, and its per-prefix verdict
+transcript (status, watch-query satisfiability, violation index,
+unknown-event count) must match, character for character, the one
+:func:`~repro.check.oracle.oracle_monitor` derives from the batch
+decider on the history spelled out as a formula — invariant 13, stream
+≡ batch.  ``monitor-unknown`` salts the trace with events outside
 every vocabulary to pin the unknown-event accounting.
 
 Four *distributed* cells close the lattice at 15: ``sharded`` registers
@@ -80,7 +81,7 @@ class StackConfig:
       directory so the tail is replayed, query the recovered copy;
     * ``"monitor"`` — stream a deterministic generated event trace
       through the encoded fleet monitor; the expected answer is the
-      object monitor's per-prefix verdict transcript on the same trace
+      monitor oracle's per-prefix verdict transcript on the same trace
       (the case query doubles as the watch query);
     * ``"monitor_unknown"`` — the same, with out-of-vocabulary events
       salted into the trace (exercises unknown-event accounting);
@@ -141,7 +142,7 @@ def config_lattice() -> tuple[StackConfig, ...]:
             # database that wrote it
             StackConfig(name="save-load", mode="roundtrip"),
             StackConfig(name="journal-replay", mode="journal"),
-            # the encoded streaming monitor vs the object monitor on a
+            # the encoded streaming monitor vs the monitor oracle on a
             # deterministic generated trace (invariant 13)
             StackConfig(name="monitor-stream", mode="monitor"),
             StackConfig(name="monitor-unknown", mode="monitor_unknown"),

@@ -27,15 +27,25 @@ oracle is a complete decider, not an approximation.
 Exponential in the alphabet by construction (2^|events| letters), hence
 the ``max_events`` guard: the oracle is for conformance checking on
 small vocabularies, never for serving.
+
+The streaming monitor (:mod:`repro.stream`) takes its reference from the
+same decider (:func:`oracle_monitor`): a history spelled out as a
+formula is conjoined with the contract, and every per-prefix verdict is
+a batch permission question.  Only the translator is shared with the
+code under test — not ``repro.stream``, ``repro.core``,
+``repro.automata.encode`` or ``repro.automata.graph``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Hashable
+from typing import Hashable, Iterable, Sequence
 
 from ..automata.buchi import BuchiAutomaton
+from ..automata.ltl2ba import translate
 from ..errors import ReproError
+from ..ltl.ast import TRUE, And, Formula, Next, Not, Prop, conj
 
 Pair = tuple[Hashable, Hashable]
 
@@ -168,3 +178,95 @@ def oracle_permits(
             if x in reach_plus(y):
                 return True
     return False
+
+
+# -- the streaming monitor's reference ---------------------------------------------
+
+
+@dataclass(frozen=True)
+class MonitorVerdicts:
+    """What the batch decider says about every prefix of one history:
+    index ``n`` of ``active`` / ``can_still`` is the verdict after the
+    first ``n`` snapshots (``0`` = before any event)."""
+
+    active: tuple[bool, ...]
+    can_still: tuple[bool, ...]
+    #: the snapshot that completed the first inactive prefix; ``-1`` for
+    #: a contract unsatisfiable before any event; ``None`` if none did
+    violation_index: int | None
+    #: events outside the vocabulary in the snapshots up to and including
+    #: the violating one (a violated monitor consumes nothing further)
+    unknown_events: int
+
+
+def _next_n(formula: Formula, n: int) -> Formula:
+    for _ in range(n):
+        formula = Next(formula)
+    return formula
+
+
+def history_formula(
+    history: Sequence[Iterable[str]], vocabulary: frozenset[str]
+) -> Formula:
+    """``χ_h = ⋀_i X^i(⋀_{e ∈ s_i∩V} e ∧ ⋀_{e ∈ V∖s_i} ¬e)``: its models are
+    the runs that begin with ``history`` as far as ``vocabulary`` can
+    tell.  Other events stay unconstrained — no contract label cites
+    them."""
+    ordered = sorted(vocabulary)
+    return conj(
+        _next_n(
+            conj(
+                Prop(event) if event in snapshot else Not(Prop(event))
+                for event in ordered
+            ),
+            position,
+        )
+        for position, snapshot in enumerate(history)
+    )
+
+
+def oracle_monitor(
+    contract: Formula,
+    vocabulary: frozenset[str],
+    history: Sequence[Iterable[str]],
+    query: Formula,
+) -> MonitorVerdicts:
+    """Re-derive a monitor's verdicts on every prefix of ``history`` from
+    Definition 1 alone.
+
+    After ``h = s_0 … s_{n-1}`` the contract still in force is
+    ``χ_h ∧ φ``, the allowed sequences that begin with ``h``.  The
+    monitor is ACTIVE iff that contract is satisfiable (permits
+    ``true``), and the future can still satisfy ``query`` iff it permits
+    ``X^n query`` under the contract vocabulary: a run of ``χ_h ∧ φ``
+    satisfies ``X^n q`` exactly when its suffix after ``h`` satisfies
+    ``q``, and the first ``n`` steps of ``X^n q`` cite no event, so
+    Definition 7's vocabulary condition binds on that suffix only.  No
+    frontier, live-state set or winning mask exists on this side.
+
+    ``χ_{h·s} ∧ φ`` implies ``χ_h ∧ φ``, so an inactive prefix has no
+    active extension and enumeration stops at the first one."""
+    vocabulary = frozenset(vocabulary)
+    snapshots = [frozenset(snapshot) for snapshot in history]
+    anything = translate(TRUE)
+    active: list[bool] = []
+    can_still: list[bool] = []
+    for n in range(len(snapshots) + 1):
+        in_force = translate(
+            And(history_formula(snapshots[:n], vocabulary), contract)
+        )
+        active.append(oracle_permits(in_force, anything, vocabulary))
+        can_still.append(oracle_permits(
+            in_force, translate(_next_n(query, n)), vocabulary
+        ))
+        if not active[-1]:
+            break
+    violation_index = None if active[-1] else len(active) - 2
+    consumed = snapshots[:len(active) - 1]
+    padding = (False,) * (len(snapshots) + 1 - len(active))
+    return MonitorVerdicts(
+        active=tuple(active) + padding,
+        can_still=tuple(can_still) + padding,
+        violation_index=violation_index,
+        unknown_events=sum(len(s - vocabulary) for s in consumed),
+    )

@@ -41,11 +41,16 @@ from ..obs.metrics import MetricsRegistry
 from .cases import CheckCase
 from .configs import BUDGET_CONFIG_STEPS, StackConfig, config_lattice
 from .generators import PROFILES, CheckProfile, generate_case
-from .oracle import OracleLimitError, oracle_permits
+from .oracle import (
+    MonitorVerdicts,
+    OracleLimitError,
+    oracle_monitor,
+    oracle_permits,
+)
 from .shrink import shrink_case
 
-#: Modes whose expected answer is the *object monitor's* transcript on
-#: a generated event trace, not the oracle's permitted set.
+#: Modes whose expected answer is the monitor oracle's per-prefix
+#: transcript on a generated event trace, not the oracle's permitted set.
 MONITOR_MODES = ("monitor", "monitor_unknown")
 
 #: Length of the generated trace the monitor cells replay per case.
@@ -59,22 +64,17 @@ MONITOR_ALIEN_EVENTS = ("zz-alpha", "zz-beta")
 SHARDED_CELL_SHARDS = 3
 
 
-def _transcript(
-    name: str,
-    statuses: list[bool],
-    watch: list[bool],
-    violation_index: int | None,
-    unknown_events: int,
-) -> str:
+def _transcript(name: str, verdicts: MonitorVerdicts) -> str:
     """One contract's monitor verdicts packed into a comparable string:
     ``A``/``V`` per prefix, ``1``/``0`` watch satisfiability per prefix
     (both starting with the empty prefix), the violation index and the
     unknown-event count."""
-    status_chars = "".join("A" if active else "V" for active in statuses)
-    watch_chars = "".join("1" if sat else "0" for sat in watch)
+    status_chars = "".join("A" if a else "V" for a in verdicts.active)
+    watch_chars = "".join("1" if sat else "0" for sat in verdicts.can_still)
     return (
         f"{name}|status={status_chars}|watch={watch_chars}"
-        f"|violation={violation_index}|unknown={unknown_events}"
+        f"|violation={verdicts.violation_index}"
+        f"|unknown={verdicts.unknown_events}"
     )
 
 
@@ -228,19 +228,14 @@ class ConformanceRunner:
         cannot be materialized."""
         specs, bas, query_ba = self._materialize(case)
         expected = self._expected_names(case, specs, bas, query_ba)
-        monitor_expected: dict[str, frozenset[str]] = {}
         failures: list[Disagreement] = []
         for config in configs if configs is not None else self.configs:
             if config.mode in MONITOR_MODES:
-                # the monitor cells compare against the object monitor's
+                # the monitor cells compare against the monitor oracle's
                 # transcripts, not the oracle's permitted set
-                config_expected = monitor_expected.get(config.mode)
-                if config_expected is None:
-                    config_expected = self._monitor_transcripts(
-                        case, specs, bas, query_ba, config.mode,
-                        implementation="object",
-                    )
-                    monitor_expected[config.mode] = config_expected
+                config_expected = self._monitor_expected(
+                    case, specs, config.mode
+                )
             else:
                 config_expected = expected
             failures.extend(
@@ -283,10 +278,7 @@ class ConformanceRunner:
         """Execute one configuration; returns ``(label, permitted,
         maybe)`` answer tuples (cache-warm yields two)."""
         if config.mode in MONITOR_MODES:
-            got = self._monitor_transcripts(
-                case, specs, bas, translate(case.query_formula()),
-                config.mode, implementation="encoded",
-            )
+            got = self._monitor_transcripts(case, specs, bas, config.mode)
             return [(config.mode, tuple(sorted(got)), ())]
         options = QueryOptions(attribute_filter=case.filter.build())
         if config.mode == "journal":
@@ -502,45 +494,37 @@ class ConformanceRunner:
             for _ in range(MONITOR_TRACE_LENGTH)
         ]
 
-    def _monitor_transcripts(
-        self, case, specs, bas, query_ba, mode, *, implementation
-    ) -> frozenset[str]:
-        """Per-contract verdict transcripts over the generated trace:
-        one string per contract packing the status and watch-query
-        satisfiability after every prefix (including the empty one),
-        the violation index and the unknown-event count.  Computed from
-        the object monitor (``implementation="object"``, the expected
-        side) or the encoded fleet engine (``"encoded"``, the side
-        under test) — invariant 13 says the two sets are identical."""
+    def _monitor_expected(self, case, specs, mode) -> frozenset[str]:
+        """The expected side of a monitor cell: each contract's
+        transcript as :func:`~repro.check.oracle.oracle_monitor` derives
+        it from the contract formula, the trace and the case query —
+        the batch decider on the history spelled out as a formula."""
         trace = self._monitor_trace(case, specs, mode)
-        transcripts = set()
-        if implementation == "object":
-            from ..broker.monitor import ContractMonitor, MonitorStatus
+        query = case.query_formula()
+        return frozenset(
+            _transcript(spec.name, oracle_monitor(
+                spec.formula, spec.vocabulary, trace, query
+            ))
+            for spec in specs
+        )
 
-            for spec in specs:
-                monitor = ContractMonitor(bas[spec.name], spec.vocabulary)
-                statuses = [monitor.status is MonitorStatus.ACTIVE]
-                watch = [monitor.can_still(query_ba)]
-                for snapshot in trace:
-                    statuses.append(
-                        monitor.advance(snapshot) is MonitorStatus.ACTIVE
-                    )
-                    watch.append(monitor.can_still(query_ba))
-                transcripts.add(_transcript(
-                    spec.name, statuses, watch,
-                    monitor.violation_index, monitor.unknown_events,
-                ))
-            return frozenset(transcripts)
-
+    def _monitor_transcripts(self, case, specs, bas, mode) -> frozenset[str]:
+        """Per-contract verdict transcripts of the encoded fleet engine
+        over the generated trace: one string per contract packing the
+        status and watch-query satisfiability after every prefix
+        (including the empty one), the violation index and the
+        unknown-event count — invariant 13 says the set equals
+        :meth:`_monitor_expected`'s."""
         from ..stream.engine import FleetMonitor
         from ..stream.options import MonitorStatus
 
+        trace = self._monitor_trace(case, specs, mode)
         fleet = FleetMonitor()
         for spec in specs:
             fleet.add_contract(
                 spec.name, encode_automaton(bas[spec.name], spec.vocabulary)
             )
-        fleet.register_watch("case-query", query_ba)
+        fleet.register_watch("case-query", case.query_formula())
         statuses = {
             spec.name: [fleet.status(spec.name) is MonitorStatus.ACTIVE]
             for spec in specs
@@ -558,12 +542,13 @@ class ConformanceRunner:
                 watch[spec.name].append(
                     fleet.watch_satisfiable(spec.name, "case-query")
                 )
+        transcripts = set()
         for spec in specs:
             monitor = fleet.monitor(spec.name)
-            transcripts.add(_transcript(
-                spec.name, statuses[spec.name], watch[spec.name],
+            transcripts.add(_transcript(spec.name, MonitorVerdicts(
+                tuple(statuses[spec.name]), tuple(watch[spec.name]),
                 monitor.violation_index, monitor.unknown_events,
-            ))
+            )))
         return frozenset(transcripts)
 
     def _check_config(

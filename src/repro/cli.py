@@ -8,10 +8,9 @@ modules exchanging text files:
 * ``contract-broker stats``     — dataset statistics (Table 2 rows);
 * ``contract-broker translate`` — LTL → Büchi automaton, printed or
   saved as JSON (the registration step's conversion);
-* ``contract-broker build``     — register a spec file and persist the
-  database directory (contracts + derived artifacts);
-* ``contract-broker save``      — like ``build``, and also accepts an
-  existing database directory as input (re-snapshot);
+* ``contract-broker save``      — register a spec file (or reload an
+  existing database directory) and persist the database directory:
+  contracts + derived artifacts; ``build`` is an alias;
 * ``contract-broker load``      — load a snapshot and report what was
   restored versus rebuilt (the crash-recovery / cold-start check);
 * ``contract-broker query``     — the runtime module: loads a spec file
@@ -115,18 +114,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="emit the automaton in Graphviz DOT")
     trans.set_defaults(handler=_cmd_translate)
 
-    build = sub.add_parser(
-        "build", help="register a spec file and save the database"
-    )
-    build.add_argument("specs", type=Path)
-    build.add_argument("--out", type=Path, required=True,
-                       help="database directory to create")
-    build.add_argument("--index-depth", type=int, default=2)
-    build.add_argument("--projection-cap", type=int, default=2)
-    build.set_defaults(handler=_cmd_build)
-
     save = sub.add_parser(
         "save",
+        aliases=["build"],
         help="build (or reload) a database and write a v2 snapshot "
              "with all derived artifacts",
     )
@@ -452,17 +442,6 @@ def _cmd_translate(args: argparse.Namespace) -> int:
         print(to_dot(ba))
     else:
         print(ba)
-    return 0
-
-
-def _cmd_build(args: argparse.Namespace) -> int:
-    from .broker.persist import save_database
-
-    start = time.perf_counter()
-    db = _build_db(args.specs, _broker_config(args))
-    directory = save_database(db, args.out)
-    print(f"registered {len(db)} contracts in "
-          f"{time.perf_counter() - start:.1f}s; saved to {directory}")
     return 0
 
 

@@ -72,7 +72,12 @@ class ShardServer:
             self.db = open_database(self.directory, config)
         else:
             self.db = ContractDatabase(config)
+        # name -> local id and its inverse.  Handler threads read both
+        # without a lock, so neither is ever changed in place: the two
+        # mutating ops build the next pair under the lock and rebind.
         self._ids = {c.name: c.contract_id for c in self.db.contracts()}
+        self._names = {cid: name for name, cid in self._ids.items()}
+        self._catalog_lock = threading.Lock()
         self._host = host
         self._port = port
         self._server: socketserver.ThreadingTCPServer | None = None
@@ -109,37 +114,39 @@ class ShardServer:
         name = spec.name
         if not name:
             raise ProtocolError("register needs a contract name, got ''")
-        if name in self._ids:
-            raise DistError(
-                f"shard {self.shard_id} already holds contract {name!r}"
-            )
-        contract = self.db.register(spec)
-        self._ids[name] = contract.contract_id
+        with self._catalog_lock:
+            if name in self._ids:
+                raise DistError(
+                    f"shard {self.shard_id} already holds contract {name!r}"
+                )
+            contract = self.db.register(spec)
+            self._ids = {**self._ids, name: contract.contract_id}
+            self._names = {**self._names, contract.contract_id: name}
         return {"name": name, "contract_id": contract.contract_id}
 
     def _op_deregister(self, doc: dict) -> dict:
         name = doc["name"]
-        contract_id = self._ids.get(name)
-        if contract_id is None:
-            raise DistError(
-                f"shard {self.shard_id} holds no contract {name!r}"
-            )
-        self.db.deregister(contract_id)
-        del self._ids[name]
+        with self._catalog_lock:
+            contract_id = self._ids.get(name)
+            if contract_id is None:
+                raise DistError(
+                    f"shard {self.shard_id} holds no contract {name!r}"
+                )
+            self.db.deregister(contract_id)
+            self._ids = {n: c for n, c in self._ids.items() if n != name}
+            self._names = {c: n for c, n in self._names.items() if n != name}
         return {"name": name}
 
     def _op_query(self, doc: dict) -> dict:
         options = protocol.options_from_doc(doc)
         outcome = self.db.query(doc["query"], options)
-        return {"outcome": protocol.outcome_to_doc(
-            outcome, self._id_to_name()
-        )}
+        return {"outcome": protocol.outcome_to_doc(outcome, self._names)}
 
     def _op_query_many(self, doc: dict) -> dict:
         options = protocol.options_from_doc(doc)
         queries = list(doc["queries"])
         outcomes = self.db.query_many(queries, options)
-        payload = protocol.outcomes_doc(outcomes, self._id_to_name())
+        payload = protocol.outcomes_doc(outcomes, self._names)
         return {"outcomes": payload["outcomes"]}
 
     def _op_ingest(self, doc: dict) -> dict:
@@ -198,9 +205,6 @@ class ShardServer:
             # on the very request it is answering
             threading.Thread(target=self.stop, daemon=True).start()
         return {"stopping": True}
-
-    def _id_to_name(self) -> dict[int, str]:
-        return {cid: name for name, cid in self._ids.items()}
 
     # -- the socket surface -----------------------------------------------------------
 

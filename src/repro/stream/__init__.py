@@ -1,21 +1,25 @@
-"""Fleet-scale streaming monitoring over encoded frontiers (ROADMAP item 3).
+"""Runtime monitoring of contracts against unfolding event histories.
 
-The object-graph :class:`~repro.broker.monitor.ContractMonitor` answers
-"is this one contract still satisfiable after what we observed?" by
-walking :class:`~repro.automata.buchi.BuchiAutomaton` objects per event.
-That is the right tool for inspecting a single contract; it is the wrong
-hot path for a broker tracking thousands of live contracts against a
-shared event stream.
+The related work the paper builds on (§8, [16][19]) monitors *live*
+contracts: as events actually happen, is the contract still being
+honored, and which futures remain open ("can this ticket still be
+refunded?").  A contract's Büchi automaton is run nondeterministically
+over the observed snapshots, tracking the states consistent with the
+history; when none is left, no allowed sequence extends the history and
+the contract is **violated**.
 
-This package re-expresses the monitor on the flat int/bitset encoding of
-:mod:`repro.automata.encode` (the PR-6 decider core):
+The monitor runs on the flat int/bitset encoding of
+:mod:`repro.automata.encode` (built once at registration), so one
+implementation serves a single signed contract
+(``EncodedMonitor(contract.encoded)``) and a broker tracking thousands
+of live contracts against a shared event stream:
 
 * a contract's nondeterministic **frontier** becomes one packed int over
   :class:`~repro.automata.encode.EncodedAutomaton` state ids;
 * one event becomes a **table lookup** — snapshots map to satisfied
   label-class bitsets, label classes map to per-state successor masks —
   so the advance is a handful of dict hits plus bitwise OR, with the
-  eager live-state pruning of the object monitor baked into the masks;
+  eager live-state pruning baked into the masks;
 * a **watch query** ("can this ticket still be refunded?") becomes a
   single precomputed *winning mask*: the set of contract states from
   which a simultaneous lasso with the query automaton still exists.
@@ -25,10 +29,12 @@ This package re-expresses the monitor on the flat int/bitset encoding of
 :class:`FleetMonitor` scales this to a contract fleet: broadcast or
 per-contract event ingestion, a watch-query registry, and
 :class:`Alert` records emitted the moment a contract flips to VIOLATED
-or a watch flips to no-longer-satisfiable.  The conformance lattice's
-``monitor-stream`` / ``monitor-unknown`` cells prove the encoded
-verdicts bit-identical to the object monitor on generated traces
-(docs/DEVELOPMENT.md invariant 13).
+or a watch flips to no-longer-satisfiable.  The reference is the batch
+decider, not a second monitor: after a history ``h`` every verdict is a
+Definition 1 question about the contract ``χ_h ∧ φ``
+(:func:`repro.check.oracle.oracle_monitor`); the ``monitor-stream`` /
+``monitor-unknown`` conformance cells hold the engine to it on every
+prefix (docs/DEVELOPMENT.md invariant 13).
 """
 
 from .encoded import EncodedMonitor, compile_step_rows, live_state_mask, winning_mask

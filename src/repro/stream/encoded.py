@@ -11,8 +11,8 @@ happens on machine integers:
   repeated snapshot advances the frontier with a single dict hit and a
   few bitwise ORs;
 * live-state pruning (states that can still contribute to an accepting
-  run) is baked into the successor masks at compile time, exactly
-  mirroring the eager pruning of the object monitor.
+  run) is baked into the successor masks at compile time, so the
+  frontier empties on the very event no allowed sequence survives.
 
 Watch queries reduce to one precomputed int as well: see
 :func:`winning_mask`.
@@ -45,8 +45,9 @@ def live_state_mask(enc: EncodedAutomaton) -> int:
     """Bitset of *live* state ids: reachable from the initial state and
     able to reach a cycle through a final state.  Only these states can
     contribute to an accepting run, so the frontier is restricted to
-    them (emptiness — i.e. violation — is then detected as early as the
-    object monitor does)."""
+    them: emptiness — i.e. violation — is then detected on the first
+    prefix ``h`` that no allowed sequence extends (``χ_h ∧ φ``
+    unsatisfiable)."""
     reachable = graph.reachable_from(enc.initial, enc.successor_ids)
     cores = graph.states_on_accepting_cycles(
         reachable, enc.successor_ids, enc.is_final
@@ -108,15 +109,15 @@ def winning_mask(
     permitted: state ``s`` is set iff the compatibility product holds a
     simultaneous lasso starting at ``(s, query.initial)``.
 
-    This is the whole trick behind O(1) watch queries: the object
-    monitor's ``can_still`` builds a continuation automaton whose fresh
-    initial state copies the frontier's first steps, then runs a full
-    product search.  But a lasso from that fresh state enters the real
-    product after one step, so permission from a frontier ``{s1..sk}``
-    is exactly ``∃ i: lasso from (s_i, q0)`` — i.e.
-    ``frontier & winning_mask != 0``.  (Restricting to live contract
-    states loses nothing: every contract state on a witness lasso can
-    itself reach an accepting cycle, hence is live.)
+    This is the whole trick behind O(1) watch queries.  After a history
+    ``h`` of length ``n`` the question is whether ``χ_h ∧ φ`` permits
+    ``X^n query``: a simultaneous lasso whose first ``n`` steps replay
+    ``h`` (leading the contract automaton into its frontier while the
+    query waits) and whose rest is a lasso of the product entered at
+    ``(s, query.initial)`` for some frontier state ``s`` — i.e.
+    ``frontier & winning_mask != 0``, no product search per call.
+    (Restricting to live contract states loses nothing: every contract
+    state on a witness lasso can itself reach an accepting cycle.)
 
     The mask is computed once per (contract, query) pair by the same
     SCC characterization :func:`repro.core.permission.find_witness`
@@ -188,15 +189,22 @@ def winning_mask(
 class EncodedMonitor:
     """One contract's streaming monitor over the flat encoding.
 
-    Verdict-equivalent to :class:`repro.broker.monitor.ContractMonitor`
-    on every prefix (invariant 13) — ``status``, ``can_still``,
-    ``violation_index`` and ``unknown_events`` all agree — but the
-    per-event cost is a few dict hits and bitwise ORs instead of an
-    object-graph walk.
+    >>> monitor = EncodedMonitor(contract.encoded)
+    >>> monitor.advance({"purchase"})
+    >>> monitor.advance({"missedFlight"})
+    >>> monitor.status
+    <MonitorStatus.ACTIVE: 'active'>
+    >>> monitor.can_still("F refund")
+    True
+
+    On every prefix ``h`` of the stream ``status``, ``can_still``,
+    ``violation_index`` and ``unknown_events`` are what the batch
+    decider answers on ``χ_h ∧ φ`` (invariant 13), at a per-event cost
+    of a few dict hits and bitwise ORs.
 
     The encoding must cover the contract's full spec vocabulary
     (``encode_automaton(ba, spec.vocabulary)``), exactly as the broker
-    builds it at registration time.
+    builds it at registration time (``contract.encoded``).
     """
 
     __slots__ = (
@@ -240,8 +248,11 @@ class EncodedMonitor:
 
         Violation is absorbing: once the frontier is empty the call
         returns immediately — no table work, no history, no
-        unknown-event accounting (mirroring the object monitor's
-        short-circuit)."""
+        unknown-event accounting (a violated monitor on an unbounded
+        stream must not grow).  Events outside the contract vocabulary
+        are counted on :attr:`unknown_events` or, under
+        ``MonitorOptions.strict_vocabulary``, rejected with
+        :class:`~repro.errors.MonitorError` before any state changes."""
         if not self._frontier:
             return MonitorStatus.VIOLATED
         snap = (
@@ -377,7 +388,7 @@ class EncodedMonitor:
 
     def can_still(self, query) -> bool:
         """Can the history still extend to an allowed sequence whose
-        future satisfies ``query``?  Equivalent to the object monitor's
-        ``can_still`` (same permission semantics, contract vocabulary),
-        evaluated as a single bitwise AND."""
+        future satisfies ``query`` (LTL text, formula, BA or encoding)?
+        Permission semantics as in the broker — the future uses only
+        contract-vocabulary events — evaluated as one bitwise AND."""
         return bool(self._frontier & self.watch_mask(query))

@@ -1,11 +1,10 @@
-"""Monitoring verdicts and options shared by the object monitor
-(:class:`repro.broker.monitor.ContractMonitor`) and the encoded
-streaming engine (:mod:`repro.stream.engine`).
+"""Monitoring verdicts and options of the streaming engine
+(:mod:`repro.stream.encoded`, :mod:`repro.stream.engine`).
 
-They live here — below the broker in the layering — so both monitor
-implementations agree on one vocabulary-handling policy and one status
-enum, which is what lets the conformance lattice compare their verdicts
-bit-for-bit.
+They live in their own module — below the broker in the layering, and
+importing nothing — so :mod:`~repro.stream.encoded` and
+:mod:`~repro.stream.engine` share one status enum and one
+vocabulary-handling policy without importing each other for it.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ class MonitorStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class MonitorOptions:
-    """Policy knobs shared by every monitor implementation.
+    """Policy knobs of a monitor.
 
     Attributes:
         strict_vocabulary: how to treat snapshot events outside the

@@ -1,15 +1,18 @@
-"""Tests for runtime contract monitoring."""
-
-import pytest
+"""Runtime monitoring of *registered* contracts: the encoding the broker
+builds at registration (``contract.encoded``, over the spec vocabulary)
+is all a monitor needs — ``EncodedMonitor(contract.encoded)``, what
+``examples/lifecycle_monitoring.py`` and the tutorial do.  The engine's
+own unit tests are ``tests/stream/``."""
 
 from repro.automata.ltl2ba import translate
-from repro.broker.monitor import ContractMonitor, MonitorStatus
+from repro.broker import ContractDatabase
 from repro.ltl.parser import parse
+from repro.stream import EncodedMonitor, MonitorStatus
 
 
-def monitor_for(text: str) -> ContractMonitor:
-    formula = parse(text)
-    return ContractMonitor(translate(formula), formula.variables())
+def monitor_for(text: str) -> EncodedMonitor:
+    contract = ContractDatabase().register("contract", [text])
+    return EncodedMonitor(contract.encoded)
 
 
 class TestStatusTracking:
@@ -44,11 +47,6 @@ class TestStatusTracking:
         assert monitor.advance({"d"}) == MonitorStatus.ACTIVE
         assert monitor.advance({"d"}) == MonitorStatus.VIOLATED
 
-    def test_history_recorded(self):
-        monitor = monitor_for("G !a")
-        monitor.advance_all([{"x"}, {"y"}])
-        assert monitor.history == (frozenset({"x"}), frozenset({"y"}))
-
 
 class TestCanStill:
     def test_future_query_after_events(self):
@@ -79,14 +77,14 @@ class TestCanStill:
 class TestBrokerIntegration:
     def test_for_contract(self, airfare_contracts):
         ticket_c = airfare_contracts["Ticket C"]
-        monitor = ContractMonitor.for_contract(ticket_c)
+        monitor = EncodedMonitor(ticket_c.encoded)
         assert monitor.advance({"purchase"}) == MonitorStatus.ACTIVE
         # Ticket C never allows a refund
         assert monitor.advance({"refund"}) == MonitorStatus.VIOLATED
 
     def test_ticket_a_lifecycle(self, airfare_contracts):
         ticket_a = airfare_contracts["Ticket A"]
-        monitor = ContractMonitor.for_contract(ticket_a)
+        monitor = EncodedMonitor(ticket_a.encoded)
         monitor.advance({"purchase"})
         assert monitor.can_still("F refund")
         monitor.advance({"dateChange"})
@@ -98,7 +96,7 @@ class TestBrokerIntegration:
     def test_possible_states_shrink_monotonically_informative(self,
                                                               airfare_contracts):
         ticket_b = airfare_contracts["Ticket B"]
-        monitor = ContractMonitor.for_contract(ticket_b)
+        monitor = EncodedMonitor(ticket_b.encoded)
         assert monitor.possible_states
         monitor.advance({"purchase"})
         assert monitor.possible_states

@@ -4,20 +4,33 @@ This is the conformance harness checking itself: the oracle shares no
 code with Algorithm 2 or with the SCC-based witness search of
 ``find_witness``, so three-way agreement over random formula pairs (and
 random non-LTL-shaped automata) is the strongest evidence any of the
-three is right.
+three is right.  The monitor oracle built on it is anchored the same
+way: against hand-derived verdicts and against the formula evaluator
+of :mod:`repro.ltl.semantics` on concrete runs.
 """
 
-import pytest
-from hypothesis import given, settings
+import ast
+from pathlib import Path
 
+import pytest
+from hypothesis import assume, given, settings
+
+import repro.check.oracle
 from repro.automata.buchi import BuchiAutomaton
 from repro.automata.ltl2ba import translate
-from repro.check.oracle import OracleLimitError, oracle_permits
-from repro.check.strategies import buchi_automata, formulas
+from repro.check.oracle import (
+    MonitorVerdicts,
+    OracleLimitError,
+    history_formula,
+    oracle_monitor,
+    oracle_permits,
+)
+from repro.check.strategies import buchi_automata, formulas, runs
 from repro.core.permission import find_witness, permits
 from repro.ltl.ast import And, Finally, Prop
 from repro.ltl.equivalence import is_satisfiable
 from repro.ltl.parser import parse
+from repro.ltl.semantics import evaluate_positions, satisfies
 
 
 class TestAgainstSymbolicDeciders:
@@ -90,3 +103,94 @@ class TestLimits:
         contract = translate(parse("G a"))
         query = translate(parse("G a"))
         assert oracle_permits(contract, query)
+
+
+class TestMonitorOracle:
+    def test_history_formula_pins_every_vocabulary_event(self):
+        chi = history_formula(
+            [{"a", "stray"}, set(), {"b"}], frozenset({"a", "b"})
+        )
+        assert chi == parse(
+            "(a && !b) && (X(!a && !b) && X X(!a && b))"
+        )
+        assert history_formula([], frozenset({"a"})) == parse("true")
+
+    def test_safety_violation_is_indexed_and_absorbing(self):
+        verdicts = oracle_monitor(
+            parse("G !a"), frozenset({"a", "b"}),
+            [{"b", "x"}, {"a", "y", "z"}, {"b", "w"}], parse("F b"),
+        )
+        # the third snapshot is never consumed: its stray is not counted
+        assert verdicts == MonitorVerdicts(
+            active=(True, True, False, False),
+            can_still=(True, True, False, False),
+            violation_index=1,
+            unknown_events=3,
+        )
+
+    def test_unsatisfiable_contract_is_violated_before_any_event(self):
+        verdicts = oracle_monitor(
+            parse("false"), frozenset({"a"}), [{"a"}], parse("true")
+        )
+        assert verdicts == MonitorVerdicts((False, False), (False, False), -1, 0)
+
+    def test_the_query_is_read_over_the_future(self):
+        contract = parse("G(dateChange -> !F refund)")
+        vocabulary = contract.variables()
+        verdicts = oracle_monitor(
+            contract, vocabulary, [{"refund"}, {"dateChange"}],
+            parse("F refund"),
+        )
+        # the refund already in the history does not count
+        assert verdicts.can_still == (True, True, False)
+        assert verdicts.violation_index is None
+        # Definition 1: an event the contract never cites is never possible
+        alien = oracle_monitor(
+            contract, vocabulary, [{"refund"}], parse("F classUpgrade")
+        )
+        assert alien.can_still == (False, False)
+
+    @given(formulas(max_depth=3), formulas(max_depth=3), runs(max_prefix=3))
+    @settings(max_examples=80, deadline=None)
+    def test_an_allowed_run_keeps_every_prefix_active(
+        self, contract_f, query_f, run
+    ):
+        """Ground truth from the formula evaluator, which shares nothing
+        with the translator or the oracle: a run the contract allows is
+        an allowed continuation of each of its own prefixes, so every
+        prefix is active, and wherever the run's suffix satisfies a
+        query over the contract's events that query is still possible."""
+        assume(satisfies(run, contract_f))
+        vocabulary = contract_f.variables()
+        history = run.unroll(run.num_positions - 1)
+        verdicts = oracle_monitor(contract_f, vocabulary, history, query_f)
+        assert all(verdicts.active)
+        assert verdicts.violation_index is None
+        assert verdicts.unknown_events == sum(
+            len(snapshot - vocabulary) for snapshot in history
+        )
+        if query_f.variables() <= vocabulary:
+            for n, holds in enumerate(evaluate_positions(run, query_f)):
+                assert verdicts.can_still[n] or not holds
+
+
+def test_the_oracle_imports_nothing_it_is_a_reference_for():
+    """The translator is the one thing both sides share, as it is for
+    the batch oracle; the stream engine, the production decider, the
+    flat encoding and the graph algorithms under them stay out."""
+    source = Path(repro.check.oracle.__file__).read_text(encoding="utf-8")
+    package = repro.check.oracle.__name__.split(".")
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[:len(package) - node.level] if node.level else []
+            imported.add(".".join(base + [node.module or ""]).rstrip("."))
+    internal = {name for name in imported if name.split(".")[0] == "repro"}
+    assert "repro.automata.ltl2ba" in internal
+    allowed = {"repro.automata.buchi", "repro.automata.ltl2ba", "repro.errors"}
+    assert {
+        name for name in internal - allowed
+        if not (name + ".").startswith("repro.ltl.")
+    } == set()

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.automata import graph
 from repro.check import (
     CheckCase,
     ConformanceRunner,
@@ -163,6 +164,73 @@ class TestInjectedWrongVerdict:
         assert not report.ok
         assert report.disagreements[0].kind == "error"
         assert "decider exploded" in report.disagreements[0].detail
+
+
+def _skip_live_state_pruning(monkeypatch):
+    """A stream-engine bug: the live mask keeps every *reachable* state,
+    so a history no allowed sequence extends is reported late."""
+
+    def reachable_states(encoded):
+        return sum(1 << state for state in graph.reachable_from(
+            encoded.initial, encoded.successor_ids
+        ))
+
+    monkeypatch.setattr(
+        "repro.stream.encoded.live_state_mask", reachable_states
+    )
+
+
+def _latch_lost_watches(monkeypatch):
+    """The historical fleet bug: a watch that was lost once stays
+    reported unsatisfiable although its verdict can recover."""
+    from repro.stream.engine import FleetMonitor
+
+    live = FleetMonitor.watch_satisfiable
+
+    def latched(self, name, watch):
+        lost = self.__dict__.setdefault("_lost_watches", set())
+        if not live(self, name, watch):
+            lost.add((name, watch))
+        return (name, watch) not in lost
+
+    monkeypatch.setattr(FleetMonitor, "watch_satisfiable", latched)
+
+
+class TestSeededEngineBugs:
+    """The monitor oracle kills seeded stream-engine bugs (ROADMAP 6(a)
+    in miniature): the same detect → shrink → artifact → replay pipeline
+    as the injected wrong verdict above, through the ``monitor-stream``
+    cell.  ``cases`` reaches the first seed-7 case each bug shows on."""
+
+    @pytest.mark.parametrize("install, cases", [
+        (_skip_live_state_pruning, 1),
+        (_latch_lost_watches, 45),
+    ])
+    def test_detection_shrink_artifact_replay(
+        self, install, cases, tmp_path, monkeypatch
+    ):
+        configs = configs_by_name(["monitor-stream"])
+        install(monkeypatch)
+        runner = ConformanceRunner(
+            seed=7, cases=cases, configs=configs, artifact_dir=tmp_path
+        )
+        report = runner.run()
+        assert not report.ok
+        failure = report.disagreements[0]
+        assert failure.config_name == "monitor-stream"
+        assert failure.kind == "exact-mismatch"
+        restored = CheckCase.from_dict(
+            load_artifact(failure.artifact_path)["case"]
+        )
+        assert runner.check_case(restored, configs)
+        assert replay_artifact(failure.artifact_path).reproduced
+
+        # the unmutated engine passes the replay and the same sweep
+        monkeypatch.undo()
+        assert not replay_artifact(failure.artifact_path).reproduced
+        assert ConformanceRunner(
+            seed=7, cases=cases, configs=configs
+        ).run().ok
 
 
 class TestReplayValidation:

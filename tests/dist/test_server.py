@@ -1,5 +1,9 @@
 """One shard behind a socket: dispatch, persistence, error surfaces."""
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.broker.journal import open_database
@@ -106,6 +110,73 @@ class TestDispatch:
         response = shard.handle_request({"op": "save"})
         assert response["ok"] is False
         assert "memory-only" in response["error"]
+
+
+class TestConcurrentConnections:
+    """Every connection gets its own handler thread, so a register on
+    one runs beside queries on another."""
+
+    def test_register_beside_readers(self, shard):
+        # the name catalog used to be one dict mutated in place: a
+        # status or query iterating it while a register inserted died
+        # with "dictionary changed size during iteration", which
+        # handle_request does not catch — the client saw a dropped
+        # connection.  Enough names for an iteration to span a thread
+        # switch, a short switch interval to make the switches happen.
+        for i in range(3000):
+            _register(shard, f"old{i}", ["G a"])
+        failures = []
+        done = threading.Event()
+
+        def reader():
+            try:
+                while not done.is_set():
+                    for request in ({"op": "status"},
+                                    {"op": "query", "query": "F b"}):
+                        response = shard.handle_request(request)
+                        assert response["ok"], response
+            except BaseException as exc:  # the thread must report, not die
+                failures.append(exc)
+
+        thread = threading.Thread(target=reader)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        thread.start()
+        try:
+            for i in range(300):
+                _register(shard, f"new{i}", ["G a"])
+        finally:
+            done.set()
+            thread.join()
+            sys.setswitchinterval(interval)
+        assert failures == []
+        status = shard.handle_request({"op": "status"})
+        assert status["contracts"] == len(status["names"]) == 3300
+
+    def test_racing_duplicate_registers_admit_one(self, shard, monkeypatch):
+        # the duplicate-name check and the insert are one step, however
+        # long the registration between them takes
+        real_register = shard.db.register
+
+        def slow_register(spec):
+            time.sleep(0.02)
+            return real_register(spec)
+
+        monkeypatch.setattr(shard.db, "register", slow_register)
+        responses = []
+
+        def register():
+            responses.append(shard.handle_request({
+                "op": "register", "name": "alpha", "clauses": ["G a"],
+            }))
+
+        threads = [threading.Thread(target=register) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert sum(response["ok"] for response in responses) == 1
+        assert shard.handle_request({"op": "status"})["contracts"] == 1
 
 
 class TestPersistence:

@@ -1,32 +1,26 @@
-"""Regression tests for the three ContractMonitor bugs fixed alongside
-the streaming engine:
+"""Regression tests for two monitor bugs fixed alongside the streaming
+engine (found on the object-graph monitor it has since replaced):
 
-1. unbounded ``_history`` growth after VIOLATED (a violated monitor on
-   an unbounded stream must not leak), plus ``advance_all`` draining the
-   whole batch instead of stopping at the first violation;
+1. bookkeeping that kept growing after VIOLATED — a violated monitor on
+   an unbounded stream must not leak, and the violation must stay
+   indexed at the snapshot that caused it;
 2. events outside the contract vocabulary silently ignored — now
-   counted (default) or rejected (``MonitorOptions.strict_vocabulary``);
-3. ``_continuation_automaton`` colliding its fresh initial key with a
-   real ``("monitor-init",)`` automaton state, silently merging the
-   continuation entry point into the contract.
+   counted (default) or rejected (``MonitorOptions.strict_vocabulary``).
 """
 
 import pytest
 
-from repro.automata.buchi import BuchiAutomaton, Transition
 from repro.automata.encode import encode_automaton
-from repro.automata.labels import Label, neg, pos
 from repro.automata.ltl2ba import translate
-from repro.broker.monitor import ContractMonitor, MonitorOptions, MonitorStatus
 from repro.errors import MonitorError
 from repro.ltl.parser import parse
-from repro.stream import EncodedMonitor
+from repro.stream import EncodedMonitor, MonitorOptions, MonitorStatus
 
 
-def monitor_for(text: str, vocabulary=None, options=None) -> ContractMonitor:
+def monitor_for(text: str, vocabulary=None, options=None) -> EncodedMonitor:
     formula = parse(text)
     vocab = vocabulary if vocabulary is not None else formula.variables()
-    return ContractMonitor(translate(formula), vocab, options)
+    return EncodedMonitor(encode_automaton(translate(formula), vocab), options)
 
 
 class TestHistoryBoundedAfterViolation:
@@ -34,10 +28,13 @@ class TestHistoryBoundedAfterViolation:
         monitor = monitor_for("G !a")
         monitor.advance({"a"})
         assert monitor.status is MonitorStatus.VIOLATED
-        for _ in range(100):
-            monitor.advance({"a"})
-        assert len(monitor.history) == 1
+        tables = (len(monitor._snap_memo), len(monitor._sat_tables))
+        for i in range(100):
+            monitor.advance({"a", f"stray{i}"})
+        assert monitor.events_seen == 1
         assert monitor.violation_index == 0
+        # the snapshots were not even interned
+        assert (len(monitor._snap_memo), len(monitor._sat_tables)) == tables
 
     def test_violation_index_reported(self):
         monitor = monitor_for("G !a", frozenset({"a", "b"}))
@@ -48,20 +45,6 @@ class TestHistoryBoundedAfterViolation:
 
     def test_unsatisfiable_contract_indexed_before_any_event(self):
         assert monitor_for("false").violation_index == -1
-
-    def test_advance_all_stops_at_first_violation(self):
-        monitor = monitor_for("G !a", frozenset({"a", "b"}))
-        remaining = iter([
-            frozenset({"b"}),
-            frozenset({"a"}),
-            frozenset({"b"}),
-            frozenset({"b"}),
-        ])
-        assert monitor.advance_all(remaining) is MonitorStatus.VIOLATED
-        assert monitor.violation_index == 1
-        assert len(monitor.history) == 2
-        # the rest of the batch was not consumed
-        assert list(remaining) == [frozenset({"b"}), frozenset({"b"})]
 
 
 class TestUnknownVocabularyEvents:
@@ -86,7 +69,7 @@ class TestUnknownVocabularyEvents:
         frontier = monitor.possible_states
         with pytest.raises(MonitorError):
             monitor.advance({"purchase"})
-        assert monitor.history == ()
+        assert monitor.events_seen == 0
         assert monitor.unknown_events == 0
         assert monitor.possible_states == frontier
         assert monitor.status is MonitorStatus.ACTIVE
@@ -97,63 +80,3 @@ class TestUnknownVocabularyEvents:
             MonitorOptions(strict_vocabulary=True),
         )
         assert monitor.advance({"purchase"}) is MonitorStatus.ACTIVE
-
-
-def collision_automaton():
-    """A contract whose state set contains the literal key
-    ``("monitor-init",)`` — and its doubled form, forcing the fresh-key
-    search to grow twice.
-
-    From the initial state every first step requires ``a ∧ ¬b``; the
-    ``("monitor-init",)`` state (live, but not in the frontier) owns a
-    ``b``-transition.  Under the old fixed fresh key that transition was
-    merged into the continuation's entry point, wrongly answering
-    ``can_still("b")`` with True."""
-    trap = ("monitor-init",)
-    trap2 = ("monitor-init", "monitor-init")
-    return BuchiAutomaton(
-        ["s0", trap, trap2, "acc"],
-        "s0",
-        [
-            Transition("s0", Label.of([pos("a"), neg("b")]), trap),
-            Transition(trap, Label.of([pos("b")]), "acc"),
-            Transition("acc", Label.of([pos("a")]), "acc"),
-        ],
-        {"acc"},
-    )
-
-
-class TestContinuationFreshKeyCollision:
-    def test_collision_does_not_leak_foreign_transitions(self):
-        ba = collision_automaton()
-        monitor = ContractMonitor(ba, frozenset({"a", "b"}))
-        assert monitor.can_still("a")
-        # the frontier is {"s0"}, whose only exits forbid b — the real
-        # ("monitor-init",) state's b-transition must not bleed in
-        assert not monitor.can_still("b")
-
-    def test_collision_after_advancing(self):
-        ba = collision_automaton()
-        monitor = ContractMonitor(ba, frozenset({"a", "b"}))
-        assert monitor.advance({"a"}) is MonitorStatus.ACTIVE
-        # now the frontier really is {("monitor-init",)}: b is next
-        assert monitor.can_still("b")
-        assert not monitor.can_still("!b")
-
-    def test_fresh_key_grows_past_every_real_state(self):
-        ba = collision_automaton()
-        monitor = ContractMonitor(ba, frozenset({"a", "b"}))
-        continuation = monitor._continuation_automaton()
-        assert continuation.initial not in ba.states
-
-    def test_encoded_monitor_agrees_on_the_collision_case(self):
-        ba = collision_automaton()
-        vocab = frozenset({"a", "b"})
-        obj = ContractMonitor(ba, vocab)
-        enc = EncodedMonitor(encode_automaton(ba, vocab))
-        for query in ("a", "b", "F b", "G a"):
-            assert obj.can_still(query) == enc.can_still(query)
-        obj.advance({"a"})
-        enc.advance({"a"})
-        for query in ("a", "b", "F b", "G a"):
-            assert obj.can_still(query) == enc.can_still(query)
