@@ -156,6 +156,7 @@ class EncodedAutomaton:
         try:
             events = tuple(str(e) for e in data["events"])
             states = tuple(data["states"])
+            state_set = set(states)  # an unhashable entry is malformed too
             initial = int(data["initial"])
             final_ids = [int(i) for i in data["final"]]
             offsets = array("q", data["offsets"])
@@ -169,7 +170,7 @@ class EncodedAutomaton:
         n = len(states)
         if list(events) != sorted(set(events)):
             raise AutomatonError("encoded events must be sorted and unique")
-        if set(states) != ba.states or len(states) != len(ba.states):
+        if state_set != ba.states or len(states) != len(ba.states):
             raise AutomatonError("encoded state table does not match automaton")
         if not (0 <= initial < n) or states[initial] != ba.initial:
             raise AutomatonError("encoded initial state does not match automaton")

@@ -67,7 +67,10 @@ def neg(event: str) -> Literal:
 
 def parse_literal(text: str) -> Literal:
     """Inverse of ``str(literal)``: ``"a"`` -> positive, ``"!a"`` ->
-    negative (``~`` also accepted, matching :meth:`Label.parse`)."""
+    negative (``~`` also accepted, matching :meth:`Label.parse`).
+    Anything but literal text is a ``ValueError``, like malformed text."""
+    if not isinstance(text, str):
+        raise ValueError(f"malformed literal: {text!r}")
     text = text.strip()
     if text.startswith(("!", "~")):
         event = text[1:].strip()
@@ -128,8 +131,10 @@ class Label:
         Raises ``ValueError`` on malformed conjunctions — a dangling
         operator (``"a &"``), an empty conjunct (``"a & & b"``), or a
         bare negation (``"!"``) — instead of silently building literals
-        with empty event names.
+        with empty event names — and on anything that is not text.
         """
+        if not isinstance(text, str):
+            raise ValueError(f"malformed label: {text!r}")
         text = text.strip()
         if text in ("true", "1", ""):
             return TRUE_LABEL

@@ -47,18 +47,18 @@ def automaton_to_dict(ba: BuchiAutomaton, *, canonicalize: bool = True) -> dict:
 
 
 def automaton_from_dict(data: dict) -> BuchiAutomaton:
-    """Inverse of :func:`automaton_to_dict`."""
+    """Inverse of :func:`automaton_to_dict`; raises
+    :class:`AutomatonError` on any other shape."""
     try:
         n = int(data["states"])
         initial = int(data["initial"])
         final = [int(s) for s in data["final"]]
-        raw = data["transitions"]
+        transitions = [
+            Transition(int(src), Label.parse(label_text), int(dst))
+            for src, label_text, dst in data["transitions"]
+        ]
     except (KeyError, TypeError, ValueError) as exc:
         raise AutomatonError(f"malformed automaton document: {exc}") from exc
-    transitions = []
-    for entry in raw:
-        src, label_text, dst = entry
-        transitions.append(Transition(int(src), Label.parse(label_text), int(dst)))
     return BuchiAutomaton(range(n), initial, transitions, final)
 
 

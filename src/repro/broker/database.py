@@ -187,7 +187,6 @@ class ContractDatabase:
         #: set by :func:`repro.broker.journal.open_database` after a
         #: journal replay (:class:`repro.broker.journal.JournalReplayReport`).
         self.journal_report = None
-        self._dirty = True
         #: specs that failed batch registration, held for retry
         #: (:class:`repro.broker.registration.Quarantine`).
         self.quarantine = Quarantine()
@@ -319,7 +318,6 @@ class ContractDatabase:
             stats.encode_seconds += encode_seconds
             stats.projection_seconds += projection_seconds
             stats.prefilter_seconds += prefilter_seconds
-            self._dirty = True
             # The journal append is the acknowledgement point: it is
             # fsync'd before register() returns, inside the write lock
             # so journal order always matches application order.
@@ -344,7 +342,6 @@ class ContractDatabase:
             self._index.remove_contract(contract_id)
             self._query_cache.forget_contract(contract_id)
             self.registration_stats.contracts -= 1
-            self._dirty = True
             if self._journal is not None:
                 self._journal.append("deregister", {"rank": rank})
 
@@ -795,22 +792,9 @@ class ContractDatabase:
             self.registration_stats.projection_seconds += (
                 time.perf_counter() - start
             )
-            if added:
-                self._dirty = True
         return added
 
     # -- persistence hooks -----------------------------------------------------------
-
-    @property
-    def dirty(self) -> bool:
-        """True when derived state has changed since the last snapshot
-        save/load (register, deregister, workload precomputation) — the
-        signal behind ``save_database(..., only_if_dirty=True)``."""
-        return self._dirty
-
-    @dirty.setter
-    def dirty(self, value: bool) -> None:
-        self._dirty = bool(value)
 
     def adopt_index(self, index: PrefilterIndex) -> None:
         """Replace the prefilter index wholesale (the persistence layer's

@@ -28,7 +28,11 @@ independently verifiable.  A torn tail (the crash happened mid-write) is
 detected by JSON/checksum/sequence failure and *truncated away* on open:
 everything before it was individually fsync'd and replays; nothing after
 it can be trusted.  This is what makes recovery prefix-consistent — no
-partial mutation is ever visible.
+partial mutation is ever visible.  One scanner (:func:`_scan`) reads the
+bytes for every reader — :meth:`Journal.open`, which heals the file, and
+:meth:`Journal.read_from` / :meth:`Journal.read_header_epoch`, which a
+replica tails it with and which never write — so they cannot disagree on
+where the verified prefix ends.
 
 Epoch handshake with the snapshot: the manifest records the
 ``journal_epoch`` it was saved under, and the journal's header record
@@ -42,6 +46,11 @@ carries the journal's own epoch.
 * journal epoch >  manifest epoch → the snapshot was rolled back or
   copied stale; replaying could reference contracts the snapshot does
   not hold: discard with a loud warning rather than corrupt.
+
+That verdict, the snapshot load and the configuration precedence are one
+step, :func:`restore`, which crash recovery (:func:`open_database`) and
+replication (:class:`repro.dist.replica.Replica`) share, as they share
+:func:`apply_prefix` for the records that do replay.
 """
 
 from __future__ import annotations
@@ -49,7 +58,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -57,7 +65,7 @@ from ..core import faults
 from ..errors import JournalError, ReproError
 from .contract import ContractSpec
 from .database import BrokerConfig, ContractDatabase
-from .persist import _fsync_directory, load_database, read_manifest
+from .persist import Manifest, atomic_replace, load_database, read_manifest
 
 JOURNAL_FILE = "journal.jsonl"
 
@@ -90,13 +98,13 @@ class JournalTail:
 
     #: verified mutation records in order (the header is not included)
     records: tuple[JournalRecord, ...]
-    #: the byte offset the read started at
-    start_offset: int
     #: the offset just past the last verified record
     end_offset: int
     #: the header record's epoch, when the read started at offset 0
     #: (``None`` otherwise — the header lives at the head of the file)
     epoch: int | None
+    #: the header record's configuration, likewise
+    config: dict | None
     #: whether unverifiable bytes follow ``end_offset``
     torn: bool
     #: the file size at read time
@@ -120,7 +128,6 @@ class JournalReplayReport:
     #: lines dropped by checksum/sequence verification
     torn_records: int = 0
     warnings: list = field(default_factory=list)
-    replay_seconds: float = 0.0
 
 
 def _checksum(doc: dict) -> str:
@@ -138,6 +145,76 @@ def _encode(seq: int, op: str, data: dict) -> bytes:
             f"journal record {op!r} is not JSON-serializable: {exc}"
         ) from exc
     return line.encode("utf-8") + b"\n"
+
+
+def _decode(line: bytes) -> JournalRecord | None:
+    try:
+        doc = json.loads(line.decode("utf-8"))
+    except (ValueError, RecursionError):  # not UTF-8, not JSON, or too deep
+        return None
+    if not isinstance(doc, dict):
+        return None
+    ck = doc.get("ck")
+    seq = doc.get("seq")
+    op = doc.get("op")
+    data = doc.get("data")
+    if (
+        not isinstance(seq, int)
+        or not isinstance(op, str)
+        or not isinstance(data, dict)
+        or op not in KNOWN_OPS
+    ):
+        return None
+    if ck != _checksum({"seq": seq, "op": op, "data": data}):
+        return None
+    return JournalRecord(seq=seq, op=op, data=data)
+
+
+def _scan(data: bytes, offset: int = 0,
+          expected_seq: int | None = None) -> JournalTail:
+    """The one reader of journal bytes; ``data`` is the file's content
+    from byte ``offset`` on.
+
+    Every line must end in a newline (an unterminated tail is a record
+    still being written, or cut by a crash), carry its checksum, a known
+    operation and — from ``expected_seq`` on, when given — the next
+    sequence number.  The line at byte 0 must be the header: an ``open``
+    record at sequence 0 with an int ``epoch`` and a mapping-or-absent
+    ``config``; an ``open`` record anywhere else is no record.  Nothing
+    past the first line that fails is read, so a file that does not
+    start with a header is torn from byte 0.
+    """
+    header_epoch = header_config = None
+    records: list[JournalRecord] = []
+    if offset == 0:
+        expected_seq = 0
+    start = end = offset
+    for line in data.split(b"\n")[:-1]:  # the last piece has no newline
+        if line:  # a blank line counts once a verified record follows it
+            record = _decode(line)
+            if record is None:
+                break
+            if expected_seq is not None and record.seq != expected_seq:
+                break
+            if start == 0:
+                epoch = record.data.get("epoch")
+                config = record.data.get("config")
+                if (record.op != "open" or type(epoch) is not int
+                        or not isinstance(config, dict | None)):
+                    break
+                header_epoch, header_config = epoch, config
+            elif record.op == "open":
+                break
+            else:
+                records.append(record)
+            expected_seq = record.seq + 1
+            end = start + len(line) + 1
+        start += len(line) + 1
+    size = offset + len(data)
+    return JournalTail(
+        records=tuple(records), end_offset=end, epoch=header_epoch,
+        config=header_config, torn=end < size, file_size=size,
+    )
 
 
 class Journal:
@@ -168,89 +245,31 @@ class Journal:
              config: BrokerConfig | None = None) -> "Journal":
         """Open (or create) the journal at ``path``.
 
-        A missing file is created with a fresh header at ``epoch``.  An
-        existing file is scanned; its header's epoch wins over the
-        ``epoch`` argument, and any torn tail is truncated in place.
+        An existing file is scanned; its header's epoch wins over the
+        ``epoch`` argument, and any torn tail is truncated in place.  A
+        missing file, or one whose header did not survive, starts with a
+        fresh header at ``epoch``.
         """
         path = Path(path)
-        if not path.exists():
-            journal = cls(path, epoch=epoch, records=[])
-            journal._write_header(config)
-            return journal
-
-        raw = path.read_bytes()
-        records: list[JournalRecord] = []
-        header_epoch = epoch
-        header_config = None
-        good_bytes = 0
-        torn_records = 0
-        offset = 0
-        expected_seq = 0
-        for line in raw.split(b"\n"):
-            line_span = len(line) + 1  # the split-off newline
-            if not line:
-                offset += line_span
-                continue
-            if offset + len(line) >= len(raw) and not raw.endswith(b"\n"):
-                # unterminated final line: torn mid-write
-                torn_records += 1
-                break
-            record = cls._decode(line)
-            if record is None or record.seq != expected_seq:
-                torn_records += 1
-                break
-            if record.op == "open":
-                header_epoch = int(record.data.get("epoch", epoch))
-                header_config = record.data.get("config")
-            else:
-                records.append(record)
-            expected_seq += 1
-            offset += line_span
-            good_bytes = offset
-        torn_bytes = len(raw) - good_bytes
-        if torn_bytes:
+        found = _scan(path.read_bytes() if path.exists() else b"")
+        if found.torn:
             # self-heal: everything past the last verified record is
             # untrustworthy (and would desynchronize future appends)
             with open(path, "r+b") as fh:
-                fh.truncate(good_bytes)
+                fh.truncate(found.end_offset)
                 fh.flush()
                 os.fsync(fh.fileno())
         journal = cls(
-            path, epoch=header_epoch, records=records,
-            torn_bytes=torn_bytes, torn_records=torn_records,
+            path, epoch=epoch if found.epoch is None else found.epoch,
+            records=list(found.records),
+            torn_bytes=found.file_size - found.end_offset,
+            torn_records=int(found.torn),
         )
-        journal.header_config = (
-            header_config if isinstance(header_config, dict) else None
-        )
-        journal._next_seq = expected_seq if expected_seq > 0 else 1
-        if good_bytes == 0:
-            # nothing usable survived (even the header was torn)
-            journal._next_seq = 0
+        if found.epoch is None:
             journal._write_header(config)
+        else:
+            journal.header_config = found.config
         return journal
-
-    @staticmethod
-    def _decode(line: bytes) -> JournalRecord | None:
-        try:
-            doc = json.loads(line.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            return None
-        if not isinstance(doc, dict):
-            return None
-        ck = doc.get("ck")
-        seq = doc.get("seq")
-        op = doc.get("op")
-        data = doc.get("data")
-        if (
-            not isinstance(seq, int)
-            or not isinstance(op, str)
-            or not isinstance(data, dict)
-            or op not in KNOWN_OPS
-        ):
-            return None
-        if ck != _checksum({"seq": seq, "op": op, "data": data}):
-            return None
-        return JournalRecord(seq=seq, op=op, data=data)
 
     # -- reader-side tailing ----------------------------------------------------------
 
@@ -271,51 +290,17 @@ class Journal:
         carry (a replica passes its cursor's next sequence); ``None``
         accepts whatever contiguous run starts at ``offset``.  When the
         read starts at offset 0, the header record is consumed (not
-        returned) and its epoch is reported on :attr:`JournalTail.epoch`.
+        returned) and reported on :attr:`JournalTail.epoch` and
+        :attr:`JournalTail.config`.
         """
-        path = Path(path)
         try:
-            raw = path.read_bytes()
+            with open(path, "rb") as fh:
+                offset = max(0, min(offset, fh.seek(0, os.SEEK_END)))
+                fh.seek(offset)
+                data = fh.read()
         except FileNotFoundError:
-            return JournalTail(
-                records=(), start_offset=offset, end_offset=offset,
-                epoch=None, torn=False, file_size=0,
-            )
-        offset = max(0, min(offset, len(raw)))
-        epoch: int | None = None
-        records: list[JournalRecord] = []
-        position = offset
-        good = offset
-        torn = False
-        for line in raw[offset:].split(b"\n"):
-            line_span = len(line) + 1
-            if not line:
-                position += line_span
-                if position <= len(raw):
-                    good = position
-                continue
-            if position + len(line) >= len(raw) and not raw.endswith(b"\n"):
-                torn = True  # unterminated final line: mid-flush
-                break
-            record = cls._decode(line)
-            if record is None:
-                torn = True
-                break
-            if record.op == "open" and position == 0:
-                epoch = int(record.data.get("epoch", 0))
-                expected_seq = record.seq + 1
-            else:
-                if expected_seq is not None and record.seq != expected_seq:
-                    torn = True
-                    break
-                expected_seq = record.seq + 1
-                records.append(record)
-            position += line_span
-            good = position
-        return JournalTail(
-            records=tuple(records), start_offset=offset, end_offset=good,
-            epoch=epoch, torn=torn, file_size=len(raw),
-        )
+            offset, data = 0, b""  # a missing file reads as an empty one
+        return _scan(data, offset, expected_seq)
 
     @classmethod
     def read_header_epoch(cls, path: str | Path) -> int | None:
@@ -323,19 +308,12 @@ class Journal:
         (``None`` when the file is missing or its header is torn).
         Replicas poll this to detect a leader compaction — the epoch
         bump that invalidates their byte cursor."""
-        path = Path(path)
         try:
             with open(path, "rb") as fh:
                 head = fh.read(65536)
         except OSError:
             return None
-        newline = head.find(b"\n")
-        if newline < 0:
-            return None
-        record = cls._decode(head[:newline])
-        if record is None or record.op != "open":
-            return None
-        return int(record.data.get("epoch", 0))
+        return _scan(head[: head.find(b"\n") + 1]).epoch
 
     # -- appending --------------------------------------------------------------------
 
@@ -361,13 +339,17 @@ class Journal:
         self._next_seq = seq + 1
         return seq
 
+    def _header_data(self, epoch: int) -> dict:
+        data: dict = {"epoch": epoch}
+        if self.header_config is not None:
+            data["config"] = self.header_config
+        return data
+
     def _write_header(self, config: BrokerConfig | None) -> None:
-        data: dict = {"epoch": self.epoch}
         if config is not None:
-            data["config"] = asdict(config)
-            self.header_config = data["config"]
+            self.header_config = asdict(config)
         self._next_seq = 0
-        self._write_record("open", data)
+        self._write_record("open", self._header_data(self.epoch))
 
     def append(self, op: str, data: dict) -> int:
         """Durably append one mutation record; returns its sequence
@@ -380,70 +362,93 @@ class Journal:
         self.tail.append(JournalRecord(seq=seq, op=op, data=data))
         return seq
 
-    # -- compaction -------------------------------------------------------------------
+    # -- rewriting --------------------------------------------------------------------
 
     def compact(self, epoch: int, config: BrokerConfig | None = None) -> None:
         """Atomically replace the journal with a fresh header at
         ``epoch`` — called once a snapshot safely holds every tail
         record (write the manifest first, then compact)."""
         faults.hit("journal.compact", epoch=epoch)
-        self.close()
-        tmp = self.path.with_name(f".{self.path.name}.{os.getpid()}.tmp")
-        data: dict = {"epoch": epoch}
         if config is not None:
-            data["config"] = asdict(config)
-            self.header_config = data["config"]
-        with open(tmp, "wb") as fh:
-            fh.write(_encode(0, "open", data))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
-        _fsync_directory(self.path.parent)
-        self.epoch = epoch
-        self.tail = []
-        self._next_seq = 1
+            self.header_config = asdict(config)
+        self._rewrite(epoch, [])
 
-    def _rewrite(self) -> None:
-        """Rewrite the file as header + the current (renumbered) tail —
-        used when replay drops unapplicable records, so the file never
-        disagrees with what the database actually replayed."""
+    def _rewrite(self, epoch: int, records: list[JournalRecord]) -> None:
+        """The one rewrite: atomically replace the file with the header
+        the journal holds (its configuration included) at ``epoch`` and
+        ``records`` renumbered from 1 — an empty list to compact, the
+        applied prefix when replay drops unapplicable records, so the
+        file never disagrees with what the database actually replayed."""
         self.close()
-        self.tail = [
+        header = JournalRecord(0, "open", self._header_data(epoch))
+        tail = [
             JournalRecord(seq=i, op=r.op, data=r.data)
-            for i, r in enumerate(self.tail, start=1)
+            for i, r in enumerate(records, start=1)
         ]
-        tmp = self.path.with_name(f".{self.path.name}.{os.getpid()}.tmp")
-        with open(tmp, "wb") as fh:
-            fh.write(_encode(0, "open", {"epoch": self.epoch}))
-            for record in self.tail:
-                fh.write(_encode(record.seq, record.op, record.data))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
-        _fsync_directory(self.path.parent)
-        self._next_seq = len(self.tail) + 1
+        atomic_replace(self.path, b"".join(
+            _encode(r.seq, r.op, r.data) for r in [header, *tail]
+        ))
+        self.epoch = epoch
+        self.tail = tail
+        self._next_seq = len(tail) + 1
 
     def close(self) -> None:
         if self._fh is not None and not self._fh.closed:
             self._fh.close()
         self._fh = None
 
-    # -- introspection ----------------------------------------------------------------
-
-    def latest_config(self) -> dict | None:
-        """The most recent configuration the journal knows: the last
-        ``config`` record's payload, if any (configuration changes are
-        journaled so an argument-less reopen uses the latest one)."""
-        for record in reversed(self.tail):
-            if record.op == "config":
-                return record.data.get("config")
-        return self.header_config
-
     def __len__(self) -> int:
         return len(self.tail)
 
 
 # -- the runtime entry point ----------------------------------------------------------
+
+
+def restore(
+    directory: Path,
+    manifest: Manifest | None,
+    config: BrokerConfig | None,
+    epoch: int,
+    header_config: dict | None,
+    records,
+) -> tuple[ContractDatabase, str | None]:
+    """The one restore step, shared by :func:`open_database` and a
+    replica's resync: the state the journal tail of ``directory``
+    applies to, and whether it may.
+
+    ``epoch``, ``header_config`` and ``records`` are the journal as
+    scanned.  Returns the snapshot ``manifest`` names, restored through
+    :func:`~repro.broker.persist.load_database` (an empty database when
+    there is none), and ``None`` when ``records`` are to be replayed on
+    top of it, else the reason they must be discarded (the epoch
+    handshake in the module docstring).  Configuration precedence: the
+    explicit ``config`` > the journaled one (the last pre-6.0 ``config``
+    record, else the header's) > the manifest's, or the default.
+    """
+    if config is None:
+        journaled = header_config
+        for record in records:
+            if record.op == "config":
+                journaled = record.data.get("config")
+        if journaled is not None:
+            config = BrokerConfig.from_dict(journaled)
+    if manifest is None:
+        db, manifest_epoch = ContractDatabase(config), 0
+    else:
+        db = load_database(directory, config)
+        manifest_epoch = manifest.journal_epoch
+    if epoch == manifest_epoch:
+        return db, None
+    if epoch < manifest_epoch:
+        return db, (
+            f"epoch {epoch} is behind the snapshot's {manifest_epoch}; "
+            "its records are already in the snapshot"
+        )
+    return db, (
+        f"epoch {epoch} is ahead of the snapshot's {manifest_epoch} "
+        "(stale or rolled-back snapshot?); its records cannot be "
+        "replayed onto it"
+    )
 
 
 def open_database(
@@ -466,8 +471,6 @@ def open_database(
     directory.mkdir(parents=True, exist_ok=True)
 
     report = JournalReplayReport()
-    start = time.perf_counter()
-
     manifest = read_manifest(directory)
     manifest_epoch = manifest.journal_epoch if manifest is not None else 0
 
@@ -483,39 +486,19 @@ def open_database(
             f"record(s), {journal.torn_bytes} byte(s))"
         )
 
-    # Configuration precedence: explicit argument > journaled config
-    # change > manifest/default.
-    effective_config = config
-    if effective_config is None:
-        config_doc = journal.latest_config()
-        if config_doc is not None:
-            effective_config = BrokerConfig.from_dict(config_doc)
-
-    if manifest is not None:
-        db = load_database(directory, effective_config)
-    else:
-        db = ContractDatabase(effective_config)
-
-    if journal.epoch == manifest_epoch:
+    db, stale = restore(
+        directory, manifest, config,
+        journal.epoch, journal.header_config, journal.tail,
+    )
+    if stale is None:
         _replay(db, journal, report)
-    elif journal.epoch < manifest_epoch:
-        report.discarded_stale = len(journal.tail)
-        report.warnings.append(
-            f"journal: epoch {journal.epoch} is behind the snapshot's "
-            f"{manifest_epoch}; its {len(journal.tail)} record(s) are "
-            "already in the snapshot (discarded)"
-        )
-        journal.compact(manifest_epoch, db.config)
     else:
         report.discarded_stale = len(journal.tail)
         report.warnings.append(
-            f"journal: epoch {journal.epoch} is ahead of the snapshot's "
-            f"{manifest_epoch} (stale or rolled-back snapshot?); "
-            f"discarding {len(journal.tail)} unreplayable record(s)"
+            f"journal: {stale}; discarding {len(journal.tail)} record(s)"
         )
         journal.compact(manifest_epoch, db.config)
 
-    report.replay_seconds = time.perf_counter() - start
     db.metrics.inc("journal.replayed", report.replayed)
     if report.torn_records:
         db.metrics.inc("journal.torn_records", report.torn_records)
@@ -552,41 +535,43 @@ def deregister_target(db: ContractDatabase, data: dict) -> int:
     return ids[rank]
 
 
-def apply_record(db: ContractDatabase, record: JournalRecord) -> None:
-    """Apply one mutation record to ``db`` — what the leader's own
-    replay and a replica both do with it.  A record that cannot be
-    applied raises a :class:`ReproError`; what to do then (truncate the
-    journal, stall the replica) is the caller's."""
-    if record.op == "register":
-        db.register(ContractSpec.from_doc(record.data))
-    elif record.op == "deregister":
-        db.deregister(deregister_target(db, record.data))
-    # adopt_index: the register/deregister records rebuild the index
-    # incrementally, which is the index the adopted snapshot held at
-    # this point.  config: consumed before replay (latest_config); the
-    # database was constructed with the newest one.
+def apply_prefix(
+    db: ContractDatabase, records
+) -> tuple[int, ReproError | None]:
+    """Apply mutation records to ``db`` in order, up to the first that
+    fails — what the leader's own replay and a replica both do with a
+    journal tail.  Returns how many applied and that failure (``None``
+    when all did).  Nothing after an unapplicable record is applied —
+    it could reference state that never materialized — and the reaction
+    is the caller's: the leader truncates its journal there, a replica
+    stalls."""
+    for applied, record in enumerate(records):
+        try:
+            if record.op == "register":
+                db.register(ContractSpec.from_doc(record.data))
+            elif record.op == "deregister":
+                db.deregister(deregister_target(db, record.data))
+            # adopt_index: the register/deregister records rebuild the
+            # index incrementally, which is the index the adopted
+            # snapshot held at this point.  config: consumed by the
+            # restore step; the database was constructed with the
+            # newest one.
+        except ReproError as exc:
+            return applied, exc
+    return len(records), None
 
 
 def _replay(db: ContractDatabase, journal: Journal,
             report: JournalReplayReport) -> None:
-    """Re-apply the journal tail onto ``db``, stopping (and truncating
-    the rest away) at the first record that fails to apply — a
-    replayable prefix is the crash-safety contract; an unreplayable
-    middle would leave later records referencing state that never
-    materialized."""
-    applied = 0
-    for position, record in enumerate(journal.tail):
-        try:
-            apply_record(db, record)
-        except ReproError as exc:
-            report.warnings.append(
-                f"journal: record seq={record.seq} op={record.op!r} "
-                f"failed to replay ({type(exc).__name__}: {exc}); "
-                f"dropping it and the {len(journal.tail) - position - 1} "
-                "record(s) after it"
-            )
-            del journal.tail[position:]
-            journal._rewrite()
-            break
-        applied += 1
-    report.replayed = applied
+    """Re-apply the journal tail onto ``db`` and truncate away whatever
+    did not apply — a replayable prefix is the crash-safety contract."""
+    report.replayed, failure = apply_prefix(db, journal.tail)
+    if failure is not None:
+        record = journal.tail[report.replayed]
+        report.warnings.append(
+            f"journal: record seq={record.seq} op={record.op!r} "
+            f"failed to replay ({type(failure).__name__}: {failure}); "
+            f"dropping it and the {len(journal.tail) - report.replayed - 1} "
+            "record(s) after it"
+        )
+        journal._rewrite(journal.epoch, journal.tail[:report.replayed])

@@ -47,17 +47,6 @@ DEFAULT_MAX_RETRIES = 2
 #: First retry's backoff; doubles per retry, capped at 1 s.
 DEFAULT_BACKOFF_SECONDS = 0.05
 
-#: Pool retries follow the shared backoff shape (see
-#: :mod:`repro.core.retry`) without jitter — a single local pool has
-#: no herd to desynchronize, and jitter-free delays keep the existing
-#: ``register_many`` timing contract exact.
-_POOL_BACKOFF = BackoffPolicy(
-    max_retries=DEFAULT_MAX_RETRIES,
-    base_seconds=DEFAULT_BACKOFF_SECONDS,
-    cap_seconds=1.0,
-    jitter=0.0,
-)
-
 
 def _translate_clauses(payload: tuple[dict, int]) -> dict:
     """Worker: parse + conjoin + translate one contract's clauses.
@@ -186,10 +175,11 @@ def register_many(
     documents: dict[int, dict] = {}
     dead: set[int] = set()  # quarantined during the pool phase
     pending = list(healthy)
-    policy = _POOL_BACKOFF if (
-        max_retries == _POOL_BACKOFF.max_retries
-        and backoff_seconds == _POOL_BACKOFF.base_seconds
-    ) else BackoffPolicy(
+    # Pool retries follow the shared backoff shape (see
+    # :mod:`repro.core.retry`) without jitter — a single local pool has
+    # no herd to desynchronize, and jitter-free delays keep the
+    # ``register_many`` timing contract exact.
+    policy = BackoffPolicy(
         max_retries=max_retries, base_seconds=backoff_seconds,
         cap_seconds=1.0, jitter=0.0,
     )

@@ -30,15 +30,17 @@ fully indexed database in O(read) instead of O(rebuild).
 
 Robustness model:
 
-* every write goes through a temp file + atomic ``os.replace``, and the
-  manifest is written last — a crash mid-save never clobbers a loadable
-  snapshot (at worst the old manifest's checksums reject half-replaced
-  artifacts and the loader rebuilds);
+* every write goes through :func:`atomic_replace` (temp file, fsync,
+  ``os.replace``, directory fsync — the journal's rewrite uses it too),
+  and the manifest is written last — a crash mid-save never clobbers a
+  loadable snapshot (at worst the old manifest's checksums reject
+  half-replaced artifacts and the loader rebuilds);
 * every derived artifact is verified against its manifest checksum; a
-  missing, corrupt, or mismatching artifact is *ignored* and the
-  corresponding structures are rebuilt from the specifications —
-  correctness never depends on snapshot integrity, only cold-start time
-  does;
+  missing, corrupt, mismatching or misshapen artifact (or one
+  contract's entry of it) is *ignored*, with a warning naming the file,
+  and the corresponding structures are rebuilt from the specifications
+  — correctness never depends on snapshot integrity, only cold-start
+  time does;
 * stored automata are trusted per contract only if they cite no event
   outside the specification's vocabulary; any name miss or stale entry
   falls back to re-translation, with a warning recorded in the
@@ -60,7 +62,7 @@ from typing import NamedTuple
 from ..automata.encode import EncodedAutomaton, encode_automaton
 from ..automata.serialize import automaton_from_dict, automaton_to_dict
 from ..core import faults
-from ..errors import AutomatonError, BrokerError, IndexError_, ProjectionError
+from ..errors import BrokerError, IndexError_, ReproError
 from ..index.prefilter import PrefilterIndex
 from ..projection.store import ProjectionStore
 from .contract import ContractSpec
@@ -109,29 +111,24 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    """Write via a temp file in the same directory + atomic rename, so a
-    crash mid-write leaves the previous file intact.
+def atomic_replace(path: Path, payload: bytes) -> None:
+    """The one atomic file replacement (snapshot artifacts and the
+    journal's rewrite): write a temp file in the same directory, then
+    rename it over ``path`` — a crash mid-write leaves the previous
+    file intact.
 
     The temp file is fsync'd *before* the rename (otherwise the rename
     can land on disk ahead of the data it points to, and a power cut
     yields a zero-length "successfully replaced" file), and the
     directory is fsync'd *after* (so the rename itself is durable)."""
-    faults.hit("persist.artifact_write", filename=path.name)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    with open(tmp, "wb") as fh:
+        fh.write(payload)
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
-    _fsync_directory(path.parent)
-
-
-def _fsync_directory(directory: Path) -> None:
-    """Best-effort directory fsync (durability of the rename itself);
-    platforms that cannot open directories skip it silently."""
-    try:
-        fd = os.open(directory, os.O_RDONLY)
+    try:  # best effort: platforms that cannot open directories skip it
+        fd = os.open(path.parent, os.O_RDONLY)
     except OSError:  # pragma: no cover - platform-dependent
         return
     try:
@@ -142,34 +139,26 @@ def _fsync_directory(directory: Path) -> None:
         os.close(fd)
 
 
-def _clean_stale_tmp(directory: Path) -> int:
+def _atomic_write(path: Path, text: str) -> None:
+    """Replace one snapshot artifact (the ``persist.artifact_write``
+    fault seam sits in front of every one of them)."""
+    faults.hit("persist.artifact_write", filename=path.name)
+    atomic_replace(path, text.encode("utf-8"))
+
+
+def _clean_stale_tmp(directory: Path) -> None:
     """Remove ``.*.tmp`` leftovers of a crashed prior save.  They are
     invisible to the loader (which only reads manifest-named files) but
     accumulate forever otherwise."""
-    removed = 0
-    if not directory.is_dir():
-        return removed
     for stale in directory.glob(".*.tmp"):
         try:
             stale.unlink()
-            removed += 1
         except OSError:  # pragma: no cover - raced or read-only
             pass
-    return removed
 
 
-def save_database(
-    db: ContractDatabase,
-    directory: str | Path,
-    *,
-    only_if_dirty: bool = False,
-) -> Path:
+def save_database(db: ContractDatabase, directory: str | Path) -> Path:
     """Write ``db`` to ``directory`` (created if missing).
-
-    With ``only_if_dirty=True`` the save is skipped when the database has
-    not changed since its last save/load (``db.dirty`` is false) and the
-    target already holds a manifest — the incremental path for periodic
-    snapshotting.
 
     The save holds the database's write lock: the snapshot is a
     consistent point-in-time image, and — when a write-ahead journal is
@@ -179,12 +168,6 @@ def save_database(
     the journal".
     """
     directory = Path(directory)
-    if (
-        only_if_dirty
-        and not db.dirty
-        and (directory / _CONTRACTS_FILE).exists()
-    ):
-        return directory
     directory.mkdir(parents=True, exist_ok=True)
     _clean_stale_tmp(directory)
 
@@ -270,7 +253,6 @@ def _save_locked(db: ContractDatabase, directory: Path, journal) -> Path:
         # writes leaves a stale-epoch journal that the next open
         # discards instead of double-replaying
         journal.compact(new_epoch, db.config)
-    db.dirty = False
     return directory
 
 
@@ -340,35 +322,49 @@ def _read_artifact(
         )
         return None
     try:
-        return json.loads(raw.decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        doc = json.loads(raw.decode("utf-8"))
+        if not isinstance(doc, dict):  # every artifact is a JSON object
+            raise ValueError(f"a JSON {type(doc).__name__}")
+    except (ValueError, RecursionError) as exc:  # not UTF-8/JSON, or too deep
         report.warnings.append(f"{filename}: malformed ({exc}); rebuilding")
         return None
+    return doc
 
 
-def _nth(docs, name: str, position: int):
-    """Entry ``position`` of the per-name list in an artifact dict
-    (duplicate contract names store one entry per registration, in
-    order); ``None`` on any shape mismatch."""
-    if not isinstance(docs, dict):
-        return None
-    entries = docs.get(name)
-    if not isinstance(entries, list) or position >= len(entries):
-        return None
-    return entries[position]
+def _stored_automaton(doc, spec: ContractSpec):
+    ba = automaton_from_dict(doc)
+    # Trust the stored automaton only if it cites no event the
+    # specification does not (a stale or edited file would).
+    if not ba.events() <= spec.vocabulary:
+        raise BrokerError("cites events outside the specification")
+    return ba
 
 
-def _rebuild_index(db: ContractDatabase) -> None:
-    """Discard the database's index and re-insert every contract (the
-    fallback when the index snapshot is unusable)."""
-    start = time.perf_counter()
-    index = PrefilterIndex(depth=db.config.prefilter_depth)
-    for contract in sorted(db.contracts(), key=lambda c: c.contract_id):
-        index.add_contract(
-            contract.contract_id, contract.ba, contract.vocabulary
-        )
-    db.adopt_index(index)
-    db.registration_stats.prefilter_seconds += time.perf_counter() - start
+def _stored_seeds(doc, ba) -> frozenset:
+    try:
+        seeds = frozenset(int(s) for s in doc)
+    except (TypeError, ValueError) as exc:
+        raise BrokerError(f"malformed seed set: {exc}") from exc
+    if not seeds <= ba.states:
+        raise BrokerError("seed set cites states the automaton lacks")
+    return seeds
+
+
+def _stored_encoding(doc, ba, spec: ContractSpec) -> EncodedAutomaton:
+    encoded = EncodedAutomaton.from_dict(ba, doc)
+    # The encoding's event index *is* the admissibility check of
+    # Definition 7, so a stale vocabulary would silently change
+    # verdicts — reject it.
+    if encoded.events != tuple(sorted(spec.vocabulary)):
+        raise BrokerError("vocabulary differs from the specification")
+    return encoded
+
+
+def _stored_projections(doc, ba, cap) -> ProjectionStore:
+    store = ProjectionStore.from_dict(ba, doc)
+    if store.max_subset_size != cap:
+        raise BrokerError("subset cap differs from the configured one")
+    return store
 
 
 def load_database(
@@ -413,16 +409,44 @@ def load_database(
             directory, _PROJECTIONS_FILE, checksums, report
         )
     index_doc = _read_artifact(directory, _INDEX_FILE, checksums, report)
-
+    index = None
+    if index_doc is not None:
+        try:
+            index = PrefilterIndex.from_dict(index_doc)
+            # loading numbers the contracts 0, 1, … in manifest order
+            if index.universe != frozenset(range(len(manifest.contracts))):
+                raise IndexError_("contract ids do not match the manifest")
+        except IndexError_ as exc:
+            report.warnings.append(
+                f"{_INDEX_FILE}: invalid ({exc}); rebuilding"
+            )
+            index = None
     # Adopt the index snapshot wholesale only when its depth matches the
     # effective configuration; otherwise insert per contract as usual.
-    try:
-        restore_index = (
-            index_doc is not None
-            and int(index_doc["depth"]) == config.prefilter_depth
-        )
-    except (KeyError, TypeError, ValueError):
-        restore_index = False
+    restore_index = (
+        index is not None and index.depth == config.prefilter_depth
+    )
+
+    def stored(filename, docs, fallback, build, *context):
+        """One rung of the fallback ladder, for the contract at hand
+        (``spec``, the ``position``-th of its name — duplicate names
+        store one entry per registration, in order): its entry of the
+        artifact ``docs`` as ``build`` validated it — or ``None``, with
+        a warning naming the file, when there is none or ``build``
+        rejects it (the registration below then does ``fallback``)."""
+        if docs is None:
+            return None  # the file itself was unusable: already reported
+        try:
+            entries = docs.get(spec.name)
+            if (not isinstance(entries, list) or position >= len(entries)
+                    or entries[position] is None):
+                raise BrokerError("no stored entry")
+            return build(entries[position], *context)
+        except ReproError as exc:
+            report.warnings.append(
+                f"{filename}: {spec.name!r}: {exc}; {fallback}"
+            )
+            return None
 
     db = ContractDatabase(config)
     retranslated: list = []
@@ -432,91 +456,26 @@ def load_database(
         position = positions.get(spec.name, 0)
         positions[spec.name] = position + 1
 
-        ba = None
-        ba_doc = _nth(automata_docs, spec.name, position)
-        if ba_doc is not None:
-            try:
-                candidate = automaton_from_dict(ba_doc)
-            except (AutomatonError, TypeError, ValueError) as exc:
-                report.warnings.append(
-                    f"{spec.name!r}: stored automaton malformed ({exc}); "
-                    "retranslating"
-                )
-            else:
-                # Trust the stored automaton only if it cites no event the
-                # specification does not (a stale or edited file would).
-                if candidate.events() <= spec.vocabulary:
-                    ba = candidate
-                else:
-                    report.warnings.append(
-                        f"{spec.name!r}: stored automaton cites events "
-                        "outside the specification; retranslating"
-                    )
-        elif automata_docs is not None:
-            report.warnings.append(
-                f"{spec.name!r}: no stored automaton; retranslating"
-            )
-
-        seeds = None
-        encoded = None
-        projections = None
-        if ba is not None:
-            report.automata_restored += 1
-            seed_doc = _nth(seeds_docs, spec.name, position)
-            if seed_doc is not None:
-                try:
-                    candidate_seeds = frozenset(int(s) for s in seed_doc)
-                except (TypeError, ValueError):
-                    candidate_seeds = None
-                if (
-                    candidate_seeds is not None
-                    and candidate_seeds <= ba.states
-                ):
-                    seeds = candidate_seeds
-                    report.seeds_restored += 1
-                else:
-                    report.warnings.append(
-                        f"{spec.name!r}: stored seed set invalid; recomputing"
-                    )
-            enc_doc = _nth(encoded_docs, spec.name, position)
-            if isinstance(enc_doc, dict):
-                try:
-                    candidate_enc = EncodedAutomaton.from_dict(ba, enc_doc)
-                except AutomatonError as exc:
-                    report.warnings.append(
-                        f"{spec.name!r}: stored encoding invalid ({exc}); "
-                        "re-encoding"
-                    )
-                else:
-                    # The encoding's event index *is* the admissibility
-                    # check of Definition 7, so a stale vocabulary would
-                    # silently change verdicts — reject it.
-                    if candidate_enc.events == tuple(sorted(spec.vocabulary)):
-                        encoded = candidate_enc
-                        report.encoded_restored += 1
-                    else:
-                        report.warnings.append(
-                            f"{spec.name!r}: stored encoding vocabulary "
-                            "differs from the specification; re-encoding"
-                        )
-            proj_doc = _nth(projection_docs, spec.name, position)
-            if config.use_projections and isinstance(proj_doc, dict):
-                if proj_doc.get("max_subset_size") == config.projection_subset_cap:
-                    try:
-                        projections = ProjectionStore.from_dict(ba, proj_doc)
-                        report.projections_restored += 1
-                    except ProjectionError as exc:
-                        report.warnings.append(
-                            f"{spec.name!r}: stored projections invalid "
-                            f"({exc}); recomputing"
-                        )
-                else:
-                    report.warnings.append(
-                        f"{spec.name!r}: stored projection cap differs from "
-                        "the configured one; recomputing"
-                    )
-        else:
+        seeds = encoded = projections = None
+        ba = stored(_AUTOMATA_FILE, automata_docs, "retranslating",
+                    _stored_automaton, spec)
+        if ba is None:
+            # the other artifacts only align with the *stored* automaton's
+            # state numbering, so they are recomputed with it
             report.retranslated.append(spec.name)
+        else:
+            seeds = stored(_SEEDS_FILE, seeds_docs, "recomputing",
+                           _stored_seeds, ba)
+            encoded = stored(_ENCODED_FILE, encoded_docs, "re-encoding",
+                             _stored_encoding, ba, spec)
+            projections = stored(
+                _PROJECTIONS_FILE, projection_docs, "recomputing",
+                _stored_projections, ba, config.projection_subset_cap,
+            )
+        report.automata_restored += ba is not None
+        report.seeds_restored += seeds is not None
+        report.encoded_restored += encoded is not None
+        report.projections_restored += projections is not None
 
         contract = db.register(
             spec,
@@ -529,34 +488,15 @@ def load_database(
             retranslated.append(contract)
 
     if restore_index:
-        try:
-            index = PrefilterIndex.from_dict(index_doc)
-        except IndexError_ as exc:
-            report.warnings.append(
-                f"{_INDEX_FILE}: invalid ({exc}); rebuilding"
+        # A re-translated BA may label differently from the snapshot,
+        # so its index entries are refreshed in place.
+        for contract in retranslated:
+            index.remove_contract(contract.contract_id)
+            index.add_contract(
+                contract.contract_id, contract.ba, contract.vocabulary
             )
-            _rebuild_index(db)
-        else:
-            expected_ids = frozenset(
-                c.contract_id for c in db.contracts()
-            )
-            if index.universe != expected_ids:
-                report.warnings.append(
-                    f"{_INDEX_FILE}: contract ids do not match the "
-                    "manifest; rebuilding"
-                )
-                _rebuild_index(db)
-            else:
-                # A re-translated BA may label differently from the
-                # snapshot, so its index entries are refreshed in place.
-                for contract in retranslated:
-                    index.remove_contract(contract.contract_id)
-                    index.add_contract(
-                        contract.contract_id, contract.ba,
-                        contract.vocabulary,
-                    )
-                db.adopt_index(index)
-                report.index_restored = True
+        db.adopt_index(index)
+        report.index_restored = True
 
     # Registration above rebuilt the statistics from scratch; the stored
     # snapshot only corroborates them.  On disagreement the rebuilt
@@ -574,5 +514,4 @@ def load_database(
     report.contracts = len(db)
     report.load_seconds = time.perf_counter() - start
     db.load_report = report
-    db.dirty = False
     return db

@@ -305,5 +305,10 @@ class DatabaseStatistics:
 
     def matches_snapshot(self, doc: Mapping[str, Any]) -> bool:
         """Whether a persisted snapshot agrees with these (rebuilt)
-        statistics — the load-time consistency check."""
-        return self.to_dict() == DatabaseStatistics.from_dict(doc).to_dict()
+        statistics — the load-time consistency check.  A document of
+        any other shape than :meth:`to_dict` writes disagrees."""
+        try:
+            stored = DatabaseStatistics.from_dict(doc)
+        except (AttributeError, TypeError, ValueError):
+            return False
+        return self.to_dict() == stored.to_dict()

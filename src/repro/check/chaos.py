@@ -170,7 +170,6 @@ def _persist_crash_drill(contracts: int = 4):
         with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
             directory = Path(tmp) / "db"
             save_database(db, directory)  # a good snapshot to fall back on
-            db.dirty = True  # force the re-save below to actually write
             FAULTS.fail_at("persist.artifact_write", nth=position)
             try:
                 save_database(db, directory)
@@ -304,7 +303,6 @@ def _replication_drill(mutations: int = DEFAULT_MUTATIONS,
             leader = open_database(trial)
             for spec in specs[len(_names(leader)):]:
                 leader.register(spec)
-            leader.dirty = True
             save_database(leader, trial)
             report = replica.catch_up(timeout=30)
             checks += 2

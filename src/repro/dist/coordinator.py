@@ -213,8 +213,7 @@ class Coordinator:
                  rpc_timeout: float = DEFAULT_RPC_TIMEOUT,
                  retry: BackoffPolicy | None = None,
                  breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
-                 breaker_reset_seconds: float = DEFAULT_BREAKER_RESET_SECONDS,
-                 health_clock=time.monotonic):
+                 breaker_reset_seconds: float = DEFAULT_BREAKER_RESET_SECONDS):
         if not addresses:
             raise DistError("a cluster needs at least one shard address")
         self.addresses = list(addresses)
@@ -231,7 +230,6 @@ class Coordinator:
             ShardHealth(
                 failure_threshold=breaker_threshold,
                 reset_seconds=breaker_reset_seconds,
-                clock=health_clock,
             )
             for _ in self.addresses
         ]

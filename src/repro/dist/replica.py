@@ -9,16 +9,18 @@ replica's cursor is ``(epoch, byte offset, next sequence)``:
 
 * **catch-up** — :meth:`poll` reads verified records past the offset
   with :meth:`Journal.read_from <repro.broker.journal.Journal.read_from>`
-  (never mutating the leader's file) and applies them through the same
-  ``register``/``deregister`` replay the leader's own recovery uses —
-  so by construction the replica can only ever hold a *prefix* of the
-  leader's acknowledged state;
+  (never mutating the leader's file) and applies them through
+  :func:`~repro.broker.journal.apply_prefix`, the loop the leader's own
+  recovery replays with — so by construction the replica can only ever
+  hold a *prefix* of the leader's acknowledged state;
 * **torn tails** — a record the leader is mid-flush on simply is not
   consumed; the cursor stays put and the next poll retries;
 * **epoch changes** — when the leader compacts (snapshot + journal
   reset, epoch bump), the byte cursor is meaningless; the replica
-  re-syncs from the leader's snapshot directory and resumes tailing
-  the fresh journal.
+  re-syncs through :func:`~repro.broker.journal.restore`, the leader's
+  own restore step (same snapshot load, same epoch verdict, and the
+  leader's journaled configuration unless the replica was given one),
+  and resumes tailing the fresh journal.
 
 Queries against the replica are plain local queries — stale by at most
 the replication lag, never wrong about any prefix they claim.
@@ -44,10 +46,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..broker.database import BrokerConfig, ContractDatabase
-from ..broker.journal import JOURNAL_FILE, Journal, apply_record
-from ..broker.persist import load_database, read_manifest
+from ..broker.journal import JOURNAL_FILE, Journal, apply_prefix, restore
+from ..broker.persist import read_manifest, save_database
 from ..core.retry import BackoffPolicy
-from ..errors import DistError, ReproError
+from ..errors import DistError
 from ..obs.metrics import MetricsRegistry
 
 #: The poll cadence :meth:`Replica.catch_up` waits on between polls —
@@ -239,8 +241,6 @@ class Replica:
         *global* id stable across the coordinator's failover
         (invariant 15).
         """
-        from ..broker.persist import save_database
-
         if self.promoted:
             raise DistError("replica is already promoted")
         directory = Path(directory)
@@ -273,7 +273,6 @@ class Replica:
             config=self._db.config,
         )
         self._db.attach_journal(journal)
-        self._db.dirty = True
         save_database(self._db, directory)
         self.promoted = True
         self.metrics.inc("dist.replica.promotions")
@@ -285,62 +284,55 @@ class Replica:
         )
 
     def _resync(self, report: PollReport) -> None:
-        """Rebuild from the leader's snapshot, then position the cursor
-        at the start of the current journal epoch's tail."""
+        """Rebuild through the leader's own restore step (its snapshot,
+        its configuration unless this replica was given one), then
+        position the cursor at the end of the current journal epoch's
+        tail."""
         manifest = read_manifest(self.leader_dir)
-        if manifest is not None:
-            manifest_epoch = manifest.journal_epoch
-            db = load_database(self.leader_dir, self.config)
-        else:
-            manifest_epoch = 0
-            db = ContractDatabase(self.config)
-
         tail = Journal.read_from(self.journal_path, 0)
         if tail.epoch is None:
             # header torn or file vanished mid-resync; keep the old
             # cursor invalid so the next poll retries the resync
             report.warnings.append("resync: journal header unreadable")
             return
-        self._db = db
+        self._db, stale = restore(
+            self.leader_dir, manifest, self.config,
+            tail.epoch, tail.config, tail.records,
+        )
         self._stalled_seq = None
         self.cursor = ReplicaCursor(
             epoch=tail.epoch, offset=tail.end_offset,
             next_seq=(tail.records[-1].seq + 1) if tail.records else 1,
         )
-        if tail.epoch == manifest_epoch:
+        if stale is None:
             self._apply(tail.records, report)
         elif tail.records:
-            # the snapshot already holds (epoch behind) or cannot
-            # anchor (epoch ahead) these records — same policy as the
-            # leader's own open_database: do not replay them
             report.warnings.append(
-                f"resync: discarded {len(tail.records)} record(s) from "
-                f"journal epoch {tail.epoch} vs snapshot {manifest_epoch}"
+                f"resync: journal {stale}; discarded "
+                f"{len(tail.records)} record(s)"
             )
         report.resynced = True
         report.torn = tail.torn
         self.metrics.inc("dist.replica.resyncs")
 
     def _apply(self, records, report: PollReport) -> None:
-        for record in records:
-            if (self._stalled_seq is not None
-                    and record.seq >= self._stalled_seq):
-                break
-            try:
-                apply_record(self._db, record)
-            except ReproError as exc:
-                # an unapplicable record poisons everything after it
-                # (prefix consistency); stall until the next epoch
-                self._stalled_seq = record.seq
-                report.warnings.append(
-                    f"replica: record seq={record.seq} op={record.op!r} "
-                    f"failed to apply ({type(exc).__name__}: {exc}); "
-                    "stalling until the leader compacts"
-                )
-                self.metrics.inc("dist.replica.stalled_records")
-                break
-            report.applied += 1
-            self.cursor.next_seq = record.seq + 1
+        if self.stalled:
+            return
+        applied, failure = apply_prefix(self._db, records)
+        report.applied += applied
+        if applied:
+            self.cursor.next_seq = records[applied - 1].seq + 1
+        if failure is not None:
+            # an unapplicable record poisons everything after it
+            # (prefix consistency); stall until the next epoch
+            record = records[applied]
+            self._stalled_seq = record.seq
+            report.warnings.append(
+                f"replica: record seq={record.seq} op={record.op!r} "
+                f"failed to apply ({type(failure).__name__}: {failure}); "
+                "stalling until the leader compacts"
+            )
+            self.metrics.inc("dist.replica.stalled_records")
 
     def _observe_lag(self, report: PollReport) -> None:
         try:

@@ -246,7 +246,7 @@ class PrefilterIndex:
             index = cls(depth=declared_depth)
             index._trie = SetTrie.from_dict(data["trie"])
             index._contracts = {int(c) for c in data["contracts"]}
-            stats = data.get("stats", {})
+            stats = dict(data.get("stats", {}))
             index.stats = PrefilterStats(
                 contracts=int(stats.get("contracts", len(index._contracts))),
                 labels_indexed=int(stats.get("labels_indexed", 0)),

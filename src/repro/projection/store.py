@@ -328,7 +328,7 @@ class ProjectionStore:
                 )
                 for doc in data["subsets"]
             ]
-            stats = data.get("stats", {})
+            stats = dict(data.get("stats", {}))
             store.stats = ProjectionStats(
                 subsets_considered=int(stats.get("subsets_considered", 0)),
                 partitions_computed=int(stats.get("partitions_computed", 0)),

@@ -79,9 +79,3 @@ class TestChurnLoop:
         assert stats["index_nodes"] == expected["index_nodes"]
         assert stats["index_size"] == expected["index_size"]
         assert stats["states_avg"] == expected["states_avg"]
-
-    def test_churn_marks_database_dirty(self, db):
-        contracts = _register_tickets(db)
-        db.dirty = False
-        db.deregister(next(iter(contracts.values())).contract_id)
-        assert db.dirty

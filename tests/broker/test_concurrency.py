@@ -154,7 +154,6 @@ class TestHammer:
         def saver():
             try:
                 for _ in range(3):
-                    db.dirty = True
                     save_database(db, tmp_path / "db")
             except Exception as exc:
                 errors.append(exc)

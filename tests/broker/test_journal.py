@@ -1,7 +1,9 @@
 """The write-ahead journal: append/replay, torn-tail healing, the
 epoch handshake with the snapshot, and configuration round trips."""
 
+import dataclasses
 import json
+import random
 
 import pytest
 
@@ -9,10 +11,15 @@ from repro.broker.database import BrokerConfig, ContractDatabase
 from repro.broker.journal import (
     JOURNAL_FILE,
     Journal,
+    _encode,
     open_database,
 )
 from repro.broker.persist import load_database, save_database
-from repro.errors import JournalError
+from repro.dist.replica import Replica
+from repro.errors import JournalError, ReproError
+
+#: what a hostile writer can put where a document expects a typed member
+JUNK = [None, 7, "x", [], {}, [1, "a"], {"a": 1}, -1, 1.5, True]
 
 
 def _names(db: ContractDatabase) -> list[str]:
@@ -211,8 +218,6 @@ class TestOpenDatabase:
         db.register("b", ["F y"])
         # make the deregister unreplayable: deregister id 0 twice by
         # editing the journal (checksummed, so recompute)
-        from repro.broker.journal import _encode
-
         path = tmp_path / JOURNAL_FILE
         lines = path.read_bytes().splitlines(keepends=True)
         bogus = _encode(2, "deregister", {"contract_id": 99})
@@ -333,6 +338,32 @@ class TestConfigRoundTrip:
         recovered = open_database(tmp_path)
         assert recovered.config.prefilter_depth == 3
 
+    def test_header_config_survives_a_replay_truncation(self, tmp_path):
+        """Dropping an unapplicable record rewrites the file; the
+        rewritten header must still carry the configuration (7.0 wrote
+        ``{"epoch": 0}`` there, so the *second* reopen fell back to the
+        defaults)."""
+        config = BrokerConfig(prefilter_depth=3, projection_subset_cap=1)
+        db = open_database(tmp_path, config)
+        db.register("a", ["F x"])
+        db.journal.close()
+        with open(tmp_path / JOURNAL_FILE, "ab") as fh:
+            fh.write(_encode(2, "deregister", {"rank": 7}))
+        first = open_database(tmp_path)
+        assert first.config == config
+        assert len(first.journal_report.warnings) == 1
+        assert "failed to replay" in first.journal_report.warnings[0]
+        first.journal.close()
+        header = json.loads(
+            (tmp_path / JOURNAL_FILE).read_bytes().splitlines()[0]
+        )
+        assert header["data"] == {
+            "epoch": 0, "config": dataclasses.asdict(config),
+        }
+        second = open_database(tmp_path)
+        assert second.config == config
+        assert second.journal_report.warnings == []
+        assert _names(second) == ["a"]
 
     def test_pre_2_0_config_with_use_encoded_is_accepted(self, tmp_path):
         """Journal headers and ``config`` records written by 1.6–3.0
@@ -341,8 +372,6 @@ class TestConfigRoundTrip:
         ``plan_cache_capacity`` (up to 4.0); the keys are ignored, the
         rest applies, and the database answers like the one that wrote
         the journal."""
-        from repro.broker.journal import _encode
-
         old = {"use_encoded": False, "use_prefilter": False,
                "permission_algorithm": "scc", "use_seeds": False,
                "plan_cache_capacity": 0,
@@ -548,3 +577,91 @@ class TestReadFrom:
         torn = tmp_path / "torn.jsonl"
         torn.write_bytes(b'{"seq": 0, "op": "open"')  # no newline
         assert Journal.read_header_epoch(torn) is None
+
+
+def _hostile_journals(family):
+    """``(label, bytes)``: what a crash, a bad disk or a hostile writer
+    can leave where ``journal.jsonl`` should be."""
+    config = dataclasses.asdict(BrokerConfig(prefilter_depth=3))
+    docs = [("open", {"epoch": 0, "config": config}),
+            ("config", {"config": config})]  # as 1.6-5.0 journaled it
+    docs += [
+        ("register", {"name": f"c{i}", "clauses": [f"F a{i}"],
+                      "attributes": {"slot": i}})
+        for i in range(5)
+    ]
+    docs += [("deregister", {"rank": 1}), ("deregister", {"contract_id": 0})]
+    lines = [_encode(seq, op, data) for seq, (op, data) in enumerate(docs)]
+    raw = b"".join(lines)
+    if family == "cuts":
+        for cut in range(len(raw) + 1):
+            yield f"cut at byte {cut}", raw[:cut]
+    elif family == "bit-flips":
+        rng = random.Random(7)
+        for _ in range(300):
+            bit = rng.randrange(len(raw) * 8)
+            flipped = bytearray(raw)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            yield f"bit {bit} flipped", bytes(flipped)
+    elif family == "line-edits":
+        yield "duplicated line", b"".join(lines[:4] + lines[3:])
+        yield "dropped line", b"".join(lines[:3] + lines[4:])
+        yield "blank line", b"".join(lines[:3] + [b"\n"] + lines[3:])
+        yield "trailing blank line", raw + b"\n"
+        yield "leading blank line", b"\n" + raw
+        yield "header-less", b"".join(lines[1:])
+        yield "line nested too deep to parse", raw + b"[" * 100_000 + b"\n"
+        yield "header in the middle", b"".join(
+            lines[:4] + [_encode(4, "open", docs[0][1])] + lines[4:]
+        )
+    else:  # checksummed records whose members have the wrong type
+        for seq, (op, data) in enumerate(docs):
+            for member in data:
+                for junk in JUNK:
+                    edited = list(lines)
+                    edited[seq] = _encode(seq, op, {**data, member: junk})
+                    yield f"{op} {member}={junk!r}", b"".join(edited)
+
+
+@pytest.mark.parametrize(
+    "family", ["cuts", "bit-flips", "line-edits", "junk-members"]
+)
+def test_hostile_journal_bytes_recover_or_raise_a_repro_error(
+    tmp_path, family
+):
+    """ROADMAP 6(c), the journal's share: whatever the bytes, the four
+    readers return or raise a ``ReproError`` — never another exception —
+    and the healing reader and the tailing reader verify the same
+    prefix (one scanner serves both)."""
+    escaped, disagreed = [], []
+    for number, (label, raw) in enumerate(_hostile_journals(family)):
+        home = tmp_path / str(number)
+        home.mkdir()
+        path = home / JOURNAL_FILE
+        path.write_bytes(raw)
+        readers = {
+            "read_header_epoch": lambda: Journal.read_header_epoch(path),
+            "read_from": lambda: Journal.read_from(path, 0),
+            "Replica.poll": lambda: Replica(home).poll(),
+            # heals the file, so it goes last
+            "open_database": lambda: open_database(home).journal.close(),
+        }
+        returned = {}
+        for name, reader in readers.items():
+            try:
+                returned[name] = reader()
+            except ReproError:
+                pass
+            except Exception as exc:  # the defect this test exists for
+                escaped.append(f"{label}: {name}: {type(exc).__name__}")
+        shipped = returned.get("read_from")
+        healed = home / "healed.jsonl"
+        healed.write_bytes(raw)
+        journal = Journal.open(healed)
+        journal.close()
+        if shipped is None or (
+            len(raw) - journal.torn_bytes, journal.tail
+        ) != (shipped.end_offset, list(shipped.records)):
+            disagreed.append(label)
+    assert escaped == []
+    assert disagreed == []

@@ -1,5 +1,6 @@
 """Tests for database persistence (snapshot format v2)."""
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -10,7 +11,7 @@ from repro.broker.cache import PLAN_CACHE_CAPACITY
 from repro.broker.database import BrokerConfig, ContractDatabase
 from repro.broker.journal import open_database
 from repro.broker.persist import load_database, save_database
-from repro.errors import BrokerError
+from repro.errors import BrokerError, ReproError
 from repro.workload.airfare import QUERIES
 from repro.workload.generator import WorkloadGenerator
 
@@ -42,6 +43,31 @@ MALFORMED_MANIFEST_MEMBERS = [
 @pytest.fixture
 def saved_airfare(tmp_path, airfare_db):
     return save_database(airfare_db, tmp_path / "db")
+
+
+#: what a hostile writer can put where a document expects a typed member
+JUNK = [None, 7, "x", [], {}, [1, "a"], {"a": 1}, -1, 1.5, True]
+
+
+def _nodes(doc, path=()):
+    """The path of every node of a JSON document, the root's first."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        for key, child in items:
+            yield from _nodes(child, path + (key,))
+
+
+def _with_node(doc, path, value):
+    """``doc`` with the node at ``path`` replaced by ``value``."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
 
 
 def _rehash_artifact(directory, filename):
@@ -296,45 +322,6 @@ class TestPre2Snapshots:
                 airfare_db.query(info["ltl"]).contract_names
 
 
-class TestDirtyFlag:
-    def test_fresh_database_is_dirty(self):
-        assert ContractDatabase(BrokerConfig()).dirty
-
-    def test_save_clears_and_mutations_set(self, tmp_path):
-        db = ContractDatabase(BrokerConfig())
-        contract = db.register("t", "G a")
-        save_database(db, tmp_path / "d")
-        assert not db.dirty
-        db.deregister(contract.contract_id)
-        assert db.dirty
-
-    def test_load_returns_clean_database(self, saved_airfare):
-        assert not load_database(saved_airfare).dirty
-
-    def test_only_if_dirty_skips_clean_save(self, tmp_path):
-        db = ContractDatabase(BrokerConfig())
-        db.register("t", "G a")
-        directory = save_database(db, tmp_path / "d")
-        before = (directory / "contracts.json").read_bytes()
-        (directory / "contracts.json").write_bytes(b"sentinel")
-        save_database(db, directory, only_if_dirty=True)
-        assert (directory / "contracts.json").read_bytes() == b"sentinel"
-        db.register("u", "F b")
-        save_database(db, directory, only_if_dirty=True)
-        assert (directory / "contracts.json").read_bytes() != b"sentinel"
-        assert (directory / "contracts.json").read_bytes() != before
-
-    def test_only_if_dirty_still_writes_missing_snapshot(self, tmp_path):
-        db = ContractDatabase(BrokerConfig())
-        db.register("t", "G a")
-        save_database(db, tmp_path / "first")
-        directory = save_database(
-            db, tmp_path / "second", only_if_dirty=True
-        )
-        # clean database, but the target has no manifest yet
-        assert (directory / "contracts.json").exists()
-
-
 class TestRobustness:
     def test_missing_directory(self, tmp_path):
         with pytest.raises(BrokerError):
@@ -397,6 +384,59 @@ class TestRobustness:
         assert set(reloaded.query(info["ltl"]).contract_names) == info[
             "expected"
         ]
+
+    @pytest.mark.parametrize("filename", ARTIFACT_FILES)
+    def test_misshapen_artifact_falls_back(self, tmp_path, filename):
+        """ROADMAP 6(c), the snapshot's share: a checksum-valid artifact
+        of the wrong *shape* (every node of the file replaced by every
+        junk value in turn) loads and answers — with every fallback
+        announced in a warning that names an artifact file — or raises
+        a ``ReproError``; no other exception.  (Well-typed but different
+        *values* are trusted: the SHA-256 table is that guard.)"""
+        db = ContractDatabase(BrokerConfig())
+        db.register("a", ["G (x -> F y)"], {"price": 3, "route": "SAN"})
+        db.register("b", ["F x", "G !z"], {"price": 5})
+        db.register("c", ["x U y"])
+        directory = save_database(db, tmp_path / "db")
+        clean = dataclasses.asdict(load_database(directory).load_report)
+        artifact = json.loads((directory / filename).read_text())
+        escaped, unannounced = [], []
+        for path in _nodes(artifact):
+            for junk in JUNK:
+                (directory / filename).write_text(
+                    json.dumps(_with_node(artifact, path, junk))
+                )
+                _rehash_artifact(directory, filename)
+                try:
+                    loaded = load_database(directory)
+                    loaded.query("F y")
+                except ReproError:
+                    continue
+                except Exception as exc:  # what this test exists for
+                    escaped.append(f"{path}={junk!r}: {type(exc).__name__}")
+                    continue
+                report = dataclasses.asdict(loaded.load_report)
+                fell_back = any(
+                    report[key] != clean[key] for key in clean
+                    if key.endswith("_restored")
+                )
+                if fell_back and not any(
+                    name in warning for warning in report["warnings"]
+                    for name in ARTIFACT_FILES
+                ):
+                    unannounced.append(f"{path}={junk!r}")
+        assert escaped == []
+        assert unannounced == []
+
+    def test_artifact_nested_too_deep_to_parse_falls_back(self, tmp_path):
+        db = ContractDatabase(BrokerConfig())
+        db.register("t", "G a")
+        directory = save_database(db, tmp_path / "deep")
+        (directory / "index.json").write_text("[" * 100_000)
+        _rehash_artifact(directory, "index.json")  # RecursionError at 7.0
+        report = load_database(directory).load_report
+        assert not report.index_restored
+        assert any("index.json: malformed" in w for w in report.warnings)
 
     def test_stale_automaton_retranslated(self, tmp_path, airfare_db):
         directory = save_database(airfare_db, tmp_path / "stale")
@@ -546,7 +586,6 @@ class TestCrashDurability:
         baseline = {c.name for c in load_database(directory).contracts()}
 
         for position in range(1, 6):  # 4 artifacts + the manifest
-            db.dirty = True
             faults.fail_at("persist.artifact_write", nth=position)
             with pytest.raises(SimulatedCrash):
                 save_database(db, directory)

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.broker.database import BrokerConfig
 from repro.broker.journal import open_database
 from repro.broker.persist import save_database
 from repro.dist.replica import Replica
@@ -105,6 +106,42 @@ class TestTornTail:
         assert _names(replica.db) == ["alpha", "beta"]
 
 
+class TestConfiguration:
+    """A replica restores through the leader's own restore step, so it
+    runs the leader's configuration unless it was given one (before 8.0
+    it ran the defaults until the leader's first snapshot)."""
+
+    LEADER = BrokerConfig(prefilter_depth=3, projection_subset_cap=1)
+
+    def test_replica_follows_the_journaled_configuration(self, tmp_path):
+        leader = open_database(tmp_path, self.LEADER)
+        leader.register("a", ["G (x -> F y)"])
+        replica = Replica(tmp_path)
+        replica.poll()
+        assert replica.db.config == leader.config == self.LEADER
+        assert _names(replica.db) == ["a"]
+        # the first snapshot changes nothing: the manifest says the same
+        save_database(leader, tmp_path)
+        leader.register("b", ["F x"])
+        assert replica.poll().resynced
+        assert replica.db.config == self.LEADER
+        assert _names(replica.db) == ["a", "b"]
+        leader.journal.close()
+
+    def test_an_explicit_configuration_still_wins(self, tmp_path):
+        leader = open_database(tmp_path, self.LEADER)
+        leader.register("a", ["G (x -> F y)"])
+        mine = BrokerConfig(use_projections=False)
+        replica = Replica(tmp_path, config=mine)
+        replica.poll()
+        assert replica.db.config == mine
+        save_database(leader, tmp_path)
+        assert replica.poll().resynced
+        assert replica.db.config == mine
+        assert _names(replica.db) == ["a"]
+        leader.journal.close()
+
+
 class TestEpochChange:
     def test_compaction_triggers_resync(self, tmp_path, leader):
         for i in range(3):
@@ -115,7 +152,6 @@ class TestEpochChange:
 
         # the leader compacts: snapshot + fresh journal, epoch bump
         leader.register("late", ["F a"])
-        leader.dirty = True
         save_database(leader, tmp_path)
         leader.register("post-compaction", ["F a"])
 
