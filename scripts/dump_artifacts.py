@@ -16,15 +16,24 @@ and writes per contract the flat encoding (``Contract.encoded.to_dict()``),
 the projection store (``ProjectionStore.to_dict()`` without the one
 field that is a clock, ``stats.build_seconds``) and a second store built
 with ``max_subset_size=1`` plus two wider ``extra_subsets`` — the
-workload-guided route, whose seeds are found by the scan fallback.
+workload-guided route, whose seeds are found by the scan fallback.  One
+more line per query of the same instance holds
+``automaton_to_dict(translate(query))``: query automata come out of the
+same translator, and their state order decides how many steps a
+permission search takes.
 
     python3 scripts/dump_artifacts.py --out change.jsonl
     python3 scripts/dump_artifacts.py --src ../parent/src --out parent.jsonl
     cmp parent.jsonl change.jsonl
 
+or, both sides in one process and a message that names what differs
+(exit 1) instead of ``cmp``'s byte offset:
+
+    python3 scripts/dump_artifacts.py --out change.jsonl --against ../parent/src
+
 Seconds, not minutes.  The translator's state order depends on the hash
-salt (ROADMAP item 7), so compare two dumps taken under the same
-``PYTHONHASHSEED``.
+salt (ROADMAP items 2 and 7), so compare two dumps taken under the same
+``PYTHONHASHSEED`` (``--against`` does: one process, one salt).
 """
 
 from __future__ import annotations
@@ -55,31 +64,33 @@ def _store_doc(store) -> dict:
     return doc
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--src", type=Path, default=ROOT / "src",
-                        help="the src/ directory to import repro from "
-                             "(default: this checkout's)")
-    parser.add_argument("--out", type=Path, required=True)
-    args = parser.parse_args(argv)
+def _dump(src: Path, seed: int) -> list[dict]:
+    """Every record of the dump, made by the ``repro`` under ``src``."""
+    for name in [m for m in sys.modules
+                 if m == "repro" or m.startswith("repro.")]:
+        del sys.modules[name]
+    sys.path.insert(0, str(src))
+    try:
+        from repro.automata.ltl2ba import translate
+        from repro.automata.serialize import automaton_to_dict
+        from repro.broker.contract import ContractSpec
+        from repro.broker.database import ContractDatabase
+        from repro.ltl.parser import parse
+        from repro.ltl.printer import format_formula
+        from repro.projection.store import ProjectionStore
+        from repro.workload.generator import WorkloadGenerator
 
-    sys.path.insert(0, str(args.src))
-    from repro.broker.contract import ContractSpec
-    from repro.broker.database import ContractDatabase
-    from repro.ltl.printer import format_formula
-    from repro.projection.store import ProjectionStore
-    from repro.workload.generator import WorkloadGenerator
-
-    inputs = _load_e2e_inputs()
+        inputs = _load_e2e_inputs()
+    finally:
+        sys.path.remove(str(src))
+    instance = inputs.instance(seed, inputs.load_shapes(), smoke=False)
     docs = [
         {"name": c["name"], "clauses": c["clauses"]}
-        for c in inputs.instance(
-            args.seed, inputs.load_shapes(), smoke=False)["contracts"]
+        for c in instance["contracts"]
     ]
     generator = WorkloadGenerator(
         vocabulary_size=inputs.VOCABULARY,
-        seed=args.seed,
+        seed=seed,
         max_transitions=inputs.CONTRACT_MAX_TRANSITIONS,
     )
     for count, patterns in GENERATED:
@@ -90,7 +101,7 @@ def main(argv: list[str] | None = None) -> int:
             })
 
     db = ContractDatabase()
-    lines = []
+    records = []
     for doc in docs:
         contract = db.register(ContractSpec.from_doc(doc))
         literals = sorted(contract.ba.literals())
@@ -100,15 +111,58 @@ def main(argv: list[str] | None = None) -> int:
             extra_subsets=[frozenset(literals[:3]), frozenset(literals[-4:])],
             vocabulary=contract.spec.vocabulary,
         )
-        lines.append(json.dumps({
+        records.append({
             "name": doc["name"],
             "clauses": doc["clauses"],
             "encoded": contract.encoded.to_dict(),
             "projections": _store_doc(contract.projections),
             "guided": _store_doc(guided),
-        }, sort_keys=True))
-    args.out.write_text("".join(line + "\n" for line in lines))
-    print(f"{len(lines)} contract(s) -> {args.out}")
+        })
+    for query in instance["queries"]:
+        text = query if isinstance(query, str) else query["query"]
+        records.append({
+            "name": f"query {text}",
+            "automaton": automaton_to_dict(translate(parse(text))),
+        })
+    return records
+
+
+def _first_difference(ours: list[dict], theirs: list[dict]) -> str | None:
+    """Which record and which artifact of it differ first, if any."""
+    for mine, other in zip(ours, theirs):
+        if mine["name"] != other["name"]:
+            return f"record {mine['name']!r} against {other['name']!r}"
+        for artifact in mine:
+            if mine[artifact] != other.get(artifact):
+                return f"{mine['name']}: {artifact} differs"
+    if len(ours) != len(theirs):
+        return f"{len(ours)} record(s) against {len(theirs)}"
+    return None
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, default=11)
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="the src/ directory to import repro from "
+                             "(default: this checkout's)")
+    parser.add_argument("--against", type=Path, metavar="SRC",
+                        help="also dump with the repro under SRC, in this "
+                             "process, and exit 1 naming the first record "
+                             "and artifact that differ")
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    records = _dump(args.src, args.seed)
+    args.out.write_text(
+        "".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+    print(f"{len(records)} record(s) -> {args.out}")
+    if args.against is not None:
+        difference = _first_difference(records, _dump(args.against, args.seed))
+        if difference is not None:
+            print(f"differs from {args.against}: {difference}")
+            return 1
+        print(f"identical to {args.against}")
     return 0
 
 

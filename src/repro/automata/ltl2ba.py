@@ -13,10 +13,18 @@ same algorithmic idea ("Fast LTL to Büchi automata translation", CAV
    snapshot satisfying *label*, the formula holds now provided the
    *obligations* (a set of subformulas) all hold from the next instant;
    *fulfilled* records the Until subformulas discharged through their
-   right-hand side, which drives acceptance.  Covers of conjunctions are
-   pairwise products with eager deduplication and absorption — this is
-   what keeps conjunctions of many contract clauses tractable where the
-   naive GPVW tableau explodes;
+   right-hand side, which drives acceptance.  All three are small sets
+   over a vocabulary that is fixed once the formula is, so each is one
+   integer: two bits per event (positive literal on the even bit,
+   negative on the odd one above it — a conjunction is contradictory
+   iff ``m & (m >> 1)`` has an even bit) and one bit per obligation
+   formula, handed out on first sight.  Covers of conjunctions are
+   pairwise products with eager deduplication and absorption, decided on
+   the masks — this is what keeps conjunctions of many contract clauses
+   tractable where the naive GPVW tableau explodes.  The obligation
+   *set* rides along, built only for the covers that survive, because it
+   is the state's name downstream (see docs/DEVELOPMENT.md, "The
+   translator on bitmasks");
 3. build a transition-based generalized Büchi automaton whose states are
    obligation sets (one acceptance set per Until subformula: a transition
    is accepting for ``f`` iff ``f`` is not among the successor's
@@ -32,14 +40,14 @@ ultimately-periodic runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Iterable
 
 from ..errors import TranslationError
 from ..ltl import ast as A
 from ..ltl.ast import Formula
 from ..ltl.rewrite import nnf
 from .buchi import BuchiAutomaton, Transition
-from .labels import TRUE_LABEL, Label, neg, pos
+from .labels import TRUE_LABEL, Label, Literal
 
 #: Default cap on generated states; the worst case is exponential in the
 #: formula (§3.1), so we fail fast with a clear error instead of
@@ -48,78 +56,50 @@ DEFAULT_STATE_BUDGET = 60_000
 
 _EMPTY: frozenset = frozenset()
 
-
-@dataclass(frozen=True)
-class _Cover:
-    """One way to satisfy a formula at the current instant.
-
-    ``label`` constrains the current snapshot; ``obligations`` must hold
-    from the next instant on; ``fulfilled`` lists the Until subformulas
-    discharged via their right operand on this step.
-    """
-
-    label: Label
-    obligations: frozenset
-    fulfilled: frozenset
-
-    def combine(self, other: "_Cover") -> "_Cover | None":
-        """Conjunction of two covers (``None`` if the labels conflict)."""
-        label = self.label.conjoin(other.label)
-        if label is None:
-            return None
-        return _Cover(
-            label,
-            self.obligations | other.obligations,
-            self.fulfilled | other.fulfilled,
-        )
+#: One way to satisfy a formula at the current instant: ``(label,
+#: obligations, fulfilled, pending)``.  The first three are masks — the
+#: literals constraining the current snapshot, the formulas that must
+#: hold from the next instant on, the Until subformulas discharged via
+#: their right operand on this step — and ``pending`` is the obligation
+#: mask as the set of formulas it stands for.
+_MaskCover = tuple[int, int, int, frozenset]
 
 
-def _prune(covers: list[_Cover]) -> tuple[_Cover, ...]:
-    """Deduplicate and absorb dominated covers.
+def _undominated(triples: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+    """The distinct mask triples that no other one dominates.
 
     A cover ``c1`` is dominated by ``c2`` when ``c2`` is at least as easy
     to take (its label's literals are a subset), leaves at most the same
     obligations, and fulfills at least the same Untils; every accepting
     continuation through ``c1`` then exists through ``c2``, so ``c1``
     can be dropped (the transition-implication simplification of [12]).
+    A dominator of a distinct triple weighs strictly less — label bits
+    plus obligation bits minus fulfilled bits — and dominance is
+    transitive, so taken by rising weight each triple need only be
+    compared with the survivors so far.  The result keeps the order of
+    ``triples``.
     """
-    unique = list(dict.fromkeys(covers))
-    keep: list[_Cover] = []
-    for i, c1 in enumerate(unique):
-        dominated = False
-        for j, c2 in enumerate(unique):
-            if i == j:
-                continue
-            if (
-                c2.label.literals <= c1.label.literals
-                and c2.obligations <= c1.obligations
-                and c2.fulfilled >= c1.fulfilled
-            ):
-                # Break ties deterministically so mutual dominators
-                # (identical triples are already deduped) keep exactly one.
-                if (
-                    c2.label.literals == c1.label.literals
-                    and c2.obligations == c1.obligations
-                    and c2.fulfilled == c1.fulfilled
-                ):
-                    dominated = j < i
-                else:
-                    dominated = True
-                if dominated:
-                    break
-        if not dominated:
-            keep.append(c1)
-    return tuple(keep)
+    weights = [l.bit_count() + o.bit_count() - f.bit_count() for l, o, f in triples]
+    survivors: list[tuple[int, int, int]] = []
+    survives = [False] * len(triples)
+    for i in sorted(range(len(triples)), key=weights.__getitem__):
+        l1, o1, f1 = triples[i]
+        for l2, o2, f2 in survivors:
+            if l2 & l1 == l2 and o2 & o1 == o2 and f1 & f2 == f1:
+                break
+        else:
+            survivors.append(triples[i])
+            survives[i] = True
+    return [triple for triple, kept in zip(triples, survives) if kept]
 
 
-def _product(left: tuple[_Cover, ...], right: tuple[_Cover, ...]) -> tuple[_Cover, ...]:
-    out: list[_Cover] = []
-    for c1 in left:
-        for c2 in right:
-            combined = c1.combine(c2)
-            if combined is not None:
-                out.append(combined)
-    return _prune(out)
+def _prune(covers: Iterable[_MaskCover]) -> tuple[_MaskCover, ...]:
+    """Deduplicate (the first cover of equal masks wins) and absorb
+    dominated covers."""
+    unique: dict[tuple[int, int, int], _MaskCover] = {}
+    for cover in covers:
+        unique.setdefault(cover[:3], cover)
+    return tuple(unique[triple] for triple in _undominated(list(unique)))
 
 
 def _configurations(formula: Formula) -> tuple[frozenset, ...]:
@@ -142,19 +122,61 @@ def _configurations(formula: Formula) -> tuple[frozenset, ...]:
 
 
 class _Translator:
-    """Holds the per-translation memo tables."""
+    """Holds the per-translation memo tables and bit assignments."""
 
-    def __init__(self, budget: int):
-        self.budget = budget
-        self._covers_memo: dict[Formula, tuple[_Cover, ...]] = {}
-        self._state_memo: dict[frozenset, tuple[_Cover, ...]] = {}
-        #: obligation -> its text, the order :meth:`state_covers`
-        #: conjoins a state's members in
-        self._text_memo: dict[Formula, str] = {}
+    def __init__(self) -> None:
+        self._covers_memo: dict[Formula, tuple[_MaskCover, ...]] = {}
+        #: obligation mask -> the covers of that state
+        self._state_memo: dict[int, tuple[_MaskCover, ...]] = {}
+        #: event -> the bit of its positive literal (the negative one is
+        #: the next bit up), and the literal of every bit handed out
+        self._event_bits: dict[str, int] = {}
+        self._literals: list[Literal] = []
+        #: the positive-literal bits in use: ``m & (m >> 1) & even`` is
+        #: non-zero iff the literal mask ``m`` holds a complementary pair
+        self.even = 0
+        self._obligation_bits: dict[Formula, int] = {}
+        self._labels: dict[int, Label] = {0: TRUE_LABEL}
+
+    # -- the bit vocabulary ------------------------------------------------------
+
+    def literal(self, event: str, positive: bool) -> int:
+        """The label mask of one literal."""
+        bit = self._event_bits.get(event)
+        if bit is None:
+            bit = self._event_bits[event] = 1 << len(self._literals)
+            self._literals += (Literal(event, True), Literal(event, False))
+            self.even |= bit
+        return bit if positive else bit << 1
+
+    def obligation(self, formula: Formula) -> int:
+        """The bit of an obligation formula (an Until's is also its bit
+        in a fulfilled mask)."""
+        bit = self._obligation_bits.get(formula)
+        if bit is None:
+            bit = self._obligation_bits[formula] = 1 << len(self._obligation_bits)
+        return bit
+
+    def obligations(self, formulas: Iterable[Formula]) -> int:
+        """The mask of an obligation set."""
+        mask = 0
+        for formula in formulas:
+            mask |= self.obligation(formula)
+        return mask
+
+    def label(self, mask: int) -> Label:
+        """The :class:`Label` of a label mask, built once per mask."""
+        label = self._labels.get(mask)
+        if label is None:
+            label = self._labels[mask] = Label(frozenset(
+                literal for i, literal in enumerate(self._literals)
+                if mask >> i & 1
+            ))
+        return label
 
     # -- the VWAA transition function ------------------------------------------
 
-    def covers(self, formula: Formula) -> tuple[_Cover, ...]:
+    def covers(self, formula: Formula) -> tuple[_MaskCover, ...]:
         cached = self._covers_memo.get(formula)
         if cached is not None:
             return cached
@@ -162,103 +184,115 @@ class _Translator:
         self._covers_memo[formula] = result
         return result
 
-    def _compute_covers(self, formula: Formula) -> tuple[_Cover, ...]:
+    def _compute_covers(self, formula: Formula) -> tuple[_MaskCover, ...]:
         if isinstance(formula, A.TrueConst):
-            return (_Cover(TRUE_LABEL, _EMPTY, _EMPTY),)
+            return ((0, 0, 0, _EMPTY),)
         if isinstance(formula, A.FalseConst):
             return ()
         if isinstance(formula, A.Prop):
-            return (_Cover(Label.of([pos(formula.name)]), _EMPTY, _EMPTY),)
+            return ((self.literal(formula.name, True), 0, 0, _EMPTY),)
         if isinstance(formula, A.Not):
             if not isinstance(formula.operand, A.Prop):  # pragma: no cover
                 raise TranslationError("negation above a non-atom after NNF")
-            return (_Cover(Label.of([neg(formula.operand.name)]), _EMPTY, _EMPTY),)
+            return ((self.literal(formula.operand.name, False), 0, 0, _EMPTY),)
         if isinstance(formula, A.And):
-            return _product(self.covers(formula.left), self.covers(formula.right))
+            return self.product(self.covers(formula.left), self.covers(formula.right))
         if isinstance(formula, A.Or):
-            return _prune(
-                list(self.covers(formula.left)) + list(self.covers(formula.right))
-            )
+            return _prune(self.covers(formula.left) + self.covers(formula.right))
         if isinstance(formula, A.Next):
             return tuple(
-                _Cover(TRUE_LABEL, config, _EMPTY)
+                (0, self.obligations(config), 0, config)
                 for config in _configurations(formula.operand)
             )
         if isinstance(formula, A.Until):
             # Either the right side holds now (the until is *fulfilled*) or
             # the left side holds now and the until is postponed.
+            bit = self.obligation(formula)
+            postponed = frozenset((formula,))
             now = [
-                _Cover(c.label, c.obligations, c.fulfilled | {formula})
-                for c in self.covers(formula.right)
+                (label, obligations, fulfilled | bit, pending)
+                for label, obligations, fulfilled, pending in self.covers(formula.right)
             ]
-            postpone = _Cover(TRUE_LABEL, frozenset((formula,)), _EMPTY)
             later = [
-                combined
-                for c in self.covers(formula.left)
-                if (combined := c.combine(postpone)) is not None
+                (label, obligations | bit, fulfilled, pending | postponed)
+                for label, obligations, fulfilled, pending in self.covers(formula.left)
             ]
             return _prune(now + later)
         if isinstance(formula, A.Release):
             # The right side holds now, and either the left side also holds
             # (release discharged) or the release is postponed.
-            postpone = _Cover(TRUE_LABEL, frozenset((formula,)), _EMPTY)
-            choice = _prune(list(self.covers(formula.left)) + [postpone])
-            return _product(self.covers(formula.right), choice)
+            postpone = (0, self.obligation(formula), 0, frozenset((formula,)))
+            choice = _prune(self.covers(formula.left) + (postpone,))
+            return self.product(self.covers(formula.right), choice)
         raise TranslationError(
             f"non-core formula reached the translator: {type(formula).__name__}"
         )
 
-    def _text(self, formula: Formula) -> str:
-        text = self._text_memo.get(formula)
-        if text is None:
-            text = self._text_memo[formula] = str(formula)
-        return text
+    def product(
+        self, left: tuple[_MaskCover, ...], right: tuple[_MaskCover, ...]
+    ) -> tuple[_MaskCover, ...]:
+        """Pairwise conjunctions of two cover lists, pruned.  Only the
+        masks are combined pair by pair; a survivor's obligation set is
+        the union of its two parents', taken after pruning."""
+        even = self.even
+        parents: dict[tuple[int, int, int], tuple[frozenset, frozenset]] = {}
+        for l1, o1, f1, p1 in left:
+            for l2, o2, f2, p2 in right:
+                label = l1 | l2
+                if label & (label >> 1) & even:
+                    continue
+                triple = (label, o1 | o2, f1 | f2)
+                if triple not in parents:
+                    parents[triple] = (p1, p2)
+        out = []
+        for triple in _undominated(list(parents)):
+            p1, p2 = parents[triple]
+            out.append(triple + (p1 | p2,))
+        return tuple(out)
 
-    def state_covers(self, state: frozenset) -> tuple[_Cover, ...]:
+    def state_covers(self, state: frozenset) -> tuple[_MaskCover, ...]:
         """Covers of an obligation set (the conjunction of its members)."""
-        cached = self._state_memo.get(state)
+        mask = self.obligations(state)
+        cached = self._state_memo.get(mask)
         if cached is not None:
             return cached
-        result: tuple[_Cover, ...] = (_Cover(TRUE_LABEL, _EMPTY, _EMPTY),)
-        for member in sorted(state, key=self._text):
-            result = _product(result, self.covers(member))
+        result: tuple[_MaskCover, ...] = ((0, 0, 0, _EMPTY),)
+        for member in sorted(state, key=str):
+            result = self.product(result, self.covers(member))
             if not result:
                 break
-        self._state_memo[state] = result
+        self._state_memo[mask] = result
         return result
-
-
-@dataclass(frozen=True)
-class _TgbaTransition:
-    src: object
-    label: Label
-    dst: frozenset
-    fulfilled: frozenset
 
 
 #: Sentinel initial state of the generalized automaton.
 _IOTA = "iota"
 
+#: ``(src, label mask, dst, accepted mask)``: a transition is accepting
+#: for Until f iff f is not pending afterwards or was fulfilled on the
+#: step — bit f of ``fulfilled | ~obligations``.
+_Edge = tuple[object, int, frozenset, int]
+
 
 def _build_tgba(
     core: Formula, budget: int
-) -> tuple[list[_TgbaTransition], list[frozenset], tuple[Formula, ...]]:
+) -> tuple[list[_Edge], _Translator]:
     """Explore obligation sets reachable from the formula and emit the
     transition-based generalized automaton."""
-    translator = _Translator(budget)
-    transitions: list[_TgbaTransition] = []
+    translator = _Translator()
+    transitions: list[_Edge] = []
     states: list[frozenset] = []
-    seen: set[frozenset] = set()
+    seen: set[int] = set()
     frontier: list[frozenset] = []
 
-    for cover in translator.covers(core):
-        transitions.append(
-            _TgbaTransition(_IOTA, cover.label, cover.obligations, cover.fulfilled)
-        )
-        if cover.obligations not in seen:
-            seen.add(cover.obligations)
-            frontier.append(cover.obligations)
+    def emit(src: object, covers: tuple[_MaskCover, ...]) -> None:
+        for label, obligations, fulfilled, pending in covers:
+            transitions.append((src, label, pending, fulfilled | ~obligations))
+            if obligations not in seen:
+                seen.add(obligations)
+                frontier.append(pending)
 
+    emit(_IOTA, translator.covers(core))
     while frontier:
         state = frontier.pop()
         states.append(state)
@@ -266,19 +300,8 @@ def _build_tgba(
             raise TranslationError(
                 f"translation exceeded the state budget of {budget} states"
             )
-        for cover in translator.state_covers(state):
-            transitions.append(
-                _TgbaTransition(state, cover.label, cover.obligations,
-                                cover.fulfilled)
-            )
-            if cover.obligations not in seen:
-                seen.add(cover.obligations)
-                frontier.append(cover.obligations)
-
-    untils = tuple(
-        dict.fromkeys(f for f in core.walk() if isinstance(f, A.Until))
-    )
-    return transitions, states, untils
+        emit(state, translator.state_covers(state))
+    return transitions, translator
 
 
 def translate(
@@ -297,17 +320,17 @@ def translate(
     from .reduce import reduce_automaton
 
     core = nnf(formula)
-    transitions, _, untils = _build_tgba(core, state_budget)
+    transitions, translator = _build_tgba(core, state_budget)
 
-    # A transition is accepting for Until f iff f is not pending afterwards
-    # or was fulfilled on the step.  Sets that accept every transition are
-    # dropped: they never constrain acceptance.
-    def accepts(transition: _TgbaTransition, until: Formula) -> bool:
-        return until not in transition.dst or until in transition.fulfilled
-
+    # Acceptance sets that accept every transition are dropped: they
+    # never constrain acceptance.
+    accepted_by_all = -1
+    for _, _, _, accepted in transitions:
+        accepted_by_all &= accepted
     acceptance = [
-        f for f in untils
-        if not all(accepts(t, f) for t in transitions)
+        bit
+        for f in dict.fromkeys(f for f in core.walk() if isinstance(f, A.Until))
+        if not accepted_by_all & (bit := translator.obligation(f))
     ]
     n = len(acceptance)
 
@@ -316,19 +339,20 @@ def translate(
     ba_final: set = set()
 
     if n == 0:
-        for t in transitions:
-            ba_transitions.append(Transition((t.src, 0), t.label, (t.dst, 0)))
-            ba_states.add((t.src, 0))
-            ba_states.add((t.dst, 0))
+        for src, label, dst, _ in transitions:
+            ba_transitions.append(
+                Transition((src, 0), translator.label(label), (dst, 0)))
+            ba_states.add((src, 0))
+            ba_states.add((dst, 0))
         ba_states.add((_IOTA, 0))
         ba_final = set(ba_states)
         initial = (_IOTA, 0)
     else:
         # Max-advance degeneralization over levels 0..n; level n marks a
         # completed counter cycle and is the accepting level.
-        by_src: dict[object, list[_TgbaTransition]] = {}
+        by_src: dict[object, list[_Edge]] = {}
         for t in transitions:
-            by_src.setdefault(t.src, []).append(t)
+            by_src.setdefault(t[0], []).append(t)
         initial = (_IOTA, 0)
         ba_states.add(initial)
         frontier = [initial]
@@ -337,12 +361,13 @@ def translate(
             state = frontier.pop()
             src, level = state
             effective = 0 if level == n else level
-            for t in by_src.get(src, ()):
+            for _, label, pending, accepted in by_src.get(src, ()):
                 advanced = effective
-                while advanced < n and accepts(t, acceptance[advanced]):
+                while advanced < n and accepted & acceptance[advanced]:
                     advanced += 1
-                dst = (t.dst, advanced)
-                ba_transitions.append(Transition(state, t.label, dst))
+                dst = (pending, advanced)
+                ba_transitions.append(
+                    Transition(state, translator.label(label), dst))
                 if dst not in seen_states:
                     seen_states.add(dst)
                     frontier.append(dst)

@@ -102,11 +102,28 @@ class BrokerConfig:
         record carries (``dataclasses.asdict`` wrote it).  Keys this
         version does not have — knobs removed since, like 2.0's
         ``use_encoded``, 3.0's ``use_prefilter`` and 4.0's
-        ``permission_algorithm`` — are ignored."""
+        ``permission_algorithm`` — are ignored; a known key holding
+        anything but its field's type (a ``bool``; a non-negative
+        ``int``, which a ``bool`` is not; or ``None`` where the field
+        allows it) is a :class:`BrokerError` naming the key."""
         if not isinstance(doc, Mapping):
             raise BrokerError(f"broker config must be a mapping, got {doc!r}")
-        names = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in doc.items() if k in names})
+        known = {}
+        for f in fields(cls):
+            if f.name not in doc:
+                continue
+            value = known[f.name] = doc[f.name]
+            if f.type == "bool":
+                expected, valid = "a bool", isinstance(value, bool)
+            else:  # "int" or "int | None"
+                expected = f"a non-negative {f.type}"
+                valid = (type(value) is int and value >= 0) or (
+                    value is None and f.type == "int | None")
+            if not valid:
+                raise BrokerError(
+                    f"broker config {f.name!r} must be {expected}, got {value!r}"
+                )
+        return cls(**known)
 
 
 @dataclass

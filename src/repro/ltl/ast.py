@@ -37,7 +37,7 @@ class Formula:
         f = G(Prop("purchase").implies(~F(Prop("refund"))))
     """
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_text")
 
     # -- structural protocol -------------------------------------------------
 
@@ -133,9 +133,15 @@ class Formula:
         raise NotImplementedError
 
     def __str__(self) -> str:
-        from .printer import format_formula
+        # Formatted once per node: automaton constructors sort
+        # formula-valued states by their text.
+        cached = getattr(self, "_text", None)
+        if cached is None:
+            from .printer import format_formula
 
-        return format_formula(self)
+            cached = format_formula(self)
+            object.__setattr__(self, "_text", cached)
+        return cached
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({str(self)!r})"

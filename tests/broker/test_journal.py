@@ -617,10 +617,16 @@ def _hostile_journals(family):
     else:  # checksummed records whose members have the wrong type
         for seq, (op, data) in enumerate(docs):
             for member in data:
-                for junk in JUNK:
+                members = [(member, junk) for junk in JUNK]
+                if member == "config":  # and its typed values
+                    members += [
+                        (f"config.{key}", {**config, key: junk})
+                        for key in config for junk in JUNK
+                    ]
+                for label, value in members:
                     edited = list(lines)
-                    edited[seq] = _encode(seq, op, {**data, member: junk})
-                    yield f"{op} {member}={junk!r}", b"".join(edited)
+                    edited[seq] = _encode(seq, op, {**data, member: value})
+                    yield f"{op} {label}={value!r}", b"".join(edited)
 
 
 @pytest.mark.parametrize(

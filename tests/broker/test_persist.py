@@ -30,6 +30,16 @@ MALFORMED_MANIFEST_MEMBERS = [
     pytest.param("contracts", {"a": {"clauses": ["F x"]}},
                  id="contracts-a-dict"),
     pytest.param("config", ["use_projections"], id="config-a-list"),
+    pytest.param("config", {"state_budget": "x"}, id="state-budget-a-string"),
+    pytest.param("config", {"prefilter_depth": "x"},
+                 id="prefilter-depth-a-string"),
+    pytest.param("config", {"prefilter_depth": -1},
+                 id="prefilter-depth-negative"),
+    pytest.param("config", {"query_cache_capacity": True},
+                 id="cache-capacity-a-bool"),
+    pytest.param("config", {"use_projections": 1}, id="use-projections-an-int"),
+    pytest.param("config", {"projection_subset_cap": 1.5},
+                 id="subset-cap-a-float"),
     pytest.param(
         "contracts",
         [{"name": "a", "clauses": ["F x"], "attributes": ["price"]}],
@@ -348,9 +358,11 @@ class TestRobustness:
     def test_malformed_manifest_member_is_a_broker_error(
         self, tmp_path, opener, member, value
     ):
-        """The first seven shapes were a KeyError / TypeError /
-        AttributeError from both openers before 6.0; the last two were
-        silently coerced."""
+        """The contract, list-config, attribute and artifact shapes were a
+        KeyError / TypeError / AttributeError from both openers before
+        6.0 and the epoch was silently coerced; the typed config values
+        were accepted until 8.1 and escaped later as a ``TypeError``
+        (``state_budget``: inside the translator's budget check)."""
         manifest = {
             "format_version": 2, "config": {}, "artifacts": {},
             "contracts": [{"name": "a", "clauses": ["F x"]}],
