@@ -20,7 +20,10 @@ workload-guided route, whose seeds are found by the scan fallback.  One
 more line per query of the same instance holds
 ``automaton_to_dict(translate(query))``: query automata come out of the
 same translator, and their state order decides how many steps a
-permission search takes.
+permission search takes.  After each batch a seeded third of it is
+deregistered and one ``index`` line holds ``db.index.to_dict()`` (again
+without ``stats.build_seconds``) — ``index.json`` as a save would write
+it, after inserts and removals.
 
     python3 scripts/dump_artifacts.py --out change.jsonl
     python3 scripts/dump_artifacts.py --src ../parent/src --out parent.jsonl
@@ -41,6 +44,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -59,6 +63,8 @@ def _load_e2e_inputs():
 
 
 def _store_doc(store) -> dict:
+    """``to_dict()`` of a projection store or the prefilter index
+    without the one field that is a clock."""
     doc = store.to_dict()
     del doc["stats"]["build_seconds"]
     return doc
@@ -84,39 +90,55 @@ def _dump(src: Path, seed: int) -> list[dict]:
     finally:
         sys.path.remove(str(src))
     instance = inputs.instance(seed, inputs.load_shapes(), smoke=False)
-    docs = [
-        {"name": c["name"], "clauses": c["clauses"]}
-        for c in instance["contracts"]
-    ]
     generator = WorkloadGenerator(
         vocabulary_size=inputs.VOCABULARY,
         seed=seed,
         max_transitions=inputs.CONTRACT_MAX_TRANSITIONS,
     )
-    for count, patterns in GENERATED:
-        for i, spec in enumerate(generator.generate_specs(count, patterns)):
-            docs.append({
+    batches = {
+        "e2e": [
+            {"name": c["name"], "clauses": c["clauses"]}
+            for c in instance["contracts"]
+        ],
+        "generated": [
+            {
                 "name": f"g{patterns}-{i:03d}",
                 "clauses": [format_formula(c) for c in spec.clauses],
-            })
+            }
+            for count, patterns in GENERATED
+            for i, spec in enumerate(generator.generate_specs(count, patterns))
+        ],
+    }
 
     db = ContractDatabase()
+    rng = random.Random(seed)
     records = []
-    for doc in docs:
-        contract = db.register(ContractSpec.from_doc(doc))
-        literals = sorted(contract.ba.literals())
-        guided = ProjectionStore(
-            contract.ba,
-            max_subset_size=1,
-            extra_subsets=[frozenset(literals[:3]), frozenset(literals[-4:])],
-            vocabulary=contract.spec.vocabulary,
-        )
+    for batch, docs in batches.items():
+        ids = []
+        for doc in docs:
+            contract = db.register(ContractSpec.from_doc(doc))
+            ids.append(contract.contract_id)
+            literals = sorted(contract.ba.literals())
+            guided = ProjectionStore(
+                contract.ba,
+                max_subset_size=1,
+                extra_subsets=[
+                    frozenset(literals[:3]), frozenset(literals[-4:])
+                ],
+                vocabulary=contract.spec.vocabulary,
+            )
+            records.append({
+                "name": doc["name"],
+                "clauses": doc["clauses"],
+                "encoded": contract.encoded.to_dict(),
+                "projections": _store_doc(contract.projections),
+                "guided": _store_doc(guided),
+            })
+        for contract_id in rng.sample(ids, len(ids) // 3):
+            db.deregister(contract_id)
         records.append({
-            "name": doc["name"],
-            "clauses": doc["clauses"],
-            "encoded": contract.encoded.to_dict(),
-            "projections": _store_doc(contract.projections),
-            "guided": _store_doc(guided),
+            "name": f"index after {batch}",
+            "index": _store_doc(db.index),
         })
     for query in instance["queries"]:
         text = query if isinstance(query, str) else query["query"]

@@ -25,7 +25,7 @@ from .condition import (
 from .complete_pruning import complete_pruning_condition
 from .prefilter import PrefilterIndex, PrefilterStats
 from .pruning import pruning_condition
-from .trie import SetTrie, TrieNode
+from .trie import SetTrie
 
 __all__ = [
     "FALSE_CONDITION",
@@ -44,5 +44,4 @@ __all__ = [
     "PrefilterStats",
     "pruning_condition",
     "SetTrie",
-    "TrieNode",
 ]

@@ -2,12 +2,13 @@
 
 At registration the index computes, for every transition label ``γ`` of
 the contract's BA, the expansion ``E(γ)`` with respect to the contract's
-vocabulary, and inserts the contract id into every depth-capped set-trie
-node whose literal set is contained in some expansion.  At query time the
-pruning condition extracted from the query BA (Algorithm 1) is evaluated
-against :meth:`PrefilterIndex.lookup`, yielding a candidate set that
-provably contains every permitting contract — the expensive permission
-algorithm then runs only on the candidates.
+vocabulary — as a bitmask, see :mod:`.trie` — and inserts the contract
+id, once, into every depth-capped set-trie node whose literal set some
+expansion contains.  At query time the pruning condition extracted from
+the query BA (Algorithm 1) is evaluated against
+:meth:`PrefilterIndex.lookup`, yielding a candidate set that provably
+contains every permitting contract — the expensive permission algorithm
+then runs only on the candidates.
 
 Lookups of labels longer than the depth cap return the *intersection* of
 the sets of their depth-sized sub-labels; each of those is a superset of
@@ -81,16 +82,13 @@ class PrefilterIndex:
             raise IndexError_(f"contract {contract_id} already indexed")
         self._contracts.add(contract_id)
         self.stats.contracts += 1
-        seen_expansions: set[frozenset] = set()
-        for label in ba.labels():
-            expansion = label.expansion(vocabulary)
-            if expansion in seen_expansions:
-                continue
-            seen_expansions.add(expansion)
-            self.stats.labels_indexed += 1
-            self.stats.node_insertions += self._trie.insert_expansion(
-                expansion, contract_id
-            )
+        masks = {
+            self._trie.expansion_mask(label.literals, vocabulary)
+            for label in set(ba.labels())
+        }
+        touched = self._trie.insert_masks(masks, contract_id)
+        self.stats.labels_indexed += len(masks)
+        self.stats.node_insertions += touched
 
     def remove_contract(self, contract_id: int) -> None:
         """Drop a contract from the index."""
@@ -105,23 +103,19 @@ class PrefilterIndex:
     def lookup(self, label: Label) -> frozenset[int]:
         """``S(λ)`` for short labels, the sound superset ``S'(λ)`` for
         labels longer than the depth cap."""
-        literals = sorted(label.literals)
-        if len(literals) <= self._trie.depth:
-            return self._trie.get(literals)
-        result: frozenset[int] | None = None
+        depth = self._trie.depth
+        if len(label.literals) <= depth:
+            return self._trie.get(label.literals)
+        # probes go in sorted-literal order: which of them run under the
+        # cap decides the (sound) superset a truncated lookup returns
         probes = islice(
-            combinations(literals, self._trie.depth), _MAX_SUBSET_PROBES
+            combinations(sorted(label.literals), depth), _MAX_SUBSET_PROBES
         )
+        result = self._trie.get(next(probes))
         for subset in probes:
-            subset_contracts = self._trie.get(subset)
-            result = (
-                subset_contracts
-                if result is None
-                else result & subset_contracts
-            )
             if not result:
                 break
-        assert result is not None  # len(literals) > depth >= 1
+            result &= self._trie.get(subset)
         return result
 
     def candidates(self, query: BuchiAutomaton) -> frozenset[int]:
@@ -151,6 +145,8 @@ class PrefilterIndex:
         primitive lookup selects (1.0 on an empty index)."""
         if not self._contracts:
             return 1.0
+        if len(label.literals) <= self._trie.depth:
+            return self._trie.count(label.literals) / len(self._contracts)
         return len(self.lookup(label)) / len(self._contracts)
 
     def estimate_selectivity(self, condition: Condition) -> float:

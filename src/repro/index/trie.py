@@ -8,42 +8,30 @@ exponentially in the vocabulary).  A node labeled ``l`` is associated
 with the set of contracts owning a transition label ``γ`` whose
 expansion ``E(γ)`` contains ``l``.
 
-Because a node's key determines it uniquely, the DAG is realized as a
-dictionary from canonical literal tuples to nodes, with explicit child
-edges kept for ordered navigation (one literal per step — the paper's
-"linear in the number of literals" lookup).  Nodes whose literal set
-contains a complementary pair are never created: no satisfiable query
-label can ever look them up.
+A literal set is an integer here: an event is given two adjacent bits
+when an insert first mentions it, the negative literal on the even one,
+so a set holds a complementary pair iff ``m & (m >> 1)`` has an even
+bit.  A node's key determines it uniquely, so the DAG is one dictionary
+from mask to contract set and its edges are arithmetic: a node's parents
+are its mask with one bit cleared.  Contradictory nodes are never
+created: no satisfiable query label can ever look them up.  ``Literal``
+objects and literal texts appear only at the boundary (``get``,
+``insert_expansion``, the JSON document).
+
+Node sets are downward closed — a contract stored under ``S`` is stored
+under every subset of ``S`` — because an insert stores under every
+consistent subset and a removal empties every node of the contract.  A
+node whose own set is empty therefore has nothing beneath it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import AbstractSet, Iterable
 
 from ..errors import IndexError_
-from ..automata.labels import Label, Literal, parse_literal
-
-
-def _canonical(literals: Iterable[Literal]) -> tuple[Literal, ...]:
-    return tuple(sorted(literals))
-
-
-@dataclass
-class TrieNode:
-    """One node of the set-trie DAG."""
-
-    key: tuple[Literal, ...]
-    contracts: set[int] = field(default_factory=set)
-    #: child edges: adding one literal (greater than every key literal,
-    #: so each node is reached along exactly one ordered spine while the
-    #: DAG still shares nodes across unordered insertions).
-    children: dict[Literal, tuple[Literal, ...]] = field(default_factory=dict)
-
-    @property
-    def depth(self) -> int:
-        return len(self.key)
+from ..automata.encode import _iter_bits
+from ..automata.labels import Literal, parse_literal
 
 
 class SetTrie:
@@ -57,130 +45,152 @@ class SetTrie:
         if depth < 1:
             raise IndexError_(f"trie depth must be >= 1, got {depth}")
         self.depth = depth
-        self._nodes: dict[tuple[Literal, ...], TrieNode] = {
-            (): TrieNode(key=())
-        }
+        #: event -> the bit of its negative literal; bit position -> literal
+        self._event_bits: dict[str, int] = {}
+        self._literals: list[Literal] = []
+        self._even = 0  # every negative-literal bit in use
+        self._nodes: dict[int, set[int]] = {0: set()}
+
+    # -- the bit vocabulary --------------------------------------------------
+
+    def _intern(self, event: str) -> int:
+        low = self._event_bits.get(event)
+        if low is None:
+            low = self._event_bits[event] = 1 << len(self._literals)
+            self._literals += (Literal(event, False), Literal(event, True))
+            self._even |= low
+        return low
+
+    def expansion_mask(self, literals: Iterable[Literal],
+                       vocabulary: Iterable[str] = ()) -> int:
+        """``E(γ)`` as a mask (§4.2): both literals of every vocabulary
+        event, without the complements of the label's own literals, plus
+        those literals (without a vocabulary: the literals' own mask).
+        Assigns bits to events not seen before."""
+        own = full = 0
+        for literal in literals:
+            own |= self._intern(literal.event) << literal.positive
+        for event in vocabulary:
+            full |= 3 * self._intern(event)
+        even = self._even
+        return full & ~((own & even) << 1 | (own >> 1) & even) | own
+
+    def _key(self, mask: int) -> tuple[Literal, ...]:
+        return tuple(sorted(self._literals[i] for i in _iter_bits(mask)))
 
     # -- construction ---------------------------------------------------------
 
-    def insert_expansion(self, expansion: frozenset[Literal],
-                         contract_id: int) -> int:
-        """Associate ``contract_id`` with every consistent subset of
-        ``expansion`` of size ≤ depth; returns how many nodes were
-        touched."""
+    def insert_masks(self, masks: Iterable[int], contract_id: int) -> int:
+        """Associate ``contract_id`` with every consistent subset of size
+        ≤ depth of every expansion mask; returns how many nodes gained
+        the contract.  A mask contained in another is skipped (its
+        subsets are the other's) and a shared subset is touched once."""
+        masks = set(masks)
+        subsets = {0} if masks else set()
+        even = self._even
+        for mask in masks:
+            if any(mask != other and mask & other == mask for other in masks):
+                continue
+            bits = [1 << i for i in _iter_bits(mask)]
+            subsets.update(bits)
+            for size in range(2, self.depth + 1):
+                subsets.update(
+                    subset for subset in map(sum, combinations(bits, size))
+                    if not subset & (subset >> 1) & even
+                )
         touched = 0
-        for size in range(0, self.depth + 1):
-            for subset in combinations(sorted(expansion), size):
-                if _contradictory(subset):
-                    continue
-                node = self._ensure_node(subset)
-                if contract_id not in node.contracts:
-                    node.contracts.add(contract_id)
-                    touched += 1
+        for subset in subsets:
+            contracts = self._nodes.setdefault(subset, set())
+            touched += contract_id not in contracts
+            contracts.add(contract_id)
         return touched
 
+    def insert_expansion(self, expansion: frozenset[Literal],
+                         contract_id: int) -> int:
+        """:meth:`insert_masks` for one expansion given as literals."""
+        return self.insert_masks([self.expansion_mask(expansion)], contract_id)
+
     def remove_contract(self, contract_id: int) -> None:
-        """Remove a contract from every node (used on deregistration),
-        then prune nodes whose subtree holds no contracts — without the
-        pruning, register/deregister churn would grow ``num_nodes`` and
+        """Remove a contract from every node (used on deregistration)
+        and drop the nodes that leaves empty — without that,
+        register/deregister churn would grow ``num_nodes`` and
         ``size_estimate`` without bound."""
-        for node in self._nodes.values():
-            node.contracts.discard(contract_id)
-        self._prune_empty()
-
-    def _prune_empty(self) -> None:
-        """Drop every non-root node whose subtree contains no contract,
-        detaching it from its parent's ``children``.  Keys are visited
-        deepest-first so a parent emptied by a child's removal is pruned
-        in the same pass."""
-        for key in sorted(self._nodes, key=len, reverse=True):
-            if not key:
-                continue
-            node = self._nodes[key]
-            if node.contracts or node.children:
-                continue
-            del self._nodes[key]
-            parent = self._nodes[key[:-1]]
-            del parent.children[key[-1]]
-
-    def _ensure_node(self, key: tuple[Literal, ...]) -> TrieNode:
-        node = self._nodes.get(key)
-        if node is not None:
-            return node
-        node = TrieNode(key=key)
-        self._nodes[key] = node
-        if key:
-            parent = self._ensure_node(key[:-1])
-            parent.children[key[-1]] = key
-        return node
+        for contracts in self._nodes.values():
+            contracts.discard(contract_id)
+        self._nodes = {m: c for m, c in self._nodes.items() if c or not m}
 
     # -- lookup ----------------------------------------------------------------
+
+    def _find(self, literals: Iterable[Literal]) -> AbstractSet[int]:
+        literals = tuple(literals)
+        if len(literals) > self.depth:
+            raise IndexError_(
+                f"exact lookup of {len(literals)} literals exceeds depth "
+                f"{self.depth}"
+            )
+        # a lookup never interns: an unknown event gets bits no node has
+        unknown = 1 << len(self._literals)
+        mask = 0
+        for lit in literals:
+            mask |= self._event_bits.get(lit.event, unknown) << lit.positive
+        return self._nodes.get(mask, frozenset())
 
     def get(self, literals: Iterable[Literal]) -> frozenset[int]:
         """The contract set of the node labeled exactly by ``literals``
         (empty if no such node); requires ``len(literals) <= depth``."""
-        key = _canonical(literals)
-        if len(key) > self.depth:
-            raise IndexError_(
-                f"exact lookup of {len(key)} literals exceeds depth {self.depth}"
-            )
-        node = self._walk(key)
-        if node is None:
-            return frozenset()
-        return frozenset(node.contracts)
+        return frozenset(self._find(literals))
 
-    def _walk(self, key: tuple[Literal, ...]) -> TrieNode | None:
-        """Navigate from the root one literal at a time (the DAG walk the
-        paper describes; equivalent to a direct dictionary probe but kept
-        explicit so the structure is honest)."""
-        node = self._nodes[()]
-        for literal in key:
-            child_key = node.children.get(literal)
-            if child_key is None:
-                return None
-            node = self._nodes[child_key]
-        return node
+    def count(self, literals: Iterable[Literal]) -> int:
+        """``len(self.get(literals))`` without the copy."""
+        return len(self._find(literals))
 
     # -- serialization -----------------------------------------------------------
 
     def to_dict(self, id_map: dict[int, int] | None = None) -> dict:
         """A JSON-ready snapshot of the trie (structure + contract sets).
-
         ``id_map``, when given, remaps contract ids on the way out — the
-        persistence layer uses it to renumber ids to their dense
-        save-order positions.
-        """
+        persistence layer renumbers them to dense save-order positions."""
         remap = (lambda i: i) if id_map is None else id_map.__getitem__
-        nodes = []
-        for key in sorted(self._nodes):
-            node = self._nodes[key]
-            nodes.append({
+        nodes = [
+            {
                 "key": [str(lit) for lit in key],
-                "contracts": sorted(remap(c) for c in node.contracts),
-            })
+                "contracts": sorted(remap(c) for c in self._nodes[mask]),
+            }
+            for key, mask in sorted((self._key(m), m) for m in self._nodes)
+        ]
         return {"depth": self.depth, "nodes": nodes}
 
     @classmethod
     def from_dict(cls, data: dict) -> "SetTrie":
         """Inverse of :meth:`to_dict`; raises :class:`IndexError_` on a
-        structurally invalid document (the persistence layer treats that
-        as a corrupt artifact and rebuilds)."""
+        document it cannot have written — malformed, a key over-deep or
+        contradictory, a node set not inside each parent's (removal
+        relies on that).  The persistence layer then rebuilds."""
         try:
             trie = cls(depth=int(data["depth"]))
-            docs = data["nodes"]
+            for doc in data["nodes"]:
+                key = [parse_literal(s) for s in doc["key"]]
+                mask = trie.expansion_mask(key)
+                if len(key) > trie.depth or mask & (mask >> 1) & trie._even:
+                    raise IndexError_(
+                        f"trie node {doc['key']} exceeds depth {trie.depth} "
+                        f"or holds a complementary pair"
+                    )
+                trie._nodes.setdefault(mask, set()).update(
+                    int(c) for c in doc["contracts"]
+                )
         except (KeyError, TypeError, ValueError) as exc:
             raise IndexError_(f"malformed trie document: {exc}") from exc
-        for doc in docs:
-            try:
-                key = _canonical(parse_literal(s) for s in doc["key"])
-                contracts = [int(c) for c in doc["contracts"]]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise IndexError_(f"malformed trie node: {exc}") from exc
-            if len(key) > trie.depth:
+        nodes = trie._nodes
+        for mask, contracts in nodes.items():
+            if mask and not (contracts and all(
+                contracts <= nodes.get(mask ^ (1 << i), set())
+                for i in _iter_bits(mask)
+            )):
                 raise IndexError_(
-                    f"trie node {doc['key']} exceeds depth {trie.depth}"
+                    f"trie node {[str(lit) for lit in trie._key(mask)]} is "
+                    f"empty or holds a contract one of its parents lacks"
                 )
-            trie._ensure_node(key).contracts.update(contracts)
         return trie
 
     # -- introspection ----------------------------------------------------------
@@ -189,20 +199,7 @@ class SetTrie:
     def num_nodes(self) -> int:
         return len(self._nodes)
 
-    def nodes(self) -> Iterator[TrieNode]:
-        return iter(self._nodes.values())
-
     def size_estimate(self) -> int:
         """Rough memory footprint: total contract-id entries plus node
         keys (a stand-in for the paper's on-disk index size metric)."""
-        return sum(len(n.contracts) + len(n.key) for n in self._nodes.values())
-
-
-def _contradictory(literals: tuple[Literal, ...]) -> bool:
-    events: dict[str, bool] = {}
-    for lit in literals:
-        seen = events.get(lit.event)
-        if seen is not None and seen != lit.positive:
-            return True
-        events[lit.event] = lit.positive
-    return False
+        return sum(len(c) + m.bit_count() for m, c in self._nodes.items())

@@ -450,6 +450,46 @@ class TestRobustness:
         assert not report.index_restored
         assert any("index.json: malformed" in w for w in report.warnings)
 
+    @pytest.mark.parametrize("opener", [load_database, open_database])
+    @pytest.mark.parametrize("damage", [
+        "orphan node", "child holds more than its parent",
+        "contradictory key",
+    ])
+    def test_index_that_is_not_downward_closed_falls_back(
+        self, tmp_path, opener, damage
+    ):
+        """The one value-level check on a checksum-valid artifact (8.2):
+        deregistration prunes the trie by "this node's own set became
+        empty", which is wrong on a trie ``to_dict`` cannot have
+        written — such an ``index.json`` is rebuilt, not adopted."""
+        db = ContractDatabase(BrokerConfig())
+        db.register("a", ["G (x -> F y)"])
+        db.register("b", ["F x", "G !z"])
+        directory = save_database(db, tmp_path / "db")
+        document = json.loads((directory / "index.json").read_text())
+        nodes = document["trie"]["nodes"]
+        if damage == "orphan node":
+            nodes[:] = [n for n in nodes if n["key"] != ["x"]]
+        elif damage == "child holds more than its parent":
+            single = next(n for n in nodes if n["key"] == ["x"])
+            single["contracts"] = single["contracts"][:1]
+        else:
+            nodes.append({"key": ["!x", "x"], "contracts": [0]})
+        (directory / "index.json").write_text(json.dumps(document))
+        _rehash_artifact(directory, "index.json")
+
+        reopened = opener(directory)
+        report = reopened.load_report
+        assert not report.index_restored
+        assert any(
+            w.startswith("index.json: invalid") and "'x'" in w
+            for w in report.warnings
+        )
+        assert reopened.index.to_dict()["trie"] == db.index.to_dict()["trie"]
+        reopened.deregister(0)
+        assert reopened.query("F y").contract_names == ()
+        assert reopened.query("F x").contract_names == ("b",)
+
     def test_stale_automaton_retranslated(self, tmp_path, airfare_db):
         directory = save_database(airfare_db, tmp_path / "stale")
         # corrupt the stored automata: give them an alien event (and

@@ -1,10 +1,26 @@
-"""Unit tests for the set-trie DAG."""
+"""Unit and property tests for the set-trie DAG."""
+
+import json
+import os
+import re
+import subprocess
+import sys
+from itertools import combinations
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.automata.labels import neg, pos
+from repro.automata.buchi import BuchiAutomaton
+from repro.automata.labels import Label, neg, pos
 from repro.errors import IndexError_
+from repro.index.prefilter import PrefilterIndex
 from repro.index.trie import SetTrie
+
+from ..strategies import labels
+
+ROOT = Path(__file__).resolve().parents[2]
 
 
 class TestInsertion:
@@ -145,6 +161,28 @@ class TestSerialization:
         with pytest.raises(IndexError_):
             SetTrie.from_dict(doc)
 
+    @pytest.mark.parametrize("nodes, named", [
+        # an orphan: {a, b} without its parent {b}
+        ([([], [1]), (["a"], [1]), (["a", "b"], [1])], "['a', 'b']"),
+        # a child holding a contract its parent lacks
+        ([([], [1, 2]), (["a"], [1]), (["b"], [1, 2]),
+          (["a", "b"], [1, 2])], "['a', 'b']"),
+        # a non-root node nothing is stored under
+        ([([], [1]), (["a"], [])], "['a']"),
+        # a key no satisfiable label can look up
+        ([([], [1]), (["!a"], [1]), (["a"], [1]),
+          (["!a", "a"], [1])], "['!a', 'a']"),
+    ])
+    def test_from_dict_rejects_what_to_dict_cannot_write(self, nodes, named):
+        """Removal prunes by 'the node's own set became empty', which is
+        only right on a downward-closed trie — so a document that is not
+        one must not load."""
+        doc = {"depth": 2, "nodes": [
+            {"key": key, "contracts": contracts} for key, contracts in nodes
+        ]}
+        with pytest.raises(IndexError_, match=re.escape(named)):
+            SetTrie.from_dict(doc)
+
 
 class TestShape:
     def test_invalid_depth(self):
@@ -163,5 +201,131 @@ class TestShape:
         node exists once."""
         trie = SetTrie(depth=2)
         trie.insert_expansion(frozenset([pos("a"), pos("b"), pos("c")]), 1)
-        keys = [node.key for node in trie.nodes()]
-        assert len(keys) == len(set(keys))
+        keys = [tuple(node["key"]) for node in trie.to_dict()["nodes"]]
+        assert ("a", "b") in keys
+        assert len(keys) == len(set(keys)) == trie.num_nodes == 7
+
+
+WIDE_EVENTS = ("a", "b", "c", "d")
+
+
+def consistent_subsets(literals, depth):
+    """Every satisfiable literal set of size ≤ depth inside ``literals``."""
+    return {
+        frozenset(subset)
+        for size in range(depth + 1)
+        for subset in combinations(sorted(literals), size)
+        if Label.try_of(subset) is not None
+    }
+
+
+@st.composite
+def contracts(draw):
+    """A contract as the index sees it: transition labels (any event of
+    ``EVENTS``, inside the vocabulary or not) and a vocabulary."""
+    gammas = draw(st.lists(labels(), max_size=5))
+    vocabulary = draw(st.sets(st.sampled_from(WIDE_EVENTS)))
+    ba = BuchiAutomaton.make(0, [(0, gamma, 0) for gamma in gammas], [0])
+    return ba, frozenset(vocabulary)
+
+
+def node_sets(index):
+    return {
+        frozenset(node["key"]): set(node["contracts"])
+        for node in index.to_dict()["trie"]["nodes"]
+    }
+
+
+class TestPerContractInsert:
+    @given(st.lists(contracts(), min_size=1, max_size=4),
+           st.integers(min_value=1, max_value=3))
+    @settings(max_examples=150, deadline=None)
+    def test_answers_and_counts_match_per_label_definition(self, db, depth):
+        """One insert per contract — contained expansions dropped, shared
+        nodes touched once — stores what inserting every ``E(γ)`` of
+        every label on its own stores, and counts what that counts."""
+        index = PrefilterIndex(depth=depth)
+        stored = {}
+        labels_indexed = 0
+        for contract_id, (ba, vocabulary) in enumerate(db):
+            index.add_contract(contract_id, ba, vocabulary)
+            expansions = {gamma.expansion(vocabulary) for gamma in ba.labels()}
+            labels_indexed += len(expansions)
+            stored[contract_id] = set().union(*(
+                consistent_subsets(expansion, depth)
+                for expansion in expansions
+            ))
+        assert index.stats.labels_indexed == labels_indexed
+        assert index.stats.node_insertions == sum(map(len, stored.values()))
+        universe = [lit for e in WIDE_EVENTS for lit in (neg(e), pos(e))]
+        for subset in consistent_subsets(universe, depth):
+            assert index.lookup(Label(subset)) == {
+                contract_id for contract_id, subsets in stored.items()
+                if subset in subsets
+            }
+
+    @given(st.lists(st.tuples(st.integers(0, 5), contracts()), max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_churn_keeps_the_trie_downward_closed(self, operations):
+        """``(id, contract)`` registers the id if it is free and
+        deregisters it otherwise.  Afterwards no non-root node is empty,
+        every node's set is inside each parent's, and the trie is the one
+        a fresh index of the survivors builds."""
+        index = PrefilterIndex(depth=2)
+        live = {}
+        for contract_id, contract in operations:
+            if contract_id in live:
+                index.remove_contract(contract_id)
+                del live[contract_id]
+            else:
+                index.add_contract(contract_id, *contract)
+                live[contract_id] = contract
+        nodes = node_sets(index)
+        for key, members in nodes.items():
+            assert members or not key
+            for literal in key:
+                assert members <= nodes[key - {literal}]
+        fresh = PrefilterIndex(depth=2)
+        for contract_id, contract in live.items():
+            fresh.add_contract(contract_id, *contract)
+        assert nodes == node_sets(fresh)
+        assert index.num_nodes == fresh.num_nodes
+        assert index.size_estimate() == fresh.size_estimate()
+
+
+GOLDEN_PROGRAM = """
+import hashlib, json
+from repro.broker.database import ContractDatabase
+shapes = json.load(open("benchmarks/e2e/shapes.json"))
+db = ContractDatabase()
+ids = [db.register(f"c{i}", clauses).contract_id
+       for i, clauses in enumerate(shapes["contracts"])]
+for contract_id in ids[::3]:
+    db.deregister(contract_id)
+index = db.index
+doc = index.to_dict()
+del doc["stats"]["build_seconds"]
+text = json.dumps(doc, sort_keys=True)
+print(json.dumps([index.num_nodes, index.size_estimate(),
+                  index.stats.labels_indexed, index.stats.node_insertions,
+                  hashlib.sha256(text.encode()).hexdigest()]))
+"""
+
+
+def test_yardstick_index_matches_golden():
+    """``index_golden.json`` was written by the object trie of 8.1: the
+    yardstick's 100 contracts registered in file order, every third
+    deregistered.  The index — its bytes included — must not depend on
+    the representation, nor on the hash salt."""
+    golden_file = Path(__file__).with_name("index_golden.json")
+    golden = json.loads(golden_file.read_text())
+    for salt in ("0", "5", "11"):
+        env = dict(os.environ, PYTHONHASHSEED=salt)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (env.get("PYTHONPATH"), "src") if p
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", GOLDEN_PROGRAM],
+            capture_output=True, text=True, env=env, check=True, cwd=ROOT,
+        )
+        assert json.loads(result.stdout) == golden, f"PYTHONHASHSEED={salt}"
