@@ -37,11 +37,7 @@ from ..automata.encode import encode_automaton
 from ..automata.ltl2ba import DEFAULT_STATE_BUDGET, translate
 from ..core.budget import Deadline, ExecutionBudget, StepBudget
 from ..core.rwlock import RWLock
-from ..core.permission import (
-    PermissionWitness,
-    find_witness,
-    permits_encoded,
-)
+from ..core.permission import find_witness, permits_encoded
 from ..core.seeds import compute_seeds
 from ..errors import BrokerError, BudgetExceededError, QueryBudgetError
 from ..index.prefilter import PrefilterIndex
@@ -68,7 +64,7 @@ from .options import (
     coerce_query_options,
 )
 from .planner import ATTR_FIRST, PREFILTER_FIRST, QueryPlan, QueryPlanner
-from .query import QueryOutcome, QueryStats, Verdict
+from .query import QueryOutcome, QueryStats, Verdict, assemble_outcome
 from .registration import Quarantine
 from .spec import QuerySpec
 from .stats import DatabaseStatistics
@@ -602,8 +598,6 @@ class ContractDatabase:
         stats.relational_matches = len(candidate_ids)
         if plan.use_prefilter and not prefilter_first:
             candidate_ids = prefilter_stage(candidate_ids)
-        stats.candidates = len(candidate_ids)
-
         candidates = [contracts[cid] for cid in sorted(candidate_ids)]
 
         # What the checks of one query share is decided once: whether
@@ -616,8 +610,6 @@ class ContractDatabase:
             else None
         )
         use_projections = plan.use_projections
-        matched: list[Contract] = []
-        maybe: list[Contract] = []
         verdicts: dict[int, Verdict] = {}
         selection_seconds = permission_seconds = 0.0
         for contract in candidates:
@@ -629,20 +621,13 @@ class ContractDatabase:
             selection_seconds += selection
             permission_seconds += permission
             verdicts[contract.contract_id] = verdict
-            if verdict is Verdict.PERMITTED:
-                matched.append(contract)
-            elif verdict is not Verdict.NOT_PERMITTED:  # inconclusive
-                maybe.append(contract)
-                if verdict is Verdict.TIMED_OUT:
-                    stats.timed_out += 1
         stats.selection_seconds = selection_seconds
         stats.permission_seconds = permission_seconds
-        stats.skipped = len(maybe) - stats.timed_out
-        stats.checked = len(candidates) - len(maybe)
+        outcome = assemble_outcome(
+            formula, verdicts, contracts, options.degradation, stats
+        )
 
-        stats.degraded = bool(maybe)
         if stats.degraded and options.degradation is Degradation.FAIL:
-            stats.permitted = len(matched)
             stats.total_seconds = (
                 translation_seconds + time.perf_counter() - overall_start
             )
@@ -653,35 +638,22 @@ class ContractDatabase:
                 f"{stats.candidates} candidates"
             )
 
-        witnesses: dict[int, PermissionWitness] = {}
         if options.explain:
-            for contract in matched:
+            for contract_id in outcome.contract_ids:
                 if query_deadline is not None and query_deadline.expired():
                     break
+                contract = contracts[contract_id]
                 witness = find_witness(
                     contract.ba, compiled.query_ba, contract.vocabulary
                 )
                 if witness is not None:
-                    witnesses[contract.contract_id] = witness
+                    outcome.witnesses[contract_id] = witness
 
-        report_maybe = (
-            maybe if options.degradation is Degradation.MAYBE else []
-        )
-        stats.permitted = len(matched)
         stats.total_seconds = (
             translation_seconds + time.perf_counter() - overall_start
         )
         self._record_query(stats)
-        return QueryOutcome(
-            formula=formula,
-            contract_ids=tuple(c.contract_id for c in matched),
-            contract_names=tuple(c.name for c in matched),
-            stats=stats,
-            witnesses=witnesses,
-            verdicts=verdicts,
-            maybe_ids=tuple(c.contract_id for c in report_maybe),
-            maybe_names=tuple(c.name for c in report_maybe),
-        )
+        return outcome
 
     def _check_candidate(
         self,

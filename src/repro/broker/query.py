@@ -10,9 +10,11 @@ checks).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Any, Iterable, Mapping
 
 from ..ltl.ast import Formula
+from .options import Degradation
 
 
 class Verdict(enum.Enum):
@@ -32,6 +34,18 @@ class Verdict(enum.Enum):
     def conclusive(self) -> bool:
         """Whether the permission algorithm actually decided this one."""
         return self in (Verdict.PERMITTED, Verdict.NOT_PERMITTED)
+
+
+def _across_shards(default, combine):
+    """A :class:`QueryStats` field that means something cluster-wide:
+    ``combine`` reads it off the per-shard values of one fanned-out
+    query (:meth:`QueryStats.combined`)."""
+    return field(default=default, metadata={"combine": combine})
+
+
+def _distinct(values) -> str:
+    """Shards plan for themselves: report each distinct choice."""
+    return " | ".join(sorted(set(values) - {""}))
 
 
 @dataclass
@@ -63,31 +77,56 @@ class QueryStats:
     materialization *and* the Definition-7 binding — so
     ``permission_seconds`` is the search alone and no longer hides a
     ``bind_query``.
+
+    Each field also says how it reads across the shards of one
+    fanned-out query: seconds take the slowest shard's (the shards ran
+    concurrently, so the critical path, not the sum), counts add up,
+    flags hold if they hold anywhere, and the two plan fields list
+    every distinct shard choice.  A field declared without a rule is
+    the asker's to fill in (the size of *its* catalog, *its* budgets)
+    or a node-local fact with no cluster-wide reading (``cache_hit``,
+    ``pruning_condition``) and keeps its default in a merged answer.
     """
 
-    translation_seconds: float = 0.0  # cache-lookup time on a cache hit
-    prefilter_seconds: float = 0.0
-    selection_seconds: float = 0.0
-    permission_seconds: float = 0.0
-    total_seconds: float = 0.0
+    # cache-lookup time on a cache hit
+    translation_seconds: float = _across_shards(0.0, max)
+    prefilter_seconds: float = _across_shards(0.0, max)
+    selection_seconds: float = _across_shards(0.0, max)
+    permission_seconds: float = _across_shards(0.0, max)
+    total_seconds: float = _across_shards(0.0, max)
     database_size: int = 0
-    relational_matches: int = 0
-    candidates: int = 0
-    checked: int = 0
-    permitted: int = 0
-    timed_out: int = 0
-    skipped: int = 0
-    degraded: bool = False
+    relational_matches: int = _across_shards(0, sum)
+    candidates: int = _across_shards(0, sum)
+    checked: int = _across_shards(0, sum)
+    permitted: int = _across_shards(0, sum)
+    timed_out: int = _across_shards(0, sum)
+    skipped: int = _across_shards(0, sum)
+    degraded: bool = _across_shards(False, any)
     deadline_seconds: float | None = None
     step_budget: int | None = None
-    used_prefilter: bool = False
-    used_projections: bool = False
+    used_prefilter: bool = _across_shards(False, any)
+    used_projections: bool = _across_shards(False, any)
     cache_hit: bool = False
     pruning_condition: str = ""
-    stage_order: str = "attr_first"
-    plan_summary: str = ""
-    prefilter_input: int = 0
-    prefilter_output: int = 0
+    stage_order: str = _across_shards("attr_first", _distinct)
+    plan_summary: str = _across_shards("", _distinct)
+    prefilter_input: int = _across_shards(0, sum)
+    prefilter_output: int = _across_shards(0, sum)
+
+    @classmethod
+    def combined(cls, parts: Iterable["QueryStats"]) -> "QueryStats":
+        """The stats of one query answered by several shards, each
+        field read by its own rule; no shard answered → the defaults."""
+        parts = list(parts)
+        merged = cls()
+        if parts:
+            for spec in fields(cls):
+                combine = spec.metadata.get("combine")
+                if combine is not None:
+                    value = combine([getattr(p, spec.name) for p in parts])
+                    # no shard had anything to say: the default stands
+                    setattr(merged, spec.name, value or spec.default)
+        return merged
 
     @property
     def pruning_ratio(self) -> float:
@@ -170,3 +209,52 @@ class QueryOutcome:
             + f"{self.stats.skipped} skipped, "
             + f"{len(self.maybe_ids)} maybe)"
         )
+
+
+def assemble_outcome(
+    formula: Formula,
+    verdicts: dict[int, Verdict],
+    catalog: Mapping[int, Any],
+    degradation: Degradation,
+    stats: QueryStats,
+) -> QueryOutcome:
+    """The answer that follows from one query's verdicts.
+
+    ``verdicts`` maps every candidate's contract id to its verdict, in
+    answer (ascending id) order, and ``catalog`` maps an id to whatever
+    carries its ``.name`` — a node's checks and its contracts, or a
+    cluster front-end's routing catalog with each shard's verdicts
+    looked up.  PERMITTED candidates are the answer; TIMED_OUT and
+    SKIPPED ones are *maybe*, and reported only under
+    ``Degradation.MAYBE`` (``DROP`` leaves them out, ``FAIL`` is the
+    caller's to raise on ``stats.degraded``).  The candidate ledger of
+    ``stats`` is filled in from the same pass, so ``candidates ==
+    checked + timed_out + skipped`` by construction.
+    """
+    permitted: list[int] = []
+    maybe: list[int] = []
+    timed_out = 0
+    for contract_id, verdict in verdicts.items():
+        if verdict is Verdict.PERMITTED:
+            permitted.append(contract_id)
+        elif verdict is not Verdict.NOT_PERMITTED:  # inconclusive
+            maybe.append(contract_id)
+            if verdict is Verdict.TIMED_OUT:
+                timed_out += 1
+    stats.candidates = len(verdicts)
+    stats.checked = len(verdicts) - len(maybe)
+    stats.permitted = len(permitted)
+    stats.timed_out = timed_out
+    stats.skipped = len(maybe) - timed_out
+    stats.degraded = bool(maybe)
+    if degradation is not Degradation.MAYBE:
+        maybe = []
+    return QueryOutcome(
+        formula=formula,
+        contract_ids=tuple(permitted),
+        contract_names=tuple(catalog[cid].name for cid in permitted),
+        stats=stats,
+        verdicts=verdicts,
+        maybe_ids=tuple(maybe),
+        maybe_names=tuple(catalog[cid].name for cid in maybe),
+    )

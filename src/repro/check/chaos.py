@@ -518,7 +518,7 @@ def _dist_partition_drill():
             # the victim fails fast instead of burning its retry budget
             db.query_many(queries)
             checks += 1
-            breaker = db.coordinator.health[victim]
+            breaker = db.health[victim]
             if breaker.state != "open":
                 return False, (
                     f"shard {victim} breaker is {breaker.state!r} after "

@@ -360,11 +360,7 @@ class ConformanceRunner:
             db = cluster.database()
             try:
                 for spec in specs:
-                    db.register(
-                        spec.name,
-                        [str(clause) for clause in spec.clauses],
-                        dict(spec.attributes),
-                    )
+                    db.register(spec)
                 outcome = db.query(case.query, options)
             finally:
                 db.close()
@@ -387,11 +383,7 @@ class ConformanceRunner:
             ))
             try:
                 for spec in specs:
-                    db.register(
-                        spec.name,
-                        [str(clause) for clause in spec.clauses],
-                        dict(spec.attributes),
-                    )
+                    db.register(spec)
                 # two faults, at most two retries per shard: absorbed
                 # no matter which shards they land on
                 FAULTS.fail_at("dist.send", nth=1, times=1,
@@ -422,11 +414,7 @@ class ConformanceRunner:
                 db = cluster.database()
                 try:
                     for spec in specs:
-                        db.register(
-                            spec.name,
-                            [str(clause) for clause in spec.clauses],
-                            dict(spec.attributes),
-                        )
+                        db.register(spec)
                     replica = cluster.replica(0)
                     replica.catch_up()
                     cluster.stop_shard(0)

@@ -804,27 +804,21 @@ def _shard_addresses(args: argparse.Namespace) -> list[tuple[str, int]]:
 
 
 def _cmd_shard_status(args: argparse.Namespace) -> int:
-    from .dist import ShardClient
-    from .errors import DistError
+    from .core.retry import BackoffPolicy
+    from .dist import DistributedDatabase
 
-    statuses = []
-    for position, (host, port) in enumerate(_shard_addresses(args)):
-        # a dead shard is a *finding*, not a CLI failure: report it as
-        # down and keep interrogating the rest of the cluster
-        try:
-            with ShardClient(host, port) as client:
-                status = client.request({"op": "status"})
-            status.pop("ok", None)
-            status["up"] = True
-        except DistError as exc:
-            status = {
-                "shard_id": position,
-                "up": False,
-                "error": str(exc),
-                "contracts": None,
-            }
+    addresses = _shard_addresses(args)
+    # a dead shard is a *finding*, not a CLI failure: status() reports
+    # it as not ok and keeps interrogating the rest of the cluster.
+    # One attempt per shard — this says what is up *now*.
+    with DistributedDatabase(
+        addresses, rpc_timeout=10.0, retry=BackoffPolicy(max_retries=0)
+    ) as db:
+        statuses = db.status()["shards"]
+    for status, (host, port) in zip(statuses, addresses):
+        status["up"] = status.pop("ok")
+        status.setdefault("contracts", None)
         status["address"] = f"{host}:{port}"
-        statuses.append(status)
     up = [s for s in statuses if s["up"]]
     if args.json:
         print(json.dumps({"shards": statuses}, indent=2, sort_keys=True))

@@ -42,9 +42,9 @@ Seams currently wired into production code:
   write-ahead journal's durability points;
 * ``register.pool`` — the parallel registration's worker dispatch;
 * ``dist.connect`` / ``dist.send`` / ``dist.recv`` — the distributed
-  broker's *client-side* transport edges (the coordinator's RPC path
-  and :class:`~repro.dist.server.ShardClient`), with ``shard=`` /
-  ``op=`` context kwargs so an ``action`` callable can target one
+  broker's *client-side* transport edges (the RPC path of
+  :class:`~repro.dist.coordinator.DistributedDatabase`), with
+  ``shard=`` / ``op=`` context kwargs so an ``action`` callable can target one
   shard or one op (a partition is "raise ``OSError`` when
   ``kwargs.get('shard') == 1``").  Server-side traffic never hits
   these seams, so ``nth`` counts client attempts deterministically.

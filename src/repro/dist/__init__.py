@@ -18,11 +18,13 @@ Entry points:
   seed-independent placement (SHA-256 + jump consistent hash);
 * :class:`~repro.dist.server.ShardServer` — one shard: a (journaled)
   database behind a length-prefixed JSON socket protocol;
-* :class:`~repro.dist.coordinator.Coordinator` /
-  :class:`~repro.dist.coordinator.DistributedDatabase` — the asyncio
-  fan-out front-end and its synchronous ``ContractDatabase``-shaped
-  wrapper, with per-shard :class:`~repro.dist.coordinator.ShardHealth`
-  circuit breakers and deadline-aware RPC retry;
+* :class:`~repro.dist.coordinator.DistributedDatabase` — the one
+  cluster front-end: a synchronous, ``ContractDatabase``-shaped client
+  that routes, fans out and merges (the merged answer is assembled by
+  the code a single node uses), with per-shard
+  :class:`~repro.dist.coordinator.ShardHealth` circuit breakers and
+  deadline-aware RPC retry; it is also the only RPC client — a shard's
+  status is ``db.status()``;
 * :class:`~repro.dist.replica.Replica` — a read-only copy kept warm by
   tailing the leader's write-ahead journal (journal shipping); serves
   routed reads under a :class:`~repro.dist.replica.ReadPreference`
@@ -34,7 +36,6 @@ Entry points:
 
 from .cluster import LocalCluster
 from .coordinator import (
-    Coordinator,
     DistributedDatabase,
     RoutedContract,
     ShardHealth,
@@ -48,10 +49,9 @@ from .replica import (
     Replica,
     ReplicaCursor,
 )
-from .server import ShardClient, ShardServer, serve_shard
+from .server import ShardServer, serve_shard
 
 __all__ = [
-    "Coordinator",
     "DistributedDatabase",
     "LocalCluster",
     "PollReport",
@@ -60,7 +60,6 @@ __all__ = [
     "Replica",
     "ReplicaCursor",
     "RoutedContract",
-    "ShardClient",
     "ShardHealth",
     "ShardServer",
     "ShardRouter",

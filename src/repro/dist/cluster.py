@@ -5,7 +5,8 @@ threads by default (deterministic and fast: what the tests and the
 conformance cells use), or separate processes (``mode="process"``, the
 deployment shape ``contract-broker serve`` scripts) — plus an optional
 journal-shipping replica of shard 0, and hands out the matching
-:class:`~repro.dist.coordinator.DistributedDatabase` front-end.
+:class:`~repro.dist.coordinator.DistributedDatabase` — the one front-end
+(and its keyword arguments are declared there only).
 """
 
 from __future__ import annotations
@@ -16,15 +17,9 @@ import tempfile
 from pathlib import Path
 
 from ..broker.database import BrokerConfig
-from ..core.retry import BackoffPolicy
 from ..errors import DistError
 from ..obs.metrics import MetricsRegistry
-from .coordinator import (
-    DEFAULT_BREAKER_RESET_SECONDS,
-    DEFAULT_BREAKER_THRESHOLD,
-    DEFAULT_RPC_TIMEOUT,
-    DistributedDatabase,
-)
+from .coordinator import DistributedDatabase
 from .replica import Replica
 from .server import ShardServer, serve_shard
 
@@ -108,18 +103,10 @@ class LocalCluster:
             self._pipes.append(parent)
             self.addresses.append(("127.0.0.1", port))
 
-    def database(self, *, metrics: MetricsRegistry | None = None,
-                 rpc_timeout: float = DEFAULT_RPC_TIMEOUT,
-                 retry: BackoffPolicy | None = None,
-                 breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
-                 breaker_reset_seconds: float = DEFAULT_BREAKER_RESET_SECONDS,
-                 ) -> DistributedDatabase:
-        """A fresh coordinator front-end over this cluster."""
-        return DistributedDatabase(
-            self.addresses, metrics=metrics, rpc_timeout=rpc_timeout,
-            retry=retry, breaker_threshold=breaker_threshold,
-            breaker_reset_seconds=breaker_reset_seconds,
-        )
+    def database(self, **options) -> DistributedDatabase:
+        """A fresh front-end over this cluster; ``options`` are
+        :class:`DistributedDatabase`'s keyword arguments."""
+        return DistributedDatabase(self.addresses, **options)
 
     def replica(self, shard: int = 0, *,
                 metrics: MetricsRegistry | None = None) -> Replica:

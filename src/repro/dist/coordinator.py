@@ -1,14 +1,21 @@
 """The distributed broker front-end: route, fan out, merge — and survive.
 
-The :class:`Coordinator` owns the only cluster-global state — the
-catalog mapping each registered contract to a global id and the shard
-the :class:`~repro.dist.partition.ShardRouter` placed it on.  Every
-mutation routes to exactly one shard; every query fans out to all of
-them concurrently (asyncio) and the shard answers are merged back into
-one :class:`~repro.broker.query.QueryOutcome` in **global registration
-order** — the same ascending-id order a single-node database reports —
+:class:`DistributedDatabase` is the one cluster front-end and the one
+RPC client.  It owns the only cluster-global state — the catalog
+mapping each registered contract to a global id and the shard the
+:class:`~repro.dist.partition.ShardRouter` placed it on — behind the
+synchronous ``ContractDatabase``-shaped methods, so application code
+can switch a single-node database for a cluster without touching call
+sites.  Every mutation routes to exactly one shard; every query fans
+out to all of them concurrently and the shard answers are merged back
+into one :class:`~repro.broker.query.QueryOutcome` in **global
+registration order** — the same ascending-id order a single-node
+database reports, assembled by the function a single node assembles
+its own answer with (:func:`~repro.broker.query.assemble_outcome`) —
 so a distributed answer is byte-comparable to the single-node oracle's
-(invariant 15: distribution changes placement, never answers).
+(invariant 15: distribution changes placement, never answers).  The
+transport is asyncio on a loop the object runs in the calling thread
+for the length of a call; nothing outside this module awaits anything.
 
 Fault tolerance (1.10) is layered on that contract, never above it:
 
@@ -31,15 +38,15 @@ Fault tolerance (1.10) is layered on that contract, never above it:
   success closes the breaker, failure re-opens it.  A query against an
   open breaker degrades to SKIPPED immediately instead of stalling the
   whole fan-out on a dead shard's timeout;
-* **replica reads** — :meth:`Coordinator.attach_replica` routes a
-  shard's read traffic to a journal-shipping
+* **replica reads** — :meth:`DistributedDatabase.attach_replica` routes
+  a shard's read traffic to a journal-shipping
   :class:`~repro.dist.replica.Replica` under a
   :class:`~repro.dist.replica.ReadPreference` staleness bound,
   falling back to the leader when the replica lags past it;
-* **failover** — :meth:`Coordinator.fail_over` repoints a shard's
-  address at a promoted replica (:meth:`~repro.dist.replica.Replica.
-  promote`) without renumbering a single global contract id: the
-  catalog is keyed by name+shard slot, so placement survives the
+* **failover** — :meth:`DistributedDatabase.fail_over` repoints a
+  shard's address at a promoted replica (:meth:`~repro.dist.replica.
+  Replica.promote`) without renumbering a single global contract id:
+  the catalog is keyed by name+shard slot, so placement survives the
   leader change untouched.
 
 Degradation composes across the network: a shard that misses its RPC
@@ -50,11 +57,6 @@ outcome keeps satisfying ``permitted ⊆ exact ⊆ permitted ∪ maybe``,
 and under ``Degradation.FAIL`` a failed shard raises
 :class:`~repro.errors.QueryBudgetError`, the same typed refusal a
 single node gives an exhausted budget.
-
-:class:`DistributedDatabase` wraps the coordinator in the synchronous
-``ContractDatabase``-shaped client API (an event loop it runs in the
-calling thread), so application code can switch a single-node database
-for a cluster without touching call sites.
 """
 
 from __future__ import annotations
@@ -66,7 +68,12 @@ from dataclasses import dataclass
 
 from ..broker.contract import ContractSpec
 from ..broker.options import Degradation, QueryOptions, coerce_query_options
-from ..broker.query import QueryOutcome, QueryStats, Verdict
+from ..broker.query import (
+    QueryOutcome,
+    QueryStats,
+    Verdict,
+    assemble_outcome,
+)
 from ..broker.spec import QuerySpec
 from ..core import faults
 from ..core.retry import BackoffPolicy
@@ -78,7 +85,7 @@ from . import protocol
 from .partition import ShardRouter
 from .replica import ReadPreference, Replica
 
-#: Grace added on top of a query's own deadline before the coordinator
+#: Grace added on top of a query's own deadline before the front-end
 #: gives up on a shard RPC (the shard needs time to serialize/ship the
 #: degraded answer it produced *at* the deadline).
 RPC_GRACE_SECONDS = 5.0
@@ -102,13 +109,13 @@ DEFAULT_BREAKER_RESET_SECONDS = 5.0
 class TransientShardError(DistError):
     """A shard RPC failed for a reason that may heal: connect refused,
     transport ``OSError``, RPC timeout, connection closed mid-exchange,
-    or an open circuit breaker refusing to try.  The coordinator
+    or an open circuit breaker refusing to try.  The front-end
     retries these on idempotent ops; everything else surfaces them."""
 
 
 @dataclass(frozen=True)
 class RoutedContract:
-    """The coordinator's receipt for one registration."""
+    """The front-end's receipt for one registration."""
 
     contract_id: int  #: the cluster-global id
     name: str
@@ -200,13 +207,25 @@ class ShardHealth:
         }
 
 
-class Coordinator:
-    """The asyncio cluster front-end over ``addresses`` shards.
+class DistributedDatabase:
+    """The cluster front-end over ``addresses`` shards: a synchronous,
+    ``ContractDatabase``-shaped client that owns everything
+    cluster-global — catalog, router, connections, breakers, replicas.
 
     One persistent connection per shard, serialized per shard with a
     lock (concurrent fan-out across shards, in-order frames within
     one); a failed connection is re-dialed on the next request.
-    """
+
+    The transport is asyncio, and that is an implementation detail: the
+    object owns an event loop and runs it in the calling thread for the
+    length of each public call, one call at a time (callers on several
+    threads take turns; the fan-out *within* a call stays concurrent;
+    calling in from a running asyncio loop raises ``RuntimeError``).  A
+    loop thread of its own would put two more thread hand-offs on every
+    call, and with the shard handlers' those are what a sharded query's
+    latency and its run-to-run spread are made of (ROADMAP item 5(a)
+    has the measurement).  Use as a context manager (or call
+    :meth:`close`)."""
 
     def __init__(self, addresses: list[tuple[str, int]], *,
                  metrics: MetricsRegistry | None = None,
@@ -234,8 +253,23 @@ class Coordinator:
             for _ in self.addresses
         ]
         self._replicas: dict[int, tuple[Replica, ReadPreference]] = {}
+        self._loop = asyncio.new_event_loop()
+        # held for the length of every public call: catalog, topology
+        # and loop belong to one caller at a time
+        self._turn = threading.Lock()
 
     # -- plumbing ---------------------------------------------------------------------
+
+    def _run(self, coro):
+        """Run ``coro`` to completion on this object's loop, in the
+        calling thread.  The caller holds the turn lock."""
+        return self._loop.run_until_complete(coro)
+
+    async def _every_shard(self, one) -> list:
+        """``one(shard)`` for every shard concurrently, in shard order."""
+        return list(await asyncio.gather(
+            *(one(shard) for shard in range(len(self.addresses)))
+        ))
 
     async def _connection(self, shard: int):
         conn = self._conns[shard]
@@ -250,6 +284,13 @@ class Coordinator:
                 ) from exc
             self._conns[shard] = conn
         return conn
+
+    def _disconnect(self, shard: int) -> None:
+        """Drop ``shard``'s connection; the next request re-dials."""
+        conn = self._conns[shard]
+        if conn is not None:
+            conn[1].close()
+            self._conns[shard] = None
 
     async def _call_once(self, shard: int, doc: dict, *,
                          timeout: float | None = None) -> dict:
@@ -272,8 +313,7 @@ class Coordinator:
                     )
                 except (OSError, asyncio.TimeoutError, DistError):
                     # the connection's framing state is unknown now
-                    self._conns[shard] = None
-                    writer.close()
+                    self._disconnect(shard)
                     raise
         except TransientShardError:
             self.metrics.inc(f"dist.shard.{shard}.failures")
@@ -315,7 +355,7 @@ class Coordinator:
         call (including every retry and backoff sleep) must never
         outlive — it is re-checked before each attempt *and* before
         each backoff sleep.  Idempotent ops retry transient failures
-        under the coordinator's :class:`~repro.core.retry.BackoffPolicy`;
+        under the front-end's :class:`~repro.core.retry.BackoffPolicy`;
         mutations surface a :class:`~repro.errors.RetryableDistError`
         after the first transient failure instead.
         """
@@ -383,11 +423,24 @@ class Coordinator:
             health.consecutive_failures,
         )
 
-    async def aclose(self) -> None:
-        for shard, conn in enumerate(self._conns):
-            if conn is not None:
-                conn[1].close()
-                self._conns[shard] = None
+    def close(self) -> None:
+        with self._turn:
+            if self._loop.is_closed():
+                return
+            for shard in range(len(self.addresses)):
+                self._disconnect(shard)
+            # one turn of the loop lets the transports finish closing
+            self._run(asyncio.sleep(0))
+            self._loop.close()
+
+    def __enter__(self) -> "DistributedDatabase":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def __len__(self) -> int:
+        return len(self._catalog)
 
     # -- topology: replicas and failover ----------------------------------------------
 
@@ -398,12 +451,15 @@ class Coordinator:
         reads past the bound (or any replica failure) fall back to the
         leader transparently."""
         self._check_shard(shard)
-        self._replicas[shard] = (
-            replica, preference if preference is not None else ReadPreference()
-        )
+        with self._turn:
+            self._replicas[shard] = (
+                replica,
+                preference if preference is not None else ReadPreference(),
+            )
 
     def detach_replica(self, shard: int) -> None:
-        self._replicas.pop(shard, None)
+        with self._turn:
+            self._replicas.pop(shard, None)
 
     def fail_over(self, shard: int, address: tuple[str, int]) -> None:
         """Repoint ``shard`` at ``address`` — a promoted replica (or a
@@ -414,23 +470,22 @@ class Coordinator:
         reset so the next call probes the new address immediately."""
         self._check_shard(shard)
         host, port = address
-        conn = self._conns[shard]
-        if conn is not None:
-            conn[1].close()
-            self._conns[shard] = None
-        self.addresses[shard] = (str(host), int(port))
-        self.health[shard].reset()
-        self._publish_health(shard)
-        # the promoted replica is the leader now; never read-route a
-        # shard to its own leader
-        self._replicas.pop(shard, None)
-        self.metrics.inc("dist.failovers")
+        with self._turn:
+            self._disconnect(shard)
+            self.addresses[shard] = (str(host), int(port))
+            self.health[shard].reset()
+            self._publish_health(shard)
+            # the promoted replica is the leader now; never read-route
+            # a shard to its own leader
+            self._replicas.pop(shard, None)
+            self.metrics.inc("dist.failovers")
 
     def reset_breakers(self) -> None:
         """Close every breaker (an operator healed the network)."""
-        for shard in range(len(self.addresses)):
-            self.health[shard].reset()
-            self._publish_health(shard)
+        with self._turn:
+            for shard in range(len(self.addresses)):
+                self.health[shard].reset()
+                self._publish_health(shard)
 
     def _check_shard(self, shard: int) -> None:
         if not 0 <= shard < len(self.addresses):
@@ -438,7 +493,7 @@ class Coordinator:
                 f"no shard {shard} in a {len(self.addresses)}-shard cluster"
             )
 
-    async def check_health(self, *, timeout: float = 5.0) -> list[dict]:
+    def check_health(self, *, timeout: float = 5.0) -> list[dict]:
         """Probe every shard with a ``status`` RPC (through the breaker
         and retry machinery, so the health state updates) and report
         one document per shard."""
@@ -462,52 +517,68 @@ class Coordinator:
             doc["breaker"] = self.health[shard].to_dict()
             return doc
 
-        return list(await asyncio.gather(
-            *(one(s) for s in range(len(self.addresses)))
-        ))
+        with self._turn:
+            return self._run(self._every_shard(one))
 
     # -- mutations (routed to one shard) ----------------------------------------------
 
-    async def register(self, name: str, clauses, attributes=None) -> RoutedContract:
-        if name in self._by_name:
-            raise DistError(f"contract {name!r} is already registered")
-        shard = self.router.shard_for(name)
-        clauses = [clauses] if isinstance(clauses, str) else list(clauses)
-        await self._call(shard, {
-            "op": "register",
-            "name": name,
-            "clauses": [str(c) for c in clauses],
-            "attributes": dict(attributes or {}),
-        })
-        routed = RoutedContract(
-            contract_id=self._next_id, name=name, shard=shard
-        )
-        self._next_id += 1
-        self._catalog[routed.contract_id] = routed
-        self._by_name[name] = routed.contract_id
+    def register(self, name, clauses=None, attributes=None) -> RoutedContract:
+        """``register(name, clauses, attributes)`` or ``register(spec)``,
+        as on a single node.  Clause *texts* travel as given: a
+        malformed one is the owning shard's typed rejection."""
+        if clauses is None and isinstance(name, ContractSpec):
+            doc = name.to_doc()
+        else:
+            if isinstance(clauses, (str, Formula)):
+                clauses = [clauses]
+            doc = {
+                "name": name,
+                "clauses": [str(c) for c in clauses],
+                "attributes": dict(attributes or {}),
+            }
+        name = doc["name"]
+        with self._turn:
+            if name in self._by_name:
+                raise DistError(f"contract {name!r} is already registered")
+            shard = self.router.shard_for(name)
+            self._run(self._call(shard, {"op": "register", **doc}))
+            routed = RoutedContract(
+                contract_id=self._next_id, name=name, shard=shard
+            )
+            self._next_id += 1
+            self._catalog[routed.contract_id] = routed
+            self._by_name[name] = routed.contract_id
         self.metrics.inc("dist.registrations")
         self.metrics.inc(f"dist.shard.{shard}.contracts")
         return routed
 
-    async def deregister(self, contract_id: int) -> None:
-        routed = self._catalog.get(contract_id)
-        if routed is None:
-            raise DistError(f"no contract with global id {contract_id}")
-        await self._call(routed.shard, {
-            "op": "deregister", "name": routed.name,
-        })
-        del self._catalog[contract_id]
-        del self._by_name[routed.name]
+    def deregister(self, contract_id: int) -> None:
+        with self._turn:
+            routed = self._catalog.get(contract_id)
+            if routed is None:
+                raise DistError(f"no contract with global id {contract_id}")
+            self._run(self._call(routed.shard, {
+                "op": "deregister", "name": routed.name,
+            }))
+            del self._catalog[contract_id]
+            del self._by_name[routed.name]
         self.metrics.inc("dist.deregistrations")
 
     # -- queries (fanned out to every shard) ------------------------------------------
 
-    async def query(self, query, options: QueryOptions | None = None) -> QueryOutcome:
-        outcomes = await self.query_many([query], options)
-        return outcomes[0]
+    def query(self, query, options: QueryOptions | None = None) -> QueryOutcome:
+        """One query: LTL text, a parsed formula, or a whole
+        :class:`~repro.broker.spec.QuerySpec` carrying its options."""
+        if isinstance(query, QuerySpec):
+            if options is not None:
+                raise DistError(
+                    "pass either a QuerySpec or explicit options, not both"
+                )
+            query, options = query.query, query.to_options()
+        return self.query_many([query], options)[0]
 
-    async def query_many(self, queries, options: QueryOptions | None = None
-                         ) -> list[QueryOutcome]:
+    def query_many(self, queries, options: QueryOptions | None = None
+                   ) -> list[QueryOutcome]:
         """Fan a workload out to every shard and merge per query.
 
         The whole batch ships as one ``query_many`` RPC per shard (one
@@ -515,68 +586,76 @@ class Coordinator:
         contracts; merging restores global registration order.
         """
         if isinstance(queries, (str, Formula, QuerySpec)):
+            # before the loop below shreds a bare string into one
+            # query per character
             raise DistError(
                 "query_many takes a sequence of queries; use query() for one"
             )
-        queries = list(queries)
-        specs: list[str] = []
-        merged_options = options
+        texts: list[str] = []
         for query in queries:
             if isinstance(query, QuerySpec):
                 raise DistError(
                     "pass QuerySpec through query(), not query_many()"
                 )
-            specs.append(str(query))
-        options = coerce_query_options("query_many", merged_options)
+            texts.append(str(query))
+        options = coerce_query_options("query_many", options)
         protocol.check_distributable(options)
-        if not specs:
+        if not texts:
             return []
 
-        started = time.perf_counter()
-        doc = {"op": "query_many", "queries": specs,
-               **protocol.options_to_doc(options)}
-        shard_docs = await self._fan_out(doc, options, started)
-        outcomes = []
-        for qi, text in enumerate(specs):
-            per_shard = [
-                (shard, docs["outcomes"][qi] if docs is not None else None)
-                for shard, docs in shard_docs
+        with self._turn:
+            started = time.perf_counter()
+            answers = self._run(self._fan_out(texts, options, started))
+            outcomes = [
+                self._merge(text, [
+                    (shard,
+                     None if answer is None else answer["outcomes"][qi])
+                    for shard, answer in enumerate(answers)
+                ], options)
+                for qi, text in enumerate(texts)
             ]
-            outcomes.append(self._merge(text, per_shard, options))
-        elapsed = time.perf_counter() - started
-        self.metrics.inc("dist.queries", len(specs))
+            elapsed = time.perf_counter() - started
+        self.metrics.inc("dist.queries", len(texts))
         self.metrics.observe("dist.fanout_seconds", elapsed)
         self.metrics.observe(
-            "dist.fanout_queries", len(specs), COUNT_BUCKETS
+            "dist.fanout_queries", len(texts), COUNT_BUCKETS
         )
         return outcomes
 
-    async def _fan_out(self, doc: dict, options: QueryOptions,
-                       started: float) -> list[tuple[int, dict | None]]:
-        """Send ``doc`` to every shard concurrently; a shard that fails
-        or misses the deadline yields ``None`` (merged as SKIPPED —
-        or, under ``Degradation.FAIL``, raises
+    async def _fan_out(self, queries: list[str], options: QueryOptions,
+                       started: float) -> list[dict | None]:
+        """Ask every shard concurrently; a shard that fails or misses
+        the deadline yields ``None`` (merged as SKIPPED — or, under
+        ``Degradation.FAIL``, raises
         :class:`~repro.errors.QueryBudgetError`)."""
+        # without a deadline every shard gets the same options, encoded
+        # once; with one, each shard's carry its own remaining budget
+        budgeted = options.deadline_seconds is not None
+        shared = None if budgeted else protocol.options_to_doc(options)
 
         async def one(shard: int) -> dict | None:
-            send = dict(doc)
-            timeout = self.rpc_timeout
-            deadline = None
-            if options.deadline_seconds is not None:
+            shard_options, timeout, deadline = options, self.rpc_timeout, None
+            if budgeted:
                 # propagate the *remaining* budget: time already spent
                 # routing/serializing is not given back to the shard
                 deadline = started + options.deadline_seconds
                 remaining = max(0.0, deadline - time.perf_counter())
                 shard_options = options.evolve(deadline_seconds=remaining)
-                send.update(protocol.options_to_doc(shard_options))
                 timeout = remaining + RPC_GRACE_SECONDS
             if shard in self._replicas:
-                response = await self._replica_read(shard, send)
+                response = await self._replica_read(
+                    shard, queries, shard_options
+                )
                 if response is not None:
                     return response
+            options_doc = (
+                protocol.options_to_doc(shard_options) if budgeted else shared
+            )
             try:
                 return await self._call(
-                    shard, send, timeout=timeout, deadline=deadline
+                    shard,
+                    {"op": "query_many", "queries": queries, **options_doc},
+                    timeout=timeout, deadline=deadline,
                 )
             except DistError as exc:
                 if options.degradation is Degradation.FAIL:
@@ -587,12 +666,14 @@ class Coordinator:
                 self.metrics.inc("dist.merge.skipped_shards")
                 return None
 
-        return list(zip(
-            range(len(self.addresses)),
-            await asyncio.gather(*(one(s) for s in range(len(self.addresses)))),
+        # not through _every_shard: one await frame more tipped pinned
+        # sharded_fanout runs into their slower hand-off pattern
+        return list(await asyncio.gather(
+            *(one(s) for s in range(len(self.addresses)))
         ))
 
-    async def _replica_read(self, shard: int, send: dict) -> dict | None:
+    async def _replica_read(self, shard: int, queries: list[str],
+                            options: QueryOptions) -> dict | None:
         """Serve ``shard``'s slice of a read from its attached replica
         when the replication lag is within the read preference's bound;
         ``None`` means "go ask the leader" (stale, stalled, or the
@@ -604,9 +685,8 @@ class Coordinator:
                     or replica.stalled):
                 self.metrics.inc("dist.replica_read_fallbacks")
                 return None
-            shard_options = protocol.options_from_doc(send)
             outcomes = await asyncio.to_thread(
-                replica.query_many, list(send["queries"]), shard_options
+                replica.query_many, queries, options
             )
         except Exception:
             # any replica trouble falls back to the leader; reads must
@@ -624,131 +704,44 @@ class Coordinator:
                options: QueryOptions) -> QueryOutcome:
         """Merge shard outcome documents into one global outcome, in
         ascending global-id (registration) order — the order a
-        single-node database reports."""
-        shard_verdicts: dict[int, dict] = {}
-        shard_stats: list[QueryStats] = []
-        failed: set[int] = set()
-        for shard, doc in per_shard:
-            if doc is None:
-                failed.add(shard)
-                continue
-            shard_verdicts[shard] = doc.get("verdicts") or {}
-            shard_stats.append(protocol.stats_from_doc(doc.get("stats") or {}))
+        single-node database reports.  A shard with no document failed:
+        every contract it owns is a SKIPPED candidate (nobody knows
+        which of them its prefilter would have kept)."""
+        answered = {
+            shard: doc for shard, doc in per_shard if doc is not None
+        }
 
-        permitted_ids: list[int] = []
-        permitted_names: list[str] = []
-        maybe_ids: list[int] = []
-        maybe_names: list[str] = []
         verdicts: dict[int, Verdict] = {}
-        skipped_on_failed = 0
-
         for global_id in sorted(self._catalog):
             routed = self._catalog[global_id]
-            if routed.shard in failed:
-                continue  # handled below: SKIPPED, in one sorted pass
-            value = shard_verdicts[routed.shard].get(routed.name)
-            if value is None:
-                continue  # not a candidate on its shard
-            verdict = Verdict(value)
-            verdicts[global_id] = verdict
-            if verdict is Verdict.PERMITTED:
-                permitted_ids.append(global_id)
-                permitted_names.append(routed.name)
-            elif verdict in (Verdict.TIMED_OUT, Verdict.SKIPPED):
-                if options.degradation is Degradation.MAYBE:
-                    maybe_ids.append(global_id)
-                    maybe_names.append(routed.name)
-
-        if failed:
-            for global_id in sorted(self._catalog):
-                routed = self._catalog[global_id]
-                if routed.shard not in failed:
-                    continue
+            doc = answered.get(routed.shard)
+            if doc is None:
                 verdicts[global_id] = Verdict.SKIPPED
-                skipped_on_failed += 1
-                if options.degradation is Degradation.MAYBE:
-                    maybe_ids.append(global_id)
-                    maybe_names.append(routed.name)
-            maybe = sorted(zip(maybe_ids, maybe_names))
-            maybe_ids = [i for i, _ in maybe]
-            maybe_names = [n for _, n in maybe]
+                continue
+            value = (doc.get("verdicts") or {}).get(routed.name)
+            if value is not None:  # else: not a candidate on its shard
+                verdicts[global_id] = Verdict(value)
 
-        stats = QueryStats(
-            translation_seconds=max(
-                (s.translation_seconds for s in shard_stats), default=0.0
-            ),
-            prefilter_seconds=max(
-                (s.prefilter_seconds for s in shard_stats), default=0.0
-            ),
-            selection_seconds=max(
-                (s.selection_seconds for s in shard_stats), default=0.0
-            ),
-            # the shards ran concurrently: the merged permission time is
-            # the slowest shard's (the critical path), not the sum
-            permission_seconds=max(
-                (s.permission_seconds for s in shard_stats), default=0.0
-            ),
-            total_seconds=max(
-                (s.total_seconds for s in shard_stats), default=0.0
-            ),
-            database_size=len(self._catalog),
-            relational_matches=sum(
-                s.relational_matches for s in shard_stats
-            ),
-            candidates=sum(s.candidates for s in shard_stats)
-            + skipped_on_failed,
-            checked=sum(s.checked for s in shard_stats),
-            permitted=len(permitted_ids),
-            timed_out=sum(s.timed_out for s in shard_stats),
-            skipped=sum(s.skipped for s in shard_stats) + skipped_on_failed,
-            degraded=any(s.degraded for s in shard_stats)
-            or bool(skipped_on_failed),
-            deadline_seconds=options.deadline_seconds,
-            step_budget=options.step_budget,
-            used_prefilter=any(s.used_prefilter for s in shard_stats),
-            used_projections=any(s.used_projections for s in shard_stats),
-            # every shard plans for itself from its own statistics, so
-            # the merged answer reports each distinct choice
-            stage_order=" | ".join(
-                sorted({s.stage_order for s in shard_stats})
-            ) or "attr_first",
-            plan_summary=" | ".join(
-                sorted({s.plan_summary for s in shard_stats} - {""})
-            ),
-            prefilter_input=sum(s.prefilter_input for s in shard_stats),
-            prefilter_output=sum(s.prefilter_output for s in shard_stats),
+        # every shard plans for itself and the shards ran concurrently:
+        # QueryStats knows how each of its fields reads across them
+        stats = QueryStats.combined(
+            protocol.stats_from_doc(doc.get("stats") or {})
+            for doc in answered.values()
         )
-        return QueryOutcome(
-            formula=parse(query_text),
-            contract_ids=tuple(permitted_ids),
-            contract_names=tuple(permitted_names),
-            stats=stats,
-            verdicts=verdicts,
-            maybe_ids=tuple(maybe_ids),
-            maybe_names=tuple(maybe_names),
+        stats.database_size = len(self._catalog)
+        stats.deadline_seconds = options.deadline_seconds
+        stats.step_budget = options.step_budget
+        return assemble_outcome(
+            parse(query_text), verdicts, self._catalog,
+            options.degradation, stats,
         )
 
     # -- streaming & operations -------------------------------------------------------
 
-    async def ingest(self, events) -> dict:
+    def ingest(self, events) -> dict:
         """Route stream records to the shards owning their contracts
         (broadcast records go everywhere) and merge the reports."""
         per_shard: list[list] = [[] for _ in self.addresses]
-        for record in events:
-            if not isinstance(record, dict):
-                raise DistError(
-                    "distributed ingest takes JSON stream records "
-                    "({'events': [...], 'contract': name-or-null})"
-                )
-            name = record.get("contract")
-            if name is None:
-                for bucket in per_shard:
-                    bucket.append(record)
-            else:
-                global_id = self._by_name.get(name)
-                if global_id is None:
-                    raise DistError(f"no contract {name!r} registered")
-                per_shard[self._catalog[global_id].shard].append(record)
 
         async def one(shard: int):
             if not per_shard[shard]:
@@ -757,9 +750,23 @@ class Coordinator:
                 "op": "ingest", "events": per_shard[shard],
             })
 
-        responses = await asyncio.gather(
-            *(one(s) for s in range(len(self.addresses)))
-        )
+        with self._turn:
+            for record in events:
+                if not isinstance(record, dict):
+                    raise DistError(
+                        "distributed ingest takes JSON stream records "
+                        "({'events': [...], 'contract': name-or-null})"
+                    )
+                name = record.get("contract")
+                if name is None:
+                    for bucket in per_shard:
+                        bucket.append(record)
+                else:
+                    global_id = self._by_name.get(name)
+                    if global_id is None:
+                        raise DistError(f"no contract {name!r} registered")
+                    per_shard[self._catalog[global_id].shard].append(record)
+            responses = self._run(self._every_shard(one))
         merged = {"events": 0, "deliveries": 0, "unknown_events": 0,
                   "alerts": []}
         for response in responses:
@@ -773,146 +780,27 @@ class Coordinator:
         self.metrics.inc("dist.ingest.events", merged["events"])
         return merged
 
-    async def status(self) -> dict:
-        """Per-shard status documents plus the coordinator's view."""
+    def status(self) -> dict:
+        """Per-shard status documents plus the front-end's view; a
+        shard that cannot be reached is reported (``"ok": False`` and
+        the error), not raised."""
         async def one(shard: int):
             try:
                 return await self._call(shard, {"op": "status"})
             except DistError as exc:
                 return {"ok": False, "error": str(exc), "shard_id": shard}
 
-        shards = await asyncio.gather(
-            *(one(s) for s in range(len(self.addresses)))
-        )
-        return {
-            "shards": list(shards),
-            "contracts": len(self._catalog),
-            "addresses": [list(a) for a in self.addresses],
-        }
-
-    async def save_all(self) -> list[dict]:
-        """Snapshot + compact every shard that has a directory."""
-        return list(await asyncio.gather(
-            *(self._call(s, {"op": "save"})
-              for s in range(len(self.addresses)))
-        ))
-
-    def __len__(self) -> int:
-        return len(self._catalog)
-
-
-class DistributedDatabase:
-    """The synchronous, ``ContractDatabase``-shaped face of a cluster.
-
-    Owns an event loop and runs it in the calling thread for the length
-    of each call: every method round-trips through the
-    :class:`Coordinator` on it, one call at a time (callers on several
-    threads take turns; the fan-out *within* a call stays concurrent).
-    A loop thread of its own would put two more thread hand-offs on
-    every call, and with the shard handlers' those are what a sharded
-    query's latency and its run-to-run spread are made of (ROADMAP item
-    5(a) has the measurement).  Use as a context manager (or call
-    :meth:`close`)."""
-
-    def __init__(self, addresses: list[tuple[str, int]], *,
-                 metrics: MetricsRegistry | None = None,
-                 rpc_timeout: float = DEFAULT_RPC_TIMEOUT,
-                 retry: BackoffPolicy | None = None,
-                 breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
-                 breaker_reset_seconds: float = DEFAULT_BREAKER_RESET_SECONDS):
-        self._loop = asyncio.new_event_loop()
-        self._turn = threading.Lock()
-        self.coordinator = Coordinator(
-            addresses, metrics=metrics, rpc_timeout=rpc_timeout,
-            retry=retry, breaker_threshold=breaker_threshold,
-            breaker_reset_seconds=breaker_reset_seconds,
-        )
-
-    def _run(self, coro):
         with self._turn:
-            return self._loop.run_until_complete(coro)
-
-    def _call_on_loop(self, fn, *args):
-        """Run a plain callable on the coordinator's loop (the
-        coordinator's topology state is only touched from its loop)."""
-        async def shim():
-            return fn(*args)
-
-        return self._run(shim())
-
-    @property
-    def metrics(self) -> MetricsRegistry:
-        return self.coordinator.metrics
-
-    def register(self, name, clauses=None, attributes=None) -> RoutedContract:
-        # accept a ContractSpec first argument, matching the
-        # single-node register() convenience
-        if clauses is None and isinstance(name, ContractSpec):
-            return self._run(self.coordinator.register(**name.to_doc()))
-        return self._run(self.coordinator.register(name, clauses, attributes))
-
-    def deregister(self, contract_id: int) -> None:
-        self._run(self.coordinator.deregister(contract_id))
-
-    def query(self, query, options=None) -> QueryOutcome:
-        if isinstance(query, QuerySpec):
-            if options is not None:
-                raise DistError(
-                    "pass either a QuerySpec or explicit options, not both"
-                )
-            options = query.to_options()
-            query = query.query
-        return self._run(self.coordinator.query(str(query), options))
-
-    def query_many(self, queries, options=None) -> list[QueryOutcome]:
-        if isinstance(queries, (str, Formula, QuerySpec)):
-            # guard before [str(q) for q in ...] would shred a bare
-            # string into one query per character
-            raise DistError(
-                "query_many takes a sequence of queries; use query() for one"
-            )
-        return self._run(self.coordinator.query_many(
-            [str(q) for q in queries], options
-        ))
-
-    def ingest(self, events) -> dict:
-        return self._run(self.coordinator.ingest(list(events)))
-
-    def status(self) -> dict:
-        return self._run(self.coordinator.status())
-
-    def check_health(self, *, timeout: float = 5.0) -> list[dict]:
-        return self._run(self.coordinator.check_health(timeout=timeout))
-
-    def attach_replica(self, shard: int, replica: Replica,
-                       preference: ReadPreference | None = None) -> None:
-        self._call_on_loop(
-            self.coordinator.attach_replica, shard, replica, preference
-        )
-
-    def detach_replica(self, shard: int) -> None:
-        self._call_on_loop(self.coordinator.detach_replica, shard)
-
-    def fail_over(self, shard: int, address: tuple[str, int]) -> None:
-        self._call_on_loop(self.coordinator.fail_over, shard, address)
-
-    def reset_breakers(self) -> None:
-        self._call_on_loop(self.coordinator.reset_breakers)
+            return {
+                "shards": self._run(self._every_shard(one)),
+                "contracts": len(self._catalog),
+                "addresses": [list(a) for a in self.addresses],
+            }
 
     def save_all(self) -> list[dict]:
-        return self._run(self.coordinator.save_all())
+        """Snapshot + compact every shard that has a directory."""
+        async def one(shard: int):
+            return await self._call(shard, {"op": "save"})
 
-    def __len__(self) -> int:
-        return len(self.coordinator)
-
-    def close(self) -> None:
-        if self._loop.is_closed():
-            return
-        self._run(self.coordinator.aclose())
-        self._loop.close()
-
-    def __enter__(self) -> "DistributedDatabase":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        with self._turn:
+            return self._run(self._every_shard(one))

@@ -20,8 +20,8 @@ declarative query API instead of inventing a second encoding.
 
 The framing layer itself carries **no** fault seams: the chaos seams
 (``dist.connect`` / ``dist.send`` / ``dist.recv`` in
-:mod:`repro.core.faults`) live at the *client* edges — the
-coordinator's RPC path and :class:`~repro.dist.server.ShardClient` —
+:mod:`repro.core.faults`) live at the *client* edge — the RPC path of
+:class:`~repro.dist.coordinator.DistributedDatabase`, the one client —
 so injected faults count client attempts deterministically and never
 fire on the server's half of the same exchange.
 """
@@ -232,7 +232,7 @@ def outcome_to_doc(outcome: QueryOutcome,
 
 def outcomes_doc(outcomes, id_to_name: Mapping[int, str]) -> dict:
     """The full ``query_many`` success payload for a batch of outcomes
-    — one shape shared by the shard server and the coordinator's
+    — one shape shared by the shard server and the front-end's
     replica-read path, so a replica-served answer is byte-identical to
     a leader-served one."""
     return {"ok": True, "outcomes": [

@@ -27,9 +27,9 @@ the replication lag, never wrong about any prefix they claim.
 
 Two roles build on that loop (1.10):
 
-* **read routing** — a coordinator hands a shard's read traffic to its
+* **read routing** — the front-end hands a shard's read traffic to its
   replica under a :class:`ReadPreference` staleness bound (see
-  :meth:`repro.dist.coordinator.Coordinator.attach_replica`);
+  :meth:`repro.dist.coordinator.DistributedDatabase.attach_replica`);
 * **promotion** — when the leader dies, :meth:`Replica.promote` turns
   the caught-up replica into a writable, journaled leader of its own:
   it verifies the replica holds the *entire* shipped journal tail,
@@ -167,6 +167,7 @@ class Replica:
             self._observe_lag(report)
             return report
 
+        tailed = False
         if header_epoch != self.cursor.epoch:
             self._resync(report)
         else:
@@ -182,8 +183,11 @@ class Replica:
                 self._apply(tail.records, report)
                 self.cursor.offset = tail.end_offset
                 report.torn = tail.torn
+                tailed = True
         report.epoch = self.cursor.epoch
-        self._observe_lag(report)
+        # a tail read or a resync leaves the cursor just past the last
+        # verified record; a resync that could not read the header does not
+        self._observe_lag(report, scanned=tailed or report.resynced)
         self.metrics.inc("dist.replica.polls")
         self.metrics.observe(
             "dist.replica.poll_seconds", time.perf_counter() - started
@@ -334,14 +338,17 @@ class Replica:
             )
             self.metrics.inc("dist.replica.stalled_records")
 
-    def _observe_lag(self, report: PollReport) -> None:
+    def _observe_lag(self, report: PollReport, scanned: bool = False) -> None:
+        """Fill in the lag past the cursor.  ``scanned`` says the caller
+        has just read the tail up to the cursor: whatever bytes follow
+        hold no verified record, so the tail is not read again."""
         try:
             size = self.journal_path.stat().st_size
         except OSError:
             size = 0
         report.lag_bytes = max(0, size - self.cursor.offset)
         # count verified-but-unapplied records without applying them
-        if report.lag_bytes:
+        if report.lag_bytes and not scanned:
             tail = Journal.read_from(
                 self.journal_path, self.cursor.offset,
                 expected_seq=self.cursor.next_seq,

@@ -11,13 +11,15 @@ process via :func:`serve_shard` (what ``contract-broker serve``
 launches).
 
 The server never decides placement: it answers for exactly the
-contracts the coordinator registered on it.  Identity on the wire is
-the contract *name*; local ids stay local (invariant 15).
+contracts the front-end registered on it.  Identity on the wire is
+the contract *name*; local ids stay local (invariant 15).  There is no
+client class here: :class:`~repro.dist.coordinator.DistributedDatabase`
+is the one RPC client (``status()`` answers per shard), and anything
+else speaks :mod:`~repro.dist.protocol` frames on a plain socket.
 """
 
 from __future__ import annotations
 
-import socket
 import socketserver
 import threading
 from pathlib import Path
@@ -25,7 +27,6 @@ from pathlib import Path
 from ..broker.contract import ContractSpec
 from ..broker.database import BrokerConfig, ContractDatabase
 from ..broker.journal import JOURNAL_FILE, open_database
-from ..core import faults
 from ..errors import BrokerError, DistError, ProtocolError, ReproError
 from . import protocol
 
@@ -267,56 +268,6 @@ class ShardServer:
             self._thread = None
         if self.db.journal is not None:
             self.db.journal.close()
-
-
-class ShardClient:
-    """A small blocking client for one shard (the CLI's ``shard-status``
-    and the test suite use it; the coordinator speaks asyncio instead)."""
-
-    def __init__(self, host: str, port: int, *, timeout: float = 10.0):
-        self.host = host
-        self.port = port
-        try:
-            faults.hit("dist.connect", host=host, port=port, client="sync")
-            self._sock = socket.create_connection((host, port),
-                                                  timeout=timeout)
-        except OSError as exc:
-            raise DistError(
-                f"cannot reach shard at {host}:{port}: {exc}"
-            ) from exc
-
-    def request(self, doc: dict) -> dict:
-        try:
-            faults.hit("dist.send", op=doc.get("op"), client="sync")
-            protocol.send_frame(self._sock, doc)
-            faults.hit("dist.recv", op=doc.get("op"), client="sync")
-            response = protocol.recv_frame(self._sock)
-        except OSError as exc:
-            raise DistError(
-                f"shard at {self.host}:{self.port} failed mid-request: {exc}"
-            ) from exc
-        if response is None:
-            raise DistError(
-                f"shard at {self.host}:{self.port} closed the connection"
-            )
-        if not response.get("ok"):
-            raise DistError(
-                f"shard at {self.host}:{self.port} rejected "
-                f"{doc.get('op')!r}: {response.get('error')}"
-            )
-        return response
-
-    def close(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:  # pragma: no cover - close is best-effort
-            pass
-
-    def __enter__(self) -> "ShardClient":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 def serve_shard(shard_id: int, directory: str | None, config_doc: dict | None,

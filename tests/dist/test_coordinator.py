@@ -1,4 +1,4 @@
-"""The coordinator: routing, fan-out/merge, and — crucially — how
+"""The cluster front-end: routing, fan-out/merge, and — crucially — how
 per-shard degradation surfaces in the merged outcome.
 
 The invariant under test throughout is the single-node one, invariant
@@ -7,7 +7,6 @@ maybe`` where *exact* is what the single-node oracle answers for the
 same contracts and query.
 """
 
-import asyncio
 import threading
 
 import pytest
@@ -18,7 +17,6 @@ from repro.broker.options import Degradation, QueryOptions
 from repro.broker.query import Verdict
 from repro.broker.spec import QuerySpec
 from repro.dist import (
-    Coordinator,
     DistributedDatabase,
     LocalCluster,
     RoutedContract,
@@ -190,14 +188,15 @@ class TestDegradedMerge:
         dead = cluster.servers[1]
         dead_names = {
             name for name, _, _ in SPECS
-            if db.coordinator.router.shard_for(name) == 1
+            if db.router.shard_for(name) == 1
         }
         assert dead_names, "fixture needs contracts on the dead shard"
         dead.stop()
         # drop the persistent connections: the dead shard's accept
         # socket is closed, so the re-dial fails and the degradation
         # path — not a half-open handler thread — answers
-        db._run(db.coordinator.aclose())
+        for shard in range(len(db.addresses)):
+            db._disconnect(shard)
         return cluster, db, dead_names
 
     def test_dead_shard_contracts_become_skipped_maybe(self):
@@ -214,7 +213,7 @@ class TestDegradedMerge:
             # precisely the dead shard's contracts became maybes
             assert maybe == dead_names
             by_name = {
-                db.coordinator._catalog[i].name: v
+                db._catalog[i].name: v
                 for i, v in outcome.verdicts.items()
             }
             for name in dead_names:
@@ -265,15 +264,16 @@ class TestMergeUnit:
     plus a completely failed shard, in one outcome."""
 
     def _coordinator(self):
-        coordinator = Coordinator([("127.0.0.1", 1), ("127.0.0.1", 2),
-                                   ("127.0.0.1", 3)])
-        for cid, (name, shard) in enumerate(
-            [("alpha", 0), ("beta", 1), ("gamma", 2),
-             ("delta", 0), ("epsilon", 1)], start=1,
-        ):
-            routed = RoutedContract(cid, name, shard)
-            coordinator._catalog[cid] = routed
-            coordinator._by_name[name] = cid
+        # closed on return: _merge reads the catalog, never the loop
+        with DistributedDatabase([("127.0.0.1", 1), ("127.0.0.1", 2),
+                                  ("127.0.0.1", 3)]) as coordinator:
+            for cid, (name, shard) in enumerate(
+                [("alpha", 0), ("beta", 1), ("gamma", 2),
+                 ("delta", 0), ("epsilon", 1)], start=1,
+            ):
+                routed = RoutedContract(cid, name, shard)
+                coordinator._catalog[cid] = routed
+                coordinator._by_name[name] = cid
         return coordinator
 
     def test_global_registration_order_restored(self):
@@ -370,19 +370,20 @@ class TestMergeUnit:
 
 class TestDeadlinePropagation:
     def test_shards_get_the_remaining_budget(self):
-        coordinator = Coordinator([("127.0.0.1", 1), ("127.0.0.1", 2)])
-        coordinator._catalog[1] = RoutedContract(1, "alpha", 0)
-        coordinator._by_name["alpha"] = 1
         calls = []
 
         async def fake_call(shard, doc, *, timeout=None, deadline=None):
             calls.append((shard, doc, timeout))
             return {"ok": True, "outcomes": [{"verdicts": {}, "stats": {}}]}
 
-        coordinator._call = fake_call
-        asyncio.run(coordinator.query_many(
-            ["F a"], QueryOptions(deadline_seconds=10.0)
-        ))
+        with DistributedDatabase([("127.0.0.1", 1),
+                                  ("127.0.0.1", 2)]) as coordinator:
+            coordinator._catalog[1] = RoutedContract(1, "alpha", 0)
+            coordinator._by_name["alpha"] = 1
+            coordinator._call = fake_call
+            coordinator.query_many(
+                ["F a"], QueryOptions(deadline_seconds=10.0)
+            )
         assert len(calls) == 2
         for _, doc, timeout in calls:
             shipped = doc["options"]["deadline_seconds"]
@@ -391,11 +392,9 @@ class TestDeadlinePropagation:
             assert timeout == pytest.approx(shipped + RPC_GRACE_SECONDS)
 
     def test_rejects_non_distributable_options(self):
-        coordinator = Coordinator([("127.0.0.1", 1)])
-        with pytest.raises(DistError):
-            asyncio.run(coordinator.query_many(
-                ["F a"], QueryOptions(explain=True)
-            ))
+        with DistributedDatabase([("127.0.0.1", 1)]) as coordinator:
+            with pytest.raises(DistError):
+                coordinator.query_many(["F a"], QueryOptions(explain=True))
 
 
 class TestClientSurface:

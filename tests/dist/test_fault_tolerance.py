@@ -18,7 +18,7 @@ from repro.broker.query import Verdict
 from repro.core import faults
 from repro.core.retry import BackoffPolicy
 from repro.dist import (
-    Coordinator,
+    DistributedDatabase,
     LocalCluster,
     ReadPreference,
     Replica,
@@ -191,7 +191,7 @@ class TestRpcRetry:
                 # contract degrades to a sound SKIPPED maybe
                 assert set(outcome.maybe_names) == {"alpha"}
                 assert db.metrics.counter_value("dist.breaker_open") >= 1
-                states = {h.state for h in db.coordinator.health}
+                states = {h.state for h in db.health}
                 assert "open" in states
                 # a healed operator closes the breakers and the
                 # answer reconverges bit-for-bit
@@ -206,15 +206,16 @@ class TestMergeAllShardsDead:
     worst sound degradation the coordinator can emit."""
 
     def _coordinator(self):
-        coordinator = Coordinator([("127.0.0.1", 1), ("127.0.0.1", 2),
-                                   ("127.0.0.1", 3)])
-        for cid, (name, shard) in enumerate(
-            [("alpha", 0), ("beta", 1), ("gamma", 2),
-             ("delta", 0), ("epsilon", 1)], start=1,
-        ):
-            routed = RoutedContract(cid, name, shard)
-            coordinator._catalog[cid] = routed
-            coordinator._by_name[name] = cid
+        # closed on return: _merge reads the catalog, never the loop
+        with DistributedDatabase([("127.0.0.1", 1), ("127.0.0.1", 2),
+                                  ("127.0.0.1", 3)]) as coordinator:
+            for cid, (name, shard) in enumerate(
+                [("alpha", 0), ("beta", 1), ("gamma", 2),
+                 ("delta", 0), ("epsilon", 1)], start=1,
+            ):
+                routed = RoutedContract(cid, name, shard)
+                coordinator._catalog[cid] = routed
+                coordinator._by_name[name] = cid
         return coordinator
 
     def test_every_shard_dead_is_all_skipped_maybes(self):
@@ -253,7 +254,8 @@ class TestMergeAllShardsDead:
             db.register("alpha", ["F a"])
             for server in cluster.servers:
                 server.stop()
-            db._run(db.coordinator.aclose())
+            for shard in range(len(db.addresses)):
+                db._disconnect(shard)
             with pytest.raises(QueryBudgetError):
                 db.query("F a", QueryOptions(degradation=Degradation.FAIL))
             # and under MAYBE the same cluster degrades soundly
@@ -276,7 +278,7 @@ class TestReplicaReadRouting:
                 assert replica.catch_up().lag_records == 0
                 # a shard's replica holds that shard's contracts only
                 assert [c.name for c in replica.db.contracts()] == (
-                    db.coordinator.router.partition(names)[0]
+                    db.router.partition(names)[0]
                 )
                 db.attach_replica(0, replica)
                 routed = db.query("F a")

@@ -1,5 +1,7 @@
 """One shard behind a socket: dispatch, persistence, error surfaces."""
 
+import contextlib
+import socket
 import sys
 import threading
 import time
@@ -7,7 +9,9 @@ import time
 import pytest
 
 from repro.broker.journal import open_database
-from repro.dist.server import SHARD_OPS, ShardClient, ShardServer
+from repro.core.retry import BackoffPolicy
+from repro.dist import DistributedDatabase, protocol
+from repro.dist.server import SHARD_OPS, ShardServer
 from repro.errors import DistError
 
 
@@ -16,6 +20,18 @@ def shard():
     server = ShardServer(0)
     yield server
     server.stop()
+
+
+@contextlib.contextmanager
+def _wire(server):
+    """A plain blocking socket to ``server``: ``request(doc)`` writes one
+    frame and reads one back — the protocol with no client around it."""
+    with socket.create_connection(server.address, timeout=10.0) as sock:
+        def request(doc):
+            protocol.send_frame(sock, doc)
+            return protocol.recv_frame(sock)
+
+        yield request
 
 
 def _register(server, name, clauses, attributes=None):
@@ -222,13 +238,13 @@ class TestSocketSurface:
     def test_client_round_trip(self):
         server = ShardServer(1).start()
         try:
-            with ShardClient(*server.address) as client:
-                assert client.request({"op": "ping"})["shard_id"] == 1
-                client.request({
+            with _wire(server) as request:
+                assert request({"op": "ping"})["shard_id"] == 1
+                request({
                     "op": "register", "name": "alpha",
                     "clauses": ["F a"], "attributes": {},
                 })
-                outcome = client.request(
+                outcome = request(
                     {"op": "query", "query": "F a"}
                 )["outcome"]
                 assert outcome["permitted"] == ["alpha"]
@@ -238,17 +254,28 @@ class TestSocketSurface:
     def test_error_response_raises_dist_error(self):
         server = ShardServer(1).start()
         try:
-            with ShardClient(*server.address) as client:
-                with pytest.raises(DistError, match="rejected"):
-                    client.request({"op": "deregister", "name": "ghost"})
+            with _wire(server) as request:
+                response = request({"op": "deregister", "name": "ghost"})
+                assert response["ok"] is False
+                assert response["kind"] == "DistError"
                 # the connection survives an application-level error
-                assert client.request({"op": "ping"})["pong"]
+                assert request({"op": "ping"})["pong"]
+            # and the front-end turns such a response into the exception
+            _register(server, "alpha", ["F a"])
+            with DistributedDatabase([server.address]) as db:
+                with pytest.raises(DistError, match="rejected"):
+                    db.register("alpha", ["F a"])
         finally:
             server.stop()
 
-    def test_client_rejects_unreachable_shard(self):
-        with pytest.raises(DistError, match="cannot reach"):
-            ShardClient("127.0.0.1", 1, timeout=0.5)
+    def test_unreachable_shard_is_reported_not_raised(self):
+        with DistributedDatabase(
+            [("127.0.0.1", 1)], rpc_timeout=0.5,
+            retry=BackoffPolicy(max_retries=0),
+        ) as db:
+            (status,) = db.status()["shards"]
+        assert status["ok"] is False
+        assert "cannot reach" in status["error"]
 
     def test_address_requires_serving(self):
         server = ShardServer(0)
