@@ -215,55 +215,19 @@ class BuchiAutomaton:
         if not targets:
             return None
         knot = min(targets, key=_state_key)
-        prefix_labels = self._path_labels(self.initial, {knot})
-        if prefix_labels is None:
-            return None
-        cycle_labels = self._cycle_labels(knot)
-        if cycle_labels is None:
-            return None
-        prefix = tuple(lab.pick_snapshot() for lab in prefix_labels)
-        loop = tuple(lab.pick_snapshot() for lab in cycle_labels)
-        return Run(prefix, loop)
+        prefix = graph.shortest_path(self.initial, {knot}, self.successor_states)
+        cycle = graph.shortest_path(
+            knot, {knot}, self.successor_states, require_step=True
+        )
 
-    def _path_labels(self, source: State, targets: set[State]) -> list[Label] | None:
-        """Labels along some shortest path from ``source`` into ``targets``
-        (empty list if the source is already a target)."""
-        if source in targets:
-            return []
-        parent: dict[State, tuple[State, Label]] = {}
-        frontier = [source]
-        seen = {source}
-        while frontier:
-            next_frontier: list[State] = []
-            for state in frontier:
-                for label, dst in self._transitions[state]:
-                    if dst in seen:
-                        continue
-                    seen.add(dst)
-                    parent[dst] = (state, label)
-                    if dst in targets:
-                        labels: list[Label] = []
-                        cursor = dst
-                        while cursor != source:
-                            prev, lab = parent[cursor]
-                            labels.append(lab)
-                            cursor = prev
-                        labels.reverse()
-                        return labels
-                    next_frontier.append(dst)
-            frontier = next_frontier
-        return None
+        def snapshots(path: list[State]) -> tuple[Snapshot, ...]:
+            return tuple(
+                next(lab for lab, dst in self._transitions[src] if dst == nxt)
+                .pick_snapshot()
+                for src, nxt in zip(path, path[1:])
+            )
 
-    def _cycle_labels(self, knot: State) -> list[Label] | None:
-        """Labels along some cycle from ``knot`` back to itself."""
-        for label, dst in self._transitions[knot]:
-            if dst == knot:
-                return [label]
-        for label, dst in self._transitions[knot]:
-            back = self._path_labels(dst, {knot})
-            if back is not None:
-                return [label] + back
-        return None
+        return Run(snapshots(prefix), snapshots(cycle))
 
     # -- structural transforms ---------------------------------------------------------
 

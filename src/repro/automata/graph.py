@@ -12,7 +12,7 @@ can be deep enough to blow Python's recursion limit.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, Mapping, TypeVar
+from typing import Callable, Container, Hashable, Iterable, Mapping, TypeVar
 
 Node = TypeVar("Node", bound=Hashable)
 
@@ -106,6 +106,43 @@ def reachable_from(
                 seen.add(succ)
                 frontier.append(succ)
     return seen
+
+
+def shortest_path(
+    source: Node,
+    targets: Container[Node],
+    successors: Callable[[Node], Iterable[Node]],
+    within: Container[Node] | None = None,
+    require_step: bool = False,
+) -> list[Node] | None:
+    """The nodes of a shortest path from ``source`` into ``targets``
+    (breadth-first, successors in the order given), or ``None`` if no
+    target is reachable.  ``within`` restricts the nodes the path may
+    enter; with ``require_step`` the path has at least one edge even if
+    the source is a target, so a target of ``{source}`` asks for a
+    shortest cycle through it."""
+    if source in targets and not require_step:
+        return [source]
+    parents: dict[Node, Node] = {source: source}
+    frontier = [source]
+    while frontier:
+        next_frontier: list[Node] = []
+        for node in frontier:
+            for succ in successors(node):
+                if within is not None and succ not in within:
+                    continue
+                if succ in targets:
+                    path = [succ, node]
+                    while node != source:
+                        node = parents[node]
+                        path.append(node)
+                    path.reverse()
+                    return path
+                if succ not in parents:
+                    parents[succ] = node
+                    next_frontier.append(succ)
+        frontier = next_frontier
+    return None
 
 
 def backward_reachable(

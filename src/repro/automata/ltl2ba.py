@@ -126,8 +126,6 @@ class _Translator:
 
     def __init__(self) -> None:
         self._covers_memo: dict[Formula, tuple[_MaskCover, ...]] = {}
-        #: obligation mask -> the covers of that state
-        self._state_memo: dict[int, tuple[_MaskCover, ...]] = {}
         #: event -> the bit of its positive literal (the negative one is
         #: the next bit up), and the literal of every bit handed out
         self._event_bits: dict[str, int] = {}
@@ -251,17 +249,14 @@ class _Translator:
         return tuple(out)
 
     def state_covers(self, state: frozenset) -> tuple[_MaskCover, ...]:
-        """Covers of an obligation set (the conjunction of its members)."""
-        mask = self.obligations(state)
-        cached = self._state_memo.get(mask)
-        if cached is not None:
-            return cached
+        """Covers of an obligation set (the conjunction of its members).
+        Not memoized: :func:`_build_tgba` asks once per state, because it
+        already keys states by obligation mask."""
         result: tuple[_MaskCover, ...] = ((0, 0, 0, _EMPTY),)
         for member in sorted(state, key=str):
             result = self.product(result, self.covers(member))
             if not result:
                 break
-        self._state_memo[mask] = result
         return result
 
 

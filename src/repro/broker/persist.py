@@ -332,6 +332,19 @@ def _read_artifact(
 
 
 def _stored_automaton(doc, spec: ContractSpec):
+    # A stored automaton is reduced, and ``reduce_automaton`` ends by
+    # dropping unreachable states: every state but the initial one is
+    # some transition's target.  Checked before ``automaton_from_dict``
+    # allocates the state range a checksum-valid document names.
+    try:
+        states, transitions = int(doc["states"]), len(doc["transitions"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise BrokerError(f"malformed automaton document: {exc}") from exc
+    if states > transitions + 1:
+        raise BrokerError(
+            f"{states} states but {transitions} transitions: not a "
+            f"reduced automaton"
+        )
     ba = automaton_from_dict(doc)
     # Trust the stored automaton only if it cites no event the
     # specification does not (a stale or edited file would).

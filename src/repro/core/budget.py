@@ -19,10 +19,10 @@ module gives the broker the same discipline:
   raises :class:`~repro.errors.BudgetExceededError` once a limit is hit.
 
 Deadline checks cost a clock read, so they are only performed every
-``check_interval`` steps; the step cap is an integer comparison and is
-enforced exactly.  A search interrupted by the budget never reports a
-boolean — it raises, and the broker maps that into the ``TIMED_OUT``
-verdict of its graceful-degradation policy.
+:data:`DEFAULT_CHECK_INTERVAL` steps; the step cap is an integer
+comparison and is enforced exactly.  A search interrupted by the budget
+never reports a boolean — it raises, and the broker maps that into the
+``TIMED_OUT`` verdict of its graceful-degradation policy.
 """
 
 from __future__ import annotations
@@ -107,21 +107,14 @@ class ExecutionBudget:
     :class:`~repro.core.permission.PermissionStats` pair + cycle-node
     counts); :meth:`charge` raises :class:`BudgetExceededError` when the
     step cap is exceeded (exact) or the deadline has passed (checked
-    every ``check_interval`` steps).
+    every :data:`DEFAULT_CHECK_INTERVAL` steps).
     """
 
     deadline: Deadline | None = None
     steps: StepBudget | None = None
-    check_interval: int = DEFAULT_CHECK_INTERVAL
     #: set to ``"deadline"`` or ``"steps"`` when the budget trips.
     exhausted_reason: str | None = field(default=None, init=False)
     _next_deadline_check: int = field(default=0, init=False)
-
-    def __post_init__(self) -> None:
-        if self.check_interval < 1:
-            raise ValueError(
-                f"check interval must be >= 1, got {self.check_interval}"
-            )
 
     @property
     def bounded(self) -> bool:
@@ -138,7 +131,7 @@ class ExecutionBudget:
                 reason="steps",
             )
         if self.deadline is not None and steps >= self._next_deadline_check:
-            self._next_deadline_check = steps + self.check_interval
+            self._next_deadline_check = steps + DEFAULT_CHECK_INTERVAL
             if self.deadline.expired():
                 self.exhausted_reason = "deadline"
                 raise BudgetExceededError(

@@ -20,18 +20,22 @@ searches a graph it already has.  :func:`permits` takes object
 automata instead: it encodes both sides and delegates, for callers that
 hold a :class:`~repro.automata.buchi.BuchiAutomaton` and check it once.
 
-The decider is tested against two independent references:
-:func:`repro.check.oracle.oracle_permits`, and :func:`find_witness`,
-which searches the object automata's compatibility product by strongly
-connected components, extracts a concrete simultaneous lasso path and
-can materialize it as an ultimately-periodic run — which examples use to
-*explain* why a contract was returned.
+The compatibility product is built in one place, :func:`_expand_pair`.
+Besides the decider, :func:`lasso_components` walks it whole and finds
+its accepting components — the SCC characterization behind
+:func:`find_witness`, which extracts a concrete simultaneous lasso path
+(examples use it to *explain* why a contract was returned), and behind
+the stream engine's watch masks
+(:func:`repro.stream.encoded.winning_mask`).  The references the decider
+is tested against share none of it: the explicit-model oracle
+:func:`repro.check.oracle.oracle_permits`, and, on every witness run,
+:meth:`BuchiAutomaton.accepts` and :func:`repro.ltl.semantics.satisfies`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Hashable, Iterator
+from dataclasses import dataclass
+from typing import Hashable, Iterable
 
 from ..automata import graph
 from ..automata.buchi import BuchiAutomaton
@@ -49,7 +53,6 @@ from .budget import ExecutionBudget
 from .seeds import compute_seeds_mask
 
 State = Hashable
-Pair = tuple  # (contract state, query state)
 
 
 @dataclass
@@ -117,55 +120,6 @@ class PermissionWitness:
             return " ; ".join(str(s.combined_label) for s in steps)
 
         return f"prefix[{fmt(self.prefix)}] cycle[{fmt(self.cycle)}]"
-
-
-class _CompatibilityContext:
-    """Memoized Definition 7 compatibility between contract and query
-    labels, fixed to one contract vocabulary.  The witness extractor
-    works on the object automata because it reports states and labels;
-    the deciders below use the precomputed bitset form of the same test
-    (:func:`repro.automata.encode.bind_query`)."""
-
-    __slots__ = ("vocabulary", "_label_cache", "_vocab_cache")
-
-    def __init__(self, vocabulary: frozenset[str]):
-        self.vocabulary = vocabulary
-        self._label_cache: dict[tuple[Label, Label], bool] = {}
-        self._vocab_cache: dict[Label, bool] = {}
-
-    def query_label_admissible(self, query_label: Label) -> bool:
-        """Condition (i): the query label cites only contract events."""
-        cached = self._vocab_cache.get(query_label)
-        if cached is None:
-            cached = query_label.events() <= self.vocabulary
-            self._vocab_cache[query_label] = cached
-        return cached
-
-    def compatible(self, contract_label: Label, query_label: Label) -> bool:
-        if not self.query_label_admissible(query_label):
-            return False
-        key = (contract_label, query_label)
-        cached = self._label_cache.get(key)
-        if cached is None:
-            cached = not contract_label.conflicts(query_label)
-            self._label_cache[key] = cached
-        return cached
-
-
-def _pair_successors(
-    contract: BuchiAutomaton,
-    query: BuchiAutomaton,
-    ctx: _CompatibilityContext,
-    pair: Pair,
-) -> Iterator[tuple[Pair, Label, Label]]:
-    """Compatible product successors with the labels that enable them."""
-    contract_state, query_state = pair
-    for query_label, query_dst in query.successors(query_state):
-        if not ctx.query_label_admissible(query_label):
-            continue
-        for contract_label, contract_dst in contract.successors(contract_state):
-            if ctx.compatible(contract_label, query_label):
-                yield (contract_dst, query_dst), contract_label, query_label
 
 
 # -- the decider -------------------------------------------------------------------
@@ -380,6 +334,50 @@ def permits(
     )
 
 
+def lasso_components(
+    contract: EncodedAutomaton,
+    query: EncodedAutomaton,
+    binding: QueryBinding,
+    starts: Iterable[int],
+) -> tuple[dict[int, tuple[int, ...]], list[list[int]]]:
+    """The compatibility product reachable from the packed pairs
+    ``starts``, as an adjacency map, and its *accepting components*:
+    the cyclic strongly connected components holding both a query-final
+    and a contract-final pair — exactly where a simultaneous lasso can
+    knot (Definition 7, §6.2.2).
+
+    Successor lists come from ``binding.successors`` or
+    :func:`_expand_pair`, and the table is left bounded by
+    :data:`~repro.automata.encode.SUCCESSOR_TABLE_LIMIT` as
+    :func:`permits_encoded` leaves it."""
+    table = binding.successors
+    adjacency: dict[int, tuple[int, ...]] = {}
+    stack = list(starts)
+    while stack:
+        pair = stack.pop()
+        if pair in adjacency:
+            continue
+        successors = table.get(pair)
+        if successors is None:
+            successors = _expand_pair(contract, query, binding, pair)
+        adjacency[pair] = successors
+        stack.extend(successors)
+    if len(table) > SUCCESSOR_TABLE_LIMIT:
+        table.clear()
+
+    nq = query.num_states
+    query_final, contract_final = query.final_mask, contract.final_mask
+    return adjacency, [
+        component
+        for component in graph.strongly_connected_components(
+            adjacency, adjacency.__getitem__
+        )
+        if any((query_final >> (p % nq)) & 1 for p in component)
+        and any((contract_final >> (p // nq)) & 1 for p in component)
+        and graph.is_cyclic_component(component, adjacency.__getitem__)
+    ]
+
+
 def find_witness(
     contract: BuchiAutomaton,
     query: BuchiAutomaton,
@@ -387,85 +385,56 @@ def find_witness(
 ) -> PermissionWitness | None:
     """A concrete simultaneous lasso path, or ``None`` if not permitted.
 
-    The witness is assembled from the compatibility product: a shortest
-    prefix to a knot pair inside an SCC that contains both kinds of final
-    pairs, then a cycle knot → contract-final pair → knot inside that
-    SCC.
+    The witness is assembled from the first accepting component of
+    :func:`lasso_components`: a shortest prefix to a knot pair inside
+    it, then a cycle knot → contract-final pair → knot that stays in it.
+    Each step's labels are the object automata's, found by transition
+    position — the CSR rows list :meth:`BuchiAutomaton.successors` in
+    order.
     """
-    if vocabulary is None:
-        vocabulary = contract.events()
-    ctx = _CompatibilityContext(vocabulary)
-
-    def successors(pair: Pair) -> Iterator[Pair]:
-        for succ, _, _ in _pair_successors(contract, query, ctx, pair):
-            yield succ
-
-    start: Pair = (contract.initial, query.initial)
-    reachable = graph.reachable_from(start, successors)
-    target_scc: set[Pair] | None = None
-    for component in graph.strongly_connected_components(reachable, successors):
-        members = set(component)
-        if not any(q in query.final for _, q in members):
-            continue
-        if not any(c in contract.final for c, _ in members):
-            continue
-        if graph.is_cyclic_component(component, successors):
-            target_scc = members
-            break
-    if target_scc is None:
+    encoded = encode_automaton(
+        contract, contract.events() if vocabulary is None else vocabulary
+    )
+    encoded_query = encode_automaton(query)
+    binding = bind_query(encoded, encoded_query)
+    nq = encoded_query.num_states
+    start = encoded.initial * nq + encoded_query.initial
+    adjacency, components = lasso_components(
+        encoded, encoded_query, binding, (start,)
+    )
+    if not components:
         return None
 
-    knots = {p for p in target_scc if p[1] in query.final}
-    prefix_steps, knot = _bfs_steps(contract, query, ctx, start, knots, None)
-    finals = {p for p in target_scc if p[0] in contract.final}
-    # Cycle: knot -> some contract-final pair -> knot, all inside the SCC.
-    to_final, mid = _bfs_steps(
-        contract, query, ctx, knot, finals, target_scc, require_step=True
+    component = set(components[0])
+    successors = adjacency.__getitem__
+    knots = {p for p in component if encoded_query.is_final(p % nq)}
+    finals = {p for p in component if encoded.is_final(p // nq)}
+    prefix = graph.shortest_path(start, knots, successors)
+    knot = prefix[-1]
+    to_final = graph.shortest_path(
+        knot, finals, successors, within=component, require_step=True
     )
-    back, _ = _bfs_steps(contract, query, ctx, mid, {knot}, target_scc)
-    cycle = tuple(to_final) + tuple(back)
-    return PermissionWitness(prefix=tuple(prefix_steps), cycle=cycle)
+    back = graph.shortest_path(to_final[-1], {knot}, successors, within=component)
 
+    def step(pair: int, succ: int) -> WitnessStep:
+        c, q = divmod(pair, nq)
+        c_state, q_state = encoded.states[c], encoded_query.states[q]
+        return next(
+            WitnessStep(c_state, q_state, c_label, q_label)
+            for qi, (q_label, _) in enumerate(
+                query.successors(q_state), encoded_query.offsets[q]
+            )
+            for ci, (c_label, _) in enumerate(
+                contract.successors(c_state), encoded.offsets[c]
+            )
+            if encoded.trans_dsts[ci] * nq + encoded_query.trans_dsts[qi] == succ
+            and (binding.compat[encoded_query.trans_labels[qi]]
+                 >> encoded.trans_labels[ci]) & 1
+        )
 
-def _bfs_steps(
-    contract: BuchiAutomaton,
-    query: BuchiAutomaton,
-    ctx: _CompatibilityContext,
-    source: Pair,
-    targets: set[Pair],
-    within: set[Pair] | None,
-    require_step: bool = False,
-) -> tuple[list[WitnessStep], Pair]:
-    """Shortest compatible-step path from ``source`` into ``targets``
-    (optionally restricted to the pair set ``within``); returns the steps
-    and the target reached.  With ``require_step`` the empty path is not
-    allowed even if the source is a target."""
-    if source in targets and not require_step:
-        return [], source
-    parents: dict[Pair, tuple[Pair, WitnessStep]] = {}
-    seen = {source}
-    frontier = [source]
-    while frontier:
-        next_frontier: list[Pair] = []
-        for pair in frontier:
-            for succ, contract_label, query_label in _pair_successors(
-                contract, query, ctx, pair
-            ):
-                if within is not None and succ not in within:
-                    continue
-                step = WitnessStep(pair[0], pair[1], contract_label, query_label)
-                if succ in targets and (succ not in seen or succ == source):
-                    steps = [step]
-                    cursor = pair
-                    while cursor != source:
-                        prev, prev_step = parents[cursor]
-                        steps.append(prev_step)
-                        cursor = prev
-                    steps.reverse()
-                    return steps, succ
-                if succ not in seen:
-                    seen.add(succ)
-                    parents[succ] = (pair, step)
-                    next_frontier.append(succ)
-        frontier = next_frontier
-    raise RuntimeError("BFS target unreachable — inconsistent SCC data")
+    def steps(path: list[int]) -> tuple[WitnessStep, ...]:
+        return tuple(step(a, b) for a, b in zip(path, path[1:]))
+
+    return PermissionWitness(
+        prefix=steps(prefix), cycle=steps(to_final) + steps(back)
+    )

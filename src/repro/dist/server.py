@@ -26,7 +26,7 @@ from pathlib import Path
 
 from ..broker.contract import ContractSpec
 from ..broker.database import BrokerConfig, ContractDatabase
-from ..broker.journal import JOURNAL_FILE, open_database
+from ..broker.journal import open_database
 from ..errors import BrokerError, DistError, ProtocolError, ReproError
 from . import protocol
 

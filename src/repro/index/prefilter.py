@@ -18,7 +18,7 @@ condition keeps the evaluation sound (§4.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
 

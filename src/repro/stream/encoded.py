@@ -15,7 +15,10 @@ happens on machine integers:
   frontier empties on the very event no allowed sequence survives.
 
 Watch queries reduce to one precomputed int as well: see
-:func:`winning_mask`.
+:func:`winning_mask`, which reads it off the decider's own compatibility
+product (:func:`repro.core.permission.lasso_components`) — there is one
+product in the code base, and the stream's reference is the batch oracle
+(:func:`repro.check.oracle.oracle_monitor`), not a second expansion.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from ..automata.encode import (
     bind_query,
     encode_automaton,
 )
+from ..core.permission import lasso_components
 from ..errors import MonitorError
 from .options import MonitorOptions, MonitorStatus
 
@@ -103,7 +107,6 @@ def winning_mask(
     binding: QueryBinding | None = None,
     *,
     live_mask: int | None = None,
-    rows: tuple[tuple[tuple[int, int], ...], ...] | None = None,
 ) -> int:
     """Bitset of contract states from which ``query`` is still
     permitted: state ``s`` is set iff the compatibility product holds a
@@ -119,69 +122,26 @@ def winning_mask(
     (Restricting to live contract states loses nothing: every contract
     state on a witness lasso can itself reach an accepting cycle.)
 
-    The mask is computed once per (contract, query) pair by the same
-    SCC characterization :func:`repro.core.permission.find_witness`
-    uses: an accepting knot is a cyclic SCC containing both a
-    query-final and a contract-final pair.
+    The mask is computed once per (contract, query) pair on the
+    decider's own product: :func:`repro.core.permission.lasso_components`
+    walks it from every live ``(s, query.initial)`` and names its
+    accepting components, and the winners are the pairs that reach one.
     """
     if live_mask is None:
         live_mask = live_state_mask(contract)
-    if rows is None:
-        rows = compile_step_rows(contract, live_mask)
     if binding is None:
         binding = bind_query(contract, query)
     nq = query.num_states
-    compat = binding.compat
-    q_off, q_lab, q_dst = query.offsets, query.trans_labels, query.trans_dsts
-
-    cache: dict[int, list[int]] = {}
-
-    def expand(pair: int) -> list[int]:
-        cached = cache.get(pair)
-        if cached is None:
-            c, q = divmod(pair, nq)
-            seen_local: dict[int, None] = {}
-            for qi in range(q_off[q], q_off[q + 1]):
-                row = compat[q_lab[qi]]
-                if not row:
-                    continue
-                dq = q_dst[qi]
-                for label_class, dst_mask in rows[c]:
-                    if (row >> label_class) & 1:
-                        for dst in _iter_bits(dst_mask):
-                            seen_local[dst * nq + dq] = None
-            cached = list(seen_local)
-            cache[pair] = cached
-        return cached
-
-    q0 = query.initial
-    starts = [s * nq + q0 for s in _iter_bits(live_mask)]
-    reachable: set[int] = set(starts)
-    stack = list(starts)
-    while stack:
-        pair = stack.pop()
-        for succ in expand(pair):
-            if succ not in reachable:
-                reachable.add(succ)
-                stack.append(succ)
-
-    query_final = query.final_mask
-    contract_final = contract.final_mask
-    accepting: set[int] = set()
-    for component in graph.strongly_connected_components(reachable, expand):
-        has_query_final = any((query_final >> (p % nq)) & 1 for p in component)
-        has_contract_final = any(
-            (contract_final >> (p // nq)) & 1 for p in component
-        )
-        if not (has_query_final and has_contract_final):
-            continue
-        if graph.is_cyclic_component(component, expand):
-            accepting.update(component)
-    winners = graph.backward_reachable(accepting, reachable, expand)
-
+    starts = [s * nq + query.initial for s in _iter_bits(live_mask)]
+    adjacency, components = lasso_components(contract, query, binding, starts)
+    winners = graph.backward_reachable(
+        (p for component in components for p in component),
+        adjacency,
+        adjacency.__getitem__,
+    )
     mask = 0
-    for state in _iter_bits(live_mask):
-        if state * nq + q0 in winners:
+    for state, pair in zip(_iter_bits(live_mask), starts):
+        if pair in winners:
             mask |= 1 << state
     return mask
 
@@ -378,7 +338,6 @@ class EncodedMonitor:
             self.encoded,
             _as_encoded_query(query),
             live_mask=self.live_mask,
-            rows=self.rows,
         )
         if isinstance(query, str):
             if len(self._watch_memo) >= _MEMO_CAP:

@@ -206,11 +206,6 @@ class TestTranslatorMemo:
         second = translator.covers(f)
         assert first is second
 
-    def test_state_covers_memoized(self, translator):
-        f = nnf(parse("G(a -> F b)"))
-        state = frozenset({f})
-        assert translator.state_covers(state) is translator.state_covers(state)
-
     def test_empty_state_is_true_selfloop(self, translator):
         covers = translator.state_covers(frozenset())
         assert covers == ((0, 0, 0, frozenset()),)
@@ -228,8 +223,7 @@ def test_cover_masks_agree_with_their_sets(formula):
     untils = translator.obligations(
         f for f in translator._obligation_bits if isinstance(f, A.Until)
     )
-    memos = (translator._covers_memo, translator._state_memo)
-    for covers in (c for memo in memos for c in memo.values()):
+    for covers in translator._covers_memo.values():
         for label, obligations, fulfilled, pending in covers:
             assert obligations == translator.obligations(pending)
             assert not label & (label >> 1) & translator.even

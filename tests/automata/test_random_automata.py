@@ -9,6 +9,7 @@ from repro.automata.bisim import quotient_by_bisimulation
 from repro.automata.product import intersection, union
 from repro.automata.reduce import reduce_automaton
 from repro.automata.serialize import dumps, loads
+from repro.check.oracle import oracle_permits
 from repro.core.permission import find_witness, permits
 from repro.core.seeds import compute_seeds
 
@@ -75,12 +76,16 @@ class TestPermissionOnRandomAutomata:
     @settings(max_examples=150, deadline=None)
     def test_deciders_agree(self, contract, query):
         """Witness iff permitted: the NDFS decider and the SCC search
-        of ``find_witness`` (object automata, no shared code) agree on
+        of ``find_witness`` agree with the explicit-model oracle on
         graph shapes the translator never produces, and the witness is
-        a run both automata accept."""
+        a run both automata accept.  The decider and ``find_witness``
+        expand the same compatibility product; the oracle and
+        ``accepts`` share no code with it."""
         vocabulary = contract.events() | frozenset({"a"})
+        expected = oracle_permits(contract, query, vocabulary)
         witness = find_witness(contract, query, vocabulary)
-        assert permits(contract, query, vocabulary) == (witness is not None)
+        assert permits(contract, query, vocabulary) == expected
+        assert (witness is not None) == expected
         if witness is not None:
             run = witness.to_run()
             assert contract.accepts(run) and query.accepts(run)

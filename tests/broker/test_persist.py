@@ -440,6 +440,27 @@ class TestRobustness:
         assert escaped == []
         assert unannounced == []
 
+    def test_automaton_naming_too_many_states_falls_back(self, tmp_path):
+        """A checksum-valid ``automata.json`` entry naming 10**12 states
+        is refused before anything is allocated for them: a reduced
+        automaton has at most one state more than it has transitions."""
+        db = ContractDatabase(BrokerConfig())
+        db.register("a", ["G (x -> F y)"])
+        directory = save_database(db, tmp_path / "db")
+        automata = json.loads((directory / "automata.json").read_text())
+        automata["a"][0]["states"] = 10**12
+        (directory / "automata.json").write_text(json.dumps(automata))
+        _rehash_artifact(directory, "automata.json")
+        reloaded = load_database(directory)
+        assert reloaded.load_report.retranslated == ["a"]
+        assert any(
+            w.startswith("automata.json: 'a': ")
+            and "not a reduced automaton" in w
+            and w.endswith("; retranslating")
+            for w in reloaded.load_report.warnings
+        )
+        assert reloaded.query("F y").contract_names == ("a",)
+
     def test_artifact_nested_too_deep_to_parse_falls_back(self, tmp_path):
         db = ContractDatabase(BrokerConfig())
         db.register("t", "G a")

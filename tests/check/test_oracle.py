@@ -2,9 +2,10 @@
 
 This is the conformance harness checking itself: the oracle shares no
 code with Algorithm 2 or with the SCC-based witness search of
-``find_witness``, so three-way agreement over random formula pairs (and
-random non-LTL-shaped automata) is the strongest evidence any of the
-three is right.  The monitor oracle built on it is anchored the same
+``find_witness`` (those two expand one compatibility product), so
+three-way agreement over random formula pairs (and random
+non-LTL-shaped automata) is the strongest evidence any of the three is
+right.  The monitor oracle built on it is anchored the same
 way: against hand-derived verdicts and against the formula evaluator
 of :mod:`repro.ltl.semantics` on concrete runs.
 """

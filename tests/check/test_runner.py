@@ -233,6 +233,48 @@ class TestSeededEngineBugs:
         ).run().ok
 
 
+def _drop_last_contract_transition(monkeypatch):
+    """A product bug: ``_expand_pair`` never joins a contract state's
+    last transition."""
+    from repro.core import permission
+
+    def expand(contract, query, binding, pair):
+        nq = query.num_states
+        c, q = divmod(pair, nq)
+        found = []
+        for qi in range(query.offsets[q], query.offsets[q + 1]):
+            row = binding.compat[query.trans_labels[qi]]
+            for ci in range(contract.offsets[c], contract.offsets[c + 1] - 1):
+                if (row >> contract.trans_labels[ci]) & 1:
+                    found.append(
+                        contract.trans_dsts[ci] * nq + query.trans_dsts[qi]
+                    )
+        successors = tuple(dict.fromkeys(reversed(found)))[::-1]
+        binding.successors[pair] = successors
+        return successors
+
+    monkeypatch.setattr(permission, "_expand_pair", expand)
+
+
+class TestSeededProductBug:
+    """The decider and the watch masks expand one compatibility product,
+    so a bug in it shows through both of its consumers: on seed-7 cases
+    0-3 the ``ndfs`` cell *and* the ``monitor-stream`` cell disagree with
+    the oracle."""
+
+    def test_both_consumers_report_it(self, monkeypatch):
+        configs = configs_by_name(["ndfs", "monitor-stream"])
+        _drop_last_contract_transition(monkeypatch)
+        report = ConformanceRunner(
+            seed=7, cases=4, configs=configs, shrink=False
+        ).run()
+        assert {d.config_name for d in report.disagreements} == {
+            "ndfs", "monitor-stream"
+        }
+        monkeypatch.undo()
+        assert ConformanceRunner(seed=7, cases=4, configs=configs).run().ok
+
+
 class TestReplayValidation:
     def test_replay_rejects_non_artifact(self, tmp_path):
         bogus = tmp_path / "not-artifact.json"

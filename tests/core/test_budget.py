@@ -83,7 +83,7 @@ class TestExecutionBudget:
     def test_expired_deadline_caught_at_first_charge(self):
         clock = FakeClock(0.0)
         deadline = Deadline.after(1.0, clock=clock)
-        budget = ExecutionBudget(deadline=deadline, check_interval=4)
+        budget = ExecutionBudget(deadline=deadline)
         clock.now = 2.0
         with pytest.raises(BudgetExceededError) as exc:
             budget.charge(1)
@@ -93,14 +93,13 @@ class TestExecutionBudget:
     def test_deadline_reads_spaced_by_interval(self):
         clock = FakeClock(0.0)
         deadline = Deadline.after(1.0, clock=clock)
-        budget = ExecutionBudget(deadline=deadline, check_interval=4)
+        budget = ExecutionBudget(deadline=deadline)
         budget.charge(1)   # clock read: still before the deadline
         clock.now = 2.0    # expires between check points
-        budget.charge(2)
-        budget.charge(3)
-        budget.charge(4)   # steps < 1 + interval: no clock read yet
+        for steps in range(2, 1 + DEFAULT_CHECK_INTERVAL):
+            budget.charge(steps)   # steps < 1 + interval: no clock read yet
         with pytest.raises(BudgetExceededError):
-            budget.charge(5)
+            budget.charge(1 + DEFAULT_CHECK_INTERVAL)
 
     def test_exhausted_precheck_does_not_raise(self):
         clock = FakeClock(0.0)
@@ -110,7 +109,10 @@ class TestExecutionBudget:
         assert budget.exhausted()
 
     def test_default_check_interval(self):
-        assert ExecutionBudget().check_interval == DEFAULT_CHECK_INTERVAL
+        """The interval is a constant, not a constructor argument."""
+        assert DEFAULT_CHECK_INTERVAL == 16
+        with pytest.raises(TypeError):
+            ExecutionBudget(check_interval=DEFAULT_CHECK_INTERVAL)
 
 
 def _f_conjunction(k: int):
@@ -154,7 +156,6 @@ class TestBudgetedPermission:
 
         budget = ExecutionBudget(
             deadline=Deadline(at=deadline.at, clock=AdvancingClock()),
-            check_interval=1,
         )
         with pytest.raises(BudgetExceededError) as exc:
             permits(contract, query, budget=budget)

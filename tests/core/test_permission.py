@@ -1,9 +1,9 @@
 """Tests for the permission decider (Algorithm 2).
 
 The airfare fixtures assert the paper's Example 2/4/5 outcomes verbatim;
-property tests check the decider against the SCC-based witness search
-and that permission reduces to satisfiability on the trivial query (the
-Theorem 6 reduction).
+property tests check the decider and the SCC-based witness search
+against the explicit-model oracle, and that permission reduces to
+satisfiability on the trivial query (the Theorem 6 reduction).
 """
 
 import pytest
@@ -11,6 +11,7 @@ from hypothesis import given, settings
 
 from repro.automata.buchi import BuchiAutomaton
 from repro.automata.ltl2ba import translate
+from repro.check.oracle import oracle_permits
 from repro.core.permission import (
     PermissionStats,
     find_witness,
@@ -106,14 +107,18 @@ class TestAlgorithmsAgree:
     @settings(max_examples=150, deadline=None)
     def test_ndfs_equals_scc(self, contract_formula, query_formula):
         """Witness iff permitted: the NDFS decider says yes exactly
-        when the SCC search of :func:`find_witness` — over the object
-        automata, sharing no code with it — finds a simultaneous lasso
-        path, and that path is a run both automata accept."""
+        when the explicit-model oracle does and the SCC search of
+        :func:`find_witness` finds a simultaneous lasso path, and that
+        path is a run both automata accept.  The decider and the SCC
+        search expand one compatibility product; the oracle and
+        ``accepts`` are the sides that share no code with it."""
         contract = translate(contract_formula)
         q = translate(query_formula)
         vocabulary = contract_formula.variables()
+        expected = oracle_permits(contract, q, vocabulary)
         witness = find_witness(contract, q, vocabulary)
-        assert permits(contract, q, vocabulary) == (witness is not None)
+        assert permits(contract, q, vocabulary) == expected
+        assert (witness is not None) == expected
         if witness is not None:
             run = witness.to_run()
             assert contract.accepts(run) and q.accepts(run)

@@ -238,6 +238,24 @@ class TestSuccessorTable:
         assert run_search(enc_c, enc_q, binding, steps=1)[0] is None
         assert binding.successors == {}
 
+    def test_a_successor_reached_twice_is_listed_at_its_last_position(self):
+        """Contract state 0 reaches 1, 2, 1 (in CSR order) under a query
+        ``true`` self-loop: pair 1 is reached through two transition
+        pairs and is listed once, after 2 — the search pops from the end,
+        so the later copy is the one it would have visited first."""
+        from repro.core.permission import _expand_pair
+
+        contract = BuchiAutomaton.make(
+            0, [(0, "a", 1), (0, "b", 2), (0, "c", 1),
+                (1, "true", 1), (2, "true", 2)], final=[1, 2],
+        )
+        query = BuchiAutomaton.make(0, [(0, "true", 0)], final=[0])
+        enc_c, enc_q = encode_automaton(contract), encode_automaton(query)
+        assert list(enc_c.successor_ids(0)) == [1, 2, 1]
+        binding = bind_query(enc_c, enc_q)
+        assert _expand_pair(enc_c, enc_q, binding, 0) == (2, 1)
+        assert binding.successors == {0: (2, 1)}
+
 
 class TestPrecomputedArtifacts:
     def test_binding_and_seeds_mask_reuse(self):
