@@ -15,7 +15,9 @@ All ``monitor.*`` metrics feed a
 :class:`~repro.obs.metrics.MetricsRegistry`, so a fleet can be watched
 exactly like the query path (``monitor.events``, ``monitor.violations``,
 ``monitor.watch_flips``, ``monitor.unknown_events``, plus batch latency
-and size histograms).
+and size histograms); ``monitor.events`` and ``monitor.unknown_events``
+are added once per ``ingest`` / ``advance`` / ``broadcast`` call, not
+per delivery.
 """
 
 from __future__ import annotations
@@ -218,24 +220,16 @@ class FleetMonitor:
     def advance(self, contract: str, snapshot: Iterable[str]) -> list[Alert]:
         """Deliver one snapshot to one contract; returns the alerts it
         triggered (also accumulated on :attr:`alerts`)."""
-        snap = (
-            snapshot if isinstance(snapshot, frozenset)
-            else frozenset(snapshot)
-        )
+        emitted: list[Alert] = []
         with self._lock:
-            return self._deliver(contract, snap)
+            # a delivery that raises has advanced nothing
+            self._count(*self._deliver(contract, frozenset(snapshot), emitted))
+        return emitted
 
     def broadcast(self, snapshot: Iterable[str]) -> list[Alert]:
         """Deliver one snapshot to every active contract."""
-        snap = (
-            snapshot if isinstance(snapshot, frozenset)
-            else frozenset(snapshot)
-        )
         with self._lock:
-            emitted: list[Alert] = []
-            for name in list(self._active):
-                emitted.extend(self._deliver(name, snap))
-            return emitted
+            return self._deliver_all((Event(frozenset(snapshot)),)).alerts
 
     def ingest(self, events: Iterable) -> IngestReport:
         """Consume a batch of stream records — :class:`Event` instances,
@@ -244,25 +238,9 @@ class FleetMonitor:
         an :class:`IngestReport`.  This is the bulk API the broker's
         :meth:`~repro.broker.database.ContractDatabase.ingest` exposes.
         """
-        report = IngestReport()
         started = time.perf_counter()
-        unknown_before = self.unknown_event_count
         with self._lock:
-            for record in events:
-                event = _coerce_event(record)
-                report.events += 1
-                if event.contract is None:
-                    for name in list(self._active):
-                        report.deliveries += 1
-                        report.alerts.extend(
-                            self._deliver(name, event.events)
-                        )
-                else:
-                    report.deliveries += 1
-                    report.alerts.extend(
-                        self._deliver(event.contract, event.events)
-                    )
-        report.unknown_events = self.unknown_event_count - unknown_before
+            report = self._deliver_all(events)
         elapsed = time.perf_counter() - started
         self.metrics.inc("monitor.batches")
         self.metrics.observe("monitor.batch_seconds", elapsed)
@@ -271,24 +249,46 @@ class FleetMonitor:
         )
         return report
 
-    def _deliver(self, name: str, snap: frozenset) -> list[Alert]:
+    def _deliver_all(self, records: Iterable) -> IngestReport:
+        """Deliver a batch (lock held), adding to the ``monitor.*``
+        counters once — in a ``finally``, for what a raising batch
+        delivered before it raised."""
+        report = IngestReport()
+        deliver, alerts = self._deliver, report.alerts
+        advanced = unknown = 0
+        try:
+            for record in records:
+                event = _coerce_event(record)
+                report.events += 1
+                targets = (list(self._active) if event.contract is None
+                           else (event.contract,))
+                report.deliveries += len(targets)
+                for name in targets:
+                    stepped, new_unknown = deliver(name, event.events, alerts)
+                    advanced += stepped
+                    unknown += new_unknown
+        finally:
+            self._count(advanced, unknown)
+        report.unknown_events = unknown
+        return report
+
+    def _deliver(
+        self, name: str, snap: frozenset, emitted: list[Alert]
+    ) -> tuple[int, int]:
+        """One delivery; returns (snapshots consumed: 0 or 1, unknown
+        events counted) for the caller to add to the counters."""
         monitor = self._monitors.get(name)
         if monitor is None:
             raise MonitorError(f"unknown contract {name!r}")
         if monitor.violated:
-            return []
+            return 0, 0
         unknown_before = monitor.unknown_events
         status = monitor.advance(snap)
-        self.metrics.inc("monitor.events")
         new_unknown = monitor.unknown_events - unknown_before
-        if new_unknown:
-            self.metrics.inc("monitor.unknown_events", new_unknown)
-        emitted: list[Alert] = []
-        contract_id = self._ids[name]
         if status is MonitorStatus.VIOLATED:
             self._active.pop(name, None)
             self._emit(Alert(
-                kind="violated", contract=name, contract_id=contract_id,
+                kind="violated", contract=name, contract_id=self._ids[name],
                 watch=None, event_index=monitor.violation_index,
                 events=snap,
             ), emitted)
@@ -303,11 +303,17 @@ class FleetMonitor:
                 if cell.satisfiable and not satisfiable:
                     self._emit(Alert(
                         kind="watch-unsatisfiable", contract=name,
-                        contract_id=contract_id, watch=cell.name,
+                        contract_id=self._ids[name], watch=cell.name,
                         event_index=monitor.events_seen - 1, events=snap,
                     ), emitted)
                 cell.satisfiable = satisfiable
-        return emitted
+        return 1, new_unknown
+
+    def _count(self, advanced: int, unknown: int) -> None:
+        if advanced:
+            self.metrics.inc("monitor.events", advanced)
+        if unknown:
+            self.metrics.inc("monitor.unknown_events", unknown)
 
     def _emit(self, alert: Alert, batch: list[Alert] | None = None) -> None:
         self._alerts.append(alert)
@@ -406,7 +412,11 @@ def parse_event(doc: dict) -> Event:
     contract = doc.get("contract")
     if contract is not None and not isinstance(contract, str):
         raise MonitorError(f"'contract' must be a name or null: {contract!r}")
-    return Event(events=frozenset(str(e) for e in events), contract=contract)
+    return Event(frozenset(map(str, events)), contract)
+
+
+#: the C scanner alone: a stripped line has no JSON whitespace to skip
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 def read_event_log(lines: Iterable[str] | IO[str]) -> Iterator[Event]:
@@ -417,11 +427,18 @@ def read_event_log(lines: Iterable[str] | IO[str]) -> Iterator[Event]:
         if not text or text.startswith("#"):
             continue
         try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise MonitorError(
-                f"event log line {lineno} is not valid JSON: {exc}"
-            ) from None
+            doc, end = _raw_decode(text)
+        except (ValueError, RecursionError):
+            end = -1
+        if end != len(text):
+            # json.loads words the error as it always has: "Extra data",
+            # the BOM, nesting past the stack, the int-string limit
+            try:
+                doc = json.loads(text)
+            except (ValueError, RecursionError) as exc:
+                raise MonitorError(
+                    f"event log line {lineno} is not valid JSON: {exc}"
+                ) from None
         if not isinstance(doc, dict):
             raise MonitorError(
                 f"event log line {lineno} must be a JSON object"

@@ -189,3 +189,56 @@ class TestCompiledTables:
         states = monitor.possible_states
         assert states
         assert states <= frozenset(monitor.encoded.states)
+
+
+class TestMemoBound:
+    """Every memo is dropped and rebuilt past ``_MEMO_CAP`` entries, and
+    that never changes a verdict: the monitor agrees on every event with
+    one whose memos are cleared before each event."""
+
+    CONTRACT = "G(a -> F b) && G(c -> X(!d U b))"
+    VOCABULARY = ("a", "b", "c", "d")
+
+    @staticmethod
+    def memos(monitor):
+        return (monitor._snap_memo, monitor._sat_tables,
+                monitor._watch_memo)
+
+    @staticmethod
+    def observe(monitor):
+        return (monitor.status, monitor.frontier, monitor.events_seen,
+                monitor.violation_index, monitor.unknown_events)
+
+    @pytest.mark.parametrize("small_cap", [True, False])
+    def test_adversarial_stream_stays_bounded(self, monkeypatch, small_cap):
+        import random
+
+        from repro.stream import encoded as encoded_module
+
+        cap = 3 if small_cap else encoded_module._MEMO_CAP
+        monkeypatch.setattr(encoded_module, "_MEMO_CAP", cap)
+        enc = encoded_for(self.CONTRACT, frozenset(self.VOCABULARY))
+        monitor, fresh = EncodedMonitor(enc), EncodedMonitor(enc)
+        rng = random.Random(cap)
+        peaks = [0, 0, 0]
+        for i in range(cap + 500):
+            # a fresh unknown event makes every snapshot distinct
+            snap = frozenset(
+                [e for e in self.VOCABULARY if rng.random() < 0.3]
+                + [f"zz{i}"]
+            )
+            for memo in self.memos(fresh):
+                memo.clear()
+            assert monitor.advance(snap) == fresh.advance(snap)
+            assert self.observe(monitor) == self.observe(fresh)
+            if small_cap:
+                query = f"F {self.VOCABULARY[i % 4]} || X F b{i % 5}"
+                assert monitor.can_still(query) == fresh.can_still(query)
+            sizes = [len(memo) for memo in self.memos(monitor)]
+            assert max(sizes) <= cap
+            peaks = [max(p, n) for p, n in zip(peaks, sizes)]
+            if monitor.violated:
+                monitor.reset()
+                fresh.reset()
+        # the overflow rule really ran on every memo the stream can fill
+        assert peaks == ([cap] * 3 if small_cap else [cap, *peaks[1:]])

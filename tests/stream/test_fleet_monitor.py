@@ -261,3 +261,70 @@ class TestEventParsing:
             list(read_event_log(['{"events": []}', "not json"]))
         with pytest.raises(MonitorError, match="line 1"):
             list(read_event_log(["[1, 2]"]))
+
+
+class TestPerCallAccounting:
+    """``monitor.events`` / ``monitor.unknown_events`` are added once per
+    call, and must still equal what the deliveries did one by one."""
+
+    @staticmethod
+    def fleet(options=None):
+        fleet = FleetMonitor(options)
+        vocab = frozenset({"a", "b"})
+        fleet.add_contract("c1", encoded_for("G(a -> F b)", vocab))
+        fleet.add_contract("c2", encoded_for("G !b", vocab))
+        fleet.add_contract("c3", encoded_for("G(b -> X a)", frozenset({"a"})))
+        return fleet
+
+    @staticmethod
+    def counters(fleet):
+        return (fleet.metrics.counter_value("monitor.events"),
+                fleet.metrics.counter_value("monitor.unknown_events"))
+
+    @staticmethod
+    def delivered(fleet):
+        """Per-delivery truth: snapshots each monitor consumed and the
+        unknown events it counted."""
+        monitors = [fleet.monitor(name) for name in fleet.contracts]
+        return (sum(m.events_seen for m in monitors),
+                sum(m.unknown_events for m in monitors))
+
+    def test_counters_equal_the_per_delivery_counts(self):
+        fleet = self.fleet()
+        report = fleet.ingest([
+            {"events": ["a", "zz"]},
+            {"events": ["b"], "contract": "c3"},
+            ("c1", {"zz", "yy"}),
+            {"events": ["b"]},                 # violates c2
+            {"events": ["a"], "contract": "c2"},  # violated: not consumed
+        ])
+        assert report.deliveries == 9
+        assert self.counters(fleet) == self.delivered(fleet)
+        assert report.unknown_events == fleet.unknown_event_count
+        before = fleet.unknown_event_count
+        fleet.advance("c1", {"a", "zz"})
+        fleet.advance("c2", {"a"})             # violated: not consumed
+        fleet.broadcast({"b", "zz"})
+        assert self.counters(fleet) == self.delivered(fleet)
+        assert fleet.unknown_event_count - before == 4
+        report = fleet.ingest([{"events": ["zz"]}, {"events": []}])
+        assert report.unknown_events == 2
+        assert self.counters(fleet) == self.delivered(fleet)
+
+    def test_a_batch_that_raises_counts_what_it_delivered(self):
+        fleet = self.fleet()
+        with pytest.raises(MonitorError, match="unknown contract 'ghost'"):
+            fleet.ingest([
+                {"events": ["zz"], "contract": "c1"},
+                {"events": ["b", "yy"], "contract": "c3"},
+                {"events": [], "contract": "ghost"},
+                {"events": [], "contract": "c2"},
+            ])
+        assert self.counters(fleet) == self.delivered(fleet) == (2, 3)
+        assert fleet.metrics.counter_value("monitor.batches") == 0
+
+    def test_a_broadcast_that_raises_counts_what_it_delivered(self):
+        fleet = self.fleet(MonitorOptions(strict_vocabulary=True))
+        with pytest.raises(MonitorError):
+            fleet.broadcast({"b"})             # c3's vocabulary lacks b
+        assert self.counters(fleet) == self.delivered(fleet) == (2, 0)
