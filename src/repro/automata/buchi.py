@@ -62,16 +62,17 @@ class BuchiAutomaton:
         self.initial = initial
         self.final = frozenset(final)
         table: dict[State, list[tuple[Label, State]]] = {s: [] for s in self.states}
-        count = 0
         for t in transitions:
             if t.src not in self.states or t.dst not in self.states:
                 raise AutomatonError(f"transition {t} uses unknown state")
             table[t.src].append((t.label, t.dst))
-            count += 1
         if self.initial not in self.states:
             raise AutomatonError(f"initial state {self.initial!r} not a state")
         if not self.final <= self.states:
             raise AutomatonError("final states must be a subset of the states")
+        self._freeze(table)
+
+    def _freeze(self, table: Mapping[State, list[tuple[Label, State]]]) -> None:
         # Freeze per-state transition lists, deterministically ordered.
         # A state's key is taken once, not once per incoming transition:
         # formatting a formula-valued translator state is the expensive
@@ -84,6 +85,14 @@ class BuchiAutomaton:
         self._stats_cache: dict | None = None
 
     # -- construction helpers ------------------------------------------------------
+
+    @classmethod
+    def _of(cls, states, initial, table, final) -> "BuchiAutomaton":
+        """From the ``state -> [(label, dst)]`` table of a valid one."""
+        ba = cls.__new__(cls)
+        ba.states, ba.initial, ba.final = frozenset(states), initial, frozenset(final)
+        ba._freeze(table)
+        return ba
 
     @classmethod
     def make(
@@ -236,16 +245,21 @@ class BuchiAutomaton:
         mapped = {s: mapper(s) for s in self.states}
         if len(set(mapped.values())) != len(mapped):
             raise AutomatonError("state mapper is not injective")
-        return BuchiAutomaton(
-            mapped.values(),
-            mapped[self.initial],
-            [
-                Transition(mapped[src], label, mapped[dst])
-                for src in self.states
-                for label, dst in self._transitions[src]
-            ],
-            [mapped[s] for s in self.final],
-        )
+        return BuchiAutomaton._of(mapped.values(), mapped[self.initial], {
+            mapped[src]: [(label, mapped[dst]) for label, dst in row]
+            for src, row in self._transitions.items()
+        }, [mapped[s] for s in self.final])
+
+    def rename_events(self, mapping: Mapping[str, str]) -> "BuchiAutomaton":
+        """Rename label events through an injective ``mapping``, each
+        label once; :meth:`canonical` then renumbers by the new labels."""
+        relabeled = {label: Label(frozenset(
+            Literal(mapping[lit.event], lit.positive) for lit in label.literals
+        )) for label in set(self.labels())}
+        return BuchiAutomaton._of(self.states, self.initial, {
+            src: [(relabeled[label], dst) for label, dst in row]
+            for src, row in self._transitions.items()
+        }, self.final)
 
     def canonical_numbering(self) -> dict[State, int]:
         """The state -> 0..n-1 renumbering :meth:`canonical` applies: BFS

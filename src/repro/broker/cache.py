@@ -4,10 +4,8 @@ Compiling a query is the fixed per-query cost of the paper's runtime
 module: LTL→BA translation (§3), the query BA's literal set (which keys
 projection selection, §5.2), and the pruning condition extracted by
 Algorithm 1 (§4.1).  None of those depend on the database contents — only
-on the query formula — so a broker serving a repeated workload (every
-``benchmarks/bench_*.py`` sweep, and any production query mix with
-popular queries) should pay them once per *distinct* query, not once per
-call.
+on the query formula — so a broker serving a repeated workload should pay
+them once per *distinct* query, not once per call.
 
 :class:`QueryCompilationCache` is an LRU map from the **normalized**
 formula text to a :class:`CompiledQuery` record.  Normalization reuses
@@ -15,7 +13,13 @@ the translator's own front end — :func:`repro.ltl.rewrite.simplify`
 (NNF + smart-constructor simplification) rendered back through
 :func:`repro.ltl.printer.format_formula` — so syntactically different but
 rewrite-equivalent queries (``F a`` and ``true U a``, say) share one
-entry and one translation.
+entry.  The same ``simplify`` splits the formula (:func:`normalize`)
+into its **shape** — each event replaced by ``_0``, ``_1``, … in order
+of first sight — and the **binding**, the events behind the
+placeholders.  §7.2's pattern queries are a few shapes under many
+bindings, so every miss translates the *shape* once (an LRU of the same
+capacity) and renames that automaton back to its binding: a text's
+automaton never depends on what the cache saw before.
 
 A cache entry is a *prepared query*: besides what the formula alone
 determines, it memoizes — per candidate contract, on the pair's first
@@ -23,7 +27,7 @@ check — the encoding the check runs on and the Definition-7 binding
 (:meth:`CompiledQuery.prepared`), so a warm check is one lookup plus the
 search — over a product whose adjacency the binding keeps from the
 pair's earlier searches (``QueryBinding.successors``).  In front of the
-normalization sits a bounded text → (formula, key) memo
+normalization sits a bounded text → (formula, key, shape, binding) memo
 (:meth:`QueryCompilationCache.parsed`): a repeated query *text* is not
 even tokenized again.
 
@@ -52,7 +56,7 @@ from ..index.pruning import pruning_condition
 from ..ltl.ast import Formula
 from ..ltl.parser import parse
 from ..ltl.printer import format_formula
-from ..ltl.rewrite import simplify
+from ..ltl.rewrite import event_shape, simplify
 
 if TYPE_CHECKING:
     from .contract import Contract
@@ -63,10 +67,43 @@ DEFAULT_CACHE_CAPACITY = 128
 #: Number of chosen query plans kept (LRU).
 PLAN_CACHE_CAPACITY = 256
 
+#: (cache key, event shape, binding): what a miss needs of a formula
+Normalized = tuple[str, Formula, dict[str, str]]
 
-def normalized_query_key(formula: Formula) -> str:
-    """The cache key: the simplified-NNF rendering of ``formula``."""
-    return format_formula(simplify(formula))
+
+def normalize(formula: Formula) -> Normalized:
+    """The cache key of ``formula`` — its simplified-NNF rendering — its
+    event shape and the shape's binding, from one :func:`simplify`."""
+    core = simplify(formula)
+    return (format_formula(core), *event_shape(core))
+
+
+class _LRU(OrderedDict):
+    """An LRU-ordered mapping of at most ``capacity`` entries (``0``
+    stores nothing); its owner holds the lock."""
+
+    def __init__(self, capacity: int):
+        super().__init__()
+        self.capacity = capacity
+
+    def touch(self, key):
+        """``get(key)`` that also makes ``key`` the most recent entry."""
+        value = self.get(key)
+        if value is not None:
+            self.move_to_end(key)
+        return value
+
+    def put(self, key, value) -> int:
+        """Store ``value`` as the most recent entry; returns how many
+        least recent entries were evicted."""
+        if not self.capacity:
+            return 0
+        self[key] = value
+        self.move_to_end(key)
+        evicted = max(len(self) - self.capacity, 0)
+        for _ in range(evicted):
+            self.popitem(last=False)
+        return evicted
 
 
 #: What one permission check runs on: the contract-side encoding (a
@@ -203,6 +240,8 @@ class CacheStats:
     evictions: int
     size: int
     capacity: int
+    #: misses served by the shape memo (always 0 for the plan cache)
+    shape_hits: int = 0
 
     @property
     def requests(self) -> int:
@@ -223,10 +262,10 @@ class QueryCompilationCache:
     """LRU cache of :class:`CompiledQuery` records.
 
     Args:
-        capacity: maximum distinct entries kept; ``0`` disables storage
-            (every request compiles, nothing is retained — the counters
-            still run, so a disabled cache reports a 0% hit rate rather
-            than lying).
+        capacity: maximum distinct entries kept — and texts, and shapes;
+            ``0`` disables storage (every request compiles, nothing is
+            retained — the counters still run, so a disabled cache
+            reports a 0% hit rate rather than lying).
         state_budget: translation state cap, forwarded to
             :func:`repro.automata.ltl2ba.translate`.
     """
@@ -237,70 +276,68 @@ class QueryCompilationCache:
             raise ValueError(f"cache capacity must be >= 0, got {capacity}")
         self.capacity = capacity
         self.state_budget = state_budget
-        self._entries: OrderedDict[str, CompiledQuery] = OrderedDict()
-        #: query text -> (parsed formula, normalized key), LRU, at most
-        #: ``capacity`` texts
-        self._texts: OrderedDict[str, tuple[Formula, str]] = OrderedDict()
+        self._entries = _LRU(capacity)  # key -> CompiledQuery
+        self._texts = _LRU(capacity)  # text -> (formula, Normalized)
+        self._shapes = _LRU(capacity)  # shape -> its BuchiAutomaton
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
         self._evictions = 0
+        self._shape_hits = 0
 
-    def parsed(self, text: str) -> tuple[Formula, str]:
-        """The parsed formula of a query text and its cache key.
+    def parsed(self, text: str) -> tuple[Formula, Normalized]:
+        """The parsed formula and :func:`normalize` triple of a text.
 
         Tokenizing, parsing, simplifying and printing a query only to
         find that its entry is cached cost a tenth of a warm query; both
         results are pure functions of the text, so the last ``capacity``
-        distinct texts keep them.  Pass the key on to :meth:`compile`.
-        The memo has no counters of its own: hits, misses and evictions
-        describe compiled entries.
+        distinct texts keep them.  Pass the triple on to
+        :meth:`compile`.  The memo has no counters of its own: hits,
+        misses and evictions describe compiled entries.
         """
         with self._lock:
-            known = self._texts.get(text)
-            if known is not None:
-                self._texts.move_to_end(text)
-                return known
-        formula = parse(text)
-        known = (formula, normalized_query_key(formula))
-        if self.capacity > 0:
+            known = self._texts.touch(text)
+        if known is None:
+            formula = parse(text)
+            known = (formula, normalize(formula))
             with self._lock:
-                self._texts[text] = known
-                while len(self._texts) > self.capacity:
-                    self._texts.popitem(last=False)
+                self._texts.put(text, known)
         return known
 
-    def compile(self, formula: Formula,
-                key: str | None = None) -> tuple[CompiledQuery, bool]:
+    def compile(self, formula: Formula, normalized: Normalized | None = None
+                ) -> tuple[CompiledQuery, bool]:
         """The compiled record for ``formula`` and whether it was a hit.
-        ``key`` is the formula's :func:`normalized_query_key` when the
+        ``normalized`` is the formula's :func:`normalize` triple when the
         caller already has it (from :meth:`parsed`).
 
-        Translation happens outside the lock (it can take milliseconds);
-        if two threads race to compile the same new query, the first
-        insertion wins and the loser adopts it, so a key never maps to
-        two different automata.
+        A miss renames the automaton of the formula's shape, translated
+        first if the shape memo lacks it (a ``TranslationError`` is never
+        stored).  Translation happens outside the lock (it can take
+        milliseconds); if two threads race to compile the same new
+        query, the first insertion wins and the loser adopts it, so a
+        key never maps to two different automata.
         """
-        if key is None:
-            key = normalized_query_key(formula)
+        key, shape, binding = normalized or normalize(formula)
         with self._lock:
-            entry = self._entries.get(key)
+            entry = self._entries.touch(key)
             if entry is not None:
-                self._entries.move_to_end(key)
                 self._hits += 1
                 return entry, True
             self._misses += 1
-        query_ba = translate(formula, state_budget=self.state_budget)
+            shape_ba = self._shapes.touch(shape)
+            if shape_ba is not None:
+                self._shape_hits += 1
+        if shape_ba is None:
+            shape_ba = translate(shape, state_budget=self.state_budget)
+            with self._lock:
+                self._shapes.put(shape, shape_ba)
+        query_ba = shape_ba.rename_events(binding).canonical()
         entry = CompiledQuery(formula, key, query_ba)
         with self._lock:
             existing = self._entries.get(key)
             if existing is not None:
                 return existing, False
-            if self.capacity > 0:
-                self._entries[key] = entry
-                while len(self._entries) > self.capacity:
-                    self._entries.popitem(last=False)
-                    self._evictions += 1
+            self._evictions += self._entries.put(key, entry)
         return entry, False
 
     def stats(self) -> CacheStats:
@@ -311,6 +348,7 @@ class QueryCompilationCache:
                 evictions=self._evictions,
                 size=len(self._entries),
                 capacity=self.capacity,
+                shape_hits=self._shape_hits,
             )
 
     def clear(self) -> None:
@@ -318,6 +356,7 @@ class QueryCompilationCache:
         with self._lock:
             self._entries.clear()
             self._texts.clear()
+            self._shapes.clear()
 
     def forget_contract(self, contract_id: int) -> None:
         """Drop every entry's prepared memo for a deregistered contract,
@@ -333,8 +372,9 @@ class QueryCompilationCache:
             return len(self._entries)
 
     def __contains__(self, formula: Formula) -> bool:
+        key = normalize(formula)[0]
         with self._lock:
-            return normalized_query_key(formula) in self._entries
+            return key in self._entries
 
 
 class QueryPlanCache:
@@ -352,7 +392,7 @@ class QueryPlanCache:
     capacity = PLAN_CACHE_CAPACITY
 
     def __init__(self):
-        self._entries: OrderedDict = OrderedDict()
+        self._entries = _LRU(self.capacity)
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
@@ -361,21 +401,16 @@ class QueryPlanCache:
     def get(self, key):
         """The cached plan for ``key``, or ``None`` (counts the miss)."""
         with self._lock:
-            plan = self._entries.get(key)
+            plan = self._entries.touch(key)
             if plan is not None:
-                self._entries.move_to_end(key)
                 self._hits += 1
-                return plan
-            self._misses += 1
-            return None
+            else:
+                self._misses += 1
+            return plan
 
     def put(self, key, plan) -> None:
         with self._lock:
-            self._entries[key] = plan
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self._evictions += 1
+            self._evictions += self._entries.put(key, plan)
 
     def stats(self) -> CacheStats:
         with self._lock:

@@ -379,10 +379,10 @@ class ContractDatabase:
         ``(formula, compiled, cache_hit)``.  A repeated query *text* is
         two dict hits: the cache's text memo, then its entry."""
         if isinstance(query, str):
-            formula, key = self._query_cache.parsed(query)
+            formula, normalized = self._query_cache.parsed(query)
         else:
-            formula, key = query, None
-        compiled, cache_hit = self._query_cache.compile(formula, key)
+            formula, normalized = query, None
+        compiled, cache_hit = self._query_cache.compile(formula, normalized)
         return formula, compiled, cache_hit
 
     # -- query evaluation --------------------------------------------------------------
@@ -861,6 +861,7 @@ class ContractDatabase:
             f"query cache: {cache.size}/{cache.capacity} entries, "
             f"{cache.hits} hits / {cache.misses} misses "
             f"({cache.hit_rate:.0%} hit rate), "
+            f"{cache.shape_hits} shape hits, "
             f"{cache.evictions} evictions"
         )
         return header + "\n\n" + self.metrics.render_text()

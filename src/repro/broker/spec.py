@@ -45,6 +45,25 @@ SPEC_OPTION_KEYS = frozenset({
 
 _SPEC_KEYS = frozenset({"query", "filter", "options"})
 
+#: What a document's value for each non-enum option must be: a JSON
+#: ``true``/``false``, a number (never a boolean, never NaN) or an
+#: integer, ``null`` standing for the unbounded default.
+_OPTION_TYPES = {
+    "explain": ("a boolean", lambda v: isinstance(v, bool)),
+    "deadline_seconds": ("a number of seconds or null", lambda v: v is None
+                         or type(v) in (int, float) and v == v),
+    "step_budget": ("an integer or null",
+                    lambda v: v is None or type(v) is int),
+}
+
+
+def _shown(value: Any) -> str:
+    """``repr`` of a scalar, the type name of anything else (a nested
+    document's ``repr`` can be deeper than the stack)."""
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return repr(value)
+    return f"a {type(value).__name__}"
+
 
 @dataclass(frozen=True)
 class QuerySpec:
@@ -75,7 +94,13 @@ class QuerySpec:
             raise BrokerError(
                 "query spec needs a non-empty LTL 'query' string"
             )
-        attribute_filter = AttributeFilter.from_list(doc.get("filter") or [])
+        conditions = doc.get("filter") or []
+        if not isinstance(conditions, (list, tuple)):
+            raise BrokerError(
+                f"query-spec 'filter' must be a list of conditions, got "
+                f"{_shown(conditions)}"
+            )
+        attribute_filter = AttributeFilter.from_list(conditions)
         options = cls._options_from_doc(doc.get("options") or {})
         return cls(query=query, filter=attribute_filter, options=options)
 
@@ -99,14 +124,20 @@ class QuerySpec:
                 "since 1.x are listed in the removed-API tables of "
                 "CHANGELOG.md)"
             )
+        for key, (expected, accepts) in _OPTION_TYPES.items():
+            if key in fields and not accepts(fields[key]):
+                raise BrokerError(
+                    f"query option {key!r} must be {expected}, got "
+                    f"{_shown(fields[key])}"
+                )
         if "degradation" in fields:
             value = fields["degradation"]
             try:
                 fields["degradation"] = Degradation(value)
             except ValueError:
                 raise BrokerError(
-                    f"unknown degradation policy {value!r}; expected one "
-                    f"of {[d.value for d in Degradation]}"
+                    f"unknown degradation policy {_shown(value)}; expected "
+                    f"one of {[d.value for d in Degradation]}"
                 ) from None
         try:
             return QueryOptions(**fields)
@@ -119,9 +150,11 @@ class QuerySpec:
         paths, when PyYAML is available)."""
         path = Path(path)
         try:
-            text = path.read_text()
+            text = path.read_bytes().decode("utf-8")
         except OSError as exc:
             raise BrokerError(f"cannot read query spec {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise BrokerError(f"query spec {path} is not UTF-8: {exc}") from exc
         if path.suffix.lower() in (".yaml", ".yml"):
             try:
                 import yaml
@@ -130,19 +163,19 @@ class QuerySpec:
                     f"cannot load {path}: PyYAML is not installed; use a "
                     "JSON spec instead"
                 ) from None
-            try:
-                doc = yaml.safe_load(text)
-            except yaml.YAMLError as exc:
-                raise BrokerError(
-                    f"malformed YAML query spec {path}: {exc}"
-                ) from exc
+            kind, errors = "YAML", (yaml.YAMLError, ValueError, RecursionError)
+            load = yaml.safe_load
         else:
-            try:
-                doc = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise BrokerError(
-                    f"malformed JSON query spec {path}: {exc}"
-                ) from exc
+            # ValueError: the int-string limit; RecursionError: nesting
+            # deeper than the stack
+            kind, errors = "JSON", (ValueError, RecursionError)
+            load = json.loads
+        try:
+            doc = load(text)
+        except errors as exc:
+            raise BrokerError(
+                f"malformed {kind} query spec {path}: {exc}"
+            ) from exc
         return cls.from_dict(doc)
 
     def to_dict(self) -> dict:

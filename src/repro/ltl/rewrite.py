@@ -238,6 +238,26 @@ def simplify(formula: Formula) -> Formula:
     return nnf(formula)
 
 
+def event_shape(formula: Formula) -> tuple[Formula, dict[str, str]]:
+    """``formula`` with each event renamed ``_0``, ``_1``, … in the order
+    :meth:`~repro.ltl.ast.Formula.walk` first meets it, and the binding
+    placeholder -> event.  ``F(a && F b)`` and ``F(c && F a)`` have one
+    shape, so one automaton serves both, relabeled (``rename_events``)."""
+    placeholders: dict[str, Prop] = {}
+
+    def rename(node: Formula) -> Formula:
+        # pre-order, left operand first: walk()'s order of first sight
+        if isinstance(node, Prop):
+            if node.name not in placeholders:
+                placeholders[node.name] = Prop(f"_{len(placeholders)}")
+            return placeholders[node.name]
+        kids = node.children()
+        return node.with_children(tuple(map(rename, kids))) if kids else node
+
+    shape = rename(formula)
+    return shape, {p.name: event for event, p in placeholders.items()}
+
+
 def is_nnf_core(formula: Formula) -> bool:
     """True iff ``formula`` is already in the NNF core fragment."""
     for node in formula.walk():

@@ -224,6 +224,19 @@ class TestTransforms:
         with pytest.raises(AutomatonError):
             figure_1b().map_states(lambda s: "same")
 
+    def test_rename_events(self):
+        ba = figure_1b()
+        renamed = ba.rename_events({"missedFlight": "m", "refund": "r"})
+        assert renamed.states == ba.states
+        assert renamed.events() == {"m", "r"}
+        assert renamed.accepts(Run.from_events([["m"], ["r"]]))
+        assert not renamed.accepts(Run.from_events([["r"], ["m"]]))
+        # a swap re-sorts the transitions by their new labels
+        swapped = ba.rename_events({"missedFlight": "refund",
+                                    "refund": "missedFlight"})
+        assert swapped.accepts(
+            Run.from_events([["refund"], ["missedFlight"]]))
+
     def test_canonical_renumbers_from_initial(self):
         ba = figure_1b().canonical()
         assert ba.initial == 0

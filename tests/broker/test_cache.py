@@ -1,17 +1,22 @@
 """Tests for the query compilation cache and its database integration."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.automata.encode import SUCCESSOR_TABLE_LIMIT
-from repro.broker.cache import (
-    QueryCompilationCache,
-    normalized_query_key,
-)
+from repro.automata.serialize import automaton_to_dict
+from repro.broker.cache import QueryCompilationCache, normalize
 from repro.broker.database import BrokerConfig, ContractDatabase
 from repro.broker.options import QueryOptions
 from repro.broker.planner import SCAN_PLAN, QueryPlan
+from repro.errors import TranslationError
+from repro.ltl.ast import Prop
 from repro.ltl.parser import parse
+from repro.ltl.semantics import satisfies
 from repro.workload.airfare import all_ticket_specs
+
+from ..strategies import EVENTS, formulas, runs
 
 
 def _db(**config_kwargs) -> ContractDatabase:
@@ -34,9 +39,7 @@ class TestCacheUnit:
 
     def test_normalization_equivalent_queries_share_an_entry(self):
         # F a rewrites to true U a; the two texts must share one entry
-        assert normalized_query_key(parse("F a")) == normalized_query_key(
-            parse("true U a")
-        )
+        assert normalize(parse("F a")) == normalize(parse("true U a"))
         cache = QueryCompilationCache(capacity=4)
         entry, _ = cache.compile(parse("F a"))
         other, hit = cache.compile(parse("true U a"))
@@ -90,6 +93,106 @@ class TestCacheUnit:
         cache.clear()
         assert len(cache) == 0
         assert cache.stats().misses == 1
+
+
+def _renamed(formula, mapping):
+    """``formula`` with its events renamed through ``mapping``."""
+    if isinstance(formula, Prop):
+        return Prop(mapping[formula.name])
+    children = formula.children()
+    if not children:
+        return formula
+    return formula.with_children(
+        tuple(_renamed(child, mapping) for child in children))
+
+
+@pytest.fixture
+def translations(monkeypatch):
+    """Counts the translator calls the compile cache makes."""
+    import repro.broker.cache as cache_module
+
+    return _CallCounter(monkeypatch, cache_module, "translate")
+
+
+class TestShapeMemo:
+    """A miss translates the formula's event *shape* once and renames
+    that automaton for every binding of the shape."""
+
+    #: three patterns over four events, and two of its alpha-variants
+    TEXT = "G(a -> F b) && (!c U a) && F(d && X c)"
+    VARIANTS = ("G(d -> F c) && (!a U d) && F(b && X a)",
+                "G(x -> F y) && (!z U x) && F(w && X z)")
+
+    @given(formula=formulas(max_depth=3),
+           targets=st.permutations(("a", "b", "c", "d", "e")),
+           data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_renamed_automaton_accepts_what_the_formula_does(
+            self, formula, targets, data):
+        renamed = _renamed(formula, dict(zip(EVENTS, targets)))
+        cache = QueryCompilationCache()
+        cache.compile(formula)
+        entry, hit = cache.compile(renamed)
+        # a renaming is never translated again: an equal key hits the
+        # entry, any other key hits the shape
+        assert cache.stats().shape_hits == (0 if hit else 1)
+        for run in data.draw(st.lists(runs(tuple(targets[:3])),
+                                      min_size=1, max_size=4)):
+            assert entry.query_ba.accepts(run) == satisfies(run, renamed)
+
+    @pytest.mark.parametrize("text", (TEXT,) + VARIANTS)
+    def test_automaton_does_not_depend_on_history(self, text):
+        cold, _ = QueryCompilationCache().compile(parse(text))
+        cache = QueryCompilationCache()
+        for other in (self.TEXT,) + self.VARIANTS:
+            if other != text:
+                cache.compile(parse(other))
+        warm, hit = cache.compile(parse(text))
+        assert not hit and cache.stats().shape_hits == 2
+        assert (automaton_to_dict(warm.query_ba, canonicalize=False)
+                == automaton_to_dict(cold.query_ba, canonicalize=False))
+
+    def test_alpha_variants_translate_once(self, translations):
+        cache = QueryCompilationCache()
+        first, _ = cache.compile(parse(self.TEXT))
+        second, hit = cache.compile(parse(self.VARIANTS[0]))
+        assert not hit and second is not first
+        assert translations.calls == 1
+        stats = cache.stats()
+        assert (stats.misses, stats.shape_hits, stats.size) == (2, 1, 2)
+        assert second.query_ba.events() == {"a", "b", "c", "d"}
+
+    def test_budget_error_is_raised_again_and_never_stored(
+            self, translations):
+        text = " && ".join(f"F p{i}" for i in range(8))
+        cache = QueryCompilationCache(state_budget=3)
+        for query in (text, text, text.replace("p", "q")):
+            with pytest.raises(TranslationError):
+                cache.compile(parse(query))
+        assert translations.calls == 3
+        assert len(cache) == 0 and len(cache._shapes) == 0
+        assert cache.stats().shape_hits == 0
+
+    def test_zero_capacity_stores_no_shape(self, translations):
+        cache = QueryCompilationCache(capacity=0)
+        for text in (self.TEXT,) + self.VARIANTS:
+            cache.compile(parse(text))
+        assert translations.calls == 3
+        assert len(cache._shapes) == 0
+        assert cache.stats().shape_hits == 0
+
+    def test_shape_memo_is_bounded_by_capacity(self, translations):
+        cache = QueryCompilationCache(capacity=2)
+        shapes = ["F a", "G a", "a U b", "X a"]
+        for text in shapes:
+            cache.compile(parse(text))
+            assert len(cache._shapes) <= 2
+        # "F a" was the least recently used shape: its variant translates
+        cache.compile(parse("F z"))
+        assert translations.calls == 5
+        cache.compile(parse("X z"))
+        assert translations.calls == 5
+        assert cache.stats().shape_hits == 1
 
 
 class TestDatabaseIntegration:
@@ -169,12 +272,14 @@ class TestDatabaseIntegration:
         db = _db()
         db.query("F refund")
         db.query("F refund")
-        assert db.metrics.counter_value("query.cache.misses") == 1
+        db.query("F dateChange")  # a miss the shape memo serves
+        assert db.metrics.counter_value("query.cache.misses") == 2
         assert db.metrics.counter_value("query.cache.hits") == 1
         snapshot = db.metrics_snapshot()
-        assert snapshot["cache"]["hit_rate"] == pytest.approx(0.5)
+        assert snapshot["cache"]["hit_rate"] == pytest.approx(1 / 3)
+        assert snapshot["cache"]["shape_hits"] == 1
         report = db.metrics_report()
-        assert "hit rate" in report
+        assert "(33% hit rate), 1 shape hits," in report
         assert "query.total_seconds" in report
 
 

@@ -11,7 +11,66 @@ from repro.broker.database import ContractDatabase
 from repro.broker.options import Degradation, QueryOptions
 from repro.broker.relational import AttributeFilter, eq, is_in, le
 from repro.broker.spec import QuerySpec
-from repro.errors import BrokerError
+from repro.errors import BrokerError, ReproError
+
+
+def _spec_bytes(options: str = "", extra: str = "") -> bytes:
+    body = '{"query": "F a"' + extra
+    if options:
+        body += ', "options": {' + options + "}"
+    return (body + "}").encode()
+
+
+def _nested(depth: int) -> str:
+    return "[" * depth + "]" * depth
+
+
+#: (id, file bytes, None when the file loads, else a pattern the
+#: ReproError's message matches)
+HOSTILE_FILES = [
+    ("valid", _spec_bytes('"step_budget": 5, "explain": true'), None),
+    ("valid-nulls", _spec_bytes(
+        '"step_budget": null, "deadline_seconds": null'), None),
+    ("valid-int-deadline", _spec_bytes('"deadline_seconds": 2'), None),
+    ("deep-nesting", _nested(100_000).encode(), "malformed JSON"),
+    ("deep-nesting-in-filter",
+     _spec_bytes(extra=', "filter": ' + _nested(100_000)), "malformed JSON"),
+    ("nesting-just-parsable-in-filter",
+     _spec_bytes(extra=', "filter": [' + _nested(900) + "]"), "filter"),
+    ("nesting-just-parsable-in-option",
+     _spec_bytes('"explain": ' + _nested(900)), "'explain'"),
+    ("huge-integer", _spec_bytes('"step_budget": 1' + "0" * 5_000),
+     "malformed JSON"),
+    ("invalid-utf8", b'{"query": "F \xff"}', "not UTF-8"),
+    ("utf8-bom", b"\xef\xbb\xbf" + _spec_bytes(), "malformed JSON"),
+    ("empty", b"", "malformed JSON"),
+    ("json-null", b"null", "mapping"),
+    ("filter-int", _spec_bytes(extra=', "filter": 5'), "'filter'"),
+    ("filter-string", _spec_bytes(extra=', "filter": "price"'), "'filter'"),
+    ("filter-object", _spec_bytes(extra=', "filter": {"a": 1}'),
+     "'filter'"),
+    ("options-list", _spec_bytes(extra=', "options": [1]'), "'options'"),
+    ("explain-string", _spec_bytes('"explain": "yes"'), "'explain'"),
+    ("explain-null", _spec_bytes('"explain": null'), "'explain'"),
+    ("step-budget-bool", _spec_bytes('"step_budget": true'),
+     "'step_budget'"),
+    ("step-budget-float", _spec_bytes('"step_budget": 1.5'),
+     "'step_budget'"),
+    ("step-budget-zero", _spec_bytes('"step_budget": 0'), "step_budget"),
+    ("deadline-nan", _spec_bytes('"deadline_seconds": NaN'),
+     "'deadline_seconds'"),
+    ("deadline-string", _spec_bytes('"deadline_seconds": "1"'),
+     "'deadline_seconds'"),
+    ("deadline-bool", _spec_bytes('"deadline_seconds": false'),
+     "'deadline_seconds'"),
+    ("deadline-negative", _spec_bytes('"deadline_seconds": -1'),
+     "deadline_seconds"),
+    ("degradation-list", _spec_bytes('"degradation": ["drop"]'),
+     "degradation"),
+    ("yaml-deep-nesting", _nested(100_000).encode(), "malformed YAML"),
+    ("yaml-tab-indent", b"query: F a\noptions:\n\tstep_budget: 3\n",
+     "malformed YAML"),
+]
 
 
 class TestFromDict:
@@ -141,6 +200,24 @@ class TestFiles:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(BrokerError):
             QuerySpec.from_file(path)
+
+    @pytest.mark.parametrize("name, content, outcome", HOSTILE_FILES,
+                             ids=[row[0] for row in HOSTILE_FILES])
+    def test_hostile_bytes_load_or_raise_a_repro_error(
+            self, tmp_path, name, content, outcome):
+        """Every row loads (``outcome`` is ``None``) or raises a
+        ``ReproError`` whose message holds ``outcome``; anything else
+        escapes pytest.raises and fails the row."""
+        path = tmp_path / "spec.json"
+        if name.startswith("yaml"):
+            pytest.importorskip("yaml")
+            path = tmp_path / "spec.yaml"
+        path.write_bytes(content)
+        if outcome is None:
+            assert isinstance(QuerySpec.from_file(path), QuerySpec)
+        else:
+            with pytest.raises(ReproError, match=outcome):
+                QuerySpec.from_file(path)
 
     def test_yaml_file(self, tmp_path):
         yaml = pytest.importorskip("yaml")

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from repro.ltl import ast as A
 from repro.ltl.parser import parse
 from repro.ltl.rewrite import (
+    event_shape,
     is_nnf_core,
     mk_and,
     mk_next,
@@ -139,6 +140,25 @@ class TestNNFShapes:
         assert not is_nnf_core(parse("F p"))
         assert not is_nnf_core(parse("!(p U q)"))
         assert is_nnf_core(parse("p U q"))
+
+
+class TestEventShape:
+    def test_placeholders_follow_first_sight(self):
+        shape, binding = event_shape(nnf(parse("G(b -> F a) && F b")))
+        assert shape == nnf(parse("G(_0 -> F _1) && F _0"))
+        assert binding == {"_0": "b", "_1": "a"}
+
+    def test_alpha_variants_share_a_shape(self):
+        one = event_shape(nnf(parse("a U (b R !a)")))
+        other = event_shape(nnf(parse("q U (p R !q)")))
+        assert one[0] == other[0]
+        assert one[1] == {"_0": "a", "_1": "b"}
+        assert other[1] == {"_0": "q", "_1": "p"}
+        # the same events in another arrangement are another shape
+        assert event_shape(nnf(parse("a U (b R !b)")))[0] != one[0]
+
+    def test_constants_have_no_binding(self):
+        assert event_shape(A.TRUE) == (A.TRUE, {})
 
 
 class TestEquivalence:
