@@ -50,7 +50,7 @@ def test_ablation_pruning_grade(benchmark, datasets, bench_sizes,
                 condition = extractor(query)
                 extract_time += time.perf_counter() - start
                 selected = db.index.evaluate(condition)
-                encoded_query = encode_automaton(query)
+                encoded_query = encode_automaton(query, table=db.event_table)
                 exact = {
                     c.contract_id
                     for c in db.contracts()

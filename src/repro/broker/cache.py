@@ -107,9 +107,9 @@ class _LRU(OrderedDict):
 
 
 #: What one permission check runs on: the contract-side encoding (a
-#: projection quotient's or the contract's own), its §6.2.4 seed mask
-#: and the query's Definition-7 binding to it.
-PreparedCheck = tuple[EncodedAutomaton, int, QueryBinding]
+#: projection quotient's or the contract's own), its §6.2.4 seed mask,
+#: the query's Definition-7 binding to it and the query's encoding.
+PreparedCheck = tuple[EncodedAutomaton, int, QueryBinding, EncodedAutomaton]
 
 
 class CompiledQuery:
@@ -162,27 +162,18 @@ class CompiledQuery:
             text = self._condition_text = str(self.condition)
         return text
 
-    @property
-    def encoded_query(self) -> EncodedAutomaton:
-        """The flat int encoding of the query BA (computed on first use,
-        same benign-race pattern as :attr:`condition`).  Encoded over the
-        query's own events; :meth:`prepared` rebases it onto each
-        contract's vocabulary
-        (:func:`repro.automata.encode.bind_query`)."""
-        encoded = self._encoded
-        if encoded is None:
-            encoded = self._encoded = encode_automaton(self.query_ba)
-        return encoded
-
     def prepared(self, contract: "Contract",
                  use_projections: bool) -> PreparedCheck:
         """What checking ``contract`` against this query runs on: the
         encoding of the smallest applicable projection quotient (the
         contract-level encoding when ``use_projections`` is off, the
         contract has no store, or nothing smaller is stored), its seed
-        mask, and the query's binding to that encoding.
+        mask, the query's binding to that encoding, and the query
+        encoding the binding was built from — re-encoded over the
+        table when the last one does not bind to this contract
+        (:meth:`~repro.automata.encode.EncodedAutomaton.binds_to`).
 
-        All three depend only on the (query, contract) pair, so they are
+        All four depend only on the (query, contract) pair, so they are
         computed on the pair's first check and memoized *on this cache
         entry* — the memo is bounded by the compile cache's capacity
         times the candidates a query meets, and dies with the entry on
@@ -212,7 +203,11 @@ class CompiledQuery:
         if encoded is None:
             encoded = contract.encoded
             seeds_mask = contract.encoded_seeds_mask
-        check = (encoded, seeds_mask, bind_query(encoded, self.encoded_query))
+        query = self._encoded
+        if query is None or not query.binds_to(encoded):
+            query = self._encoded = encode_automaton(self.query_ba,
+                                                     table=encoded.table)
+        check = (encoded, seeds_mask, bind_query(encoded, query), query)
         memo[contract.contract_id] = (contract, generation, check)
         return check
 

@@ -33,7 +33,7 @@ import time
 from dataclasses import dataclass, fields
 from typing import AbstractSet, Any, Iterator, Mapping, Sequence
 
-from ..automata.encode import encode_automaton
+from ..automata.encode import EventTable, encode_automaton
 from ..automata.ltl2ba import DEFAULT_STATE_BUDGET, translate
 from ..core.budget import Deadline, ExecutionBudget, StepBudget
 from ..core.rwlock import RWLock
@@ -180,7 +180,9 @@ class ContractDatabase:
         self.vocabulary = vocabulary
         self._contracts: dict[int, Contract] = {}
         self._next_id = 0
-        self._index = PrefilterIndex(depth=self.config.prefilter_depth)
+        #: event -> bit for every encoding, trie node and monitor here
+        self.event_table = EventTable()
+        self._index = PrefilterIndex(self.config.prefilter_depth, self.event_table)
         self.registration_stats = RegistrationStats()
         self._query_cache = QueryCompilationCache(
             capacity=self.config.query_cache_capacity,
@@ -278,9 +280,9 @@ class ContractDatabase:
 
         start = time.perf_counter()
         encoded = (
-            prebuilt.encoded
+            prebuilt.encoded.rebased(self.event_table, join=True)
             if prebuilt.encoded is not None
-            else encode_automaton(ba, spec.vocabulary)
+            else encode_automaton(ba, spec.vocabulary, self.event_table)
         )
         encoded_seeds_mask = encoded.state_mask(seeds)
         encode_seconds = time.perf_counter() - start
@@ -290,18 +292,14 @@ class ContractDatabase:
         if self.config.use_projections:
             if prebuilt.projections is not None:
                 projections = prebuilt.projections
-                # prebuilt stores (process pool, snapshot restore) know
-                # only the BA's own events; quotients must be encoded
-                # over the spec's full vocabulary
-                projections.set_vocabulary(spec.vocabulary)
             else:
                 start = time.perf_counter()
                 projections = ProjectionStore(
-                    ba,
-                    max_subset_size=self.config.projection_subset_cap,
-                    vocabulary=spec.vocabulary,
+                    ba, max_subset_size=self.config.projection_subset_cap
                 )
                 projection_seconds = time.perf_counter() - start
+            # quotients are encoded over the spec's vocabulary, in our table
+            projections.set_vocabulary(spec.vocabulary, self.event_table)
 
         with self._rwlock.write():
             contract_id = self._next_id
@@ -682,7 +680,7 @@ class ContractDatabase:
             return Verdict.SKIPPED, 0.0, 0.0
 
         start = time.perf_counter()
-        encoded, seeds_mask, binding = compiled.prepared(
+        encoded, seeds_mask, binding, query = compiled.prepared(
             contract, projections_on
         )
         selection_seconds = time.perf_counter() - start
@@ -691,7 +689,7 @@ class ContractDatabase:
         try:
             outcome = permits_encoded(
                 encoded,
-                compiled.encoded_query,
+                query,
                 binding,
                 seeds_mask=seeds_mask,
                 budget=budget,

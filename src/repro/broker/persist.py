@@ -17,11 +17,14 @@ provides the library equivalent: a database directory holding
 * ``projections.json`` — each contract's deduplicated bisimulation
   partitions and subset -> partition map (§5.2);
 * ``index.json``       — the §4 prefilter set-trie with its contract
-  sets, contract ids renumbered to dense save-order positions;
-* ``stats.json``       — the planner's database statistics (attribute
-  value histograms, cardinality aggregates).  Loading re-registers
-  every contract, which rebuilds the statistics exactly; the artifact
-  is a consistency check on that rebuild, never a substitute for it.
+  sets, contract ids renumbered to dense save-order positions.
+
+No file names an in-memory event bit (``encoded.json`` numbers events
+by the sorted vocabulary, ``index.json`` writes literal texts): loading
+fills the database's event table in registration order, rebases each
+restored encoding into it and parses the index last.  The planner's
+statistics are not stored — re-registering rebuilds them exactly (a
+pre-11.0 snapshot's ``stats.json`` is ignored).
 
 The §7.4 experiments show registration-side cost (translation, index
 building, all-subsets partitioning) dominating query cost, so the v2
@@ -75,7 +78,6 @@ _SEEDS_FILE = "seeds.json"
 _ENCODED_FILE = "encoded.json"
 _PROJECTIONS_FILE = "projections.json"
 _INDEX_FILE = "index.json"
-_STATS_FILE = "stats.json"
 _FORMAT_VERSION = 2
 
 
@@ -94,9 +96,6 @@ class LoadReport:
     encoded_restored: int = 0
     projections_restored: int = 0
     index_restored: bool = False
-    #: true when ``stats.json`` agreed with the statistics rebuilt during
-    #: registration (the rebuilt values are authoritative either way)
-    stats_restored: bool = False
     #: names of contracts whose stored automaton was missing or stale and
     #: were re-translated from their clauses
     retranslated: list = field(default_factory=list)
@@ -224,7 +223,6 @@ def _save_locked(db: ContractDatabase, directory: Path, journal) -> Path:
         (_ENCODED_FILE, encoded_docs),
         (_PROJECTIONS_FILE, projection_docs),
         (_INDEX_FILE, db.index.to_dict(id_map)),
-        (_STATS_FILE, db.statistics.to_dict()),
     ]
     for filename, payload in payloads:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -365,9 +363,8 @@ def _stored_seeds(doc, ba) -> frozenset:
 
 def _stored_encoding(doc, ba, spec: ContractSpec) -> EncodedAutomaton:
     encoded = EncodedAutomaton.from_dict(ba, doc)
-    # The encoding's event index *is* the admissibility check of
-    # Definition 7, so a stale vocabulary would silently change
-    # verdicts — reject it.
+    # Its vocabulary *is* Definition 7's admissibility check, so a stale
+    # one would silently change verdicts — reject it.
     if encoded.events != tuple(sorted(spec.vocabulary)):
         raise BrokerError("vocabulary differs from the specification")
     return encoded
@@ -422,23 +419,6 @@ def load_database(
             directory, _PROJECTIONS_FILE, checksums, report
         )
     index_doc = _read_artifact(directory, _INDEX_FILE, checksums, report)
-    index = None
-    if index_doc is not None:
-        try:
-            index = PrefilterIndex.from_dict(index_doc)
-            # loading numbers the contracts 0, 1, … in manifest order
-            if index.universe != frozenset(range(len(manifest.contracts))):
-                raise IndexError_("contract ids do not match the manifest")
-        except IndexError_ as exc:
-            report.warnings.append(
-                f"{_INDEX_FILE}: invalid ({exc}); rebuilding"
-            )
-            index = None
-    # Adopt the index snapshot wholesale only when its depth matches the
-    # effective configuration; otherwise insert per contract as usual.
-    restore_index = (
-        index is not None and index.depth == config.prefilter_depth
-    )
 
     def stored(filename, docs, fallback, build, *context):
         """One rung of the fallback ladder, for the contract at hand
@@ -495,34 +475,34 @@ def load_database(
             prebuilt=PrebuiltArtifacts(
                 ba=ba, seeds=seeds, projections=projections, encoded=encoded
             ),
-            update_index=not restore_index,
+            update_index=False,
         )
-        if restore_index and ba is None:
+        if ba is None:
             retranslated.append(contract)
 
-    if restore_index:
-        # A re-translated BA may label differently from the snapshot,
-        # so its index entries are refreshed in place.
+    # The index goes in last, into the event table the registrations
+    # filled: adopted if it is of the configured depth (a re-translated
+    # BA's entries refreshed), else every contract is inserted afresh.
+    index = None
+    if index_doc is not None:
+        try:
+            index = PrefilterIndex.from_dict(index_doc, db.event_table)
+            # loading numbers the contracts 0, 1, … in manifest order
+            if index.universe != frozenset(range(len(manifest.contracts))):
+                raise IndexError_("contract ids do not match the manifest")
+        except IndexError_ as exc:
+            report.warnings.append(f"{_INDEX_FILE}: invalid ({exc}); rebuilding")
+            index = None
+    if index is not None and index.depth == config.prefilter_depth:
         for contract in retranslated:
             index.remove_contract(contract.contract_id)
-            index.add_contract(
-                contract.contract_id, contract.ba, contract.vocabulary
-            )
-        db.adopt_index(index)
         report.index_restored = True
-
-    # Registration above rebuilt the statistics from scratch; the stored
-    # snapshot only corroborates them.  On disagreement the rebuilt
-    # values win — plans must reflect the database actually loaded.
-    stats_doc = _read_artifact(directory, _STATS_FILE, checksums, report)
-    if stats_doc is not None:
-        if db.statistics.matches_snapshot(stats_doc):
-            report.stats_restored = True
-        else:
-            report.warnings.append(
-                f"{_STATS_FILE}: disagrees with the statistics rebuilt "
-                "from the specifications; keeping the rebuilt values"
-            )
+    else:
+        index, retranslated = db.index, db.contracts()
+    for contract in retranslated:
+        index.add_contract(contract.contract_id, contract.ba, contract.vocabulary)
+    if report.index_restored:
+        db.adopt_index(index)
 
     report.contracts = len(db)
     report.load_seconds = time.perf_counter() - start

@@ -19,11 +19,10 @@ back to
 time, never answers — so a stale or approximate histogram can never
 produce a wrong query result.
 
-The whole object serializes (:meth:`DatabaseStatistics.to_dict`) into
-the snapshot's ``stats.json`` artifact; on load the database rebuilds
-the statistics naturally by re-registering every contract, and the
-artifact is used to *verify* the rebuild (checksum-style), falling back
-to the rebuilt values with a warning when absent or inconsistent.
+The whole object renders as a JSON-able document
+(:meth:`DatabaseStatistics.to_dict`) for introspection; nothing persists
+it — loading a snapshot re-registers every contract, which rebuilds the
+statistics exactly.
 """
 
 from __future__ import annotations
@@ -178,7 +177,7 @@ class AttributeStatistics:
             selectivity *= self.estimate_condition(condition)
         return selectivity
 
-    # -- persistence -----------------------------------------------------------------
+    # -- introspection ---------------------------------------------------------------
 
     def to_dict(self) -> dict:
         attributes = {}
@@ -198,20 +197,6 @@ class AttributeStatistics:
                 "values": values,
             }
         return {"contracts": self.contracts, "attributes": attributes}
-
-    @classmethod
-    def from_dict(cls, doc: Mapping[str, Any]) -> "AttributeStatistics":
-        stats = cls()
-        stats.contracts = int(doc.get("contracts", 0))
-        for attribute, entry in dict(doc.get("attributes") or {}).items():
-            stat = _AttributeStat(
-                present=int(entry.get("present", 0)),
-                other=int(entry.get("other", 0)),
-            )
-            for value, count in entry.get("values") or []:
-                stat.values[value] = int(count)
-            stats._stats[attribute] = stat
-        return stats
 
 
 class DatabaseStatistics:
@@ -275,10 +260,10 @@ class DatabaseStatistics:
             return self.avg_states
         return self.total_min_blocks / self.projection_stores
 
-    # -- persistence -----------------------------------------------------------------
+    # -- introspection ---------------------------------------------------------------
 
     def to_dict(self) -> dict:
-        """The JSON-able snapshot form (``version`` is deliberately
+        """The JSON-able form (``version`` is deliberately
         excluded — it is a session-local mutation counter, meaningless
         across processes)."""
         return {
@@ -289,26 +274,3 @@ class DatabaseStatistics:
             "total_min_blocks": self.total_min_blocks,
             "attributes": self.attributes.to_dict(),
         }
-
-    @classmethod
-    def from_dict(cls, doc: Mapping[str, Any]) -> "DatabaseStatistics":
-        stats = cls()
-        stats.contracts = int(doc.get("contracts", 0))
-        stats.total_states = int(doc.get("total_states", 0))
-        stats.total_transitions = int(doc.get("total_transitions", 0))
-        stats.projection_stores = int(doc.get("projection_stores", 0))
-        stats.total_min_blocks = int(doc.get("total_min_blocks", 0))
-        stats.attributes = AttributeStatistics.from_dict(
-            doc.get("attributes") or {}
-        )
-        return stats
-
-    def matches_snapshot(self, doc: Mapping[str, Any]) -> bool:
-        """Whether a persisted snapshot agrees with these (rebuilt)
-        statistics — the load-time consistency check.  A document of
-        any other shape than :meth:`to_dict` writes disagrees."""
-        try:
-            stored = DatabaseStatistics.from_dict(doc)
-        except (AttributeError, TypeError, ValueError):
-            return False
-        return self.to_dict() == stored.to_dict()

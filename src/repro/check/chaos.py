@@ -150,9 +150,9 @@ def _drill(name, fn) -> DrillResult:
     )
 
 
-#: Snapshot writes per save: automata, seeds, projections, index, then
-#: the manifest last.
-_ARTIFACT_WRITES = 5
+#: Snapshot writes per save: automata, seeds, encodings, projections,
+#: index, then the manifest last.
+_ARTIFACT_WRITES = 6
 
 
 def _persist_crash_drill(contracts: int = 4):

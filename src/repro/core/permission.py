@@ -184,7 +184,8 @@ def permits_encoded(
 
     Args:
         contract: the encoded contract BA (over its full vocabulary).
-        query: the encoded query BA (over its own events).
+        query: the encoded query BA (over its own events, in the
+            contract's event table).
         binding: precomputed :func:`repro.automata.encode.bind_query`
             table; computed on the fly when omitted.  The search reads
             the product's adjacency from ``binding.successors`` and
@@ -322,7 +323,7 @@ def permits(
     The remaining arguments are :func:`permits_encoded`'s.
     """
     encoded = encode_automaton(contract, vocabulary)
-    encoded_query = encode_automaton(query)
+    encoded_query = encode_automaton(query, table=encoded.table)
     return permits_encoded(
         encoded,
         encoded_query,
@@ -395,7 +396,7 @@ def find_witness(
     encoded = encode_automaton(
         contract, contract.events() if vocabulary is None else vocabulary
     )
-    encoded_query = encode_automaton(query)
+    encoded_query = encode_automaton(query, table=encoded.table)
     binding = bind_query(encoded, encoded_query)
     nq = encoded_query.num_states
     start = encoded.initial * nq + encoded_query.initial

@@ -493,33 +493,6 @@ class DistributedDatabase:
                 f"no shard {shard} in a {len(self.addresses)}-shard cluster"
             )
 
-    def check_health(self, *, timeout: float = 5.0) -> list[dict]:
-        """Probe every shard with a ``status`` RPC (through the breaker
-        and retry machinery, so the health state updates) and report
-        one document per shard."""
-        async def one(shard: int) -> dict:
-            doc: dict = {
-                "shard": shard,
-                "address": list(self.addresses[shard]),
-            }
-            try:
-                status = await self._call(
-                    shard, {"op": "status"}, timeout=timeout
-                )
-            except DistError as exc:
-                doc.update(healthy=False, error=str(exc))
-            else:
-                doc.update(
-                    healthy=True,
-                    contracts=status.get("contracts"),
-                    journal=status.get("journal"),
-                )
-            doc["breaker"] = self.health[shard].to_dict()
-            return doc
-
-        with self._turn:
-            return self._run(self._every_shard(one))
-
     # -- mutations (routed to one shard) ----------------------------------------------
 
     def register(self, name, clauses=None, attributes=None) -> RoutedContract:
@@ -796,11 +769,3 @@ class DistributedDatabase:
                 "contracts": len(self._catalog),
                 "addresses": [list(a) for a in self.addresses],
             }
-
-    def save_all(self) -> list[dict]:
-        """Snapshot + compact every shard that has a directory."""
-        async def one(shard: int):
-            return await self._call(shard, {"op": "save"})
-
-        with self._turn:
-            return self._run(self._every_shard(one))

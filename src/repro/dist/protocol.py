@@ -67,10 +67,12 @@ def encode_frame(doc: Mapping[str, Any]) -> bytes:
 
 
 def decode_payload(payload: bytes) -> dict:
-    """Parse a frame payload back into a message dict."""
+    """Parse a frame payload back into a message dict; any bytes that
+    are not one JSON object — invalid UTF-8, a BOM, nesting too deep to
+    parse, an integer too long to convert — are a :class:`ProtocolError`."""
     try:
         doc = json.loads(payload.decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # incl. JSON/Unicode errors
         raise ProtocolError(f"malformed frame payload: {exc}") from exc
     if not isinstance(doc, dict):
         raise ProtocolError(

@@ -2,9 +2,10 @@
 
 At registration the index computes, for every transition label ``γ`` of
 the contract's BA, the expansion ``E(γ)`` with respect to the contract's
-vocabulary — as a bitmask, see :mod:`.trie` — and inserts the contract
-id, once, into every depth-capped set-trie node whose literal set some
-expansion contains.  At query time the pruning condition extracted from
+vocabulary — as a bitmask over the database's event table, see
+:mod:`.trie` — and inserts the contract id, once, into every
+depth-capped set-trie node whose literal set some expansion contains.
+At query time the pruning condition extracted from
 the query BA (Algorithm 1) is evaluated against
 :meth:`PrefilterIndex.lookup`, yielding a candidate set that provably
 contains every permitting contract — the expensive permission algorithm
@@ -23,6 +24,7 @@ from itertools import combinations, islice
 from math import comb
 
 from ..automata.buchi import BuchiAutomaton
+from ..automata.encode import EventTable, _iter_bits
 from ..automata.labels import Label
 from ..errors import IndexError_
 from .condition import Condition
@@ -53,10 +55,12 @@ class PrefilterIndex:
             the number of consistent literal sets of size ≤ ``k`` over
             the vocabulary, so small values (2–3) are the practical
             choice.
+        table: the event table literal bits come from (the database's);
+            a fresh one when omitted.
     """
 
-    def __init__(self, depth: int = 2):
-        self._trie = SetTrie(depth=depth)
+    def __init__(self, depth: int = 2, table: EventTable | None = None):
+        self._trie = SetTrie(depth=depth, table=table)
         self._contracts: set[int] = set()
         self.stats = PrefilterStats()
 
@@ -82,8 +86,11 @@ class PrefilterIndex:
             raise IndexError_(f"contract {contract_id} already indexed")
         self._contracts.add(contract_id)
         self.stats.contracts += 1
+        trie = self._trie
+        vocabulary_mask = trie.table.intern(vocabulary)  # once per contract
+        full = sum(3 << 2 * i for i in _iter_bits(vocabulary_mask))
         masks = {
-            self._trie.expansion_mask(label.literals, vocabulary)
+            trie.expansion_mask(label.literals, full)
             for label in set(ba.labels())
         }
         touched = self._trie.insert_masks(masks, contract_id)
@@ -234,13 +241,14 @@ class PrefilterIndex:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "PrefilterIndex":
-        """Inverse of :meth:`to_dict`; raises :class:`IndexError_` on a
-        malformed document."""
+    def from_dict(cls, data: dict, table: EventTable | None = None
+                  ) -> "PrefilterIndex":
+        """Inverse of :meth:`to_dict`, over ``table`` (a fresh one when
+        omitted); raises :class:`IndexError_` on a malformed document."""
         try:
             declared_depth = int(data["depth"])
             index = cls(depth=declared_depth)
-            index._trie = SetTrie.from_dict(data["trie"])
+            index._trie = SetTrie.from_dict(data["trie"], table)
             index._contracts = {int(c) for c in data["contracts"]}
             stats = dict(data.get("stats", {}))
             index.stats = PrefilterStats(

@@ -8,15 +8,16 @@ exponentially in the vocabulary).  A node labeled ``l`` is associated
 with the set of contracts owning a transition label ``γ`` whose
 expansion ``E(γ)`` contains ``l``.
 
-A literal set is an integer here: an event is given two adjacent bits
-when an insert first mentions it, the negative literal on the even one,
-so a set holds a complementary pair iff ``m & (m >> 1)`` has an even
-bit.  A node's key determines it uniquely, so the DAG is one dictionary
-from mask to contract set and its edges are arithmetic: a node's parents
-are its mask with one bit cleared.  Contradictory nodes are never
-created: no satisfiable query label can ever look them up.  ``Literal``
-objects and literal texts appear only at the boundary (``get``,
-``insert_expansion``, the JSON document).
+A literal set is an integer over the database's
+:class:`~repro.automata.encode.EventTable`: the event at position ``i``
+has its negative literal on bit ``2i`` and its positive one on bit
+``2i + 1``, so a set holds a complementary pair iff ``m & (m >> 1)`` has
+an even bit.  A node's key determines it uniquely, so the DAG is one
+dictionary from mask to contract set and its edges are arithmetic: a
+node's parents are its mask with one bit cleared.  Contradictory nodes
+are never created: no satisfiable query label can ever look them up.
+``Literal`` objects and literal texts appear only at the boundary
+(``get``, ``insert_expansion``, the JSON document).
 
 Node sets are downward closed — a contract stored under ``S`` is stored
 under every subset of ``S`` — because an insert stores under every
@@ -30,8 +31,8 @@ from itertools import combinations
 from typing import AbstractSet, Iterable
 
 from ..errors import IndexError_
-from ..automata.encode import _iter_bits
-from ..automata.labels import Literal, parse_literal
+from ..automata.encode import EventTable, _iter_bits
+from ..automata.labels import Label, Literal, parse_literal
 
 
 class SetTrie:
@@ -39,44 +40,38 @@ class SetTrie:
 
     Args:
         depth: maximum node label size ``k`` (≥ 1).
+        table: the event table literal bits come from; a fresh one when
+            omitted.
     """
 
-    def __init__(self, depth: int = 2):
+    def __init__(self, depth: int = 2, table: EventTable | None = None):
         if depth < 1:
             raise IndexError_(f"trie depth must be >= 1, got {depth}")
         self.depth = depth
-        #: event -> the bit of its negative literal; bit position -> literal
-        self._event_bits: dict[str, int] = {}
-        self._literals: list[Literal] = []
-        self._even = 0  # every negative-literal bit in use
+        self.table = EventTable() if table is None else table
         self._nodes: dict[int, set[int]] = {0: set()}
 
     # -- the bit vocabulary --------------------------------------------------
 
-    def _intern(self, event: str) -> int:
-        low = self._event_bits.get(event)
-        if low is None:
-            low = self._event_bits[event] = 1 << len(self._literals)
-            self._literals += (Literal(event, False), Literal(event, True))
-            self._even |= low
-        return low
-
-    def expansion_mask(self, literals: Iterable[Literal],
-                       vocabulary: Iterable[str] = ()) -> int:
-        """``E(γ)`` as a mask (§4.2): both literals of every vocabulary
-        event, without the complements of the label's own literals, plus
-        those literals (without a vocabulary: the literals' own mask).
-        Assigns bits to events not seen before."""
-        own = full = 0
+    def expansion_mask(self, literals: Iterable[Literal], full: int = 0) -> int:
+        """``E(γ)`` as a mask (§4.2): the literals of ``full`` (a
+        vocabulary's, both polarities) but those on the label's own
+        events, plus the label's literals.  Adds events the table lacks."""
+        own = cited = 0
+        table = self.table
         for literal in literals:
-            own |= self._intern(literal.event) << literal.positive
-        for event in vocabulary:
-            full |= 3 * self._intern(event)
-        even = self._even
-        return full & ~((own & even) << 1 | (own >> 1) & even) | own
+            if literal.event not in table:
+                table.intern((literal.event,))
+            low = 2 * table[literal.event]
+            own |= 1 << low + literal.positive
+            cited |= 3 << low
+        return full & ~cited | own
 
     def _key(self, mask: int) -> tuple[Literal, ...]:
-        return tuple(sorted(self._literals[i] for i in _iter_bits(mask)))
+        events = self.table.events
+        return tuple(sorted(
+            Literal(events[i >> 1], bool(i & 1)) for i in _iter_bits(mask)
+        ))
 
     # -- construction ---------------------------------------------------------
 
@@ -87,7 +82,7 @@ class SetTrie:
         subsets are the other's) and a shared subset is touched once."""
         masks = set(masks)
         subsets = {0} if masks else set()
-        even = self._even
+        even = ((1 << 2 * len(self.table)) - 1) // 3  # negative literals
         for mask in masks:
             if any(mask != other and mask & other == mask for other in masks):
                 continue
@@ -128,11 +123,11 @@ class SetTrie:
                 f"exact lookup of {len(literals)} literals exceeds depth "
                 f"{self.depth}"
             )
-        # a lookup never interns: an unknown event gets bits no node has
-        unknown = 1 << len(self._literals)
+        # a lookup never grows the table: an unknown event's bits are in no node
+        table, unknown = self.table, len(self.table)
         mask = 0
         for lit in literals:
-            mask |= self._event_bits.get(lit.event, unknown) << lit.positive
+            mask |= 1 << 2 * table.get(lit.event, unknown) + lit.positive
         return self._nodes.get(mask, frozenset())
 
     def get(self, literals: Iterable[Literal]) -> frozenset[int]:
@@ -161,17 +156,18 @@ class SetTrie:
         return {"depth": self.depth, "nodes": nodes}
 
     @classmethod
-    def from_dict(cls, data: dict) -> "SetTrie":
-        """Inverse of :meth:`to_dict`; raises :class:`IndexError_` on a
-        document it cannot have written — malformed, a key over-deep or
-        contradictory, a node set not inside each parent's (removal
-        relies on that).  The persistence layer then rebuilds."""
+    def from_dict(cls, data: dict, table: EventTable | None = None) -> "SetTrie":
+        """Inverse of :meth:`to_dict`, over ``table`` (a fresh one when
+        omitted); raises :class:`IndexError_` on a document it cannot
+        have written — malformed, a key over-deep or contradictory, a
+        node set not inside each parent's (removal relies on that).  The
+        persistence layer then rebuilds."""
         try:
-            trie = cls(depth=int(data["depth"]))
+            trie = cls(depth=int(data["depth"]), table=table)
             for doc in data["nodes"]:
                 key = [parse_literal(s) for s in doc["key"]]
                 mask = trie.expansion_mask(key)
-                if len(key) > trie.depth or mask & (mask >> 1) & trie._even:
+                if len(key) > trie.depth or Label.try_of(key) is None:
                     raise IndexError_(
                         f"trie node {doc['key']} exceeds depth {trie.depth} "
                         f"or holds a complementary pair"

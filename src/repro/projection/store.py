@@ -39,7 +39,7 @@ from ..automata.bisim import (
     refine_partition,
 )
 from ..automata.buchi import BuchiAutomaton
-from ..automata.encode import EncodedAutomaton, encode_automaton
+from ..automata.encode import EncodedAutomaton, EventTable, encode_automaton
 from ..automata.labels import Literal, parse_literal
 from ..core.seeds import compute_seeds
 from ..errors import ProjectionError
@@ -71,7 +71,7 @@ class _FlatAutomaton:
     def __init__(self, ba: BuchiAutomaton):
         encoded = encode_automaton(ba)
         self.states = encoded.states
-        self.event_index = encoded.event_index
+        self.table = encoded.table
         self.label_masks = tuple(zip(encoded.label_pos, encoded.label_neg))
         self.final = [
             encoded.is_final(i) for i in range(encoded.num_states)
@@ -88,13 +88,8 @@ class _FlatAutomaton:
         """The rows of ``π_subset``: every label class masked down to the
         subset's literals (Definition 8), equal restrictions sharing one
         id, transitions the restriction made equal merged."""
-        keep_pos = keep_neg = 0
-        for literal in subset:
-            bit = 1 << self.event_index[literal.event]
-            if literal.positive:
-                keep_pos |= bit
-            else:
-                keep_neg |= bit
+        keep_pos = self.table.mask([l.event for l in subset if l.positive])
+        keep_neg = self.table.mask([l.event for l in subset if not l.positive])
         restricted: dict[tuple[int, int], int] = {}
         class_of = [
             restricted.setdefault(
@@ -123,7 +118,8 @@ class ProjectionStore:
             (:meth:`select_artifacts`).  Defaults to the events the BA's
             labels mention; the broker assigns the spec's vocabulary to
             stores built without one (process-pool workers, snapshot
-            restore) at registration (:meth:`set_vocabulary`).
+            restore) at registration (:meth:`set_vocabulary`), along
+            with its event table.
     """
 
     def __init__(
@@ -137,6 +133,7 @@ class ProjectionStore:
         self.literals = ba.literals()
         self.max_subset_size = max_subset_size
         self.vocabulary = vocabulary if vocabulary is not None else ba.events()
+        self.table: EventTable | None = None  # None: a fresh one each
         self._extra_subsets = [
             frozenset(s) & self.literals for s in extra_subsets
         ]
@@ -311,6 +308,7 @@ class ProjectionStore:
         store.ba = ba
         store.literals = ba.literals()
         store.vocabulary = ba.events()
+        store.table = None
         store._extra_subsets = []
         store._quotients = {}
         store.generation = 0
@@ -361,11 +359,14 @@ class ProjectionStore:
             store._subset_to_partition[subset] = partition_id
         return store
 
-    def set_vocabulary(self, vocabulary: frozenset) -> None:
-        """Encode quotients over ``vocabulary`` from now on (dropping any
-        quotient materialized under a different one)."""
-        if vocabulary != self.vocabulary:
+    def set_vocabulary(self, vocabulary: frozenset,
+                       table: EventTable | None = None) -> None:
+        """Encode quotients over ``vocabulary`` (in ``table`` when given)
+        from now on, dropping any quotient materialized otherwise."""
+        table = self.table if table is None else table
+        if vocabulary != self.vocabulary or table is not self.table:
             self.vocabulary = vocabulary
+            self.table = table
             self._quotients.clear()
             self.generation += 1
 
@@ -431,7 +432,7 @@ class ProjectionStore:
             ba = quotient(
                 project(self.ba, subset), self._partitions[partition_id]
             )
-            encoded = encode_automaton(ba, self.vocabulary)
+            encoded = encode_automaton(ba, self.vocabulary, self.table)
             record = (ba, encoded, encoded.state_mask(compute_seeds(ba)))
             self._quotients[key] = record
         return record

@@ -5,11 +5,11 @@ happens on machine integers:
 
 * the **frontier** (the set of automaton states consistent with the
   observed history, live states only) is one packed int;
-* a snapshot is interned once into a vocabulary bitmask, the mask into
-  the bitset of *satisfied label classes*, and that bitset into a
-  per-state table of combined successor masks — three memo layers, so a
-  repeated snapshot advances the frontier with a single dict hit and a
-  few bitwise ORs;
+* a snapshot is read once into a mask over the event table cut to the
+  contract's ``vocab_mask``, the mask into the bitset of *satisfied
+  label classes*, and that bitset into a per-state table of combined
+  successor masks — memo layers, so a repeated snapshot advances the
+  frontier with a single dict hit and a few bitwise ORs;
 * live-state pruning (states that can still contribute to an accepting
   run) is baked into the successor masks at compile time, so the
   frontier empties on the very event no allowed sequence survives.
@@ -26,9 +26,9 @@ from __future__ import annotations
 from typing import Iterable
 
 from ..automata import graph
-from ..automata.buchi import BuchiAutomaton
 from ..automata.encode import (
     EncodedAutomaton,
+    EventTable,
     QueryBinding,
     _iter_bits,
     bind_query,
@@ -84,21 +84,20 @@ def compile_step_rows(
     return tuple(rows)
 
 
-def _as_encoded_query(query) -> EncodedAutomaton:
-    """Coerce an LTL string / formula / BA / prebuilt encoding into an
-    encoded query automaton (over its own label events, as
-    :func:`~repro.automata.encode.bind_query` expects)."""
+def _as_query(query, table: EventTable | None = None):
+    """An LTL string / formula / BA as a query automaton — encoded over
+    ``table`` when one is given; a prebuilt encoding as it is."""
     from ..automata.ltl2ba import translate
     from ..ltl.ast import Formula
     from ..ltl.parser import parse
 
-    if isinstance(query, EncodedAutomaton):
-        return query
-    if isinstance(query, BuchiAutomaton):
-        return encode_automaton(query)
+    if isinstance(query, str):
+        query = parse(query)
     if isinstance(query, Formula):
-        return encode_automaton(translate(query))
-    return encode_automaton(translate(parse(query)))
+        query = translate(query)
+    if table is None or isinstance(query, EncodedAutomaton):
+        return query
+    return encode_automaton(query, table=table)
 
 
 def winning_mask(
@@ -240,25 +239,19 @@ class EncodedMonitor:
     def _compile_snapshot(
         self, snap: frozenset
     ) -> tuple[tuple[int, ...], int]:
-        """The memo-miss path: intern a snapshot into its step table."""
-        event_index = self.encoded.event_index
-        mask = 0
-        unknown = 0
-        for event in snap:
-            bit = event_index.get(event)
-            if bit is None:
-                unknown += 1
-            else:
-                mask |= 1 << bit
+        """The memo-miss path: read a snapshot into its step table."""
+        encoded = self.encoded
+        mask = encoded.table.mask(snap) & encoded.vocab_mask
+        unknown = len(snap) - mask.bit_count()
         if unknown and self.options.strict_vocabulary:
-            bad = sorted(e for e in snap if e not in event_index)
+            bad = sorted(snap.difference(encoded.events))
             raise MonitorError(
                 f"snapshot cites events outside the contract "
                 f"vocabulary: {bad}"
             )
         sat = 0
         for label_class, (pos, neg) in enumerate(
-            zip(self.encoded.label_pos, self.encoded.label_neg)
+            zip(encoded.label_pos, encoded.label_neg)
         ):
             if (pos & mask) == pos and not (neg & mask):
                 sat |= 1 << label_class
@@ -336,7 +329,7 @@ class EncodedMonitor:
                 return cached
         mask = winning_mask(
             self.encoded,
-            _as_encoded_query(query),
+            _as_query(query, self.encoded.table),
             live_mask=self.live_mask,
         )
         if isinstance(query, str):

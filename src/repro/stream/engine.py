@@ -28,10 +28,10 @@ import time
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
 
-from ..automata.encode import EncodedAutomaton
+from ..automata.encode import EncodedAutomaton, encode_automaton
 from ..errors import MonitorError
 from ..obs.metrics import COUNT_BUCKETS, MetricsRegistry
-from .encoded import EncodedMonitor, _as_encoded_query
+from .encoded import EncodedMonitor, _as_query
 from .options import MonitorOptions, MonitorStatus
 
 
@@ -114,6 +114,23 @@ class _WatchState:
         self.satisfiable = satisfiable
 
 
+class _WatchQuery:
+    """A watch's automaton and its latest encoding, reused while it binds
+    (a database fleet's monitors share one event table)."""
+
+    __slots__ = ("query", "encoded")
+
+    def __init__(self, query):
+        self.query, self.encoded = query, None
+
+    def over(self, contract: EncodedAutomaton) -> EncodedAutomaton:
+        if isinstance(self.query, EncodedAutomaton):
+            return self.query  # bind_query rebases it, or refuses
+        if self.encoded is None or not self.encoded.binds_to(contract):
+            self.encoded = encode_automaton(self.query, table=contract.table)
+        return self.encoded
+
+
 class FleetMonitor:
     """Streaming monitor over a fleet of encoded contracts.
 
@@ -136,7 +153,7 @@ class FleetMonitor:
         self._active: dict[str, EncodedMonitor] = {}
         self._watches: dict[str, list[_WatchState]] = {}
         #: fleet-wide watches, re-applied to contracts added later
-        self._fleet_watches: list[tuple[str, EncodedAutomaton]] = []
+        self._fleet_watches: list[tuple[str, _WatchQuery]] = []
         self._alerts: list[Alert] = []
         self._lock = threading.Lock()
 
@@ -180,10 +197,10 @@ class FleetMonitor:
         formula / BA / prebuilt encoding whose continued satisfiability
         is tracked per event.  ``contracts=None`` makes it fleet-wide
         (it also attaches to contracts added later)."""
-        encoded_query = _as_encoded_query(query)
+        query = _WatchQuery(_as_query(query))
         with self._lock:
             if contracts is None:
-                self._fleet_watches.append((name, encoded_query))
+                self._fleet_watches.append((name, query))
                 targets = list(self._monitors)
             else:
                 targets = list(contracts)
@@ -192,10 +209,10 @@ class FleetMonitor:
                     raise MonitorError(
                         f"cannot watch unknown contract {contract_name!r}"
                     )
-                self._attach_watch(contract_name, name, encoded_query)
+                self._attach_watch(contract_name, name, query)
 
     def _attach_watch(
-        self, contract_name: str, watch_name: str, query: EncodedAutomaton
+        self, contract_name: str, watch_name: str, query: _WatchQuery
     ) -> None:
         cells = self._watches[contract_name]
         if any(cell.name == watch_name for cell in cells):
@@ -204,7 +221,7 @@ class FleetMonitor:
                 f"contract {contract_name!r}"
             )
         monitor = self._monitors[contract_name]
-        mask = monitor.watch_mask(query)
+        mask = monitor.watch_mask(query.over(monitor.encoded))
         satisfiable = bool(monitor.frontier & mask)
         cells.append(_WatchState(watch_name, mask, satisfiable))
         if not satisfiable:

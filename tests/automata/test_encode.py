@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from repro.automata.buchi import BuchiAutomaton
 from repro.automata.encode import (
     EncodedAutomaton,
+    EventTable,
     bind_query,
     encode_automaton,
 )
@@ -63,14 +64,14 @@ class TestEncoding:
         ba = ba_of("F a")
         enc = encode_automaton(ba, frozenset({"a", "zz"}))
         assert enc.events == ("a", "zz")
-        assert enc.event_index["zz"] == 1
+        assert enc.table["zz"] == 1
 
     def test_out_of_vocabulary_literals_dropped(self):
         """Contract literals on events outside the vocabulary vanish
         from the masks (sound: admissible queries can't cite them)."""
         ba = ba_of("G(a && !b)")
         enc = encode_automaton(ba, frozenset({"a"}))
-        bit = 1 << enc.event_index["a"]
+        bit = 1 << enc.table["a"]
         assert all(m & ~bit == 0 for m in enc.label_pos)
         assert all(m == 0 for m in enc.label_neg)
 
@@ -119,11 +120,15 @@ class TestSerialization:
             ),
             lambda d: d.update(label_neg=d["label_neg"] + [0]),
             lambda d: d.update(events=list(reversed(d["events"]))),
+            lambda d: d["label_pos"].__setitem__(0, 1 << len(d["events"])),
+            lambda d: d["label_neg"].__setitem__(0, d["label_pos"][0] or 1)
+            or d["label_pos"].__setitem__(0, d["label_neg"][0]),
         ],
         ids=[
             "missing-key", "dropped-state", "bad-initial", "bad-final",
             "bad-offset-origin", "short-dsts", "unknown-label-class",
-            "ragged-label-table", "unsorted-events",
+            "ragged-label-table", "unsorted-events", "label-bit-past-events",
+            "label-in-both-polarities",
         ],
     )
     def test_from_dict_rejects_corruption(self, mutate):
@@ -147,7 +152,7 @@ class TestBindQuery:
         contract = encode_automaton(ba_of("F a"))
         query = encode_automaton(ba_of("F(a && F c)"))
         binding = bind_query(contract, query)
-        c_bit = query.event_index["c"]
+        c_bit = query.table["c"]
         for lid in range(query.num_label_classes):
             cites_c = bool(
                 ((query.label_pos[lid] | query.label_neg[lid]) >> c_bit) & 1
@@ -186,9 +191,111 @@ class TestBindQuery:
         assert binding.compat[true_id] == full
 
 
+class TestEventTable:
+    def test_positions_are_first_sight_and_never_move(self):
+        table = EventTable(["b", "a"])
+        assert table.events == ["b", "a"] and table == {"b": 0, "a": 1}
+        assert table.intern(["c", "a"]) == 0b110
+        assert table.events == ["b", "a", "c"]
+        assert table.mask(["a", "zz"]) == 0b010
+        assert "zz" not in table  # a lookup never grows the table
+
+    def test_concurrent_interning_hands_out_each_position_once(self):
+        """Registrations encode outside the database lock, so threads
+        intern overlapping vocabularies at once: every event must end up
+        with one position, dense, and listed at that position."""
+        import random
+        import sys
+        import threading
+
+        table = EventTable()
+        events = [f"e{i}" for i in range(2000)]
+        orders = [random.Random(t).sample(events, len(events))
+                  for t in range(12)]
+        start = threading.Barrier(len(orders))
+        masks = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def work(t):
+                start.wait(timeout=30)
+                masks[t] = 0
+                for event in orders[t]:
+                    masks[t] |= table.intern((event,))
+
+            threads = [threading.Thread(target=work, args=(t,))
+                       for t in range(len(orders))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(table.events) == len(table) == len(events)
+        assert sorted(table.values()) == list(range(len(events)))
+        assert all(table.events[table[e]] == e for e in table)
+        assert set(masks.values()) == {(1 << len(events)) - 1}
+
+    def test_fresh_table_is_the_sorted_vocabulary(self):
+        """Without a table an encoding numbers its sorted vocabulary —
+        the layout ``encoded.json`` has always held."""
+        ba = ba_of("G(b -> F a) && G !c")
+        enc = encode_automaton(ba, frozenset({"c", "b", "a", "z"}))
+        assert enc.table.events == ["a", "b", "c", "z"]
+        assert enc.vocab_mask == 0b1111 and enc.unknown_bit == 0
+
+    def test_shared_table_masks_are_a_renaming_of_the_fresh_ones(self):
+        """Encoding into a table that already holds other events moves
+        bits, never label classes or transitions."""
+        ba = ba_of("G(b -> F a) && G !c")
+        fresh = encode_automaton(ba, frozenset({"a", "b", "c"}))
+        table = EventTable(["x", "c", "y", "a"])
+        shared = encode_automaton(ba, frozenset({"a", "b", "c"}), table)
+        assert table.events == ["x", "c", "y", "a", "b"]
+        assert shared.vocab_mask == 0b11010
+        assert list(shared.trans_labels) == list(fresh.trans_labels)
+        assert [_remap(fresh, shared, m) for m in fresh.label_pos] == list(
+            shared.label_pos
+        )
+        assert shared.to_dict() == fresh.to_dict()
+        restored = EncodedAutomaton.from_dict(ba, fresh.to_dict())
+        rebased = restored.rebased(table, join=True)
+        assert (rebased.label_pos, rebased.label_neg) == (
+            shared.label_pos, shared.label_neg
+        )
+
+    def test_query_never_grows_the_table(self):
+        table = EventTable()
+        contract = encode_automaton(ba_of("G(a -> F b)"), frozenset("ab"), table)
+        assert contract.unknown_bit == 0
+        query = encode_automaton(ba_of("F(a && F c)"), table=table)
+        assert table.events == ["a", "b"]
+        assert query.unknown_bit == 1 << 2
+        binding = bind_query(contract, query)
+        for lid in range(query.num_label_classes):
+            cites_c = (query.label_pos[lid] | query.label_neg[lid]) >> 2
+            assert binding.admissible[lid] == (not cites_c)
+
+    def test_stale_query_encoding_is_refused(self):
+        """A query encoded before its event joined the table must be
+        re-encoded before it meets a contract that brought the event."""
+        table = EventTable()
+        encode_automaton(ba_of("F a"), frozenset({"a"}), table)
+        stale = encode_automaton(ba_of("F c"), table=table)
+        earlier = encode_automaton(ba_of("G !a"), frozenset({"a"}), table)
+        later = encode_automaton(ba_of("F(b && F c)"), frozenset("bc"), table)
+        assert stale.binds_to(earlier) and not stale.binds_to(later)
+        bind_query(earlier, stale)
+        with pytest.raises(AutomatonError):
+            bind_query(later, stale)
+        again = encode_automaton(ba_of("F c"), table=table)
+        assert again.binds_to(later) and all(bind_query(later, again).admissible)
+
+
 def _remap(query, contract, mask):
     out = 0
-    for name, bit in query.event_index.items():
-        if (mask >> bit) & 1:
-            out |= 1 << contract.event_index[name]
+    for name in query.events:
+        if (mask >> query.table[name]) & 1:
+            out |= 1 << contract.table[name]
     return out

@@ -17,7 +17,7 @@ from repro.workload.generator import WorkloadGenerator
 
 ARTIFACT_FILES = [
     "automata.json", "seeds.json", "encoded.json", "projections.json",
-    "index.json", "stats.json",
+    "index.json",
 ]
 
 #: ``(manifest member, hostile value)``: shapes no writer produces
@@ -309,6 +309,34 @@ CONFIG_1_10 = {
 }
 
 
+class TestSnapshotsWithStatsArtifact:
+    def test_listed_stats_artifact_is_ignored(self, tmp_path, airfare_db):
+        """Snapshots written before 11.0 carry a ``stats.json`` and list
+        its checksum: such a directory loads with no warning, restores
+        every artifact, and rebuilds the statistics from the contracts."""
+        directory = save_database(airfare_db, tmp_path / "old")
+        stats = json.dumps(airfare_db.statistics.to_dict(), indent=2) + "\n"
+        (directory / "stats.json").write_text(stats)
+        manifest_path = directory / "contracts.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["artifacts"]["stats.json"] = hashlib.sha256(
+            stats.encode("utf-8")
+        ).hexdigest()
+        manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+
+        for opener in (load_database, open_database):
+            reloaded = opener(directory)
+            report = reloaded.load_report
+            assert report.warnings == []
+            assert report.checksum_failures == []
+            assert report.index_restored
+            assert report.encoded_restored == len(airfare_db)
+            assert reloaded.statistics.to_dict() == \
+                airfare_db.statistics.to_dict()
+            if reloaded.journal is not None:
+                reloaded.journal.close()
+
+
 class TestPre2Snapshots:
     def test_manifest_with_use_encoded_loads_silently(self, tmp_path,
                                                       airfare_db):
@@ -511,6 +539,46 @@ class TestRobustness:
         assert reopened.query("F y").contract_names == ()
         assert reopened.query("F x").contract_names == ("b",)
 
+    @pytest.mark.parametrize("opener", [load_database, open_database])
+    @pytest.mark.parametrize("damage", [
+        "bit outside the events", "event in both polarities",
+    ])
+    def test_encoding_with_impossible_label_masks_falls_back(
+        self, tmp_path, opener, damage
+    ):
+        """The value check a restored encoding needs before it is rebased
+        into the database's event table: a label mask naming a bit past
+        ``events`` (nothing to rebase it to) or an event in both
+        polarities (no label is) is refused, and the contract is
+        re-encoded."""
+        db = ContractDatabase(BrokerConfig())
+        db.register("a", ["G (x -> F y)"])
+        db.register("b", ["F x", "G !z"])
+        directory = save_database(db, tmp_path / "db")
+        docs = json.loads((directory / "encoded.json").read_text())
+        entry = docs["b"][0]
+        width = len(entry["events"])
+        if damage == "bit outside the events":
+            entry["label_pos"][0] |= 1 << width
+        else:
+            entry["label_neg"][0] |= entry["label_pos"][0] or 1
+            entry["label_pos"][0] |= entry["label_neg"][0]
+        (directory / "encoded.json").write_text(json.dumps(docs))
+        _rehash_artifact(directory, "encoded.json")
+
+        reopened = opener(directory)
+        report = reopened.load_report
+        assert report.encoded_restored == 1
+        assert any(
+            w.startswith("encoded.json: 'b': ") and w.endswith("; re-encoding")
+            for w in report.warnings
+        )
+        fresh = reopened.get(1).encoded
+        assert fresh.to_dict() == db.get(1).encoded.to_dict()
+        for query in ("F x", "F y", "F z", "G !z", "F(x && F y)"):
+            assert reopened.query(query).contract_names == \
+                db.query(query).contract_names
+
     def test_stale_automaton_retranslated(self, tmp_path, airfare_db):
         directory = save_database(airfare_db, tmp_path / "stale")
         # corrupt the stored automata: give them an alien event (and
@@ -658,7 +726,7 @@ class TestCrashDurability:
         directory = save_database(db, tmp_path / "db")
         baseline = {c.name for c in load_database(directory).contracts()}
 
-        for position in range(1, 6):  # 4 artifacts + the manifest
+        for position in range(1, 7):  # 5 artifacts + the manifest
             faults.fail_at("persist.artifact_write", nth=position)
             with pytest.raises(SimulatedCrash):
                 save_database(db, directory)

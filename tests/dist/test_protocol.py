@@ -1,5 +1,6 @@
 """The wire protocol: framing, option/outcome documents, guard rails."""
 
+import asyncio
 import socket
 import struct
 import threading
@@ -77,6 +78,62 @@ class TestFraming:
     def test_unserializable_frame_rejected(self):
         with pytest.raises(ProtocolError):
             protocol.encode_frame({"op": object()})
+
+
+def _framed(payload: bytes) -> bytes:
+    return struct.pack(">I", len(payload)) + payload
+
+
+_VALID = protocol.encode_frame({"op": "query", "query": "F(a && F b)"})
+
+#: ``(id, bytes on the wire)``: none of them is one well-formed frame
+HOSTILE_FRAMES = [
+    *(pytest.param(_VALID[:cut], id=f"truncated-at-{cut}")
+      for cut in range(1, len(_VALID))),
+    pytest.param(
+        struct.pack(">I", protocol.MAX_FRAME_BYTES + 1) + b"{}",
+        id="oversize-length-prefix",
+    ),
+    pytest.param(_framed(b"[" * 100_000 + b"]" * 100_000),
+                 id="array-100000-deep"),
+    pytest.param(_framed(b'{"n": ' + b"7" * 5_000 + b"}"),
+                 id="integer-5000-digits"),
+    pytest.param(_framed(b"\xef\xbb\xbf" + b'{"op": "ping"}'), id="bom"),
+    pytest.param(_framed(b'{"op": "\xff\xfe"}'), id="invalid-utf8"),
+    pytest.param(_framed(b"[1, 2]"), id="array-payload"),
+    pytest.param(_framed(b'"ping"'), id="string-payload"),
+    pytest.param(_framed(b"null"), id="null-payload"),
+]
+
+
+class TestHostileFrames:
+    """ROADMAP 6(c), the wire: whatever bytes arrive, both readers end in
+    a ``ProtocolError`` — never a traceback of another type."""
+
+    @pytest.mark.parametrize("raw", HOSTILE_FRAMES)
+    def test_recv_frame_raises_protocol_error(self, raw):
+        server, client = socket.socketpair()
+        writer = threading.Thread(
+            target=lambda: (client.sendall(raw), client.close())
+        )
+        writer.start()
+        try:
+            with pytest.raises(ProtocolError):
+                protocol.recv_frame(server)
+        finally:
+            writer.join(timeout=10)
+            server.close()
+
+    @pytest.mark.parametrize("raw", HOSTILE_FRAMES)
+    def test_read_frame_raises_protocol_error(self, raw):
+        async def read():
+            reader = asyncio.StreamReader()
+            reader.feed_data(raw)
+            reader.feed_eof()
+            return await protocol.read_frame(reader)
+
+        with pytest.raises(ProtocolError):
+            asyncio.run(read())
 
 
 class TestOptionDocs:

@@ -2,6 +2,7 @@
 
 import contextlib
 import socket
+import struct
 import sys
 import threading
 import time
@@ -265,6 +266,27 @@ class TestSocketSurface:
             with DistributedDatabase([server.address]) as db:
                 with pytest.raises(DistError, match="rejected"):
                     db.register("alpha", ["F a"])
+        finally:
+            server.stop()
+
+    @pytest.mark.parametrize("payload", [
+        b"[" * 100_000 + b"]" * 100_000, b'{"op": ' + b"7" * 5_000 + b"}",
+    ], ids=["array-100000-deep", "integer-5000-digits"])
+    def test_hostile_payload_is_answered_and_the_shard_serves_on(
+        self, payload
+    ):
+        """A frame of bytes no JSON reader takes — not only malformed
+        ones — is answered with a ``ProtocolError`` reply, not a
+        traceback, and the shard answers the next frame."""
+        server = ShardServer(1).start()
+        try:
+            with socket.create_connection(server.address, timeout=10.0) as sock:
+                sock.sendall(struct.pack(">I", len(payload)) + payload)
+                response = protocol.recv_frame(sock)
+            assert response["ok"] is False
+            assert response["kind"] == "ProtocolError"
+            with _wire(server) as request:
+                assert request({"op": "ping"})["pong"]
         finally:
             server.stop()
 
