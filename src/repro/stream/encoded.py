@@ -44,6 +44,9 @@ from .options import MonitorOptions, MonitorStatus
 #: rebuilt — correctness never depends on it.
 _MEMO_CAP = 4096
 
+#: read through the enum class, a member costs several global reads
+_ACTIVE, _VIOLATED = MonitorStatus.ACTIVE, MonitorStatus.VIOLATED
+
 
 def live_state_mask(enc: EncodedAutomaton) -> int:
     """Bitset of *live* state ids: reachable from the initial state and
@@ -82,6 +85,19 @@ def compile_step_rows(
             by_class[label_class] = by_class.get(label_class, 0) | (1 << dst)
         rows.append(tuple(sorted(by_class.items())))
     return tuple(rows)
+
+
+def _as_snapshot(snapshot: Iterable[str]) -> frozenset:
+    """A snapshot as a frozenset of event names.  A bare string is
+    refused, not read as a set of one-character events."""
+    if isinstance(snapshot, frozenset):
+        return snapshot
+    if isinstance(snapshot, str):
+        raise MonitorError(
+            f"a snapshot must be a collection of event names, "
+            f"not a string: {snapshot!r}"
+        )
+    return frozenset(snapshot)
 
 
 def _as_query(query, table: EventTable | None = None):
@@ -213,10 +229,10 @@ class EncodedMonitor:
         ``MonitorOptions.strict_vocabulary``, rejected with
         :class:`~repro.errors.MonitorError` before any state changes."""
         if not self._frontier:
-            return MonitorStatus.VIOLATED
+            return _VIOLATED
         snap = (
             snapshot if isinstance(snapshot, frozenset)
-            else frozenset(snapshot)
+            else _as_snapshot(snapshot)
         )
         entry = self._snap_memo.get(snap)
         if entry is None:
@@ -226,15 +242,16 @@ class EncodedMonitor:
         frontier = self._frontier
         new = 0
         while frontier:
-            low = frontier & -frontier
-            new |= table[low.bit_length() - 1]
-            frontier ^= low
+            # highest state first: a shift, not a negation and an AND
+            top = frontier.bit_length() - 1
+            new |= table[top]
+            frontier ^= 1 << top
         self._frontier = new
         self._events_seen += 1
         if not new:
             self._violation_index = self._events_seen - 1
-            return MonitorStatus.VIOLATED
-        return MonitorStatus.ACTIVE
+            return _VIOLATED
+        return _ACTIVE
 
     def _compile_snapshot(
         self, snap: frozenset
@@ -302,8 +319,8 @@ class EncodedMonitor:
     @property
     def status(self) -> MonitorStatus:
         if not self._frontier:
-            return MonitorStatus.VIOLATED
-        return MonitorStatus.ACTIVE
+            return _VIOLATED
+        return _ACTIVE
 
     @property
     def violated(self) -> bool:

@@ -2,9 +2,10 @@
 registry, and alert records.
 
 Events arrive either addressed to one contract or broadcast to the
-whole fleet (the common case for a shared event bus).  Each delivery is
-one :meth:`EncodedMonitor.advance` — a few dict hits and bitwise ORs —
-and the engine emits an :class:`Alert` exactly when a verdict *flips*:
+whole fleet (the common case for a shared event bus), all through one
+delivery loop.  Each delivery is one :meth:`EncodedMonitor.advance` — a
+few dict hits and bitwise ORs — and re-reads the contract's watch cells
+only if its frontier moved; an :class:`Alert` fires when a verdict *flips*:
 
 * a contract's frontier empties → ``"violated"`` (absorbing; the
   contract leaves the active set and costs nothing from then on);
@@ -31,17 +32,29 @@ from typing import IO, Iterable, Iterator
 from ..automata.encode import EncodedAutomaton, encode_automaton
 from ..errors import MonitorError
 from ..obs.metrics import COUNT_BUCKETS, MetricsRegistry
-from .encoded import EncodedMonitor, _as_query
+from .encoded import EncodedMonitor, _as_query, _as_snapshot
 from .options import MonitorOptions, MonitorStatus
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Event:
     """One stream record: a snapshot addressed to one contract
-    (``contract`` = its name) or broadcast to the fleet (``None``)."""
+    (``contract`` = its name) or broadcast to the fleet (``None``).
+    ``__init__`` sets the slots directly: half the generated one's cost."""
 
+    __slots__ = ("events", "contract")
     events: frozenset[str]
-    contract: str | None = None
+    contract: str | None
+
+    def __init__(self, events: frozenset[str], contract: str | None = None):
+        _set_events(self, events)
+        _set_contract(self, contract)
+
+    def __reduce__(self):  # the frozen __setattr__ refuses pickle's
+        return Event, (self.events, self.contract)
+
+
+_set_events, _set_contract = Event.events.__set__, Event.contract.__set__
 
 
 @dataclass(frozen=True)
@@ -102,9 +115,9 @@ class _WatchState:
     Satisfiability is not monotone: the query restarts at its initial
     state on every prefix, so a frontier can move out of the winning
     region and later back into it.  The current verdict is therefore
-    always ``frontier & mask``; ``satisfiable`` only remembers the
-    previous one for edge detection, and a watch that recovers re-arms
-    (a later loss emits a fresh alert)."""
+    always ``frontier & mask``; ``satisfiable`` only remembers the one
+    on the frontier the cells were last read on, for edge detection, and
+    a watch that recovers re-arms (a later loss emits a fresh alert)."""
 
     __slots__ = ("name", "mask", "satisfiable")
 
@@ -152,6 +165,7 @@ class FleetMonitor:
         self._ids: dict[str, int | None] = {}
         self._active: dict[str, EncodedMonitor] = {}
         self._watches: dict[str, list[_WatchState]] = {}
+        self._read_on: dict[str, int] = {}  # frontier the cells were read on
         #: fleet-wide watches, re-applied to contracts added later
         self._fleet_watches: list[tuple[str, _WatchQuery]] = []
         self._alerts: list[Alert] = []
@@ -175,14 +189,9 @@ class FleetMonitor:
             self._monitors[name] = monitor
             self._ids[name] = contract_id
             self._watches[name] = []
-            if monitor.violated:
-                # unsatisfiable from the start: alert immediately
-                self._emit(Alert(
-                    kind="violated", contract=name, contract_id=contract_id,
-                    watch=None, event_index=-1, events=frozenset(),
-                ))
-            else:
-                self._active[name] = monitor
+            self._active[name] = monitor
+            # a contract unsatisfiable from the start alerts now
+            self._flips(name, monitor, frozenset(), None)
             for watch_name, query in self._fleet_watches:
                 self._attach_watch(name, watch_name, query)
             return monitor
@@ -224,6 +233,7 @@ class FleetMonitor:
         mask = monitor.watch_mask(query.over(monitor.encoded))
         satisfiable = bool(monitor.frontier & mask)
         cells.append(_WatchState(watch_name, mask, satisfiable))
+        self._read_on[contract_name] = -1  # stale after outside steps
         if not satisfiable:
             # never (or no longer) satisfiable at registration time
             self._emit(Alert(
@@ -237,16 +247,19 @@ class FleetMonitor:
     def advance(self, contract: str, snapshot: Iterable[str]) -> list[Alert]:
         """Deliver one snapshot to one contract; returns the alerts it
         triggered (also accumulated on :attr:`alerts`)."""
-        emitted: list[Alert] = []
+        if contract is None:
+            raise MonitorError("unknown contract None")
+        event, alerts = Event(_as_snapshot(snapshot), contract), []
         with self._lock:
-            # a delivery that raises has advanced nothing
-            self._count(*self._deliver(contract, frozenset(snapshot), emitted))
-        return emitted
+            self._deliver_all((event,), alerts)
+        return alerts
 
     def broadcast(self, snapshot: Iterable[str]) -> list[Alert]:
         """Deliver one snapshot to every active contract."""
+        event, alerts = Event(_as_snapshot(snapshot)), []
         with self._lock:
-            return self._deliver_all((Event(frozenset(snapshot)),)).alerts
+            self._deliver_all((event,), alerts)
+        return alerts
 
     def ingest(self, events: Iterable) -> IngestReport:
         """Consume a batch of stream records — :class:`Event` instances,
@@ -256,8 +269,10 @@ class FleetMonitor:
         :meth:`~repro.broker.database.ContractDatabase.ingest` exposes.
         """
         started = time.perf_counter()
+        alerts: list[Alert] = []
         with self._lock:
-            report = self._deliver_all(events)
+            consumed, deliveries, unknown = self._deliver_all(events, alerts)
+        report = IngestReport(consumed, deliveries, alerts, unknown)
         elapsed = time.perf_counter() - started
         self.metrics.inc("monitor.batches")
         self.metrics.observe("monitor.batch_seconds", elapsed)
@@ -266,65 +281,64 @@ class FleetMonitor:
         )
         return report
 
-    def _deliver_all(self, records: Iterable) -> IngestReport:
-        """Deliver a batch (lock held), adding to the ``monitor.*``
-        counters once — in a ``finally``, for what a raising batch
-        delivered before it raised."""
-        report = IngestReport()
-        deliver, alerts = self._deliver, report.alerts
-        advanced = unknown = 0
+    def _deliver_all(
+        self, records: Iterable, alerts: list[Alert]
+    ) -> tuple[int, int, int]:
+        """The one delivery loop (lock held): appends to ``alerts``, returns
+        (records, deliveries, unknown events); counters are added once, in
+        a ``finally`` for what a raising batch delivered."""
+        monitors, read_on = self._monitors, self._read_on
+        consumed = deliveries = advanced = unknown = 0
         try:
             for record in records:
-                event = _coerce_event(record)
-                report.events += 1
-                targets = (list(self._active) if event.contract is None
-                           else (event.contract,))
-                report.deliveries += len(targets)
-                for name in targets:
-                    stepped, new_unknown = deliver(name, event.events, alerts)
-                    advanced += stepped
-                    unknown += new_unknown
+                if type(record) is not Event:
+                    record = _coerce_event(record)
+                consumed += 1
+                snap, name = record.events, record.contract
+                if name is None:
+                    targets = list(self._active.items())
+                elif name in monitors:
+                    targets = ((name, monitors[name]),)
+                else:
+                    raise MonitorError(f"unknown contract {name!r}")
+                deliveries += len(targets)
+                for name, monitor in targets:
+                    if not monitor._frontier:
+                        continue  # violated: absorbing, nothing consumed
+                    before = monitor.unknown_events
+                    monitor.advance(snap)  # raises before any state change
+                    unknown += monitor.unknown_events - before
+                    advanced += 1
+                    # the frontier moved since the cells were read, or emptied
+                    frontier = monitor._frontier
+                    if frontier != read_on[name] or not frontier:
+                        self._flips(name, monitor, snap, alerts)
         finally:
             self._count(advanced, unknown)
-        report.unknown_events = unknown
-        return report
+        return consumed, deliveries, unknown
 
-    def _deliver(
-        self, name: str, snap: frozenset, emitted: list[Alert]
-    ) -> tuple[int, int]:
-        """One delivery; returns (snapshots consumed: 0 or 1, unknown
-        events counted) for the caller to add to the counters."""
-        monitor = self._monitors.get(name)
-        if monitor is None:
-            raise MonitorError(f"unknown contract {name!r}")
-        if monitor.violated:
-            return 0, 0
-        unknown_before = monitor.unknown_events
-        status = monitor.advance(snap)
-        new_unknown = monitor.unknown_events - unknown_before
-        if status is MonitorStatus.VIOLATED:
+    def _flips(
+        self, name: str, monitor: EncodedMonitor, snap: frozenset, alerts
+    ) -> None:
+        """Read a contract's cells on its frontier, emit ``violated`` if it
+        is empty, else ``watch-unsatisfiable`` per cell that flipped."""
+        frontier = self._read_on[name] = monitor._frontier
+        if not frontier:
             self._active.pop(name, None)
             self._emit(Alert(
                 kind="violated", contract=name, contract_id=self._ids[name],
                 watch=None, event_index=monitor.violation_index,
                 events=snap,
-            ), emitted)
-            # a violated contract satisfies no future: close out the
-            # watch cells (flips are subsumed by the violation alert)
-            for cell in self._watches[name]:
-                cell.satisfiable = False
-        else:
-            frontier = monitor.frontier
-            for cell in self._watches[name]:
-                satisfiable = bool(frontier & cell.mask)
-                if cell.satisfiable and not satisfiable:
-                    self._emit(Alert(
-                        kind="watch-unsatisfiable", contract=name,
-                        contract_id=self._ids[name], watch=cell.name,
-                        event_index=monitor.events_seen - 1, events=snap,
-                    ), emitted)
-                cell.satisfiable = satisfiable
-        return 1, new_unknown
+            ), alerts)
+        for cell in self._watches[name]:
+            satisfiable = bool(frontier & cell.mask)
+            if cell.satisfiable and not satisfiable and frontier:
+                self._emit(Alert(
+                    kind="watch-unsatisfiable", contract=name,
+                    contract_id=self._ids[name], watch=cell.name,
+                    event_index=monitor.events_seen - 1, events=snap,
+                ), alerts)
+            cell.satisfiable = satisfiable
 
     def _count(self, advanced: int, unknown: int) -> None:
         if advanced:
@@ -398,6 +412,7 @@ class FleetMonitor:
                     self._active[name] = monitor
                 for cell in self._watches[name]:
                     cell.satisfiable = bool(monitor.frontier & cell.mask)
+                self._read_on[name] = monitor.frontier
 
 
 def _coerce_event(record) -> Event:
@@ -407,7 +422,7 @@ def _coerce_event(record) -> Event:
         return parse_event(record)
     if isinstance(record, tuple) and len(record) == 2:
         contract, snapshot = record
-        return Event(events=frozenset(snapshot), contract=contract)
+        return Event(_as_snapshot(snapshot), contract)
     raise MonitorError(
         f"cannot interpret stream record of type {type(record).__name__}"
     )
@@ -422,7 +437,8 @@ def parse_event(doc: dict) -> Event:
         raise MonitorError(
             f"stream record must carry an 'events' list: {doc!r}"
         ) from None
-    if isinstance(events, str) or not isinstance(events, (list, tuple, set, frozenset)):
+    if type(events) is not list and not isinstance(  # a str is none of these
+            events, (list, tuple, set, frozenset)):
         raise MonitorError(
             f"'events' must be a list of event names: {events!r}"
         )
@@ -456,7 +472,7 @@ def read_event_log(lines: Iterable[str] | IO[str]) -> Iterator[Event]:
                 raise MonitorError(
                     f"event log line {lineno} is not valid JSON: {exc}"
                 ) from None
-        if not isinstance(doc, dict):
+        if type(doc) is not dict and not isinstance(doc, dict):
             raise MonitorError(
                 f"event log line {lineno} must be a JSON object"
             )

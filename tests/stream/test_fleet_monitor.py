@@ -1,16 +1,24 @@
 """Unit tests for the fleet engine: alerts, watch registry, batch
 ingestion, JSONL parsing and metrics (:mod:`repro.stream.engine`)."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.automata.buchi import BuchiAutomaton, Transition
 from repro.automata.encode import encode_automaton
 from repro.automata.labels import Label, neg, pos
 from repro.automata.ltl2ba import translate
+from repro.check.strategies import EVENTS, contract_specs, formulas, snapshots
 from repro.errors import MonitorError
 from repro.ltl.parser import parse
 from repro.stream import (
     Alert,
+    EncodedMonitor,
     Event,
     FleetMonitor,
     MonitorOptions,
@@ -18,6 +26,7 @@ from repro.stream import (
     parse_event,
     read_event_log,
 )
+from repro.stream.engine import _coerce_event
 
 
 def encoded_for(text: str, vocabulary=None):
@@ -41,6 +50,24 @@ def flip_flop_encoded():
         {0},
     )
     return encode_automaton(ba, frozenset({"a"}))
+
+
+def ticking_encoded():
+    """A hand-built contract whose frontier keeps moving after the watch
+    ``"F b"`` is lost: ``a`` leads from state 0 (where ``b`` is still
+    possible) into states 1 and 2, which alternate and forbid ``b``."""
+    ba = BuchiAutomaton(
+        [0, 1, 2],
+        0,
+        [
+            Transition(0, Label.of([neg("a")]), 0),
+            Transition(0, Label.of([pos("a"), neg("b")]), 1),
+            Transition(1, Label.of([neg("b")]), 2),
+            Transition(2, Label.of([neg("b")]), 1),
+        ],
+        {0, 1, 2},
+    )
+    return encode_automaton(ba, frozenset({"a", "b"}))
 
 
 class TestRegistry:
@@ -157,6 +184,20 @@ class TestWatchQueries:
         assert alert.kind == "violated"
         assert not fleet.watch_satisfiable("flip", "next-a")
         assert fleet.can_still("flip", "a") is False
+
+    def test_a_lost_watch_alerts_once_while_the_frontier_moves(self):
+        fleet = FleetMonitor()
+        fleet.add_contract("tick", ticking_encoded())
+        fleet.register_watch("may-b", "F b")
+        (alert,) = fleet.advance("tick", {"a"})
+        assert (alert.watch, alert.event_index) == ("may-b", 0)
+        frontiers = set()
+        for _ in range(4):
+            assert fleet.advance("tick", set()) == []
+            frontiers.add(fleet.monitor("tick").frontier)
+        assert len(frontiers) == 2  # it moved on every delivery
+        assert not fleet.watch_satisfiable("tick", "may-b")
+        assert len(fleet.alerts) == 1
 
     def test_reset_rewinds_monitors_watches_and_alerts(self):
         fleet = FleetMonitor()
@@ -328,3 +369,289 @@ class TestPerCallAccounting:
         with pytest.raises(MonitorError):
             fleet.broadcast({"b"})             # c3's vocabulary lacks b
         assert self.counters(fleet) == self.delivered(fleet) == (2, 0)
+
+
+class TestEventContract:
+    """``Event`` is a value: equal, hashable and immutable as the frozen
+    dataclass it was, whatever its constructor costs."""
+
+    def test_value_equality_and_hashing(self):
+        event = Event(frozenset({"a", "b"}), "c")
+        same = Event(events=frozenset({"b", "a"}), contract="c")
+        assert event == same and hash(event) == hash(same)
+        assert len({event, same, Event(frozenset({"a", "b"}))}) == 2
+        assert event != Event(frozenset({"a"}), "c")
+        assert event != (frozenset({"a", "b"}), "c")
+        assert Event(frozenset()).contract is None
+        assert repr(event) == (
+            f"Event(events={frozenset({'a', 'b'})!r}, contract='c')"
+        )
+
+    def test_assignment_raises(self):
+        event = Event(frozenset({"a"}), "c")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            event.events = frozenset()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            event.contract = None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del event.contract
+        with pytest.raises(AttributeError):
+            event.other = 1
+        assert event == Event(frozenset({"a"}), "c")
+
+    def test_copies_and_parsed_records_are_equal(self):
+        event = Event(frozenset({"a"}), "c")
+        assert pickle.loads(pickle.dumps(event)) == event
+        assert copy.deepcopy(event) == event
+        assert dataclasses.replace(event, contract=None) == Event(
+            frozenset({"a"})
+        )
+        assert parse_event({"events": ["a"], "contract": "c"}) == event
+        assert parse_event({"events": ("a",)}) == Event(frozenset({"a"}))
+
+
+class TestBareStringSnapshots:
+    """A snapshot is a collection of event names: a bare string is an
+    error at every entry point, not a set of its characters."""
+
+    @staticmethod
+    def fleet():
+        fleet = FleetMonitor()
+        fleet.add_contract("c", encoded_for("G !z", frozenset({"a", "z"})))
+        return fleet
+
+    @staticmethod
+    def untouched(fleet):
+        monitor = fleet.monitor("c")
+        assert monitor.events_seen == 0 and fleet.alerts == ()
+        assert fleet.metrics.counter_value("monitor.events") == 0
+
+    def test_fleet_advance(self):
+        fleet = self.fleet()
+        with pytest.raises(MonitorError, match="not a string: 'zz'"):
+            fleet.advance("c", "zz")
+        self.untouched(fleet)
+
+    def test_fleet_ingest_pair(self):
+        fleet = self.fleet()
+        with pytest.raises(MonitorError, match="not a string: 'zz'"):
+            fleet.ingest([("c", "zz")])
+        self.untouched(fleet)
+
+    def test_fleet_broadcast(self):
+        fleet = self.fleet()
+        with pytest.raises(MonitorError, match="not a string: 'a'"):
+            fleet.broadcast("a")
+        self.untouched(fleet)
+
+    def test_encoded_monitor_advance(self):
+        monitor = EncodedMonitor(encoded_for("G !z", frozenset({"a", "z"})))
+        with pytest.raises(MonitorError, match="not a string: 'za'"):
+            monitor.advance("za")
+        assert monitor.events_seen == 0 and monitor.unknown_events == 0
+        # a collection of names is still read as one
+        assert monitor.advance(["a"]) is MonitorStatus.ACTIVE
+        assert monitor.advance(("z",)) is MonitorStatus.VIOLATED
+
+
+class ReferenceFleet(FleetMonitor):
+    """The fleet as it was before cells were re-read only on a moved
+    frontier: every delivery re-reads every watch cell of its contract.
+    Registration, ``reset`` and the entry points are the engine's."""
+
+    def _deliver_all(self, records, alerts):
+        consumed = deliveries = advanced = unknown = 0
+        try:
+            for record in records:
+                event = _coerce_event(record)
+                consumed += 1
+                targets = (list(self._active) if event.contract is None
+                           else [event.contract])
+                deliveries += len(targets)
+                for name in targets:
+                    monitor = self._monitors.get(name)
+                    if monitor is None:
+                        raise MonitorError(f"unknown contract {name!r}")
+                    if monitor.violated:
+                        continue
+                    before = monitor.unknown_events
+                    status = monitor.advance(event.events)
+                    advanced += 1
+                    unknown += monitor.unknown_events - before
+                    self._reread(name, monitor, status, event.events, alerts)
+        finally:
+            self._count(advanced, unknown)
+        return consumed, deliveries, unknown
+
+    def _reread(self, name, monitor, status, snap, alerts):
+        if status is MonitorStatus.VIOLATED:
+            self._active.pop(name, None)
+            self._emit(Alert(
+                "violated", name, self._ids[name], None,
+                monitor.violation_index, snap,
+            ), alerts)
+            for cell in self._watches[name]:
+                cell.satisfiable = False
+            return
+        for cell in self._watches[name]:
+            satisfiable = bool(monitor.frontier & cell.mask)
+            if cell.satisfiable and not satisfiable:
+                self._emit(Alert(
+                    "watch-unsatisfiable", name, self._ids[name], cell.name,
+                    monitor.events_seen - 1, snap,
+                ), alerts)
+            cell.satisfiable = satisfiable
+
+
+ALIEN = "zz-alien"
+COUNTERS = ("monitor.events", "monitor.unknown_events", "monitor.alerts",
+            "monitor.violations", "monitor.watch_flips", "monitor.batches")
+#: contract slots; a slot past the fleet's contracts is the name "ghost"
+TARGETS = st.integers(min_value=0, max_value=5)
+SNAPSHOTS = snapshots(EVENTS + (ALIEN,))
+RECORDS = st.tuples(
+    st.sampled_from(["event", "dict", "pair"]),
+    st.none() | TARGETS,
+    SNAPSHOTS,
+)
+OPERATIONS = st.lists(st.one_of(
+    st.tuples(st.just("ingest"), st.lists(RECORDS, max_size=6)),
+    st.tuples(st.just("advance"), TARGETS, SNAPSHOTS),
+    st.tuples(st.just("broadcast"), SNAPSHOTS),
+    st.tuples(st.just("outside-advance"), TARGETS, SNAPSHOTS),
+    st.tuples(st.just("outside-reset"), TARGETS),
+    st.tuples(st.just("watch"), st.integers(0, 4), st.none() | TARGETS),
+    st.tuples(st.just("reset")),
+), max_size=12)
+
+
+def as_record(kind, name, snap):
+    if kind == "event":
+        return Event(snap, name)
+    if kind == "dict":
+        return {"events": sorted(snap), "contract": name}
+    return (name, set(snap))
+
+
+class TestOneDeliveryLoop:
+    """Differential: the fleet against :class:`ReferenceFleet` over
+    random operation sequences — addressed, broadcast, dict and pair
+    records; violations; watch loss, recovery and re-arm; unknown
+    events; strict-vocabulary and unknown-contract errors mid-batch;
+    steps and resets taken on a monitor outside its fleet; watches
+    registered mid-stream."""
+
+    @staticmethod
+    def build(cls, strict, specs, watches):
+        fleet = cls(MonitorOptions(strict_vocabulary=strict))
+        for name, encoded in specs:
+            fleet.add_contract(name, encoded, contract_id=len(name))
+        fleet.register_watch("w", watches[0])
+        fleet.register_watch("may-b", watches[1])
+        return fleet
+
+    @staticmethod
+    def apply(fleet, op, names, watches, serial):
+        """One operation; returns what it returned, or its error."""
+        def name_of(slot):
+            if slot is None:
+                return None
+            return names[slot] if slot < len(names) else "ghost"
+
+        kind = op[0]
+        try:
+            if kind == "ingest":
+                report = fleet.ingest([
+                    as_record(record_kind, name_of(slot), snap)
+                    for record_kind, slot, snap in op[1]
+                ])
+                return (report.events, report.deliveries, report.alerts,
+                        report.unknown_events, report.violations)
+            if kind == "advance":
+                return fleet.advance(name_of(op[1]), op[2])
+            if kind == "broadcast":
+                return fleet.broadcast(op[1])
+            if kind == "outside-advance":
+                return fleet.monitor(name_of(op[1])).advance(op[2])
+            if kind == "outside-reset":
+                return fleet.monitor(name_of(op[1])).reset()
+            if kind == "watch":
+                target = name_of(op[2])
+                return fleet.register_watch(
+                    f"w{serial}", watches[op[1] % len(watches)],
+                    None if target is None else [target],
+                )
+            return fleet.reset()
+        except MonitorError as exc:
+            return ("error", str(exc))
+
+    @staticmethod
+    def observe(fleet, names, watch_names):
+        cells = {}
+        for name in names:
+            for watch in watch_names:
+                try:
+                    cells[name, watch] = fleet.watch_satisfiable(name, watch)
+                except MonitorError:
+                    pass
+        monitors = [fleet.monitor(name) for name in names]
+        return (
+            fleet.alerts,
+            fleet.active_contracts,
+            tuple(fleet.metrics.counter_value(c) for c in COUNTERS),
+            cells,
+            [(m.frontier, m.events_seen, m.unknown_events,
+              m.violation_index) for m in monitors],
+        )
+
+    @given(
+        st.lists(contract_specs(), min_size=1, max_size=3),
+        st.lists(formulas(max_depth=2), min_size=1, max_size=3),
+        st.booleans(),
+        OPERATIONS,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_alerts_reports_counters_and_cells_match(
+        self, specs, formulas_, strict, operations
+    ):
+        contracts = [("flip", flip_flop_encoded()),
+                     ("tick", ticking_encoded())] + [
+            (spec.name,
+             encode_automaton(translate(spec.formula), spec.vocabulary))
+            for spec in {spec.name: spec for spec in specs}.values()
+        ]
+        names = [name for name, _ in contracts]
+        watches = [translate(parse("a")), translate(parse("F b"))] + [
+            translate(f) for f in formulas_]
+        fleet = self.build(FleetMonitor, strict, contracts, watches)
+        reference = self.build(ReferenceFleet, strict, contracts, watches)
+        watch_names = ["w", "may-b"]
+        assert self.observe(fleet, names, watch_names) == self.observe(
+            reference, names, watch_names)
+        for serial, op in enumerate(operations):
+            if op[0] == "watch":
+                watch_names.append(f"w{serial}")
+            got = self.apply(fleet, op, names, watches, serial)
+            expected = self.apply(reference, op, names, watches, serial)
+            assert got == expected, op
+            assert self.observe(fleet, names, watch_names) == self.observe(
+                reference, names, watch_names), op
+
+    def test_a_step_taken_outside_the_fleet_flips_on_the_next_delivery(self):
+        """The cells were read on the initial frontier; a monitor step
+        made outside the fleet moves it out of the watch's winning
+        region, and the next delivery — which leaves the frontier where
+        that step put it — must still report the loss."""
+        vocab = frozenset({"a", "b"})
+        for cls in (FleetMonitor, ReferenceFleet):
+            fleet = cls()
+            fleet.add_contract("c", encoded_for("G(a -> X G !b)", vocab))
+            fleet.register_watch("may-b", "F b")
+            outside = fleet.monitor("c")
+            outside.advance({"a"})
+            moved = outside.frontier
+            assert fleet.alerts == ()
+            (alert,) = fleet.advance("c", set())
+            assert fleet.monitor("c").frontier == moved
+            assert (alert.kind, alert.watch, alert.event_index) == (
+                "watch-unsatisfiable", "may-b", 1)
