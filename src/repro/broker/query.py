@@ -120,12 +120,10 @@ class QueryStats:
         parts = list(parts)
         merged = cls()
         if parts:
-            for spec in fields(cls):
-                combine = spec.metadata.get("combine")
-                if combine is not None:
-                    value = combine([getattr(p, spec.name) for p in parts])
-                    # no shard had anything to say: the default stands
-                    setattr(merged, spec.name, value or spec.default)
+            for name, combine, default in _ACROSS_SHARDS:
+                value = combine([getattr(p, name) for p in parts])
+                # no shard had anything to say: the default stands
+                setattr(merged, name, value or default)
         return merged
 
     @property
@@ -135,6 +133,13 @@ class QueryStats:
         if self.prefilter_input == 0:
             return 0.0
         return 1.0 - self.prefilter_output / self.prefilter_input
+
+
+#: ``(name, combine, default)`` of every field that reads across shards
+_ACROSS_SHARDS = tuple(
+    (spec.name, spec.metadata["combine"], spec.default)
+    for spec in fields(QueryStats) if "combine" in spec.metadata
+)
 
 
 @dataclass

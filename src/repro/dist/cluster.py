@@ -60,17 +60,6 @@ class LocalCluster:
             return None
         return self.directory / f"shard-{shard}"
 
-    @property
-    def leader_dir(self) -> Path:
-        """Shard 0's journaled directory (what a replica tails)."""
-        path = self.shard_dir(0)
-        if path is None:
-            raise DistError(
-                "a memory-only cluster has no journal to replicate; "
-                "construct LocalCluster with a directory"
-            )
-        return path
-
     def _start(self) -> None:
         if self.mode == "thread":
             for shard in range(self.num_shards):

@@ -3,19 +3,17 @@
 :class:`DistributedDatabase` is the one cluster front-end and the one
 RPC client.  It owns the only cluster-global state — the catalog
 mapping each registered contract to a global id and the shard the
-:class:`~repro.dist.partition.ShardRouter` placed it on — behind the
-synchronous ``ContractDatabase``-shaped methods, so application code
-can switch a single-node database for a cluster without touching call
-sites.  Every mutation routes to exactly one shard; every query fans
-out to all of them concurrently and the shard answers are merged back
-into one :class:`~repro.broker.query.QueryOutcome` in **global
-registration order** — the same ascending-id order a single-node
-database reports, assembled by the function a single node assembles
-its own answer with (:func:`~repro.broker.query.assemble_outcome`) —
-so a distributed answer is byte-comparable to the single-node oracle's
-(invariant 15: distribution changes placement, never answers).  The
-transport is asyncio on a loop the object runs in the calling thread
-for the length of a call; nothing outside this module awaits anything.
+:class:`~repro.dist.partition.ShardRouter` placed it on — behind
+synchronous ``ContractDatabase``-shaped methods.  Every mutation routes
+to exactly one shard; every query goes to all of them — each frame out
+before any answer is read — and the answers are merged back into one
+:class:`~repro.broker.query.QueryOutcome` in **global registration
+order** by the function a single node assembles its own answer with
+(:func:`~repro.broker.query.assemble_outcome`), so a distributed answer
+is byte-comparable to the single-node oracle's (invariant 15:
+distribution changes placement, never answers).  The transport is
+asyncio on a loop the object runs in the calling thread for the length
+of a call; nothing outside this module awaits anything.
 
 Fault tolerance (1.10) is layered on that contract, never above it:
 
@@ -23,14 +21,12 @@ Fault tolerance (1.10) is layered on that contract, never above it:
   ``OSError``, RPC timeout, connection closed mid-exchange) on an
   *idempotent* op (``query``/``query_many``/``status``/``ping``) is
   retried under the shared :class:`~repro.core.retry.BackoffPolicy`
-  (capped exponential, deterministic jitter salted per shard+op).
-  Every retry re-checks the query deadline first, so a retried call
-  never outlives the budget the caller set.  ``register``/
-  ``deregister`` are *not* retried — the shard may or may not have
-  applied them — and surface a typed
+  (capped exponential, deterministic jitter salted per shard+op), by
+  the one loop every RPC goes through, which re-checks the query
+  deadline first.  ``register``/``deregister`` are *not* retried — the
+  shard may or may not have applied them — and surface a typed
   :class:`~repro.errors.RetryableDistError` so the caller can verify
-  and re-issue (a blind re-register is rejected by name, not
-  double-applied);
+  and re-issue (a blind re-register is rejected by name);
 * **health** — each shard carries a :class:`ShardHealth` circuit
   breaker: ``failure_threshold`` consecutive transport failures open
   it, an open breaker fails calls fast (no connect, no timeout wait),
@@ -212,15 +208,14 @@ class DistributedDatabase:
     ``ContractDatabase``-shaped client that owns everything
     cluster-global — catalog, router, connections, breakers, replicas.
 
-    One persistent connection per shard, serialized per shard with a
-    lock (concurrent fan-out across shards, in-order frames within
-    one); a failed connection is re-dialed on the next request.
+    One persistent connection per shard, one exchange on it at a time;
+    a failed connection is re-dialed on the next request.
 
     The transport is asyncio, and that is an implementation detail: the
     object owns an event loop and runs it in the calling thread for the
     length of each public call, one call at a time (callers on several
-    threads take turns; the fan-out *within* a call stays concurrent;
-    calling in from a running asyncio loop raises ``RuntimeError``).  A
+    threads take turns; the shards of one call work at once; calling
+    in from a running asyncio loop raises ``RuntimeError``).  A
     loop thread of its own would put two more thread hand-offs on every
     call, and with the shard handlers' those are what a sharded query's
     latency and its run-to-run spread are made of (ROADMAP item 5(a)
@@ -244,7 +239,6 @@ class DistributedDatabase:
         self._by_name: dict[str, int] = {}
         self._next_id = 1
         self._conns: list[tuple | None] = [None] * len(self.addresses)
-        self._locks = [asyncio.Lock() for _ in self.addresses]
         self.health = [
             ShardHealth(
                 failure_threshold=breaker_threshold,
@@ -264,12 +258,6 @@ class DistributedDatabase:
         """Run ``coro`` to completion on this object's loop, in the
         calling thread.  The caller holds the turn lock."""
         return self._loop.run_until_complete(coro)
-
-    async def _every_shard(self, one) -> list:
-        """``one(shard)`` for every shard concurrently, in shard order."""
-        return list(await asyncio.gather(
-            *(one(shard) for shard in range(len(self.addresses)))
-        ))
 
     async def _connection(self, shard: int):
         conn = self._conns[shard]
@@ -292,53 +280,44 @@ class DistributedDatabase:
             conn[1].close()
             self._conns[shard] = None
 
-    async def _call_once(self, shard: int, doc: dict, *,
-                         timeout: float | None = None) -> dict:
-        """One request/response exchange with ``shard``.  Raises
-        :class:`TransientShardError` on transport failure or timeout
-        (may heal — retryable), plain :class:`DistError` on a
-        shard-side error response (the shard is up and answering)."""
-        started = time.perf_counter()
-        op = doc.get("op")
+    async def _send(self, shard: int, doc: dict, timeout: float) -> tuple:
+        """An attempt's first half: dial if need be and write the frame.
+        Returns :meth:`_receive`'s arguments, expiring ``timeout``
+        seconds from now."""
+        op, started = doc["op"], time.perf_counter()
         try:
-            async with self._locks[shard]:
-                reader, writer = await self._connection(shard)
-                try:
-                    faults.hit("dist.send", shard=shard, op=op)
-                    await protocol.write_frame(writer, doc)
-                    faults.hit("dist.recv", shard=shard, op=op)
-                    response = await asyncio.wait_for(
-                        protocol.read_frame(reader),
-                        timeout if timeout is not None else self.rpc_timeout,
-                    )
-                except (OSError, asyncio.TimeoutError, DistError):
-                    # the connection's framing state is unknown now
-                    self._disconnect(shard)
-                    raise
-        except TransientShardError:
-            self.metrics.inc(f"dist.shard.{shard}.failures")
-            raise
-        except asyncio.TimeoutError as exc:
-            self.metrics.inc(f"dist.shard.{shard}.timeouts")
-            raise TransientShardError(
-                f"shard {shard} missed the RPC deadline for {op!r}"
-            ) from exc
-        except OSError as exc:
-            self.metrics.inc(f"dist.shard.{shard}.failures")
-            raise TransientShardError(
-                f"shard {shard} transport failed during {op!r}: {exc}"
-            ) from exc
+            reader, writer = await self._connection(shard)
+            faults.hit("dist.send", shard=shard, op=op)
+            await protocol.write_frame(writer, doc)
+            faults.hit("dist.recv", shard=shard, op=op)
+        except BaseException as exc:
+            raise self._failed(shard, op, started, exc)
+        return shard, op, started, reader, self._loop.time() + timeout
+
+    async def _receive(self, shard: int, op: str, started: float,
+                       reader, expiry: float) -> dict:
+        """An attempt's second half: read the answer, given up at loop
+        time ``expiry`` by a timer that cancels this task (as
+        ``asyncio.timeout`` does; ``wait_for`` would add a task per
+        read) — an answer already buffered is read even past it.
+        Raises :class:`TransientShardError` on transport failure or
+        timeout, :class:`DistError` on a shard's error response."""
+        task, expired = asyncio.current_task(), []
+        timer = self._loop.call_at(
+            expiry, lambda: expired.append(task.cancel()))
+        try:
+            response = await protocol.read_frame(reader)
+            if response is None:
+                raise ConnectionResetError("connection closed mid-request")
+        except BaseException as exc:
+            if expired:  # the timer cancelled this read
+                exc = asyncio.TimeoutError()
+            raise self._failed(shard, op, started, exc)
         finally:
-            self.metrics.observe(
-                f"dist.shard.{shard}.rpc_seconds",
-                time.perf_counter() - started,
-            )
-        if response is None:
-            self._conns[shard] = None
-            self.metrics.inc(f"dist.shard.{shard}.failures")
-            raise TransientShardError(
-                f"shard {shard} closed the connection mid-request"
-            )
+            timer.cancel()
+        self.metrics.observe(
+            f"dist.shard.{shard}.rpc_seconds", time.perf_counter() - started
+        )
         self.metrics.inc(f"dist.shard.{shard}.requests")
         if not response.get("ok"):
             raise DistError(
@@ -346,72 +325,143 @@ class DistributedDatabase:
             )
         return response
 
-    async def _call(self, shard: int, doc: dict, *,
-                    timeout: float | None = None,
-                    deadline: float | None = None) -> dict:
-        """A health-tracked, retrying exchange with ``shard``.
+    def _failed(self, shard: int, op: str, started: float,
+                exc: BaseException) -> BaseException:
+        """Account a failed attempt and say what to raise: a transport
+        failure is a :class:`TransientShardError` counted against
+        ``shard``; past the dial the connection's framing is unknown."""
+        self.metrics.observe(
+            f"dist.shard.{shard}.rpc_seconds", time.perf_counter() - started
+        )
+        timed_out = isinstance(exc, asyncio.TimeoutError)
+        if not isinstance(exc, TransientShardError):
+            self._disconnect(shard)
+            if not timed_out and not isinstance(exc, OSError):
+                return exc
+            error = TransientShardError(
+                f"shard {shard} missed the RPC deadline for {op!r}"
+                if timed_out else
+                f"shard {shard} transport failed during {op!r}: {exc}"
+            )
+            error.__cause__, exc = exc, error
+        kind = "timeouts" if timed_out else "failures"
+        self.metrics.inc(f"dist.shard.{shard}.{kind}")
+        return exc
 
-        ``deadline`` is an absolute ``time.perf_counter()`` value the
-        call (including every retry and backoff sleep) must never
-        outlive — it is re-checked before each attempt *and* before
-        each backoff sleep.  Idempotent ops retry transient failures
-        under the front-end's :class:`~repro.core.retry.BackoffPolicy`;
-        mutations surface a :class:`~repro.errors.RetryableDistError`
-        after the first transient failure instead.
-        """
-        op = doc.get("op")
-        health = self.health[shard]
-        attempt = 0
-        while True:
-            if deadline is not None:
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    raise TransientShardError(
-                        f"query budget exhausted before shard {shard} "
-                        f"answered {op!r}"
-                    )
-                attempt_timeout = remaining + RPC_GRACE_SECONDS
-                if timeout is not None:
-                    attempt_timeout = min(timeout, attempt_timeout)
-            else:
-                attempt_timeout = timeout
-            if not health.allow():
-                self._publish_health(shard)
+    def _admit(self, shard: int, op: str, timeout: float | None,
+               deadline: float | None) -> float:
+        """The check before every attempt — the budget is not spent,
+        ``shard``'s breaker lets a call out — and the attempt's timeout.
+        A refusal is a :class:`TransientShardError` no retry follows."""
+        timeout = self.rpc_timeout if timeout is None else timeout
+        if deadline is not None:
+            remaining = deadline - time.perf_counter()
+            if remaining <= 0:
                 raise TransientShardError(
-                    f"shard {shard} circuit breaker is open "
-                    f"({health.consecutive_failures} consecutive "
-                    f"failure(s); last: {health.last_error})"
+                    f"query budget exhausted before shard {shard} "
+                    f"answered {op!r}"
                 )
-            try:
-                response = await self._call_once(
-                    shard, doc, timeout=attempt_timeout
-                )
-            except TransientShardError as exc:
-                if health.record_failure(exc):
-                    self.metrics.inc("dist.breaker_open")
-                self._publish_health(shard)
-                if op not in IDEMPOTENT_OPS:
-                    raise RetryableDistError(
-                        f"transient failure on non-idempotent {op!r} "
-                        f"against shard {shard}: {exc}  (not retried "
-                        "automatically — verify shard state, then "
-                        "re-issue)"
-                    ) from exc
-                attempt += 1
-                if attempt > self.retry.max_retries:
-                    raise
-                pause = self.retry.delay(attempt, salt=f"shard{shard}:{op}")
-                if (deadline is not None
-                        and time.perf_counter() + pause >= deadline):
-                    # a retry must never outlive the query's own budget
-                    raise
-                self.metrics.inc("dist.retries")
-                self.metrics.inc(f"dist.shard.{shard}.retries")
-                await asyncio.sleep(pause)
-                continue
-            health.record_success()
+            timeout = min(timeout, remaining + RPC_GRACE_SECONDS)
+        health = self.health[shard]
+        if not health.allow():
             self._publish_health(shard)
-            return response
+            raise TransientShardError(
+                f"shard {shard} circuit breaker is open "
+                f"({health.consecutive_failures} consecutive "
+                f"failure(s); last: {health.last_error})"
+            )
+        return timeout
+
+    def _backoff(self, shard: int, op: str, attempt: int,
+                 failure: TransientShardError,
+                 deadline: float | None) -> float:
+        """``failure`` ended attempt ``attempt`` on ``shard``: the pause
+        before the next under :attr:`retry` — or, where none may follow,
+        the error the call ends in, raised (a mutation's is a
+        :class:`~repro.errors.RetryableDistError`)."""
+        if self.health[shard].record_failure(failure):
+            self.metrics.inc("dist.breaker_open")
+        self._publish_health(shard)
+        if op not in IDEMPOTENT_OPS:
+            raise RetryableDistError(
+                f"transient failure on non-idempotent {op!r} "
+                f"against shard {shard}: {failure}  (not retried "
+                "automatically — verify shard state, then re-issue)"
+            ) from failure
+        pause = self.retry.delay(attempt, salt=f"shard{shard}:{op}")
+        # a retry must never outlive the query's own budget
+        if attempt > self.retry.max_retries or (
+                deadline is not None
+                and time.perf_counter() + pause >= deadline):
+            raise failure
+        self.metrics.inc("dist.retries")
+        self.metrics.inc(f"dist.shard.{shard}.retries")
+        return pause
+
+    async def _call_all(self, calls: dict, deadline: float | None = None
+                        ) -> list:
+        """The one RPC path: a health-tracked, retrying exchange with
+        each ``shard: (doc, timeout)`` of ``calls`` that never outlives
+        ``deadline`` (a ``time.perf_counter()`` value).  A round sends
+        every pending shard its frame, then reads the answers in shard
+        order while the shards work; a shard whose attempt failed in
+        transit goes again next round, after its backoff.  Returns per
+        shard its response, the :class:`DistError` its call ended in,
+        or ``None`` (not called)."""
+        results: list = [None] * len(self.addresses)
+        attempt = 0
+        while calls:
+            attempt += 1
+            failed, sent = {}, []  # sent: frames whose answers are unread
+            try:
+                for shard, (doc, timeout) in calls.items():
+                    try:
+                        timeout = self._admit(
+                            shard, doc["op"], timeout, deadline
+                        )
+                    except DistError as exc:
+                        results[shard] = exc
+                        continue
+                    try:
+                        sent.append(await self._send(shard, doc, timeout))
+                    except TransientShardError as exc:
+                        failed[shard] = exc
+                    except DistError as exc:
+                        results[shard] = exc
+                while sent:
+                    shard = sent[0][0]
+                    try:
+                        results[shard] = await self._receive(*sent[0])
+                        self.health[shard].record_success()
+                        self._publish_health(shard)
+                    except TransientShardError as exc:
+                        failed[shard] = exc
+                    except DistError as exc:
+                        results[shard] = exc
+                    del sent[0]
+            finally:
+                for shard, *_ in sent:  # never leave an answer unread
+                    self._disconnect(shard)
+            calls, pause = {s: calls[s] for s in failed}, 0.0
+            for shard, failure in failed.items():
+                try:
+                    pause = max(pause, self._backoff(
+                        shard, calls[shard][0]["op"], attempt, failure,
+                        deadline,
+                    ))
+                except DistError as exc:
+                    results[shard] = exc
+                    del calls[shard]
+            if calls:
+                await asyncio.sleep(pause)
+        return results
+
+    def _call(self, shard: int, doc: dict) -> dict:
+        """One exchange with one shard; the caller holds the turn."""
+        result = self._run(self._call_all({shard: (doc, None)}))[shard]
+        if isinstance(result, DistError):
+            raise result
+        return result
 
     def _publish_health(self, shard: int) -> None:
         health = self.health[shard]
@@ -514,7 +564,7 @@ class DistributedDatabase:
             if name in self._by_name:
                 raise DistError(f"contract {name!r} is already registered")
             shard = self.router.shard_for(name)
-            self._run(self._call(shard, {"op": "register", **doc}))
+            self._call(shard, {"op": "register", **doc})
             routed = RoutedContract(
                 contract_id=self._next_id, name=name, shard=shard
             )
@@ -530,9 +580,9 @@ class DistributedDatabase:
             routed = self._catalog.get(contract_id)
             if routed is None:
                 raise DistError(f"no contract with global id {contract_id}")
-            self._run(self._call(routed.shard, {
+            self._call(routed.shard, {
                 "op": "deregister", "name": routed.name,
-            }))
+            })
             del self._catalog[contract_id]
             del self._by_name[routed.name]
         self.metrics.inc("dist.deregistrations")
@@ -573,19 +623,22 @@ class DistributedDatabase:
             texts.append(str(query))
         options = coerce_query_options("query_many", options)
         protocol.check_distributable(options)
+        # before anything goes out: a malformed query is the caller's
+        # LTLSyntaxError, as on a single node (the merge needs them too)
+        formulas = [parse(text) for text in texts]
         if not texts:
             return []
 
         with self._turn:
             started = time.perf_counter()
-            answers = self._run(self._fan_out(texts, options, started))
+            answers = self._fan_out(texts, options, started)
             outcomes = [
-                self._merge(text, [
+                self._merge(formula, [
                     (shard,
                      None if answer is None else answer["outcomes"][qi])
                     for shard, answer in enumerate(answers)
                 ], options)
-                for qi, text in enumerate(texts)
+                for qi, formula in enumerate(formulas)
             ]
             elapsed = time.perf_counter() - started
         self.metrics.inc("dist.queries", len(texts))
@@ -595,72 +648,66 @@ class DistributedDatabase:
         )
         return outcomes
 
-    async def _fan_out(self, queries: list[str], options: QueryOptions,
-                       started: float) -> list[dict | None]:
-        """Ask every shard concurrently; a shard that fails or misses
-        the deadline yields ``None`` (merged as SKIPPED — or, under
-        ``Degradation.FAIL``, raises
+    def _fan_out(self, queries: list[str], options: QueryOptions,
+                 started: float) -> list[dict | None]:
+        """Ask every shard (its replica, where one is attached and fresh
+        enough; :meth:`_call_all` for the rest); a shard that fails or
+        misses the deadline yields ``None`` (merged as SKIPPED — or,
+        under ``Degradation.FAIL``, raises
         :class:`~repro.errors.QueryBudgetError`)."""
         # without a deadline every shard gets the same options, encoded
         # once; with one, each shard's carry its own remaining budget
         budgeted = options.deadline_seconds is not None
         shared = None if budgeted else protocol.options_to_doc(options)
-
-        async def one(shard: int) -> dict | None:
-            shard_options, timeout, deadline = options, self.rpc_timeout, None
+        deadline = started + options.deadline_seconds if budgeted else None
+        answers: list[dict | None] = [None] * len(self.addresses)
+        calls = {}
+        for shard in range(len(self.addresses)):
+            shard_options, timeout, options_doc = (
+                options, self.rpc_timeout, shared
+            )
             if budgeted:
                 # propagate the *remaining* budget: time already spent
                 # routing/serializing is not given back to the shard
-                deadline = started + options.deadline_seconds
                 remaining = max(0.0, deadline - time.perf_counter())
                 shard_options = options.evolve(deadline_seconds=remaining)
+                options_doc = protocol.options_to_doc(shard_options)
                 timeout = remaining + RPC_GRACE_SECONDS
             if shard in self._replicas:
-                response = await self._replica_read(
+                answers[shard] = self._replica_read(
                     shard, queries, shard_options
                 )
-                if response is not None:
-                    return response
-            options_doc = (
-                protocol.options_to_doc(shard_options) if budgeted else shared
-            )
-            try:
-                return await self._call(
-                    shard,
-                    {"op": "query_many", "queries": queries, **options_doc},
-                    timeout=timeout, deadline=deadline,
-                )
-            except DistError as exc:
+                if answers[shard] is not None:
+                    continue
+            calls[shard] = ({"op": "query_many", "queries": queries,
+                             **options_doc}, timeout)
+        results = self._run(self._call_all(calls, deadline))
+        for shard, result in enumerate(results):
+            if isinstance(result, DistError):
                 if options.degradation is Degradation.FAIL:
                     raise QueryBudgetError(
                         f"shard {shard} failed under Degradation.FAIL: "
-                        f"{exc}"
-                    ) from exc
+                        f"{result}"
+                    ) from result
                 self.metrics.inc("dist.merge.skipped_shards")
-                return None
+            elif result is not None:
+                answers[shard] = result
+        return answers
 
-        # not through _every_shard: one await frame more tipped pinned
-        # sharded_fanout runs into their slower hand-off pattern
-        return list(await asyncio.gather(
-            *(one(s) for s in range(len(self.addresses)))
-        ))
-
-    async def _replica_read(self, shard: int, queries: list[str],
-                            options: QueryOptions) -> dict | None:
+    def _replica_read(self, shard: int, queries: list[str],
+                      options: QueryOptions) -> dict | None:
         """Serve ``shard``'s slice of a read from its attached replica
         when the replication lag is within the read preference's bound;
         ``None`` means "go ask the leader" (stale, stalled, or the
         replica itself failed)."""
         replica, preference = self._replicas[shard]
         try:
-            report = await asyncio.to_thread(replica.poll)
+            report = replica.poll()
             if (report.lag_records > preference.max_staleness_records
                     or replica.stalled):
                 self.metrics.inc("dist.replica_read_fallbacks")
                 return None
-            outcomes = await asyncio.to_thread(
-                replica.query_many, queries, options
-            )
+            outcomes = replica.query_many(queries, options)
         except Exception:
             # any replica trouble falls back to the leader; reads must
             # never be *less* available with a replica attached
@@ -672,40 +719,41 @@ class DistributedDatabase:
         self.metrics.inc("dist.replica_reads")
         return protocol.outcomes_doc(outcomes, id_to_name)
 
-    def _merge(self, query_text: str,
+    def _merge(self, formula: Formula,
                per_shard: list[tuple[int, dict | None]],
                options: QueryOptions) -> QueryOutcome:
         """Merge shard outcome documents into one global outcome, in
         ascending global-id (registration) order — the order a
-        single-node database reports.  A shard with no document failed:
-        every contract it owns is a SKIPPED candidate (nobody knows
-        which of them its prefilter would have kept)."""
-        answered = {
-            shard: doc for shard, doc in per_shard if doc is not None
-        }
-
+        single-node database reports — from the candidates each shard
+        named that the catalog places on it.  A shard with no document
+        failed: every contract it owns is a SKIPPED candidate (nobody
+        knows which of them its prefilter would have kept)."""
+        catalog, by_name = self._catalog, self._by_name
         verdicts: dict[int, Verdict] = {}
-        for global_id in sorted(self._catalog):
-            routed = self._catalog[global_id]
-            doc = answered.get(routed.shard)
+        parts = []
+        for shard, doc in per_shard:
             if doc is None:
-                verdicts[global_id] = Verdict.SKIPPED
+                verdicts.update(
+                    (global_id, Verdict.SKIPPED)
+                    for global_id, routed in catalog.items()
+                    if routed.shard == shard
+                )
                 continue
-            value = (doc.get("verdicts") or {}).get(routed.name)
-            if value is not None:  # else: not a candidate on its shard
-                verdicts[global_id] = Verdict(value)
+            parts.append(protocol.stats_from_doc(doc.get("stats") or {}))
+            for name, value in (doc.get("verdicts") or {}).items():
+                global_id = by_name.get(name)
+                if (value is not None and global_id is not None
+                        and catalog[global_id].shard == shard):
+                    verdicts[global_id] = Verdict(value)
 
         # every shard plans for itself and the shards ran concurrently:
         # QueryStats knows how each of its fields reads across them
-        stats = QueryStats.combined(
-            protocol.stats_from_doc(doc.get("stats") or {})
-            for doc in answered.values()
-        )
-        stats.database_size = len(self._catalog)
+        stats = QueryStats.combined(parts)
+        stats.database_size = len(catalog)
         stats.deadline_seconds = options.deadline_seconds
         stats.step_budget = options.step_budget
         return assemble_outcome(
-            parse(query_text), verdicts, self._catalog,
+            formula, dict(sorted(verdicts.items())), catalog,
             options.degradation, stats,
         )
 
@@ -715,14 +763,6 @@ class DistributedDatabase:
         """Route stream records to the shards owning their contracts
         (broadcast records go everywhere) and merge the reports."""
         per_shard: list[list] = [[] for _ in self.addresses]
-
-        async def one(shard: int):
-            if not per_shard[shard]:
-                return None
-            return await self._call(shard, {
-                "op": "ingest", "events": per_shard[shard],
-            })
-
         with self._turn:
             for record in events:
                 if not isinstance(record, dict):
@@ -739,16 +779,20 @@ class DistributedDatabase:
                     if global_id is None:
                         raise DistError(f"no contract {name!r} registered")
                     per_shard[self._catalog[global_id].shard].append(record)
-            responses = self._run(self._every_shard(one))
+            responses = self._run(self._call_all({
+                shard: ({"op": "ingest", "events": records}, None)
+                for shard, records in enumerate(per_shard) if records
+            }))
         merged = {"events": 0, "deliveries": 0, "unknown_events": 0,
                   "alerts": []}
         for response in responses:
+            if isinstance(response, DistError):
+                raise response
             if response is None:
                 continue
             report = response["report"]
-            merged["events"] += report["events"]
-            merged["deliveries"] += report["deliveries"]
-            merged["unknown_events"] += report["unknown_events"]
+            for key in ("events", "deliveries", "unknown_events"):
+                merged[key] += report[key]
             merged["alerts"].extend(report["alerts"])
         self.metrics.inc("dist.ingest.events", merged["events"])
         return merged
@@ -757,15 +801,17 @@ class DistributedDatabase:
         """Per-shard status documents plus the front-end's view; a
         shard that cannot be reached is reported (``"ok": False`` and
         the error), not raised."""
-        async def one(shard: int):
-            try:
-                return await self._call(shard, {"op": "status"})
-            except DistError as exc:
-                return {"ok": False, "error": str(exc), "shard_id": shard}
-
         with self._turn:
+            responses = self._run(self._call_all({
+                shard: ({"op": "status"}, None)
+                for shard in range(len(self.addresses))
+            }))
             return {
-                "shards": self._run(self._every_shard(one)),
+                "shards": [
+                    {"ok": False, "error": str(response), "shard_id": shard}
+                    if isinstance(response, DistError) else response
+                    for shard, response in enumerate(responses)
+                ],
                 "contracts": len(self._catalog),
                 "addresses": [list(a) for a in self.addresses],
             }

@@ -28,6 +28,7 @@ fire on the server's half of the same exchange.
 
 from __future__ import annotations
 
+import asyncio
 import dataclasses
 import json
 import socket
@@ -126,8 +127,6 @@ def recv_frame(sock: socket.socket) -> dict | None:
 async def read_frame(reader) -> dict | None:
     """Read one frame from an ``asyncio.StreamReader`` (``None`` on
     clean EOF)."""
-    import asyncio
-
     try:
         prefix = await reader.readexactly(_LENGTH.size)
     except asyncio.IncompleteReadError as exc:
@@ -195,14 +194,22 @@ def check_distributable(options: QueryOptions) -> None:
         )
 
 
+#: every ``QueryStats`` field and its default, read once
+_STATS_DEFAULTS = {f.name: f.default for f in dataclasses.fields(QueryStats)}
+
+
 def stats_to_doc(stats: QueryStats) -> dict:
-    """A :class:`QueryStats` as a plain JSON-able dict."""
-    return dataclasses.asdict(stats)
+    """A :class:`QueryStats` as a plain JSON-able dict of the fields off
+    their defaults (every field is a scalar: a shallow read is a copy).
+    Lossless: :func:`stats_from_doc` fills the defaults back in."""
+    return {name: value for name, default in _STATS_DEFAULTS.items()
+            if (value := getattr(stats, name)) != default}
 
 
 def stats_from_doc(doc: Mapping[str, Any]) -> QueryStats:
-    names = {f.name for f in dataclasses.fields(QueryStats)}
-    return QueryStats(**{k: v for k, v in doc.items() if k in names})
+    return QueryStats(
+        **{k: v for k, v in doc.items() if k in _STATS_DEFAULTS}
+    )
 
 
 def outcome_to_doc(outcome: QueryOutcome,
@@ -212,15 +219,15 @@ def outcome_to_doc(outcome: QueryOutcome,
 
     ``verdicts`` covers every candidate, including NOT_PERMITTED ones
     that appear in neither answer tuple, so the server passes its full
-    local ``id_to_name`` catalog; without one, only the names the
-    outcome itself carries can be resolved.
+    local ``id_to_name`` catalog (read, never copied); without one,
+    only the names the outcome itself carries can be resolved.
     """
-    id_to_name = dict(id_to_name or {})
-    id_to_name.update(zip(outcome.contract_ids, outcome.contract_names))
-    id_to_name.update(zip(outcome.maybe_ids, outcome.maybe_names))
+    own = dict(zip(outcome.contract_ids, outcome.contract_names))
+    own.update(zip(outcome.maybe_ids, outcome.maybe_names))
+    catalog = id_to_name or {}
     verdicts = {}
     for contract_id, verdict in outcome.verdicts.items():
-        name = id_to_name.get(contract_id)
+        name = own.get(contract_id, catalog.get(contract_id))
         if name is not None:
             verdicts[name] = verdict.value
     return {
@@ -233,11 +240,10 @@ def outcome_to_doc(outcome: QueryOutcome,
 
 
 def outcomes_doc(outcomes, id_to_name: Mapping[int, str]) -> dict:
-    """The full ``query_many`` success payload for a batch of outcomes
-    — one shape shared by the shard server and the front-end's
-    replica-read path, so a replica-served answer is byte-identical to
-    a leader-served one."""
-    return {"ok": True, "outcomes": [
+    """The ``query_many`` success payload for a batch of outcomes — one
+    shape shared by the shard server and the front-end's replica-read
+    path, so a replica-served answer reads like a leader-served one."""
+    return {"outcomes": [
         outcome_to_doc(outcome, id_to_name) for outcome in outcomes
     ]}
 

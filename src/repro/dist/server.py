@@ -145,10 +145,8 @@ class ShardServer:
 
     def _op_query_many(self, doc: dict) -> dict:
         options = protocol.options_from_doc(doc)
-        queries = list(doc["queries"])
-        outcomes = self.db.query_many(queries, options)
-        payload = protocol.outcomes_doc(outcomes, self._names)
-        return {"outcomes": payload["outcomes"]}
+        outcomes = self.db.query_many(list(doc["queries"]), options)
+        return protocol.outcomes_doc(outcomes, self._names)
 
     def _op_ingest(self, doc: dict) -> dict:
         report = self.db.ingest(list(doc["events"]))

@@ -278,7 +278,7 @@ class TestMergeUnit:
 
     def test_global_registration_order_restored(self):
         coordinator = self._coordinator()
-        outcome = coordinator._merge("F a", [
+        outcome = coordinator._merge(parse("F a"), [
             (0, {"verdicts": {"alpha": "permitted", "delta": "permitted"},
                  "stats": {"candidates": 2, "checked": 2, "permitted": 2}}),
             (1, {"verdicts": {"beta": "permitted", "epsilon": "not_permitted"},
@@ -295,7 +295,7 @@ class TestMergeUnit:
 
     def test_timed_out_on_a_live_shard_becomes_maybe(self):
         coordinator = self._coordinator()
-        outcome = coordinator._merge("F a", [
+        outcome = coordinator._merge(parse("F a"), [
             (0, {"verdicts": {"alpha": "permitted", "delta": "timed_out"},
                  "stats": {"candidates": 2, "checked": 2, "permitted": 1,
                            "timed_out": 1, "degraded": True}}),
@@ -312,7 +312,7 @@ class TestMergeUnit:
 
     def test_failed_shard_merges_with_live_degradation(self):
         coordinator = self._coordinator()
-        outcome = coordinator._merge("F a", [
+        outcome = coordinator._merge(parse("F a"), [
             (0, {"verdicts": {"alpha": "permitted", "delta": "timed_out"},
                  "stats": {"candidates": 2, "checked": 2, "permitted": 1,
                            "timed_out": 1, "degraded": True}}),
@@ -335,7 +335,7 @@ class TestMergeUnit:
         coordinator = self._coordinator()
         scan = "QueryPlan(no-prefilter, no-projections: x)"
         prune = "QueryPlan(prefilter, projections, prefilter_first: y)"
-        outcome = coordinator._merge("F a", [
+        outcome = coordinator._merge(parse("F a"), [
             (0, {"verdicts": {}, "stats": {"plan_summary": scan}}),
             (1, {"verdicts": {}, "stats": {
                 "plan_summary": prune, "stage_order": "prefilter_first",
@@ -349,14 +349,14 @@ class TestMergeUnit:
         assert outcome.stats.pruning_ratio == pytest.approx(0.7)
         # no shard answered: nothing ran, the defaults stand
         nothing = coordinator._merge(
-            "F a", [(0, None), (1, None), (2, None)], QueryOptions()
+            parse("F a"), [(0, None), (1, None), (2, None)], QueryOptions()
         )
         assert nothing.stats.plan_summary == ""
         assert nothing.stats.stage_order == "attr_first"
 
     def test_permission_time_is_critical_path_not_sum(self):
         coordinator = self._coordinator()
-        outcome = coordinator._merge("F a", [
+        outcome = coordinator._merge(parse("F a"), [
             (0, {"verdicts": {}, "stats": {"permission_seconds": 0.5,
                                            "total_seconds": 0.6}}),
             (1, {"verdicts": {}, "stats": {"permission_seconds": 0.2,
@@ -372,15 +372,19 @@ class TestDeadlinePropagation:
     def test_shards_get_the_remaining_budget(self):
         calls = []
 
-        async def fake_call(shard, doc, *, timeout=None, deadline=None):
-            calls.append((shard, doc, timeout))
-            return {"ok": True, "outcomes": [{"verdicts": {}, "stats": {}}]}
+        async def fake_call_all(shard_calls, deadline=None):
+            calls.extend(
+                (shard, doc, timeout)
+                for shard, (doc, timeout) in shard_calls.items()
+            )
+            return [{"ok": True, "outcomes": [{"verdicts": {}, "stats": {}}]}
+                    for _ in shard_calls]
 
         with DistributedDatabase([("127.0.0.1", 1),
                                   ("127.0.0.1", 2)]) as coordinator:
             coordinator._catalog[1] = RoutedContract(1, "alpha", 0)
             coordinator._by_name["alpha"] = 1
-            coordinator._call = fake_call
+            coordinator._call_all = fake_call_all
             coordinator.query_many(
                 ["F a"], QueryOptions(deadline_seconds=10.0)
             )

@@ -8,8 +8,11 @@ query returns the same answer a never-failed cluster would, or a sound
 degradation (``permitted ⊆ exact ⊆ permitted ∪ maybe``).
 """
 
+import time
+
 import pytest
 
+import repro.dist.coordinator as coordinator_module
 from repro.broker.database import ContractDatabase
 from repro.broker.journal import open_database
 from repro.broker.options import Degradation, QueryOptions
@@ -26,6 +29,7 @@ from repro.dist import (
     ShardHealth,
 )
 from repro.errors import DistError, QueryBudgetError, RetryableDistError
+from repro.ltl.parser import parse
 
 #: A retry policy tight enough for tests: same shape, no real sleeping.
 FAST_RETRY = BackoffPolicy(max_retries=2, base_seconds=0.002,
@@ -201,6 +205,187 @@ class TestRpcRetry:
                 assert not recovered.maybe_names
 
 
+#: nine contracts over three shards: shard 0 holds c0, c5, c6; shard 1
+#: holds c8; shard 2 the other five (placement hashes the name)
+NINE = [f"c{i}" for i in range(9)]
+
+
+def _register_nine(db):
+    for i, name in enumerate(NINE):
+        db.register(name, ["G (a -> F b)"] if i % 2 else ["G !a"])
+
+
+def _dist_counters(db):
+    return {name: value
+            for name, value in db.metrics.snapshot()["counters"].items()
+            if name.startswith("dist.")}
+
+
+def _query_delta(db, *args):
+    """The query's outcome and the ``dist.*`` counters it moved."""
+    before = _dist_counters(db)
+    outcome = db.query(*args)
+    after = _dist_counters(db)
+    return outcome, {name: value - before.get(name, 0)
+                     for name, value in after.items()
+                     if value != before.get(name, 0)}
+
+
+def _slow_queries(server, seconds):
+    real = server.handle_request
+
+    def slow(doc):
+        if doc.get("op") == "query_many":
+            time.sleep(seconds)
+        return real(doc)
+
+    server.handle_request = slow
+
+
+class TestPipelinedFanOut:
+    """A query writes every shard its frame before it reads any answer.
+    A shard whose send or read fails goes on through the one retry
+    loop; every counter below is what the front-end that awaited one
+    task per shard recorded for the same fault plan."""
+
+    def _db(self, cluster, **kwargs):
+        kwargs.setdefault("retry", FAST_RETRY)
+        db = cluster.database(**kwargs)
+        _register_nine(db)
+        return db
+
+    def test_send_fault_on_one_shard_while_the_others_answer(self):
+        with LocalCluster(3) as cluster, self._db(cluster) as db:
+            # the second send of the fan-out is shard 1's
+            faults.fail_at("dist.send", nth=2, times=1,
+                           exc=OSError("injected send fault"))
+            outcome, moved = _query_delta(db, "F a")
+        assert outcome.contract_names == ("c1", "c3", "c5", "c7")
+        assert not outcome.maybe_names
+        assert moved == {
+            "dist.queries": 1, "dist.retries": 1,
+            "dist.shard.0.requests": 1,
+            "dist.shard.1.failures": 1, "dist.shard.1.requests": 1,
+            "dist.shard.1.retries": 1,
+            "dist.shard.2.requests": 1,
+        }
+
+    def test_read_timeout_after_the_others_answered(self, monkeypatch):
+        """Shard 0 is read first and never answers in time; shards 1
+        and 2 answered while the front-end waited on it, so only shard
+        0's contracts are SKIPPED, and the query is back within its
+        deadline plus the RPC grace — never after the slow shard."""
+        monkeypatch.setattr(coordinator_module, "RPC_GRACE_SECONDS", 0.2)
+        with LocalCluster(3) as cluster, self._db(cluster) as db:
+            _slow_queries(cluster.servers[0], 2.0)
+            started = time.perf_counter()
+            outcome, moved = _query_delta(
+                db, "F a", QueryOptions(deadline_seconds=0.3)
+            )
+            took = time.perf_counter() - started
+        assert took < 1.5  # 0.3 + 0.2 s, with room for a loaded host
+        assert outcome.contract_names == ("c1", "c3", "c7")
+        assert outcome.maybe_names == ("c0", "c5", "c6")
+        assert {outcome.verdicts[cid] for cid in (1, 6, 7)} == {
+            Verdict.SKIPPED
+        }
+        assert moved == {
+            "dist.queries": 1, "dist.merge.skipped_shards": 1,
+            "dist.shard.0.timeouts": 1,
+            "dist.shard.1.requests": 1, "dist.shard.2.requests": 1,
+        }
+
+    def test_read_timeouts_retry_until_the_budget_is_spent(self):
+        with LocalCluster(3) as cluster, self._db(
+                cluster, rpc_timeout=0.25) as db:
+            _slow_queries(cluster.servers[0], 1.0)
+            outcome, moved = _query_delta(db, "F a")
+        assert outcome.maybe_names == ("c0", "c5", "c6")
+        assert moved == {
+            "dist.queries": 1, "dist.merge.skipped_shards": 1,
+            "dist.retries": 2, "dist.breaker_open": 1,
+            "dist.shard.0.timeouts": 3, "dist.shard.0.retries": 2,
+            "dist.shard.1.requests": 1, "dist.shard.2.requests": 1,
+        }
+
+    def test_a_breaker_open_shard_is_never_dialed(self):
+        with LocalCluster(3) as cluster, self._db(
+                cluster, retry=BackoffPolicy(max_retries=0),
+                breaker_threshold=1, breaker_reset_seconds=60.0) as db:
+
+            def shard_1_down(**context):
+                if context.get("shard") == 1:
+                    raise OSError("shard 1 is down")
+
+            faults.fail_at("dist.send", nth=1, times=10 ** 6,
+                           action=shard_1_down)
+            db.query("F a")
+            faults.reset()
+            assert [h.state for h in db.health] == ["closed", "open",
+                                                    "closed"]
+            touched = []
+            for seam in ("dist.connect", "dist.send", "dist.recv"):
+                faults.fail_at(
+                    seam, nth=1, times=10 ** 6,
+                    action=lambda **context: touched.append(context),
+                )
+            outcome, moved = _query_delta(db, "F a")
+        assert [c["shard"] for c in touched] == [0, 0, 2, 2]
+        assert outcome.contract_names == ("c1", "c3", "c5", "c7")
+        assert outcome.maybe_names == ("c8",)
+        assert moved == {
+            "dist.queries": 1, "dist.merge.skipped_shards": 1,
+            "dist.shard.0.requests": 1, "dist.shard.2.requests": 1,
+        }
+
+    def test_a_replica_routed_shard_among_leader_routed_ones(
+            self, tmp_path):
+        with LocalCluster(3, directory=tmp_path) as cluster, \
+                self._db(cluster) as db:
+            replica = cluster.replica(0)
+            replica.catch_up()
+            db.attach_replica(0, replica)
+            # shard 0 reads from its replica: the first send is shard 1's
+            faults.fail_at("dist.send", nth=1, times=1,
+                           exc=OSError("injected send fault"))
+            outcome, moved = _query_delta(db, "F a")
+        assert outcome.contract_names == ("c1", "c3", "c5", "c7")
+        assert moved == {
+            "dist.queries": 1, "dist.replica_reads": 1, "dist.retries": 1,
+            "dist.shard.1.failures": 1, "dist.shard.1.requests": 1,
+            "dist.shard.1.retries": 1,
+            "dist.shard.2.requests": 1,
+        }
+
+    def test_a_shard_that_stays_down_under_the_fail_policy(self):
+        with LocalCluster(3) as cluster, self._db(
+                cluster, retry=BackoffPolicy(max_retries=1,
+                                             base_seconds=0.002,
+                                             cap_seconds=0.01)) as db:
+
+            def shard_2_down(**context):
+                if context.get("shard") == 2:
+                    raise OSError("shard 2 is down")
+
+            faults.fail_at("dist.send", nth=1, times=10 ** 6,
+                           action=shard_2_down)
+            before = _dist_counters(db)
+            with pytest.raises(QueryBudgetError, match="shard 2 failed"):
+                db.query("F a", QueryOptions(degradation=Degradation.FAIL))
+            faults.reset()
+            moved = {name: value - before.get(name, 0)
+                     for name, value in _dist_counters(db).items()
+                     if value != before.get(name, 0)}
+            assert moved == {
+                "dist.retries": 1,
+                "dist.shard.0.requests": 1, "dist.shard.1.requests": 1,
+                "dist.shard.2.failures": 2, "dist.shard.2.retries": 1,
+            }
+            # the connections the refused query used still frame cleanly
+            assert db.query("F a").contract_names == ("c1", "c3", "c5",
+                                                      "c7")
+
+
 class TestMergeAllShardsDead:
     """Satellite: the merged outcome when *no* shard answered — the
     worst sound degradation the coordinator can emit."""
@@ -221,7 +406,7 @@ class TestMergeAllShardsDead:
     def test_every_shard_dead_is_all_skipped_maybes(self):
         coordinator = self._coordinator()
         outcome = coordinator._merge(
-            "F a", [(0, None), (1, None), (2, None)], QueryOptions()
+            parse("F a"), [(0, None), (1, None), (2, None)], QueryOptions()
         )
         assert outcome.contract_names == ()
         assert outcome.maybe_names == (
@@ -238,7 +423,7 @@ class TestMergeAllShardsDead:
     def test_every_shard_dead_with_drop_policy_is_empty_but_degraded(self):
         coordinator = self._coordinator()
         outcome = coordinator._merge(
-            "F a", [(0, None), (1, None), (2, None)],
+            parse("F a"), [(0, None), (1, None), (2, None)],
             QueryOptions(degradation=Degradation.DROP),
         )
         assert outcome.contract_names == ()

@@ -1,5 +1,6 @@
-"""The one cluster front-end: its merge against the recorded one, the
-``register`` calling forms a single node takes, and the turn lock.
+"""The one cluster front-end: its merge against the recorded one and
+against the catalog walk it replaced, the ``register`` calling forms a
+single node takes, a malformed query, and the turn lock.
 
 ``merge_golden.json`` was written by ``Coordinator._merge`` at the
 commit before the class was folded into :class:`DistributedDatabase`
@@ -10,16 +11,23 @@ The inputs are in the file, so it needs no generator to be re-checked.
 """
 
 import dataclasses
+import itertools
 import json
 import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.broker.contract import ContractSpec
 from repro.broker.database import ContractDatabase
 from repro.broker.options import Degradation, QueryOptions
+from repro.broker.query import QueryStats, Verdict, assemble_outcome
+from repro.core import faults
 from repro.dist import DistributedDatabase, LocalCluster, RoutedContract
+from repro.dist import protocol
+from repro.errors import LTLSyntaxError
 from repro.ltl.parser import parse
 
 GOLDEN = json.loads(
@@ -47,7 +55,7 @@ def test_merge_reproduces_the_recorded_answers(front_end, scenario):
         options = QueryOptions(
             degradation=Degradation(entry["degradation"]), **table["options"]
         )
-        outcome = front_end._merge("F a", [
+        outcome = front_end._merge(parse("F a"), [
             (shard, None if shard in entry["failed"] else doc)
             for shard, doc in enumerate(table["docs"])
         ], options)
@@ -138,3 +146,126 @@ def test_two_threads_take_turns():
     assert len(answers) == 24
     assert all(answer in prefixes for answer in answers)
     assert final == prefixes[-1]
+
+
+def _catalog_walk_merge(db, formula, per_shard, options):
+    """The merge as it was before it read only the shards' answers: one
+    pass over the whole catalog in global-id order."""
+    answered = {shard: doc for shard, doc in per_shard if doc is not None}
+    verdicts = {}
+    for global_id in sorted(db._catalog):
+        routed = db._catalog[global_id]
+        doc = answered.get(routed.shard)
+        if doc is None:
+            verdicts[global_id] = Verdict.SKIPPED
+            continue
+        value = (doc.get("verdicts") or {}).get(routed.name)
+        if value is not None:  # else: not a candidate on its shard
+            verdicts[global_id] = Verdict(value)
+    stats = QueryStats.combined(
+        protocol.stats_from_doc(doc.get("stats") or {})
+        for doc in answered.values()
+    )
+    stats.database_size = len(db._catalog)
+    stats.deadline_seconds = options.deadline_seconds
+    stats.step_budget = options.step_budget
+    return assemble_outcome(formula, verdicts, db._catalog,
+                            options.degradation, stats)
+
+
+_STAT_VALUES = {
+    "translation_seconds": st.floats(0, 1), "total_seconds": st.floats(0, 1),
+    "permission_seconds": st.floats(0, 1), "candidates": st.integers(0, 9),
+    "relational_matches": st.integers(0, 9), "checked": st.integers(0, 9),
+    "prefilter_input": st.integers(0, 9), "prefilter_output": st.integers(0, 9),
+    "degraded": st.booleans(), "used_prefilter": st.booleans(),
+    "cache_hit": st.booleans(), "database_size": st.integers(0, 9),
+    "stage_order": st.sampled_from(["attr_first", "prefilter_first", ""]),
+    "plan_summary": st.sampled_from(["", "QueryPlan(a)", "QueryPlan(b)"]),
+}
+
+
+@st.composite
+def _merge_inputs(draw):
+    """A catalog with deregistration gaps (names ``c<id>``, on one of
+    three shards) and one outcome document per shard whose verdicts may
+    name its own contracts, other shards' and names nobody registered."""
+    size = draw(st.integers(0, 12))
+    kept = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    catalog = {
+        cid: RoutedContract(cid, f"c{cid}", draw(st.integers(0, 2)))
+        for cid, keep in enumerate(kept, start=1) if keep
+    }
+    names = [f"c{cid}" for cid in range(1, size + 1)] + ["ghost", "c99"]
+    verdict = st.sampled_from([v.value for v in Verdict] + [None])
+    docs = []
+    for _ in range(3):
+        doc = {"verdicts": draw(st.dictionaries(
+            st.sampled_from(names), verdict, max_size=len(names)))}
+        stats = draw(st.fixed_dictionaries({}, optional=_STAT_VALUES))
+        if stats or draw(st.booleans()):
+            doc["stats"] = stats
+        docs.append(doc)
+    return catalog, docs
+
+
+@settings(max_examples=150, deadline=None)
+@given(_merge_inputs(), st.sampled_from([None, 0.5]),
+       st.sampled_from([None, 64]))
+def test_merge_matches_the_catalog_walk(inputs, deadline, budget):
+    """The merge reads only what the shards answered; it must be the
+    catalog walk's answer, every field, for every failed-shard subset
+    and every degradation — unknown names, names the catalog places on
+    another shard and deregistered ids included."""
+    catalog, docs = inputs
+    with DistributedDatabase([("127.0.0.1", 1), ("127.0.0.1", 2),
+                              ("127.0.0.1", 3)]) as db:
+        for cid, routed in catalog.items():
+            db._catalog[cid] = routed
+            db._by_name[routed.name] = cid
+    formula = parse("F a")
+    for failed, degradation in itertools.product(
+            itertools.chain.from_iterable(
+                itertools.combinations(range(3), k) for k in range(4)),
+            Degradation):
+        options = QueryOptions(degradation=degradation,
+                               deadline_seconds=deadline, step_budget=budget)
+        per_shard = [(shard, None if shard in failed else doc)
+                     for shard, doc in enumerate(docs)]
+        got = db._merge(formula, per_shard, options)
+        want = _catalog_walk_merge(db, formula, per_shard, options)
+        assert got.formula is want.formula
+        assert got.contract_ids == want.contract_ids
+        assert got.contract_names == want.contract_names
+        assert got.maybe_ids == want.maybe_ids
+        assert got.maybe_names == want.maybe_names
+        assert got.witnesses == want.witnesses == {}
+        assert list(got.verdicts.items()) == list(want.verdicts.items())
+        stats = dataclasses.asdict(got.stats)
+        assert len(stats) == 23
+        assert stats == dataclasses.asdict(want.stats)
+
+
+@pytest.mark.parametrize("degradation", list(Degradation))
+def test_a_malformed_query_is_refused_before_fan_out(degradation):
+    """A single node raises ``LTLSyntaxError`` for ``G (p ->``; so does
+    the front-end, under every degradation, before one frame goes out
+    (it used to ask every shard, count each refusal as a skipped shard,
+    and under ``Degradation.FAIL`` raise ``QueryBudgetError``)."""
+    with pytest.raises(LTLSyntaxError):
+        ContractDatabase().query("G (p ->")
+    sent = []
+    with LocalCluster(3) as cluster, cluster.database() as db:
+        db.register("alpha", ["F p"])
+        faults.fail_at("dist.send", nth=1, times=10 ** 6,
+                       action=lambda **context: sent.append(context))
+        options = QueryOptions(degradation=degradation)
+        with pytest.raises(LTLSyntaxError):
+            db.query("G (p ->", options)
+        with pytest.raises(LTLSyntaxError):
+            db.query_many(["F p", "G (p ->"], options)
+        assert sent == []
+        assert db.metrics.counter_value("dist.merge.skipped_shards") == 0
+        assert db.metrics.counter_value("dist.queries") == 0
+        faults.reset()
+        assert db.query("F p", options).contract_names == ("alpha",)

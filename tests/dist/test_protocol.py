@@ -1,11 +1,14 @@
 """The wire protocol: framing, option/outcome documents, guard rails."""
 
 import asyncio
+import dataclasses
 import socket
 import struct
 import threading
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.broker.options import Degradation, QueryOptions
 from repro.broker.query import QueryOutcome, QueryStats, Verdict
@@ -239,18 +242,38 @@ class TestOutcomeDocs:
     def test_stats_frame_from_a_pre_2_0_shard_decodes(self):
         """1.6–1.10 shards put ``used_encoded`` in every stats frame,
         and every shard up to 2.0 ``planned``; neither carries the
-        prefilter stage counts, which then read as "stage not run"."""
-        doc = protocol.outcome_to_doc(self._outcome())
-        doc["stats"]["used_encoded"] = True
-        doc["stats"]["planned"] = True
-        del doc["stats"]["prefilter_input"]
-        del doc["stats"]["prefilter_output"]
-        stats = protocol.stats_from_doc(doc["stats"])
+        prefilter stage counts, which then read as "stage not run".
+        Those shards sent every field, so the frame is built in full."""
+        doc = dataclasses.asdict(self._outcome().stats)
+        doc["used_encoded"] = True
+        doc["planned"] = True
+        del doc["prefilter_input"]
+        del doc["prefilter_output"]
+        stats = protocol.stats_from_doc(doc)
         assert not hasattr(stats, "used_encoded")
         assert not hasattr(stats, "planned")
         assert stats.pruning_ratio == 0.0
         assert stats.candidates == 4
         assert stats.database_size == 5
+
+    def test_a_full_stats_doc_decodes_to_the_same_stats(self):
+        """Shards before 11.2 sent every field; the sparse doc a shard
+        sends now carries only the fields off their defaults.  Both
+        decode to the same stats."""
+        stats = self._outcome().stats
+        sparse = protocol.stats_to_doc(stats)
+        assert sparse == {"candidates": 4, "checked": 3, "permitted": 2,
+                          "timed_out": 1, "degraded": True,
+                          "database_size": 5}
+        full = dataclasses.asdict(stats)
+        assert protocol.stats_from_doc(full) == stats
+        assert protocol.stats_from_doc(sparse) == stats
+        assert protocol.stats_to_doc(QueryStats()) == {}
+
+    def test_outcome_doc_leaves_the_catalog_it_reads_alone(self):
+        catalog = {2: "beta", 9: "unrelated"}
+        protocol.outcome_to_doc(self._outcome(), catalog)
+        assert catalog == {2: "beta", 9: "unrelated"}
 
     def test_unresolvable_candidate_names_are_dropped(self):
         # without the server's catalog, id 2 has no name: the verdict
@@ -262,3 +285,33 @@ class TestOutcomeDocs:
         doc = protocol.error_doc(ProtocolError("boom"))
         assert doc == {"ok": False, "error": "boom",
                        "kind": "ProtocolError"}
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.builds(
+    QueryStats,
+    translation_seconds=_FINITE, prefilter_seconds=_FINITE,
+    selection_seconds=_FINITE, permission_seconds=_FINITE,
+    total_seconds=_FINITE, database_size=st.integers(0, 10 ** 6),
+    relational_matches=st.integers(0, 10 ** 6),
+    candidates=st.integers(0, 10 ** 6), checked=st.integers(0, 10 ** 6),
+    permitted=st.integers(0, 10 ** 6), timed_out=st.integers(0, 10 ** 6),
+    skipped=st.integers(0, 10 ** 6), degraded=st.booleans(),
+    deadline_seconds=st.none() | _FINITE,
+    step_budget=st.none() | st.integers(0, 10 ** 6),
+    used_prefilter=st.booleans(), used_projections=st.booleans(),
+    cache_hit=st.booleans(), pruning_condition=st.text(max_size=8),
+    stage_order=st.sampled_from(["attr_first", "prefilter_first"]),
+    plan_summary=st.text(max_size=8),
+    prefilter_input=st.integers(0, 10 ** 6),
+    prefilter_output=st.integers(0, 10 ** 6),
+))
+def test_stats_docs_round_trip(stats):
+    """Over the wire and back, sparse or full: the same stats."""
+    doc = protocol.stats_to_doc(stats)
+    assert protocol.stats_from_doc(doc) == stats
+    wire = protocol.decode_payload(protocol.encode_frame({"stats": doc})[4:])
+    assert protocol.stats_from_doc(wire["stats"]) == stats
+    assert protocol.stats_from_doc(dataclasses.asdict(stats)) == stats
