@@ -24,15 +24,18 @@ There is one refinement loop, :func:`refine_partition`, over dense ints.
 :func:`bisimulation_partition` numbers an object automaton's states and
 labels and calls it; the projection store calls it directly on the flat
 encoding, once per literal subset, without building the projected
-automaton.
+automaton.  Likewise :func:`quotient_encoded` is :func:`quotient` of a
+projection built on the flat encoding, the store's first-use quotient.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Hashable, Iterable, Sequence
 
 from .buchi import BuchiAutomaton, Transition, _state_key
-from .labels import Label
+from .encode import EncodedAutomaton, _iter_bits
+from .labels import Label, Literal
 
 State = Hashable
 
@@ -150,6 +153,59 @@ def quotient(ba: BuchiAutomaton, partition: Partition) -> BuchiAutomaton:
         partition[ba.initial],
         [Transition(src, label, dst) for src, label, dst in transitions],
         final,
+    )
+
+
+def quotient_encoded(
+    enc: EncodedAutomaton, partition: Partition, keep: Iterable[Literal]
+) -> EncodedAutomaton:
+    """``encode_automaton(quotient(project(ba, keep), partition),
+    vocabulary, table)`` field for field, built on ``enc``: ``ba``'s
+    encoding over ``vocabulary`` (which holds ``ba``'s events) in ``table``.
+
+    Blocks are numbered in ``_state_key`` order; a block's transitions
+    are the deduplicated images of its members', ordered as
+    :class:`BuchiAutomaton` orders them (restricted label's ``sort_key``,
+    then destination); label classes are numbered by first use.  So the
+    result never depends on ``enc``'s state or label-class order.
+    """
+    blocks = sorted(set(partition.values()), key=_state_key)
+    index = {block: i for i, block in enumerate(blocks)}
+    target = [index[partition[state]] for state in enc.states]
+    keep_pos = enc.table.mask([l.event for l in keep if l.positive])
+    keep_neg = enc.table.mask([l.event for l in keep if not l.positive])
+    restricted = [(pos & keep_pos, neg & keep_neg)
+                  for pos, neg in zip(enc.label_pos, enc.label_neg)]
+    rows: list[set] = [set() for _ in blocks]
+    impure = 0
+    offsets, labels, dsts = enc.offsets, enc.trans_labels, enc.trans_dsts
+    for state, src in enumerate(target):
+        lo, hi = offsets[state], offsets[state + 1]
+        rows[src].update(zip(map(restricted.__getitem__, labels[lo:hi]),
+                             map(target.__getitem__, dsts[lo:hi])))
+        if not enc.is_final(state):
+            impure |= 1 << src
+    events = enc.table.events
+    sort_keys = {
+        masks: sorted([(events[b], True) for b in _iter_bits(masks[0])]
+                      + [(events[b], False) for b in _iter_bits(masks[1])])
+        for masks in set(restricted)
+    }
+    label_ids: dict[tuple[int, int], int] = {}
+    out_offsets, out_labels, out_dsts = array("q", [0]), array("q"), array("q")
+    for row in rows:
+        for masks, dst in sorted(row, key=lambda t: (sort_keys[t[0]], t[1])):
+            out_labels.append(label_ids.setdefault(masks, len(label_ids)))
+            out_dsts.append(dst)
+        out_offsets.append(len(out_dsts))
+    return EncodedAutomaton(
+        events=enc.events, table=enc.table, vocab_mask=enc.vocab_mask,
+        unknown_bit=enc.unknown_bit, num_states=len(blocks),
+        initial=target[enc.initial],
+        final_mask=((1 << len(blocks)) - 1) & ~impure, offsets=out_offsets,
+        trans_labels=out_labels, trans_dsts=out_dsts,
+        label_pos=tuple(pos for pos, _ in label_ids),
+        label_neg=tuple(neg for _, neg in label_ids), states=tuple(blocks),
     )
 
 

@@ -197,12 +197,10 @@ class CompiledQuery:
         if (known is not None and known[0] is contract
                 and known[1] == generation):
             return known[2]
-        encoded = None
-        if store is not None:
-            _, encoded, seeds_mask = store.select_artifacts(self.literals)
-        if encoded is None:
-            encoded = contract.encoded
-            seeds_mask = contract.encoded_seeds_mask
+        if store is None:
+            encoded, seeds_mask = contract.encoded, contract.encoded_seeds_mask
+        else:
+            encoded, seeds_mask = store.select_artifacts(self.literals)
         query = self._encoded
         if query is None or not query.binds_to(encoded):
             query = self._encoded = encode_automaton(self.query_ba,

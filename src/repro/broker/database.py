@@ -298,8 +298,8 @@ class ContractDatabase:
                     ba, max_subset_size=self.config.projection_subset_cap
                 )
                 projection_seconds = time.perf_counter() - start
-            # quotients are encoded over the spec's vocabulary, in our table
-            projections.set_vocabulary(spec.vocabulary, self.event_table)
+            # quotients are built from the contract's own encoding
+            projections.use_encoding(encoded, encoded_seeds_mask)
 
         with self._rwlock.write():
             contract_id = self._next_id

@@ -218,7 +218,7 @@ class DistributedDatabase:
     in from a running asyncio loop raises ``RuntimeError``).  A
     loop thread of its own would put two more thread hand-offs on every
     call, and with the shard handlers' those are what a sharded query's
-    latency and its run-to-run spread are made of (ROADMAP item 5(a)
+    latency and its run-to-run spread are made of (ROADMAP item 3
     has the measurement).  Use as a context manager (or call
     :meth:`close`)."""
 

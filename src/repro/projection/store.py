@@ -4,8 +4,8 @@ At registration time the store computes, for every subset ``L`` of the
 contract's cited literals up to a configurable size cap, the coarsest
 bisimulation *partition* of the projected automaton ``π_L(A)``.  As the
 paper notes, storing the partition (a list of bisimilar-state classes)
-is enough — the quotient graph is materialized lazily at query time from
-the original BA, so storage stays a small fraction of the database.
+is enough — a quotient's encoding is built on first use from the
+contract's encoding, so storage stays a small fraction of the database.
 
 Two ingredients keep the all-subsets computation tractable (§5.3):
 
@@ -36,12 +36,13 @@ from ..automata.bisim import (
     blocks_of,
     partition_signature,
     quotient,
+    quotient_encoded,
     refine_partition,
 )
 from ..automata.buchi import BuchiAutomaton
 from ..automata.encode import EncodedAutomaton, EventTable, encode_automaton
 from ..automata.labels import Literal, parse_literal
-from ..core.seeds import compute_seeds
+from ..core.seeds import compute_seeds_mask
 from ..errors import ProjectionError
 from .project import project, required_literals
 
@@ -114,12 +115,11 @@ class ProjectionStore:
             required literal set is larger than the cap simply fall back
             to the full automaton (§5.2).
         vocabulary: the contract's full event vocabulary, over which
-            materialized quotients are encoded for the deciders
+            quotients are encoded for the deciders
             (:meth:`select_artifacts`).  Defaults to the events the BA's
-            labels mention; the broker assigns the spec's vocabulary to
-            stores built without one (process-pool workers, snapshot
-            restore) at registration (:meth:`set_vocabulary`), along
-            with its event table.
+            labels mention.  A standalone store encodes its BA over it
+            on first use; the broker hands every store the contract's
+            encoding and seed mask instead (:meth:`use_encoding`).
     """
 
     def __init__(
@@ -129,14 +129,22 @@ class ProjectionStore:
         extra_subsets: Iterable[frozenset] = (),
         vocabulary: frozenset | None = None,
     ):
+        self._empty(ba, max_subset_size, vocabulary)
+        self._extra_subsets = [
+            frozenset(s) & self.literals for s in extra_subsets
+        ]
+        self._build()
+
+    def _empty(self, ba: BuchiAutomaton, max_subset_size: int | None,
+               vocabulary: frozenset | None = None) -> None:
+        """Every attribute, nothing stored yet."""
         self.ba = ba
         self.literals = ba.literals()
         self.max_subset_size = max_subset_size
         self.vocabulary = vocabulary if vocabulary is not None else ba.events()
-        self.table: EventTable | None = None  # None: a fresh one each
-        self._extra_subsets = [
-            frozenset(s) & self.literals for s in extra_subsets
-        ]
+        self.table: EventTable | None = None  # None: a fresh one
+        #: the contract's (encoding, seed mask) quotients are built from
+        self._contract: tuple[EncodedAutomaton, int] | None = None
         self.stats = ProjectionStats()
         #: subset -> id of its partition in _partitions
         self._subset_to_partition: dict[frozenset[Literal], int] = {}
@@ -147,21 +155,18 @@ class ProjectionStore:
         self._signature_to_id: dict[frozenset, int] = {}
         #: lazily materialized quotients, keyed by (partition id, subset)
         #: — the labels depend on the subset, the shape on the partition.
-        #: One record per quotient: the automaton, its flat int encoding
-        #: over ``vocabulary`` and its §6.2.4 seed mask.  Queries
-        #: materialize concurrently under the database's *read* lock, so
-        #: a record is built locally and published whole (see
-        #: :meth:`_materialize`).
+        #: One record per quotient: its flat int encoding over
+        #: ``vocabulary`` and its §6.2.4 seed mask.  Queries materialize
+        #: concurrently under the database's *read* lock, so a record is
+        #: built locally and published whole (see :meth:`_materialize`).
         self._quotients: dict[
-            tuple[int, frozenset[Literal]],
-            tuple[BuchiAutomaton, EncodedAutomaton, int],
+            tuple[int, frozenset[Literal]], tuple[EncodedAutomaton, int]
         ] = {}
         #: bumped whenever a selection made earlier may no longer be the
         #: one :meth:`select_artifacts` would make now (:meth:`precompute`
-        #: stored a new subset, :meth:`set_vocabulary` dropped the
+        #: stored a new subset, :meth:`use_encoding` dropped the
         #: encodings); callers that memoize a selection compare it.
         self.generation = 0
-        self._build()
 
     # -- registration-time computation -----------------------------------------
 
@@ -305,16 +310,9 @@ class ProjectionStore:
         to recomputing the store from scratch.
         """
         store = cls.__new__(cls)
-        store.ba = ba
-        store.literals = ba.literals()
-        store.vocabulary = ba.events()
-        store.table = None
-        store._extra_subsets = []
-        store._quotients = {}
-        store.generation = 0
         try:
             cap = data["max_subset_size"]
-            store.max_subset_size = None if cap is None else int(cap)
+            store._empty(ba, None if cap is None else int(cap))
             partitions = [
                 {int(state): int(block) for state, block in pairs}
                 for pairs in data["partitions"]
@@ -336,16 +334,12 @@ class ProjectionStore:
             raise ProjectionError(
                 f"malformed projection document: {exc}"
             ) from exc
-        store._partitions = []
-        store._block_counts = []
-        store._signature_to_id = {}
         for partition in partitions:
             if set(partition) != set(ba.states):
                 raise ProjectionError(
                     "stored partition does not cover the automaton's states"
                 )
             store._add_partition(partition, partition_signature(partition))
-        store._subset_to_partition = {}
         for subset, partition_id in subset_docs:
             if not subset <= store.literals:
                 raise ProjectionError(
@@ -361,41 +355,49 @@ class ProjectionStore:
 
     def set_vocabulary(self, vocabulary: frozenset,
                        table: EventTable | None = None) -> None:
-        """Encode quotients over ``vocabulary`` (in ``table`` when given)
-        from now on, dropping any quotient materialized otherwise."""
+        """Encode over ``vocabulary`` (in ``table`` when given) from now
+        on, dropping any quotient materialized otherwise."""
         table = self.table if table is None else table
         if vocabulary != self.vocabulary or table is not self.table:
-            self.vocabulary = vocabulary
-            self.table = table
-            self._quotients.clear()
-            self.generation += 1
+            self.vocabulary, self.table = vocabulary, table
+            self.use_encoding(None)
+
+    def use_encoding(self, encoded: EncodedAutomaton | None,
+                     seeds_mask: int = 0) -> None:
+        """Build quotients from the contract's ``encoded`` BA and seed
+        mask (over its vocabulary, in its table) from now on — without
+        one, from the BA, encoded once on first use."""
+        if encoded is not None:
+            self.vocabulary, self.table = frozenset(encoded.events), encoded.table
+        self._contract = None if encoded is None else (encoded, seeds_mask)
+        self._quotients.clear()
+        self.generation += 1
 
     # -- query-time use ------------------------------------------------------------
 
     def select(self, query_literals: Iterable[Literal]) -> BuchiAutomaton:
         """The smallest stored automaton equivalent to the contract for a
         query citing ``query_literals`` (Theorem 7 / Theorem 9); the full
-        automaton if nothing smaller applies."""
+        automaton if nothing smaller applies (the object reference)."""
         best = self._select_key(query_literals)
-        return self.ba if best is None else self._materialize(best)[0]
+        return self.ba if best is None else quotient(
+            project(self.ba, best[1]), self._partitions[best[0]])
 
     def select_artifacts(
         self, query_literals: Iterable[Literal]
-    ) -> tuple[BuchiAutomaton, EncodedAutomaton | None, int | None]:
-        """:meth:`select` plus the chosen quotient's flat int encoding
-        and §6.2.4 seed mask for the deciders.
-
-        Returns ``(ba, encoded, seeds_mask)``.  The trailing pair is
-        ``None`` when the full BA is selected: the caller — the broker —
-        holds the contract-level encoding and seed mask itself.
-        A quotient is materialized, encoded and seeded together on its
-        first selection, so the cost is paid once per materialized
-        projection.
-        """
+    ) -> tuple[EncodedAutomaton, int]:
+        """:meth:`select`'s automaton as the deciders take it: its
+        encoding and §6.2.4 seed mask (the contract's own for the full
+        BA); a quotient's are built once, on its first selection."""
         best = self._select_key(query_literals)
-        if best is None:
-            return self.ba, None, None
-        return self._materialize(best)
+        return self._encoding() if best is None else self._materialize(best)
+
+    def _encoding(self) -> tuple[EncodedAutomaton, int]:
+        """The contract's (encoding, seed mask), built on first use."""
+        if self._contract is None:
+            encoded = encode_automaton(self.ba, self.vocabulary, self.table)
+            self._contract = (encoded, compute_seeds_mask(encoded))
+        return self._contract
 
     def _select_key(
         self, query_literals: Iterable[Literal]
@@ -418,9 +420,9 @@ class ProjectionStore:
 
     def _materialize(
         self, key: tuple[int, frozenset[Literal]]
-    ) -> tuple[BuchiAutomaton, EncodedAutomaton, int]:
-        """The ``(quotient, encoding, seed mask)`` record of one stored
-        projection, built on first use.
+    ) -> tuple[EncodedAutomaton, int]:
+        """The ``(encoding, seed mask)`` record of one stored projection,
+        built on first use from the contract's (:func:`quotient_encoded`).
 
         Concurrent first uses may each build the record; it is published
         with one dict store *after* it is complete, so a reader sees all
@@ -429,11 +431,9 @@ class ProjectionStore:
         record = self._quotients.get(key)
         if record is None:
             partition_id, subset = key
-            ba = quotient(
-                project(self.ba, subset), self._partitions[partition_id]
-            )
-            encoded = encode_automaton(ba, self.vocabulary, self.table)
-            record = (ba, encoded, encoded.state_mask(compute_seeds(ba)))
+            encoded = quotient_encoded(
+                self._encoding()[0], self._partitions[partition_id], subset)
+            record = (encoded, compute_seeds_mask(encoded))
             self._quotients[key] = record
         return record
 

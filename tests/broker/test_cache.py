@@ -655,6 +655,66 @@ class TestPreparedQuery:
         assert {held for _, held in bindings} == {0}
 
 
+class TestNoObjectAutomatonOnTheQueryPath:
+    """A query's first use of a projection builds the quotient's
+    encoding from the contract's encoding and the stored partition:
+    no projected automaton, no object quotient, no ``BuchiAutomaton``
+    at all between a compiled query and its answer."""
+
+    QUERIES = (
+        "F refund",
+        "F(missedFlight && F(refund || dateChange))",
+        "F(dateChange && X F dateChange)",
+        "G !dateChange",
+        "F(purchase && F use)",
+    )
+    UNPROJECTED = QueryOptions(
+        plan=QueryPlan(use_prefilter=True, use_projections=False))
+
+    def test_cold_projected_pass_builds_no_object_automaton(
+        self, monkeypatch
+    ):
+        import importlib
+
+        import repro.automata.bisim as bisim_module
+        import repro.projection.store as store_module
+        from repro.automata.buchi import BuchiAutomaton
+
+        # the package's ``project`` attribute is the function
+        project_module = importlib.import_module("repro.projection.project")
+
+        db = _db()
+        # compiles every text (the translator's automata are built here)
+        # and materializes nothing
+        expected = [
+            db.query(q, self.UNPROJECTED).contract_names for q in self.QUERIES
+        ]
+        assert not any(c.projections._quotients for c in db.contracts())
+        calls = {
+            "project": [
+                _CallCounter(monkeypatch, project_module, "project"),
+                _CallCounter(monkeypatch, store_module, "project"),
+            ],
+            "quotient": [
+                _CallCounter(monkeypatch, bisim_module, "quotient"),
+                _CallCounter(monkeypatch, store_module, "quotient"),
+            ],
+            "BuchiAutomaton": [
+                _CallCounter(monkeypatch, BuchiAutomaton, "__init__"),
+            ],
+        }
+        for options in (QueryOptions(plan=QueryPlan(True, True)), None):
+            assert [
+                db.query(q, options).contract_names for q in self.QUERIES
+            ] == expected
+        assert {
+            name: sum(counter.calls for counter in counters)
+            for name, counters in calls.items()
+        } == {"project": 0, "quotient": 0, "BuchiAutomaton": 0}
+        # not vacuous: the pass did build quotients
+        assert sum(len(c.projections._quotients) for c in db.contracts()) > 0
+
+
 class TestPreparedQueryIsBounded:
     """The deterministic twin of ``wide_distinct``'s RSS check: what a
     never-repeating workload leaves behind is bounded by the compile

@@ -5,9 +5,11 @@ verdict as on the full contract BA."""
 import pytest
 from hypothesis import given, settings
 
+from repro.automata.encode import encode_automaton
 from repro.automata.ltl2ba import translate
+from repro.broker.database import ContractDatabase
 from repro.core.permission import permits
-from repro.core.seeds import compute_seeds_mask
+from repro.core.seeds import compute_seeds, compute_seeds_mask
 from repro.errors import ProjectionError
 from repro.projection.project import project
 from repro.projection.store import ProjectionStore
@@ -85,8 +87,9 @@ class TestSelect:
 
 
 class TestSelectArtifacts:
-    """``select_artifacts`` hands the deciders an encoding whenever it
-    selects a quotient — there is no un-encoded fallback."""
+    """``select_artifacts`` hands the deciders an encoding and seed mask
+    on both branches: the selected quotient's, or the contract-level
+    one when the full automaton is selected."""
 
     def _selecting_store(self):
         ba = translate(parse("G(a -> F b) && G(c -> F d)"))
@@ -98,30 +101,50 @@ class TestSelectArtifacts:
     def test_quotient_comes_encoded_without_a_vocabulary(self):
         ba, store, literals = self._selecting_store()
         assert store.vocabulary == ba.events()
-        quotient, encoded, seeds_mask = store.select_artifacts(literals)
-        assert quotient is store.select(literals)
+        encoded, seeds_mask = store.select_artifacts(literals)
+        quotient = store.select(literals)
         assert encoded.num_states == quotient.num_states
+        assert encoded.num_states < ba.num_states
         assert encoded.events == tuple(sorted(ba.events()))
         assert seeds_mask == compute_seeds_mask(encoded)
         # cached: the second selection returns the same objects
-        assert store.select_artifacts(literals)[1] is encoded
+        again = store.select_artifacts(literals)
+        assert again[0] is encoded and again[1] == seeds_mask
 
-    def test_full_ba_selection_leaves_the_encoding_to_the_caller(self):
+    def test_full_ba_selection_is_the_contract_encoding(self):
         ba = translate(parse("G(a -> !b) && G(c -> !d)"))
         store = ProjectionStore(ba, max_subset_size=0)
         literals = translate(parse("F(a && F(b && F(c && F d)))")).literals()
-        assert store.select_artifacts(literals) == (ba, None, None)
+        assert store.select(literals) is ba
+        encoded, seeds_mask = store.select_artifacts(literals)
+        reference = encode_automaton(ba)
+        assert (encoded.states, encoded.offsets, encoded.trans_labels,
+                encoded.trans_dsts, encoded.label_pos, encoded.label_neg) == (
+            reference.states, reference.offsets, reference.trans_labels,
+            reference.trans_dsts, reference.label_pos, reference.label_neg)
+        assert seeds_mask == reference.state_mask(compute_seeds(ba))
+        assert store.select_artifacts(literals)[0] is encoded  # once
+
+    def test_database_store_hands_back_the_contract_encoding(self):
+        db = ContractDatabase()
+        contract = db.register("X", ["G(a -> !b)", "G(c -> !d)"])
+        literals = translate(parse("F(a && F(b && F(c && F d)))")).literals()
+        assert contract.projections.select(literals) is contract.ba
+        assert contract.projections.select_artifacts(literals) == (
+            contract.encoded, contract.encoded_seeds_mask)
+        assert contract.projections.select_artifacts(literals)[0] is (
+            contract.encoded)
 
     def test_set_vocabulary_re_encodes_cached_quotients(self):
         ba, store, literals = self._selecting_store()
-        stale = store.select_artifacts(literals)[1]
+        stale = store.select_artifacts(literals)[0]
         wider = ba.events() | {"refund"}
         store.set_vocabulary(wider)
-        fresh = store.select_artifacts(literals)[1]
+        fresh = store.select_artifacts(literals)[0]
         assert fresh is not stale
         assert fresh.events == tuple(sorted(wider))
         store.set_vocabulary(wider)  # unchanged: the cache survives
-        assert store.select_artifacts(literals)[1] is fresh
+        assert store.select_artifacts(literals)[0] is fresh
 
 
 class TestTheorem9:
