@@ -55,6 +55,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import IO, Iterator
 
 from .automata.ltl2ba import translate
 from .automata.serialize import automaton_to_dict
@@ -403,7 +404,14 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _load_specs(path: Path) -> list[ContractSpec]:
-    docs = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        docs = json.loads(path.read_bytes().decode("utf-8"))
+    except OSError as exc:
+        raise ReproError(f"cannot read spec file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ReproError(f"spec file {path} is not UTF-8: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting
+        raise ReproError(f"spec file {path} is not valid JSON: {exc}") from exc
     if not isinstance(docs, list):
         raise ReproError(f"{path}: expected a JSON list of specifications")
     return [ContractSpec.from_doc(doc) for doc in docs]
@@ -591,15 +599,21 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         print(json.dumps(alert.to_dict()) if args.json
               else alert.describe())
 
+    # bytes in, decoded per line, so a line that is not UTF-8 is named
     if args.events is None or str(args.events) == "-":
-        handle = sys.stdin
+        handle = sys.stdin.buffer
     else:
-        handle = args.events.open("r", encoding="utf-8")
+        try:
+            handle = args.events.open("rb")
+        except OSError as exc:
+            raise ReproError(
+                f"cannot read event log {args.events}: {exc}"
+            ) from exc
     events = deliveries = 0
     try:
         # one record per ingest call so alerts stream out as the log
         # unfolds (stdin may be a live pipe)
-        for event in read_event_log(handle):
+        for event in read_event_log(_utf8_lines(handle)):
             report = fleet.ingest([event])
             events += 1
             deliveries += report.deliveries
@@ -608,7 +622,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
                 print(json.dumps(alert.to_dict()) if args.json
                       else alert.describe())
     finally:
-        if handle is not sys.stdin:
+        if handle is not sys.stdin.buffer:
             handle.close()
 
     violated = sum(
@@ -633,6 +647,16 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
               f"{len(emitted)} alert(s), "
               f"{summary['unknown_events']} unknown event(s)")
     return 0
+
+
+def _utf8_lines(handle: IO[bytes]) -> Iterator[str]:
+    for lineno, line in enumerate(handle, start=1):
+        try:
+            yield line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ReproError(
+                f"event log line {lineno} is not valid UTF-8: {exc}"
+            ) from None
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:

@@ -32,7 +32,7 @@ from typing import IO, Iterable, Iterator
 from ..automata.encode import EncodedAutomaton, encode_automaton
 from ..errors import MonitorError
 from ..obs.metrics import COUNT_BUCKETS, MetricsRegistry
-from .encoded import EncodedMonitor, _as_query, _as_snapshot
+from .encoded import _MEMO_CAP, EncodedMonitor, _as_query, _as_snapshot
 from .options import MonitorOptions, MonitorStatus
 
 
@@ -454,8 +454,15 @@ _raw_decode = json.JSONDecoder().raw_decode
 
 def read_event_log(lines: Iterable[str] | IO[str]) -> Iterator[Event]:
     """Iterate the events of a JSONL log (one record per line; blank
-    lines and ``#`` comments are skipped)."""
+    lines and ``#`` comments are skipped).  A line already read in this
+    call yields the same :class:`Event` again, without a decode."""
+    seen: dict[str, Event] = {}  # line → its Event; only valid records
+    recall = seen.get
     for lineno, line in enumerate(lines, start=1):
+        event = recall(line)
+        if event is not None:
+            yield event
+            continue
         text = line.strip()
         if not text or text.startswith("#"):
             continue
@@ -476,4 +483,8 @@ def read_event_log(lines: Iterable[str] | IO[str]) -> Iterator[Event]:
             raise MonitorError(
                 f"event log line {lineno} must be a JSON object"
             )
-        yield parse_event(doc)
+        event = parse_event(doc)
+        if len(seen) >= _MEMO_CAP:
+            seen.clear()
+        seen[line] = event
+        yield event

@@ -1,10 +1,15 @@
 """Tests for the command-line interface."""
 
+import io
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+
+STREAMS = Path(__file__).parents[2] / "examples" / "streams"
 
 
 @pytest.fixture
@@ -132,6 +137,30 @@ class TestQuery:
             assert main(argv) == 1
             assert "error: contract 'a'" in capsys.readouterr().err
 
+    def test_unreadable_spec_files(self, tmp_path, capsys):
+        """Tracebacks from all four verbs before 11.4."""
+        files = {
+            "missing.json": (None, "cannot read spec file"),
+            "latin1.json": (b'[{"name": "caf\xe9"}]', "is not UTF-8"),
+            "truncated.json": (b'[{"name": "a", "clau', "is not valid JSON"),
+            "deep.json": (b"[" * 100_000 + b"]" * 100_000,
+                          "is not valid JSON"),
+        }
+        for name, (content, message) in files.items():
+            path = tmp_path / name
+            if content is not None:
+                path.write_bytes(content)
+            for argv in (
+                ["query", str(path), "--query", "F a"],
+                ["build", str(path), "--out", str(tmp_path / "built")],
+                ["stats", str(path)],
+                ["serve", "--shards", "1", "--specs", str(path),
+                 "--duration", "0"],
+            ):
+                assert main(argv) == 1, (name, argv[0])
+                err = capsys.readouterr().err
+                assert err.startswith("error: ") and message in err, err
+
 
 class TestBuildAndLoad:
     def test_build_then_query_directory(self, spec_file, tmp_path, capsys):
@@ -252,3 +281,46 @@ class TestDemo:
         assert main(["demo"]) == 0
         out = capsys.readouterr().out
         assert "Ticket A" in out and "Ticket C" in out
+
+
+class TestMonitor:
+    SPECS = str(STREAMS / "airfare_specs.json")
+    TRACE = STREAMS / "airfare_trace.jsonl"
+
+    @staticmethod
+    def alerts(out):
+        return [line for line in out.splitlines() if line.startswith("{")]
+
+    def test_json_replay_equals_the_checked_in_alerts(self, capsys):
+        golden = (STREAMS / "airfare_alerts_refundable.jsonl").read_text()
+        assert main(["monitor", self.SPECS, "--events", str(self.TRACE),
+                     "--watch", "refundable=F refund", "--json"]) == 0
+        assert self.alerts(capsys.readouterr().out) == golden.splitlines()
+
+    def test_stdin_replay_equals_the_checked_in_alerts(
+        self, capsys, monkeypatch
+    ):
+        golden = (STREAMS / "airfare_alerts_f_refund.jsonl").read_text()
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+            io.BytesIO(self.TRACE.read_bytes())))
+        assert main(["monitor", self.SPECS, "--watch", "F refund",
+                     "--json"]) == 0
+        assert self.alerts(capsys.readouterr().out) == golden.splitlines()
+
+    def test_missing_event_log(self, tmp_path, capsys):
+        missing = tmp_path / "missing.jsonl"
+        assert main(["monitor", self.SPECS, "--events", str(missing)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read event log {missing}")
+
+    def test_a_line_that_is_not_utf8_is_named(self, tmp_path, capsys):
+        """Alerts printed before the bad line stay printed."""
+        log = tmp_path / "bad.jsonl"
+        lines = self.TRACE.read_bytes().splitlines(keepends=True)
+        log.write_bytes(b"".join(lines[:4]) + b'{"events": ["\xff"]}\n'
+                        + b"".join(lines[4:]))
+        assert main(["monitor", self.SPECS, "--events", str(log)]) == 1
+        captured = capsys.readouterr()
+        assert "ALERT violated contract='Ticket B' event=1" in captured.out
+        assert captured.err.startswith(
+            "error: event log line 5 is not valid UTF-8: ")

@@ -7,14 +7,20 @@ be a JSON object, and then follows the record rules of
 mutated line must make the reader yield exactly the reference's
 :class:`Event` or raise :class:`MonitorError` with the reference's
 message — and nothing else may escape.
+
+The reader remembers each valid line it decoded (until ``_MEMO_CAP``
+lines, then it starts over); logs that repeat their lines hold it to
+the same reference, so the memo never shows.
 """
 
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import MonitorError
-from repro.stream import Event, read_event_log
+from repro.stream import Event, engine, read_event_log
 
 VALID_RECORDS = [
     '{"events": ["purchase"]}',
@@ -126,3 +132,47 @@ def test_fixed_corpus_matches_the_reference(line):
     # behind a skipped comment and a valid record: a rejected line is
     # reported as line 3
     assert_matches_reference(["# header", VALID_RECORDS[0], line])
+
+
+#: records over a small pool, so two lines share events but not a
+#: contract, or a contract but not events
+DRAWN_RECORDS = st.builds(
+    lambda events, contract: json.dumps({"events": events, **contract}),
+    st.sampled_from([[], ["a"], ["a", "b"]]),
+    st.sampled_from([{}, {"contract": None}, {"contract": "c1"},
+                     {"contract": "c2"}]),
+)
+LINES = st.one_of(
+    st.tuples(st.sampled_from(["", " ", "\t"]),
+              st.sampled_from(VALID_RECORDS) | DRAWN_RECORDS,
+              st.sampled_from(["", "\n", " ", "\t\n", "\r\n"])).map(
+        "".join),
+    st.sampled_from(["", "\n", "   ", "# comment", "#"]),
+)
+
+
+@st.composite
+def repetitive_logs(draw):
+    """Up to 40 lines drawn from a pool of at most six, plus at most
+    one corpus line at a drawn position."""
+    pool = draw(st.lists(LINES, min_size=1, max_size=6))
+    lines = draw(st.lists(st.sampled_from(pool), max_size=40))
+    hostile = draw(st.none() | st.sampled_from(CORPUS))
+    if hostile is not None:
+        lines.insert(draw(st.integers(0, len(lines))), hostile)
+    return lines
+
+
+@pytest.mark.parametrize("cap", [engine._MEMO_CAP, 2])
+@given(repetitive_logs())
+@settings(max_examples=300, deadline=None)
+def test_repeated_lines_match_the_reference(cap, lines):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_MEMO_CAP", cap)
+        assert_matches_reference(lines)
+
+
+def test_a_repeated_line_yields_the_same_event():
+    line = VALID_RECORDS[3]
+    first, again, other = read_event_log([line, "", line, line + " "])
+    assert first is again and first == other and first is not other

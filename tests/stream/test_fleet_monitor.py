@@ -3,6 +3,7 @@ ingestion, JSONL parsing and metrics (:mod:`repro.stream.engine`)."""
 
 import copy
 import dataclasses
+import json
 import pickle
 
 import pytest
@@ -655,3 +656,66 @@ class TestOneDeliveryLoop:
             assert fleet.monitor("c").frontier == moved
             assert (alert.kind, alert.watch, alert.event_index) == (
                 "watch-unsatisfiable", "may-b", 1)
+
+
+class TestReaderMemo:
+    """The reader's line memo is invisible to a fleet: a log that
+    repeats its lines, the same log with a unique ``"seq"`` key on
+    every line (all lines distinct, so the memo never hits) and its
+    records handed to ``ingest`` as dicts (no reader) give equal
+    reports, errors, alerts, frontiers and counters."""
+
+    @staticmethod
+    def replay(fleet, records, batch):
+        reports = []
+        for start in range(0, len(records), batch):
+            try:
+                report = fleet.ingest(records[start:start + batch])
+            except MonitorError as exc:
+                reports.append(("error", str(exc)))
+            else:
+                reports.append(dataclasses.astuple(report))
+        return reports
+
+    @given(
+        st.lists(contract_specs(), min_size=1, max_size=3),
+        st.lists(st.tuples(st.none() | TARGETS, SNAPSHOTS),
+                 min_size=1, max_size=6),
+        st.lists(st.integers(0, 5), max_size=60),
+        st.integers(1, 25),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_a_repeating_log_equals_its_all_distinct_copy(
+        self, specs, pool, picks, batch, strict
+    ):
+        contracts = [("flip", flip_flop_encoded()),
+                     ("tick", ticking_encoded())] + [
+            (spec.name,
+             encode_automaton(translate(spec.formula), spec.vocabulary))
+            for spec in {spec.name: spec for spec in specs}.values()
+        ]
+        names = [name for name, _ in contracts]
+        docs = []
+        for slot, snap in (pool[pick % len(pool)] for pick in picks):
+            doc = {"events": sorted(snap)}
+            if slot is not None:
+                doc["contract"] = names[slot] if slot < len(names) else "ghost"
+            docs.append(doc)
+        watches = [translate(parse("a")), translate(parse("F b"))]
+        sides = []
+        repeating = [json.dumps(doc) for doc in docs]
+        distinct = [json.dumps({**doc, "seq": i})
+                    for i, doc in enumerate(docs)]
+        for records in (
+            list(read_event_log(repeating)),
+            list(read_event_log(distinct)),
+            docs,
+        ):
+            fleet = TestOneDeliveryLoop.build(
+                FleetMonitor, strict, contracts, watches)
+            sides.append((
+                self.replay(fleet, records, batch),
+                TestOneDeliveryLoop.observe(fleet, names, ["w", "may-b"]),
+            ))
+        assert sides[0] == sides[1] == sides[2]
