@@ -56,7 +56,7 @@ from .errors import ReproError
 from .ltl import Formula, Run, parse, satisfies
 from .stream import Alert, FleetMonitor, MonitorOptions, MonitorStatus
 
-__version__ = "11.4.0"
+__version__ = "11.5.0"
 
 __all__ = [
     "AttributeFilter",

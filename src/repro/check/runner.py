@@ -78,6 +78,38 @@ def _transcript(name: str, verdicts: MonitorVerdicts) -> str:
     )
 
 
+def _fleet_transcripts(fleet, specs, trace) -> frozenset[str]:
+    """Broadcast ``trace`` through ``fleet`` from where it stands and
+    pack each contract's verdicts with :func:`_transcript`."""
+    from ..stream.options import MonitorStatus
+
+    statuses = {
+        spec.name: [fleet.status(spec.name) is MonitorStatus.ACTIVE]
+        for spec in specs
+    }
+    watch = {
+        spec.name: [fleet.watch_satisfiable(spec.name, "case-query")]
+        for spec in specs
+    }
+    for snapshot in trace:
+        fleet.broadcast(snapshot)
+        for spec in specs:
+            statuses[spec.name].append(
+                fleet.status(spec.name) is MonitorStatus.ACTIVE
+            )
+            watch[spec.name].append(
+                fleet.watch_satisfiable(spec.name, "case-query")
+            )
+    transcripts = set()
+    for spec in specs:
+        monitor = fleet.monitor(spec.name)
+        transcripts.add(_transcript(spec.name, MonitorVerdicts(
+            tuple(statuses[spec.name]), tuple(watch[spec.name]),
+            monitor.violation_index, monitor.unknown_events,
+        )))
+    return frozenset(transcripts)
+
+
 @dataclass
 class Disagreement:
     """One configuration's answer diverging from the oracle."""
@@ -502,9 +534,14 @@ class ConformanceRunner:
         status and watch-query satisfiability after every prefix
         (including the empty one), the violation index and the
         unknown-event count — invariant 13 says the set equals
-        :meth:`_monitor_expected`'s."""
+        :meth:`_monitor_expected`'s.
+
+        The trace is replayed twice: on a fresh fleet, then after
+        ``fleet.reset()`` with every monitor memo warm, so the second
+        replay is answered from memo hits.  The two replays' transcripts
+        are united: a pair that differs leaves a contract with two
+        transcripts, which the oracle's set never holds."""
         from ..stream.engine import FleetMonitor
-        from ..stream.options import MonitorStatus
 
         trace = self._monitor_trace(case, specs, mode)
         fleet = FleetMonitor()
@@ -513,31 +550,9 @@ class ConformanceRunner:
                 spec.name, encode_automaton(bas[spec.name], spec.vocabulary)
             )
         fleet.register_watch("case-query", case.query_formula())
-        statuses = {
-            spec.name: [fleet.status(spec.name) is MonitorStatus.ACTIVE]
-            for spec in specs
-        }
-        watch = {
-            spec.name: [fleet.watch_satisfiable(spec.name, "case-query")]
-            for spec in specs
-        }
-        for snapshot in trace:
-            fleet.broadcast(snapshot)
-            for spec in specs:
-                statuses[spec.name].append(
-                    fleet.status(spec.name) is MonitorStatus.ACTIVE
-                )
-                watch[spec.name].append(
-                    fleet.watch_satisfiable(spec.name, "case-query")
-                )
-        transcripts = set()
-        for spec in specs:
-            monitor = fleet.monitor(spec.name)
-            transcripts.add(_transcript(spec.name, MonitorVerdicts(
-                tuple(statuses[spec.name]), tuple(watch[spec.name]),
-                monitor.violation_index, monitor.unknown_events,
-            )))
-        return frozenset(transcripts)
+        first = _fleet_transcripts(fleet, specs, trace)
+        fleet.reset()
+        return first | _fleet_transcripts(fleet, specs, trace)
 
     def _check_config(
         self,

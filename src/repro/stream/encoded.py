@@ -8,8 +8,9 @@ happens on machine integers:
 * a snapshot is read once into a mask over the event table cut to the
   contract's ``vocab_mask``, the mask into the bitset of *satisfied
   label classes*, and that bitset into a per-state table of combined
-  successor masks — memo layers, so a repeated snapshot advances the
-  frontier with a single dict hit and a few bitwise ORs;
+  successor masks and a step memo (frontier → successor frontier) —
+  memo layers, so a repeated snapshot from a frontier seen before
+  advances with two dict hits and no bit walk;
 * live-state pruning (states that can still contribute to an accepting
   run) is baked into the successor masks at compile time, so the
   frontier empties on the very event no allowed sequence survives.
@@ -175,7 +176,11 @@ class EncodedMonitor:
     On every prefix ``h`` of the stream ``status``, ``can_still``,
     ``violation_index`` and ``unknown_events`` are what the batch
     decider answers on ``χ_h ∧ φ`` (invariant 13), at a per-event cost
-    of a few dict hits and bitwise ORs.
+    of a few dict hits.  Four memos, each cleared past ``_MEMO_CAP``
+    entries and kept by :meth:`reset` (none holds history): snapshot →
+    step table, satisfied classes → step table, (step table, frontier)
+    → successor frontier (a single count over the per-table dicts),
+    and query → winning mask.
 
     The encoding must cover the contract's full spec vocabulary
     (``encode_automaton(ba, spec.vocabulary)``), exactly as the broker
@@ -186,7 +191,7 @@ class EncodedMonitor:
         "encoded", "options", "live_mask", "rows",
         "_frontier", "_initial_frontier", "_events_seen",
         "_violation_index", "unknown_events",
-        "_snap_memo", "_sat_tables", "_watch_memo",
+        "_snap_memo", "_sat_tables", "_watch_memo", "_steps_n",
     )
 
     def __init__(
@@ -208,11 +213,15 @@ class EncodedMonitor:
             None if self._frontier else -1
         )
         self.unknown_events = 0
-        # snapshot -> (per-state step table, unknown-event count)
-        self._snap_memo: dict[frozenset, tuple[tuple[int, ...], int]] = {}
-        # satisfied-label-class bitset -> per-state step table (shared
-        # across snapshots that satisfy the same classes)
-        self._sat_tables: dict[int, tuple[int, ...]] = {}
+        # snapshot -> (per-state step table, its step memo, unknown-event
+        # count)
+        self._snap_memo: dict[frozenset, tuple[tuple, dict, int]] = {}
+        # satisfied-label-class bitset -> (per-state step table, step
+        # memo frontier -> successor frontier), shared across snapshots
+        # that satisfy the same classes
+        self._sat_tables: dict[int, tuple[tuple, dict[int, int]]] = {}
+        # entries stored in the step memos since they were last cleared
+        self._steps_n = 0
         # query string -> winning mask
         self._watch_memo: dict[str, int] = {}
 
@@ -237,15 +246,25 @@ class EncodedMonitor:
         entry = self._snap_memo.get(snap)
         if entry is None:
             entry = self._compile_snapshot(snap)
-        table, unknown = entry
+        table, steps, unknown = entry
         self.unknown_events += unknown
         frontier = self._frontier
-        new = 0
-        while frontier:
-            # highest state first: a shift, not a negation and an AND
-            top = frontier.bit_length() - 1
-            new |= table[top]
-            frontier ^= 1 << top
+        new = steps.get(frontier)
+        if new is None:
+            new, rest = 0, frontier
+            while rest:
+                # highest state first: a shift, not a negation and an AND
+                top = rest.bit_length() - 1
+                new |= table[top]
+                rest ^= 1 << top
+            if self._steps_n >= _MEMO_CAP:
+                # empty every step memo a snapshot can still reach
+                for memo in (self._sat_tables, self._snap_memo):
+                    for held in memo.values():
+                        held[1].clear()
+                self._steps_n = 0
+            steps[frontier] = new
+            self._steps_n += 1
         self._frontier = new
         self._events_seen += 1
         if not new:
@@ -255,7 +274,7 @@ class EncodedMonitor:
 
     def _compile_snapshot(
         self, snap: frozenset
-    ) -> tuple[tuple[int, ...], int]:
+    ) -> tuple[tuple[int, ...], dict[int, int], int]:
         """The memo-miss path: read a snapshot into its step table."""
         encoded = self.encoded
         mask = encoded.table.mask(snap) & encoded.vocab_mask
@@ -272,17 +291,17 @@ class EncodedMonitor:
         ):
             if (pos & mask) == pos and not (neg & mask):
                 sat |= 1 << label_class
-        table = self._sat_tables.get(sat)
-        if table is None:
-            table = tuple(
+        held = self._sat_tables.get(sat)
+        if held is None:
+            held = (tuple(
                 self._combined_mask(row, sat) for row in self.rows
-            )
+            ), {})
             if len(self._sat_tables) >= _MEMO_CAP:
                 self._sat_tables.clear()
-            self._sat_tables[sat] = table
+            self._sat_tables[sat] = held
         if len(self._snap_memo) >= _MEMO_CAP:
             self._snap_memo.clear()
-        entry = (table, unknown)
+        entry = (*held, unknown)
         self._snap_memo[snap] = entry
         return entry
 

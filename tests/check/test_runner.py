@@ -196,6 +196,44 @@ def _latch_lost_watches(monkeypatch):
     monkeypatch.setattr(FleetMonitor, "watch_satisfiable", latched)
 
 
+def _key_step_memo_on_frontier_alone(monkeypatch):
+    """A step-memo bug: every step table of a monitor shares one
+    frontier → successor memo, so a frontier stepped under one snapshot
+    answers for every other."""
+    from repro.stream.encoded import EncodedMonitor
+
+    compile_snapshot = EncodedMonitor._compile_snapshot
+    shared = {}
+
+    def one_memo(self, snap):
+        table, _, unknown = compile_snapshot(self, snap)
+        steps = shared.setdefault(id(self), (self, {}))[1]
+        entry = self._snap_memo[snap] = (table, steps, unknown)
+        return entry
+
+    monkeypatch.setattr(EncodedMonitor, "_compile_snapshot", one_memo)
+
+
+def _skip_unknown_events_on_step_hits(monkeypatch):
+    """A step-memo bug: a step answered from the memo does not count
+    the snapshot's unknown events (as if the count sat on the miss
+    path)."""
+    from repro.stream.encoded import EncodedMonitor
+
+    advance = EncodedMonitor.advance
+
+    def counting_misses(self, snapshot):
+        entry = self._snap_memo.get(frozenset(snapshot))
+        hit = entry is not None and self._frontier in entry[1]
+        before = self.unknown_events
+        status = advance(self, snapshot)
+        if hit:
+            self.unknown_events = before
+        return status
+
+    monkeypatch.setattr(EncodedMonitor, "advance", counting_misses)
+
+
 class TestSeededEngineBugs:
     """The monitor oracle kills seeded stream-engine bugs (ROADMAP 6(a)
     in miniature): the same detect → shrink → artifact → replay pipeline
@@ -205,6 +243,7 @@ class TestSeededEngineBugs:
     @pytest.mark.parametrize("install, cases", [
         (_skip_live_state_pruning, 1),
         (_latch_lost_watches, 45),
+        (_key_step_memo_on_frontier_alone, 3),
     ])
     def test_detection_shrink_artifact_replay(
         self, install, cases, tmp_path, monkeypatch
@@ -231,6 +270,27 @@ class TestSeededEngineBugs:
         assert ConformanceRunner(
             seed=7, cases=cases, configs=configs
         ).run().ok
+
+
+class TestWarmReplay:
+    """The monitor cells replay each trace a second time after
+    ``fleet.reset()``, with every memo warm: a bug that only a memo hit
+    shows is caught where one fresh-fleet replay would pass.  Seed-7
+    case 1 is such a case for the bug below; over the first 60 cases
+    ``monitor-stream`` catches it on 49 with the warm replay and on 16
+    without it."""
+
+    def test_a_bug_only_memo_hits_show_is_caught(self, monkeypatch):
+        configs = configs_by_name(["monitor-stream"])
+        _skip_unknown_events_on_step_hits(monkeypatch)
+        report = ConformanceRunner(
+            seed=7, cases=2, configs=configs, shrink=False
+        ).run()
+        assert "seed7-case1" in {
+            d.case.case_id for d in report.disagreements
+        }
+        monkeypatch.undo()
+        assert ConformanceRunner(seed=7, cases=2, configs=configs).run().ok
 
 
 def _drop_last_contract_transition(monkeypatch):

@@ -2,11 +2,19 @@
 (:mod:`repro.stream.encoded`)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.automata.buchi import BuchiAutomaton, Transition
 from repro.automata.encode import encode_automaton
 from repro.automata.labels import Label, neg, pos
 from repro.automata.ltl2ba import translate
+from repro.check.strategies import (
+    EVENTS,
+    buchi_automata,
+    contract_specs,
+    snapshots,
+)
 from repro.errors import MonitorError
 from repro.ltl.parser import parse
 from repro.stream import (
@@ -17,6 +25,7 @@ from repro.stream import (
     live_state_mask,
     winning_mask,
 )
+from repro.stream import encoded as encoded_module
 
 
 def encoded_for(text: str, vocabulary=None):
@@ -133,6 +142,155 @@ class TestMemoization:
         assert monitor.advance({"a"}) == MonitorStatus.VIOLATED
 
 
+def step_memo_size(monitor) -> int:
+    """Entries in every step memo a snapshot can still reach."""
+    held = {
+        id(entry[1]): entry[1]
+        for memo in (monitor._snap_memo, monitor._sat_tables)
+        for entry in memo.values()
+    }
+    return sum(len(steps) for steps in held.values())
+
+
+class ReferenceMonitor:
+    """The memo-free frontier walk: every transition out of every
+    frontier state whose label the snapshot satisfies, cut to the live
+    states, recomputed from the encoding on every event."""
+
+    def __init__(self, enc):
+        self.enc = enc
+        self.live_mask = live_state_mask(enc)
+        self.reset()
+
+    def reset(self):
+        self.frontier = (1 << self.enc.initial) & self.live_mask
+        self.events_seen = 0
+        self.violation_index = None if self.frontier else -1
+        self.unknown_events = 0
+
+    def advance(self, snap):
+        if not self.frontier:
+            return
+        enc = self.enc
+        known = [event for event in snap if event in enc.events]
+        self.unknown_events += len(snap) - len(known)
+        mask = sum(1 << enc.table[event] for event in known)
+        new = 0
+        for state in range(enc.num_states):
+            if not (self.frontier >> state) & 1:
+                continue
+            for ti in range(enc.offsets[state], enc.offsets[state + 1]):
+                label = enc.trans_labels[ti]
+                pos_mask, neg_mask = enc.label_pos[label], enc.label_neg[label]
+                if pos_mask & mask == pos_mask and not neg_mask & mask:
+                    new |= 1 << enc.trans_dsts[ti]
+        self.frontier = new & self.live_mask
+        self.events_seen += 1
+        if not self.frontier:
+            self.violation_index = self.events_seen - 1
+
+    def observe(self):
+        status = (MonitorStatus.ACTIVE if self.frontier
+                  else MonitorStatus.VIOLATED)
+        return (status, self.frontier, self.events_seen,
+                self.violation_index, self.unknown_events)
+
+
+def observe(monitor):
+    return (monitor.status, monitor.frontier, monitor.events_seen,
+            monitor.violation_index, monitor.unknown_events)
+
+
+#: events outside every drawn contract vocabulary
+ALIEN_EVENTS = ("zz-alpha", "zz-beta")
+
+ENCODED_CONTRACTS = st.one_of(
+    contract_specs().map(
+        lambda spec: encode_automaton(translate(spec.formula),
+                                      spec.vocabulary)),
+    buchi_automata(max_states=6, max_transitions=14).map(
+        lambda ba: encode_automaton(ba, EVENTS)),
+)
+
+
+@st.composite
+def repetitive_streams(draw):
+    """Up to 60 snapshots drawn from a pool of at most five (unknown
+    events included), and the index of a ``reset()``, if any."""
+    pool = draw(st.lists(snapshots(EVENTS + ALIEN_EVENTS),
+                         min_size=1, max_size=5))
+    stream = draw(st.lists(st.sampled_from(pool), max_size=60))
+    reset_at = draw(st.none() | st.integers(0, len(stream)))
+    return stream, reset_at
+
+
+class TestStepMemo:
+    """The (step table, frontier) → successor memo never changes what
+    the monitor says: at every step it agrees with the memo-free walk,
+    at the real cap and at one so small the clear runs all the time."""
+
+    @pytest.mark.parametrize("cap", [encoded_module._MEMO_CAP, 2])
+    @given(ENCODED_CONTRACTS, repetitive_streams())
+    @settings(max_examples=150, deadline=None)
+    def test_every_step_matches_the_reference(self, cap, enc, drawn):
+        stream, reset_at = drawn
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(encoded_module, "_MEMO_CAP", cap)
+            monitor, reference = EncodedMonitor(enc), ReferenceMonitor(enc)
+            assert observe(monitor) == reference.observe()
+            for i, snap in enumerate(stream):
+                if i == reset_at:
+                    monitor.reset()
+                    reference.reset()
+                monitor.advance(snap)
+                reference.advance(snap)
+                assert observe(monitor) == reference.observe()
+                assert step_memo_size(monitor) <= cap
+
+    @pytest.mark.parametrize("cap", [encoded_module._MEMO_CAP, 2])
+    @given(ENCODED_CONTRACTS, repetitive_streams())
+    @settings(max_examples=60, deadline=None)
+    def test_a_warm_reset_replays_like_a_fresh_monitor(self, cap, enc,
+                                                       drawn):
+        stream, _ = drawn
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(encoded_module, "_MEMO_CAP", cap)
+            warm = EncodedMonitor(enc)
+            for snap in stream:
+                warm.advance(snap)
+            warm.reset()
+            fresh = EncodedMonitor(enc)
+            assert observe(warm) == observe(fresh)
+            for snap in stream:
+                assert warm.advance(snap) is fresh.advance(snap)
+                assert observe(warm) == observe(fresh)
+
+    def test_a_repeated_step_is_answered_from_the_memo(self):
+        monitor = monitor_for("G(a -> F b)")
+        start = monitor.frontier
+        monitor.advance({"a"})
+        after = monitor.frontier
+        _, steps, _ = monitor._snap_memo[frozenset({"a"})]
+        assert steps == {start: after}
+        monitor.reset()
+        # a poisoned entry shows the lookup runs before the bit walk
+        steps[start] = start | after
+        monitor.advance({"a"})
+        assert monitor.frontier == start | after
+        assert monitor._steps_n == 1
+
+    def test_snapshots_with_the_same_classes_share_one_step_memo(self):
+        monitor = monitor_for("G(a -> F b)")
+        monitor.advance({"a"})
+        monitor.reset()
+        monitor.advance({"a", "zz"})
+        first = monitor._snap_memo[frozenset({"a"})]
+        second = monitor._snap_memo[frozenset({"a", "zz"})]
+        assert first[1] is second[1]
+        assert monitor._steps_n == 1
+        assert second[2] == 1
+
+
 class TestWatchQueries:
     def test_can_still_reflects_permission(self):
         monitor = monitor_for("G !refund", frozenset({"refund", "purchase"}))
@@ -194,7 +352,9 @@ class TestCompiledTables:
 class TestMemoBound:
     """Every memo is dropped and rebuilt past ``_MEMO_CAP`` entries, and
     that never changes a verdict: the monitor agrees on every event with
-    one whose memos are cleared before each event."""
+    one whose memos are cleared before each event.  Every snapshot of
+    the stream is distinct, so is every (snapshot, frontier) pair: the
+    step memos, counted together, stay within the cap as well."""
 
     CONTRACT = "G(a -> F b) && G(c -> X(!d U b))"
     VOCABULARY = ("a", "b", "c", "d")
@@ -204,23 +364,16 @@ class TestMemoBound:
         return (monitor._snap_memo, monitor._sat_tables,
                 monitor._watch_memo)
 
-    @staticmethod
-    def observe(monitor):
-        return (monitor.status, monitor.frontier, monitor.events_seen,
-                monitor.violation_index, monitor.unknown_events)
-
     @pytest.mark.parametrize("small_cap", [True, False])
     def test_adversarial_stream_stays_bounded(self, monkeypatch, small_cap):
         import random
-
-        from repro.stream import encoded as encoded_module
 
         cap = 3 if small_cap else encoded_module._MEMO_CAP
         monkeypatch.setattr(encoded_module, "_MEMO_CAP", cap)
         enc = encoded_for(self.CONTRACT, frozenset(self.VOCABULARY))
         monitor, fresh = EncodedMonitor(enc), EncodedMonitor(enc)
         rng = random.Random(cap)
-        peaks = [0, 0, 0]
+        peaks = [0, 0, 0, 0]
         for i in range(cap + 500):
             # a fresh unknown event makes every snapshot distinct
             snap = frozenset(
@@ -230,15 +383,16 @@ class TestMemoBound:
             for memo in self.memos(fresh):
                 memo.clear()
             assert monitor.advance(snap) == fresh.advance(snap)
-            assert self.observe(monitor) == self.observe(fresh)
+            assert observe(monitor) == observe(fresh)
             if small_cap:
                 query = f"F {self.VOCABULARY[i % 4]} || X F b{i % 5}"
                 assert monitor.can_still(query) == fresh.can_still(query)
             sizes = [len(memo) for memo in self.memos(monitor)]
+            sizes.append(step_memo_size(monitor))
             assert max(sizes) <= cap
             peaks = [max(p, n) for p, n in zip(peaks, sizes)]
             if monitor.violated:
                 monitor.reset()
                 fresh.reset()
         # the overflow rule really ran on every memo the stream can fill
-        assert peaks == ([cap] * 3 if small_cap else [cap, *peaks[1:]])
+        assert peaks == ([cap] * 4 if small_cap else [cap, *peaks[1:]])
