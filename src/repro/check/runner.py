@@ -81,7 +81,7 @@ def _transcript(name: str, verdicts: MonitorVerdicts) -> str:
 def _fleet_transcripts(fleet, specs, trace) -> frozenset[str]:
     """Broadcast ``trace`` through ``fleet`` from where it stands and
     pack each contract's verdicts with :func:`_transcript`."""
-    from ..stream.options import MonitorStatus
+    from ..stream import Event, MonitorStatus
 
     statuses = {
         spec.name: [fleet.status(spec.name) is MonitorStatus.ACTIVE]
@@ -92,7 +92,7 @@ def _fleet_transcripts(fleet, specs, trace) -> frozenset[str]:
         for spec in specs
     }
     for snapshot in trace:
-        fleet.broadcast(snapshot)
+        fleet.ingest([Event(snapshot)])
         for spec in specs:
             statuses[spec.name].append(
                 fleet.status(spec.name) is MonitorStatus.ACTIVE

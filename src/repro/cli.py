@@ -597,7 +597,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     emitted = list(fleet.alerts)
     for alert in emitted:
         print(json.dumps(alert.to_dict()) if args.json
-              else alert.describe())
+              else alert.describe(), flush=True)
 
     # bytes in, decoded per line, so a line that is not UTF-8 is named
     if args.events is None or str(args.events) == "-":
@@ -611,8 +611,8 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
             ) from exc
     events = deliveries = 0
     try:
-        # one record per ingest call so alerts stream out as the log
-        # unfolds (stdin may be a live pipe)
+        # one record per ingest call, each alert flushed, so alerts
+        # stream out as the log unfolds (stdin may be a live pipe)
         for event in read_event_log(_utf8_lines(handle)):
             report = fleet.ingest([event])
             events += 1
@@ -620,7 +620,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
             for alert in report.alerts:
                 emitted.append(alert)
                 print(json.dumps(alert.to_dict()) if args.json
-                      else alert.describe())
+                      else alert.describe(), flush=True)
     finally:
         if handle is not sys.stdin.buffer:
             handle.close()

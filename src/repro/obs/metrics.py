@@ -226,10 +226,12 @@ class MetricsRegistry:
 
     Instruments are created on first use (``registry.inc("query.count")``)
     so call sites stay one-liners; names are free-form dotted strings.
-    The registry lock guards only instrument creation and lookup; the
-    recorded values themselves are protected by each instrument's own
-    lock, so threads recording into different instruments do not
-    serialize against each other.
+    The registry lock guards instrument creation only: an instrument
+    that already exists is found by a plain ``dict.get`` (atomic under
+    the GIL), and creation checks again under the lock, so two threads
+    never create one name twice.  The recorded values themselves are
+    protected by each instrument's own lock, so threads recording into
+    different instruments do not serialize against each other.
     """
 
     def __init__(self):
@@ -241,28 +243,35 @@ class MetricsRegistry:
     # -- recording ------------------------------------------------------------------
 
     def counter(self, name: str) -> Counter:
-        with self._lock:
-            counter = self._counters.get(name)
-            if counter is None:
-                counter = self._counters[name] = Counter(name)
-            return counter
+        counter = self._counters.get(name)
+        if counter is None:
+            with self._lock:
+                counter = self._counters.get(name)
+                if counter is None:
+                    counter = self._counters[name] = Counter(name)
+        return counter
 
     def histogram(self, name: str,
                   buckets: Sequence[float] | None = None) -> Histogram:
-        with self._lock:
-            histogram = self._histograms.get(name)
-            if histogram is None:
-                histogram = self._histograms[name] = Histogram(
-                    name, buckets if buckets is not None else LATENCY_BUCKETS
-                )
-            return histogram
+        histogram = self._histograms.get(name)
+        if histogram is None:
+            with self._lock:
+                histogram = self._histograms.get(name)
+                if histogram is None:
+                    histogram = self._histograms[name] = Histogram(
+                        name,
+                        buckets if buckets is not None else LATENCY_BUCKETS,
+                    )
+        return histogram
 
     def gauge(self, name: str) -> Gauge:
-        with self._lock:
-            gauge = self._gauges.get(name)
-            if gauge is None:
-                gauge = self._gauges[name] = Gauge(name)
-            return gauge
+        gauge = self._gauges.get(name)
+        if gauge is None:
+            with self._lock:
+                gauge = self._gauges.get(name)
+                if gauge is None:
+                    gauge = self._gauges[name] = Gauge(name)
+        return gauge
 
     def inc(self, name: str, amount: int = 1) -> None:
         self.counter(name).inc(amount)

@@ -3,9 +3,11 @@ registry, and alert records.
 
 Events arrive either addressed to one contract or broadcast to the
 whole fleet (the common case for a shared event bus), all through one
-delivery loop.  Each delivery is one :meth:`EncodedMonitor.advance` — a
-few dict hits and bitwise ORs — and re-reads the contract's watch cells
-only if its frontier moved; an :class:`Alert` fires when a verdict *flips*:
+entry point, :meth:`FleetMonitor.ingest`, whether a call carries one
+record or a thousand.  Each delivery is one
+:meth:`EncodedMonitor.advance` — a few dict hits and bitwise ORs — and
+re-reads the contract's watch cells only if its frontier moved; an
+:class:`Alert` fires when a verdict *flips*:
 
 * a contract's frontier empties → ``"violated"`` (absorbing; the
   contract leaves the active set and costs nothing from then on);
@@ -14,24 +16,23 @@ only if its frontier moved; an :class:`Alert` fires when a verdict *flips*:
 
 All ``monitor.*`` metrics feed a
 :class:`~repro.obs.metrics.MetricsRegistry`, so a fleet can be watched
-exactly like the query path (``monitor.events``, ``monitor.violations``,
-``monitor.watch_flips``, ``monitor.unknown_events``, plus batch latency
-and size histograms); ``monitor.events`` and ``monitor.unknown_events``
-are added once per ``ingest`` / ``advance`` / ``broadcast`` call, not
-per delivery.
+exactly like the query path: ``monitor.events``, ``monitor.violations``,
+``monitor.watch_flips``, ``monitor.alerts``, ``monitor.unknown_events``
+and ``monitor.batches`` (``ingest`` calls that returned).
+``monitor.events`` and ``monitor.unknown_events`` are added once per
+``ingest`` call, not per delivery.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
 
 from ..automata.encode import EncodedAutomaton, encode_automaton
 from ..errors import MonitorError
-from ..obs.metrics import COUNT_BUCKETS, MetricsRegistry
+from ..obs.metrics import MetricsRegistry
 from .encoded import _MEMO_CAP, EncodedMonitor, _as_query, _as_snapshot
 from .options import MonitorOptions, MonitorStatus
 
@@ -92,14 +93,14 @@ class Alert:
 
 @dataclass
 class IngestReport:
-    """The outcome of one :meth:`FleetMonitor.ingest` batch."""
+    """The outcome of one :meth:`FleetMonitor.ingest` call."""
 
     #: stream records consumed
     events: int = 0
     #: contract-monitor advances performed (a broadcast fans out)
     deliveries: int = 0
     alerts: list[Alert] = field(default_factory=list)
-    #: unknown-event observations across the batch (counting mode)
+    #: unknown-event observations across the call (counting mode)
     unknown_events: int = 0
 
     @property
@@ -149,9 +150,10 @@ class FleetMonitor:
 
     Contracts are added by name (usually via
     :meth:`repro.broker.database.ContractDatabase.monitor_fleet`); watch
-    queries are registered per contract or fleet-wide.  All mutating
-    entry points are serialized by an internal lock, so one fleet can be
-    fed from multiple threads.
+    queries are registered per contract or fleet-wide.  Records are
+    delivered by :meth:`ingest` alone; it and the registry calls are
+    serialized by an internal lock, so one fleet can be fed from
+    multiple threads.
     """
 
     def __init__(
@@ -245,77 +247,60 @@ class FleetMonitor:
     # -- ingestion --------------------------------------------------------------
 
     def advance(self, contract: str, snapshot: Iterable[str]) -> list[Alert]:
-        """Deliver one snapshot to one contract; returns the alerts it
-        triggered (also accumulated on :attr:`alerts`)."""
+        """Deliver one snapshot to one contract and return its alerts: a
+        wrapper of :meth:`ingest`, kept for the end-to-end benchmark's
+        ``trace_extras``, which times this entry point."""
         if contract is None:
             raise MonitorError("unknown contract None")
-        event, alerts = Event(_as_snapshot(snapshot), contract), []
-        with self._lock:
-            self._deliver_all((event,), alerts)
-        return alerts
-
-    def broadcast(self, snapshot: Iterable[str]) -> list[Alert]:
-        """Deliver one snapshot to every active contract."""
-        event, alerts = Event(_as_snapshot(snapshot)), []
-        with self._lock:
-            self._deliver_all((event,), alerts)
-        return alerts
+        return self.ingest((Event(_as_snapshot(snapshot), contract),)).alerts
 
     def ingest(self, events: Iterable) -> IngestReport:
-        """Consume a batch of stream records — :class:`Event` instances,
+        """Consume stream records — :class:`Event` instances,
         ``{"events": [...], "contract": ...}`` dicts (the JSONL record
         shape), or ``(contract_or_None, snapshot)`` pairs — and return
-        an :class:`IngestReport`.  This is the bulk API the broker's
-        :meth:`~repro.broker.database.ContractDatabase.ingest` exposes.
-        """
-        started = time.perf_counter()
-        alerts: list[Alert] = []
-        with self._lock:
-            consumed, deliveries, unknown = self._deliver_all(events, alerts)
-        report = IngestReport(consumed, deliveries, alerts, unknown)
-        elapsed = time.perf_counter() - started
-        self.metrics.inc("monitor.batches")
-        self.metrics.observe("monitor.batch_seconds", elapsed)
-        self.metrics.observe(
-            "monitor.batch_events", report.events, COUNT_BUCKETS
-        )
-        return report
+        an :class:`IngestReport`.  The only delivery path, for one record
+        (the CLI's ``monitor``) or a thousand (the broker's
+        :meth:`~repro.broker.database.ContractDatabase.ingest`).
 
-    def _deliver_all(
-        self, records: Iterable, alerts: list[Alert]
-    ) -> tuple[int, int, int]:
-        """The one delivery loop (lock held): appends to ``alerts``, returns
-        (records, deliveries, unknown events); counters are added once, in
-        a ``finally`` for what a raising batch delivered."""
+        ``monitor.events`` / ``monitor.unknown_events`` are added once
+        per call, in a ``finally``, so a call that raises partway still
+        counts what it delivered; it does not count in
+        ``monitor.batches``."""
         monitors, read_on = self._monitors, self._read_on
+        alerts: list[Alert] = []
         consumed = deliveries = advanced = unknown = 0
-        try:
-            for record in records:
-                if type(record) is not Event:
-                    record = _coerce_event(record)
-                consumed += 1
-                snap, name = record.events, record.contract
-                if name is None:
-                    targets = list(self._active.items())
-                elif name in monitors:
-                    targets = ((name, monitors[name]),)
-                else:
-                    raise MonitorError(f"unknown contract {name!r}")
-                deliveries += len(targets)
-                for name, monitor in targets:
-                    if not monitor._frontier:
-                        continue  # violated: absorbing, nothing consumed
-                    before = monitor.unknown_events
-                    monitor.advance(snap)  # raises before any state change
-                    unknown += monitor.unknown_events - before
-                    advanced += 1
-                    # the frontier moved since the cells were read, or emptied
-                    frontier = monitor._frontier
-                    if frontier != read_on[name] or not frontier:
-                        self._flips(name, monitor, snap, alerts)
-        finally:
-            self._count(advanced, unknown)
-        return consumed, deliveries, unknown
+        with self._lock:
+            try:
+                for record in events:
+                    if type(record) is not Event:
+                        record = _coerce_event(record)
+                    consumed += 1
+                    snap, name = record.events, record.contract
+                    if name is None:
+                        targets = list(self._active.items())
+                    elif name in monitors:
+                        targets = ((name, monitors[name]),)
+                    else:
+                        raise MonitorError(f"unknown contract {name!r}")
+                    deliveries += len(targets)
+                    for name, monitor in targets:
+                        if not monitor._frontier:
+                            continue  # violated: absorbing, nothing consumed
+                        before = monitor.unknown_events
+                        monitor.advance(snap)  # raises before any state change
+                        unknown += monitor.unknown_events - before
+                        advanced += 1
+                        # moved since the cells were read, or emptied
+                        frontier = monitor._frontier
+                        if frontier != read_on[name] or not frontier:
+                            self._flips(name, monitor, snap, alerts)
+            finally:
+                if advanced:
+                    self.metrics.inc("monitor.events", advanced)
+                if unknown:
+                    self.metrics.inc("monitor.unknown_events", unknown)
+        self.metrics.inc("monitor.batches")
+        return IngestReport(consumed, deliveries, alerts, unknown)
 
     def _flips(
         self, name: str, monitor: EncodedMonitor, snap: frozenset, alerts
@@ -339,12 +324,6 @@ class FleetMonitor:
                     event_index=monitor.events_seen - 1, events=snap,
                 ), alerts)
             cell.satisfiable = satisfiable
-
-    def _count(self, advanced: int, unknown: int) -> None:
-        if advanced:
-            self.metrics.inc("monitor.events", advanced)
-        if unknown:
-            self.metrics.inc("monitor.unknown_events", unknown)
 
     def _emit(self, alert: Alert, batch: list[Alert] | None = None) -> None:
         self._alerts.append(alert)

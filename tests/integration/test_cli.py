@@ -2,11 +2,16 @@
 
 import io
 import json
+import os
+import queue
+import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 
 STREAMS = Path(__file__).parents[2] / "examples" / "streams"
@@ -305,7 +310,64 @@ class TestMonitor:
             io.BytesIO(self.TRACE.read_bytes())))
         assert main(["monitor", self.SPECS, "--watch", "F refund",
                      "--json"]) == 0
-        assert self.alerts(capsys.readouterr().out) == golden.splitlines()
+        alerts = self.alerts(capsys.readouterr().out)
+        assert alerts == golden.splitlines()
+        docs = [json.loads(line) for line in alerts]
+        summary = docs[-1]["summary"]
+        assert summary["violated"] == 3, summary
+        assert summary["unknown_events"] == 3, summary
+        kinds = [doc["kind"] for doc in docs if "kind" in doc]
+        assert kinds.count("violated") == 3, kinds
+        assert kinds.count("watch-unsatisfiable") == 3, kinds
+
+    def test_alerts_reach_a_live_pipe_before_stdin_closes(self):
+        """Each record is delivered as it is read and each alert is
+        flushed: Ticket B's violation reaches stdout while stdin is
+        still open, with stdout a block-buffered pipe."""
+        trace = self.TRACE.read_text().splitlines(keepends=True)
+        upto = next(i for i, line in enumerate(trace)
+                    if '"Ticket B"' in line) + 1
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "monitor", self.SPECS],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+            env=env,
+        )
+        lines: queue.Queue = queue.Queue()
+        reader = threading.Thread(
+            target=lambda: [lines.put(line) for line in proc.stdout],
+            daemon=True,
+        )
+        reader.start()
+        try:
+            proc.stdin.write("".join(trace[:upto]))
+            proc.stdin.flush()
+            while True:
+                line = lines.get(timeout=60)  # Empty: the alert waited
+                if line.startswith("ALERT violated contract='Ticket B' "
+                                   "event=1"):
+                    break
+            assert proc.poll() is None  # still reading the open pipe
+        finally:
+            proc.stdin.close()
+            status = proc.wait(timeout=60)
+            reader.join(timeout=60)
+            proc.stdout.close()
+        assert status == 0
+
+    def test_a_saved_directory_replays_the_checked_in_alerts(
+        self, tmp_path, capsys
+    ):
+        golden = (STREAMS / "airfare_alerts_refundable.jsonl").read_text()
+        saved = tmp_path / "airfare"
+        assert main(["save", self.SPECS, "--out", str(saved)]) == 0
+        capsys.readouterr()
+        assert main(["monitor", str(saved), "--events", str(self.TRACE),
+                     "--watch", "refundable=F refund", "--json"]) == 0
+        out = capsys.readouterr().out
+        assert "".join(f"{line}\n" for line in self.alerts(out)) == golden
 
     def test_missing_event_log(self, tmp_path, capsys):
         missing = tmp_path / "missing.jsonl"

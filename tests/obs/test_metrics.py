@@ -116,6 +116,8 @@ class TestRegistry:
         m.reset()
         assert m.counter_value("a") == 0
         assert m.snapshot() == {"counters": {}, "histograms": {}}
+        m.inc("a", 2)  # a fresh counter, not the one reset dropped
+        assert m.counter_value("a") == 2
 
     def test_thread_safety_of_counters(self):
         m = MetricsRegistry()

@@ -24,6 +24,7 @@ from repro.errors import MonitorError
 from repro.ltl.parser import parse
 from repro.stream import (
     EncodedMonitor,
+    Event,
     FleetMonitor,
     MonitorOptions,
     MonitorStatus,
@@ -68,8 +69,9 @@ def assert_stream_equals_batch(spec, query, trace):
 
 
 def fleet_verdicts(specs, query, trace):
-    """The same through ``FleetMonitor.broadcast`` with ``query`` as a
-    fleet-wide watch; returns the fleet and the verdicts by name."""
+    """The same through one-record ``FleetMonitor.ingest`` broadcasts
+    with ``query`` as a fleet-wide watch; returns the fleet and the
+    verdicts by name."""
     fleet = FleetMonitor()
     for spec in specs:
         fleet.add_contract(
@@ -86,7 +88,7 @@ def fleet_verdicts(specs, query, trace):
         for spec in specs
     }
     for snap in trace:
-        fleet.broadcast(snap)
+        fleet.ingest([Event(snap)])
         for spec in specs:
             active[spec.name].append(
                 fleet.status(spec.name) is MonitorStatus.ACTIVE

@@ -22,6 +22,7 @@ from repro.stream import (
     EncodedMonitor,
     Event,
     FleetMonitor,
+    IngestReport,
     MonitorOptions,
     MonitorStatus,
     parse_event,
@@ -34,6 +35,12 @@ def encoded_for(text: str, vocabulary=None):
     formula = parse(text)
     vocab = vocabulary if vocabulary is not None else formula.variables()
     return encode_automaton(translate(formula), vocab)
+
+
+def broadcast(fleet, snapshot):
+    """One snapshot to every active contract, as a one-record
+    ``ingest``; returns the alerts it triggered."""
+    return fleet.ingest([Event(frozenset(snapshot))]).alerts
 
 
 def flip_flop_encoded():
@@ -98,7 +105,7 @@ class TestRegistry:
     def test_contract_id_carried_into_alerts(self):
         fleet = FleetMonitor()
         fleet.add_contract("c", encoded_for("G !a"), contract_id=42)
-        (alert,) = fleet.broadcast({"a"})
+        (alert,) = broadcast(fleet, {"a"})
         assert alert.contract_id == 42
 
 
@@ -106,8 +113,8 @@ class TestViolationAlerts:
     def test_violation_alert_fields(self):
         fleet = FleetMonitor()
         fleet.add_contract("no-refund", encoded_for("G !refund"))
-        assert fleet.broadcast({"purchase"}) == []
-        (alert,) = fleet.broadcast({"refund", "purchase"})
+        assert broadcast(fleet, {"purchase"}) == []
+        (alert,) = broadcast(fleet, {"refund", "purchase"})
         assert alert.kind == "violated"
         assert alert.contract == "no-refund"
         assert alert.event_index == 1
@@ -120,11 +127,11 @@ class TestViolationAlerts:
         vocab = frozenset({"a", "b"})
         fleet.add_contract("no-a", encoded_for("G !a", vocab))
         fleet.add_contract("no-b", encoded_for("G !b", vocab))
-        fleet.broadcast({"a"})
+        broadcast(fleet, {"a"})
         assert fleet.active_contracts == ("no-b",)
         assert fleet.status("no-a") is MonitorStatus.VIOLATED
         # further broadcasts no longer deliver to the violated contract
-        fleet.broadcast({"b"})
+        broadcast(fleet, {"b"})
         assert fleet.active_contracts == ()
         assert len(fleet.alerts) == 2
         assert fleet.monitor("no-a").events_seen == 1
@@ -169,19 +176,19 @@ class TestWatchQueries:
         fleet.register_watch("next-a", "a", contracts=["flip"])
         assert fleet.watch_satisfiable("flip", "next-a")
 
-        (alert,) = fleet.broadcast({"a"})  # frontier -> state 1
+        (alert,) = broadcast(fleet, {"a"})  # frontier -> state 1
         assert alert.kind == "watch-unsatisfiable"
         assert alert.event_index == 0
         assert not fleet.watch_satisfiable("flip", "next-a")
 
-        assert fleet.broadcast(frozenset()) == []  # back to state 0
+        assert broadcast(fleet, frozenset()) == []  # back to state 0
         assert fleet.watch_satisfiable("flip", "next-a")
 
-        (alert,) = fleet.broadcast({"a"})  # re-armed: flips again
+        (alert,) = broadcast(fleet, {"a"})  # re-armed: flips again
         assert alert.kind == "watch-unsatisfiable"
         assert alert.event_index == 2
 
-        (alert,) = fleet.broadcast({"a"})  # state 1 has no a-exit
+        (alert,) = broadcast(fleet, {"a"})  # state 1 has no a-exit
         assert alert.kind == "violated"
         assert not fleet.watch_satisfiable("flip", "next-a")
         assert fleet.can_still("flip", "a") is False
@@ -204,8 +211,8 @@ class TestWatchQueries:
         fleet = FleetMonitor()
         fleet.add_contract("flip", flip_flop_encoded())
         fleet.register_watch("next-a", "a")
-        fleet.broadcast({"a"})
-        fleet.broadcast({"a"})
+        broadcast(fleet, {"a"})
+        broadcast(fleet, {"a"})
         assert fleet.active_contracts == ()
         fleet.reset()
         assert fleet.alerts == ()
@@ -346,7 +353,7 @@ class TestPerCallAccounting:
         before = fleet.unknown_event_count
         fleet.advance("c1", {"a", "zz"})
         fleet.advance("c2", {"a"})             # violated: not consumed
-        fleet.broadcast({"b", "zz"})
+        broadcast(fleet, {"b", "zz"})
         assert self.counters(fleet) == self.delivered(fleet)
         assert fleet.unknown_event_count - before == 4
         report = fleet.ingest([{"events": ["zz"]}, {"events": []}])
@@ -368,7 +375,7 @@ class TestPerCallAccounting:
     def test_a_broadcast_that_raises_counts_what_it_delivered(self):
         fleet = self.fleet(MonitorOptions(strict_vocabulary=True))
         with pytest.raises(MonitorError):
-            fleet.broadcast({"b"})             # c3's vocabulary lacks b
+            broadcast(fleet, {"b"})             # c3's vocabulary lacks b
         assert self.counters(fleet) == self.delivered(fleet) == (2, 0)
 
 
@@ -442,7 +449,7 @@ class TestBareStringSnapshots:
     def test_fleet_broadcast(self):
         fleet = self.fleet()
         with pytest.raises(MonitorError, match="not a string: 'a'"):
-            fleet.broadcast("a")
+            fleet.ingest([(None, "a")])
         self.untouched(fleet)
 
     def test_encoded_monitor_advance(self):
@@ -457,32 +464,35 @@ class TestBareStringSnapshots:
 
 class ReferenceFleet(FleetMonitor):
     """The fleet as it was before cells were re-read only on a moved
-    frontier: every delivery re-reads every watch cell of its contract.
-    Registration, ``reset`` and the entry points are the engine's."""
+    frontier: every delivery re-reads every watch cell of its contract,
+    and counters are added per delivery.  Registration, ``reset`` and
+    ``advance`` are the engine's."""
 
-    def _deliver_all(self, records, alerts):
-        consumed = deliveries = advanced = unknown = 0
-        try:
-            for record in records:
-                event = _coerce_event(record)
-                consumed += 1
-                targets = (list(self._active) if event.contract is None
-                           else [event.contract])
-                deliveries += len(targets)
-                for name in targets:
-                    monitor = self._monitors.get(name)
-                    if monitor is None:
-                        raise MonitorError(f"unknown contract {name!r}")
-                    if monitor.violated:
-                        continue
-                    before = monitor.unknown_events
-                    status = monitor.advance(event.events)
-                    advanced += 1
+    def ingest(self, events):
+        consumed = deliveries = unknown = 0
+        alerts = []
+        for record in events:
+            event = _coerce_event(record)
+            consumed += 1
+            targets = (list(self._active) if event.contract is None
+                       else [event.contract])
+            deliveries += len(targets)
+            for name in targets:
+                monitor = self._monitors.get(name)
+                if monitor is None:
+                    raise MonitorError(f"unknown contract {name!r}")
+                if monitor.violated:
+                    continue
+                before = monitor.unknown_events
+                status = monitor.advance(event.events)
+                self.metrics.inc("monitor.events")
+                if monitor.unknown_events > before:
+                    self.metrics.inc("monitor.unknown_events",
+                                     monitor.unknown_events - before)
                     unknown += monitor.unknown_events - before
-                    self._reread(name, monitor, status, event.events, alerts)
-        finally:
-            self._count(advanced, unknown)
-        return consumed, deliveries, unknown
+                self._reread(name, monitor, status, event.events, alerts)
+        self.metrics.inc("monitor.batches")
+        return IngestReport(consumed, deliveries, alerts, unknown)
 
     def _reread(self, name, monitor, status, snap, alerts):
         if status is MonitorStatus.VIOLATED:
@@ -518,7 +528,6 @@ RECORDS = st.tuples(
 OPERATIONS = st.lists(st.one_of(
     st.tuples(st.just("ingest"), st.lists(RECORDS, max_size=6)),
     st.tuples(st.just("advance"), TARGETS, SNAPSHOTS),
-    st.tuples(st.just("broadcast"), SNAPSHOTS),
     st.tuples(st.just("outside-advance"), TARGETS, SNAPSHOTS),
     st.tuples(st.just("outside-reset"), TARGETS),
     st.tuples(st.just("watch"), st.integers(0, 4), st.none() | TARGETS),
@@ -570,8 +579,6 @@ class TestOneDeliveryLoop:
                         report.unknown_events, report.violations)
             if kind == "advance":
                 return fleet.advance(name_of(op[1]), op[2])
-            if kind == "broadcast":
-                return fleet.broadcast(op[1])
             if kind == "outside-advance":
                 return fleet.monitor(name_of(op[1])).advance(op[2])
             if kind == "outside-reset":
@@ -656,6 +663,19 @@ class TestOneDeliveryLoop:
             assert fleet.monitor("c").frontier == moved
             assert (alert.kind, alert.watch, alert.event_index) == (
                 "watch-unsatisfiable", "may-b", 1)
+
+    def test_a_monitor_reset_outside_the_fleet_is_violated_again(self):
+        """The cells were last read on an empty frontier; after a reset
+        made outside the fleet, a delivery that empties the frontier
+        again leaves it where they were read and must still alert."""
+        for cls in (FleetMonitor, ReferenceFleet):
+            fleet = cls()
+            fleet.add_contract("c", encoded_for("G !a", frozenset({"a"})))
+            fleet.advance("c", {"a"})
+            fleet.monitor("c").reset()
+            (alert,) = fleet.advance("c", {"a"})
+            assert (alert.kind, alert.event_index) == ("violated", 0)
+            assert len(fleet.alerts) == 2
 
 
 class TestReaderMemo:
