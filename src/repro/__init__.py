@@ -51,12 +51,23 @@ from .broker import (
     register_many,
 )
 from .core import Deadline, ExecutionBudget, StepBudget, find_witness, permits
-from .dist import DistributedDatabase, LocalCluster, Replica
 from .errors import ReproError
 from .ltl import Formula, Run, parse, satisfies
 from .stream import Alert, FleetMonitor, MonitorOptions, MonitorStatus
 
-__version__ = "12.0.0"
+__version__ = "12.1.0"
+
+#: the cluster front-end loads on first use: ``import repro`` (and every
+#: CLI start) stays clear of :mod:`repro.dist` and ``asyncio``
+_DIST_NAMES = ("DistributedDatabase", "LocalCluster", "Replica")
+
+
+def __getattr__(name: str):
+    if name in _DIST_NAMES:
+        from . import dist
+
+        return getattr(dist, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AttributeFilter",

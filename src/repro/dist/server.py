@@ -221,33 +221,7 @@ class ShardServer:
         """Bind the socket and serve from a daemon thread."""
         if self._server is not None:
             return self
-        shard = self
-
-        class Handler(socketserver.BaseRequestHandler):
-            def handle(self):
-                try:
-                    while True:
-                        request = protocol.recv_frame(self.request)
-                        if request is None:
-                            return
-                        protocol.send_frame(
-                            self.request, shard.handle_request(request)
-                        )
-                except ProtocolError as exc:
-                    try:
-                        protocol.send_frame(
-                            self.request, protocol.error_doc(exc)
-                        )
-                    except OSError:
-                        pass
-                except OSError:
-                    pass  # client went away mid-exchange
-
-        class Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-
-        self._server = Server((self._host, self._port), Handler)
+        self._server = _Server((self._host, self._port), self)
         self._thread = threading.Thread(
             target=self._server.serve_forever,
             name=f"shard-{self.shard_id}",
@@ -266,6 +240,40 @@ class ShardServer:
             self._thread = None
         if self.db.journal is not None:
             self.db.journal.close()
+
+
+class _Handler(socketserver.BaseRequestHandler):
+    """One client connection: answer frames until the client hangs up."""
+
+    def handle(self):
+        shard = self.server.shard
+        try:
+            while True:
+                request = protocol.recv_frame(self.request)
+                if request is None:
+                    return
+                protocol.send_frame(self.request, shard.handle_request(request))
+        except ProtocolError as exc:
+            try:
+                protocol.send_frame(self.request, protocol.error_doc(exc))
+            except OSError:
+                pass
+        except OSError:
+            pass  # client went away mid-exchange
+
+
+class _Server(socketserver.ThreadingTCPServer):
+    """The listener of one :class:`ShardServer`.  Module-level, like its
+    handler, so no class object (cyclic garbage) holds the shard: a
+    stopped shard's database is freed by reference counting, not at the
+    next full collection."""
+
+    allow_reuse_address = True
+    daemon_threads = True
+
+    def __init__(self, address: tuple[str, int], shard: ShardServer):
+        self.shard = shard
+        super().__init__(address, _Handler)
 
 
 def serve_shard(shard_id: int, directory: str | None, config_doc: dict | None,

@@ -1,17 +1,19 @@
 """One shard behind a socket: dispatch, persistence, error surfaces."""
 
 import contextlib
+import gc
 import socket
 import struct
 import sys
 import threading
 import time
+import weakref
 
 import pytest
 
 from repro.broker.journal import open_database
 from repro.core.retry import BackoffPolicy
-from repro.dist import DistributedDatabase, protocol
+from repro.dist import DistributedDatabase, LocalCluster, protocol
 from repro.dist.server import SHARD_OPS, ShardServer
 from repro.errors import DistError
 
@@ -307,3 +309,33 @@ class TestSocketSurface:
     def test_shard_ops_is_the_full_surface(self, shard):
         for op in SHARD_OPS:
             assert hasattr(shard, f"_op_{op}")
+
+
+class TestStoppedShardsFreeTheirDatabase:
+    def test_stop_releases_every_database_without_a_collection(self):
+        """A stopped shard's database goes with its last reference: the
+        listener and handler classes are module-level, not cyclic
+        garbage made per ``start()`` that holds the shard until a full
+        collection."""
+        gc.collect()
+        gc.disable()
+        try:
+            cluster = LocalCluster(2)
+            dbs = [weakref.ref(server.db) for server in cluster.servers]
+            with cluster.database() as front:
+                for i in range(6):
+                    front.register(f"c{i}", [f"G(a{i % 3} -> F b)"])
+                assert front.query("F b").contract_names
+            cluster.stop_shard(0)
+            cluster.restart_shard(0)
+            dbs.append(weakref.ref(cluster.servers[0].db))
+            cluster.stop()
+            # a handler thread lets go of its shard once the client's
+            # hang-up reaches it
+            deadline = time.monotonic() + 5
+            while any(ref() is not None for ref in dbs):
+                assert time.monotonic() < deadline, [
+                    ref() is not None for ref in dbs]
+                time.sleep(0.01)
+        finally:
+            gc.enable()

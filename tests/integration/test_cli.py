@@ -1,12 +1,15 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import io
 import json
 import os
 import queue
+import re
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,7 @@ import repro
 from repro.cli import main
 
 STREAMS = Path(__file__).parents[2] / "examples" / "streams"
+SRC = str(Path(repro.__file__).parents[1])
 
 
 @pytest.fixture
@@ -179,6 +183,129 @@ class TestBuildAndLoad:
         assert "refund-friendly" in out
 
 
+class TestPersistenceDrill:
+    """save → clean load → corrupt load → misshapen artifacts: a damaged
+    snapshot warns and rebuilds, never fails."""
+
+    @pytest.fixture
+    def specs(self, tmp_path, capsys):
+        path = tmp_path / "specs.json"
+        assert main(["generate", "--count", "10", "--patterns", "2",
+                     "--seed", "7", "--out", str(path)]) == 0
+        capsys.readouterr()
+        return path
+
+    @staticmethod
+    def save(specs, capsys):
+        snapshot = specs.parent / "snapshot"
+        assert main(["save", str(specs), "--out", str(snapshot)]) == 0
+        capsys.readouterr()
+        return snapshot
+
+    def test_save_writes_a_snapshot(self, specs, capsys):
+        snapshot = self.save(specs, capsys)
+        assert json.loads((snapshot / "contracts.json").read_text())
+
+    def test_clean_load_restores_every_artifact(self, specs, capsys):
+        snapshot = self.save(specs, capsys)
+        assert main(["load", str(snapshot), "--stats"]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"index +: restored", out), out
+        assert "0 retranslated" in out
+
+    def test_corrupt_load_falls_back_and_queries_still_work(
+        self, specs, capsys
+    ):
+        automata = self.save(specs, capsys) / "automata.json"
+        automata.write_text(
+            automata.read_text().replace('"transitions"', '"transxxxxxx"'))
+        assert main(["load", str(automata.parent)]) == 0
+        assert "checksum verification failed" in capsys.readouterr().out
+        assert main(["query", str(specs), "--query", "F ev0"]) == 0
+
+    @pytest.mark.parametrize("artifact,damage", [
+        ("projections.json", "shape"),
+        ("index.json", "shape"),
+        ("index.json", "values"),
+    ])
+    def test_misshapen_artifact_with_a_valid_checksum_falls_back(
+        self, specs, capsys, artifact, damage
+    ):
+        """The rung past the checksum gate: valid JSON of the wrong shape
+        (or, for index.json, a trie that is not downward closed), its
+        SHA-256 re-stamped in the manifest, must warn and rebuild."""
+        snapshot = self.save(specs, capsys)
+        doc = json.loads((snapshot / artifact).read_text())
+        if damage == "shape":
+            # a null where a mapping belongs: an AttributeError before 8.0
+            entries = ([doc] if artifact == "index.json"
+                       else sum(doc.values(), []))
+            for entry in entries:
+                entry["stats"] = None
+        else:
+            # well-typed, but no trie to_dict() writes (8.2): a contract
+            # taken out of a singleton node and left in a pair beneath it
+            nodes = doc["trie"]["nodes"]
+            pair = next(n for n in nodes if len(n["key"]) == 2)
+            single = next(n for n in nodes if n["key"] == pair["key"][:1])
+            single["contracts"].remove(pair["contracts"][0])
+        (snapshot / artifact).write_text(json.dumps(doc))
+        manifest = json.loads((snapshot / "contracts.json").read_text())
+        manifest["artifacts"][artifact] = hashlib.sha256(
+            (snapshot / artifact).read_bytes()).hexdigest()
+        (snapshot / "contracts.json").write_text(json.dumps(manifest))
+        assert main(["load", str(snapshot)]) == 0
+        out = capsys.readouterr().out
+        assert any(artifact in line for line in out.splitlines()
+                   if "warning:" in line), out
+        assert "checksum verification failed" not in out
+        assert main(["query", str(snapshot), "--query", "F p1"]) == 0
+        out = capsys.readouterr().out
+        assert any("contract-0" in line for line in out.splitlines()
+                   if "matched" in line), out
+
+
+class TestDeadlineDrill:
+    """A deadline degrades a pathological query promptly: the exact scan
+    takes seconds on this database, the 100 ms budget must not."""
+
+    QUERY = " && ".join(f"F ev{i}" for i in range(7))
+
+    @pytest.fixture(scope="class")
+    def pathological(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("deadline") / "pathological.json"
+        assert main(["generate", "--profile", "pathological",
+                     "--count", "60", "--seed", "0", "--out", str(path)]) == 0
+        return path
+
+    def test_generates_the_adversarial_workload(self, pathological):
+        docs = json.loads(pathological.read_text())
+        assert len(docs) == 60
+        assert docs[0]["clauses"][0].count("F") >= 6
+
+    def test_budgeted_scan_answers_promptly_and_degrades(
+        self, pathological, capsys
+    ):
+        start = time.monotonic()
+        assert main(["query", str(pathological), "--scan",
+                     "--deadline-ms", "100", "--query", self.QUERY]) == 0
+        assert time.monotonic() - start < 30
+        out = capsys.readouterr().out
+        assert "DEGRADED" in out and "timed out" in out
+
+    def test_a_repeated_adversarial_query_degrades_on_every_ask(
+        self, pathological, capsys
+    ):
+        """A warm pair keeps at most SUCCESSOR_TABLE_LIMIT successor
+        lists: the second and third ask run into the deadline too."""
+        start = time.monotonic()
+        assert main(["metrics", str(pathological), "--scan",
+                     "--deadline-ms", "100", "--repeat", "3",
+                     "--query", self.QUERY]) == 0
+        assert time.monotonic() - start < 60
+        assert "3 degraded" in capsys.readouterr().out
+
+
 class TestTranslate:
     def test_pretty(self, capsys):
         assert main(["translate", "F p"]) == 0
@@ -302,6 +429,37 @@ class TestMonitor:
                      "--watch", "refundable=F refund", "--json"]) == 0
         assert self.alerts(capsys.readouterr().out) == golden.splitlines()
 
+    def test_text_replay_names_every_alert(self, capsys):
+        """Watch flips and violations at the expected event indices."""
+        assert main(["monitor", self.SPECS, "--events", str(self.TRACE),
+                     "--watch", "refundable=F refund"]) == 0
+        out = capsys.readouterr().out
+        for line in (
+            "ALERT violated contract='Ticket B' event=1",
+            "ALERT watch-unsatisfiable contract='Ticket A' "
+            "watch='refundable' event=2",
+            "ALERT violated contract='No Refund' event=3",
+            "3 violated",
+            "3 unknown event(s)",
+        ):
+            assert line in out, line
+
+    def test_distinct_lines_replay_the_checked_in_alerts(
+        self, tmp_path, capsys
+    ):
+        """A unique "seq" key on every record: the reader's line memo
+        never hits, and the alerts are still the checked-in ones."""
+        golden = (STREAMS / "airfare_alerts_refundable.jsonl").read_text()
+        distinct = tmp_path / "distinct.jsonl"
+        distinct.write_text("".join(
+            json.dumps({**json.loads(line), "seq": seq}) + "\n"
+            if line.startswith("{") else line
+            for seq, line in enumerate(
+                self.TRACE.read_text().splitlines(keepends=True))))
+        assert main(["monitor", self.SPECS, "--events", str(distinct),
+                     "--watch", "refundable=F refund", "--json"]) == 0
+        assert self.alerts(capsys.readouterr().out) == golden.splitlines()
+
     def test_stdin_replay_equals_the_checked_in_alerts(
         self, capsys, monkeypatch
     ):
@@ -327,8 +485,7 @@ class TestMonitor:
         trace = self.TRACE.read_text().splitlines(keepends=True)
         upto = next(i for i, line in enumerate(trace)
                     if '"Ticket B"' in line) + 1
-        env = {**os.environ,
-               "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        env = {**os.environ, "PYTHONPATH": SRC}
         env.pop("PYTHONUNBUFFERED", None)
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "monitor", self.SPECS],
@@ -386,3 +543,15 @@ class TestMonitor:
         assert "ALERT violated contract='Ticket B' event=1" in captured.out
         assert captured.err.startswith(
             "error: event log line 5 is not valid UTF-8: ")
+
+
+def test_cli_import_leaves_the_cluster_front_end_unloaded():
+    """Every CLI start imports ``repro.cli``; ``monitor``, ``query`` and
+    ``save`` never touch a cluster, so neither it nor asyncio loads."""
+    code = ("import sys, repro.cli; "
+            "print(sorted({'repro.dist', 'asyncio'} & set(sys.modules)))")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": SRC},
+    ).stdout
+    assert out.strip() == "[]"
