@@ -55,7 +55,7 @@ from .errors import ReproError
 from .ltl import Formula, Run, parse, satisfies
 from .stream import Alert, FleetMonitor, MonitorOptions, MonitorStatus
 
-__version__ = "12.1.0"
+__version__ = "13.0.0"
 
 #: the cluster front-end loads on first use: ``import repro`` (and every
 #: CLI start) stays clear of :mod:`repro.dist` and ``asyncio``

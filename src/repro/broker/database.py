@@ -21,15 +21,16 @@ planner writes one per query, and ``QueryOptions(plan=...)`` pins one —
 which is how the benchmark harness measures the paper's scan-versus-
 optimized comparisons.
 
-Serving-side aggregation: every query's :class:`QueryStats` is fed into
-the database's :class:`~repro.obs.metrics.MetricsRegistry`
-(``db.metrics``).
+Serving-side aggregation: the database counts every query's
+:class:`QueryStats` and observes its timings into its
+:class:`~repro.obs.metrics.MetricsRegistry` (``db.metrics``).
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, fields
 from typing import AbstractSet, Any, Iterator, Mapping, Sequence
 
@@ -195,7 +196,12 @@ class ContractDatabase:
         #: histograms + automaton/projection aggregates); updated under
         #: the write lock on every register/deregister.
         self.statistics = DatabaseStatistics()
+        # queries count concurrently under the read lock: one small lock
+        # per query (and per plan the planner writes) guards the counts
+        self._counts: Counter = Counter()
+        self._counts_lock = threading.Lock()
         self.metrics = MetricsRegistry()
+        self.metrics.register(self)
         #: set by the persistence layer after a snapshot load
         #: (:class:`repro.broker.persist.LoadReport`); ``None`` otherwise.
         self.load_report = None
@@ -478,7 +484,6 @@ class ContractDatabase:
         )
         plan = self._plan_cache.get(cache_key)
         if plan is not None:
-            self.metrics.inc("planner.cache.hits")
             return plan
         plan = self._planner.plan(
             compiled.query_ba,
@@ -487,20 +492,17 @@ class ContractDatabase:
             attribute_filter=options.attribute_filter,
         )
         self._plan_cache.put(cache_key, plan)
-        # the planner.* instruments describe the plans the planner
-        # wrote; a cached plan was counted when it was made
-        metrics = self.metrics
-        metrics.inc("planner.cache.misses")
-        metrics.inc(
-            "planner.prefilter_on" if plan.use_prefilter
-            else "planner.prefilter_off"
-        )
-        metrics.inc(
-            "planner.projections_on" if plan.use_projections
-            else "planner.projections_off"
-        )
-        metrics.inc(f"planner.order.{plan.order}")
-        metrics.observe("planner.est_cost", plan.cost, buckets=COST_BUCKETS)
+        # the planner.* counts describe the plans the planner wrote; a
+        # cached plan was counted when it was made
+        with self._counts_lock:
+            counts = self._counts
+            counts["planner.prefilter_on" if plan.use_prefilter
+                   else "planner.prefilter_off"] += 1
+            counts["planner.projections_on" if plan.use_projections
+                   else "planner.projections_off"] += 1
+            counts[f"planner.order.{plan.order}"] += 1
+        self.metrics.observe("planner.est_cost", plan.cost,
+                             buckets=COST_BUCKETS)
         return plan
 
     def plan_query(
@@ -705,8 +707,8 @@ class ContractDatabase:
 
     def monitor_fleet(self, options=None, watches=None):
         """A :class:`~repro.stream.engine.FleetMonitor` over the
-        currently registered contracts, fed by this database's metrics
-        registry (``monitor.*`` instruments).
+        currently registered contracts, whose ``monitor.*`` counts this
+        database's metrics registry reads for as long as the fleet lives.
 
         The fleet is a *snapshot* taken under the read lock: contracts
         registered afterwards are not monitored by it (build a new fleet
@@ -821,14 +823,17 @@ class ContractDatabase:
     # -- metrics ----------------------------------------------------------------------
 
     def _record_query(self, stats: QueryStats) -> None:
-        """Feed one query's stats into the aggregate metrics registry."""
+        """Count one query and observe its timings."""
+        with self._counts_lock:
+            counts = self._counts
+            counts["query.count"] += 1
+            counts["query.permission_checks"] += stats.checked
+            counts["query.permitted"] += stats.permitted
+            if stats.degraded:
+                counts["query.degraded"] += 1
+                counts["query.contracts_timed_out"] += stats.timed_out
+                counts["query.contracts_skipped"] += stats.skipped
         metrics = self.metrics
-        metrics.inc("query.count")
-        metrics.inc("query.permission_checks", stats.checked)
-        metrics.inc("query.permitted", stats.permitted)
-        metrics.inc(
-            "query.cache.hits" if stats.cache_hit else "query.cache.misses"
-        )
         metrics.observe("query.translation_seconds",
                         stats.translation_seconds)
         metrics.observe("query.prefilter_seconds", stats.prefilter_seconds)
@@ -840,10 +845,34 @@ class ContractDatabase:
         if stats.used_prefilter:
             metrics.observe("query.pruning_ratio", stats.pruning_ratio,
                             buckets=RATIO_BUCKETS)
-        if stats.degraded:
-            metrics.inc("query.degraded")
-            metrics.inc("query.contracts_timed_out", stats.timed_out)
-            metrics.inc("query.contracts_skipped", stats.skipped)
+
+    def add_count(self, name: str, amount: int = 1) -> None:
+        """Add to one of the database's counts: for the helpers that
+        register on its behalf (``register.*``)."""
+        with self._counts_lock:
+            self._counts[name] += amount
+
+    def collect(self) -> dict:
+        """The database's counts, read by :attr:`metrics` on export.
+        The caches' hit/miss counts and the journal replay's are read
+        from the objects that keep them."""
+        with self._counts_lock:
+            counts = dict(self._counts)
+        for prefix, cache in (("query.cache", self._query_cache),
+                              ("planner.cache", self._plan_cache)):
+            stats = cache.stats()
+            if stats.hits:
+                counts[f"{prefix}.hits"] = stats.hits
+            if stats.misses:
+                counts[f"{prefix}.misses"] = stats.misses
+        report = self.journal_report
+        if report is not None:
+            counts["journal.replayed"] = report.replayed
+            if report.torn_records:
+                counts["journal.torn_records"] = report.torn_records
+            if report.discarded_stale:
+                counts["journal.discarded_stale"] = report.discarded_stale
+        return {"counters": counts}
 
     def metrics_snapshot(self) -> dict:
         """The metrics registry snapshot plus the compilation-cache view."""

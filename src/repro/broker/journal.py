@@ -499,12 +499,7 @@ def open_database(
         )
         journal.compact(manifest_epoch, db.config)
 
-    db.metrics.inc("journal.replayed", report.replayed)
-    if report.torn_records:
-        db.metrics.inc("journal.torn_records", report.torn_records)
-    if report.discarded_stale:
-        db.metrics.inc("journal.discarded_stale", report.discarded_stale)
-    db.journal_report = report
+    db.journal_report = report  # the journal.* counts db.metrics reads
     db.attach_journal(journal)
     return db
 

@@ -74,7 +74,7 @@ def _item_name(item) -> str:
 def _quarantine(db, report: RegistrationReport, entry: QuarantinedSpec):
     report.quarantined.append(entry)
     db.quarantine.add(entry)
-    db.metrics.inc("register.quarantined")
+    db.add_count("register.quarantined")
 
 
 def _register_one(
@@ -228,10 +228,10 @@ def register_many(
             # process (inside db.register below), never re-translating
             # the documents already in hand
             report.pool_fallback = True
-            db.metrics.inc("register.pool_fallback")
+            db.add_count("register.pool_fallback")
             break
         report.pool_retries += 1
-        db.metrics.inc("register.pool_retries")
+        db.add_count("register.pool_retries")
         _sleep(policy.delay(attempt))
 
     pool_seconds = time.perf_counter() - pool_start

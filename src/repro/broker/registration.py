@@ -173,7 +173,7 @@ class Quarantine:
                 report.quarantined.append(entry)
             else:
                 report.contracts.append(contract)
-                db.metrics.inc("register.quarantine_recovered")
+                db.add_count("register.quarantine_recovered")
         with self._lock:
             # keep any entries added concurrently while we were retrying
             added = [e for e in self._entries if e not in entries]

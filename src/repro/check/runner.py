@@ -19,8 +19,9 @@ isolates the differing layer.
 
 Any violation is recorded as a :class:`Disagreement`, greedily shrunk
 (:mod:`repro.check.shrink`) and written out as a standalone JSON repro
-artifact (:mod:`repro.check.artifacts`).  Progress and failure counts
-are surfaced through a :class:`~repro.obs.metrics.MetricsRegistry` so a
+artifact (:mod:`repro.check.artifacts`).  The runner counts progress
+and failures (``check.*``) and its
+:class:`~repro.obs.metrics.MetricsRegistry` reads them on export, so a
 long fuzz run can be watched like any other broker workload.
 """
 
@@ -29,6 +30,7 @@ from __future__ import annotations
 import random
 import tempfile
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -216,8 +218,8 @@ class ConformanceRunner:
         artifact_dir: where failure repro artifacts are written
             (``None`` = don't write artifacts).
         shrink: greedily minimize failing cases before reporting.
-        metrics: an external registry to feed (default: a fresh one on
-            ``runner.metrics``).
+        metrics: an external registry to export through (default: a
+            fresh one on ``runner.metrics``).
     """
 
     def __init__(
@@ -243,7 +245,13 @@ class ConformanceRunner:
         self.configs = tuple(configs) if configs is not None else config_lattice()
         self.artifact_dir = Path(artifact_dir) if artifact_dir else None
         self.shrink_enabled = shrink
+        self._counts: Counter = Counter()  # one thread runs the lattice
         self.metrics = metrics or MetricsRegistry()
+        self.metrics.register(self)
+
+    def collect(self) -> dict:
+        """The ``check.*`` counts, read by :attr:`metrics` on export."""
+        return {"counters": dict(self._counts)}
 
     # -- one case ---------------------------------------------------------------------
 
@@ -273,7 +281,7 @@ class ConformanceRunner:
             failures.extend(
                 self._check_config(case, specs, bas, config_expected, config)
             )
-            self.metrics.inc("check.configs_run")
+            self._counts["check.configs_run"] += 1
         return failures
 
     def _materialize(self, case: CheckCase):
@@ -649,7 +657,7 @@ class ConformanceRunner:
                 original_case=original,
             )
             failure.artifact_path = str(path)
-            self.metrics.inc("check.artifacts_written")
+            self._counts["check.artifacts_written"] += 1
         return failure
 
     def run(self) -> ConformanceReport:
@@ -666,15 +674,15 @@ class ConformanceRunner:
                 failures = self.check_case(case)
             except (TranslationError, OracleLimitError):
                 report.cases_skipped += 1
-                self.metrics.inc("check.cases_skipped")
+                self._counts["check.cases_skipped"] += 1
                 continue
             report.cases_run += 1
-            self.metrics.inc("check.cases")
+            self._counts["check.cases"] += 1
             self.metrics.observe(
                 "check.case_seconds", time.perf_counter() - case_started
             )
             for failure in failures:
-                self.metrics.inc("check.disagreements")
+                self._counts["check.disagreements"] += 1
                 report.disagreements.append(
                     self._handle_failure(failure, case)
                 )

@@ -60,6 +60,7 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 from ..broker.contract import ContractSpec
@@ -248,9 +249,11 @@ class DistributedDatabase:
         ]
         self._replicas: dict[int, tuple[Replica, ReadPreference]] = {}
         self._loop = asyncio.new_event_loop()
-        # held for the length of every public call: catalog, topology
-        # and loop belong to one caller at a time
+        # held for the length of every public call: catalog, topology,
+        # loop and the dist.* counts belong to one caller at a time
         self._turn = threading.Lock()
+        self._counts: Counter = Counter()
+        self.metrics.register(self)
 
     # -- plumbing ---------------------------------------------------------------------
 
@@ -318,7 +321,7 @@ class DistributedDatabase:
         self.metrics.observe(
             f"dist.shard.{shard}.rpc_seconds", time.perf_counter() - started
         )
-        self.metrics.inc(f"dist.shard.{shard}.requests")
+        self._counts[f"dist.shard.{shard}.requests"] += 1
         if not response.get("ok"):
             raise DistError(
                 f"shard {shard} rejected {op!r}: {response.get('error')}"
@@ -345,7 +348,7 @@ class DistributedDatabase:
             )
             error.__cause__, exc = exc, error
         kind = "timeouts" if timed_out else "failures"
-        self.metrics.inc(f"dist.shard.{shard}.{kind}")
+        self._counts[f"dist.shard.{shard}.{kind}"] += 1
         return exc
 
     def _admit(self, shard: int, op: str, timeout: float | None,
@@ -364,7 +367,6 @@ class DistributedDatabase:
             timeout = min(timeout, remaining + RPC_GRACE_SECONDS)
         health = self.health[shard]
         if not health.allow():
-            self._publish_health(shard)
             raise TransientShardError(
                 f"shard {shard} circuit breaker is open "
                 f"({health.consecutive_failures} consecutive "
@@ -380,8 +382,7 @@ class DistributedDatabase:
         the error the call ends in, raised (a mutation's is a
         :class:`~repro.errors.RetryableDistError`)."""
         if self.health[shard].record_failure(failure):
-            self.metrics.inc("dist.breaker_open")
-        self._publish_health(shard)
+            self._counts["dist.breaker_open"] += 1
         if op not in IDEMPOTENT_OPS:
             raise RetryableDistError(
                 f"transient failure on non-idempotent {op!r} "
@@ -394,8 +395,8 @@ class DistributedDatabase:
                 deadline is not None
                 and time.perf_counter() + pause >= deadline):
             raise failure
-        self.metrics.inc("dist.retries")
-        self.metrics.inc(f"dist.shard.{shard}.retries")
+        self._counts["dist.retries"] += 1
+        self._counts[f"dist.shard.{shard}.retries"] += 1
         return pause
 
     async def _call_all(self, calls: dict, deadline: float | None = None
@@ -433,7 +434,6 @@ class DistributedDatabase:
                     try:
                         results[shard] = await self._receive(*sent[0])
                         self.health[shard].record_success()
-                        self._publish_health(shard)
                     except TransientShardError as exc:
                         failed[shard] = exc
                     except DistError as exc:
@@ -463,15 +463,17 @@ class DistributedDatabase:
             raise result
         return result
 
-    def _publish_health(self, shard: int) -> None:
-        health = self.health[shard]
-        self.metrics.set_gauge(
-            f"dist.shard.{shard}.healthy", 1.0 if health.healthy else 0.0
-        )
-        self.metrics.set_gauge(
-            f"dist.shard.{shard}.consecutive_failures",
-            health.consecutive_failures,
-        )
+    def collect(self) -> dict:
+        """The ``dist.*`` counts, and each shard's breaker as gauges,
+        read by :attr:`metrics` on export (waits for the turn)."""
+        with self._turn:
+            gauges = {}
+            for shard, health in enumerate(self.health):
+                gauges[f"dist.shard.{shard}.healthy"] = float(health.healthy)
+                gauges[f"dist.shard.{shard}.consecutive_failures"] = (
+                    health.consecutive_failures
+                )
+            return {"counters": dict(self._counts), "gauges": gauges}
 
     def close(self) -> None:
         with self._turn:
@@ -524,18 +526,16 @@ class DistributedDatabase:
             self._disconnect(shard)
             self.addresses[shard] = (str(host), int(port))
             self.health[shard].reset()
-            self._publish_health(shard)
             # the promoted replica is the leader now; never read-route
             # a shard to its own leader
             self._replicas.pop(shard, None)
-            self.metrics.inc("dist.failovers")
+            self._counts["dist.failovers"] += 1
 
     def reset_breakers(self) -> None:
         """Close every breaker (an operator healed the network)."""
         with self._turn:
-            for shard in range(len(self.addresses)):
-                self.health[shard].reset()
-                self._publish_health(shard)
+            for health in self.health:
+                health.reset()
 
     def _check_shard(self, shard: int) -> None:
         if not 0 <= shard < len(self.addresses):
@@ -571,8 +571,8 @@ class DistributedDatabase:
             self._next_id += 1
             self._catalog[routed.contract_id] = routed
             self._by_name[name] = routed.contract_id
-        self.metrics.inc("dist.registrations")
-        self.metrics.inc(f"dist.shard.{shard}.contracts")
+            self._counts["dist.registrations"] += 1
+            self._counts[f"dist.shard.{shard}.contracts"] += 1
         return routed
 
     def deregister(self, contract_id: int) -> None:
@@ -585,7 +585,7 @@ class DistributedDatabase:
             })
             del self._catalog[contract_id]
             del self._by_name[routed.name]
-        self.metrics.inc("dist.deregistrations")
+            self._counts["dist.deregistrations"] += 1
 
     # -- queries (fanned out to every shard) ------------------------------------------
 
@@ -641,7 +641,7 @@ class DistributedDatabase:
                 for qi, formula in enumerate(formulas)
             ]
             elapsed = time.perf_counter() - started
-        self.metrics.inc("dist.queries", len(texts))
+            self._counts["dist.queries"] += len(texts)
         self.metrics.observe("dist.fanout_seconds", elapsed)
         self.metrics.observe(
             "dist.fanout_queries", len(texts), COUNT_BUCKETS
@@ -689,7 +689,7 @@ class DistributedDatabase:
                         f"shard {shard} failed under Degradation.FAIL: "
                         f"{result}"
                     ) from result
-                self.metrics.inc("dist.merge.skipped_shards")
+                self._counts["dist.merge.skipped_shards"] += 1
             elif result is not None:
                 answers[shard] = result
         return answers
@@ -705,18 +705,18 @@ class DistributedDatabase:
             report = replica.poll()
             if (report.lag_records > preference.max_staleness_records
                     or replica.stalled):
-                self.metrics.inc("dist.replica_read_fallbacks")
+                self._counts["dist.replica_read_fallbacks"] += 1
                 return None
             outcomes = replica.query_many(queries, options)
         except Exception:
             # any replica trouble falls back to the leader; reads must
             # never be *less* available with a replica attached
-            self.metrics.inc("dist.replica_read_fallbacks")
+            self._counts["dist.replica_read_fallbacks"] += 1
             return None
         id_to_name = {
             c.contract_id: c.name for c in replica.db.contracts()
         }
-        self.metrics.inc("dist.replica_reads")
+        self._counts["dist.replica_reads"] += 1
         return protocol.outcomes_doc(outcomes, id_to_name)
 
     def _merge(self, formula: Formula,
@@ -783,18 +783,18 @@ class DistributedDatabase:
                 shard: ({"op": "ingest", "events": records}, None)
                 for shard, records in enumerate(per_shard) if records
             }))
-        merged = {"events": 0, "deliveries": 0, "unknown_events": 0,
-                  "alerts": []}
-        for response in responses:
-            if isinstance(response, DistError):
-                raise response
-            if response is None:
-                continue
-            report = response["report"]
-            for key in ("events", "deliveries", "unknown_events"):
-                merged[key] += report[key]
-            merged["alerts"].extend(report["alerts"])
-        self.metrics.inc("dist.ingest.events", merged["events"])
+            merged = {"events": 0, "deliveries": 0, "unknown_events": 0,
+                      "alerts": []}
+            for response in responses:
+                if isinstance(response, DistError):
+                    raise response
+                if response is None:
+                    continue
+                report = response["report"]
+                for key in ("events", "deliveries", "unknown_events"):
+                    merged[key] += report[key]
+                merged["alerts"].extend(report["alerts"])
+            self._counts["dist.ingest.events"] += merged["events"]
         return merged
 
     def status(self) -> dict:

@@ -42,6 +42,7 @@ Two roles build on that loop (1.10):
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -125,7 +126,11 @@ class Replica:
                  metrics: MetricsRegistry | None = None):
         self.leader_dir = Path(leader_dir)
         self.config = config
+        # dist.replica.*, unlocked: one thread drives a replica at a time
+        self._counts: Counter = Counter()
+        self._lag: PollReport | None = None  # the last report's lag gauges
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics.register(self)
         self.cursor = ReplicaCursor()
         self._db = ContractDatabase(config)
         self._stalled_seq: int | None = None
@@ -188,12 +193,12 @@ class Replica:
         # a tail read or a resync leaves the cursor just past the last
         # verified record; a resync that could not read the header does not
         self._observe_lag(report, scanned=tailed or report.resynced)
-        self.metrics.inc("dist.replica.polls")
+        self._counts["dist.replica.polls"] += 1
         self.metrics.observe(
             "dist.replica.poll_seconds", time.perf_counter() - started
         )
         if report.applied:
-            self.metrics.inc("dist.replica.applied", report.applied)
+            self._counts["dist.replica.applied"] += report.applied
         return report
 
     def catch_up(self, *, timeout: float = 30.0,
@@ -279,7 +284,7 @@ class Replica:
         self._db.attach_journal(journal)
         save_database(self._db, directory)
         self.promoted = True
-        self.metrics.inc("dist.replica.promotions")
+        self._counts["dist.replica.promotions"] += 1
         return PromotionReport(
             directory=str(directory),
             epoch=journal.epoch,
@@ -317,7 +322,7 @@ class Replica:
             )
         report.resynced = True
         report.torn = tail.torn
-        self.metrics.inc("dist.replica.resyncs")
+        self._counts["dist.replica.resyncs"] += 1
 
     def _apply(self, records, report: PollReport) -> None:
         if self.stalled:
@@ -336,7 +341,7 @@ class Replica:
                 f"failed to apply ({type(failure).__name__}: {failure}); "
                 "stalling until the leader compacts"
             )
-            self.metrics.inc("dist.replica.stalled_records")
+            self._counts["dist.replica.stalled_records"] += 1
 
     def _observe_lag(self, report: PollReport, scanned: bool = False) -> None:
         """Fill in the lag past the cursor.  ``scanned`` says the caller
@@ -356,21 +361,28 @@ class Replica:
             report.lag_records = len(tail.records)
         else:
             report.lag_records = 0
-        self.metrics.set_gauge("dist.replica.lag_records",
-                               report.lag_records)
-        self.metrics.set_gauge("dist.replica.lag_bytes", report.lag_bytes)
+        self._lag = report
 
     # -- the read surface -------------------------------------------------------------
 
     def query(self, query, options=None):
         """A read-only query against the replica's current state."""
-        self.metrics.inc("dist.replica.queries")
+        self._counts["dist.replica.queries"] += 1
         return self._db.query(query, options)
 
     def query_many(self, queries, options=None):
         outcomes = self._db.query_many(queries, options)
-        self.metrics.inc("dist.replica.queries", len(outcomes))
+        self._counts["dist.replica.queries"] += len(outcomes)
         return outcomes
+
+    def collect(self) -> dict:
+        """The ``dist.replica.*`` counts, and the last observed lag as
+        gauges, read by :attr:`metrics` on export."""
+        doc = {"counters": dict(self._counts)}
+        if self._lag is not None:
+            doc["gauges"] = {"dist.replica.lag_records": self._lag.lag_records,
+                             "dist.replica.lag_bytes": self._lag.lag_bytes}
+        return doc
 
     def __len__(self) -> int:
         return len(self._db)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import socketserver
 import threading
+from collections import Counter
 from pathlib import Path
 
 from ..broker.contract import ContractSpec
@@ -79,6 +80,11 @@ class ShardServer:
         self._ids = {c.name: c.contract_id for c in self.db.contracts()}
         self._names = {cid: name for name, cid in self._ids.items()}
         self._catalog_lock = threading.Lock()
+        # dist.shard.* counts, published through the database's registry
+        # (which the status op reads); handler threads run concurrently
+        self._counts: Counter = Counter()
+        self._counts_lock = threading.Lock()
+        self.db.metrics.register(self)
         self._host = host
         self._port = port
         self._server: socketserver.ThreadingTCPServer | None = None
@@ -94,15 +100,25 @@ class ShardServer:
         try:
             payload = getattr(self, f"_op_{op}")(doc)
         except ReproError as exc:
-            self.db.metrics.inc("dist.shard.errors")
+            self._count("dist.shard.errors")
             return protocol.error_doc(exc)
         except (KeyError, TypeError, ValueError) as exc:
-            self.db.metrics.inc("dist.shard.errors")
+            self._count("dist.shard.errors")
             return protocol.error_doc(
                 ProtocolError(f"malformed {op!r} request: {exc}")
             )
-        self.db.metrics.inc(f"dist.shard.ops.{op}")
+        self._count(f"dist.shard.ops.{op}")
         return {"ok": True, **payload}
+
+    def _count(self, name: str) -> None:
+        with self._counts_lock:
+            self._counts[name] += 1
+
+    def collect(self) -> dict:
+        """The ``dist.shard.*`` counts, read by the database's registry
+        on export."""
+        with self._counts_lock:
+            return {"counters": dict(self._counts)}
 
     def _op_ping(self, doc: dict) -> dict:
         return {"pong": True, "shard_id": self.shard_id}

@@ -1,10 +1,9 @@
-"""Observability primitives (counters, histograms, registry)."""
+"""Observability primitives (histograms and the owner-reading registry)."""
 
 from .metrics import (  # noqa: F401
     COUNT_BUCKETS,
     LATENCY_BUCKETS,
     RATIO_BUCKETS,
-    Counter,
     Histogram,
     MetricsRegistry,
 )

@@ -1,4 +1,4 @@
-"""Aggregate broker metrics: counters and bucketed histograms.
+"""Aggregate broker metrics: owners' counts and bucketed histograms.
 
 The paper's runtime module "outputs statistics regarding their
 evaluation" per query (§7.1); a serving broker additionally needs the
@@ -10,12 +10,15 @@ exactly what the broker and the benchmark harness consume.
 
 Design constraints:
 
-* **cheap** — recording a value is a dict lookup plus a few integer
-  increments; the broker feeds every :class:`~repro.broker.query.QueryStats`
-  through it unconditionally, so this sits on the hot path;
-* **thread-safe** — :meth:`ContractDatabase.query_many` evaluates
-  permission checks from a thread pool, and nothing stops applications
-  from sharing a database across threads;
+* **counted where the fact lives** — the database, a fleet, the
+  front-end, a shard server, a replica and the conformance runner keep
+  their counts as plain integers under a lock they already hold, and
+  :meth:`MetricsRegistry.register` themselves; every export calls each
+  live owner's ``collect()`` (the custom-collector pattern) and sums
+  same-named values.  Owners are held weakly: a dead one's counts leave;
+* **thread-safe** — the concurrent writers are the shard server's
+  ``ThreadingTCPServer`` handlers and callers' own threads sharing a
+  database or a fleet; a histogram serializes under its own lock;
 * **bounded** — histograms store fixed bucket counters (plus running
   count/sum/min/max), never the observations themselves, so memory does
   not grow with traffic.
@@ -28,9 +31,11 @@ Prometheus' ``histogram_quantile`` makes; they are exact enough to read
 
 from __future__ import annotations
 
+import collections
 import math
 import threading
-from typing import Iterable, Mapping, Sequence
+import weakref
+from typing import Sequence
 
 #: Default buckets for second-valued latencies (log-spaced, 100 µs – 2.5 s).
 LATENCY_BUCKETS: tuple[float, ...] = (
@@ -55,61 +60,6 @@ COST_BUCKETS: tuple[float, ...] = (
 )
 
 
-class Counter:
-    """A monotonically increasing counter.
-
-    Thread-safe: each instrument carries its own lock, so handles
-    obtained via :meth:`MetricsRegistry.counter` can be incremented from
-    worker threads directly (the broker's ``query_many`` pool does).
-    """
-
-    __slots__ = ("name", "_value", "_lock")
-
-    def __init__(self, name: str):
-        self.name = name
-        self._value = 0
-        self._lock = threading.Lock()
-
-    def inc(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name}: negative increment")
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> int:
-        with self._lock:
-            return self._value
-
-
-class Gauge:
-    """A value that goes up and down — the current state of something
-    (a replica's replication lag, a queue depth), not an accumulation.
-
-    Thread-safe like the other instruments: per-gauge lock.
-    """
-
-    __slots__ = ("name", "_value", "_lock")
-
-    def __init__(self, name: str):
-        self.name = name
-        self._value = 0.0
-        self._lock = threading.Lock()
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def add(self, delta: float) -> None:
-        with self._lock:
-            self._value += delta
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-
 class Histogram:
     """A fixed-bucket histogram with running summary statistics.
 
@@ -118,8 +68,8 @@ class Histogram:
     estimate is the observed maximum.
 
     Thread-safe: :meth:`observe` updates five running aggregates that
-    must stay mutually consistent, so the instrument serializes them
-    under its own lock (per-instrument, not per-registry — concurrent
+    must stay mutually consistent, so the histogram serializes them
+    under its own lock (per-histogram, not per-registry — concurrent
     observations of *different* histograms do not contend).
     """
 
@@ -222,34 +172,32 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """A named collection of counters and histograms.
+    """The owners of a component's counts, and its histograms.
 
-    Instruments are created on first use (``registry.inc("query.count")``)
-    so call sites stay one-liners; names are free-form dotted strings.
-    The registry lock guards instrument creation only: an instrument
-    that already exists is found by a plain ``dict.get`` (atomic under
-    the GIL), and creation checks again under the lock, so two threads
-    never create one name twice.  The recorded values themselves are
-    protected by each instrument's own lock, so threads recording into
-    different instruments do not serialize against each other.
+    Owners register once (:meth:`register`) and are read on every
+    export; histograms are created on first use
+    (``registry.observe("query.total_seconds", s)``) so call sites stay
+    one-liners.  Names are free-form dotted strings.  The registry lock
+    guards the owner set and histogram creation only: an existing
+    histogram is found by a plain ``dict.get`` (atomic under the GIL),
+    and creation checks again under the lock, so two threads never
+    create one name twice.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
+        self._owners: weakref.WeakSet = weakref.WeakSet()
         self._histograms: dict[str, Histogram] = {}
 
     # -- recording ------------------------------------------------------------------
 
-    def counter(self, name: str) -> Counter:
-        counter = self._counters.get(name)
-        if counter is None:
-            with self._lock:
-                counter = self._counters.get(name)
-                if counter is None:
-                    counter = self._counters[name] = Counter(name)
-        return counter
+    def register(self, owner) -> None:
+        """Read ``owner.collect()`` — ``{"counters": {name: int},
+        "gauges": {name: value}}``, either key optional, taken under
+        the owner's own lock — on every export, for as long as the
+        owner lives (it is held by weak reference)."""
+        with self._lock:
+            self._owners.add(owner)
 
     def histogram(self, name: str,
                   buckets: Sequence[float] | None = None) -> Histogram:
@@ -264,60 +212,45 @@ class MetricsRegistry:
                     )
         return histogram
 
-    def gauge(self, name: str) -> Gauge:
-        gauge = self._gauges.get(name)
-        if gauge is None:
-            with self._lock:
-                gauge = self._gauges.get(name)
-                if gauge is None:
-                    gauge = self._gauges[name] = Gauge(name)
-        return gauge
-
-    def inc(self, name: str, amount: int = 1) -> None:
-        self.counter(name).inc(amount)
-
-    def set_gauge(self, name: str, value: float) -> None:
-        self.gauge(name).set(value)
-
     def observe(self, name: str, value: float,
                 buckets: Sequence[float] | None = None) -> None:
         self.histogram(name, buckets).observe(value)
 
-    def reset(self) -> None:
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
-
     # -- reading --------------------------------------------------------------------
 
-    def counter_value(self, name: str) -> int:
+    def _collect(self) -> dict[str, collections.Counter]:
+        """Every live owner's counts, summed by name."""
         with self._lock:
-            counter = self._counters.get(name)
-            return counter.value if counter is not None else 0
+            owners = list(self._owners)
+        totals = {"counters": collections.Counter(),
+                  "gauges": collections.Counter()}
+        for owner in owners:
+            for kind, values in owner.collect().items():
+                totals[kind].update(values)
+        return totals
+
+    def counter_value(self, name: str) -> int:
+        return self._collect()["counters"].get(name, 0)
 
     def gauge_value(self, name: str) -> float:
-        with self._lock:
-            gauge = self._gauges.get(name)
-            return gauge.value if gauge is not None else 0.0
+        return float(self._collect()["gauges"].get(name, 0.0))
 
     def snapshot(self) -> dict:
-        """A plain-dict view of every instrument (JSON-serializable)."""
+        """A plain-dict view of every count and histogram
+        (JSON-serializable)."""
+        totals = self._collect()
         with self._lock:
-            snap = {
-                "counters": {
-                    name: c.value for name, c in sorted(self._counters.items())
-                },
-                "histograms": {
-                    name: h.snapshot()
-                    for name, h in sorted(self._histograms.items())
-                },
+            histograms = sorted(self._histograms.items())
+        snap = {
+            "counters": dict(sorted(totals["counters"].items())),
+            "histograms": {name: h.snapshot() for name, h in histograms},
+        }
+        if totals["gauges"]:
+            snap["gauges"] = {
+                name: float(value)
+                for name, value in sorted(totals["gauges"].items())
             }
-            if self._gauges:
-                snap["gauges"] = {
-                    name: g.value for name, g in sorted(self._gauges.items())
-                }
-            return snap
+        return snap
 
     def render_text(self) -> str:
         """Human-readable report: a counter table and a histogram table."""

@@ -14,19 +14,20 @@ re-reads the contract's watch cells only if its frontier moved; an
 * a registered watch query's winning mask no longer intersects the
   frontier → ``"watch-unsatisfiable"``.
 
-All ``monitor.*`` metrics feed a
-:class:`~repro.obs.metrics.MetricsRegistry`, so a fleet can be watched
-exactly like the query path: ``monitor.events``, ``monitor.violations``,
+A fleet counts ``monitor.events``, ``monitor.violations``,
 ``monitor.watch_flips``, ``monitor.alerts``, ``monitor.unknown_events``
-and ``monitor.batches`` (``ingest`` calls that returned).
-``monitor.events`` and ``monitor.unknown_events`` are added once per
-``ingest`` call, not per delivery.
+and ``monitor.batches`` (``ingest`` calls that returned) under the lock
+it already holds, and a :class:`~repro.obs.metrics.MetricsRegistry`
+reads them on export, so a fleet can be watched exactly like the query
+path.  ``monitor.events`` and ``monitor.unknown_events`` are added once
+per ``ingest`` call, not per delivery.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
 
@@ -162,7 +163,7 @@ class FleetMonitor:
         metrics: MetricsRegistry | None = None,
     ):
         self.options = options or MonitorOptions()
-        self.metrics = metrics or MetricsRegistry()
+        self._counts: Counter = Counter()  # monitor.*, under self._lock
         self._monitors: dict[str, EncodedMonitor] = {}
         self._ids: dict[str, int | None] = {}
         self._active: dict[str, EncodedMonitor] = {}
@@ -172,6 +173,8 @@ class FleetMonitor:
         self._fleet_watches: list[tuple[str, _WatchQuery]] = []
         self._alerts: list[Alert] = []
         self._lock = threading.Lock()
+        self.metrics = metrics or MetricsRegistry()
+        self.metrics.register(self)
 
     # -- registry ---------------------------------------------------------------
 
@@ -266,7 +269,7 @@ class FleetMonitor:
         per call, in a ``finally``, so a call that raises partway still
         counts what it delivered; it does not count in
         ``monitor.batches``."""
-        monitors, read_on = self._monitors, self._read_on
+        monitors, read_on, counts = self._monitors, self._read_on, self._counts
         alerts: list[Alert] = []
         consumed = deliveries = advanced = unknown = 0
         with self._lock:
@@ -294,12 +297,12 @@ class FleetMonitor:
                         frontier = monitor._frontier
                         if frontier != read_on[name] or not frontier:
                             self._flips(name, monitor, snap, alerts)
+                counts["monitor.batches"] += 1
             finally:
                 if advanced:
-                    self.metrics.inc("monitor.events", advanced)
+                    counts["monitor.events"] += advanced
                 if unknown:
-                    self.metrics.inc("monitor.unknown_events", unknown)
-        self.metrics.inc("monitor.batches")
+                    counts["monitor.unknown_events"] += unknown
         return IngestReport(consumed, deliveries, alerts, unknown)
 
     def _flips(
@@ -329,11 +332,15 @@ class FleetMonitor:
         self._alerts.append(alert)
         if batch is not None:
             batch.append(alert)
-        self.metrics.inc("monitor.alerts")
-        if alert.kind == "violated":
-            self.metrics.inc("monitor.violations")
-        else:
-            self.metrics.inc("monitor.watch_flips")
+        counts = self._counts
+        counts["monitor.alerts"] += 1
+        counts["monitor.violations" if alert.kind == "violated"
+               else "monitor.watch_flips"] += 1
+
+    def collect(self) -> dict:
+        """The ``monitor.*`` counts, read by :attr:`metrics` on export."""
+        with self._lock:
+            return {"counters": dict(self._counts)}
 
     # -- introspection ----------------------------------------------------------
 

@@ -282,6 +282,24 @@ class TestDatabaseIntegration:
         assert "(33% hit rate), 1 shape hits," in report
         assert "query.total_seconds" in report
 
+    def test_metrics_counters_agree_with_cache_stats_after_plan_query(self):
+        """``plan_query`` compiles through the cache too: the counters
+        the registry exports are the cache's own, so the two views of
+        one cache never disagree."""
+        db = _db()
+        db.plan_query("F refund")  # the compile miss
+        db.query("F refund")       # the compile hit
+        snapshot = db.metrics_snapshot()
+        assert (snapshot["cache"]["hits"], snapshot["cache"]["misses"]) \
+            == (1, 1)
+        assert snapshot["counters"]["query.cache.hits"] == 1
+        assert snapshot["counters"]["query.cache.misses"] == 1
+        assert snapshot["counters"]["planner.cache.misses"] == \
+            snapshot["plan_cache"]["misses"] == 1
+        assert snapshot["counters"]["planner.cache.hits"] == \
+            snapshot["plan_cache"]["hits"] == 1
+        assert "1 hits / 1 misses" in db.metrics_report()
+
 
 class TestTupleFastPathRemoved:
     def test_query_rejects_formula_ba_tuples(self):

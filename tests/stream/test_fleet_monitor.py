@@ -485,13 +485,13 @@ class ReferenceFleet(FleetMonitor):
                     continue
                 before = monitor.unknown_events
                 status = monitor.advance(event.events)
-                self.metrics.inc("monitor.events")
+                self._counts["monitor.events"] += 1
                 if monitor.unknown_events > before:
-                    self.metrics.inc("monitor.unknown_events",
-                                     monitor.unknown_events - before)
+                    self._counts["monitor.unknown_events"] += (
+                        monitor.unknown_events - before)
                     unknown += monitor.unknown_events - before
                 self._reread(name, monitor, status, event.events, alerts)
-        self.metrics.inc("monitor.batches")
+        self._counts["monitor.batches"] += 1
         return IngestReport(consumed, deliveries, alerts, unknown)
 
     def _reread(self, name, monitor, status, snap, alerts):
