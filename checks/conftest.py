@@ -3,10 +3,16 @@
 ``python -m pytest checks/test_<job>.py -s`` runs one CI job as CI runs
 it; ``python -m pytest checks --changed`` runs every check guarding a
 file that differs from ``git merge-base HEAD main`` (committed,
-uncommitted or untracked).  A check declares itself with
-``@pytest.mark.guards(*globs, budget=seconds)``: the ``fnmatch`` globs
-(``*`` crosses ``/``) name the paths it protects, and the ``run``
-fixture kills its commands once the budget is spent.  What a job leaves
+uncommitted or untracked), and with ``-s`` prints the path and the glob
+or layer that selected each.  A check declares itself with
+``@pytest.mark.guards(*globs, layers=(...), budget=seconds)``: the
+``fnmatch`` globs (``*`` crosses ``/``) name the files outside ``src``
+it protects; the layers of ``tests/layers.py`` name the code it drives,
+and a changed module under ``src`` selects it when the layers reach
+that module through module-level imports (a ``src`` file that is no
+module of the tree, or the facade ``src/repro/__init__.py`` that every
+process runs, selects every check with layers).  The ``run`` fixture
+kills a check's commands once the budget is spent.  What a job leaves
 for CI to upload goes to ``check-artifacts/<job>/``.
 """
 
@@ -21,13 +27,16 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))
+
+from tests import layers as table  # noqa: E402
 
 
 def pytest_addoption(parser):
     parser.addoption(
         "--changed", action="store_true",
-        help="keep only the checks whose guards match a file that "
-             "differs from `git merge-base HEAD main`")
+        help="keep only the checks whose globs or layers cover a file "
+             "that differs from `git merge-base HEAD main`")
 
 
 def pytest_configure(config):
@@ -47,13 +56,36 @@ def changed_files() -> set[str]:
                      "-z").split("\0")) - {""}
 
 
+def selected_by(marker, changed: set[str]) -> str | None:
+    """The first changed path that selects a check, and the glob or
+    layer that selects it; ``None`` when none does."""
+    layers = marker.kwargs.get("layers", ())
+    reached = table.closure(layers)
+    modules = table.modules()
+    for path in sorted(changed):
+        for glob in marker.args:
+            if fnmatch.fnmatch(path, glob):
+                return f"{path} (glob {glob})"
+        if not layers or not path.startswith("src/"):
+            continue
+        module = table.module_of(ROOT / path) if path.endswith(".py") else ""
+        if module in reached:
+            return f"{path} (layer {reached[module]})"
+        if module not in modules or module == "repro":
+            return f"{path} (every layer)"
+    return None
+
+
 def pytest_collection_modifyitems(config, items):
     if not config.getoption("--changed"):
         return
     changed = changed_files()
-    keep = [item for item in items if any(
-        fnmatch.filter(changed, glob)
-        for glob in item.get_closest_marker("guards").args)]
+    keep = []
+    for item in items:
+        why = selected_by(item.get_closest_marker("guards"), changed)
+        if why:
+            print(f"{item.nodeid}: {why}")
+            keep.append(item)
     config.hook.pytest_deselected(
         items=[item for item in items if item not in keep])
     items[:] = keep

@@ -8,10 +8,13 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-E2E = ("src/*", "benchmarks/e2e/*", "BENCHMARK.json")
+E2E = ("benchmarks/e2e/*", "BENCHMARK.json")
+#: the five workloads: the database, the fleet, the cluster, the
+#: corpus and the oracle that checks its answers
+E2E_LAYERS = ("broker", "stream", "dist", "workload", "check")
 
 
-@pytest.mark.guards(*E2E, budget=180)
+@pytest.mark.guards(*E2E, layers=E2E_LAYERS, budget=180)
 def test_e2e_smoke(run):
     """BENCHMARK.json's five workloads at a tenth of their size, answers
     checked against the corpus: the yardstick keeps resolving every
@@ -19,7 +22,7 @@ def test_e2e_smoke(run):
     run("benchmarks/e2e/run.py", "--smoke", "--check")
 
 
-@pytest.mark.guards(*E2E, budget=60)
+@pytest.mark.guards(*E2E, layers=E2E_LAYERS, budget=60)
 def test_translator_still_produces_the_recorded_automata(run):
     """``--smoke`` skips expected.json; this one full-size run
     regenerates the event log — a seeded walk over translate()'s
@@ -31,7 +34,8 @@ def test_translator_still_produces_the_recorded_automata(run):
     assert json.loads(out.splitlines()[-1])["failed"] == 0
 
 
-@pytest.mark.guards("src/*", "benchmarks/*", budget=400)
+@pytest.mark.guards("benchmarks/*", layers=("bench", "index", "check"),
+                    budget=400)
 def test_paper_figures_and_ablations(run):
     """T1-T3, F5, F6, IDX, ABL2-ABL6, PLANNER, SEL and PSCALE at full
     scale on purpose: the in-test shape assertions and the planner's
@@ -40,7 +44,7 @@ def test_paper_figures_and_ablations(run):
         "--benchmark-disable-gc", "-q")
 
 
-@pytest.mark.guards(*E2E, budget=240)
+@pytest.mark.guards(*E2E, layers=E2E_LAYERS, budget=240)
 def test_yardstick_self_tests(run):
     """Traced runs, inputs, tracer and compare; last, so a failing
     self-test does not hide the verdicts above."""

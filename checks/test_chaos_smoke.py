@@ -10,7 +10,7 @@ from repro.broker.journal import open_database
 from repro.check.chaos import DEFAULT_MUTATIONS, _spec
 
 
-@pytest.mark.guards("src/*", budget=120)
+@pytest.mark.guards(layers=("cli", "check", "dist"), budget=120)
 def test_journal_crash_recovery_drill(run, artifacts):
     """The full stride-1 sweep: every truncation point of a 12-mutation
     journal recovers a consistent prefix and reconverges; plus the

@@ -4,10 +4,9 @@ failure's artifacts replay standalone via ``check --replay FILE``."""
 
 import pytest
 
-GUARDS = ("src/*", "scripts/dump_answers.py")
 
-
-@pytest.mark.guards(*GUARDS, budget=2400)
+@pytest.mark.guards("scripts/dump_answers.py",
+                    layers=("check", "stream", "dist"), budget=2400)
 def test_full_lattice_sweep(run, artifacts):
     """``scripts/dump_answers.py`` is ``contract-broker check`` (same
     runner, same lattice) that also writes what every cell answered on
@@ -20,7 +19,7 @@ def test_full_lattice_sweep(run, artifacts):
     assert "x 15 configuration(s) = 3000 differential run(s)" in out
 
 
-@pytest.mark.guards(*GUARDS, budget=120)
+@pytest.mark.guards(layers=("cli", "check", "stream"), budget=120)
 def test_monitor_cells_at_the_wide_profile(run, artifacts):
     """Stream ≡ batch (invariant 13) at ``wide``: 4-event vocabularies,
     3-5 contracts and depth-4 formulas, which the ``small`` sweep never

@@ -9,7 +9,7 @@ import pytest
 DRILLS = ["dist-flap", "dist-partition", "dist-failover"]
 
 
-@pytest.mark.guards("src/*", budget=60)
+@pytest.mark.guards(layers=("cli", "check", "dist"), budget=60)
 def test_network_chaos_drills(run, artifacts):
     """dist-flap: transient faults on every transport seam during a
     query storm are absorbed bit for bit, a long outage degrades

@@ -11,7 +11,8 @@ ROOT = Path(__file__).resolve().parents[1]
 STREAMS = "examples/streams"
 SPECS = f"{STREAMS}/airfare_specs.json"
 TRACE = f"{STREAMS}/airfare_trace.jsonl"
-GUARDS = ("src/*", "examples/streams/*")
+GUARDS = ("examples/streams/*",)
+LAYERS = ("cli", "stream")
 
 
 def alerts(out: str) -> str:
@@ -19,7 +20,7 @@ def alerts(out: str) -> str:
                    if line.startswith("{"))
 
 
-@pytest.mark.guards(*GUARDS, budget=60)
+@pytest.mark.guards(*GUARDS, layers=LAYERS, budget=60)
 def test_json_alert_stream_equals_the_checked_in_one(run, artifacts):
     """The whole alert stream in order, byte for byte, for both watch
     spellings, from a file and from stdin; rewrite the checked-in files
@@ -37,7 +38,7 @@ def test_json_alert_stream_equals_the_checked_in_one(run, artifacts):
         assert alerts(out) == golden.read_text(), name
 
 
-@pytest.mark.guards(*GUARDS, budget=60)
+@pytest.mark.guards(*GUARDS, layers=LAYERS, budget=60)
 def test_hostile_logs_and_spec_files_are_errors_never_tracebacks(
     run, artifacts
 ):

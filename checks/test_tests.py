@@ -8,13 +8,15 @@ import random
 
 import pytest
 
+from tests.layers import ALL
+
 _SEED = os.environ.get("PYTHONHASHSEED", "")
 SALT = int(_SEED) if _SEED.isdigit() else random.randrange(1, 2 ** 16)
-TIER1 = ("src/*", "tests/*", "examples/*", "checks/*", "pyproject.toml",
+TIER1 = ("tests/*", "examples/*", "checks/*", "pyproject.toml",
          ".github/workflows/ci.yml")
 
 
-@pytest.mark.guards(*TIER1, budget=1200)
+@pytest.mark.guards(*TIER1, layers=ALL, budget=1200)
 def test_tier1_suite(run):
     """Every DeprecationWarning is an error, so no shim grows back;
     ``--runslow`` pays for the heavyweight hypothesis differentials that
@@ -25,7 +27,7 @@ def test_tier1_suite(run):
         env={"PYTHONHASHSEED": str(SALT)})
 
 
-@pytest.mark.guards(*TIER1, budget=300)
+@pytest.mark.guards(*TIER1, layers=("broker", "stream"), budget=300)
 def test_history_independence_under_a_second_salt(run):
     """A compile-cache miss renames the automaton of the query's event
     shape, and which of two equal-cost states the translator keeps
@@ -41,7 +43,8 @@ def test_history_independence_under_a_second_salt(run):
         "tests/stream", env={"PYTHONHASHSEED": str(SALT + 1)})
 
 
-@pytest.mark.guards("src/*", "scripts/dump_artifacts.py", budget=60)
+@pytest.mark.guards("scripts/dump_artifacts.py", layers=("broker",),
+                    budget=60)
 def test_registration_artifacts_are_reproducible(run, artifacts):
     """What registration derives from a contract (encoding, partitions,
     block ids, subset -> partition map) is a function of the spec and

@@ -15,9 +15,11 @@ declarative LTL clauses over a common event vocabulary:
   frontiers, with watch queries and alerts;
 * :mod:`repro.dist` — sharded serving: jump-consistent-hash placement,
   a fan-out/merge coordinator, and journal-shipping read replicas;
-* :mod:`repro.workload` — the synthetic workload generator (§7.2);
-* :mod:`repro.bench` — the harness regenerating the paper's tables and
-  figures.
+* :mod:`repro.workload` — the synthetic workload generator (§7.2).
+
+:mod:`repro.bench` is a harness, not product: the paper-figure scripts
+under ``benchmarks/`` import it to regenerate the paper's tables and
+figures, and no module of the library does.
 
 Thirty-second tour::
 
@@ -55,7 +57,7 @@ from .errors import ReproError
 from .ltl import Formula, Run, parse, satisfies
 from .stream import Alert, FleetMonitor, MonitorOptions, MonitorStatus
 
-__version__ = "13.0.0"
+__version__ = "14.0.0"
 
 #: the cluster front-end loads on first use: ``import repro`` (and every
 #: CLI start) stays clear of :mod:`repro.dist` and ``asyncio``

@@ -13,14 +13,21 @@ so it is a legitimate "maybe" answer.  ``Degradation.MAYBE`` (default)
 reports such candidates on ``QueryOutcome.maybe_ids`` with a
 ``TIMED_OUT`` / ``SKIPPED`` verdict; ``DROP`` records only the verdict;
 ``FAIL`` raises :class:`~repro.errors.QueryBudgetError`.
+
+:meth:`QueryOptions.to_doc` / :meth:`QueryOptions.from_doc` are the one
+document codec of the JSON-able fields: a
+:class:`~repro.broker.spec.QuerySpec`'s ``options`` mapping and the
+shard protocol's query requests both use it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Any, Mapping
 
+from ..errors import BrokerError
 from .relational import MATCH_ALL, AttributeFilter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -28,6 +35,36 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..automata.encode import EncodedAutomaton
     from ..projection.store import ProjectionStore
     from .planner import QueryPlan
+
+
+#: QueryOptions fields a document's ``options`` mapping may set (the
+#: JSON-able subset — programmatic fields like ``plan`` and
+#: ``contract_ids`` stay out of the document format).
+SPEC_OPTION_KEYS = frozenset({
+    "explain",
+    "deadline_seconds",
+    "step_budget",
+    "degradation",
+})
+
+#: What a document's value for each non-enum option must be: a JSON
+#: ``true``/``false``, a number (never a boolean, never NaN) or an
+#: integer, ``null`` standing for the unbounded default.
+_OPTION_TYPES = {
+    "explain": ("a boolean", lambda v: isinstance(v, bool)),
+    "deadline_seconds": ("a number of seconds or null", lambda v: v is None
+                         or type(v) in (int, float) and v == v),
+    "step_budget": ("an integer or null",
+                    lambda v: v is None or type(v) is int),
+}
+
+
+def _shown(value: Any) -> str:
+    """``repr`` of a scalar, the type name of anything else (a nested
+    document's ``repr`` can be deeper than the stack)."""
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return repr(value)
+    return f"a {type(value).__name__}"
 
 
 class Degradation(enum.Enum):
@@ -103,6 +140,72 @@ class QueryOptions:
         """A copy with the given fields replaced (``dataclasses.replace``
         spelled as a method for call-site brevity)."""
         return replace(self, **changes)
+
+    def to_doc(self) -> dict[str, Any]:
+        """The :data:`SPEC_OPTION_KEYS` fields that differ from their
+        defaults, as JSON values, so :meth:`from_doc` round-trips; the
+        filter, ``contract_ids`` and a pinned ``plan`` are not in it."""
+        doc: dict[str, Any] = {}
+        for key in _DOC_ORDER:
+            value = getattr(self, key)
+            if value != _DEFAULTS[key]:
+                doc[key] = (
+                    value.value if isinstance(value, Degradation) else value
+                )
+        return doc
+
+    @classmethod
+    def from_doc(
+        cls,
+        doc: Mapping[str, Any],
+        attribute_filter: AttributeFilter = MATCH_ALL,
+    ) -> "QueryOptions":
+        """Options from a :meth:`to_doc` mapping (and the filter, which
+        documents carry beside it); raises
+        :class:`~repro.errors.BrokerError` on an unknown key or a
+        malformed value — a typo'd option must not silently run an
+        unconfigured query."""
+        if not isinstance(doc, Mapping):
+            raise BrokerError(
+                f"query-spec 'options' must be a mapping, got "
+                f"{type(doc).__name__}"
+            )
+        fields = dict(doc)
+        if fields.get("use_planner") is True:
+            # the 2.x spelling of the only path there is (2.x documents
+            # and coordinators send it): accepted and dropped
+            del fields["use_planner"]
+        unknown = set(fields) - SPEC_OPTION_KEYS
+        if unknown:
+            raise BrokerError(
+                f"unknown query option(s) {sorted(unknown)}; expected a "
+                f"subset of {sorted(SPEC_OPTION_KEYS)} (options removed "
+                "since 1.x are listed in the removed-API tables of "
+                "CHANGELOG.md)"
+            )
+        for key, (expected, accepts) in _OPTION_TYPES.items():
+            if key in fields and not accepts(fields[key]):
+                raise BrokerError(
+                    f"query option {key!r} must be {expected}, got "
+                    f"{_shown(fields[key])}"
+                )
+        if "degradation" in fields:
+            value = fields["degradation"]
+            try:
+                fields["degradation"] = Degradation(value)
+            except ValueError:
+                raise BrokerError(
+                    f"unknown degradation policy {_shown(value)}; expected "
+                    f"one of {[d.value for d in Degradation]}"
+                ) from None
+        try:
+            return cls(attribute_filter=attribute_filter, **fields)
+        except (TypeError, ValueError) as exc:
+            raise BrokerError(f"invalid query options: {exc}") from exc
+
+
+_DOC_ORDER = tuple(sorted(SPEC_OPTION_KEYS))
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(QueryOptions)}
 
 
 @dataclass(frozen=True)

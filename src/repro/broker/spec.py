@@ -30,39 +30,10 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from ..errors import BrokerError
-from .options import Degradation, QueryOptions
+from .options import QueryOptions, _shown
 from .relational import MATCH_ALL, AttributeFilter
 
-#: QueryOptions fields a spec's ``options`` mapping may set (the
-#: JSON-able subset — programmatic fields like ``plan`` and
-#: ``contract_ids`` stay out of the document format).
-SPEC_OPTION_KEYS = frozenset({
-    "explain",
-    "deadline_seconds",
-    "step_budget",
-    "degradation",
-})
-
 _SPEC_KEYS = frozenset({"query", "filter", "options"})
-
-#: What a document's value for each non-enum option must be: a JSON
-#: ``true``/``false``, a number (never a boolean, never NaN) or an
-#: integer, ``null`` standing for the unbounded default.
-_OPTION_TYPES = {
-    "explain": ("a boolean", lambda v: isinstance(v, bool)),
-    "deadline_seconds": ("a number of seconds or null", lambda v: v is None
-                         or type(v) in (int, float) and v == v),
-    "step_budget": ("an integer or null",
-                    lambda v: v is None or type(v) is int),
-}
-
-
-def _shown(value: Any) -> str:
-    """``repr`` of a scalar, the type name of anything else (a nested
-    document's ``repr`` can be deeper than the stack)."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return repr(value)
-    return f"a {type(value).__name__}"
 
 
 @dataclass(frozen=True)
@@ -101,48 +72,8 @@ class QuerySpec:
                 f"{_shown(conditions)}"
             )
         attribute_filter = AttributeFilter.from_list(conditions)
-        options = cls._options_from_doc(doc.get("options") or {})
+        options = QueryOptions.from_doc(doc.get("options") or {})
         return cls(query=query, filter=attribute_filter, options=options)
-
-    @staticmethod
-    def _options_from_doc(doc: Mapping[str, Any]) -> QueryOptions:
-        if not isinstance(doc, Mapping):
-            raise BrokerError(
-                f"query-spec 'options' must be a mapping, got "
-                f"{type(doc).__name__}"
-            )
-        fields = dict(doc)
-        if fields.get("use_planner") is True:
-            # the 2.x spelling of the only path there is (2.x documents
-            # and coordinators send it): accepted and dropped
-            del fields["use_planner"]
-        unknown = set(fields) - SPEC_OPTION_KEYS
-        if unknown:
-            raise BrokerError(
-                f"unknown query option(s) {sorted(unknown)}; expected a "
-                f"subset of {sorted(SPEC_OPTION_KEYS)} (options removed "
-                "since 1.x are listed in the removed-API tables of "
-                "CHANGELOG.md)"
-            )
-        for key, (expected, accepts) in _OPTION_TYPES.items():
-            if key in fields and not accepts(fields[key]):
-                raise BrokerError(
-                    f"query option {key!r} must be {expected}, got "
-                    f"{_shown(fields[key])}"
-                )
-        if "degradation" in fields:
-            value = fields["degradation"]
-            try:
-                fields["degradation"] = Degradation(value)
-            except ValueError:
-                raise BrokerError(
-                    f"unknown degradation policy {_shown(value)}; expected "
-                    f"one of {[d.value for d in Degradation]}"
-                ) from None
-        try:
-            return QueryOptions(**fields)
-        except (TypeError, ValueError) as exc:
-            raise BrokerError(f"invalid query options: {exc}") from exc
 
     @classmethod
     def from_file(cls, path) -> "QuerySpec":
@@ -184,14 +115,7 @@ class QuerySpec:
         doc: dict[str, Any] = {"query": self.query}
         if self.filter.conditions:
             doc["filter"] = self.filter.to_list()
-        defaults = QueryOptions()
-        options: dict[str, Any] = {}
-        for key in sorted(SPEC_OPTION_KEYS):
-            value = getattr(self.options, key)
-            if value != getattr(defaults, key):
-                options[key] = (
-                    value.value if isinstance(value, Degradation) else value
-                )
+        options = self.options.to_doc()
         if options:
             doc["options"] = options
         return doc

@@ -1,6 +1,6 @@
 """Deterministic random-case generation for the conformance harness.
 
-Unlike :mod:`repro.check.strategies` (hypothesis strategies for the
+Unlike ``tests/strategies.py`` (hypothesis strategies for the
 pytest suite), these generators are plain :mod:`random`-based so the
 shipped harness needs no test-only dependency, reproduces a case from
 ``(seed, case_index)`` alone, and can report that pair in CI logs.

@@ -425,19 +425,19 @@ def _build_db(path: Path, config: BrokerConfig) -> ContractDatabase:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    from .bench.reporting import format_table
-
     start = time.perf_counter()
     db = _build_db(args.specs, BrokerConfig(use_projections=False))
-    elapsed = time.perf_counter() - start
-    stats = db.database_stats()
-    print(format_table(
-        ["metric", "value"],
-        [(k, v) for k, v in stats.items()],
-        title=f"Dataset statistics for {args.specs} "
-              f"(built in {elapsed:.1f}s)",
-    ))
+    print(f"dataset statistics for {args.specs} "
+          f"(built in {time.perf_counter() - start:.1f}s)")
+    _print_database_stats(db)
     return 0
+
+
+def _print_database_stats(db: ContractDatabase) -> None:
+    """``database_stats()`` one ``key: value`` line each, as ``stats``
+    and ``load --stats`` print them."""
+    for key, value in db.database_stats().items():
+        print(f"  {key}: {value}")
 
 
 def _cmd_translate(args: argparse.Namespace) -> int:
@@ -499,8 +499,7 @@ def _cmd_load(args: argparse.Namespace) -> int:
     for warning in report.warnings:
         print(f"  warning: {warning}")
     if args.stats:
-        for key, value in db.database_stats().items():
-            print(f"  {key}: {value}")
+        _print_database_stats(db)
     return 0
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterator
 
 #: Default retry budget before a transient failure is surfaced.
 DEFAULT_MAX_RETRIES = 2
@@ -70,14 +69,3 @@ class BackoffPolicy:
         ).digest()
         fraction = int.from_bytes(digest[:8], "big") / 2**64
         return raw * (1.0 - self.jitter * fraction)
-
-    def delays(self, salt: str = "") -> Iterator[float]:
-        """The unbounded sleep schedule (a *poll* loop's cadence — the
-        caller decides when to stop; delays plateau at the jittered
-        cap).  Retry loops should index :meth:`delay` with their
-        attempt counter instead so ``max_retries`` stays in charge."""
-        attempt = 1
-        while True:
-            yield self.delay(attempt, salt)
-            attempt += 1
-

@@ -13,8 +13,9 @@ global id → (shard, name) catalog and translates at the edge
 (docs/DEVELOPMENT.md invariant 15 — distribution changes placement,
 never answers).
 
-Query options ride as the same JSON document shape as
-:class:`~repro.broker.spec.QuerySpec` options (plus the serialized
+Query options ride in the one document codec of
+:class:`~repro.broker.options.QueryOptions` that
+:class:`~repro.broker.spec.QuerySpec` uses too (plus the serialized
 relational filter), so the wire format stays aligned with the
 declarative query API instead of inventing a second encoding.
 
@@ -38,7 +39,6 @@ from typing import Any, Mapping
 from ..broker.options import QueryOptions
 from ..broker.query import QueryOutcome, QueryStats
 from ..broker.relational import MATCH_ALL, AttributeFilter
-from ..broker.spec import QuerySpec
 from ..errors import ProtocolError
 
 #: 4-byte big-endian unsigned frame length.
@@ -159,19 +159,21 @@ def options_to_doc(options: QueryOptions) -> dict:
     stripped them (see :func:`check_distributable`).
     """
     check_distributable(options)
-    spec = QuerySpec(query="true", filter=options.attribute_filter,
-                     options=options.evolve(attribute_filter=MATCH_ALL))
-    doc = spec.to_dict()
-    doc.pop("query", None)
+    doc: dict[str, Any] = {}
+    if options.attribute_filter.conditions:
+        doc["filter"] = options.attribute_filter.to_list()
+    fields = options.to_doc()
+    if fields:
+        doc["options"] = fields
     return doc
 
 
 def options_from_doc(doc: Mapping[str, Any]) -> QueryOptions:
     """Rebuild :class:`QueryOptions` from :func:`options_to_doc`."""
-    options = QuerySpec._options_from_doc(doc.get("options") or {})
-    filter_items = doc.get("filter") or []
-    return options.evolve(
-        attribute_filter=AttributeFilter.from_list(filter_items)
+    filter_items = doc.get("filter")
+    return QueryOptions.from_doc(
+        doc.get("options") or {},
+        AttributeFilter.from_list(filter_items) if filter_items else MATCH_ALL,
     )
 
 

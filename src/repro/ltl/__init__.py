@@ -34,13 +34,6 @@ from .ast import (
     is_literal,
     is_temporal,
 )
-from .equivalence import (
-    counterexample,
-    equivalent,
-    implies,
-    is_satisfiable,
-    is_valid,
-)
 from .parser import parse
 from .printer import format_formula
 from .rewrite import is_nnf_core, nnf, simplify
@@ -70,11 +63,6 @@ __all__ = [
     "disj",
     "is_literal",
     "is_temporal",
-    "counterexample",
-    "equivalent",
-    "implies",
-    "is_satisfiable",
-    "is_valid",
     "parse",
     "format_formula",
     "is_nnf_core",

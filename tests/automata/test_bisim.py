@@ -14,7 +14,7 @@ from repro.automata.bisim import (
 from repro.automata.buchi import BuchiAutomaton, _state_key
 from repro.automata.ltl2ba import translate
 
-from ..strategies import buchi_automata, formulas, runs
+from tests.strategies import buchi_automata, formulas, runs
 
 
 def duplicated_chain() -> BuchiAutomaton:

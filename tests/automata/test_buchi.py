@@ -14,7 +14,7 @@ from repro.errors import AutomatonError
 from repro.ltl.parser import parse
 from repro.ltl.runs import Run
 
-from ..strategies import buchi_automata
+from tests.strategies import buchi_automata
 
 
 def figure_1b() -> BuchiAutomaton:

@@ -22,7 +22,7 @@ from repro.core.seeds import compute_seeds, compute_seeds_mask
 from repro.errors import AutomatonError
 from repro.ltl.parser import parse
 
-from ..strategies import buchi_automata, formulas
+from tests.strategies import buchi_automata, formulas
 
 
 def ba_of(text: str) -> BuchiAutomaton:

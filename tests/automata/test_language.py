@@ -7,7 +7,7 @@ from repro.automata.ltl2ba import translate
 from repro.ltl.parser import parse
 from repro.ltl.semantics import satisfies
 
-from ..strategies import formulas
+from tests.strategies import formulas
 
 
 class TestEnumerateRuns:

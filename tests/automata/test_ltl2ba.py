@@ -14,7 +14,7 @@ from repro.ltl.parser import parse
 from repro.ltl.runs import Run
 from repro.ltl.semantics import satisfies
 
-from ..strategies import formulas, runs
+from tests.strategies import formulas, runs
 
 
 class TestBasicShapes:

@@ -26,7 +26,7 @@ from repro.ltl.ast import conj
 from repro.ltl.parser import parse
 from repro.ltl.rewrite import nnf
 
-from ..strategies import formulas
+from tests.strategies import formulas
 
 GOLDEN = Path(__file__).with_name("translate_golden.json")
 SHAPES = Path(__file__).parents[2] / "benchmarks" / "e2e" / "shapes.json"

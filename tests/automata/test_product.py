@@ -7,7 +7,7 @@ from repro.automata.product import intersection, union
 from repro.ltl.parser import parse
 from repro.ltl.runs import Run
 
-from ..strategies import formulas, runs
+from tests.strategies import formulas, runs
 
 
 class TestIntersection:

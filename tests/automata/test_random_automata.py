@@ -13,7 +13,7 @@ from repro.check.oracle import oracle_permits
 from repro.core.permission import find_witness, permits
 from repro.core.seeds import compute_seeds
 
-from ..strategies import buchi_automata, runs
+from tests.strategies import buchi_automata, runs
 
 # The whole module is high-example-count hypothesis differentials —
 # the slowest tier-1 files by far.  CI runs them via --runslow.

@@ -13,7 +13,7 @@ from repro.automata.reduce import (
 )
 from repro.ltl.runs import Run
 
-from ..strategies import formulas, runs
+from tests.strategies import formulas, runs
 
 
 class TestRemoveUnreachable:

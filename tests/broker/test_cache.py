@@ -16,7 +16,7 @@ from repro.ltl.parser import parse
 from repro.ltl.semantics import satisfies
 from repro.workload.airfare import all_ticket_specs
 
-from ..strategies import EVENTS, formulas, runs
+from tests.strategies import EVENTS, formulas, runs
 
 
 def _db(**config_kwargs) -> ContractDatabase:

@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 from repro.broker.contract import ContractSpec
 from repro.broker.database import ContractDatabase
 from repro.broker.persist import load_database, save_database
-from repro.check.strategies import contract_specs
 from repro.errors import BrokerError, LTLSyntaxError, ReproError
 from repro.ltl.ast import And
 from repro.ltl.parser import parse
+
+from tests.strategies import contract_specs
 
 
 class TestContractSpec:

@@ -18,10 +18,11 @@ from repro.broker.planner import (
 )
 from repro.broker.relational import AttributeFilter, eq, le
 from repro.check.oracle import oracle_permits
-from repro.check.strategies import contract_specs, filter_specs
 from repro.ltl.parser import parse
 
-from ..strategies import formulas
+from tests.strategies import formulas
+
+from tests.strategies import contract_specs, filter_specs
 
 #: Every pipeline a plan can pin, plus ``None`` = the planner chooses.
 PINNED_PLANS = tuple(

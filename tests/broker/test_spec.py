@@ -149,7 +149,7 @@ class TestFromDict:
         assert "CHANGELOG" in str(excinfo.value)
 
     def test_option_keys_are_pinned(self):
-        from repro.broker.spec import SPEC_OPTION_KEYS
+        from repro.broker.options import SPEC_OPTION_KEYS
 
         assert SPEC_OPTION_KEYS == {
             "explain", "deadline_seconds", "step_budget", "degradation",

@@ -5,19 +5,17 @@ code with Algorithm 2 or with the SCC-based witness search of
 ``find_witness`` (those two expand one compatibility product), so
 three-way agreement over random formula pairs (and random
 non-LTL-shaped automata) is the strongest evidence any of the three is
-right.  The monitor oracle built on it is anchored the same
+right (``tests/layers.py`` keeps its imports to the translator and
+the LTL layer).  The monitor oracle built on it is anchored the same
 way: against hand-derived verdicts and against the formula evaluator
 of :mod:`repro.ltl.semantics` on concrete runs.
 """
 
-import ast
-from pathlib import Path
-
 import pytest
 from hypothesis import assume, given, settings
 
-import repro.check.oracle
 from repro.automata.buchi import BuchiAutomaton
+from repro.automata.equivalence import is_satisfiable
 from repro.automata.ltl2ba import translate
 from repro.check.oracle import (
     MonitorVerdicts,
@@ -26,12 +24,13 @@ from repro.check.oracle import (
     oracle_monitor,
     oracle_permits,
 )
-from repro.check.strategies import buchi_automata, formulas, runs
 from repro.core.permission import find_witness, permits
 from repro.ltl.ast import And, Finally, Prop
-from repro.ltl.equivalence import is_satisfiable
 from repro.ltl.parser import parse
 from repro.ltl.semantics import evaluate_positions, satisfies
+
+from tests import layers
+from tests.strategies import buchi_automata, formulas, runs
 
 
 class TestAgainstSymbolicDeciders:
@@ -178,20 +177,14 @@ class TestMonitorOracle:
 def test_the_oracle_imports_nothing_it_is_a_reference_for():
     """The translator is the one thing both sides share, as it is for
     the batch oracle; the stream engine, the production decider, the
-    flat encoding and the graph algorithms under them stay out."""
-    source = Path(repro.check.oracle.__file__).read_text(encoding="utf-8")
-    package = repro.check.oracle.__name__.split(".")
-    imported = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            imported.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            base = package[:len(package) - node.level] if node.level else []
-            imported.add(".".join(base + [node.module or ""]).rstrip("."))
-    internal = {name for name in imported if name.split(".")[0] == "repro"}
+    flat encoding and the graph algorithms under them stay out (the
+    ``ONLY`` row of ``tests/layers.py``, walked by its one reader)."""
+    internal = {edge.target for edge in layers.imports()
+                if edge.module == "repro.check.oracle"
+                and layers.layer_of(edge.target)}
     assert "repro.automata.ltl2ba" in internal
-    allowed = {"repro.automata.buchi", "repro.automata.ltl2ba", "repro.errors"}
-    assert {
-        name for name in internal - allowed
-        if not (name + ".").startswith("repro.ltl.")
-    } == set()
+    assert layers.ONLY["repro.check.oracle"] == (
+        "repro.ltl", "repro.errors",
+        "repro.automata.buchi", "repro.automata.ltl2ba")
+    assert [v for v in layers.violations()
+            if v.startswith("src/repro/check/oracle.py:")] == []

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from repro.broker.database import ContractDatabase
 from repro.broker.options import QueryOptions
 from repro.broker.persist import load_database, save_database
-from repro.check.strategies import contract_specs, filter_specs, formulas
 from repro.ltl.printer import format_formula
+
+from tests.strategies import contract_specs, filter_specs, formulas
 
 
 @st.composite

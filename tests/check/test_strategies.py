@@ -1,25 +1,17 @@
-"""The promoted strategies module and its ``tests.strategies`` shim."""
+"""The contract-database strategies of ``tests/strategies.py``."""
 
 from hypothesis import given, settings
 
 from repro.broker.contract import ContractSpec
 from repro.broker.relational import AttributeFilter
 from repro.check.cases import FilterSpec
-from repro.check.strategies import (
+
+from tests.strategies import (
     attribute_filters,
     attribute_maps,
     contract_specs,
     filter_specs,
 )
-
-
-def test_shim_reexports_everything():
-    import repro.check.strategies as shipped
-    import tests.strategies as shim
-
-    assert shim.__all__ == shipped.__all__
-    for name in shipped.__all__:
-        assert getattr(shim, name) is getattr(shipped, name)
 
 
 @given(contract_specs())

@@ -19,7 +19,7 @@ from repro.core.permission import (
 )
 from repro.ltl.parser import parse
 
-from ..strategies import formulas
+from tests.strategies import formulas
 
 
 def query(text: str) -> BuchiAutomaton:

@@ -33,7 +33,7 @@ from repro.core.seeds import compute_seeds, compute_seeds_mask
 from repro.errors import BudgetExceededError
 from repro.ltl.parser import parse
 
-from ..strategies import formulas
+from tests.strategies import formulas
 
 
 def ba_of(text: str) -> BuchiAutomaton:

@@ -18,12 +18,12 @@ them among the strongest correctness checks in the suite.
 
 from hypothesis import assume, given, settings
 
+from repro.automata.equivalence import is_satisfiable
 from repro.automata.ltl2ba import translate
 from repro.core.permission import permits
 from repro.ltl.ast import And, Finally, Prop
-from repro.ltl.equivalence import is_satisfiable
 
-from ..strategies import formulas
+from tests.strategies import formulas
 
 
 class TestContainedVocabularyCollapse:

@@ -6,8 +6,6 @@ shape (doubling, cap, deterministic jitter) is pinned here once for all
 of them.
 """
 
-import itertools
-
 import pytest
 
 from repro.core.retry import BackoffPolicy
@@ -33,10 +31,12 @@ class TestBackoffPolicy:
         # distinct salts desynchronize (no thundering herd)
         assert policy.delay(1, salt="a") != policy.delay(1, salt="b")
 
-    def test_delays_generator_matches_indexed_delay(self):
+    def test_delays_plateau_at_the_jittered_cap(self):
+        """A poll loop indexes ``delay`` with an unbounded attempt."""
         policy = BackoffPolicy(base_seconds=0.01, cap_seconds=0.08)
-        stream = list(itertools.islice(policy.delays(salt="x"), 6))
-        assert stream == [policy.delay(n, salt="x") for n in range(1, 7)]
+        for attempt in range(4, 40):
+            got = policy.delay(attempt, salt="x")
+            assert 0.08 * (1 - policy.jitter) <= got <= 0.08
 
     def test_zero_base_stays_zero(self):
         policy = BackoffPolicy(base_seconds=0.0, cap_seconds=1.0)

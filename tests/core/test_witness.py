@@ -7,7 +7,7 @@ from repro.core.permission import find_witness, permits
 from repro.ltl.parser import parse
 from repro.ltl.semantics import satisfies
 
-from ..strategies import formulas
+from tests.strategies import formulas
 
 
 class TestAirfareWitness:

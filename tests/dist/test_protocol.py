@@ -139,7 +139,55 @@ class TestHostileFrames:
             asyncio.run(read())
 
 
+#: Query requests as 13.0.0 framed them, byte for byte: the options
+#: codec may change how a document is built, never what crosses the wire.
+RECORDED_FRAMES = {
+    "defaults": (
+        QueryOptions(),
+        b'\x00\x00\x00%{"op":"query_many","queries":["F a"]}'),
+    "filter": (
+        QueryOptions(attribute_filter=AttributeFilter.from_list(
+            [["price", "<=", 500], ["route", "in", ["SAN-NYC", "SFO-LAX"]]])),
+        b'\x00\x00\x00h{"filter":[["price","<=",500],["route","in",'
+        b'["SAN-NYC","SFO-LAX"]]],"op":"query_many","queries":["F a"]}'),
+    "deadline": (
+        QueryOptions(deadline_seconds=0.25),
+        b'\x00\x00\x00I{"op":"query_many","options":'
+        b'{"deadline_seconds":0.25},"queries":["F a"]}'),
+    "zero-deadline": (
+        QueryOptions(deadline_seconds=0),
+        b'\x00\x00\x00F{"op":"query_many","options":'
+        b'{"deadline_seconds":0},"queries":["F a"]}'),
+    "step-budget": (
+        QueryOptions(step_budget=64),
+        b'\x00\x00\x00B{"op":"query_many","options":{"step_budget":64},'
+        b'"queries":["F a"]}'),
+    "drop": (
+        QueryOptions(degradation=Degradation.DROP),
+        b'\x00\x00\x00F{"op":"query_many","options":'
+        b'{"degradation":"drop"},"queries":["F a"]}'),
+    "everything": (
+        QueryOptions(
+            attribute_filter=AttributeFilter.from_list(
+                [["tier", "==", "gold"]]),
+            deadline_seconds=1.5, step_budget=7,
+            degradation=Degradation.FAIL),
+        b'\x00\x00\x00\x8d{"filter":[["tier","==","gold"]],'
+        b'"op":"query_many","options":{"deadline_seconds":1.5,'
+        b'"degradation":"fail","step_budget":7},"queries":["F a"]}'),
+}
+
+
 class TestOptionDocs:
+    @pytest.mark.parametrize("name", RECORDED_FRAMES)
+    def test_request_frames_are_the_recorded_bytes(self, name):
+        options, frame = RECORDED_FRAMES[name]
+        doc = {"op": "query_many", "queries": ["F a"],
+               **protocol.options_to_doc(options)}
+        assert protocol.encode_frame(doc) == frame
+        assert protocol.options_from_doc(
+            protocol.decode_payload(frame[4:])) == options
+
     def test_round_trip_non_defaults(self):
         options = QueryOptions(
             attribute_filter=AttributeFilter.from_list(

@@ -12,7 +12,7 @@ from repro.index.prefilter import PrefilterIndex
 from repro.index.pruning import pruning_condition
 from repro.ltl.parser import parse
 
-from ..strategies import formulas
+from tests.strategies import formulas
 
 
 class TestExactEnumeration:

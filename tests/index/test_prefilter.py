@@ -11,7 +11,7 @@ from repro.errors import IndexError_
 from repro.index.prefilter import PrefilterIndex
 from repro.ltl.parser import parse
 
-from ..strategies import formulas
+from tests.strategies import formulas
 
 
 class TestExample10:

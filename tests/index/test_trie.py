@@ -18,7 +18,7 @@ from repro.errors import IndexError_
 from repro.index.prefilter import PrefilterIndex
 from repro.index.trie import SetTrie
 
-from ..strategies import labels
+from tests.strategies import labels
 
 ROOT = Path(__file__).resolve().parents[2]
 

@@ -15,7 +15,7 @@ from repro.automata.labels import Label
 from repro.index.prefilter import PrefilterIndex
 from repro.automata.ltl2ba import translate
 
-from ..strategies import EVENTS, formulas, labels
+from tests.strategies import EVENTS, formulas, labels
 
 
 def brute_force_s(contracts: dict, label: Label) -> frozenset:

@@ -547,7 +547,9 @@ class TestMonitor:
 
 def test_cli_import_leaves_the_cluster_front_end_unloaded():
     """Every CLI start imports ``repro.cli``; ``monitor``, ``query`` and
-    ``save`` never touch a cluster, so neither it nor asyncio loads."""
+    ``save`` never touch a cluster, so neither it nor asyncio loads: the
+    ``LAZY`` and ``CONFINED`` rows of ``tests/layers.py``, seen at run
+    time."""
     code = ("import sys, repro.cli; "
             "print(sorted({'repro.dist', 'asyncio'} & set(sys.modules)))")
     out = subprocess.run(

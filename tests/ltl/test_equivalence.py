@@ -3,7 +3,7 @@ equivalence, counterexamples)."""
 
 from hypothesis import given, settings
 
-from repro.ltl.equivalence import (
+from repro.automata.equivalence import (
     DEFAULT_STATE_BUDGET,
     counterexample,
     equivalent,
@@ -14,7 +14,7 @@ from repro.ltl.equivalence import (
 from repro.ltl.parser import parse
 from repro.ltl.semantics import satisfies
 
-from ..strategies import formulas
+from tests.strategies import formulas
 
 
 class TestSatisfiability:

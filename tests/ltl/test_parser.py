@@ -8,7 +8,7 @@ from repro.ltl import ast as A
 from repro.ltl.parser import parse, tokenize
 from repro.ltl.printer import format_formula
 
-from ..strategies import formulas
+from tests.strategies import formulas
 
 
 class TestAtoms:

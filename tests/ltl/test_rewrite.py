@@ -22,7 +22,7 @@ from repro.ltl.rewrite import (
 )
 from repro.ltl.semantics import satisfies
 
-from ..strategies import formulas, runs
+from tests.strategies import formulas, runs
 
 
 class TestNegateLiteral:

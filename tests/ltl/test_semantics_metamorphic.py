@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from repro.ltl.runs import Run
 from repro.ltl.semantics import evaluate_positions, satisfies
 
-from ..strategies import formulas, runs
+from tests.strategies import formulas, runs
 
 
 def unroll_once(run: Run) -> Run:

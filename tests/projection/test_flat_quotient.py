@@ -23,11 +23,12 @@ from repro.automata.labels import Literal
 from repro.automata.ltl2ba import translate
 from repro.broker.database import ContractDatabase
 from repro.broker.persist import load_database, save_database
-from repro.check.strategies import buchi_automata, formulas
 from repro.core.seeds import compute_seeds, compute_seeds_mask
 from repro.ltl.parser import parse
 from repro.projection.project import project
 from repro.projection.store import ProjectionStore
+
+from tests.strategies import buchi_automata, formulas
 
 SHAPES = Path(__file__).parents[2] / "benchmarks" / "e2e" / "shapes.json"
 

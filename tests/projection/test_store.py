@@ -15,7 +15,7 @@ from repro.projection.project import project
 from repro.projection.store import ProjectionStore
 from repro.ltl.parser import parse
 
-from ..strategies import formulas
+from tests.strategies import formulas
 
 
 class TestBuild:

@@ -14,7 +14,7 @@ from repro.projection.project import (
 )
 from repro.projection.store import ProjectionStore
 
-from ..strategies import formulas
+from tests.strategies import formulas
 
 
 class TestWorkloadSubsets:

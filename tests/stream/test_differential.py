@@ -19,7 +19,6 @@ from repro.automata.encode import encode_automaton
 from repro.automata.ltl2ba import translate
 from repro.broker.contract import ContractSpec
 from repro.check.oracle import MonitorVerdicts, oracle_monitor
-from repro.check.strategies import EVENTS, contract_specs, formulas, snapshots
 from repro.errors import MonitorError
 from repro.ltl.parser import parse
 from repro.stream import (
@@ -29,6 +28,8 @@ from repro.stream import (
     MonitorOptions,
     MonitorStatus,
 )
+
+from tests.strategies import EVENTS, contract_specs, formulas, snapshots
 
 #: events guaranteed to be outside every generated contract vocabulary
 ALIEN_EVENTS = ("zz-alpha", "zz-beta")

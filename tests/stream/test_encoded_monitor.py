@@ -9,12 +9,6 @@ from repro.automata.buchi import BuchiAutomaton, Transition
 from repro.automata.encode import encode_automaton
 from repro.automata.labels import Label, neg, pos
 from repro.automata.ltl2ba import translate
-from repro.check.strategies import (
-    EVENTS,
-    buchi_automata,
-    contract_specs,
-    snapshots,
-)
 from repro.errors import MonitorError
 from repro.ltl.parser import parse
 from repro.stream import (
@@ -26,6 +20,13 @@ from repro.stream import (
     winning_mask,
 )
 from repro.stream import encoded as encoded_module
+
+from tests.strategies import (
+    EVENTS,
+    buchi_automata,
+    contract_specs,
+    snapshots,
+)
 
 
 def encoded_for(text: str, vocabulary=None):

@@ -14,7 +14,6 @@ from repro.automata.buchi import BuchiAutomaton, Transition
 from repro.automata.encode import encode_automaton
 from repro.automata.labels import Label, neg, pos
 from repro.automata.ltl2ba import translate
-from repro.check.strategies import EVENTS, contract_specs, formulas, snapshots
 from repro.errors import MonitorError
 from repro.ltl.parser import parse
 from repro.stream import (
@@ -29,6 +28,8 @@ from repro.stream import (
     read_event_log,
 )
 from repro.stream.engine import _coerce_event
+
+from tests.strategies import EVENTS, contract_specs, formulas, snapshots
 
 
 def encoded_for(text: str, vocabulary=None):

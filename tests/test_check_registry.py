@@ -1,12 +1,15 @@
 """The check registry under ``checks/`` stays whole: each job module is a
 ``ci.yml`` matrix entry and the reverse, and every check is documented,
-budgeted and guards files that exist."""
+budgeted and guards files that exist outside ``src`` and layers of
+``tests/layers.py``."""
 
 import fnmatch
 import importlib.util
 import re
 import subprocess
 from pathlib import Path
+
+from tests.layers import RANK
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "checks").glob("test_*.py"))
@@ -40,6 +43,12 @@ def test_every_job_module_is_a_ci_matrix_entry_and_the_reverse():
     assert jobs == {path.stem.removeprefix("test_") for path in MODULES}
 
 
+def guards(fn):
+    (marker,) = [m for m in getattr(fn, "pytestmark", ())
+                 if m.name == "guards"]
+    return marker
+
+
 def test_every_check_is_documented_budgeted_and_guards_tracked_files():
     files = tracked_files()
     found = list(checks())
@@ -47,12 +56,26 @@ def test_every_check_is_documented_budgeted_and_guards_tracked_files():
     for module, fn in found:
         where = f"{module}::{fn.__name__}"
         assert (fn.__doc__ or "").strip(), f"{where} has no docstring"
-        (guards,) = [m for m in getattr(fn, "pytestmark", ())
-                     if m.name == "guards"]
-        assert guards.kwargs.get("budget", 0) > 0, f"{where} has no budget"
-        assert guards.args, f"{where} guards nothing"
-        for glob in guards.args:
+        marker = guards(fn)
+        assert marker.kwargs.get("budget", 0) > 0, f"{where} has no budget"
+        assert marker.args or marker.kwargs.get("layers"), (
+            f"{where} guards nothing")
+        for glob in marker.args:
             assert fnmatch.filter(files, glob), f"{where}: {glob} matches none"
+
+
+def test_checks_name_layers_of_the_table_and_no_glob_covers_src():
+    """``src`` is selected by layer (``checks --changed``): a glob over
+    it would select a check for every source diff again."""
+    sources = [path for path in tracked_files() if path.startswith("src/")]
+    assert sources
+    for module, fn in checks():
+        where = f"{module}::{fn.__name__}"
+        marker = guards(fn)
+        unknown = set(marker.kwargs.get("layers", ())) - set(RANK)
+        assert not unknown, f"{where}: no layer {sorted(unknown)} in the table"
+        for glob in marker.args:
+            assert not fnmatch.filter(sources, glob), f"{where}: {glob}"
 
 
 def test_no_two_checks_share_a_name():

@@ -41,7 +41,7 @@ class TestCorpusShape:
 
     def test_contracts_are_satisfiable(self):
         """An unsatisfiable corpus contract would silently match nothing."""
-        from repro.ltl.equivalence import is_satisfiable
+        from repro.automata.equivalence import is_satisfiable
 
         for d in all_domains():
             for spec in d.contracts:
