@@ -6,7 +6,7 @@ import pytest
 
 
 @pytest.mark.guards("scripts/dump_answers.py",
-                    layers=("check", "stream", "dist"), budget=2400)
+                    layers=("check", "stream", "dist"), budget=180)
 def test_full_lattice_sweep(run, artifacts):
     """``scripts/dump_answers.py`` is ``contract-broker check`` (same
     runner, same lattice) that also writes what every cell answered on

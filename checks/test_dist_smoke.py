@@ -17,7 +17,7 @@ from repro.errors import LTLSyntaxError
 CELLS = ("cli", "check", "dist")
 
 
-@pytest.mark.guards(layers=CELLS, budget=600)
+@pytest.mark.guards(layers=CELLS, budget=60)
 def test_distributed_conformance_cells(run, artifacts):
     """``sharded`` runs every case through a real 3-shard LocalCluster
     behind the front-end; ``replicated`` replays half the case through a
@@ -28,7 +28,7 @@ def test_distributed_conformance_cells(run, artifacts):
         "--artifacts", artifacts / "dist-artifacts")
 
 
-@pytest.mark.guards(layers=CELLS, budget=1500)
+@pytest.mark.guards(layers=CELLS, budget=60)
 def test_distributed_cells_under_faults(run, artifacts):
     """Invariant 16: ``flaky-network`` arms transient faults on the
     front-end's send/recv seams, and retries absorb every one;
@@ -39,7 +39,7 @@ def test_distributed_cells_under_faults(run, artifacts):
         "--artifacts", artifacts / "dist-artifacts")
 
 
-@pytest.mark.guards(layers=("cli", "dist"), budget=60)
+@pytest.mark.guards(layers=("cli", "dist"), budget=30)
 def test_serve_and_shard_status_over_real_sockets(run, tmp_path):
     """A malformed query is refused before any shard is asked; a frame
     of hostile bytes is a ProtocolError reply and the shard stays up; a

@@ -16,7 +16,7 @@ TIER1 = ("tests/*", "examples/*", "checks/*", "pyproject.toml",
          ".github/workflows/ci.yml")
 
 
-@pytest.mark.guards(*TIER1, layers=ALL, budget=1200)
+@pytest.mark.guards(*TIER1, layers=ALL, budget=600)
 def test_tier1_suite(run):
     """Every DeprecationWarning is an error, so no shim grows back;
     ``--runslow`` pays for the heavyweight hypothesis differentials that

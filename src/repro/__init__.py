@@ -57,7 +57,7 @@ from .errors import ReproError
 from .ltl import Formula, Run, parse, satisfies
 from .stream import Alert, FleetMonitor, MonitorOptions, MonitorStatus
 
-__version__ = "14.0.0"
+__version__ = "15.0.0"
 
 #: the cluster front-end loads on first use: ``import repro`` (and every
 #: CLI start) stays clear of :mod:`repro.dist` and ``asyncio``

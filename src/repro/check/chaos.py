@@ -566,8 +566,16 @@ def _dist_failover_drill():
                 replica.catch_up()
                 old_epoch = replica.cursor.epoch
 
+                skipped = db.metrics.counter_value("dist.merge.skipped_shards")
                 cluster.stop_shard(0)  # the leader dies
                 degraded = db.query_many(queries)
+                checks += 1
+                if db.metrics.counter_value(
+                        "dist.merge.skipped_shards") == skipped:
+                    return False, (
+                        "dead leader: every query was answered in full; "
+                        "the stopped shard still serves"
+                    ), checks
                 for qi, outcome in enumerate(degraded):
                     checks += 1
                     if not _sound(exact[qi], outcome):

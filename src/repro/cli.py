@@ -249,10 +249,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--specs", type=Path, default=None,
                        help="spec file to register across the shards at "
                             "startup")
-    serve.add_argument("--mode", choices=["thread", "process"],
-                       default="thread",
-                       help="shard isolation: in-process threads or "
-                            "spawned processes")
     serve.add_argument("--port-file", type=Path, default=None,
                        help="write the shard address list here as JSON "
                             "(what shard-status --port-file reads)")
@@ -774,9 +770,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     if args.shards < 1:
         raise ReproError(f"need at least one shard, got {args.shards}")
-    cluster = LocalCluster(
-        args.shards, directory=args.directory, mode=args.mode
-    )
+    cluster = LocalCluster(args.shards, directory=args.directory)
     try:
         for shard, (host, port) in enumerate(cluster.addresses):
             print(f"shard {shard}: {host}:{port}"

@@ -49,7 +49,7 @@ from .replica import (
     Replica,
     ReplicaCursor,
 )
-from .server import ShardServer, serve_shard
+from .server import ShardServer
 
 __all__ = [
     "DistributedDatabase",
@@ -65,6 +65,5 @@ __all__ = [
     "ShardRouter",
     "TransientShardError",
     "jump_hash",
-    "serve_shard",
     "stable_key",
 ]

@@ -4,11 +4,9 @@ A :class:`ShardServer` owns a :class:`~repro.broker.database.ContractDatabase`
 (journaled via :func:`~repro.broker.journal.open_database` when rooted
 in a directory — which is what makes journal-shipping replication
 possible) and serves the :mod:`repro.dist.protocol` request/response
-ops over a loopback TCP socket.  It runs either in-process (a daemon
-accept thread — what the tests, the conformance cells and
-:class:`~repro.dist.cluster.LocalCluster` use) or as a dedicated
-process via :func:`serve_shard` (what ``contract-broker serve``
-launches).
+ops over a loopback TCP socket, from daemon threads of the process
+that made it.  A shard per process is one ``contract-broker serve
+--shards 1`` per process.
 
 The server never decides placement: it answers for exactly the
 contracts the front-end registered on it.  Identity on the wire is
@@ -20,7 +18,7 @@ else speaks :mod:`~repro.dist.protocol` frames on a plain socket.
 
 from __future__ import annotations
 
-import socketserver
+import socket
 import threading
 from collections import Counter
 from pathlib import Path
@@ -32,10 +30,11 @@ from ..errors import BrokerError, DistError, ProtocolError, ReproError
 from . import protocol
 
 #: Ops a shard answers.  ``save`` snapshots + compacts (the leader-side
-#: epoch bump replicas must survive); ``shutdown`` stops the server.
+#: epoch bump replicas must survive).  No op stops a shard: only its
+#: owner's :meth:`ShardServer.stop` does.
 SHARD_OPS = frozenset({
     "ping", "register", "deregister", "query", "query_many",
-    "ingest", "status", "save", "shutdown",
+    "ingest", "status", "save",
 })
 
 
@@ -47,11 +46,11 @@ class ShardServer:
     database instead of opening one — the failover path: a promoted
     replica's database goes straight behind a fresh socket without a
     reload (``directory`` then defaults to the attached journal's, so
-    ``save``/``status`` keep working).  ``start()`` binds a loopback
-    socket and serves from daemon threads; :meth:`handle_request` is
-    also directly callable, so in-process callers (tests, the
-    conformance runner) can skip the socket without skipping the
-    serialization round-trip.
+    ``save``/``status`` keep working).  :meth:`start` binds a loopback
+    socket and serves it; :meth:`stop` ends the shard for every client
+    at once.  :meth:`handle_request` is also directly callable, so
+    in-process callers (tests, the conformance runner) can skip the
+    socket without skipping the serialization round-trip.
     """
 
     def __init__(self, shard_id: int, *,
@@ -87,8 +86,11 @@ class ShardServer:
         self.db.metrics.register(self)
         self._host = host
         self._port = port
-        self._server: socketserver.ThreadingTCPServer | None = None
-        self._thread: threading.Thread | None = None
+        self._listener: socket.socket | None = None
+        self._acceptor: threading.Thread | None = None
+        # each open connection and the thread serving it
+        self._connections: dict[socket.socket, threading.Thread] = {}
+        self._connections_lock = threading.Lock()
 
     # -- the request surface ----------------------------------------------------------
 
@@ -214,105 +216,90 @@ class ShardServer:
         journal = self.db.journal
         return {"epoch": journal.epoch if journal is not None else None}
 
-    def _op_shutdown(self, doc: dict) -> dict:
-        if self._server is not None:
-            # shut down from another thread: serve_forever must not wait
-            # on the very request it is answering
-            threading.Thread(target=self.stop, daemon=True).start()
-        return {"stopping": True}
-
     # -- the socket surface -----------------------------------------------------------
 
     @property
     def address(self) -> tuple[str, int]:
-        if self._server is None:
+        if self._listener is None:
             raise DistError(f"shard {self.shard_id} is not serving")
-        return self._server.server_address  # type: ignore[return-value]
+        return self._listener.getsockname()
 
     @property
     def port(self) -> int:
         return self.address[1]
 
     def start(self) -> "ShardServer":
-        """Bind the socket and serve from a daemon thread."""
-        if self._server is not None:
+        """Bind the socket and accept on a daemon thread; each
+        connection is served by a thread of its own."""
+        if self._listener is not None:
             return self
-        self._server = _Server((self._host, self._port), self)
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            name=f"shard-{self.shard_id}",
-            daemon=True,
+        self._listener = socket.create_server((self._host, self._port))
+        self._acceptor = threading.Thread(
+            target=self._accept, args=(self._listener,),
+            name=f"shard-{self.shard_id}", daemon=True,
         )
-        self._thread.start()
+        self._acceptor.start()
         return self
 
     def stop(self) -> None:
-        if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
-            self._server = None
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
+        """End the shard at once and for every client: close the
+        listener and every open connection, wait for the requests in
+        flight, then close the journal.  A request sent on a connection
+        opened before ``stop()`` gets EOF or a reset, never an answer."""
+        listener, self._listener = self._listener, None
+        if listener is not None:
+            _hang_up(listener)  # the blocked accept() returns
+            self._acceptor.join()
+            self._acceptor = None
+            listener.close()
+            with self._connections_lock:
+                connections = list(self._connections.items())
+            for connection, _ in connections:
+                _hang_up(connection)  # a blocked recv() reads EOF
+            for _, thread in connections:
+                thread.join()
         if self.db.journal is not None:
             self.db.journal.close()
 
+    def _accept(self, listener: socket.socket) -> None:
+        while True:
+            try:
+                connection, _ = listener.accept()
+            except OSError:
+                if self._listener is not listener:
+                    return  # stop() shut it down
+                continue
+            thread = threading.Thread(
+                target=self._serve, args=(connection,), daemon=True,
+            )
+            with self._connections_lock:
+                self._connections[connection] = thread
+            thread.start()
 
-class _Handler(socketserver.BaseRequestHandler):
-    """One client connection: answer frames until the client hangs up."""
-
-    def handle(self):
-        shard = self.server.shard
+    def _serve(self, connection: socket.socket) -> None:
+        """One client connection: answer frames until the client hangs
+        up or the shard stops."""
         try:
             while True:
-                request = protocol.recv_frame(self.request)
+                request = protocol.recv_frame(connection)
                 if request is None:
                     return
-                protocol.send_frame(self.request, shard.handle_request(request))
+                protocol.send_frame(connection, self.handle_request(request))
         except ProtocolError as exc:
             try:
-                protocol.send_frame(self.request, protocol.error_doc(exc))
+                protocol.send_frame(connection, protocol.error_doc(exc))
             except OSError:
                 pass
         except OSError:
-            pass  # client went away mid-exchange
+            pass  # client went away mid-exchange, or the shard stopped
+        finally:
+            with self._connections_lock:
+                del self._connections[connection]
+            connection.close()
 
 
-class _Server(socketserver.ThreadingTCPServer):
-    """The listener of one :class:`ShardServer`.  Module-level, like its
-    handler, so no class object (cyclic garbage) holds the shard: a
-    stopped shard's database is freed by reference counting, not at the
-    next full collection."""
-
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(self, address: tuple[str, int], shard: ShardServer):
-        self.shard = shard
-        super().__init__(address, _Handler)
-
-
-def serve_shard(shard_id: int, directory: str | None, config_doc: dict | None,
-                host: str, port: int, conn=None) -> None:
-    """Process entry point: run one shard until told to stop.
-
-    ``conn`` (a multiprocessing pipe end) receives the bound port once
-    the socket is up, then blocks until the parent sends anything —
-    the stop signal.  With no pipe (foreground CLI use) the server runs
-    until the process is interrupted.
-    """
-    config = BrokerConfig.from_dict(config_doc) if config_doc else None
-    server = ShardServer(
-        shard_id, directory=directory, config=config, host=host, port=port
-    )
-    server.start()
+def _hang_up(sock: socket.socket) -> None:
     try:
-        if conn is not None:
-            conn.send(("ready", server.port))
-            conn.recv()  # blocks until the parent signals stop (or EOFError)
-        else:  # pragma: no cover - foreground mode is exercised via CLI
-            threading.Event().wait()
-    except (EOFError, KeyboardInterrupt):
-        pass
-    finally:
-        server.stop()
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # the peer is gone already

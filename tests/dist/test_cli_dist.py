@@ -1,11 +1,20 @@
 """The distributed CLI surface: serve and shard-status."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.broker.database import ContractDatabase
 from repro.cli import main
-from repro.dist import ShardServer
+from repro.dist import DistributedDatabase, ShardServer
+
+SRC = str(Path(repro.__file__).resolve().parents[1])
 
 
 class TestServe:
@@ -33,6 +42,53 @@ class TestServe:
     def test_serve_rejects_no_shards(self, capsys):
         assert main(["serve", "--shards", "0", "--duration", "0"]) == 1
         assert "at least one shard" in capsys.readouterr().err
+
+    def test_a_shard_per_process(self, tmp_path):
+        """A shard per process is one ``serve --shards 1`` per process;
+        a front-end over their addresses answers as one node does."""
+        port_files = [tmp_path / f"ports-{i}.json" for i in range(2)]
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "serve", "--shards", "1",
+                 "--directory", str(tmp_path / f"shard-{i}"),
+                 "--port-file", str(port_file), "--duration", "60"],
+                stdout=subprocess.DEVNULL,
+                env={**os.environ, "PYTHONPATH": SRC},
+            )
+            for i, port_file in enumerate(port_files)
+        ]
+        try:
+            addresses = [_wait_for_address(port_file, proc)
+                         for port_file, proc in zip(port_files, procs)]
+            local = ContractDatabase()
+            with DistributedDatabase(addresses) as db:
+                for i in range(6):
+                    clauses = [f"G(a{i % 3} -> F b)"]
+                    db.register(f"c{i}", clauses)
+                    local.register(f"c{i}", clauses)
+                for query in ("F b", "F a0 & G !b", "G F a1"):
+                    assert db.query(query).contract_names == (
+                        local.query(query).contract_names)
+                assert all(len(shard["names"]) > 0
+                           for shard in db.status()["shards"])
+        finally:
+            for proc in procs:
+                proc.terminate()
+            for proc in procs:
+                proc.wait(timeout=30)
+
+
+def _wait_for_address(port_file: Path, proc) -> tuple[str, int]:
+    """The one address ``serve --port-file`` writes, once it is there."""
+    deadline = time.monotonic() + 30
+    while True:
+        assert proc.poll() is None, "serve exited before writing its port file"
+        try:
+            ((host, port),) = json.loads(port_file.read_text(encoding="utf-8"))
+            return host, port
+        except (OSError, ValueError):
+            assert time.monotonic() < deadline, "serve wrote no port file"
+            time.sleep(0.05)
 
 
 class TestShardStatus:

@@ -192,11 +192,6 @@ class TestDegradedMerge:
         }
         assert dead_names, "fixture needs contracts on the dead shard"
         dead.stop()
-        # drop the persistent connections: the dead shard's accept
-        # socket is closed, so the re-dial fails and the degradation
-        # path — not a half-open handler thread — answers
-        for shard in range(len(db.addresses)):
-            db._disconnect(shard)
         return cluster, db, dead_names
 
     def test_dead_shard_contracts_become_skipped_maybe(self):

@@ -439,8 +439,6 @@ class TestMergeAllShardsDead:
             db.register("alpha", ["F a"])
             for server in cluster.servers:
                 server.stop()
-            for shard in range(len(db.addresses)):
-                db._disconnect(shard)
             with pytest.raises(QueryBudgetError):
                 db.query("F a", QueryOptions(degradation=Degradation.FAIL))
             # and under MAYBE the same cluster degrades soundly

@@ -53,9 +53,12 @@ class TestDispatch:
         }
 
     def test_unknown_op_is_an_error_response(self, shard):
-        response = shard.handle_request({"op": "explode"})
-        assert response["ok"] is False
-        assert "unknown op" in response["error"]
+        # no client stops a shard, so "shutdown" is no op: only the
+        # owner's stop() ends a shard
+        for op in ("explode", "shutdown"):
+            response = shard.handle_request({"op": op})
+            assert response["ok"] is False
+            assert "unknown op" in response["error"]
 
     def test_malformed_request_is_an_error_response(self, shard):
         # missing required keys must not crash the server loop
@@ -309,6 +312,36 @@ class TestSocketSurface:
     def test_shard_ops_is_the_full_surface(self, shard):
         for op in SHARD_OPS:
             assert hasattr(shard, f"_op_{op}")
+
+
+class TestStop:
+    """``stop()`` ends a shard at once and for every client."""
+
+    def test_a_connection_opened_before_stop_gets_no_answer(self, tmp_path):
+        server = ShardServer(0, directory=tmp_path).start()
+        journal = tmp_path / "journal.jsonl"
+        with socket.create_connection(server.address, timeout=10.0) as sock:
+            protocol.send_frame(sock, {
+                "op": "register", "name": "alpha", "clauses": ["F a"],
+            })
+            assert protocol.recv_frame(sock)["ok"]
+            before = journal.read_bytes()
+            server.stop()
+            try:
+                protocol.send_frame(sock, {
+                    "op": "register", "name": "beta", "clauses": ["F b"],
+                })
+                answer = protocol.recv_frame(sock)
+            except OSError:  # a reset
+                answer = None
+        assert answer is None
+        assert journal.read_bytes() == before
+
+    def test_stopping_a_cluster_does_not_wait_on_a_poll(self):
+        cluster = LocalCluster(3)
+        started = time.perf_counter()
+        cluster.stop()
+        assert time.perf_counter() - started < 0.25
 
 
 class TestStoppedShardsFreeTheirDatabase:
